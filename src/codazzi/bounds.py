@@ -26,7 +26,7 @@ from .charts import (
 )
 from .errors import PreconditionError
 from .points import best_fit_curvature_coefficient
-from .tensors import CurvTensor, inner, r0_curvature
+from .tensors import CurvTensor, contract, inner, r0_curvature
 
 
 @dataclass
@@ -240,10 +240,7 @@ def simons_sandwich_check(
     half_lap_u = 0.5 * scalar_laplacian_at(cs, u_field, x)
     ginv = cs.metric_inverse_at(x)
     na = nabla_cubic_at(cs, x)
-    raised = na
-    for axis in range(4):
-        raised = np.moveaxis(np.tensordot(ginv, raised, axes=(1, axis)), 0, axis)
-    nabla_sq = float(np.sum(na * raised))
+    nabla_sq = contract(ginv, na, na)
 
     lower = (n + 1) * h_curv * u + (n + 1) / (n * (n - 1)) * u * u + nabla_sq
     upper = (n + 1) * h_curv * u + 1.5 * u * u + nabla_sq

@@ -24,12 +24,20 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstructionError, PreconditionError
-from .expressions import parse_expression, partial
-from .points import StatPoint
+from .expressions import Const, mul, parse_expression, partial
+from .points import (
+    StatPoint,
+    best_fit_curvature_coefficient,
+    bracket_kk,
+    constant_curvature_residual,
+)
 from .tensors import (
     CubicForm,
     CurvTensor,
     MetricPoint,
+    contract,
+    inner,
+    orthonormal_plane,
     symmetrize,
 )
 
@@ -429,23 +437,9 @@ def rho_hat(cs: ChartStructure, x) -> float:
     return float(np.einsum("jk,jk->", cs.metric_inverse_at(x), ric_hat(cs, x)))
 
 
-def _orthonormal_plane(g: np.ndarray, u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = float(np.sqrt(u @ g @ u))
-    if nu == 0.0:
-        raise PreconditionError("plane vectors must be nonzero")
-    e1 = u / nu
-    v2 = v - (e1 @ g @ v) * e1
-    nv = float(np.sqrt(v2 @ g @ v2))
-    if nv <= 1e-12 * max(float(np.sqrt(v @ g @ v)), 1.0):
-        raise PreconditionError("plane vectors are linearly dependent")
-    return e1, v2 / nv
-
-
 def sectional_hat(cs: ChartStructure, x, plane) -> float:
     g = cs.metric_at(x)
-    e1, e2 = _orthonormal_plane(g, *plane)
+    e1, e2 = orthonormal_plane(g, *plane)
     _, low = curvature_hat_arrays(cs, x)
     return float(np.einsum("ijkl,i,j,k,l->", low, e1, e2, e2, e1))
 
@@ -463,26 +457,30 @@ def conjugate_symmetry_defect(cs: ChartStructure, x) -> float:
     """Scale-free asymmetry of nabla_hat A: ||asym|| / (1 + ||nabla_hat A||)."""
     na = nabla_cubic_at(cs, x)
     ginv = cs.metric_inverse_at(x)
-    asym = na - symmetrize(na)
-    raised_asym = asym
-    raised_full = na
-    for axis in range(4):
-        raised_asym = np.moveaxis(np.tensordot(ginv, raised_asym, axes=(1, axis)), 0, axis)
-        raised_full = np.moveaxis(np.tensordot(ginv, raised_full, axes=(1, axis)), 0, axis)
-    norm_asym = float(np.sqrt(max(np.sum(asym * raised_asym), 0.0)))
-    norm_full = float(np.sqrt(max(np.sum(na * raised_full), 0.0)))
-    return norm_asym / (1.0 + norm_full)
+    return _g_norm(ginv, na - symmetrize(na)) / (1.0 + _g_norm(ginv, na))
 
 
 def conjugate_symmetry_holds(cs: ChartStructure, x, threshold=CONJUGATE_SYMMETRY_THRESHOLD) -> bool:
     return conjugate_symmetry_defect(cs, x) < threshold
 
 
+def conjugate_symmetry_criteria(cs: ChartStructure, x) -> dict[str, float]:
+    """The three defects that vanish together exactly for conjugate symmetric structures.
+
+    r-vs-rbar is ||R - R_bar||, asym-nabla-a the asymmetry of nabla_hat A, and
+    zw-skew ||R + R with its last two slots swapped||.
+    """
+    conn = statistical_connections(cs, x)
+    ginv = cs.metric_inverse_at(x)
+    return {
+        "r-vs-rbar": _g_norm(ginv, conn.r_nabla - conn.r_bar),
+        "asym-nabla-a": conjugate_symmetry_defect(cs, x),
+        "zw-skew": _g_norm(ginv, conn.r_nabla + np.swapaxes(conn.r_nabla, 2, 3)),
+    }
+
+
 def _g_norm(ginv: np.ndarray, arr: np.ndarray) -> float:
-    raised = arr
-    for axis in range(arr.ndim):
-        raised = np.moveaxis(np.tensordot(ginv, raised, axes=(1, axis)), 0, axis)
-    return float(np.sqrt(max(np.sum(arr * raised), 0.0)))
+    return float(np.sqrt(max(contract(ginv, arr, arr), 0.0)))
 
 
 @dataclass
@@ -524,8 +522,6 @@ def statistical_connections(cs: ChartStructure, x) -> StatConnections:
     r_bar = np.einsum("lm,mijk->ijkl", g, _curvature_from_gamma(cs, gamma_bar_field, x))
 
     sp = cs.point(x)
-    from .points import bracket_kk
-
     bracket = bracket_kk(sp).array
     na = nabla_cubic_at(cs, x)
 
@@ -670,7 +666,7 @@ def sectional_nabla(cs: ChartStructure, x, plane) -> float:
     """Sectional curvature of the averaged statistical curvature (R + R_bar)/2."""
     conn = statistical_connections(cs, x)
     g = cs.metric_at(x)
-    e1, e2 = _orthonormal_plane(g, *plane)
+    e1, e2 = orthonormal_plane(g, *plane)
     avg = 0.5 * (conn.r_nabla + conn.r_bar)
     return float(np.einsum("ijkl,i,j,k,l->", avg, e1, e2, e2, e1))
 
@@ -707,11 +703,7 @@ def squared_norm_field(cs: ChartStructure, field: Field) -> Callable[[np.ndarray
 
     def f(x):
         s = np.asarray(field(x), dtype=float)
-        ginv = cs.metric_inverse_at(x)
-        raised = s
-        for axis in range(s.ndim):
-            raised = np.moveaxis(np.tensordot(ginv, raised, axes=(1, axis)), 0, axis)
-        return float(np.sum(s * raised))
+        return contract(cs.metric_inverse_at(x), s, s)
 
     return f
 
@@ -722,11 +714,7 @@ def simons_residual(cs: ChartStructure, field: Field, x) -> float:
     ginv = cs.metric_inverse_at(x)
     lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, field), x)
     lap_s = laplacian_tensor_at(cs, field, x)
-    s0 = np.asarray(field(x), dtype=float)
-    raised = lap_s
-    for axis in range(s0.ndim):
-        raised = np.moveaxis(np.tensordot(ginv, raised, axes=(1, axis)), 0, axis)
-    middle = float(np.sum(s0 * raised))
+    middle = contract(ginv, np.asarray(field(x), dtype=float), lap_s)
     grad_norm_sq = _g_norm(ginv, nabla_at(cs, field, x)) ** 2
     return abs(lhs - middle - grad_norm_sq)
 
@@ -784,11 +772,7 @@ def sym2_simons_residual(cs: ChartStructure, betafield: Field, x) -> tuple[float
     grad_sq = _g_norm(ginv, nb) ** 2
 
     second = nabla2_at(cs, betafield, x)
-    traced = _trace_pair(ginv, second, 2, 3)
-    raised = traced
-    for axis in range(2):
-        raised = np.moveaxis(np.tensordot(ginv, raised, axes=(1, axis)), 0, axis)
-    middle = float(np.sum(beta0 * raised))
+    middle = contract(ginv, beta0, _trace_pair(ginv, second, 2, 3))
 
     # generalized eigenstructure of beta against g via the orthonormal frame
     b = np.linalg.cholesky(ginv)
@@ -810,6 +794,17 @@ def sym2_simons_residual(cs: ChartStructure, betafield: Field, x) -> tuple[float
     return residual, eigen_term
 
 
+def _cubic_laplace_terms(cs: ChartStructure, x, ginv) -> tuple[float, float, float]:
+    """(1/2 Lap ||A||^2, ||nabla_hat A||^2, g(nabla_hat^2 tau, A)) at x for the cubic formulas.
+
+    The last pairs nabla^2 tau (derivative, derivative, argument) with A on all three slots.
+    """
+    lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, cs.a_field), x)
+    grad_sq = _g_norm(ginv, nabla_cubic_at(cs, x)) ** 2
+    tau_pair = contract(ginv, cs.cubic_at(x), nabla2_at(cs, lambda y: cs.tau_at(y), x))
+    return lhs, grad_sq, tau_pair
+
+
 def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
     """Laplacian formulas for the cubic form of a conjugate symmetric structure.
 
@@ -827,18 +822,7 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
         )
     ginv = cs.metric_inverse_at(x)
     sp = cs.point(x)
-    from .points import bracket_kk
-
-    lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, cs.a_field), x)
-    grad_sq = _g_norm(ginv, nabla_cubic_at(cs, x)) ** 2
-
-    second_tau = nabla2_at(cs, lambda y: cs.tau_at(y), x)
-    a0 = cs.cubic_at(x)
-    raised = second_tau
-    for axis in range(3):
-        raised = np.moveaxis(np.tensordot(ginv, raised, axes=(1, axis)), 0, axis)
-    # pair nabla^2 tau (derivative, derivative, argument) with A on all three slots
-    tau_pair = float(np.sum(a0 * raised))
+    lhs, grad_sq, tau_pair = _cubic_laplace_terms(cs, x, ginv)
 
     bracket = bracket_kk(sp).array
     _, r_hat_low = curvature_hat_arrays(cs, x)
@@ -849,33 +833,24 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
     gram = sp.gram_k()
     tau_circ = sp.tau_circ_k()
 
-    def pair4(a, b):
-        rb = b
-        for axis in range(4):
-            rb = np.moveaxis(np.tensordot(ginv, rb, axes=(1, axis)), 0, axis)
-        return float(np.sum(a * rb))
-
-    def pair2(a, b):
-        return float(np.einsum("ac,bd,ab,cd->", ginv, ginv, a, b))
-
-    bracket_term = pair4(bracket, r_hat_low)
-    ric_gram = pair2(ric_hat_arr, gram)
+    bracket_term = contract(ginv, bracket, r_hat_low)
+    ric_gram = contract(ginv, ric_hat_arr, gram)
 
     out = {
         "laplace-cubic-bracket": abs(lhs - (grad_sq + tau_pair - bracket_term + ric_gram)),
         "laplace-cubic-curvdiff": abs(
-            lhs - (grad_sq + tau_pair + pair4(r_hat_low - r_low, r_hat_low) + ric_gram)
+            lhs - (grad_sq + tau_pair + contract(ginv, r_hat_low - r_low, r_hat_low) + ric_gram)
         ),
         "laplace-cubic-ricci": abs(
             lhs
             - (
                 grad_sq
                 + tau_pair
-                + pair4(r_hat_low, r_hat_low)
-                + pair2(ric_hat_arr, ric_hat_arr)
-                - pair4(r_low, r_hat_low)
-                - pair2(ric, ric_hat_arr)
-                + pair2(ric_hat_arr, tau_circ)
+                + contract(ginv, r_hat_low, r_hat_low)
+                + contract(ginv, ric_hat_arr, ric_hat_arr)
+                - contract(ginv, r_low, r_hat_low)
+                - contract(ginv, ric, ric_hat_arr)
+                + contract(ginv, ric_hat_arr, tau_circ)
             )
         ),
     }
@@ -884,10 +859,10 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
             lhs
             - (
                 grad_sq
-                + pair4(r_hat_low, r_hat_low)
-                + pair2(ric_hat_arr, ric_hat_arr)
-                - pair4(r_low, r_hat_low)
-                - pair2(ric, ric_hat_arr)
+                + contract(ginv, r_hat_low, r_hat_low)
+                + contract(ginv, ric_hat_arr, ric_hat_arr)
+                - contract(ginv, r_low, r_hat_low)
+                - contract(ginv, ric, ric_hat_arr)
             )
         )
     return out
@@ -901,29 +876,17 @@ def cubic_laplace_constant_sectional_residual(cs: ChartStructure, x, kappa=None)
     x = cs.require_interior(np.asarray(x, dtype=float))
     ginv = cs.metric_inverse_at(x)
     sp = cs.point(x)
-    from .points import best_fit_curvature_coefficient, bracket_kk, constant_curvature_residual
-
     bracket = bracket_kk(sp)
     if kappa is None:
         kappa = best_fit_curvature_coefficient(sp.g, bracket)
     fit = constant_curvature_residual(bracket, sp.g, kappa)
-    from .tensors import inner as _inner
-
-    if fit > 1e-6 * (1.0 + np.sqrt(abs(_inner(sp.g, bracket, bracket)))):
+    if fit > 1e-6 * (1.0 + np.sqrt(abs(inner(sp.g, bracket, bracket)))):
         raise PreconditionError(f"commutator curvature is not proportional to R0 (residual {fit:g})")
 
-    lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, cs.a_field), x)
-    grad_sq = _g_norm(ginv, nabla_cubic_at(cs, x)) ** 2
-    second_tau = nabla2_at(cs, lambda y: cs.tau_at(y), x)
-    a0 = cs.cubic_at(x)
-    raised = second_tau
-    for axis in range(3):
-        raised = np.moveaxis(np.tensordot(ginv, raised, axes=(1, axis)), 0, axis)
-    tau_pair = float(np.sum(a0 * raised))
+    lhs, grad_sq, tau_pair = _cubic_laplace_terms(cs, x, ginv)
     ric_hat_arr = ric_hat(cs, x)
     rho_hat_val = float(np.einsum("jk,jk->", ginv, ric_hat_arr))
-    gram = cs.point(x).gram_k()
-    ric_gram = float(np.einsum("ac,bd,ab,cd->", ginv, ginv, ric_hat_arr, gram))
+    ric_gram = contract(ginv, ric_hat_arr, sp.gram_k())
     return abs(lhs - (grad_sq + tau_pair - 2.0 * kappa * rho_hat_val + ric_gram))
 
 
@@ -936,38 +899,20 @@ def cubic_laplace_lagrangian_residual(cs: ChartStructure, x, c=None) -> float:
     x = cs.require_interior(np.asarray(x, dtype=float))
     ginv = cs.metric_inverse_at(x)
     sp = cs.point(x)
-    from .points import best_fit_curvature_coefficient, bracket_kk, constant_curvature_residual
-    from .tensors import CurvTensor as _CT
-
     bracket = bracket_kk(sp).array
     _, r_hat_low = curvature_hat_arrays(cs, x)
-    diff = _CT(0.5 * ((r_hat_low - bracket) - np.swapaxes(r_hat_low - bracket, 0, 1)))
+    diff = CurvTensor(0.5 * ((r_hat_low - bracket) - np.swapaxes(r_hat_low - bracket, 0, 1)))
     if c is None:
         c = best_fit_curvature_coefficient(sp.g, diff)
     fit = constant_curvature_residual(diff, sp.g, c)
     if fit > 1e-4 * (1.0 + abs(c)):
         raise PreconditionError(f"R_hat - [K,K] is not proportional to R0 (residual {fit:g})")
 
-    lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, cs.a_field), x)
-    grad_sq = _g_norm(ginv, nabla_cubic_at(cs, x)) ** 2
-    second_tau = nabla2_at(cs, lambda y: cs.tau_at(y), x)
-    a0 = cs.cubic_at(x)
-    raised = second_tau
-    for axis in range(3):
-        raised = np.moveaxis(np.tensordot(ginv, raised, axes=(1, axis)), 0, axis)
-    tau_pair = float(np.sum(a0 * raised))
-
-    def pair4(a, b):
-        rb = b
-        for axis in range(4):
-            rb = np.moveaxis(np.tensordot(ginv, rb, axes=(1, axis)), 0, axis)
-        return float(np.sum(a * rb))
-
-    rhat_sq = pair4(r_hat_low, r_hat_low)
+    lhs, grad_sq, tau_pair = _cubic_laplace_terms(cs, x, ginv)
+    rhat_sq = contract(ginv, r_hat_low, r_hat_low)
     ric_hat_arr = ric_hat(cs, x)
     rho_hat_val = float(np.einsum("jk,jk->", ginv, ric_hat_arr))
-    gram = sp.gram_k()
-    ric_gram = float(np.einsum("ac,bd,ab,cd->", ginv, ginv, ric_hat_arr, gram))
+    ric_gram = contract(ginv, ric_hat_arr, sp.gram_k())
     return abs(lhs - (grad_sq + tau_pair - rhat_sq + 2.0 * c * rho_hat_val + ric_gram))
 
 
@@ -1010,8 +955,6 @@ def hessian_from_potential(
             [[[third_fns[a][b][c](x) for c in range(n)] for b in range(n)] for a in range(n)]
         )
         return -0.5 * symmetrize(arr)
-
-    from .expressions import Const, mul
 
     g_source = [[second[a][b].source() for b in range(n)] for a in range(n)]
     a_source = {}

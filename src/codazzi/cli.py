@@ -15,7 +15,7 @@ import numpy as np
 from .errors import CodazziError, SchemaError
 from .generators import FAMILIES, GeneratorSpec, generate
 from .structures_io import emit, ingest
-from .suites import SUITE_NAMES, SuiteConfig, run_suite
+from .suites import SUITE_NAMES, SuiteConfig, check_structure, run_suite
 
 USAGE_ERROR = 2
 
@@ -50,26 +50,19 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--params", type=str, default="{}",
                      help="JSON object of family parameters")
 
-    check = sub.add_parser("check", help="ingest a structure file and run a suite against it")
+    check = sub.add_parser("check", help="ingest a structure file and run the checks that apply")
     check.add_argument("--file", required=True)
-    check.add_argument("--suite", default="algebraic", choices=SUITE_NAMES)
     check.add_argument("--report", type=str, default=None)
     check.add_argument("--strict", action="store_true")
     return parser
 
 
 def _suite_config(args) -> SuiteConfig:
-    cfg = SuiteConfig(
-        seeds=args.seeds,
-        h=args.h,
-        lattice=args.lattice,
-        fiber_order=args.fiber_nodes,
-        sweep_count=args.sweep_count,
-        strict=args.strict,
-    )
-    if args.tol_scale is not None:
-        cfg.tol_scale = args.tol_scale
-    return cfg
+    # one constructor call, so validation sees every value; an unset --tol-scale
+    # leaves the default to the environment
+    explicit = {} if args.tol_scale is None else {"tol_scale": args.tol_scale}
+    return SuiteConfig(seeds=args.seeds, h=args.h, lattice=args.lattice,
+                       fiber_order=args.fiber_nodes, sweep_count=args.sweep_count, **explicit)
 
 
 def _print_summary(report) -> None:
@@ -188,7 +181,7 @@ def main(argv=None) -> int:
 
         if args.command == "check":
             structure = ingest(args.file)
-            report = _check_structure(structure, args.suite)
+            report = check_structure(structure)
             _print_summary(report)
             if args.report:
                 _write_report(report, args.report, False)
@@ -200,83 +193,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return USAGE_ERROR
-
-
-def _check_structure(structure, suite_name: str):
-    """Run the applicable checks on an ingested structure, as a mini report."""
-    from . import charts as charts_mod
-    from . import points as points_mod
-    from .charts import ChartStructure
-    from .suites import (
-        A_EIGHTH,
-        A_NORMGAP,
-        A_QUARTER,
-        A_RHOK,
-        A_RICK,
-        A_RIC_DECOMP,
-        A_SYM2,
-        A_TWO_ROUTES,
-        A_WEITZENBOCK,
-        ResidualReport,
-        _Collector,
-        fd_tol,
-    )
-    from .errors import PreconditionError
-
-    col = _Collector()
-    if isinstance(structure, ChartStructure):
-        mid = structure.domain.mean(axis=1)
-        sps = [structure.point(mid)]
-        loc = "chart-midpoint"
-        conn = charts_mod.statistical_connections(structure, mid)
-        scale = conn.residuals.pop("scale")
-        h = structure.h
-        col.add("curvature-two-routes", A_TWO_ROUTES,
-                conn.residuals["curvature-two-routes"],
-                fd_tol("curvature-two-routes", h) * scale, loc)
-        rd = charts_mod.ricci_decomposition_residuals(structure, mid)
-        col.add("ricci-decomposition", A_RIC_DECOMP, rd["ricci-decomposition"],
-                fd_tol("ricci-decomposition", h) * scale, loc)
-        for name, aux in structure.aux_fields.items():
-            if aux.degree == 1:
-                out = charts_mod.weitzenbock_residual(structure, aux.fn, mid)
-                col.add(f"weitzenbock[{name}]", A_WEITZENBOCK, out["weitzenbock"],
-                        fd_tol("weitzenbock", h) * scale, loc)
-            elif aux.degree == 2:
-                try:
-                    residual, _ = charts_mod.sym2_simons_residual(structure, aux.fn, mid)
-                    col.add(f"sym2-simons[{name}]", A_SYM2, residual,
-                            fd_tol("sym2-simons", h) * scale, loc)
-                except PreconditionError as exc:
-                    col.skip(f"sym2-simons[{name}]", A_SYM2, str(exc)[:60], loc)
-    else:
-        sps = [structure]
-        loc = "point"
-    for sp in sps:
-        n = sp.n
-        u = np.zeros(n)
-        u[0] = 1.0
-        lhs, rhs, _ = points_mod.check_ineq_quarter(sp, u)
-        col.add("quarter-inequality", A_QUARTER, max(lhs - rhs, 0.0), 1e-12, loc)
-        try:
-            lhs, rhs, _ = points_mod.check_ineq_eighth(sp, u)
-            col.add("eighth-inequality", A_EIGHTH, max(lhs - rhs, 0.0), 1e-12, loc)
-        except PreconditionError as exc:
-            col.skip("eighth-inequality", A_EIGHTH, str(exc)[:60], loc)
-        residual, _ = points_mod.check_ineq_n2over3(sp)
-        col.add("normgap-inequality", A_NORMGAP, max(-residual, 0.0), 1e-12, loc)
-        via_trace, via_norms = points_mod.rho_k(sp)
-        col.add("commutator-scalar-two-routes", A_RHOK, abs(via_trace - via_norms), 1e-12, loc)
-        col.add(
-            "commutator-ricci-two-routes",
-            A_RICK,
-            float(np.max(np.abs(points_mod.ric_k(sp) - points_mod.ric_k_from_bracket(sp)))),
-            1e-12,
-            loc,
-        )
-    report = ResidualReport(suite=f"check:{suite_name}", checks=col.checks,
-                            environment={"source": "check"})
-    return report
 
 
 if __name__ == "__main__":

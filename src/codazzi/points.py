@@ -7,6 +7,12 @@ components: the commutator curvature [K,K], its Ricci tensor and scalar,
 the sectional invariant of [K,K], the sharp trace inequalities with their
 equality certificates, and the squared-norm quantities entering the
 Laplacian bounds for the cubic form.
+
+The inequality and norm formulas are written once, as batched kernels over
+cubic components a[..., n, n, n] in an orthonormal frame (g = identity
+there) with any number of leading batch axes.  The StatPoint functions call
+them with the frame components of one point; the random sweeps of the
+suites call them on whole batches.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .tensors import (
     inner,
     norm,
     orthonormal_frame,
+    orthonormal_plane,
     r0_curvature,
     raise_last,
     ricci_from_curvature,
@@ -102,12 +109,6 @@ class StatPoint:
         """Endomorphism K_X as a matrix: (K_X)^m_j = K^m_ij x^i."""
         return np.einsum("mij,i->mj", self.K.array, np.asarray(x, dtype=float))
 
-    def operator_pairing(self, x, y) -> float:
-        """g(K_X, K_Y): scalar product of the endomorphisms w.r.t. g."""
-        kx = self.k_operator(x)
-        ky = self.k_operator(y)
-        return float(np.einsum("ab,mn,ma,nb->", self.g.inverse, self.g.components, kx, ky))
-
     def norm_a_sq(self) -> float:
         """||A||^2 = ||K||^2 (full contraction with g^{-1})."""
         return inner(self.g, self.A, self.A)
@@ -182,25 +183,83 @@ def rho_k(sp: StatPoint) -> tuple[float, float]:
     return via_trace, via_norms
 
 
-def _gram_schmidt_plane(g: MetricPoint, x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx = g.norm(x)
-    if nx == 0.0:
-        raise PreconditionError("plane vectors must be nonzero")
-    e1 = x / nx
-    y2 = y - g.pair(e1, y) * e1
-    ny = g.norm(y2)
-    if ny <= 1e-12 * max(g.norm(y), 1.0):
-        raise PreconditionError("plane vectors are linearly dependent")
-    return e1, y2 / ny
-
-
 def sectional_k(sp: StatPoint, x, y) -> float:
     """Sectional invariant of [K,K] on the plane spanned by x, y."""
-    e1, e2 = _gram_schmidt_plane(sp.g, x, y)
+    e1, e2 = orthonormal_plane(sp.g.components, x, y)
     b = bracket_kk(sp).array
     return float(np.einsum("ijkl,i,j,k,l->", b, e1, e2, e2, e1))
+
+
+# ---------------------------------------------------------------------------
+# batched kernels over orthonormal-frame components a[..., n, n, n]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("...m,...m->...", x, y)
+
+
+def trace_form(a: np.ndarray) -> np.ndarray:
+    """tau_m = sum_i a_iim."""
+    return np.einsum("...iim->...m", a)
+
+
+def cubic_norm_sq(a: np.ndarray) -> np.ndarray:
+    """||A||^2 = sum a_ijk^2."""
+    return np.einsum("...ijk,...ijk->...", a, a)
+
+
+def quarter_parts(tau: np.ndarray, kuu: np.ndarray, ku: np.ndarray):
+    """(lhs, ||tau||^2, |K_U|^2) from tau, K(U,U) and K_U; lhs = (tau o K)(U,U) - g(K_U, K_U)."""
+    ku_sq = np.einsum("...jm,...jm->...", ku, ku)
+    return _dot(tau, kuu) - ku_sq, _dot(tau, tau), ku_sq
+
+
+def quarter_terms(a: np.ndarray, u: np.ndarray):
+    """(lhs, ||tau||^2, |U|^2, |K_U|^2) of the trace inequalities; u is in the frame of a."""
+    kuu = np.einsum("...ijm,...i,...j->...m", a, u, u)
+    ku = np.einsum("...ijm,...i->...jm", a, u)
+    lhs, tau_sq, ku_sq = quarter_parts(trace_form(a), kuu, ku)
+    return lhs, tau_sq, _dot(u, u), ku_sq
+
+
+def norm_gap(a: np.ndarray) -> np.ndarray:
+    """(n+2)/3 ||A||^2 - ||E||^2, nonnegative for every cubic form."""
+    tau = trace_form(a)
+    return (a.shape[-1] + 2) / 3.0 * cubic_norm_sq(a) - _dot(tau, tau)
+
+
+def scalar_gap_terms(a: np.ndarray):
+    """(||A||^2 - ||E||^2, -(n-1)/3 ||A||^2, -(n-1)/(n+2) ||E||^2)."""
+    n = a.shape[-1]
+    tau = trace_form(a)
+    a2 = cubic_norm_sq(a)
+    e2 = _dot(tau, tau)
+    return a2 - e2, -(n - 1) / 3.0 * a2, -(n - 1) / (n + 2) * e2
+
+
+def trace_free_projection(a: np.ndarray) -> np.ndarray:
+    """a minus its trace part w_i d_jk + w_j d_ik + w_k d_ij, w = tau/(n+2)."""
+    n = a.shape[-1]
+    w = trace_form(a) / (n + 2)
+    eye = np.eye(n)
+    return a - (
+        np.einsum("...i,jk->...ijk", w, eye)
+        + np.einsum("...j,ik->...ijk", w, eye)
+        + np.einsum("...k,ij->...ijk", w, eye)
+    )
+
+
+def lp_norms(a: np.ndarray):
+    """(||L||^2, ||P||^2) for L(X,Y,W,Z) = g(K(X,Y),K(W,Z)) and its antisymmetrization P."""
+    a_ij = np.einsum("...ikl,...jkl->...ij", a, a)
+    b = np.einsum("...ijm,...klm->...ijkl", a, a)
+    b = b - np.swapaxes(b, -4, -2)
+    return np.einsum("...ij,...ij->...", a_ij, a_ij), np.einsum("...ijkl,...ijkl->...", b, b)
+
+
+def _frame_vector(sp: StatPoint, u) -> np.ndarray:
+    """Components of the coordinate vector u in the orthonormal frame of sp.g."""
+    return orthonormal_frame(sp.g).T @ sp.g.components @ np.asarray(u, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +290,13 @@ def check_ineq_quarter(sp: StatPoint, u) -> tuple[float, float, EqualityCertific
     Equality (for U != 0) holds exactly when tau = 0 and K_U = 0; the
     certificate reports both witness norms.
     """
-    u = np.asarray(u, dtype=float)
     if sp.g.norm(u) == 0.0:
         raise PreconditionError("U must be nonzero")
-    kuu = np.einsum("mij,i,j->m", sp.K.array, u, u)
-    lhs = float(sp.tau @ kuu) - sp.operator_pairing(u, u)
-    tau_sq = float(sp.tau @ sp.g.inverse @ sp.tau)
-    rhs = 0.25 * tau_sq * sp.g.pair(u, u)
-    ku = sp.k_operator(u)
-    ku_norm = float(np.sqrt(np.einsum("ab,mn,ma,nb->", sp.g.inverse, sp.g.components, ku, ku)))
+    lhs, tau_sq, u_sq, ku_sq = quarter_terms(sp.frame_cubic, _frame_vector(sp, u))
     cert = EqualityCertificate.from_witnesses(
-        [("|tau|", float(np.sqrt(tau_sq))), ("|K_U|", ku_norm)]
+        [("|tau|", float(np.sqrt(tau_sq))), ("|K_U|", float(np.sqrt(ku_sq)))]
     )
-    return lhs, rhs, cert
+    return float(lhs), float(0.25 * tau_sq * u_sq), cert
 
 
 def check_ineq_eighth(sp: StatPoint, u) -> tuple[float, float, EqualityCertificate]:
@@ -260,10 +313,7 @@ def check_ineq_eighth(sp: StatPoint, u) -> tuple[float, float, EqualityCertifica
     auuu = sp.A(u, u, u)
     if abs(auuu) >= 1e-10 * max(nu**3, 1.0):
         raise PreconditionError(f"A(U,U,U) = {auuu:g} is not zero; the 1/8 bound does not apply")
-    kuu = np.einsum("mij,i,j->m", sp.K.array, u, u)
-    lhs = float(sp.tau @ kuu) - sp.operator_pairing(u, u)
-    tau_sq = float(sp.tau @ sp.g.inverse @ sp.tau)
-    rhs = 0.125 * tau_sq * sp.g.pair(u, u)
+    lhs, tau_sq, u_sq, _ = quarter_terms(sp.frame_cubic, _frame_vector(sp, u))
 
     frame = _adapted_frame(sp, u)
     a_hat = frame_components(frame, sp.A.dense)
@@ -277,7 +327,7 @@ def check_ineq_eighth(sp: StatPoint, u) -> tuple[float, float, EqualityCertifica
             ("|E - 4K(U,U)|", sp.g.norm(sp.E - 4.0 * k_u_hat)),
         ]
     )
-    return lhs, rhs, cert
+    return float(lhs), float(0.125 * tau_sq * u_sq), cert
 
 
 def _equality_frames(sp: StatPoint, rotations: int = 64, seed: int = 20240) -> list[np.ndarray]:
@@ -306,7 +356,7 @@ def check_ineq_n2over3(sp: StatPoint) -> tuple[float, EqualityCertificate]:
     the inequality failed.
     """
     n = sp.n
-    residual = (n + 2) / 3.0 * sp.norm_a_sq() - sp.g.norm(sp.E) ** 2
+    residual = float(norm_gap(sp.frame_cubic))
     best = np.inf
     for frame in _equality_frames(sp):
         a_hat = frame_components(frame, sp.A.dense)
@@ -336,10 +386,7 @@ def scalar_gap_bounds(sp: StatPoint) -> tuple[float, float, float]:
     Returns (gap, -(n-1)/3 ||A||^2, -(n-1)/(n+2) ||E||^2); the gap dominates
     both bounds for every structure.
     """
-    n = sp.n
-    a2 = sp.norm_a_sq()
-    e2 = sp.g.norm(sp.E) ** 2
-    return a2 - e2, -(n - 1) / 3.0 * a2, -(n - 1) / (n + 2) * e2
+    return tuple(float(v) for v in scalar_gap_terms(sp.frame_cubic))
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +403,7 @@ def lpq(sp: StatPoint) -> tuple[float, float, Tensor, float]:
     scalars are frame-invariant.
     """
     a_hat = sp.frame_cubic
-    a_ij = np.einsum("ikl,jkl->ij", a_hat, a_hat)
-    normsq_l = float(np.sum(a_ij**2))
-    b = np.einsum("ijm,klm->ijkl", a_hat, a_hat)
-    b = b - np.transpose(b, (2, 1, 0, 3))
-    normsq_p = float(np.sum(b**2))
+    normsq_l, normsq_p = lp_norms(a_hat)
 
     comm = np.einsum("xab,ybc->xyac", a_hat, a_hat)
     comm = comm - np.transpose(comm, (1, 0, 2, 3))
@@ -370,7 +413,7 @@ def lpq(sp: StatPoint) -> tuple[float, float, Tensor, float]:
         - np.einsum("xyaz,xwa->ywz", comm, a_hat)
     )
     pairing = float(np.sum(q * a_hat))
-    return normsq_l, normsq_p, Tensor(sp.n, 3, 0, q), pairing
+    return float(normsq_l), float(normsq_p), Tensor(sp.n, 3, 0, q), pairing
 
 
 def constant_curvature_residual(rt: CurvTensor, g: MetricPoint, h: float) -> float:
@@ -406,17 +449,14 @@ def best_fit_curvature_coefficient(g: MetricPoint, rt: CurvTensor) -> float:
 
 
 def trace_free_part(g: MetricPoint, a: CubicForm) -> CubicForm:
-    """Remove the g-trace part: subtract (w_i g_jk + w_j g_ik + w_k g_ij) with w = tau/(n+2)."""
-    dense = a.dense
-    tau = np.einsum("ab,abm->m", g.inverse, dense)
-    w = tau / (g.n + 2)
-    gm = g.components
-    correction = (
-        np.einsum("i,jk->ijk", w, gm)
-        + np.einsum("j,ik->ijk", w, gm)
-        + np.einsum("k,ij->ijk", w, gm)
-    )
-    return CubicForm.from_dense(dense - correction, tol=1e-10)
+    """Remove the g-trace part: subtract (w_i g_jk + w_j g_ik + w_k g_ij) with w = tau/(n+2).
+
+    The projection runs in the orthonormal frame of g and the result is
+    mapped back to coordinates with the inverse frame B^T g.
+    """
+    b = orthonormal_frame(g)
+    tf = trace_free_projection(frame_components(b, a.dense))
+    return CubicForm.from_dense(frame_components(b.T @ g.components, tf), tol=1e-10)
 
 
 def random_metric(n: int, rng: np.random.Generator) -> MetricPoint:

@@ -96,7 +96,7 @@ def integrate_sphere(q: SphereQuadrature, f, vectorized: bool = False):
     return estimate
 
 
-def _poly_eval(s: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def poly_eval(s: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """s(V,...,V) for every node at once."""
     k = s.ndim
     letters = _EINSUM_LETTERS[:k]
@@ -118,7 +118,7 @@ def fiber_identity_residual(s, i0: int, quad: SphereQuadrature | None = None) ->
     n = s.shape[0]
     if quad is None:
         quad = product_gauss(n)
-    lhs = (n + k - 2) * float(quad.weights @ _poly_eval(s, quad.nodes))
+    lhs = (n + k - 2) * float(quad.weights @ poly_eval(s, quad.nodes))
     rhs = 0.0
     for j in range(k):
         if j == i0:
@@ -127,7 +127,7 @@ def fiber_identity_residual(s, i0: int, quad: SphereQuadrature | None = None) ->
         if traced.ndim == 0:
             rhs += float(traced) * sphere_area(n)
         else:
-            rhs += float(quad.weights @ _poly_eval(traced, quad.nodes))
+            rhs += float(quad.weights @ poly_eval(traced, quad.nodes))
     return abs(lhs - rhs)
 
 
@@ -173,12 +173,12 @@ def sphere_codiff_residual(
             plus = alpha(cp * v + sp_ * t, -sp_ * v + cp * t)
             minus = alpha(cp * v - sp_ * t, sp_ * v + cp * t)
             delta += (plus - minus) / (2.0 * h_sphere)
-        rhs = -(n + k - 2) * _poly_eval(s, v[None, :])[0]
+        rhs = -(n + k - 2) * poly_eval(s, v[None, :])[0]
         for j in range(k):
             if j == i0:
                 continue
             traced = np.trace(s, axis1=min(j, i0), axis2=max(j, i0))
-            rhs += float(traced) if traced.ndim == 0 else _poly_eval(traced, v[None, :])[0]
+            rhs += float(traced) if traced.ndim == 0 else poly_eval(traced, v[None, :])[0]
         worst = max(worst, abs(delta - rhs))
     return worst
 
@@ -255,7 +255,7 @@ def ros_residual(
         if traced.ndim == 0:
             fiber = float(traced) * sphere_area(cs.n)
         else:
-            fiber = float(quad.weights @ _poly_eval(traced, world))
+            fiber = float(quad.weights @ poly_eval(traced, world))
         total += fiber * math.sqrt(np.linalg.det(g)) * cell
     return abs(total)
 

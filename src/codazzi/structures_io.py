@@ -19,7 +19,7 @@ import numpy as np
 from .charts import ChartStructure
 from .errors import ConstructionError, SchemaError
 from .points import StatPoint
-from .tensors import CubicForm, MetricPoint, _packed_triples
+from .tensors import CubicForm, MetricPoint
 
 
 def _format_float(v: float) -> str:
@@ -67,10 +67,7 @@ def _parse_cubic_key(key: str, n: int, pointer: str) -> tuple[int, int, int]:
 
 
 def stat_point_to_dict(sp: StatPoint) -> dict:
-    entries = {}
-    for (i, j, k), v in zip(_packed_triples(sp.n), sp.A.packed):
-        if v != 0.0:
-            entries[f"{i + 1}{j + 1}{k + 1}"] = float(v)
+    entries = {f"{i + 1}{j + 1}{k + 1}": v for (i, j, k), v in sp.A.entries().items()}
     return {"n": sp.n, "g": [[float(v) for v in row] for row in sp.g.components], "A": entries}
 
 

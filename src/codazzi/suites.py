@@ -15,6 +15,7 @@ plus an absolute floor for identities that vanish exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from . import bounds as bounds_mod
 from . import charts as charts_mod
 from . import points as points_mod
 from . import spheres as spheres_mod
-from .errors import PreconditionError
+from .errors import ConstructionError, PreconditionError
 from .generators import GeneratorSpec, generate, hyperbolic_point, equality_point, sample_points
 from .structures_io import canonical_json
 from .tensors import CurvTensor, symmetrize
@@ -90,15 +91,39 @@ class Check:
         }
 
 
+TOL_SCALE_ENV = "CODAZZI_DEFAULT_TOL_SCALE"
+
+
+def _default_tol_scale() -> float:
+    """The tolerance scale named by the environment, read when a SuiteConfig is made."""
+    raw = os.environ.get(TOL_SCALE_ENV, "1.0")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ConstructionError(f"{TOL_SCALE_ENV}={raw!r} is not a finite positive number")
+    return value
+
+
 @dataclass
 class SuiteConfig:
     seeds: int = 3
     h: float = 1e-3
-    tol_scale: float = float(os.environ.get("CODAZZI_DEFAULT_TOL_SCALE", "1.0"))
+    tol_scale: float = field(default_factory=_default_tol_scale)
     fiber_order: int = 12
     lattice: int = 32
     sweep_count: int = 2000
-    strict: bool = False
+
+    def __post_init__(self):
+        for name in ("seeds", "fiber_order", "lattice", "sweep_count"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConstructionError(f"{name} must be positive, got {value!r}")
+        for name in ("h", "tol_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConstructionError(f"{name} must be finite and positive, got {value!r}")
 
     def environment(self) -> dict:
         return {
@@ -273,16 +298,8 @@ A_PLUMBING = "invented — artifact plumbing"
 # ---------------------------------------------------------------------------
 # vectorized random sweeps (g = identity; the inequalities are frame covariant)
 
-
-def _symmetrize_batch(a: np.ndarray) -> np.ndarray:
-    return (
-        a
-        + a.transpose(0, 1, 3, 2)
-        + a.transpose(0, 2, 1, 3)
-        + a.transpose(0, 2, 3, 1)
-        + a.transpose(0, 3, 1, 2)
-        + a.transpose(0, 3, 2, 1)
-    ) / 6.0
+# samples per batch of the cubic-norm sweep; bounds its memory at any count
+_CUBIC_SWEEP_CHUNK = 2000
 
 
 def sweep_trace_inequalities(n: int, count: int, seed: int) -> dict[str, float]:
@@ -293,36 +310,23 @@ def sweep_trace_inequalities(n: int, count: int, seed: int) -> dict[str, float]:
     tolerance for the inequalities to hold on the batch.
     """
     rng = np.random.default_rng(seed)
-    a = _symmetrize_batch(rng.uniform(-1.0, 1.0, (count, n, n, n)))
+    a = symmetrize(rng.uniform(-1.0, 1.0, (count, n, n, n)), degree=3)
     u = rng.uniform(-1.0, 1.0, (count, n))
     u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-3)
 
-    tau = np.einsum("biim->bm", a)
-    tau_sq = np.einsum("bm,bm->b", tau, tau)
-    u_sq = np.einsum("bi,bi->b", u, u)
-    kuu = np.einsum("bijm,bi,bj->bm", a, u, u)
-    ku = np.einsum("bijm,bi->bjm", a, u)
-    lhs = np.einsum("bm,bm->b", tau, kuu) - np.einsum("bjm,bjm->b", ku, ku)
+    lhs, tau_sq, u_sq, _ = points_mod.quarter_terms(a, u)
     quarter_margin = float(np.max(lhs - 0.25 * tau_sq * u_sq))
+    normgap_margin = -float(np.min(points_mod.norm_gap(a)))
 
-    # eighth bound: kill A(e1,e1,e1) so the hypothesis holds exactly, take U = e1
-    a8 = a.copy()
-    a8[:, 0, 0, 0] = 0.0
-    tau8 = np.einsum("biim->bm", a8)
-    lhs8 = np.einsum("bm,bm->b", tau8, a8[:, 0, 0, :]) - np.einsum(
-        "bjm,bjm->b", a8[:, 0, :, :], a8[:, 0, :, :]
-    )
-    eighth_margin = float(np.max(lhs8 - 0.125 * np.einsum("bm,bm->b", tau8, tau8)))
-
-    norm_gap = (n + 2) / 3.0 * np.einsum("bijk,bijk->b", a, a) - tau_sq
-    return {
-        "quarter": quarter_margin,
-        "eighth": eighth_margin,
-        "normgap": -float(np.min(norm_gap)),
-    }
+    # eighth bound: kill A(e1,e1,e1) so the hypothesis holds exactly and take
+    # U = e1, whose K(U,U) and K_U are the rows a[:, 0, 0] and a[:, 0]
+    a[:, 0, 0, 0] = 0.0
+    lhs, tau_sq, _ = points_mod.quarter_parts(points_mod.trace_form(a), a[:, 0, 0], a[:, 0])
+    eighth_margin = float(np.max(lhs - 0.125 * tau_sq))
+    return {"quarter": quarter_margin, "eighth": eighth_margin, "normgap": normgap_margin}
 
 
-def sweep_cubic_norm_bounds(n: int, count: int, seed: int, chunk: int = 2000) -> dict[str, float]:
+def sweep_cubic_norm_bounds(n: int, count: int, seed: int) -> dict[str, float]:
     """Worst margins of the squared-norm bounds over trace-free random batches.
 
     Returns nonpositive-margin statistics for the lower and upper bounds on
@@ -335,22 +339,11 @@ def sweep_cubic_norm_bounds(n: int, count: int, seed: int, chunk: int = 2000) ->
     eq_n2 = 0.0
     done = 0
     while done < count:
-        m = min(chunk, count - done)
-        a = _symmetrize_batch(rng.uniform(-1.0, 1.0, (m, n, n, n)))
-        tau = np.einsum("biim->bm", a)
-        w = tau / (n + 2)
-        eye = np.eye(n)
-        a = a - (
-            np.einsum("bi,jk->bijk", w, eye)
-            + np.einsum("bj,ik->bijk", w, eye)
-            + np.einsum("bk,ij->bijk", w, eye)
-        )
-        u_val = np.einsum("bijk,bijk->b", a, a)
-        a_ij = np.einsum("bikl,bjkl->bij", a, a)
-        l2 = np.einsum("bij,bij->b", a_ij, a_ij)
-        bt = np.einsum("bijm,bklm->bijkl", a, a)
-        bt = bt - bt.transpose(0, 3, 2, 1, 4)
-        p2 = np.einsum("bijkl,bijkl->b", bt, bt)
+        m = min(_CUBIC_SWEEP_CHUNK, count - done)
+        a = points_mod.trace_free_projection(
+            symmetrize(rng.uniform(-1.0, 1.0, (m, n, n, n)), degree=3))
+        u_val = points_mod.cubic_norm_sq(a)
+        l2, p2 = points_mod.lp_norms(a)
         total = l2 + p2
         lower = max(lower, float(np.max((n + 1) / (n * (n - 1)) * u_val**2 - total)))
         upper = max(upper, float(np.max(total - 1.5 * u_val**2)))
@@ -358,6 +351,20 @@ def sweep_cubic_norm_bounds(n: int, count: int, seed: int, chunk: int = 2000) ->
             eq_n2 = max(eq_n2, float(np.max(np.abs(total - 1.5 * u_val**2))))
         done += m
     return {"lower": lower, "upper": upper, "li-equality-n2": eq_n2}
+
+
+def _quarter_form(a_hat: np.ndarray) -> np.ndarray:
+    """Matrix of U -> ||tau||^2 |U|^2 / 4 - lhs(U), polarized from the quarter kernel.
+
+    Entry (i, j) comes from the margin at U = e_i + e_j; this is the form
+    g(K_.,K_.) - tau o K + ||tau||^2 g / 4 of the Ricci comparison, in the frame.
+    """
+    n = a_hat.shape[-1]
+    eye = np.eye(n)
+    lhs, tau_sq, u_sq, _ = points_mod.quarter_terms(a_hat, eye[:, None, :] + eye[None, :, :])
+    margin = 0.25 * tau_sq * u_sq - lhs
+    diag = np.diag(margin) / 4.0
+    return 0.5 * (margin - diag[:, None] - diag[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +424,8 @@ def algebraic_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
             gap, lo13, lon2 = points_mod.scalar_gap_bounds(sp)
             worst_gap13 = max(worst_gap13, lo13 - gap)
             worst_gapn2 = max(worst_gapn2, lon2 - gap)
-            tau_sq = float(sp.tau @ sp.g.inverse @ sp.tau)
-            form = sp.gram_k() - sp.tau_circ_k() + 0.25 * tau_sq * sp.g.components
-            b = points_mod.orthonormal_frame(sp.g)
-            worst_eig = max(worst_eig, -float(np.min(np.linalg.eigvalsh(b.T @ form @ b))))
+            form = _quarter_form(sp.frame_cubic)
+            worst_eig = max(worst_eig, -float(np.min(np.linalg.eigvalsh(form))))
     col.add("commutator-ricci-two-routes", A_RICK, worst_rick, 1e-12, "random/n=2..4")
     col.add("commutator-scalar-two-routes", A_RHOK, worst_rhok, 1e-12, "random/n=2..4")
     col.add("norm-pairing-identity", A_LPQ_DEF, worst_pairing, 1e-10, "random-tracefree/n=2..4")
@@ -573,13 +578,7 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     cs_asym = generate(asym_spec)
     for tag, cs, should_hold in (("conformal", cs_sym, True), ("random", cs_asym, False)):
         x = sample_points(cs, 1, seed=7)[0]
-        conn = charts_mod.statistical_connections(cs, x)
-        ginv = cs.metric_inverse_at(x)
-        defects = {
-            "r-vs-rbar": charts_mod._g_norm(ginv, conn.r_nabla - conn.r_bar),
-            "asym-nabla-a": charts_mod.conjugate_symmetry_defect(cs, x),
-            "zw-skew": charts_mod._g_norm(ginv, conn.r_nabla + np.swapaxes(conn.r_nabla, 2, 3)),
-        }
+        defects = charts_mod.conjugate_symmetry_criteria(cs, x)
         threshold = fd_tol("curvature-two-routes", h, cfg.tol_scale)
         if should_hold:
             residual = max(defects["r-vs-rbar"], defects["zw-skew"],
@@ -883,7 +882,7 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
         quad = q2 if n == 2 else q3
         s = symmetrize(rng.uniform(-1.0, 1.0, (n, n, n)))
         worst_parity = max(worst_parity, abs(float(
-            quad.weights @ spheres_mod._poly_eval(s, quad.nodes))))
+            quad.weights @ spheres_mod.poly_eval(s, quad.nodes))))
     col.add("odd-parity-annihilation", A_FIBER, worst_parity, 1e-11, "n=2,3/k=3")
 
     worst_codiff = 0.0
@@ -953,6 +952,60 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     except PreconditionError as exc:
         col.skip("bundle-hypothesis-guard", A_BUNDLE, str(exc)[:60], "G4-random")
     return col.checks, {}
+
+
+def check_structure(structure) -> ResidualReport:
+    """Run the checks that apply to one ingested structure (a point or a chart).
+
+    A chart gets the FD structural checks at its midpoint, one Laplacian
+    identity per auxiliary field, and the pointwise checks of the structure
+    at the midpoint; a point gets the pointwise checks alone.
+    """
+    col = _Collector()
+    if isinstance(structure, charts_mod.ChartStructure):
+        mid = structure.domain.mean(axis=1)
+        sp = structure.point(mid)
+        loc = "chart-midpoint"
+        conn = charts_mod.statistical_connections(structure, mid)
+        scale = conn.residuals.pop("scale")
+        h = structure.h
+        col.add("curvature-two-routes", A_TWO_ROUTES, conn.residuals["curvature-two-routes"],
+                fd_tol("curvature-two-routes", h) * scale, loc)
+        rd = charts_mod.ricci_decomposition_residuals(structure, mid)
+        col.add("ricci-decomposition", A_RIC_DECOMP, rd["ricci-decomposition"],
+                fd_tol("ricci-decomposition", h) * scale, loc)
+        for name, aux in structure.aux_fields.items():
+            if aux.degree == 1:
+                out = charts_mod.weitzenbock_residual(structure, aux.fn, mid)
+                col.add(f"weitzenbock[{name}]", A_WEITZENBOCK, out["weitzenbock"],
+                        fd_tol("weitzenbock", h) * scale, loc)
+            elif aux.degree == 2:
+                try:
+                    residual, _ = charts_mod.sym2_simons_residual(structure, aux.fn, mid)
+                    col.add(f"sym2-simons[{name}]", A_SYM2, residual,
+                            fd_tol("sym2-simons", h) * scale, loc)
+                except PreconditionError as exc:
+                    col.skip(f"sym2-simons[{name}]", A_SYM2, str(exc)[:60], loc)
+    else:
+        sp = structure
+        loc = "point"
+    u = np.zeros(sp.n)
+    u[0] = 1.0
+    lhs, rhs, _ = points_mod.check_ineq_quarter(sp, u)
+    col.add("quarter-inequality", A_QUARTER, max(lhs - rhs, 0.0), 1e-12, loc)
+    try:
+        lhs, rhs, _ = points_mod.check_ineq_eighth(sp, u)
+        col.add("eighth-inequality", A_EIGHTH, max(lhs - rhs, 0.0), 1e-12, loc)
+    except PreconditionError as exc:
+        col.skip("eighth-inequality", A_EIGHTH, str(exc)[:60], loc)
+    residual, _ = points_mod.check_ineq_n2over3(sp)
+    col.add("normgap-inequality", A_NORMGAP, max(-residual, 0.0), 1e-12, loc)
+    via_trace, via_norms = points_mod.rho_k(sp)
+    col.add("commutator-scalar-two-routes", A_RHOK, abs(via_trace - via_norms), 1e-12, loc)
+    col.add("commutator-ricci-two-routes", A_RICK,
+            float(np.max(np.abs(points_mod.ric_k(sp) - points_mod.ric_k_from_bracket(sp)))),
+            1e-12, loc)
+    return ResidualReport(suite="check", checks=col.checks, environment={"source": "check"})
 
 
 _SUITES = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, DimensionMismatchError
+from .errors import ConstructionError, DimensionMismatchError, PreconditionError
 
 MAX_DIMENSION = 8
 
@@ -307,10 +307,11 @@ def lower_last(g: MetricPoint, k: Tensor) -> CubicForm:
     return CubicForm.from_dense(a, tol=1e-12)
 
 
-def _raise_all(ginv: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    for axis in range(arr.ndim):
-        arr = np.moveaxis(np.tensordot(ginv, arr, axes=(1, axis)), 0, axis)
-    return arr
+def contract(ginv: np.ndarray, t: np.ndarray, s: np.ndarray) -> float:
+    """Full contraction of two covariant arrays of equal shape, every slot against ginv."""
+    for axis in range(np.ndim(s)):
+        s = np.moveaxis(np.tensordot(ginv, s, axes=(1, axis)), 0, axis)
+    return float(np.sum(t * s))
 
 
 def _covariant_array(t) -> np.ndarray:
@@ -335,7 +336,7 @@ def inner(g: MetricPoint, t, s) -> float:
         return float(ta) * float(sa)
     if ta.shape[0] != g.n:
         raise DimensionMismatchError(f"metric has n={g.n}, tensors have n={ta.shape[0]}")
-    return float(np.sum(ta * _raise_all(g.inverse, sa)))
+    return contract(g.inverse, ta, sa)
 
 
 def norm(g: MetricPoint, t) -> float:
@@ -356,17 +357,41 @@ def trace_g(g: MetricPoint, t, slots: tuple[int, int]):
     return float(out) if out.ndim == 0 else out
 
 
-def symmetrize(arr: np.ndarray) -> np.ndarray:
-    """Average over all permutations of the axes."""
+def symmetrize(arr: np.ndarray, degree: int | None = None) -> np.ndarray:
+    """Average over all permutations of the last `degree` axes (default: all axes).
+
+    Leading axes beyond `degree` are batch axes and are left in place.
+    """
     arr = np.asarray(arr, dtype=float)
-    perms = list(itertools.permutations(range(arr.ndim)))
-    return sum(np.transpose(arr, p) for p in perms) / len(perms)
+    batch = arr.ndim - (arr.ndim if degree is None else degree)
+    lead = tuple(range(batch))
+    perms = [lead + p for p in itertools.permutations(range(batch, arr.ndim))]
+    out = np.transpose(arr, perms[0]).copy()
+    for p in perms[1:]:
+        out += np.transpose(arr, p)
+    out /= len(perms)
+    return out
 
 
 def asymmetry_norm(g: MetricPoint, arr) -> float:
     """g-norm of the deviation from the totally symmetric part."""
     a = _covariant_array(arr)
     return norm(g, a - symmetrize(a))
+
+
+def orthonormal_plane(g: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt pair (e1, e2) spanning the plane of u, v, orthonormal for the matrix g."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    nu = float(np.sqrt(u @ g @ u))
+    if nu == 0.0:
+        raise PreconditionError("plane vectors must be nonzero")
+    e1 = u / nu
+    v2 = v - (e1 @ g @ v) * e1
+    nv = float(np.sqrt(v2 @ g @ v2))
+    if nv <= 1e-12 * max(float(np.sqrt(v @ g @ v)), 1.0):
+        raise PreconditionError("plane vectors are linearly dependent")
+    return e1, v2 / nv
 
 
 def frame_components(b: np.ndarray, arr) -> np.ndarray:

@@ -223,6 +223,20 @@ class TestCLI:
         assert skipped and all(c["residual"] is None for c in skipped)
         assert (tmp_path / "simons.csv").exists()
 
+    def test_check_has_no_suite_option(self):
+        assert run_cli("check", "--suite", "integral", "--file", EQUALITY_FILE).returncode == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--h", "-1"), ("--h", "0"), ("--h", "nan"),
+        ("--sweep-count", "0"), ("--seeds", "0"), ("--lattice", "0"), ("--fiber-nodes", "-2"),
+        ("--tol-scale", "0"), ("--tol-scale", "inf"),
+    ])
+    def test_invalid_config_is_usage_error(self, flag, value):
+        out = run_cli("verify", "--suite", "algebraic", "--seeds", "1", "--sweep-count", "100",
+                      flag, value)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_default_tol_scale_env_var(self, tmp_path):
         report = tmp_path / "r.json"
         env = dict(os.environ, CODAZZI_DEFAULT_TOL_SCALE="2.5")
@@ -233,3 +247,42 @@ class TestCLI:
         )
         assert out.returncode == 0
         assert json.loads(report.read_text())["environment"]["tol_scale"] == 2.5
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+    def test_bad_default_tol_scale_env_var(self, value):
+        env = dict(os.environ, CODAZZI_DEFAULT_TOL_SCALE=value)
+        imported = subprocess.run([sys.executable, "-c", "import codazzi"],
+                                  capture_output=True, text=True, cwd=REPO, env=env)
+        assert imported.returncode == 0, imported.stderr
+        out = subprocess.run(
+            [sys.executable, "-m", "codazzi", "verify", "--suite", "algebraic",
+             "--seeds", "1", "--sweep-count", "100"],
+            capture_output=True, text=True, cwd=REPO, env=env,
+        )
+        assert out.returncode == 2
+        assert "CODAZZI_DEFAULT_TOL_SCALE" in out.stderr
+        # an explicit --tol-scale does not read the variable
+        explicit = subprocess.run(
+            [sys.executable, "-m", "codazzi", "verify", "--suite", "algebraic",
+             "--seeds", "1", "--sweep-count", "100", "--tol-scale", "1"],
+            capture_output=True, text=True, cwd=REPO, env=env,
+        )
+        assert explicit.returncode == 0, explicit.stderr
+
+
+class TestSuiteConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("h", -1e-3), ("h", 0.0), ("h", float("inf")), ("seeds", 0), ("sweep_count", 0),
+        ("lattice", -4), ("fiber_order", 0), ("tol_scale", 0.0), ("tol_scale", float("nan")),
+    ])
+    def test_rejected(self, field, value):
+        with pytest.raises(ConstructionError, match=field):
+            SuiteConfig(**{field: value})
+
+    def test_environment_read_per_instance(self, monkeypatch):
+        monkeypatch.setenv("CODAZZI_DEFAULT_TOL_SCALE", "3.5")
+        assert SuiteConfig().tol_scale == 3.5
+        monkeypatch.setenv("CODAZZI_DEFAULT_TOL_SCALE", "abc")
+        with pytest.raises(ConstructionError, match="CODAZZI_DEFAULT_TOL_SCALE"):
+            SuiteConfig()
+        assert SuiteConfig(tol_scale=2.0).tol_scale == 2.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from codazzi import points
 from codazzi import (
     CubicForm,
     CurvTensor,
@@ -13,8 +14,11 @@ from codazzi import (
     check_ineq_n2over3,
     check_ineq_quarter,
     constant_curvature_residual,
+    frame_components,
+    inner,
     lagrangian_gauss_residual,
     lpq,
+    orthonormal_frame,
     r0_curvature,
     random_stat_point,
     ric_k,
@@ -360,3 +364,113 @@ class TestRicciComparisonChain:
             b = orthonormal_frame(sp.g)
             eigs = np.linalg.eigvalsh(b.T @ form @ b)
             assert np.all(eigs >= -1e-8)
+
+
+def _frame_vectors(sps, us):
+    return np.stack([orthonormal_frame(sp.g).T @ sp.g.components @ u for sp, u in zip(sps, us)])
+
+
+def _quarter_scales(sps, us):
+    """Size of the quarter-inequality terms at each point: ||A||^2 g(U,U)."""
+    return [sp.norm_a_sq() * float(u @ sp.g.components @ u) for sp, u in zip(sps, us)]
+
+
+def _close(value, oracle, scale):
+    """Agreement within 1e-12 relative to the size of the terms that were combined."""
+    assert np.all(np.abs(np.asarray(value) - np.asarray(oracle)) <= 1e-12 * np.maximum(scale, 1.0))
+
+
+class TestBatchedKernels:
+    """One kernel call over a batch equals per-point StatPoint calls and the coordinate formulas.
+
+    The oracles are the coordinate-form expressions (g^{-1}, K, tau) the
+    StatPoint functions used before they were routed through the frame kernels.
+    """
+
+    COUNT = 25
+
+    @pytest.fixture(params=[2, 3, 4])
+    def batch(self, request):
+        n = request.param
+        rng = np.random.default_rng(700 + n)
+        sps = [random_stat_point(n, rng, metric="random") for _ in range(self.COUNT)]
+        us = rng.uniform(-1.0, 1.0, (self.COUNT, n))
+        return sps, us, np.stack([sp.frame_cubic for sp in sps])
+
+    def test_quarter_terms(self, batch):
+        sps, us, a = batch
+        lhs, tau_sq, u_sq, _ = points.quarter_terms(a, _frame_vectors(sps, us))
+        single = np.array([check_ineq_quarter(sp, u)[:2] for sp, u in zip(sps, us)])
+        assert np.array_equal(lhs, single[:, 0])
+        assert np.array_equal(0.25 * tau_sq * u_sq, single[:, 1])
+        for sp, u, value, t2, scale in zip(sps, us, lhs, tau_sq, _quarter_scales(sps, us)):
+            k = sp.K.array
+            ku = np.einsum("mij,i->mj", k, u)
+            oracle = float(sp.tau @ np.einsum("mij,i,j->m", k, u, u)) - float(
+                np.einsum("ab,mn,ma,nb->", sp.g.inverse, sp.g.components, ku, ku))
+            _close(value, oracle, scale)
+            _close(t2, sp.tau @ sp.g.inverse @ sp.tau, scale)
+
+    def test_eighth_uses_the_quarter_terms(self, batch):
+        sps, us, _ = batch
+        n = sps[0].n
+        # drop A(e1,e1,e1) so the eighth bound applies at U = e1
+        sps = [StatPoint(sp.g, CubicForm.from_entries(
+            n, {k: v for k, v in sp.A.entries().items() if k != (0, 0, 0)})) for sp in sps]
+        e1 = np.tile(np.eye(n)[0], (len(sps), 1))
+        a = np.stack([sp.frame_cubic for sp in sps])
+        lhs, tau_sq, u_sq, _ = points.quarter_terms(a, _frame_vectors(sps, e1))
+        single = np.array([check_ineq_eighth(sp, e1[0])[:2] for sp in sps])
+        assert np.array_equal(lhs, single[:, 0])
+        assert np.array_equal(0.125 * tau_sq * u_sq, single[:, 1])
+        for sp, value in zip(sps, single[:, 1]):
+            tau_sq_oracle = float(sp.tau @ sp.g.inverse @ sp.tau)
+            _close(value, 0.125 * tau_sq_oracle * sp.g.components[0, 0], sp.norm_a_sq())
+
+    def test_norm_gap(self, batch):
+        sps, _, a = batch
+        gap = points.norm_gap(a)
+        assert np.array_equal(gap, [check_ineq_n2over3(sp)[0] for sp in sps])
+        for sp, value in zip(sps, gap):
+            oracle = (sp.n + 2) / 3.0 * inner(sp.g, sp.A, sp.A) - sp.E @ sp.g.components @ sp.E
+            _close(value, oracle, sp.norm_a_sq())
+
+    def test_scalar_gap_terms(self, batch):
+        sps, _, a = batch
+        terms = np.stack(points.scalar_gap_terms(a), axis=-1)
+        assert np.array_equal(terms, [scalar_gap_bounds(sp) for sp in sps])
+        for sp, row in zip(sps, terms):
+            n = sp.n
+            a2 = inner(sp.g, sp.A, sp.A)
+            e2 = sp.E @ sp.g.components @ sp.E
+            _close(row, [a2 - e2, -(n - 1) / 3.0 * a2, -(n - 1) / (n + 2) * e2], a2)
+
+    def test_trace_free_projection(self, batch):
+        sps, _, a = batch
+        projected = points.trace_free_projection(a)
+        for sp, value in zip(sps, projected):
+            single = trace_free_part(sp.g, sp.A).dense
+            # the wrapper maps the frame result back to coordinates, so the
+            # comparison goes through one more change of frame
+            _close(frame_components(orthonormal_frame(sp.g), single), value, np.max(np.abs(value)))
+            w = np.einsum("ab,abm->m", sp.g.inverse, sp.A.dense) / (sp.n + 2)
+            gm = sp.g.components
+            oracle = sp.A.dense - (
+                np.einsum("i,jk->ijk", w, gm) + np.einsum("j,ik->ijk", w, gm)
+                + np.einsum("k,ij->ijk", w, gm)
+            )
+            _close(single, oracle, np.max(np.abs(oracle)))
+        assert np.max(np.abs(points.trace_form(projected))) < 1e-13
+
+    def test_lp_norms(self, batch):
+        sps, _, a = batch
+        l2, p2 = points.lp_norms(a)
+        assert np.array_equal(np.stack([l2, p2], axis=-1), [lpq(sp)[:2] for sp in sps])
+        for sp, l_value, p_value in zip(sps, l2, p2):
+            ginv = sp.g.inverse
+            lt = np.einsum("abm,mn,cdn->abcd", sp.A.dense, ginv, sp.A.dense)
+            pt = lt - np.transpose(lt, (2, 1, 0, 3))
+            scale = sp.norm_a_sq() ** 2
+            _close(l_value, inner(sp.g, lt, lt), scale)
+            _close(p_value, inner(sp.g, pt, pt), scale)
+
