@@ -8,6 +8,8 @@ must shrink by a factor of about four every time the step halves.
 import numpy as np
 
 from codazzi.charts import (
+    ChartStructure,
+    constant_field,
     cubic_simons_residuals,
     hessian_from_potential,
     ricci_identity_residual,
@@ -25,12 +27,11 @@ def main():
         hess = hessian_from_potential(
             "0.5*x1**2*x2**2 + 0.5*(x1**2 + x2**2)", [[-0.6, 0.6]] * 2, h=h
         )
-        sphere_metric = lambda y: 4.0 * np.eye(2) / (1 + y @ y) ** 2
-        from codazzi.charts import ChartStructure
-
+        sphere_metric = lambda y: 4.0 * np.eye(2) / (1 + np.sum(y * y, axis=-1))[..., None, None]**2
         sph = ChartStructure(2, [[-0.4, 0.4]] * 2, sphere_metric,
-                             lambda y: np.zeros((2, 2, 2)), h=h)
-        tau = lambda y: np.array([np.sin(y[0] + 2 * y[1]), np.cos(y[0] - y[1])])
+                             constant_field(np.zeros((2, 2, 2))), h=h)
+        tau = lambda y: np.stack(
+            [np.sin(y[..., 0] + 2 * y[..., 1]), np.cos(y[..., 0] - y[..., 1])], axis=-1)
         rows["ricci-identity"].append(ricci_identity_residual(hess, hess.a_field, x))
         rows["simons-formula"].append(simons_residual(hess, hess.a_field, x))
         rows["weitzenbock"].append(weitzenbock_residual(sph, tau, x)["weitzenbock"])

@@ -272,18 +272,13 @@ def discrete_max_probe(
 ) -> tuple[np.ndarray, float]:
     """Grid surrogate of the maximum principle on a fully periodic chart.
 
-    Locates the lattice argmax of the scalar field and returns it with the
-    chart Laplacian there; on a compact surrogate the Laplacian at a
-    maximum cannot exceed the FD tolerance.
+    Locates the lattice argmax of the scalar field (one call of f on the
+    whole lattice) and returns it with the chart Laplacian there; on a
+    compact surrogate the Laplacian at a maximum cannot exceed the FD
+    tolerance.
     """
     if not all(cs.periodic):
         raise PreconditionError("the maximum probe needs a fully periodic chart")
-    axes = [
-        np.linspace(cs.domain[a, 0], cs.domain[a, 1], lattice_points, endpoint=False)
-        for a in range(cs.n)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    values = np.array([float(f(p)) for p in points])
-    best = points[int(np.argmax(values))]
+    points = cs.lattice(lattice_points)
+    best = points[int(np.argmax(f(points)))]
     return best, scalar_laplacian_at(cs, f, best)

@@ -1,23 +1,27 @@
 """Finite-difference differential calculus on coordinate charts.
 
 A ChartStructure carries closed-form fields x -> g(x) and x -> A(x) over an
-axis-aligned box.  Every derivative is a second-order central difference
-with a fixed step h in chart coordinates; nested differences give covariant
-second derivatives, Laplacians and curvature.  All residual checks of the
-differential identities (curvature decompositions, Ricci identities,
-Laplacian formulas for 1-forms, symmetric 2-forms and cubic forms) live
-here, each returning a plain residual number that the harness compares
-against a tol(h) = C * h^2 budget.
+axis-aligned box.  Every field maps a batch of points x[..., n] to values
+[..., *shape]; a single point is a batch of shape (n,).  Every derivative is
+a second-order central difference with a fixed step h in chart coordinates,
+taken from one field call on the whole stencil of a batch; nested
+differences give covariant second derivatives, Laplacians and curvature.
+All residual checks of the differential identities (curvature
+decompositions, Ricci identities, Laplacian formulas for 1-forms, symmetric
+2-forms and cubic forms) live here, each returning a plain residual number
+that the harness compares against a tol(h) = C * h^2 budget.
 
-Index conventions: connection coefficients are stored as gamma[k, i, j] =
-Gamma^k_ij, curvature as up[m, i, j, k] with R(e_i, e_j)e_k = up[:, i, j, k]
-and fully covariant curvature R[i, j, k, l] = g(R(e_i,e_j)e_k, e_l).
+Index conventions (after the leading batch axes): connection coefficients
+are stored as gamma[k, i, j] = Gamma^k_ij, curvature as up[m, i, j, k] with
+R(e_i, e_j)e_k = up[:, i, j, k] and fully covariant curvature
+R[i, j, k, l] = g(R(e_i,e_j)e_k, e_l).
 A covariant derivative prepends the derivative slot: (nabla s)[a, ...] =
 (nabla_a s)(...).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
@@ -42,8 +46,12 @@ from .tensors import (
 )
 
 Field = Callable[[np.ndarray], np.ndarray]
+"""Maps points x[..., n] to values [..., *shape]."""
 
 CONJUGATE_SYMMETRY_THRESHOLD = 1e-6
+
+# einsum letters for tensor slots (the derivative and index letters a, i, m are kept apart)
+_LETTERS = "bcdefghjkl"
 
 
 @dataclass(frozen=True)
@@ -59,9 +67,9 @@ class ChartStructure:
     """Smooth fields g(x), A(x) over a coordinate box, differentiated by finite differences.
 
     Fields must be globally evaluable closed forms (expression trees or
-    closures); periodic axes mark torus directions used by the integral
-    checks.  SPD of g and symmetry of A are spot-checked on a 5^n lattice
-    at construction.
+    closures over batches of points); periodic axes mark torus directions
+    used by the integral checks.  Finite values, SPD of g and symmetry of A
+    are spot-checked on a 5^n lattice at construction.
     """
 
     def __init__(
@@ -75,13 +83,14 @@ class ChartStructure:
         g_source=None,
         a_source=None,
         aux_fields: dict[str, AuxField] | None = None,
-        spot_check: bool = True,
     ):
         domain = np.asarray(domain, dtype=float)
-        if domain.shape != (n, 2) or not np.all(domain[:, 1] > domain[:, 0]):
-            raise ConstructionError(f"domain must be an (n,2) box with lo < hi, got {domain!r}")
-        if h <= 0:
-            raise ConstructionError("finite-difference step h must be positive")
+        if domain.shape != (n, 2) or not (
+            np.all(np.isfinite(domain)) and np.all(domain[:, 1] > domain[:, 0])
+        ):
+            raise ConstructionError(f"domain must be a finite (n,2) box with lo < hi: {domain!r}")
+        if not (math.isfinite(h) and h > 0):
+            raise ConstructionError(f"finite-difference step h must be finite and positive: {h!r}")
         self.n = n
         self.domain = domain
         self.h = float(h)
@@ -94,8 +103,7 @@ class ChartStructure:
         self.a_source = a_source
         self.aux_fields = dict(aux_fields or {})
         self._cache: dict = {}
-        if spot_check:
-            self._spot_check()
+        self._spot_check()
 
     # -- construction helpers ------------------------------------------------
 
@@ -118,9 +126,8 @@ class ChartStructure:
         g_parsed = [[parse_expression(g_exprs[i][j], n) for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                if g_parsed[i][j].source() != g_parsed[j][i].source():
-                    g_parsed[j][i] = g_parsed[i][j]
-        g_fns = [[g_parsed[i][j].compile(n) for j in range(n)] for i in range(n)]
+                g_parsed[j][i] = g_parsed[i][j]
+        g_fns = {(i, j): g_parsed[i][j].compile(n) for i in range(n) for j in range(i, n)}
 
         a_parsed = {}
         for key, expr in a_entries.items():
@@ -131,14 +138,19 @@ class ChartStructure:
         a_fns = {idx: e.compile(n) for idx, e in a_parsed.items()}
 
         def g_field(x):
-            return np.array([[g_fns[i][j](x) for j in range(n)] for i in range(n)])
+            x = np.asarray(x, dtype=float)
+            arr = np.empty(x.shape[:-1] + (n, n))
+            for (i, j), fn in g_fns.items():
+                arr[..., i, j] = arr[..., j, i] = fn(x)
+            return arr
 
         def a_field(x):
-            arr = np.zeros((n, n, n))
+            x = np.asarray(x, dtype=float)
+            arr = np.zeros(x.shape[:-1] + (n, n, n))
             for (i, j, k), fn in a_fns.items():
                 value = fn(x)
-                arr[i, j, k] = arr[i, k, j] = arr[j, i, k] = value
-                arr[j, k, i] = arr[k, i, j] = arr[k, j, i] = value
+                arr[..., i, j, k] = arr[..., i, k, j] = arr[..., j, i, k] = value
+                arr[..., j, k, i] = arr[..., k, i, j] = arr[..., k, j, i] = value
             return arr
 
         g_source = [[g_parsed[i][j].source() for j in range(n)] for i in range(n)]
@@ -162,39 +174,62 @@ class ChartStructure:
             aux_fields=parsed_aux,
         )
 
+    def lattice(self, counts) -> np.ndarray:
+        """Grid points of the box, counts per axis (or one int), as an array [m, n] in C order.
+
+        A periodic axis leaves out its far face, which is the near face again.
+        """
+        counts = [counts] * self.n if isinstance(counts, int) else counts
+        axes = [np.linspace(lo, hi, m, endpoint=not periodic)
+                for (lo, hi), m, periodic in zip(self.domain, counts, self.periodic)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.n)
+
     def _spot_check(self):
-        axes = []
-        for a in range(self.n):
-            lo, hi = self.domain[a]
-            pts = np.linspace(lo, hi, 5, endpoint=not self.periodic[a])
-            axes.append(pts)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=-1)
-        for x in points:
-            g = np.asarray(self.g_field(x), dtype=float)
-            try:
-                MetricPoint(0.5 * (g + g.T))
-            except ConstructionError as exc:
-                raise ConstructionError(f"metric field fails at x={x.tolist()}: {exc}") from exc
-            a = np.asarray(self.a_field(x), dtype=float)
-            scale = float(np.max(np.abs(a))) or 1.0
-            if float(np.max(np.abs(a - symmetrize(a)))) > 1e-8 * scale:
-                raise ConstructionError(f"cubic field is not symmetric at x={x.tolist()}")
+        n = self.n
+        points = self.lattice(5)
+        # overflow and invalid values are what this check reports, as errors
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            g = np.asarray(self.g_field(points), dtype=float)
+            a = np.asarray(self.a_field(points), dtype=float)
+
+        for name, values, shape in (("metric", g, (n, n)), ("cubic", a, (n, n, n))):
+            if values.shape != (len(points),) + shape:
+                raise ConstructionError(f"{name} field maps {len(points)} points to shape "
+                                        f"{values.shape}; a field maps x[..., n] to [..., *{shape}]")
+
+        def first(bad, message):
+            if np.any(bad):
+                raise ConstructionError(f"{message} at x={points[np.argmax(bad)].tolist()}")
+
+        first(~np.all(np.isfinite(g), axis=(1, 2)), "metric field is not finite")
+        g = 0.5 * (g + np.swapaxes(g, 1, 2))
+        minors = np.stack([np.linalg.det(g[:, :k, :k]) for k in range(1, n + 1)], axis=-1)
+        # MetricPoint names the failing minor (and enforces the dimension cap)
+        i = int(np.argmax(~np.all(minors > 0.0, axis=-1)))
+        try:
+            MetricPoint(g[i])
+        except ConstructionError as exc:
+            raise ConstructionError(f"metric field fails at x={points[i].tolist()}: {exc}") from exc
+        first(~np.all(np.isfinite(a), axis=(1, 2, 3)), "cubic field is not finite")
+        scale = np.max(np.abs(a), axis=(1, 2, 3))
+        defect = np.max(np.abs(a - symmetrize(a, degree=3)), axis=(1, 2, 3))
+        first(defect > 1e-8 * np.where(scale > 0.0, scale, 1.0), "cubic field is not symmetric")
 
     # -- point access ----------------------------------------------------------
 
     def require_interior(self, x):
+        """x[..., n] as floats; raises for the first point within 2h of a non-periodic face."""
         x = np.asarray(x, dtype=float)
         margin = 2.0 * self.h
-        for a in range(self.n):
-            if self.periodic[a]:
-                continue
-            lo, hi = self.domain[a]
-            if not (lo + margin - 1e-12 <= x[a] <= hi - margin + 1e-12):
-                raise PreconditionError(
-                    f"point {x.tolist()} too close to the boundary on axis {a} "
-                    f"(margin 2h = {margin:g})"
-                )
+        lo = self.domain[:, 0] + margin - 1e-12
+        hi = self.domain[:, 1] - margin + 1e-12
+        bad = ~((lo <= x) & (x <= hi)) & ~np.array(self.periodic)
+        if np.any(bad):
+            *where, a = np.argwhere(bad)[0]
+            raise PreconditionError(
+                f"point {x[tuple(where)].tolist()} too close to the boundary on axis {a} "
+                f"(margin 2h = {margin:g})"
+            )
         return x
 
     def metric_at(self, x) -> np.ndarray:
@@ -209,19 +244,24 @@ class ChartStructure:
     def k_at(self, x) -> np.ndarray:
         """Difference tensor K^m_ij = g^{ml} A_ijl at x."""
         return self._memo(
-            "k", x, lambda: np.einsum("ml,ijl->mij", self.metric_inverse_at(x), self.cubic_at(x))
+            "k", x,
+            lambda: np.einsum("...ml,...ijl->...mij", self.metric_inverse_at(x), self.cubic_at(x)),
         )
 
     def tau_at(self, x) -> np.ndarray:
         """Trace form tau_i = K^m_im at x."""
-        return self._memo("tau", x, lambda: np.einsum("mim->i", self.k_at(x)))
+        return self._memo("tau", x, lambda: np.einsum("...mim->...i", self.k_at(x)))
 
     def point(self, x) -> StatPoint:
+        """The pointwise structure at a single point x[n]."""
         g = self.metric_at(x)
         return StatPoint(MetricPoint(0.5 * (g + g.T)), CubicForm.from_dense(self.cubic_at(x)))
 
     def _memo(self, tag, x, compute):
-        key = (tag, np.asarray(x, dtype=float).tobytes())
+        """compute() once per (tag, batch); the key holds the shape because two batch shapes
+        (a stencil of one point, or of a batch of one) can share the same bytes."""
+        x = np.asarray(x, dtype=float)
+        key = (tag, x.shape, x.tobytes())
         out = self._cache.get(key)
         if out is None:
             if len(self._cache) > 200000:
@@ -247,9 +287,10 @@ def _parse_aux_field(n: int, spec) -> AuxField:
     }
 
     def fn(x):
-        arr = np.zeros((n,) * degree)
+        x = np.asarray(x, dtype=float)
+        arr = np.zeros(x.shape[:-1] + (n,) * degree)
         for idx, f in comps.items():
-            arr[idx] = f(x)
+            arr[(Ellipsis,) + idx] = f(x)
         return arr
 
     return AuxField(degree=degree, fn=fn, source={"degree": degree, "components": sources})
@@ -259,14 +300,28 @@ def _parse_aux_field(n: int, spec) -> AuxField:
 # derivative engine
 
 
-def _shift(x, a, h):
-    y = np.array(x, dtype=float)
-    y[a] += h
-    return y
+def constant_field(value) -> Field:
+    """The field with the same value at every point."""
+    value = np.asarray(value, dtype=float)
+    return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
 
 
-def _central(field: Field, x, a: int, h: float):
-    return (np.asarray(field(_shift(x, a, h)), float) - np.asarray(field(_shift(x, a, -h)), float)) / (2.0 * h)
+def _shifted(field: Field, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The field at x + each row of offsets, [..., m, *shape], from a single call."""
+    return np.asarray(field(x[..., None, :] + offsets), dtype=float)
+
+
+def _central(field: Field, x, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(s, ds) at x: the value [..., *shape] and the central differences [..., a, *shape].
+
+    One field call on x and its 2n shifts x +- h e_a.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    steps = h * np.eye(n)
+    values = _shifted(field, x, np.concatenate([np.zeros((1, n)), steps, -steps]))
+    values = np.moveaxis(values, x.ndim - 1, 0)
+    return values[0], np.moveaxis((values[1 : n + 1] - values[n + 1 :]) / (2.0 * h), 0, x.ndim - 1)
 
 
 @dataclass(frozen=True)
@@ -281,20 +336,17 @@ class ConnectionAt:
 
 
 def christoffel_array(cs: ChartStructure, x) -> np.ndarray:
-    """Levi-Civita coefficients gamma[k,i,j] of g at x (exactly torsion-free)."""
+    """Levi-Civita coefficients gamma[..., k, i, j] of g at x (exactly torsion-free)."""
 
     def compute():
-        n = cs.n
-        dg = np.empty((n, n, n))
-        for a in range(n):
-            dg[a] = _central(cs.g_field, x, a, cs.h)
+        _, dg = _central(cs.metric_at, x, cs.h)
         ginv = cs.metric_inverse_at(x)
         first = 0.5 * (
-            np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - np.einsum("lij->lij", dg)
+            np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
         )
         # first[l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2
-        gamma = np.einsum("kl,lij->kij", ginv, first)
-        return 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
+        gamma = np.einsum("...kl,...lij->...kij", ginv, first)
+        return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
 
     return cs._memo("gamma", x, compute)
 
@@ -311,18 +363,16 @@ def metricity_residual(cs: ChartStructure, x) -> float:
 
 
 def nabla_at(cs: ChartStructure, field: Field, x, gamma_field=None) -> np.ndarray:
-    """Covariant derivative of a covariant field at x; derivative slot first."""
+    """Covariant derivative of a covariant field at x; derivative slot first (after batch axes)."""
     x = np.asarray(x, dtype=float)
-    s0 = np.asarray(field(x), dtype=float)
-    k = s0.ndim
-    n = cs.n
+    s0, out = _central(field, x, cs.h)
     gamma = christoffel_array(cs, x) if gamma_field is None else gamma_field(x)
-    out = np.empty((n,) + s0.shape)
-    for a in range(n):
-        out[a] = _central(field, x, a, cs.h)
-    for slot in range(k):
-        corr = np.tensordot(gamma, s0, axes=(0, slot))
-        out -= np.moveaxis(corr, 1, 1 + slot)
+    slots = _LETTERS[: s0.ndim - (x.ndim - 1)]
+    for letter in slots:
+        # out[a, ..., i, ...] -= Gamma^m_ai s[..., m, ...] with i and m in this slot
+        s_sub = slots.replace(letter, "m")
+        out_sub = "a" + slots.replace(letter, "i")
+        out = out - np.einsum(f"...mai,...{s_sub}->...{out_sub}", gamma, s0)
     return out
 
 
@@ -335,7 +385,11 @@ def nabla2_at(cs: ChartStructure, field: Field, x) -> np.ndarray:
 
 
 def _trace_pair(ginv: np.ndarray, arr: np.ndarray, a: int, b: int):
-    out = np.tensordot(arr, ginv, axes=((a, b), (0, 1)))
+    """Contract slots a and b of arr (counted after the batch axes of ginv) against ginv."""
+    lead = ginv.ndim - 2
+    arr = np.moveaxis(arr, (lead + a, lead + b), (-2, -1))
+    ginv = ginv.reshape(ginv.shape[:lead] + (1,) * (arr.ndim - lead - 2) + ginv.shape[lead:])
+    out = np.sum(arr * ginv, axis=(-2, -1))
     return float(out) if out.ndim == 0 else out
 
 
@@ -345,26 +399,31 @@ def laplacian_tensor_at(cs: ChartStructure, field: Field, x) -> np.ndarray:
     return _trace_pair(cs.metric_inverse_at(x), second, 0, 1)
 
 
-def scalar_laplacian_at(cs: ChartStructure, f: Callable[[np.ndarray], float], x) -> float:
-    """Laplace-Beltrami of a scalar via a direct second-order stencil."""
+def scalar_laplacian_at(cs: ChartStructure, f: Field, x):
+    """Laplace-Beltrami of a scalar field via the direct second-order stencil, one call of f.
+
+    The stencil is x, x +- h e_a and x +- h e_a +- h e_b (a < b).
+    """
     x = np.asarray(x, dtype=float)
     n, h = cs.n, cs.h
-    f0 = float(f(x))
-    grad = np.array([(float(f(_shift(x, a, h))) - float(f(_shift(x, a, -h)))) / (2 * h) for a in range(n)])
-    hess = np.empty((n, n))
+    steps = h * np.eye(n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    corners = [sa * steps[a] + sb * steps[b] for a, b in pairs
+               for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    offsets = np.concatenate([np.zeros((1, n)), steps, -steps, np.reshape(corners, (-1, n))])
+    values = np.moveaxis(_shifted(f, x, offsets), -1, 0)
+    f0, fp, fm = values[0], values[1 : n + 1], values[n + 1 : 2 * n + 1]
+    grad = np.moveaxis((fp - fm) / (2 * h), 0, -1)
+    hess = np.empty(x.shape[:-1] + (n, n))
     for a in range(n):
-        hess[a, a] = (float(f(_shift(x, a, h))) - 2.0 * f0 + float(f(_shift(x, a, -h)))) / (h * h)
-        for b in range(a + 1, n):
-            xpp = _shift(_shift(x, a, h), b, h)
-            xpm = _shift(_shift(x, a, h), b, -h)
-            xmp = _shift(_shift(x, a, -h), b, h)
-            xmm = _shift(_shift(x, a, -h), b, -h)
-            hess[a, b] = hess[b, a] = (
-                float(f(xpp)) - float(f(xpm)) - float(f(xmp)) + float(f(xmm))
-            ) / (4 * h * h)
+        hess[..., a, a] = (fp[a] - 2.0 * f0 + fm[a]) / (h * h)
+    for p, (a, b) in enumerate(pairs):
+        fpp, fpm, fmp, fmm = values[2 * n + 1 + 4 * p : 2 * n + 5 + 4 * p]
+        hess[..., a, b] = hess[..., b, a] = (fpp - fpm - fmp + fmm) / (4 * h * h)
     gamma = christoffel_array(cs, x)
     ginv = cs.metric_inverse_at(x)
-    return float(np.einsum("ab,ab->", ginv, hess - np.einsum("cab,c->ab", gamma, grad)))
+    out = np.einsum("...ab,...ab->...", ginv, hess - np.einsum("...cab,...c->...ab", gamma, grad))
+    return float(out) if out.ndim == 0 else out
 
 
 def codifferential_at(cs: ChartStructure, field: Field, x):
@@ -386,7 +445,7 @@ def divergence_at(cs: ChartStructure, field: Field, x, slot: int = -1):
 def exterior_derivative_1form_at(cs: ChartStructure, taufield: Field, x) -> np.ndarray:
     """d tau as a 2-form; equals the antisymmetrized covariant derivative."""
     nt = nabla_at(cs, taufield, x)
-    return nt - nt.T
+    return nt - np.swapaxes(nt, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -394,25 +453,20 @@ def exterior_derivative_1form_at(cs: ChartStructure, taufield: Field, x) -> np.n
 
 
 def _curvature_from_gamma(cs: ChartStructure, gamma_field: Field, x) -> np.ndarray:
-    """up[m,i,j,k] from a coefficient field: dGamma terms plus quadratic terms."""
-    n = cs.n
-    gamma0 = gamma_field(np.asarray(x, float))
-    dgamma = np.empty((n, n, n, n))  # dgamma[a, m, i, j] = d_a Gamma^m_ij
-    for a in range(n):
-        dgamma[a] = _central(gamma_field, x, a, cs.h)
-    up = (
-        np.einsum("imjk->mijk", dgamma)
-        - np.einsum("jmik->mijk", dgamma)
-        + np.einsum("mip,pjk->mijk", gamma0, gamma0)
-        - np.einsum("mjp,pik->mijk", gamma0, gamma0)
+    """up[..., m, i, j, k] from a coefficient field: dGamma terms plus quadratic terms."""
+    gamma0, dgamma = _central(gamma_field, x, cs.h)  # dgamma[..., a, m, i, j] = d_a Gamma^m_ij
+    return (
+        np.einsum("...imjk->...mijk", dgamma)
+        - np.einsum("...jmik->...mijk", dgamma)
+        + np.einsum("...mip,...pjk->...mijk", gamma0, gamma0)
+        - np.einsum("...mjp,...pik->...mijk", gamma0, gamma0)
     )
-    return up
 
 
 def curvature_hat_arrays(cs: ChartStructure, x) -> tuple[np.ndarray, np.ndarray]:
     def compute():
         up = _curvature_from_gamma(cs, lambda y: christoffel_array(cs, y), x)
-        low = np.einsum("lm,mijk->ijkl", cs.metric_at(x), up)
+        low = np.einsum("...lm,...mijk->...ijkl", cs.metric_at(x), up)
         return up, low
 
     return cs._memo("rhat", x, compute)
@@ -457,7 +511,7 @@ def conjugate_symmetry_defect(cs: ChartStructure, x) -> float:
     """Scale-free asymmetry of nabla_hat A: ||asym|| / (1 + ||nabla_hat A||)."""
     na = nabla_cubic_at(cs, x)
     ginv = cs.metric_inverse_at(x)
-    return _g_norm(ginv, na - symmetrize(na)) / (1.0 + _g_norm(ginv, na))
+    return _g_norm(ginv, na - symmetrize(na, degree=4)) / (1.0 + _g_norm(ginv, na))
 
 
 def conjugate_symmetry_holds(cs: ChartStructure, x, threshold=CONJUGATE_SYMMETRY_THRESHOLD) -> bool:
@@ -479,8 +533,9 @@ def conjugate_symmetry_criteria(cs: ChartStructure, x) -> dict[str, float]:
     }
 
 
-def _g_norm(ginv: np.ndarray, arr: np.ndarray) -> float:
-    return float(np.sqrt(max(contract(ginv, arr, arr), 0.0)))
+def _g_norm(ginv: np.ndarray, arr: np.ndarray):
+    out = np.sqrt(np.maximum(contract(ginv, arr, arr), 0.0))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass
@@ -570,11 +625,7 @@ def conjugate_coefficients(g: np.ndarray, dg: np.ndarray, gamma: np.ndarray) -> 
 def duality_involution_defect(cs: ChartStructure, x) -> float:
     """Round-trip defect of conjugating the statistical connection twice."""
     x = np.asarray(x, dtype=float)
-    n = cs.n
-    g = cs.metric_at(x)
-    dg = np.empty((n, n, n))
-    for a in range(n):
-        dg[a] = _central(cs.g_field, x, a, cs.h)
+    g, dg = _central(cs.metric_at, x, cs.h)
     gamma_nabla = christoffel_array(cs, x) + cs.k_at(x)
     back = conjugate_coefficients(g, dg, conjugate_coefficients(g, dg, gamma_nabla))
     return float(np.max(np.abs(back - gamma_nabla)))
@@ -582,13 +633,9 @@ def duality_involution_defect(cs: ChartStructure, x) -> float:
 
 def _dual_pairing_residual(cs, x, gamma_nabla_field, gamma_bar_field) -> float:
     """Defect of X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_bar_X Z) on coordinate frames."""
-    n = cs.n
-    g = cs.metric_at(x)
-    dg = np.empty((n, n, n))
-    for a in range(n):
-        dg[a] = _central(cs.g_field, x, a, cs.h)
-    gn = gamma_nabla_field(np.asarray(x, float))
-    gb = gamma_bar_field(np.asarray(x, float))
+    g, dg = _central(cs.metric_at, x, cs.h)
+    gn = gamma_nabla_field(x)
+    gb = gamma_bar_field(x)
     resid = dg - np.einsum("jm,mai->aij", g, gn) - np.einsum("im,maj->aij", g, gb)
     return float(np.max(np.abs(resid)))
 
@@ -732,8 +779,7 @@ def weitzenbock_residual(cs: ChartStructure, taufield: Field, x) -> dict[str, fl
 
     rough = laplacian_tensor_at(cs, taufield, x)
 
-    delta_tau_field = lambda y: np.asarray(codifferential_at(cs, taufield, y))
-    d_delta = np.array([_central(delta_tau_field, x, a, cs.h) for a in range(cs.n)])
+    _, d_delta = _central(lambda y: codifferential_at(cs, taufield, y), x, cs.h)
 
     dtau_field = lambda y: exterior_derivative_1form_at(cs, taufield, y)
     delta_d = codifferential_at(cs, dtau_field, x)
@@ -931,8 +977,9 @@ def hessian_from_potential(
 
     The potential is an expression over x1..xn; second and third partials
     are taken symbolically, so g = Hess(potential) and the cubic form
-    -(1/2) d^3(potential) are exact closed forms.  Convexity is spot-checked
-    on the construction lattice; a non-convex potential raises
+    -(1/2) d^3(potential) are exact closed forms, built through
+    from_expressions from the partials over sorted index tuples.  Convexity
+    is spot-checked on the construction lattice; a non-convex potential raises
     ConstructionError.  The coordinate connection is flat for the resulting
     structure, which the differential suite verifies as ||R|| = O(h^2).
     """
@@ -942,37 +989,13 @@ def hessian_from_potential(
     expr = parse_expression(potential, n)
     first = [partial(expr, a) for a in range(n)]
     second = [[partial(first[a], b) for b in range(n)] for a in range(n)]
-    third = [[[partial(second[a][b], c) for c in range(n)] for b in range(n)] for a in range(n)]
-    second_fns = [[second[a][b].compile(n) for b in range(n)] for a in range(n)]
-    third_fns = [[[third[a][b][c].compile(n) for c in range(n)] for b in range(n)] for a in range(n)]
-
-    def g_field(x):
-        m = np.array([[second_fns[a][b](x) for b in range(n)] for a in range(n)])
-        return 0.5 * (m + m.T)
-
-    def a_field(x):
-        arr = np.array(
-            [[[third_fns[a][b][c](x) for c in range(n)] for b in range(n)] for a in range(n)]
-        )
-        return -0.5 * symmetrize(arr)
-
-    g_source = [[second[a][b].source() for b in range(n)] for a in range(n)]
-    a_source = {}
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(b, n):
-                src = mul(Const(-0.5), third[a][b][c]).source()
-                a_source["".join(str(i + 1) for i in (a, b, c))] = src
+    a_entries = {
+        f"{a + 1}{b + 1}{c + 1}": mul(Const(-0.5), partial(second[a][b], c))
+        for a in range(n)
+        for b in range(a, n)
+        for c in range(b, n)
+    }
     try:
-        return ChartStructure(
-            n,
-            domain,
-            g_field,
-            a_field,
-            h=h,
-            periodic=periodic,
-            g_source=g_source,
-            a_source=a_source,
-        )
+        return ChartStructure.from_expressions(n, domain, second, a_entries, h=h, periodic=periodic)
     except ConstructionError as exc:
         raise ConstructionError(f"potential is not convex on the domain: {exc}") from exc

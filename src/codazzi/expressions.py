@@ -2,8 +2,9 @@
 
 Grammar: +, -, *, /, pow(base, exponent), sin, cos, exp, variables x1..xn,
 numeric constants, parentheses, unary minus.  Expressions parse to an AST
-that can be evaluated fast (compiled to a Python closure), differentiated
-symbolically, and printed back to a canonical source string.
+that compiles to numpy code over a batch of points x[..., n], differentiates
+symbolically, and prints back to a canonical source string.  Constants must
+be finite, so every source string round-trips.
 
 Symbolic derivatives are what make the Hessian-potential generator exact:
 metric and cubic-form fields come out as closed forms instead of carrying
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import math
 import re
+
+import numpy as np
 
 from .errors import SchemaError
 
@@ -42,15 +45,16 @@ class Expr:
         raise NotImplementedError
 
     def compile(self, n: int):
-        """Return f(x: array of length n) -> float."""
-        names = [f"x{i + 1}" for i in range(n)]
-        body = self._code()
-        src = f"lambda {', '.join(names)}: {body}" if names else f"lambda: {body}"
-        fn = eval(
-            src,
-            {"sin": math.sin, "cos": math.cos, "exp": math.exp, "pow": pow, "__builtins__": {}},
-        )
-        return lambda x: fn(*x)
+        """Return f(x[..., n]) -> values of shape x.shape[:-1], evaluated with numpy ufuncs.
+
+        An expression without variables broadcasts its value; the parser has
+        checked the variables against the n coordinates.
+        """
+        fn = eval(f"lambda x: {self._code()}", {"np": np, "__builtins__": {}})
+        if not self.variables():
+            value = float(fn(None))
+            return lambda x: np.full(np.shape(x)[:-1], value)
+        return lambda x: fn(np.asarray(x, dtype=float))
 
     def __repr__(self):
         return f"Expr({self.source()})"
@@ -59,6 +63,8 @@ class Expr:
 class Const(Expr):
     def __init__(self, value: float):
         self.value = float(value)
+        if not math.isfinite(self.value):
+            raise SchemaError(f"numeric constant {value!r} is not finite")
 
     def diff(self, var):
         return Const(0.0)
@@ -69,7 +75,7 @@ class Const(Expr):
         return repr(self.value)
 
     def _code(self):
-        return f"({self.source()})"
+        return f"({self.value!r})"
 
     def variables(self):
         return set()
@@ -86,7 +92,7 @@ class Var(Expr):
         return self.name
 
     def _code(self):
-        return self.name
+        return f"x[..., {int(self.name[1:]) - 1}]"
 
     def variables(self):
         return {self.name}
@@ -151,7 +157,8 @@ class Call(Expr):
         return f"{self.fn}({', '.join(a.source() for a in self.args)})"
 
     def _code(self):
-        return f"{self.fn}({', '.join(a._code() for a in self.args)})"
+        fn = "power" if self.fn == "pow" else self.fn
+        return f"np.{fn}({', '.join(a._code() for a in self.args)})"
 
     def variables(self):
         out = set()
@@ -211,6 +218,8 @@ def mul(a, b):
 
 
 def div(a, b):
+    if _is_const(b, 0.0):
+        raise SchemaError("division by zero")
     if _is_const(a, 0.0):
         return Const(0.0)
     if _is_const(b, 1.0):

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartStructure, curvature_hat_arrays, nabla_at, nabla_cubic_at
+from .charts import (
+    ChartStructure,
+    codifferential_at,
+    conjugate_symmetry_defect,
+    curvature_hat_arrays,
+    nabla_at,
+    nabla_cubic_at,
+)
 from .errors import PreconditionError
 from .tensors import frame_components
 
@@ -58,20 +65,11 @@ def product_gauss(n: int, order: int = 12) -> SphereQuadrature:
         mphi = max(2 * order, 8)
         t, wt = np.polynomial.legendre.leggauss(nt)
         phi = 2.0 * math.pi * np.arange(mphi) / mphi
-        sin_theta = np.sqrt(1.0 - t**2)
-        nodes = np.empty((nt * mphi, 3))
-        weights = np.empty(nt * mphi)
-        idx = 0
-        for a in range(nt):
-            for b in range(mphi):
-                nodes[idx] = (
-                    sin_theta[a] * math.cos(phi[b]),
-                    sin_theta[a] * math.sin(phi[b]),
-                    t[a],
-                )
-                weights[idx] = wt[a] * (2.0 * math.pi / mphi)
-                idx += 1
-        return SphereQuadrature(3, "product-gauss", nodes, weights)
+        sin_theta = np.sqrt(1.0 - t**2)[:, None]
+        nodes = np.stack(np.broadcast_arrays(
+            sin_theta * np.cos(phi), sin_theta * np.sin(phi), t[:, None]), axis=-1)
+        weights = np.repeat(wt * (2.0 * math.pi / mphi), mphi)
+        return SphereQuadrature(3, "product-gauss", nodes.reshape(-1, 3), weights)
     raise PreconditionError(f"product-gauss fiber quadrature supports n = 2, 3 only (got {n})")
 
 
@@ -83,12 +81,12 @@ def monte_carlo(n: int, count: int, seed: int = 0) -> SphereQuadrature:
     return SphereQuadrature(n, "monte-carlo", v, weights)
 
 
-def integrate_sphere(q: SphereQuadrature, f, vectorized: bool = False):
-    """Integrate a scalar over S^{n-1}; Monte Carlo also returns the standard error."""
-    if vectorized:
-        values = np.asarray(f(q.nodes), dtype=float)
-    else:
-        values = np.array([float(f(v)) for v in q.nodes])
+def integrate_sphere(q: SphereQuadrature, f):
+    """Integrate a scalar over S^{n-1}; Monte Carlo also returns the standard error.
+
+    f takes the (m, n) node array and returns m values; a constant broadcasts to the weights.
+    """
+    values = np.broadcast_to(np.asarray(f(q.nodes), dtype=float), q.weights.shape)
     estimate = float(q.weights @ values)
     if q.method == "monte-carlo":
         stderr = float(sphere_area(q.n) * np.std(values, ddof=1) / math.sqrt(q.node_count))
@@ -97,10 +95,10 @@ def integrate_sphere(q: SphereQuadrature, f, vectorized: bool = False):
 
 
 def poly_eval(s: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """s(V,...,V) for every node at once."""
-    k = s.ndim
+    """s(V,...,V) for every node at once; nodes[..., m, n] may carry the batch axes of s."""
+    k = s.ndim - (nodes.ndim - 2)
     letters = _EINSUM_LETTERS[:k]
-    spec = letters + "," + ",".join(f"m{c}" for c in letters) + "->m"
+    spec = f"...{letters}," + ",".join(f"...m{c}" for c in letters) + "->...m"
     return np.einsum(spec, s, *([nodes] * k))
 
 
@@ -119,24 +117,17 @@ def fiber_identity_residual(s, i0: int, quad: SphereQuadrature | None = None) ->
     if quad is None:
         quad = product_gauss(n)
     lhs = (n + k - 2) * float(quad.weights @ poly_eval(s, quad.nodes))
-    rhs = 0.0
-    for j in range(k):
-        if j == i0:
-            continue
-        traced = np.trace(s, axis1=min(j, i0), axis2=max(j, i0))
-        if traced.ndim == 0:
-            rhs += float(traced) * sphere_area(n)
-        else:
-            rhs += float(quad.weights @ poly_eval(traced, quad.nodes))
-    return abs(lhs - rhs)
+    return abs(lhs - float(quad.weights @ _trace_terms(s, i0, quad.nodes)))
 
 
-def _tangent_basis(v: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the hyperplane orthogonal to v."""
-    n = len(v)
-    proj = np.eye(n) - np.outer(v, v)
-    w, vec = np.linalg.eigh(proj)
-    return vec[:, w > 0.5]
+def _trace_terms(s: np.ndarray, i0: int, nodes: np.ndarray) -> np.ndarray:
+    """Sum over slots j != i0 of the (j, i0)-trace of s evaluated on (V,...,V), per node."""
+    out = np.zeros(len(nodes))
+    for j in range(s.ndim):
+        if j != i0:
+            traced = np.trace(s, axis1=min(j, i0), axis2=max(j, i0))
+            out = out + (traced if traced.ndim == 0 else poly_eval(traced, nodes))
+    return out
 
 
 def sphere_codiff_residual(
@@ -160,27 +151,19 @@ def sphere_codiff_residual(
         args = [p] * k
         args[i0] = e
         letters = _EINSUM_LETTERS[:k]
-        spec = letters + "," + ",".join(letters) + "->"
-        return float(np.einsum(spec, s, *args))
+        return np.einsum(letters + "," + ",".join(f"...{c}" for c in letters) + "->...", s, *args)
 
-    worst = 0.0
-    for v in quad.nodes:
-        tangent = _tangent_basis(v)
-        delta = 0.0
-        for t_idx in range(tangent.shape[1]):
-            t = tangent[:, t_idx]
-            cp, sp_ = math.cos(h_sphere), math.sin(h_sphere)
-            plus = alpha(cp * v + sp_ * t, -sp_ * v + cp * t)
-            minus = alpha(cp * v - sp_ * t, sp_ * v + cp * t)
-            delta += (plus - minus) / (2.0 * h_sphere)
-        rhs = -(n + k - 2) * poly_eval(s, v[None, :])[0]
-        for j in range(k):
-            if j == i0:
-                continue
-            traced = np.trace(s, axis1=min(j, i0), axis2=max(j, i0))
-            rhs += float(traced) if traced.ndim == 0 else poly_eval(traced, v[None, :])[0]
-        worst = max(worst, abs(delta - rhs))
-    return worst
+    v = quad.nodes
+    # eigh sorts the eigenvalue 0 of the projection (along v) first: the rest span the tangent space
+    _, vec = np.linalg.eigh(np.eye(n) - v[:, :, None] * v[:, None, :])
+    tangent = np.swapaxes(vec[:, :, 1:], 1, 2)
+    v = v[:, None, :]
+    cp, sp_ = math.cos(h_sphere), math.sin(h_sphere)
+    plus = alpha(cp * v + sp_ * tangent, -sp_ * v + cp * tangent)
+    minus = alpha(cp * v - sp_ * tangent, sp_ * v + cp * tangent)
+    delta = np.sum((plus - minus) / (2.0 * h_sphere), axis=1)
+    rhs = -(n + k - 2) * poly_eval(s, quad.nodes) + _trace_terms(s, i0, quad.nodes)
+    return float(np.max(np.abs(delta - rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,37 +175,10 @@ def _periodic_lattice(cs: ChartStructure, lattice) -> tuple[np.ndarray, float, f
         raise PreconditionError("bundle integrals need a fully periodic chart")
     if isinstance(lattice, int):
         lattice = [lattice] * cs.n
-    axes = [
-        np.linspace(cs.domain[a, 0], cs.domain[a, 1], lattice[a], endpoint=False)
-        for a in range(cs.n)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    points = cs.lattice(lattice)
     cell = float(np.prod([(cs.domain[a, 1] - cs.domain[a, 0]) / lattice[a] for a in range(cs.n)]))
     spacing = max((cs.domain[a, 1] - cs.domain[a, 0]) / lattice[a] for a in range(cs.n))
     return points, cell, spacing
-
-
-def _coupled_chart(cs: ChartStructure, spacing: float) -> ChartStructure:
-    """Same fields with the FD step tied to the lattice spacing (h = spacing/4).
-
-    The FD step never exceeds a quarter of the lattice spacing, so coarse
-    lattices do not probe fields beyond their own resolution and the total
-    error scales down under joint refinement.
-    """
-    h_fd = min(cs.h, spacing / 4.0)
-    return ChartStructure(
-        cs.n,
-        cs.domain,
-        cs.g_field,
-        cs.a_field,
-        h=h_fd,
-        periodic=cs.periodic,
-        g_source=cs.g_source,
-        a_source=cs.a_source,
-        aux_fields=cs.aux_fields,
-        spot_check=False,
-    )
 
 
 def ros_residual(
@@ -236,28 +192,25 @@ def ros_residual(
 
     The base integral uses the trapezoid rule on the periodic lattice with
     the Riemannian volume density; the fiber integral maps the quadrature
-    nodes through the orthonormal frame of g(x).  Vanishes as
-    O(max(h, spacing)^2) for smooth fields on the torus.
+    nodes through the orthonormal frame of g(x).  The FD step is capped at a
+    quarter of the lattice spacing, so coarse lattices do not probe fields
+    beyond their own resolution and the total error, which vanishes as
+    O(max(h, spacing)^2) for smooth fields on the torus, scales down under
+    joint refinement.
     """
     if quad is None:
         quad = product_gauss(cs.n)
     points, cell, spacing = _periodic_lattice(cs, lattice)
-    work = _coupled_chart(cs, spacing)
-    nodes = quad.nodes
-    total = 0.0
-    for x in points:
-        ns = nabla_at(work, s_field, x)
-        ginv = work.metric_inverse_at(x)
-        traced = np.tensordot(ns, ginv, axes=((0, 1), (0, 1)))
-        g = work.metric_at(x)
-        frame = np.linalg.cholesky(ginv)
-        world = nodes @ frame.T
-        if traced.ndim == 0:
-            fiber = float(traced) * sphere_area(cs.n)
-        else:
-            fiber = float(quad.weights @ poly_eval(traced, world))
-        total += fiber * math.sqrt(np.linalg.det(g)) * cell
-    return abs(total)
+    work = ChartStructure(cs.n, cs.domain, cs.g_field, cs.a_field,
+                          h=min(cs.h, spacing / 4.0), periodic=cs.periodic)
+    traced = codifferential_at(work, s_field, points)
+    if traced.ndim == 1:
+        fiber = traced * sphere_area(cs.n)
+    else:
+        frame = np.linalg.cholesky(work.metric_inverse_at(points))
+        world = quad.nodes @ np.swapaxes(frame, -1, -2)
+        fiber = poly_eval(traced, world) @ quad.weights
+    return abs(float(np.sum(fiber * np.sqrt(np.linalg.det(work.metric_at(points))) * cell)))
 
 
 def unit_bundle_functional(
@@ -277,44 +230,37 @@ def unit_bundle_functional(
     """
     if quad is None:
         quad = product_gauss(cs.n)
-    points, cell, spacing = _periodic_lattice(cs, lattice)
     # unlike the Ros integral the two terms here are large and cancel, so the
     # chart's own (small) step is the accuracy driver, not the lattice
-    work = cs
+    points, cell, _ = _periodic_lattice(cs, lattice)
 
-    # spot-check the hypotheses at a handful of lattice points
-    from .charts import conjugate_symmetry_defect
-
+    # spot-check the hypotheses at a handful of lattice points, in lattice order
     probe = points[:: max(1, len(points) // 7)]
-    for x in probe:
-        defect = conjugate_symmetry_defect(work, x)
-        if defect >= hypothesis_tol:
+    defect = conjugate_symmetry_defect(cs, probe)
+    nabla_tau = np.max(np.abs(nabla_at(cs, cs.tau_at, probe)), axis=(1, 2))
+    failed = (defect >= hypothesis_tol) | (nabla_tau >= 1e-4)
+    if np.any(failed):
+        i = int(np.argmax(failed))
+        if defect[i] >= hypothesis_tol:
             raise PreconditionError(
-                f"structure is not conjugate symmetric at {x.tolist()} (defect {defect:g})"
+                f"structure is not conjugate symmetric at {probe[i].tolist()} "
+                f"(defect {defect[i]:g})"
             )
-        nabla_tau = nabla_at(work, lambda y: work.tau_at(y), x)
-        if float(np.max(np.abs(nabla_tau))) >= 1e-4:
-            raise PreconditionError(
-                f"trace form is not parallel at {x.tolist()} "
-                f"(|nabla tau| = {float(np.max(np.abs(nabla_tau))):g})"
-            )
+        raise PreconditionError(
+            f"trace form is not parallel at {probe[i].tolist()} (|nabla tau| = {nabla_tau[i]:g})"
+        )
 
     nodes = quad.nodes
-    term_grad = 0.0
-    term_curv = 0.0
-    for x in points:
-        ginv = work.metric_inverse_at(x)
-        frame = np.linalg.cholesky(ginv)
-        density = math.sqrt(np.linalg.det(work.metric_at(x))) * cell
-        na_hat = frame_components(frame, nabla_cubic_at(work, x))
-        a_hat = frame_components(frame, work.cubic_at(x))
-        _, r_low = curvature_hat_arrays(work, x)
-        r_hat = frame_components(frame, r_low)
+    frame = np.linalg.cholesky(cs.metric_inverse_at(points))
+    density = np.sqrt(np.linalg.det(cs.metric_at(points))) * cell
+    na_hat = frame_components(frame, nabla_cubic_at(cs, points))
+    a_hat = frame_components(frame, cs.cubic_at(points))
+    r_hat = frame_components(frame, curvature_hat_arrays(cs, points)[1])
 
-        grad_vec = np.einsum("abcw,ma,mb,mc->mw", na_hat, nodes, nodes, nodes)
-        f1 = np.sum(grad_vec**2, axis=1)
-        kvv = np.einsum("abw,ma,mb->mw", a_hat, nodes, nodes)
-        f2 = np.einsum("ijkl,mi,mj,mk,ml->m", r_hat, kvv, nodes, nodes, kvv)
-        term_grad += float(quad.weights @ f1) * density
-        term_curv += 3.0 * float(quad.weights @ f2) * density
+    grad_vec = np.einsum("...abcw,ma,mb,mc->...mw", na_hat, nodes, nodes, nodes)
+    f1 = np.sum(grad_vec**2, axis=-1)
+    kvv = np.einsum("...abw,ma,mb->...mw", a_hat, nodes, nodes)
+    f2 = np.einsum("...ijkl,...mi,mj,mk,...ml->...m", r_hat, kvv, nodes, nodes, kvv)
+    term_grad = float(np.sum(f1 @ quad.weights * density))
+    term_curv = float(np.sum(3.0 * (f2 @ quad.weights) * density))
     return term_grad, term_curv, term_grad + term_curv

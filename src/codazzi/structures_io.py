@@ -17,7 +17,8 @@ import math
 import numpy as np
 
 from .charts import ChartStructure
-from .errors import ConstructionError, SchemaError
+from .errors import SchemaError
+from .expressions import parse_expression
 from .points import StatPoint
 from .tensors import CubicForm, MetricPoint
 
@@ -84,16 +85,17 @@ def stat_point_from_dict(data: dict) -> StatPoint:
         "/g",
     )
     try:
-        g = MetricPoint(np.asarray(g_rows, dtype=float))
-    except ConstructionError:
-        raise
+        g_arr = np.asarray(g_rows, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"g entries must be numbers: {exc}", pointer="/g") from exc
+    _require(bool(np.all(np.isfinite(g_arr))), "g entries must be finite numbers", "/g")
+    g = MetricPoint(g_arr)
     _require(isinstance(data["A"], dict), "A must be an object of cubic entries", "/A")
     entries = {}
     for key, value in data["A"].items():
         idx = _parse_cubic_key(key, n, f"/A/{key}")
-        _require(isinstance(value, (int, float)), f"cubic value for {key!r} must be a number", f"/A/{key}")
+        _require(isinstance(value, (int, float)) and math.isfinite(value),
+                 f"cubic value for {key!r} must be a finite number", f"/A/{key}")
         entries[idx] = float(value)
     return StatPoint(g, CubicForm.from_entries(n, entries))
 
@@ -137,25 +139,31 @@ def chart_from_dict(data: dict) -> ChartStructure:
         f"g must be an {n}x{n} matrix of expressions",
         "/g",
     )
+    g_parsed = [[_expression(g_exprs[i][j], n, f"/g/{i}/{j}") for j in range(n)] for i in range(n)]
     _require(isinstance(data["A"], dict), "A must be an object of cubic expressions", "/A")
-    for key in data["A"]:
+    a_parsed = {}
+    for key, expr in data["A"].items():
         _parse_cubic_key(key, n, f"/A/{key}")
+        a_parsed[key] = _expression(expr, n, f"/A/{key}")
     periodic = data.get("periodic", [False] * n)
     h = data.get("h", 1e-3)
+    return ChartStructure.from_expressions(
+        n,
+        np.asarray(domain, dtype=float),
+        g_parsed,
+        a_parsed,
+        h=float(h),
+        periodic=periodic,
+        aux_fields=data.get("fields"),
+    )
+
+
+def _expression(text, n: int, pointer: str):
+    """Parse one expression of a chart file; a parse error names its JSON pointer."""
     try:
-        return ChartStructure.from_expressions(
-            n,
-            np.asarray(domain, dtype=float),
-            g_exprs,
-            data["A"],
-            h=float(h),
-            periodic=periodic,
-            aux_fields=data.get("fields"),
-        )
-    except SchemaError:
-        raise
-    except ConstructionError:
-        raise
+        return parse_expression(text, n)
+    except SchemaError as exc:
+        raise SchemaError(str(exc), pointer=pointer) from exc
 
 
 def is_chart_dict(data: dict) -> bool:

@@ -456,6 +456,11 @@ def algebraic_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     return col.checks, {}
 
 
+def _stereographic_metric(n: int):
+    """The round metric 4 |dx|^2 / (1 + |x|^2)^2 of the unit sphere in stereographic coordinates."""
+    return lambda x: 4.0 * np.eye(n) / (1 + np.sum(x * x, axis=-1))[..., None, None] ** 2
+
+
 _DIFF_FAMILIES = (
     ("G1-constant-A", {}),
     ("G2-hessian-potential", {}),
@@ -470,9 +475,10 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     h = cfg.h
 
     # closed-form reference charts
+    zero_cubic = charts_mod.constant_field(np.zeros((2, 2, 2)))
     poincare = charts_mod.ChartStructure(
-        2, [[-0.5, 0.5], [0.5, 1.5]],
-        lambda x: np.eye(2) / x[1] ** 2, lambda x: np.zeros((2, 2, 2)), h=h,
+        2, [[-0.5, 0.5], [0.5, 1.5]], lambda x: np.eye(2) / x[..., 1, None, None] ** 2,
+        zero_cubic, h=h,
     )
     gamma = charts_mod.christoffel(poincare, [0.0, 1.0]).gamma
     hand = abs(gamma[0, 0, 1] + 1.0) + abs(gamma[1, 0, 0] - 1.0) + abs(gamma[1, 1, 1] + 1.0)
@@ -482,8 +488,7 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
             abs(charts_mod.sectional_hat(poincare, [0.0, 1.0], ([1, 0], [0, 1])) + 1.0),
             1e-5 * cfg.tol_scale, "poincare/(0,1)")
     sphere = charts_mod.ChartStructure(
-        2, [[-0.5, 0.5], [-0.5, 0.5]],
-        lambda x: 4.0 * np.eye(2) / (1 + x @ x) ** 2, lambda x: np.zeros((2, 2, 2)), h=h,
+        2, [[-0.5, 0.5], [-0.5, 0.5]], _stereographic_metric(2), zero_cubic, h=h,
     )
     col.add("sphere-scalar-curvature", A_CURV_TENSORS,
             abs(charts_mod.rho_hat(sphere, [0.1, 0.2]) - 2.0), 1e-5 * cfg.tol_scale,
@@ -609,33 +614,27 @@ def simons_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
 
     def sphere_chart(n, step):
         return charts_mod.ChartStructure(
-            n, [[-0.4, 0.4]] * n,
-            lambda x: 4.0 * np.eye(n) / (1 + x @ x) ** 2,
-            lambda x: np.zeros((n, n, n)), h=step,
+            n, [[-0.4, 0.4]] * n, _stereographic_metric(n),
+            charts_mod.constant_field(np.zeros((n, n, n))), h=step,
         )
 
     def codazzi_beta(cs):
+        eye = np.eye(cs.n)
+
         def beta(y):
-            r2 = float(y @ y)
+            r2 = np.sum(y * y, axis=-1)[..., None, None]
             e2u = 4.0 / (1 + r2) ** 2
-            grad_u = -2.0 * np.asarray(y) / (1 + r2)
-            n = cs.n
-            out = np.zeros((n, n))
-            for i in range(n):
-                for j in range(n):
-                    gamma1_ij = (
-                        (1.0 if i == 0 else 0.0) * grad_u[j]
-                        + (1.0 if j == 0 else 0.0) * grad_u[i]
-                        - (1.0 if i == j else 0.0) * grad_u[0]
-                    )
-                    out[i, j] = -gamma1_ij + (y[0] * e2u if i == j else 0.0)
-            return out
+            grad_u = -2.0 * y / (1 + r2[..., 0])
+            # gamma1[i, j] = delta_i0 grad_u[j] + delta_j0 grad_u[i] - delta_ij grad_u[0]
+            gamma1 = (eye[:, :1] * grad_u[..., None, :] + eye[:1, :] * grad_u[..., :, None]
+                      - eye * grad_u[..., :1, None])
+            return -gamma1 + eye * (y[..., :1, None] * e2u)
 
         return beta
 
-    trig_tau = lambda y: np.array(
-        [np.sin(y[0] + 2.0 * y[1]), np.cos(y[0] - y[1])] + [np.sin(v) for v in y[2:]]
-    )
+    def trig_tau(y):
+        return np.stack([np.sin(y[..., 0] + 2.0 * y[..., 1]), np.cos(y[..., 0] - y[..., 1])]
+                        + [np.sin(y[..., i]) for i in range(2, y.shape[-1])], axis=-1)
 
     for n in (2, 3):
         x = np.array([0.15, -0.22, 0.1][:n])
@@ -817,11 +816,12 @@ def bounds_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
 
     # maximum-principle surrogate on the torus
     flat = charts_mod.ChartStructure(
-        2, [[0.0, 2.0 * np.pi]] * 2, lambda x: np.eye(2), lambda x: np.zeros((2, 2, 2)),
-        h=h, periodic=[True, True],
+        2, [[0.0, 2.0 * np.pi]] * 2, charts_mod.constant_field(np.eye(2)),
+        charts_mod.constant_field(np.zeros((2, 2, 2))), h=h, periodic=[True, True],
     )
     argmax, lap = bounds_mod.discrete_max_probe(
-        flat, lambda y: np.sin(y[0]) + np.sin(y[1]), lattice_points=max(cfg.lattice, 32))
+        flat, lambda y: np.sin(y[..., 0]) + np.sin(y[..., 1]),
+        lattice_points=max(cfg.lattice, 32))
     col.add("max-probe-closed-form", A_MAXPROBE,
             float(np.max(np.abs(argmax - np.pi / 2))) + abs(lap + 2.0),
             1e-2 + 200.0 * (2 * np.pi / max(cfg.lattice, 32)) ** 2, "flat-torus/sin+sin")
@@ -843,15 +843,14 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
             + abs(q3.weights.sum() - spheres_mod.sphere_area(3)),
             1e-10 * spheres_mod.sphere_area(3), "product-gauss")
     col.add("quadrature-moment", A_PLUMBING,
-            abs(spheres_mod.integrate_sphere(q3, lambda v: v[0] ** 2) - 4.0 * np.pi / 3.0),
+            abs(spheres_mod.integrate_sphere(q3, lambda v: v[:, 0] ** 2) - 4.0 * np.pi / 3.0),
             1e-10, "n=3/V1^2")
     col.add("quadrature-parity", A_PLUMBING,
-            abs(spheres_mod.integrate_sphere(q2, lambda v: v[0])), 1e-12, "n=2/V1")
+            abs(spheres_mod.integrate_sphere(q2, lambda v: v[:, 0])), 1e-12, "n=2/V1")
 
     mc = spheres_mod.monte_carlo(3, 200000, seed=cfg.seeds)
-    est, se = spheres_mod.integrate_sphere(mc, lambda v: v[:, 0] ** 2 * v[:, 1] ** 2,
-                                           vectorized=True)
-    exact = spheres_mod.integrate_sphere(q3, lambda v: v[0] ** 2 * v[1] ** 2)
+    est, se = spheres_mod.integrate_sphere(mc, lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
+    exact = spheres_mod.integrate_sphere(q3, lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
     col.add("quadrature-cross-validation", A_PLUMBING, abs(est - exact), 4.0 * se,
             "monte-carlo/2e5")
 
@@ -913,14 +912,14 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     col.add("ros-refinement-shrink", A_ROS, r128, r64 / 4.0, "G5-generic-hf/lattice=64->128")
 
     flat = charts_mod.ChartStructure(
-        2, [[0.0, 2.0 * np.pi]] * 2, lambda x: np.eye(2), lambda x: np.zeros((2, 2, 2)),
-        h=cfg.h, periodic=[True, True],
+        2, [[0.0, 2.0 * np.pi]] * 2, charts_mod.constant_field(np.eye(2)),
+        charts_mod.constant_field(np.zeros((2, 2, 2))), h=cfg.h, periodic=[True, True],
     )
-    hess_f = lambda y: np.array([[-np.cos(y[0]), 0.0], [0.0, -np.cos(y[1])]])
+    hess_f = lambda y: np.eye(2) * -np.cos(y)[..., None, :]
     col.add("ros-total-derivative", A_ROS,
             spheres_mod.ros_residual(flat, hess_f, k=2, lattice=lattice), 1e-8,
             f"flat-torus/lattice={lattice}")
-    const_s = lambda y: np.array([[0.3, -0.1], [-0.1, 0.8]])
+    const_s = charts_mod.constant_field([[0.3, -0.1], [-0.1, 0.8]])
     conf = generate(GeneratorSpec("G5-periodic-trig", seed=4,
                                   params={"variant": "conformal", "h": cfg.h, "amp": 0.4}))
     col.add("ros-constant-field", A_ROS,

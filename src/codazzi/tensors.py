@@ -307,11 +307,24 @@ def lower_last(g: MetricPoint, k: Tensor) -> CubicForm:
     return CubicForm.from_dense(a, tol=1e-12)
 
 
-def contract(ginv: np.ndarray, t: np.ndarray, s: np.ndarray) -> float:
-    """Full contraction of two covariant arrays of equal shape, every slot against ginv."""
-    for axis in range(np.ndim(s)):
-        s = np.moveaxis(np.tensordot(ginv, s, axes=(1, axis)), 0, axis)
-    return float(np.sum(t * s))
+def _per_slot(b: np.ndarray, arr: np.ndarray, spec: str) -> np.ndarray:
+    """Apply b[..., n, n] to every slot of arr[..., *slots] by the einsum spec (shared batch axes)."""
+    lead = b.ndim - 2
+    arr = np.asarray(arr, dtype=float)
+    b = b.reshape(b.shape[:lead] + (1,) * (arr.ndim - lead - 1) + b.shape[lead:])
+    for axis in range(lead, arr.ndim):
+        arr = np.moveaxis(np.einsum(spec, b, np.moveaxis(arr, axis, -1)), -1, axis)
+    return arr
+
+
+def contract(ginv: np.ndarray, t: np.ndarray, s: np.ndarray):
+    """Full contraction of two covariant arrays of equal shape, every slot against ginv.
+
+    Axes of ginv before its last two are batch axes; a single point gives a float.
+    """
+    lead = ginv.ndim - 2
+    out = np.sum(t * _per_slot(ginv, s, "...ij,...j->...i"), axis=tuple(range(lead, np.ndim(s))))
+    return float(out) if lead == 0 else out
 
 
 def _covariant_array(t) -> np.ndarray:
@@ -395,11 +408,8 @@ def orthonormal_plane(g: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def frame_components(b: np.ndarray, arr) -> np.ndarray:
-    """Covariant components in the frame given by the columns of b."""
-    out = _covariant_array(arr)
-    for axis in range(out.ndim):
-        out = np.moveaxis(np.tensordot(out, b, axes=(axis, 0)), -1, axis)
-    return out
+    """Covariant components in the frame given by the columns of b[..., n, n] (batch axes first)."""
+    return _per_slot(b, _covariant_array(arr), "...ij,...i->...j")
 
 
 def r0_curvature(g: MetricPoint) -> CurvTensor:

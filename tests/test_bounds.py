@@ -14,7 +14,7 @@ from codazzi.bounds import (
     sup_u_bounds,
     surface_u_bounds,
 )
-from codazzi.charts import ChartStructure, squared_norm_field
+from codazzi.charts import ChartStructure, constant_field, squared_norm_field
 from codazzi.generators import GeneratorSpec, generate
 
 
@@ -178,8 +178,8 @@ class TestSandwich:
     def test_trivial_structure(self):
         # A = 0 on a flat chart has R = 0, so R = H R0 holds with H = 0 and
         # every sandwich term vanishes
-        flat = ChartStructure(2, [[0, 2 * np.pi]] * 2, lambda x: np.eye(2),
-                              lambda x: np.zeros((2, 2, 2)), periodic=[True, True])
+        flat = ChartStructure(2, [[0, 2 * np.pi]] * 2, constant_field(np.eye(2)),
+                              constant_field(np.zeros((2, 2, 2))), periodic=[True, True])
         lo, hi = simons_sandwich_check(flat, np.array([1.0, 1.0]), h_curv=0.0)
         assert lo == pytest.approx(0.0, abs=1e-12)
         assert hi == pytest.approx(0.0, abs=1e-12)
@@ -216,15 +216,15 @@ class TestScalarCorollaries:
 
 class TestMaxProbe:
     def test_constant_function(self):
-        flat = ChartStructure(2, [[0, 2 * np.pi]] * 2, lambda x: np.eye(2),
-                              lambda x: np.zeros((2, 2, 2)), periodic=[True, True])
-        _, lap = discrete_max_probe(flat, lambda y: 1.0, lattice_points=16)
+        flat = ChartStructure(2, [[0, 2 * np.pi]] * 2, constant_field(np.eye(2)),
+                              constant_field(np.zeros((2, 2, 2))), periodic=[True, True])
+        _, lap = discrete_max_probe(flat, lambda y: np.ones(y.shape[:-1]), lattice_points=16)
         assert abs(lap) < 1e-10
 
     def test_closed_form_argmax(self):
-        flat = ChartStructure(2, [[0, 2 * np.pi]] * 2, lambda x: np.eye(2),
-                              lambda x: np.zeros((2, 2, 2)), periodic=[True, True])
-        argmax, lap = discrete_max_probe(flat, lambda y: np.sin(y[0]) + np.sin(y[1]),
+        flat = ChartStructure(2, [[0, 2 * np.pi]] * 2, constant_field(np.eye(2)),
+                              constant_field(np.zeros((2, 2, 2))), periodic=[True, True])
+        argmax, lap = discrete_max_probe(flat, lambda y: np.sin(y[..., 0]) + np.sin(y[..., 1]),
                                          lattice_points=64)
         assert np.allclose(argmax, [np.pi / 2, np.pi / 2], atol=0.1)
         assert lap == pytest.approx(-2.0, abs=1e-2)
@@ -237,7 +237,7 @@ class TestMaxProbe:
         assert lap <= 1e-2
 
     def test_needs_periodic_chart(self):
-        box = ChartStructure(2, [[-1, 1]] * 2, lambda x: np.eye(2),
-                             lambda x: np.zeros((2, 2, 2)))
+        box = ChartStructure(2, [[-1, 1]] * 2, constant_field(np.eye(2)),
+                             constant_field(np.zeros((2, 2, 2))))
         with pytest.raises(PreconditionError, match="periodic"):
-            discrete_max_probe(box, lambda y: 0.0)
+            discrete_max_probe(box, lambda y: np.zeros(y.shape[:-1]))

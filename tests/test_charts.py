@@ -5,8 +5,11 @@ from codazzi import ConstructionError, PreconditionError
 from codazzi.charts import (
     ChartStructure,
     christoffel,
+    christoffel_array,
     conjugate_symmetry_defect,
+    constant_field,
     curvature_hat,
+    curvature_hat_arrays,
     duality_involution_defect,
     hessian_from_potential,
     laplacian_tensor_at,
@@ -20,47 +23,60 @@ from codazzi.charts import (
     scalar_laplacian_at,
     sectional_hat,
     sectional_nabla,
+    squared_norm_field,
     statistical_connections,
 )
 from codazzi.generators import GeneratorSpec, generate, sample_points
 from codazzi.points import sectional_k
+from codazzi.spheres import ros_residual, unit_bundle_functional
 
 
 def flat_chart(h=1e-3, periodic=False):
     return ChartStructure(
         2, [[-1.0, 1.0], [-1.0, 1.0]] if not periodic else [[0, 2 * np.pi]] * 2,
-        lambda x: np.eye(2), lambda x: np.zeros((2, 2, 2)), h=h,
+        constant_field(np.eye(2)), constant_field(np.zeros((2, 2, 2))), h=h,
         periodic=[periodic] * 2,
     )
 
 
 def poincare_chart(h=1e-3):
     return ChartStructure(
-        2, [[-0.5, 0.5], [0.5, 1.5]], lambda x: np.eye(2) / x[1] ** 2,
-        lambda x: np.zeros((2, 2, 2)), h=h,
+        2, [[-0.5, 0.5], [0.5, 1.5]], lambda x: np.eye(2) / x[..., 1, None, None] ** 2,
+        constant_field(np.zeros((2, 2, 2))), h=h,
     )
 
 
 def sphere_chart(h=1e-3, n=2):
     return ChartStructure(
-        n, [[-0.5, 0.5]] * n, lambda x: 4.0 * np.eye(n) / (1 + x @ x) ** 2,
-        lambda x: np.zeros((n, n, n)), h=h,
+        n, [[-0.5, 0.5]] * n,
+        lambda x: 4.0 * np.eye(n) / (1 + np.sum(x * x, axis=-1))[..., None, None] ** 2,
+        constant_field(np.zeros((n, n, n))), h=h,
     )
 
 
 class TestChartStructure:
     def test_spot_check_rejects_indefinite_metric(self):
+        def indefinite(x):
+            g = np.zeros(x.shape[:-1] + (2, 2))
+            g[..., 0, 0] = 1.0
+            g[..., 1, 1] = x[..., 0]
+            return g
+
         with pytest.raises(ConstructionError, match="metric field fails"):
             ChartStructure(
-                2, [[-1, 1], [-1, 1]], lambda x: np.array([[1.0, 0.0], [0.0, x[0]]]),
-                lambda x: np.zeros((2, 2, 2)),
+                2, [[-1, 1], [-1, 1]], indefinite, constant_field(np.zeros((2, 2, 2))),
             )
 
     def test_spot_check_rejects_asymmetric_cubic(self):
         arr = np.zeros((2, 2, 2))
         arr[0, 0, 1] = 1.0
         with pytest.raises(ConstructionError, match="not symmetric"):
-            ChartStructure(2, [[-1, 1], [-1, 1]], lambda x: np.eye(2), lambda x: arr)
+            ChartStructure(2, [[-1, 1], [-1, 1]], constant_field(np.eye(2)), constant_field(arr))
+
+    def test_spot_check_rejects_single_point_field(self):
+        with pytest.raises(ConstructionError, match="metric field maps 25 points to shape"):
+            ChartStructure(2, [[-1, 1], [-1, 1]], lambda x: np.eye(2),
+                           constant_field(np.zeros((2, 2, 2))))
 
     def test_boundary_margin(self):
         cs = flat_chart()
@@ -83,8 +99,8 @@ class TestChristoffel:
     def test_diagonal_metric_hand_value(self):
         cs = ChartStructure(
             2, [[-2, 2], [-2, 2]],
-            lambda x: np.diag([x[0] ** 2 + 1.0, x[1] ** 2 + 1.0]),
-            lambda x: np.zeros((2, 2, 2)),
+            lambda x: np.eye(2) * (x**2 + 1.0)[..., None, :],
+            constant_field(np.zeros((2, 2, 2))),
         )
         gamma = christoffel(cs, [1.0, 0.0]).gamma
         assert gamma[0, 0, 0] == pytest.approx(0.5, abs=1e-8)
@@ -139,25 +155,25 @@ class TestCurvature:
 class TestDerivativeEngine:
     def test_constant_field_zero_derivative(self):
         cs = flat_chart()
-        field = lambda x: np.array([1.0, 2.0])
+        field = constant_field([1.0, 2.0])
         assert np.max(np.abs(nabla_at(cs, field, [0.1, 0.1]))) < 1e-12
 
     def test_flat_partials(self):
         cs = flat_chart()
-        field = lambda x: np.array([x[0] ** 2, x[0] * x[1]])
+        field = lambda x: np.stack([x[..., 0] ** 2, x[..., 0] * x[..., 1]], axis=-1)
         out = nabla_at(cs, field, [0.3, 0.5])
         expected = np.array([[0.6, 0.5], [0.0, 0.3]])
         assert np.max(np.abs(out - expected)) < 1e-9
 
     def test_flat_scalar_laplacian(self):
         cs = flat_chart()
-        assert scalar_laplacian_at(cs, lambda x: x[0] ** 2 + x[1] ** 2, [0.2, -0.4]) == (
+        assert scalar_laplacian_at(cs, lambda x: x[..., 0] ** 2 + x[..., 1] ** 2, [0.2, -0.4]) == (
             pytest.approx(4.0, abs=1e-6)
         )
 
     def test_torus_oneform_codifferential_and_curl(self):
         cs = flat_chart(periodic=True)
-        tau = lambda x: np.array([x[1], -x[0]])
+        tau = lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1)
         x = np.array([1.0, 2.0])
         assert abs(codifferential_at(cs, tau, x)) < 1e-10
         d = exterior_derivative_1form_at(cs, tau, x)
@@ -186,8 +202,8 @@ class TestDerivativeEngine:
     def test_tensor_laplacian_matches_scalar_on_functions(self):
         cs = sphere_chart()
         x = np.array([0.12, -0.2])
-        f_tensor = lambda y: np.array(np.sin(y[0]) * np.cos(y[1]))
-        direct = scalar_laplacian_at(cs, lambda y: np.sin(y[0]) * np.cos(y[1]), x)
+        f_tensor = lambda y: np.sin(y[..., 0]) * np.cos(y[..., 1])
+        direct = scalar_laplacian_at(cs, lambda y: np.sin(y[..., 0]) * np.cos(y[..., 1]), x)
         composed = laplacian_tensor_at(cs, f_tensor, x)
         assert composed == pytest.approx(direct, rel=1e-4, abs=1e-6)
 
@@ -348,3 +364,61 @@ class TestSectionalNabla:
     def test_degenerate_plane_rejected(self):
         with pytest.raises(PreconditionError):
             sectional_nabla(poincare_chart(), [0.0, 1.0], ([1, 0], [2, 0]))
+
+
+class TestBatchedCore:
+    """One call on an (N, n) batch is the same computation as N single-point calls."""
+
+    @pytest.mark.parametrize("family, n", [
+        ("G2-hessian-potential", 3),
+        ("G4-random-smooth", 2),
+        ("G4-random-smooth", 3),
+        ("G5-periodic-trig", 2),
+    ])
+    def test_batch_equals_single_points(self, family, n):
+        cs = generate(GeneratorSpec(family, n=n, seed=1))
+        xs = sample_points(cs, 6, seed=3)
+        u = squared_norm_field(cs, cs.a_field)
+        kernels = {
+            "christoffel": lambda x: christoffel_array(cs, x),
+            "nabla": lambda x: nabla_at(cs, cs.a_field, x),
+            "curvature-up": lambda x: curvature_hat_arrays(cs, x)[0],
+            "curvature-low": lambda x: curvature_hat_arrays(cs, x)[1],
+            "scalar-laplacian": lambda x: scalar_laplacian_at(cs, u, x),
+        }
+        for name, kernel in kernels.items():
+            batch = kernel(xs)
+            single = np.stack([kernel(x) for x in xs])
+            assert batch.shape == single.shape, name
+            assert np.max(np.abs(batch - single)) <= 1e-15 * np.max(np.abs(single)), name
+
+    # Values recorded with the per-point implementation (lattice sums in a
+    # Python loop over points, scalar math closures).  They are far from zero,
+    # so 1e-12 relative pins the rewritten lattice sums; a residual that
+    # cancels to rounding level would only be pinned to its term scale.
+    def _conformal_chart(self):
+        a = np.zeros((2, 2, 2))
+        for (i, j, k), v in {(0, 0, 0): 0.8, (0, 1, 1): -0.8, (0, 0, 1): -0.5,
+                             (1, 1, 1): 0.5}.items():
+            for p in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
+                a[p] = v
+        return ChartStructure(
+            2, [[0.0, 2 * np.pi]] * 2,
+            lambda x: (1 + 0.3 * np.sin(x[..., 0]) * np.cos(x[..., 1]))[..., None, None]
+            * np.eye(2),
+            constant_field(a), h=5e-4, periodic=[True, True],
+        )
+
+    def test_ros_lattice_sum_matches_recorded(self):
+        aliased = ros_residual(self._conformal_chart(), lambda y: np.sin(8 * y), k=1, lattice=8)
+        assert aliased == pytest.approx(3968.7928316109073, rel=1e-12)
+        gen = generate(GeneratorSpec("G5-periodic-trig", seed=3,
+                                     params={"variant": "generic", "freq": 8}))
+        cubic = ros_residual(gen, gen.a_field, k=3, lattice=8)
+        assert cubic == pytest.approx(562.9589226537645, rel=1e-12)
+
+    def test_bundle_lattice_sum_matches_recorded(self):
+        tg, tc, total = unit_bundle_functional(self._conformal_chart(), lattice=8)
+        assert tg == pytest.approx(29.134033731811556, rel=1e-12)
+        assert tc == pytest.approx(-29.197517477655243, rel=1e-12)
+        assert total == pytest.approx(-0.06348374584368699, rel=1e-12)

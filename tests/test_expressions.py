@@ -42,6 +42,20 @@ class TestParsing:
         with pytest.raises(SchemaError):
             parse_expression("x1 @ 2", 1)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1e400", "not finite"), ("2 * 1e200 * 1e200", "not finite"), ("1/0", "division by zero"),
+    ])
+    def test_rejects_non_finite_constants(self, text, message):
+        with pytest.raises(SchemaError, match=message):
+            parse_expression(text, 1)
+
+    def test_batched_evaluation(self):
+        x = np.array([[0.7, -0.3], [1.1, 2.0], [0.0, 0.5]])
+        f = compiled("sin(x1)*cos(x2) + pow(x2, 3)", 2)
+        assert f(x).shape == (3,)
+        assert np.array_equal(f(x), [f(p) for p in x])
+        assert np.array_equal(compiled("2.5", 2)(x), np.full(3, 2.5))
+
     def test_nonconstant_exponent_rejected(self):
         with pytest.raises(SchemaError, match="constant exponent"):
             parse_expression("x1**x2", 2)

@@ -270,6 +270,38 @@ class TestCLI:
         assert explicit.returncode == 0, explicit.stderr
 
 
+class TestNonFiniteInput:
+    """Non-finite numbers in structure files and field values exit 2 with a clear message."""
+
+    CHART = {"n": 2, "domain": [[0.0, 1.0], [0.0, 1.0]],
+             "g": [["1", "0"], ["0", "1"]], "A": {"111": "0.5"}}
+
+    def check(self, tmp_path, data):
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(data))
+        out = run_cli("check", "--file", str(path))
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert "Traceback" not in out.stderr
+        return out.stderr
+
+    def test_chart_cubic_nan(self, tmp_path):
+        err = self.check(tmp_path, dict(self.CHART, A={"111": float("nan")}))
+        assert "/A/111" in err and "not finite" in err
+
+    def test_chart_cubic_overflowing_constant(self, tmp_path):
+        err = self.check(tmp_path, dict(self.CHART, A={"111": "1e400"}))
+        assert "/A/111" in err and "not finite" in err
+
+    def test_chart_field_overflow(self, tmp_path):
+        err = self.check(tmp_path, dict(self.CHART, g=[["exp(800*x1)", "0"], ["0", "1"]]))
+        assert "metric field is not finite at x=[1.0, 0.0]" in err
+
+    def test_point_cubic_infinity(self, tmp_path):
+        data = {"n": 2, "g": [[1.0, 0.0], [0.0, 1.0]], "A": {"111": float("inf")}}
+        err = self.check(tmp_path, data)
+        assert "/A/111" in err and "finite" in err
+
+
 class TestSuiteConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("h", -1e-3), ("h", 0.0), ("h", float("inf")), ("seeds", 0), ("sweep_count", 0),

@@ -7,6 +7,7 @@ import pytest
 from codazzi import PreconditionError
 from codazzi.charts import (
     ChartStructure,
+    constant_field,
     cubic_laplace_constant_sectional_residual,
     cubic_laplace_lagrangian_residual,
     cubic_simons_residuals,
@@ -34,40 +35,48 @@ def curved_hessian(h=1e-3, n=2):
 
 def sphere_chart(h=1e-3, n=2):
     return ChartStructure(
-        n, [[-0.4, 0.4]] * n, lambda x: 4.0 * np.eye(n) / (1 + x @ x) ** 2,
-        lambda x: np.zeros((n, n, n)), h=h,
+        n, [[-0.4, 0.4]] * n,
+        lambda x: 4.0 * np.eye(n) / (1 + np.sum(x * x, axis=-1))[..., None, None] ** 2,
+        constant_field(np.zeros((n, n, n))), h=h,
     )
 
 
 def codazzi_beta(n):
     """Closed-form Codazzi 2-form on the stereographic sphere: Hess(x1) + x1 g."""
+    eye = np.eye(n)
 
     def beta(y):
-        r2 = float(y @ y)
+        r2 = np.sum(y * y, axis=-1)[..., None, None]
         e2u = 4.0 / (1 + r2) ** 2
-        grad_u = -2.0 * np.asarray(y) / (1 + r2)
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                gamma1 = (
-                    (i == 0) * grad_u[j] + (j == 0) * grad_u[i] - (i == j) * grad_u[0]
-                )
-                out[i, j] = -gamma1 + (y[0] * e2u if i == j else 0.0)
-        return out
+        grad_u = -2.0 * y / (1 + r2[..., 0])
+        gamma1 = (eye[:, :1] * grad_u[..., None, :] + eye[:1, :] * grad_u[..., :, None]
+                  - eye * grad_u[..., :1, None])
+        return -gamma1 + eye * (y[..., :1, None] * e2u)
 
     return beta
 
 
+def flat_chart():
+    return ChartStructure(2, [[-1, 1]] * 2, constant_field(np.eye(2)),
+                          constant_field(np.zeros((2, 2, 2))))
+
+
+def trig_tau(y):
+    return np.stack([np.sin(y[..., 0] + 2 * y[..., 1]), np.cos(y[..., 0] - y[..., 1])], axis=-1)
+
+
 class TestRicciIdentity:
     def test_parallel_field_on_flat_metric(self):
-        cs = ChartStructure(2, [[-1, 1]] * 2, lambda x: np.eye(2),
-                            lambda x: np.zeros((2, 2, 2)))
-        field = lambda y: np.array([1.0, -2.0])
+        cs = flat_chart()
+        field = constant_field([1.0, -2.0])
         assert ricci_identity_residual(cs, field, [0.1, 0.3]) < 1e-12
 
     def test_unconditional_on_arbitrary_fields(self):
         cs = sphere_chart()
-        field = lambda y: np.array([[np.sin(y[0]), y[1] ** 2], [y[0] * y[1], np.cos(y[1])]])
+        field = lambda y: np.stack([
+            np.stack([np.sin(y[..., 0]), y[..., 1] ** 2], axis=-1),
+            np.stack([y[..., 0] * y[..., 1], np.cos(y[..., 1])], axis=-1),
+        ], axis=-2)
         assert ricci_identity_residual(cs, field, X2) < 1e-5
 
     def test_convergence_factor(self):
@@ -81,9 +90,10 @@ class TestSimonsFormula:
     def test_degree_zero_through_four(self):
         cs = sphere_chart()
         fields = [
-            lambda y: np.array(np.sin(y[0]) + y[1]),
-            lambda y: np.array([np.sin(y[0]), np.cos(y[1])]),
-            lambda y: np.array([[np.sin(y[0]), 0.1], [0.1, np.cos(y[1])]]),
+            lambda y: np.sin(y[..., 0]) + y[..., 1],
+            lambda y: np.stack([np.sin(y[..., 0]), np.cos(y[..., 1])], axis=-1),
+            lambda y: np.array([[0.0, 0.1], [0.1, 0.0]])
+            + np.eye(2) * np.stack([np.sin(y[..., 0]), np.cos(y[..., 1])], axis=-1)[..., None, :],
             None,
             None,
         ]
@@ -99,8 +109,8 @@ class TestSimonsFormula:
     def test_degree_four_field(self):
         cs = sphere_chart()
         field = lambda y: np.einsum(
-            "i,j,k,l->ijkl", y, y, np.array([1.0, 0.5]), np.array([0.2, 1.0])
-        ) + np.sin(y[0]) * np.ones((2, 2, 2, 2))
+            "...i,...j,k,l->...ijkl", y, y, np.array([1.0, 0.5]), np.array([0.2, 1.0])
+        ) + np.sin(y[..., 0])[..., None, None, None, None] * np.ones((2, 2, 2, 2))
         assert simons_residual(cs, field, X2) < 1e-3
 
     def test_halving_reduces_by_four(self):
@@ -111,27 +121,27 @@ class TestSimonsFormula:
 
 class TestWeitzenbock:
     def test_flat_exact_differential(self):
-        cs = ChartStructure(2, [[-1, 1]] * 2, lambda x: np.eye(2),
-                            lambda x: np.zeros((2, 2, 2)))
-        tau = lambda y: np.array([2 * y[0], 2 * y[1]])  # d(x^2 + y^2)
+        cs = flat_chart()
+        tau = lambda y: 2 * y  # d(x^2 + y^2)
         out = weitzenbock_residual(cs, tau, [0.2, 0.1])
         assert out["weitzenbock"] < 1e-6
 
     def test_poincare_and_sphere(self):
-        poin = ChartStructure(2, [[-0.5, 0.5], [0.5, 1.5]], lambda x: np.eye(2) / x[1] ** 2,
-                              lambda x: np.zeros((2, 2, 2)))
-        tau = lambda y: np.array([np.sin(y[0] + 2 * y[1]), np.cos(y[0] - y[1])])
+        poin = ChartStructure(2, [[-0.5, 0.5], [0.5, 1.5]],
+                              lambda x: np.eye(2) / x[..., 1, None, None] ** 2,
+                              constant_field(np.zeros((2, 2, 2))))
+        tau = trig_tau
         assert weitzenbock_residual(poin, tau, [0.0, 1.0])["weitzenbock"] < 1e-4
         assert weitzenbock_residual(sphere_chart(), tau, X2)["weitzenbock"] < 1e-4
 
     def test_scalar_consequence(self):
         out = weitzenbock_residual(
-            sphere_chart(), lambda y: np.array([np.sin(y[0] + 2 * y[1]), np.cos(y[0] - y[1])]), X2
+            sphere_chart(), trig_tau, X2
         )
         assert out["simons-1form"] < 1e-4
 
     def test_convergence(self):
-        tau = lambda y: np.array([np.sin(y[0] + 2 * y[1]), np.cos(y[0] - y[1])])
+        tau = trig_tau
         rs = [weitzenbock_residual(sphere_chart(h), tau, X2)["weitzenbock"]
               for h in (4e-3, 2e-3, 1e-3)]
         for i in range(2):
@@ -141,15 +151,14 @@ class TestWeitzenbock:
 class TestSym2Simons:
     def test_metric_multiple_trivial(self):
         cs = sphere_chart()
-        beta = lambda y: 2.5 * 4.0 * np.eye(2) / (1 + y @ y) ** 2
+        beta = lambda y: 2.5 * 4.0 * np.eye(2) / (1 + np.sum(y * y, axis=-1))[..., None, None] ** 2
         residual, eigen_term = sym2_simons_residual(cs, beta, X2)
         assert residual < 1e-8
         assert eigen_term == pytest.approx(0.0, abs=1e-10)
 
     def test_flat_cubic_potential_hessian(self):
-        cs = ChartStructure(2, [[-1, 1]] * 2, lambda x: np.eye(2),
-                            lambda x: np.zeros((2, 2, 2)))
-        beta = lambda y: np.diag([6.0 * y[0], 6.0 * y[1]])
+        cs = flat_chart()
+        beta = lambda y: np.eye(2) * (6.0 * y)[..., None, :]
         residual, eigen_term = sym2_simons_residual(cs, beta, [0.3, 0.2])
         assert residual < 1e-8
         assert eigen_term == 0.0
@@ -162,7 +171,8 @@ class TestSym2Simons:
 
     def test_precondition_violation_distinct(self):
         cs = sphere_chart()
-        beta = lambda y: np.array([[np.sin(3 * y[0]), 0.0], [0.0, np.cos(2 * y[1])]])
+        beta = lambda y: np.eye(2) * np.stack(
+            [np.sin(3 * y[..., 0]), np.cos(2 * y[..., 1])], axis=-1)[..., None, :]
         with pytest.raises(PreconditionError, match="not symmetric"):
             sym2_simons_residual(cs, beta, X2)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from codazzi import PreconditionError
-from codazzi.charts import ChartStructure
+from codazzi.charts import ChartStructure, constant_field
 from codazzi.generators import GeneratorSpec, generate
 from codazzi.spheres import (
     fiber_identity_residual,
@@ -37,13 +37,13 @@ class TestQuadrature:
         )
 
     def test_second_moment(self):
-        assert integrate_sphere(product_gauss(3), lambda v: v[0] ** 2) == pytest.approx(
+        assert integrate_sphere(product_gauss(3), lambda v: v[:, 0] ** 2) == pytest.approx(
             4 * math.pi / 3, abs=1e-10
         )
 
     def test_odd_parity(self):
-        assert abs(integrate_sphere(product_gauss(2), lambda v: v[0])) < 1e-12
-        assert abs(integrate_sphere(product_gauss(3), lambda v: v[2] ** 3)) < 1e-12
+        assert abs(integrate_sphere(product_gauss(2), lambda v: v[:, 0])) < 1e-12
+        assert abs(integrate_sphere(product_gauss(3), lambda v: v[:, 2] ** 3)) < 1e-12
 
     def test_high_dimension_needs_monte_carlo(self):
         with pytest.raises(PreconditionError):
@@ -53,15 +53,15 @@ class TestQuadrature:
 
     def test_monte_carlo_returns_stderr(self):
         q = monte_carlo(3, 100000, seed=2)
-        est, se = integrate_sphere(q, lambda v: v[:, 0] ** 2, vectorized=True)
+        est, se = integrate_sphere(q, lambda v: v[:, 0] ** 2)
         assert se > 0
         assert abs(est - 4 * math.pi / 3) < 4 * se
 
     def test_cross_validation_gauss_vs_mc(self):
-        f_scalar = lambda v: v[0] ** 2 * v[1] ** 2
+        f_scalar = lambda v: v[:, 0] ** 2 * v[:, 1] ** 2
         exact = integrate_sphere(product_gauss(3), f_scalar)
         q = monte_carlo(3, 10**6, seed=3)
-        est, se = integrate_sphere(q, lambda v: v[:, 0] ** 2 * v[:, 1] ** 2, vectorized=True)
+        est, se = integrate_sphere(q, lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
         assert abs(est - exact) < 4 * se
 
 
@@ -90,13 +90,12 @@ class TestFiberIdentity:
         s = rng.uniform(-1, 1, (3, 3, 3, 3))
         n, k = 3, 4
         lhs_g = (n + k - 2) * integrate_sphere(
-            product_gauss(3), lambda v: float(np.einsum("abcd,a,b,c,d->", s, v, v, v, v))
+            product_gauss(3), lambda v: np.einsum("abcd,ma,mb,mc,md->m", s, v, v, v, v)
         )
         q = monte_carlo(3, 10**6, seed=5)
         est, se = integrate_sphere(
             q,
             lambda v: (n + k - 2) * np.einsum("abcd,ma,mb,mc,md->m", s, v, v, v, v),
-            vectorized=True,
         )
         assert abs(lhs_g - est) < 4 * se
 
@@ -132,15 +131,15 @@ class TestSphericalCodifferential:
 
 class TestRos:
     def test_hessian_field_on_flat_torus(self):
-        flat = ChartStructure(2, [[0, 2 * np.pi]] * 2, lambda x: np.eye(2),
-                              lambda x: np.zeros((2, 2, 2)), periodic=[True, True])
-        hess = lambda y: np.array([[-np.cos(y[0]), 0.0], [0.0, -np.cos(y[1])]])
+        flat = ChartStructure(2, [[0, 2 * np.pi]] * 2, constant_field(np.eye(2)),
+                              constant_field(np.zeros((2, 2, 2))), periodic=[True, True])
+        hess = lambda y: np.eye(2) * -np.cos(y)[..., None, :]
         assert ros_residual(flat, hess, k=2, lattice=32) < 1e-8
 
     def test_constant_tensor_on_curved_metric(self):
         conf = generate(GeneratorSpec("G5-periodic-trig", seed=4,
                                       params={"variant": "conformal", "amp": 0.4}))
-        const_s = lambda y: np.array([[0.3, -0.1], [-0.1, 0.8]])
+        const_s = constant_field([[0.3, -0.1], [-0.1, 0.8]])
         assert ros_residual(conf, const_s, k=2, lattice=32) < 1e-6
 
     def test_generic_cubic_field(self):
@@ -158,22 +157,21 @@ class TestRos:
         assert r128 <= r64 / 4.0
 
     def test_needs_periodicity(self):
-        box = ChartStructure(2, [[-1, 1]] * 2, lambda x: np.eye(2),
-                             lambda x: np.zeros((2, 2, 2)))
+        box = ChartStructure(2, [[-1, 1]] * 2, constant_field(np.eye(2)),
+                             constant_field(np.zeros((2, 2, 2))))
         with pytest.raises(PreconditionError, match="periodic"):
             ros_residual(box, box.a_field, k=3)
 
     def test_three_torus(self):
         torus = ChartStructure(
             3, [[0, 2 * np.pi]] * 3,
-            lambda x: np.exp(0.3 * np.sin(x[0]) * np.cos(x[2])) * np.eye(3),
-            lambda x: np.zeros((3, 3, 3)), periodic=[True] * 3,
+            lambda x: np.exp(0.3 * np.sin(x[..., 0]) * np.cos(x[..., 2]))[..., None, None]
+            * np.eye(3),
+            constant_field(np.zeros((3, 3, 3))), periodic=[True] * 3,
         )
-        s = lambda y: np.array([
-            [np.sin(y[0]), 0.2, 0.0],
-            [0.2, np.cos(y[1]), 0.1],
-            [0.0, 0.1, np.sin(y[2] + y[0])],
-        ])
+        s = lambda y: np.array([[0.0, 0.2, 0.0], [0.2, 0.0, 0.1], [0.0, 0.1, 0.0]]) + np.eye(3) * (
+            np.stack([np.sin(y[..., 0]), np.cos(y[..., 1]), np.sin(y[..., 2] + y[..., 0])], axis=-1)
+        )[..., None, :]
         assert ros_residual(torus, s, k=2, lattice=12) < 1e-6
 
 
