@@ -4,6 +4,7 @@ from .errors import (
     CodazziError,
     ConstructionError,
     DimensionMismatchError,
+    NotPositiveDefiniteError,
     PreconditionError,
     SchemaError,
 )

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstructionError, PreconditionError
+from .errors import ConstructionError, NotPositiveDefiniteError, PreconditionError
 from .expressions import Const, mul, parse_expression, partial
 from .points import (
     StatPoint,
@@ -204,12 +204,12 @@ class ChartStructure:
         first(~np.all(np.isfinite(g), axis=(1, 2)), "metric field is not finite")
         g = 0.5 * (g + np.swapaxes(g, 1, 2))
         minors = np.stack([np.linalg.det(g[:, :k, :k]) for k in range(1, n + 1)], axis=-1)
-        # MetricPoint names the failing minor (and enforces the dimension cap)
+        # MetricPoint names the failing minor (and enforces the dimension cap); keep its type
         i = int(np.argmax(~np.all(minors > 0.0, axis=-1)))
         try:
             MetricPoint(g[i])
         except ConstructionError as exc:
-            raise ConstructionError(f"metric field fails at x={points[i].tolist()}: {exc}") from exc
+            raise type(exc)(f"metric field fails at x={points[i].tolist()}: {exc}") from exc
         first(~np.all(np.isfinite(a), axis=(1, 2, 3)), "cubic field is not finite")
         scale = np.max(np.abs(a), axis=(1, 2, 3))
         defect = np.max(np.abs(a - symmetrize(a, degree=3)), axis=(1, 2, 3))
@@ -278,13 +278,9 @@ def _parse_aux_field(n: int, spec) -> AuxField:
     if isinstance(spec, AuxField):
         return spec
     degree = int(spec["degree"])
-    comps = {
-        tuple(int(c) - 1 for c in str(key)): parse_expression(expr, n).compile(n)
-        for key, expr in spec["components"].items()
-    }
-    sources = {
-        str(key): parse_expression(expr, n).source() for key, expr in spec["components"].items()
-    }
+    exprs = {str(key): parse_expression(expr, n) for key, expr in spec["components"].items()}
+    comps = {tuple(int(c) - 1 for c in key): e.compile(n) for key, e in exprs.items()}
+    sources = {key: e.source() for key, e in exprs.items()}
 
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -980,8 +976,8 @@ def hessian_from_potential(
     -(1/2) d^3(potential) are exact closed forms, built through
     from_expressions from the partials over sorted index tuples.  Convexity
     is spot-checked on the construction lattice; a non-convex potential raises
-    ConstructionError.  The coordinate connection is flat for the resulting
-    structure, which the differential suite verifies as ||R|| = O(h^2).
+    ConstructionError (any other construction error passes through unchanged).
+    The coordinate connection is flat, verified by the differential suite as ||R|| = O(h^2).
     """
     domain = np.asarray(domain, dtype=float)
     if n is None:
@@ -997,5 +993,5 @@ def hessian_from_potential(
     }
     try:
         return ChartStructure.from_expressions(n, domain, second, a_entries, h=h, periodic=periodic)
-    except ConstructionError as exc:
+    except NotPositiveDefiniteError as exc:
         raise ConstructionError(f"potential is not convex on the domain: {exc}") from exc

@@ -9,6 +9,10 @@ class ConstructionError(CodazziError):
     """Invalid data handed to a type constructor (non-SPD metric, asymmetric cubic form, ...)."""
 
 
+class NotPositiveDefiniteError(ConstructionError):
+    """A metric has a leading principal minor that is not positive."""
+
+
 class DimensionMismatchError(CodazziError):
     """Operands with incompatible dimensions or degrees."""
 

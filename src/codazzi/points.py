@@ -216,9 +216,8 @@ def quarter_parts(tau: np.ndarray, kuu: np.ndarray, ku: np.ndarray):
 
 def quarter_terms(a: np.ndarray, u: np.ndarray):
     """(lhs, ||tau||^2, |U|^2, |K_U|^2) of the trace inequalities; u is in the frame of a."""
-    kuu = np.einsum("...ijm,...i,...j->...m", a, u, u)
     ku = np.einsum("...ijm,...i->...jm", a, u)
-    lhs, tau_sq, ku_sq = quarter_parts(trace_form(a), kuu, ku)
+    lhs, tau_sq, ku_sq = quarter_parts(trace_form(a), np.einsum("...jm,...j->...m", ku, u), ku)
     return lhs, tau_sq, _dot(u, u), ku_sq
 
 
@@ -251,8 +250,11 @@ def trace_free_projection(a: np.ndarray) -> np.ndarray:
 
 def lp_norms(a: np.ndarray):
     """(||L||^2, ||P||^2) for L(X,Y,W,Z) = g(K(X,Y),K(W,Z)) and its antisymmetrization P."""
-    a_ij = np.einsum("...ikl,...jkl->...ij", a, a)
-    b = np.einsum("...ijm,...klm->...ijkl", a, a)
+    n = a.shape[-1]
+    rows = a.reshape(a.shape[:-3] + (n, n * n))  # row i holds a_i..; Gram matrix a_ij
+    a_ij = rows @ np.swapaxes(rows, -1, -2)
+    pairs = a.reshape(a.shape[:-3] + (n * n, n))  # row (i, j) holds K(e_i, e_j)
+    b = (pairs @ np.swapaxes(pairs, -1, -2)).reshape(a.shape[:-3] + (n,) * 4)
     b = b - np.swapaxes(b, -4, -2)
     return np.einsum("...ij,...ij->...", a_ij, a_ij), np.einsum("...ijkl,...ijkl->...", b, b)
 

@@ -147,6 +147,18 @@ def chart_from_dict(data: dict) -> ChartStructure:
         a_parsed[key] = _expression(expr, n, f"/A/{key}")
     periodic = data.get("periodic", [False] * n)
     h = data.get("h", 1e-3)
+    fields = data.get("fields") or {}
+    _require(isinstance(fields, dict), "fields must be an object of named tensor fields", "/fields")
+    for name, spec in fields.items():
+        ptr = f"/fields/{name}"
+        _require(isinstance(spec, dict), "a field must be an object", ptr)
+        degree, comps = spec.get("degree"), spec.get("components")
+        _require(isinstance(degree, int) and degree >= 0,
+                 f"degree must be a nonnegative integer, got {degree!r}", f"{ptr}/degree")
+        _require(isinstance(comps, dict), "components must be an object", f"{ptr}/components")
+        for key in comps:
+            _require(len(key) == degree and all(c in "123456789"[:n] for c in key),
+                     f"key {key!r} must be {degree} digit(s) in 1..{n}", f"{ptr}/components/{key}")
     return ChartStructure.from_expressions(
         n,
         np.asarray(domain, dtype=float),
@@ -154,7 +166,7 @@ def chart_from_dict(data: dict) -> ChartStructure:
         a_parsed,
         h=float(h),
         periodic=periodic,
-        aux_fields=data.get("fields"),
+        aux_fields=fields,
     )
 
 

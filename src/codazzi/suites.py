@@ -298,8 +298,23 @@ A_PLUMBING = "invented — artifact plumbing"
 # ---------------------------------------------------------------------------
 # vectorized random sweeps (g = identity; the inequalities are frame covariant)
 
-# samples per batch of the cubic-norm sweep; bounds its memory at any count
-_CUBIC_SWEEP_CHUNK = 2000
+# rows per block of a sweep; bounds its memory at any count
+_SWEEP_CHUNK = 2000
+
+
+def _sweep_blocks(seed: int, count: int, *row_shapes):
+    """Blocks of at most _SWEEP_CHUNK rows of uniform[-1, 1] samples, one array per row shape.
+
+    The samples are those of drawing each whole (count, *shape) array from default_rng(seed)
+    in turn: each array's generator skips the doubles before it (one 64-bit draw per double).
+    """
+    gens, offset = [], 0
+    for shape in row_shapes:
+        gens.append(np.random.Generator(np.random.PCG64(seed).advance(offset)))
+        offset += count * math.prod(shape)
+    for start in range(0, count, _SWEEP_CHUNK):
+        m = min(_SWEEP_CHUNK, count - start)
+        yield [gen.uniform(-1.0, 1.0, (m, *shape)) for gen, shape in zip(gens, row_shapes)]
 
 
 def sweep_trace_inequalities(n: int, count: int, seed: int) -> dict[str, float]:
@@ -309,21 +324,20 @@ def sweep_trace_inequalities(n: int, count: int, seed: int) -> dict[str, float]:
     bounds and -min(residual) for the norm-gap bound; all must stay below
     tolerance for the inequalities to hold on the batch.
     """
-    rng = np.random.default_rng(seed)
-    a = symmetrize(rng.uniform(-1.0, 1.0, (count, n, n, n)), degree=3)
-    u = rng.uniform(-1.0, 1.0, (count, n))
-    u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-3)
+    quarter = eighth = normgap = -np.inf
+    for a, u in _sweep_blocks(seed, count, (n, n, n), (n,)):
+        a = symmetrize(a, degree=3)
+        u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-3)
+        lhs, tau_sq, u_sq, _ = points_mod.quarter_terms(a, u)
+        quarter = max(quarter, float(np.max(lhs - 0.25 * tau_sq * u_sq)))
+        normgap = max(normgap, -float(np.min(points_mod.norm_gap(a))))
 
-    lhs, tau_sq, u_sq, _ = points_mod.quarter_terms(a, u)
-    quarter_margin = float(np.max(lhs - 0.25 * tau_sq * u_sq))
-    normgap_margin = -float(np.min(points_mod.norm_gap(a)))
-
-    # eighth bound: kill A(e1,e1,e1) so the hypothesis holds exactly and take
-    # U = e1, whose K(U,U) and K_U are the rows a[:, 0, 0] and a[:, 0]
-    a[:, 0, 0, 0] = 0.0
-    lhs, tau_sq, _ = points_mod.quarter_parts(points_mod.trace_form(a), a[:, 0, 0], a[:, 0])
-    eighth_margin = float(np.max(lhs - 0.125 * tau_sq))
-    return {"quarter": quarter_margin, "eighth": eighth_margin, "normgap": normgap_margin}
+        # eighth bound: kill A(e1,e1,e1) so the hypothesis holds exactly and take
+        # U = e1, whose K(U,U) and K_U are the rows a[:, 0, 0] and a[:, 0]
+        a[:, 0, 0, 0] = 0.0
+        lhs, tau_sq, _ = points_mod.quarter_parts(points_mod.trace_form(a), a[:, 0, 0], a[:, 0])
+        eighth = max(eighth, float(np.max(lhs - 0.125 * tau_sq)))
+    return {"quarter": quarter, "eighth": eighth, "normgap": normgap}
 
 
 def sweep_cubic_norm_bounds(n: int, count: int, seed: int) -> dict[str, float]:
@@ -333,15 +347,10 @@ def sweep_cubic_norm_bounds(n: int, count: int, seed: int) -> dict[str, float]:
     ||L||^2 + ||P||^2 against u^2, the pairing-identity defect, and (n = 2)
     the equality defect of the upper bound.
     """
-    rng = np.random.default_rng(seed)
-    lower = -np.inf
-    upper = -np.inf
+    lower = upper = -np.inf
     eq_n2 = 0.0
-    done = 0
-    while done < count:
-        m = min(_CUBIC_SWEEP_CHUNK, count - done)
-        a = points_mod.trace_free_projection(
-            symmetrize(rng.uniform(-1.0, 1.0, (m, n, n, n)), degree=3))
+    for (a,) in _sweep_blocks(seed, count, (n, n, n)):
+        a = points_mod.trace_free_projection(symmetrize(a, degree=3))
         u_val = points_mod.cubic_norm_sq(a)
         l2, p2 = points_mod.lp_norms(a)
         total = l2 + p2
@@ -349,7 +358,6 @@ def sweep_cubic_norm_bounds(n: int, count: int, seed: int) -> dict[str, float]:
         upper = max(upper, float(np.max(total - 1.5 * u_val**2)))
         if n == 2:
             eq_n2 = max(eq_n2, float(np.max(np.abs(total - 1.5 * u_val**2))))
-        done += m
     return {"lower": lower, "upper": upper, "li-equality-n2": eq_n2}
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, DimensionMismatchError, PreconditionError
+from .errors import (ConstructionError, DimensionMismatchError, NotPositiveDefiniteError,
+                     PreconditionError)
 
 MAX_DIMENSION = 8
 
@@ -49,7 +50,7 @@ class MetricPoint:
         for k in range(1, n + 1):
             minor = float(np.linalg.det(m[:k, :k]))
             if not minor > 0.0:
-                raise ConstructionError(
+                raise NotPositiveDefiniteError(
                     f"metric is not positive definite: leading principal minor {k} is {minor:g}"
                 )
         m.setflags(write=False)

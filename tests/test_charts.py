@@ -238,6 +238,16 @@ class TestStatisticalConnections:
         with pytest.raises(ConstructionError, match="convex"):
             hessian_from_potential("x1**3", [[-1.0, 1.0]])
 
+    @pytest.mark.parametrize("potential, domain, h, message", [
+        ("exp(800*x1) + x1**2", [[0.0, 1.0]], 1e-3, "metric field is not finite at x=[1.0]"),
+        ("x1**2", [[0.0, 1.0]], -1.0, "step h must be finite and positive"),
+    ], ids=["overflowing-metric", "negative-step"])
+    def test_other_construction_errors_pass_through(self, potential, domain, h, message):
+        # only a metric that is not positive definite means the potential is not convex
+        with pytest.raises(ConstructionError) as info:
+            hessian_from_potential(potential, domain, h=h)
+        assert message in str(info.value) and "convex" not in str(info.value)
+
     def test_constant_fields_constant_curvature(self):
         cs = generate(GeneratorSpec("G3-2d-constant-curvature", params={"chart": True}))
         conn = statistical_connections(cs, [1.0, 1.0])

@@ -302,6 +302,22 @@ class TestNonFiniteInput:
         assert "/A/111" in err and "finite" in err
 
 
+class TestAuxFieldSchema:
+    """A malformed auxiliary field of a chart file exits 2 and names its JSON pointer."""
+
+    @pytest.mark.parametrize("field, pointer", [
+        ({"components": {"1": "x1"}}, "/fields/tau/degree"),
+        ({"degree": 1, "components": {"3": "x1"}}, "/fields/tau/components/3"),
+        ({"degree": 2, "components": {"1": "x1"}}, "/fields/tau/components/1"),
+    ], ids=["missing-degree", "index-beyond-n", "key-length-not-degree"])
+    def test_rejected(self, tmp_path, field, pointer):
+        path = tmp_path / "chart.json"
+        path.write_text(json.dumps(dict(TestNonFiniteInput.CHART, fields={"tau": field})))
+        out = run_cli("check", "--file", str(path))
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert f"schema error: {pointer}:" in out.stderr and "Traceback" not in out.stderr
+
+
 class TestSuiteConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("h", -1e-3), ("h", 0.0), ("h", float("inf")), ("seeds", 0), ("sweep_count", 0),
