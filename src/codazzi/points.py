@@ -62,10 +62,6 @@ class StatPoint:
         self._tau = None
         self._frame_a = None
 
-    @classmethod
-    def from_components(cls, g_matrix, a_dense, tol: float = 1e-9) -> "StatPoint":
-        return cls(MetricPoint(g_matrix), CubicForm.from_dense(a_dense, tol=tol))
-
     @property
     def K(self) -> Tensor:
         """Difference tensor as a (1,2) tensor: K^m_ij = g^{ml} A_ijl."""

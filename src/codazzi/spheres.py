@@ -27,8 +27,6 @@ from .charts import (
 from .errors import PreconditionError
 from .tensors import frame_components
 
-_EINSUM_LETTERS = "abcdefgh"
-
 
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere S^{n-1} in R^n."""
@@ -94,12 +92,23 @@ def integrate_sphere(q: SphereQuadrature, f):
     return estimate
 
 
-def poly_eval(s: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """s(V,...,V) for every node at once; nodes[..., m, n] may carry the batch axes of s."""
-    k = s.ndim - (nodes.ndim - 2)
-    letters = _EINSUM_LETTERS[:k]
-    spec = f"...{letters}," + ",".join(f"...m{c}" for c in letters) + "->...m"
-    return np.einsum(spec, s, *([nodes] * k))
+def node_powers(nodes: np.ndarray, k: int) -> np.ndarray:
+    """The (m, n**k) rows V (x) ... (x) V (k factors) of the nodes, flattened in C order."""
+    rows = np.ones((len(nodes), 1))
+    for _ in range(k):
+        rows = (rows[:, :, None] * nodes[:, None, :]).reshape(len(nodes), -1)
+    return rows
+
+
+def poly_eval(s: np.ndarray, nodes: np.ndarray, k: int | None = None) -> np.ndarray:
+    """s(V,...,V) for every node V of nodes[m, n]: one matmul against the node tensor powers.
+
+    The last k axes of s are its slots (default: all of them); axes before them are
+    batch axes and stay in front of the node axis, giving [..., m].
+    """
+    s = np.asarray(s, dtype=float)
+    k = s.ndim if k is None else k
+    return s.reshape(s.shape[:s.ndim - k] + (-1,)) @ node_powers(nodes, k).T
 
 
 def fiber_identity_residual(s, i0: int, quad: SphereQuadrature | None = None) -> float:
@@ -125,8 +134,7 @@ def _trace_terms(s: np.ndarray, i0: int, nodes: np.ndarray) -> np.ndarray:
     out = np.zeros(len(nodes))
     for j in range(s.ndim):
         if j != i0:
-            traced = np.trace(s, axis1=min(j, i0), axis2=max(j, i0))
-            out = out + (traced if traced.ndim == 0 else poly_eval(traced, nodes))
+            out = out + poly_eval(np.trace(s, axis1=min(j, i0), axis2=max(j, i0)), nodes)
     return out
 
 
@@ -148,10 +156,8 @@ def sphere_codiff_residual(
         quad = product_gauss(n, order=6)
 
     def alpha(p, e):
-        args = [p] * k
-        args[i0] = e
-        letters = _EINSUM_LETTERS[:k]
-        return np.einsum(letters + "," + ",".join(f"...{c}" for c in letters) + "->...", s, *args)
+        vals = poly_eval(np.moveaxis(s, i0, 0), p.reshape(-1, n), k - 1)
+        return np.sum(vals.T * e.reshape(-1, n), axis=-1).reshape(p.shape[:-1])
 
     v = quad.nodes
     # eigh sorts the eigenvalue 0 of the projection (along v) first: the rest span the tangent space
@@ -191,12 +197,12 @@ def ros_residual(
     """Absolute value of the bundle integral of tr_g(nabla s)(.,.,V,...,V).
 
     The base integral uses the trapezoid rule on the periodic lattice with
-    the Riemannian volume density; the fiber integral maps the quadrature
-    nodes through the orthonormal frame of g(x).  The FD step is capped at a
-    quarter of the lattice spacing, so coarse lattices do not probe fields
-    beyond their own resolution and the total error, which vanishes as
-    O(max(h, spacing)^2) for smooth fields on the torus, scales down under
-    joint refinement.
+    the Riemannian volume density; the fiber integral evaluates the traced
+    tensor's components in the orthonormal frame of g(x) on the quadrature
+    nodes.  The FD step is capped at a quarter of the lattice spacing, so
+    coarse lattices do not probe fields beyond their own resolution and the
+    total error, which vanishes as O(max(h, spacing)^2) for smooth fields on
+    the torus, scales down under joint refinement.
     """
     if quad is None:
         quad = product_gauss(cs.n)
@@ -204,12 +210,8 @@ def ros_residual(
     work = ChartStructure(cs.n, cs.domain, cs.g_field, cs.a_field,
                           h=min(cs.h, spacing / 4.0), periodic=cs.periodic)
     traced = codifferential_at(work, s_field, points)
-    if traced.ndim == 1:
-        fiber = traced * sphere_area(cs.n)
-    else:
-        frame = np.linalg.cholesky(work.metric_inverse_at(points))
-        world = quad.nodes @ np.swapaxes(frame, -1, -2)
-        fiber = poly_eval(traced, world) @ quad.weights
+    frame = np.linalg.cholesky(work.metric_inverse_at(points))
+    fiber = poly_eval(frame_components(frame, traced), quad.nodes, k - 1) @ quad.weights
     return abs(float(np.sum(fiber * np.sqrt(np.linalg.det(work.metric_at(points))) * cell)))
 
 
@@ -257,10 +259,12 @@ def unit_bundle_functional(
     a_hat = frame_components(frame, cs.cubic_at(points))
     r_hat = frame_components(frame, curvature_hat_arrays(cs, points)[1])
 
-    grad_vec = np.einsum("...abcw,ma,mb,mc->...mw", na_hat, nodes, nodes, nodes)
-    f1 = np.sum(grad_vec**2, axis=-1)
-    kvv = np.einsum("...abw,ma,mb->...mw", a_hat, nodes, nodes)
-    f2 = np.einsum("...ijkl,...mi,mj,mk,...ml->...m", r_hat, kvv, nodes, nodes, kvv)
+    # the output slot goes ahead of the node slots: [L, n, m]
+    f1 = np.sum(poly_eval(np.moveaxis(na_hat, -1, -4), nodes, 3) ** 2, axis=-2)
+    kvv = poly_eval(np.moveaxis(a_hat, -1, -3), nodes, 2)
+    # R_hat(K(V,V), V, V, K(V,V)) one (i, l) pair at a time keeps the temporaries [L, m]
+    f2 = sum(poly_eval(r_hat[..., i, :, :, l], nodes, 2) * kvv[..., i, :] * kvv[..., l, :]
+             for i in range(cs.n) for l in range(cs.n))
     term_grad = float(np.sum(f1 @ quad.weights * density))
     term_curv = float(np.sum(3.0 * (f2 @ quad.weights) * density))
     return term_grad, term_curv, term_grad + term_curv

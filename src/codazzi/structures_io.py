@@ -149,6 +149,7 @@ def chart_from_dict(data: dict) -> ChartStructure:
     h = data.get("h", 1e-3)
     fields = data.get("fields") or {}
     _require(isinstance(fields, dict), "fields must be an object of named tensor fields", "/fields")
+    aux_parsed = {}
     for name, spec in fields.items():
         ptr = f"/fields/{name}"
         _require(isinstance(spec, dict), "a field must be an object", ptr)
@@ -156,9 +157,12 @@ def chart_from_dict(data: dict) -> ChartStructure:
         _require(isinstance(degree, int) and degree >= 0,
                  f"degree must be a nonnegative integer, got {degree!r}", f"{ptr}/degree")
         _require(isinstance(comps, dict), "components must be an object", f"{ptr}/components")
-        for key in comps:
+        parsed = {}
+        for key, expr in comps.items():
             _require(len(key) == degree and all(c in "123456789"[:n] for c in key),
                      f"key {key!r} must be {degree} digit(s) in 1..{n}", f"{ptr}/components/{key}")
+            parsed[key] = _expression(expr, n, f"{ptr}/components/{key}")
+        aux_parsed[name] = {"degree": degree, "components": parsed}
     return ChartStructure.from_expressions(
         n,
         np.asarray(domain, dtype=float),
@@ -166,7 +170,7 @@ def chart_from_dict(data: dict) -> ChartStructure:
         a_parsed,
         h=float(h),
         periodic=periodic,
-        aux_fields=fields,
+        aux_fields=aux_parsed,
     )
 
 

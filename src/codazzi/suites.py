@@ -906,7 +906,7 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     lattice = cfg.lattice
     gen = generate(GeneratorSpec("G5-periodic-trig", seed=3,
                                  params={"variant": "generic", "h": cfg.h, "freq": 3}))
-    r_ros = spheres_mod.ros_residual(gen, gen.a_field, k=3, lattice=lattice)
+    r_ros = spheres_mod.ros_residual(gen, gen.a_field, k=3, quad=q2, lattice=lattice)
     col.add("ros-integral", A_ROS, r_ros, 1e-6, f"G5-generic/lattice={lattice}")
 
     # refinement: an under-resolved oscillatory cubic field must improve >= 4x
@@ -914,8 +914,8 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     gen_hf = generate(GeneratorSpec("G5-periodic-trig", seed=3,
                                     params={"variant": "generic", "h": cfg.h, "freq": 32,
                                             "gfreq": 4, "amp": 0.8, "scale": 0.05}))
-    r64 = spheres_mod.ros_residual(gen_hf, gen_hf.a_field, k=3, lattice=64)
-    r128 = spheres_mod.ros_residual(gen_hf, gen_hf.a_field, k=3, lattice=128)
+    r64 = spheres_mod.ros_residual(gen_hf, gen_hf.a_field, k=3, quad=q2, lattice=64)
+    r128 = spheres_mod.ros_residual(gen_hf, gen_hf.a_field, k=3, quad=q2, lattice=128)
     col.add("ros-refinement-64", A_ROS, r64, 1e-6, "G5-generic-hf/lattice=64")
     col.add("ros-refinement-shrink", A_ROS, r128, r64 / 4.0, "G5-generic-hf/lattice=64->128")
 
@@ -925,13 +925,13 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     )
     hess_f = lambda y: np.eye(2) * -np.cos(y)[..., None, :]
     col.add("ros-total-derivative", A_ROS,
-            spheres_mod.ros_residual(flat, hess_f, k=2, lattice=lattice), 1e-8,
+            spheres_mod.ros_residual(flat, hess_f, k=2, quad=q2, lattice=lattice), 1e-8,
             f"flat-torus/lattice={lattice}")
     const_s = charts_mod.constant_field([[0.3, -0.1], [-0.1, 0.8]])
     conf = generate(GeneratorSpec("G5-periodic-trig", seed=4,
                                   params={"variant": "conformal", "h": cfg.h, "amp": 0.4}))
     col.add("ros-constant-field", A_ROS,
-            spheres_mod.ros_residual(conf, const_s, k=2, lattice=lattice), 1e-6,
+            spheres_mod.ros_residual(conf, const_s, k=2, quad=q2, lattice=lattice), 1e-6,
             f"G5-conformal/lattice={lattice}")
 
     conf_fine = generate(GeneratorSpec(
@@ -939,7 +939,7 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
         params={"variant": "conformal", "h": 5e-4, "amp": 0.25, "a": 0.8, "b": -0.5},
     ))
     try:
-        tg, tc, total = spheres_mod.unit_bundle_functional(conf_fine, lattice=max(lattice, 64))
+        tg, tc, total = spheres_mod.unit_bundle_functional(conf_fine, q2, lattice=max(lattice, 64))
         col.add("bundle-functional", A_BUNDLE, abs(total), 1e-5,
                 f"G5-conformal/lattice={max(lattice, 64)}")
         col.add("bundle-functional-grad-nonneg", A_BUNDLE, max(-tg, 0.0), 0.0,
@@ -948,13 +948,13 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
         col.skip("bundle-functional", A_BUNDLE, str(exc)[:60], "G5-conformal")
 
     g1 = generate(GeneratorSpec("G1-constant-A", seed=0, params={"h": cfg.h}))
-    tg, tc, total = spheres_mod.unit_bundle_functional(g1, lattice=16)
+    tg, tc, total = spheres_mod.unit_bundle_functional(g1, q2, lattice=16)
     col.add("bundle-functional-parallel", A_BUNDLE, abs(tg) + abs(tc) + abs(total), 1e-10,
             "G1-constant")
 
     g4 = generate(GeneratorSpec("G4-random-smooth", seed=1, params={"h": cfg.h}))
     try:
-        spheres_mod.unit_bundle_functional(g4, lattice=8)
+        spheres_mod.unit_bundle_functional(g4, q2, lattice=8)
         col.add("bundle-hypothesis-guard", A_BUNDLE, 1.0, 0.5, "G4-random")
     except PreconditionError as exc:
         col.skip("bundle-hypothesis-guard", A_BUNDLE, str(exc)[:60], "G4-random")

@@ -309,7 +309,8 @@ class TestAuxFieldSchema:
         ({"components": {"1": "x1"}}, "/fields/tau/degree"),
         ({"degree": 1, "components": {"3": "x1"}}, "/fields/tau/components/3"),
         ({"degree": 2, "components": {"1": "x1"}}, "/fields/tau/components/1"),
-    ], ids=["missing-degree", "index-beyond-n", "key-length-not-degree"])
+        ({"degree": 1, "components": {"1": "nope(x1)"}}, "/fields/tau/components/1"),
+    ], ids=["missing-degree", "index-beyond-n", "key-length-not-degree", "unknown-name"])
     def test_rejected(self, tmp_path, field, pointer):
         path = tmp_path / "chart.json"
         path.write_text(json.dumps(dict(TestNonFiniteInput.CHART, fields={"tau": field})))

@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from codazzi import PreconditionError
-from codazzi.charts import ChartStructure, constant_field
+from codazzi import PreconditionError, spheres
+from codazzi.charts import ChartStructure, codifferential_at, constant_field
 from codazzi.generators import GeneratorSpec, generate
 from codazzi.spheres import (
     fiber_identity_residual,
     integrate_sphere,
     monte_carlo,
+    poly_eval,
     product_gauss,
     ros_residual,
     sphere_area,
     sphere_codiff_residual,
     unit_bundle_functional,
 )
+from codazzi.suites import SuiteConfig, run_suite
 from codazzi.tensors import symmetrize
 
 
@@ -63,6 +65,23 @@ class TestQuadrature:
         q = monte_carlo(3, 10**6, seed=3)
         est, se = integrate_sphere(q, lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
         assert abs(est - exact) < 4 * se
+
+
+class TestPolyEval:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_einsum_oracle(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        nodes = product_gauss(n).nodes
+        s = rng.uniform(-1, 1, (5,) + (n,) * k)
+        letters = "abcd"[:k]
+        want = np.einsum(f"z{letters}," + ",".join(f"m{c}" for c in letters) + "->zm",
+                         s, *([nodes] * k))
+        batched = poly_eval(s, nodes, k)
+        assert batched.shape == (5, len(nodes))
+        assert np.max(np.abs(batched - want)) <= 1e-13 * np.max(np.abs(want))
+        single = poly_eval(s[0], nodes)
+        assert np.max(np.abs(single - want[0])) <= 1e-13 * np.max(np.abs(want[0]))
 
 
 class TestFiberIdentity:
@@ -174,6 +193,42 @@ class TestRos:
         )[..., None, :]
         assert ros_residual(torus, s, k=2, lattice=12) < 1e-6
 
+    @staticmethod
+    def _ros_world_nodes(cs, s_field, k, quad, lattice):
+        """The Ros residual with the quadrature nodes mapped through the frame of each point."""
+        points = cs.lattice(lattice)
+        spacing = (cs.domain[0, 1] - cs.domain[0, 0]) / lattice
+        work = ChartStructure(cs.n, cs.domain, cs.g_field, cs.a_field,
+                              h=min(cs.h, spacing / 4.0), periodic=cs.periodic)
+        traced = codifferential_at(work, s_field, points)
+        frame = np.linalg.cholesky(work.metric_inverse_at(points))
+        if k == 1:
+            fiber = traced * sphere_area(cs.n)
+        else:
+            world = quad.nodes @ np.swapaxes(frame, -1, -2)
+            letters = "abc"[:k - 1]
+            spec = f"...{letters}," + ",".join(f"...m{c}" for c in letters) + "->...m"
+            fiber = np.einsum(spec, traced, *([world] * (k - 1))) @ quad.weights
+        density = np.sqrt(np.linalg.det(work.metric_at(points))) * spacing**cs.n
+        return abs(float(np.sum(fiber * density)))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_three_torus_matches_world_node_oracle(self, k):
+        # sin(4y) is aliased on a lattice of 4, so the lattice sum stays far from zero
+        # (an even k leaves an odd fiber integrand, which vanishes at every point)
+        torus = ChartStructure(
+            3, [[0, 2 * np.pi]] * 3,
+            lambda x: np.exp(0.3 * np.sin(x[..., 0]) * np.cos(x[..., 2]))[..., None, None]
+            * np.eye(3),
+            constant_field(np.zeros((3, 3, 3))), periodic=[True] * 3,
+        )
+        c = np.random.default_rng(5).uniform(0.5, 1.5, (3,) * k)
+        s = lambda y: c * np.sin(4 * y).reshape(y.shape[:-1] + (1,) * (k - 1) + (3,))
+        quad = product_gauss(3)
+        want = self._ros_world_nodes(torus, s, k, quad, lattice=4)
+        assert want > 1.0
+        assert ros_residual(torus, s, k=k, quad=quad, lattice=4) == pytest.approx(want, rel=1e-12)
+
 
 class TestBundleFunctional:
     def test_parallel_structure_both_terms_zero(self):
@@ -202,3 +257,14 @@ class TestBundleFunctional:
         g4 = generate(GeneratorSpec("G4-random-smooth", seed=1))
         with pytest.raises(PreconditionError):
             unit_bundle_functional(g4, lattice=8)
+
+
+def test_integral_suite_fiber_order_reaches_bundle_integrals(monkeypatch):
+    quads = []
+    monkeypatch.setattr(spheres, "ros_residual",
+                        lambda cs, s_field, k, quad=None, lattice=32: quads.append(quad) or 0.0)
+    monkeypatch.setattr(spheres, "unit_bundle_functional",
+                        lambda cs, quad=None, lattice=32: quads.append(quad) or (0.0, 0.0, 0.0))
+    run_suite("integral", SuiteConfig(fiber_order=2))
+    assert len(quads) == 8
+    assert all(q is not None and q.node_count == 4 for q in quads)
