@@ -13,7 +13,6 @@ from .tensors import (
     CurvTensor,
     MetricPoint,
     Tensor,
-    asymmetry_norm,
     frame_components,
     inner,
     lower_last,

@@ -308,23 +308,35 @@ def lower_last(g: MetricPoint, k: Tensor) -> CubicForm:
     return CubicForm.from_dense(a, tol=1e-12)
 
 
-def _per_slot(b: np.ndarray, arr: np.ndarray, spec: str) -> np.ndarray:
-    """Apply b[..., n, n] to every slot of arr[..., *slots] by the einsum spec (shared batch axes)."""
-    lead = b.ndim - 2
+def _per_slot(m: np.ndarray, arr) -> np.ndarray:
+    """Apply m[..., n, n] to every slot of arr[..., n, ..., n], one matmul per slot.
+
+    The batch axes of m (all but its last two) and as many leading axes of arr
+    must broadcast.  The caller broadcasts an unbatched arr against a batched m:
+    otherwise its first slot would be read as a batch axis.
+    """
     arr = np.asarray(arr, dtype=float)
-    b = b.reshape(b.shape[:lead] + (1,) * (arr.ndim - lead - 1) + b.shape[lead:])
-    for axis in range(lead, arr.ndim):
-        arr = np.moveaxis(np.einsum(spec, b, np.moveaxis(arr, axis, -1)), -1, axis)
+    lead, n = m.ndim - 2, m.shape[-1]
+    k = arr.ndim - lead
+    if (k < 0 or any(p != q and 1 not in (p, q) for p, q in zip(m.shape[:lead], arr.shape[:lead]))
+            or any(s != n for s in arr.shape[lead:])):
+        raise DimensionMismatchError(
+            f"matrices of shape {m.shape} cannot act on the slots of a tensor of shape {arr.shape}")
+    # the product puts the new slot first; moving it last walks every slot once
+    for _ in range(k):
+        arr = m @ arr.reshape(arr.shape[:lead] + (n, n ** (k - 1)))
+        arr = arr.swapaxes(-1, -2).reshape(arr.shape[:lead] + (n,) * k)
     return arr
 
 
 def contract(ginv: np.ndarray, t: np.ndarray, s: np.ndarray):
     """Full contraction of two covariant arrays of equal shape, every slot against ginv.
 
-    Axes of ginv before its last two are batch axes; a single point gives a float.
+    Axes of ginv before its last two are batch axes, matched by as many leading
+    axes of t and s (broadcast an unbatched tensor first); a single point gives a float.
     """
     lead = ginv.ndim - 2
-    out = np.sum(t * _per_slot(ginv, s, "...ij,...j->...i"), axis=tuple(range(lead, np.ndim(s))))
+    out = np.sum(t * _per_slot(ginv, s), axis=tuple(range(lead, np.ndim(s))))
     return float(out) if lead == 0 else out
 
 
@@ -387,12 +399,6 @@ def symmetrize(arr: np.ndarray, degree: int | None = None) -> np.ndarray:
     return out
 
 
-def asymmetry_norm(g: MetricPoint, arr) -> float:
-    """g-norm of the deviation from the totally symmetric part."""
-    a = _covariant_array(arr)
-    return norm(g, a - symmetrize(a))
-
-
 def orthonormal_plane(g: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
     """Gram-Schmidt pair (e1, e2) spanning the plane of u, v, orthonormal for the matrix g."""
     u = np.asarray(u, dtype=float)
@@ -409,8 +415,11 @@ def orthonormal_plane(g: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def frame_components(b: np.ndarray, arr) -> np.ndarray:
-    """Covariant components in the frame given by the columns of b[..., n, n] (batch axes first)."""
-    return _per_slot(b, _covariant_array(arr), "...ij,...i->...j")
+    """Covariant components in the frame given by the columns of b[..., n, n].
+
+    Batch axes as in contract: broadcast an unbatched arr against a batched b first.
+    """
+    return _per_slot(b.swapaxes(-1, -2), _covariant_array(arr))
 
 
 def r0_curvature(g: MetricPoint) -> CurvTensor:

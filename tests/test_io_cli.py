@@ -223,6 +223,19 @@ class TestCLI:
         assert skipped and all(c["residual"] is None for c in skipped)
         assert (tmp_path / "simons.csv").exists()
 
+    def test_simons_large_step_skips_sym2_and_writes_report(self, tmp_path):
+        # at h = 5e-3 the FD nabla beta of the n = 3 sphere fails the symmetry
+        # precondition of the sym2 Simons formula: its checks are skipped, not fatal
+        report = tmp_path / "simons.json"
+        out = run_cli("verify", "--suite", "simons", "--h", "5e-3", "--report", str(report))
+        assert out.returncode in (0, 1), out.stderr
+        checks = {c["id"]: c for c in json.loads(report.read_text())["checks"]}
+        for check_id in ("sym2-simons-n3", "convergence-sym2-simons-n3-halving0",
+                         "convergence-sym2-simons-n3-halving1"):
+            assert checks[check_id]["verdict"] == "precondition-skipped"
+            assert "nabla beta is not symmetric" in checks[check_id]["location"]
+        assert checks["sym2-simons-n2"]["verdict"] == "pass"
+
     def test_check_has_no_suite_option(self):
         assert run_cli("check", "--suite", "integral", "--file", EQUALITY_FILE).returncode == 2
 

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from codazzi import points
+from codazzi import points, suites
+from codazzi.generators import GeneratorSpec, generate
 from codazzi import (
     CubicForm,
     CurvTensor,
@@ -236,6 +239,81 @@ class TestNormGapInequality:
             sp = random_stat_point(n, rng, metric="random")
             residual, _ = check_ineq_n2over3(sp)
             assert residual >= -1e-12
+
+
+def _equality_defect_loop(sp, rotations=64, seed=20240):
+    """The per-frame equality search as one loop over frames, with its early exit."""
+    n = sp.n
+    b = orthonormal_frame(sp.g)
+    frames = [b] + [b @ np.linalg.eigh(sp.frame_cubic[i])[1] for i in range(n)]
+    rng = np.random.default_rng(seed)
+    for _ in range(rotations):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        frames.append(b @ q @ np.diag(np.sign(np.diag(r))))
+    best = np.inf
+    for frame in frames:
+        a = frame_components(frame, sp.A.dense)
+        worst = 0.0
+        for i, j in itertools.product(range(n), repeat=2):
+            if j != i:
+                worst = max(worst, abs(a[i, i, i] - 3.0 * a[j, j, i]))
+        for i, j, r in itertools.product(range(n), repeat=3):
+            if len({i, j, r}) == 3:
+                worst = max(worst, abs(a[i, j, r]))
+        best = min(best, worst)
+        if best < points.CERTIFICATE_TOL:
+            break
+    return best
+
+
+class TestNormGapEqualitySearch:
+    @pytest.mark.parametrize("seed", range(48))
+    def test_batched_search_matches_per_frame_loop(self, seed):
+        rng = np.random.default_rng(7000 + seed)
+        n = 2 + seed % 3
+        sp = random_stat_point(n, rng, trace_free=seed % 2 == 0,
+                               metric="random" if seed % 4 < 2 else "identity")
+        _, cert = check_ineq_n2over3(sp)
+        want = _equality_defect_loop(sp)
+        (_, got), = cert.witnesses
+        assert abs(got - want) <= 1e-12 * max(sp.norm_a_sq(), 1.0)
+        assert cert.holds == (want < points.CERTIFICATE_TOL)
+
+    def test_equality_point_certified_by_first_frame(self, eq_point):
+        _, cert = check_ineq_n2over3(eq_point)
+        assert cert.witnesses[0][1] == _equality_defect_loop(eq_point) == 0.0
+
+    def test_first_frame_below_tolerance_is_reported(self, monkeypatch):
+        # the defect is 1e-10 in the identity frame and scales with the cube of
+        # a scaled frame: like the loop, the search reports the first defect
+        # below the tolerance, else the smallest one
+        a = CubicForm.from_entries(2, {(0, 0, 0): 3.0, (0, 1, 1): 1.0 + 1e-10 / 3.0})
+        sp = StatPoint(MetricPoint(np.eye(2)), a)
+        for scales, want in (((1e3, 1.0, 0.5), 1e-10), ((1e3, 2e3), 0.1)):
+            frames = np.stack([c * np.eye(2) for c in scales])
+            monkeypatch.setattr(points, "_equality_frames", lambda _, f=frames: f)
+            assert check_ineq_n2over3(sp)[1].witnesses[0][1] == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("family, n", [("G2-hessian-potential", 3), ("G4-random-smooth", 2)])
+    def test_check_structure_runs_no_search(self, family, n, monkeypatch):
+        structure = generate(GeneratorSpec(family, n=n, seed=3))
+        sp = structure.point(structure.domain.mean(axis=1))
+        want = check_ineq_n2over3(sp)[0]
+        real_norm_gap = points.norm_gap
+        gaps = []
+
+        def spy_norm_gap(a):
+            gaps.append(real_norm_gap(a))
+            return gaps[-1]
+
+        def no_search(_):
+            raise AssertionError("check_structure ran the equality search")
+
+        monkeypatch.setattr(points, "norm_gap", spy_norm_gap)
+        monkeypatch.setattr(points, "_equality_frames", no_search)
+        checks = {c.id: c for c in suites.check_structure(structure).checks}
+        assert [float(g) for g in gaps] == [want]
+        assert checks["normgap-inequality"].residual == max(-want, 0.0)
 
 
 class TestScalarGapBounds:

@@ -19,6 +19,7 @@ from codazzi import (
     symmetrize,
     trace_g,
 )
+from codazzi.tensors import contract
 from conftest import equality_point
 
 
@@ -147,6 +148,81 @@ class TestInner:
         coord = inner(g, t, s)
         naive = float(np.sum(frame_components(b, t) * frame_components(b, s)))
         assert abs(coord - naive) < 1e-11 * max(abs(coord), 1.0)
+
+
+def _contract_oracle(ginv, t, s):
+    """Every slot of t against the matching slot of s through ginv, as one explicit einsum."""
+    k = t.ndim - (ginv.ndim - 2)
+    up, low = "abcd"[:k], "ijkl"[:k]
+    spec = [f"...{u}{l}" for u, l in zip(up, low)] + [f"...{up}", f"...{low}"]
+    return np.einsum(",".join(spec) + "->...", *[ginv] * k, t, s)
+
+
+def _frame_oracle(b, t):
+    """Components in the frame of the columns of b, as one explicit einsum."""
+    k = t.ndim - (b.ndim - 2)
+    old, new = "ijkl"[:k], "abcd"[:k]
+    spec = [f"...{o}{w}" for o, w in zip(old, new)] + [f"...{old}"]
+    return np.einsum(",".join(spec) + f"->...{new}", *[b] * k, t)
+
+
+def _spd_stack(shape, n, rng):
+    return np.reshape([random_spd(n, rng) for _ in range(int(np.prod(shape)))], shape + (n, n))
+
+
+class TestSlotKernels:
+    """contract and frame_components apply one matrix per slot; einsum is the oracle."""
+
+    # (batch axes of the matrices, batch axes of the tensors)
+    BATCHES = [((), ()), ((5,), (5,)), ((2, 3), (2, 3)), ((2, 1), (1, 3))]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("batches", BATCHES)
+    def test_against_einsum(self, n, k, batches, rng):
+        m_batch, t_batch = batches
+        ginv = _spd_stack(m_batch, n, rng)
+        frame = rng.uniform(-1, 1, m_batch + (n, n))
+        t = rng.uniform(-1, 1, t_batch + (n,) * k)
+        s = rng.uniform(-1, 1, t_batch + (n,) * k)
+        got, want = contract(ginv, t, s), _contract_oracle(ginv, t, s)
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+        got, want = frame_components(frame, t), _frame_oracle(frame, t)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_batched_frame_on_broadcast_tensor(self, n, k, rng):
+        frames = rng.uniform(-1, 1, (6, n, n))
+        t = rng.uniform(-1, 1, (n,) * k)
+        got = frame_components(frames, np.broadcast_to(t, (6,) + t.shape))
+        for frame, value in zip(frames, got):
+            want = _frame_oracle(frame, t)
+            assert np.max(np.abs(value - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
+    def test_unbatched_tensor_is_broadcast_by_the_caller(self):
+        # with as many matrices as the dimension, an unbatched cubic form would
+        # read as a batch of 2-tensors; broadcasting it first gives the per-point values
+        a = CubicForm.from_entries(2, {(0, 0, 1): 1.0, (1, 1, 1): 3.0}).dense
+        ginv = np.stack([2.0 * np.eye(2), 2.0 * np.eye(2)])
+        wide = np.broadcast_to(a, (2,) + a.shape)
+        assert np.array_equal(contract(ginv, wide, wide), [contract(ginv[0], a, a)] * 2)
+        assert contract(ginv[0], a, a) == pytest.approx(8.0 * 12.0, rel=1e-15)
+
+    @pytest.mark.parametrize("m_shape, t_shape", [
+        ((3, 2, 2), (2, 2, 2)),   # 3 matrices, the first slot read as a batch axis of 2
+        ((2, 2), (3, 3)),         # slot axes are not n
+        ((4, 2, 2), (4, 2, 3)),
+        ((4, 2, 2), ()),          # fewer axes than batch axes
+    ])
+    def test_shape_mismatch_names_both_shapes(self, m_shape, t_shape):
+        m, t = np.ones(m_shape), np.ones(t_shape)
+        for call in (lambda: contract(m, t, t), lambda: frame_components(m, t)):
+            with pytest.raises(DimensionMismatchError) as info:
+                call()
+            assert str(m_shape) in str(info.value) and str(t_shape) in str(info.value)
 
 
 class TestTraceG:
