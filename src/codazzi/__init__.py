@@ -44,7 +44,7 @@ from .points import (
     sectional_k,
     trace_free_part,
 )
-from .charts import ChartStructure, ConnectionAt, christoffel, hessian_from_potential
+from .charts import ChartStructure, christoffel, hessian_from_potential
 from .generators import FAMILIES, GeneratorSpec, generate
 from .spheres import SphereQuadrature, integrate_sphere, monte_carlo, product_gauss
 from .structures_io import canonical_json, emit, ingest

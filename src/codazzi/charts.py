@@ -22,8 +22,9 @@ A covariant derivative prepends the derivative slot: (nabla s)[a, ...] =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .tensors import (
     MetricPoint,
     contract,
     inner,
-    orthonormal_plane,
+    sectional,
     symmetrize,
 )
 
@@ -310,25 +311,15 @@ def _shifted(field: Field, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def _central(field: Field, x, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(s, ds) at x: the value [..., *shape] and the central differences [..., a, *shape].
 
-    One field call on x and its 2n shifts x +- h e_a.
+    One field call on x and its 2n shifts x +- h e_a; the stencil axis follows the batch axes.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     steps = h * np.eye(n)
     values = _shifted(field, x, np.concatenate([np.zeros((1, n)), steps, -steps]))
-    values = np.moveaxis(values, x.ndim - 1, 0)
-    return values[0], np.moveaxis((values[1 : n + 1] - values[n + 1 :]) / (2.0 * h), 0, x.ndim - 1)
-
-
-@dataclass(frozen=True)
-class ConnectionAt:
-    """Connection coefficients Gamma^k_ij at a point (not tensorial under chart change)."""
-
-    gamma: np.ndarray
-    point: np.ndarray = dataclass_field(default=None, repr=False)
-
-    def torsion_defect(self) -> float:
-        return float(np.max(np.abs(self.gamma - np.swapaxes(self.gamma, 1, 2))))
+    batch = (slice(None),) * (x.ndim - 1)
+    plus, minus = values[batch + (slice(1, n + 1),)], values[batch + (slice(n + 1, None),)]
+    return values[batch + (0,)], (plus - minus) / (2.0 * h)
 
 
 def christoffel_array(cs: ChartStructure, x) -> np.ndarray:
@@ -347,9 +338,9 @@ def christoffel_array(cs: ChartStructure, x) -> np.ndarray:
     return cs._memo("gamma", x, compute)
 
 
-def christoffel(cs: ChartStructure, x) -> ConnectionAt:
-    x = cs.require_interior(x)
-    return ConnectionAt(gamma=christoffel_array(cs, x), point=np.asarray(x, float))
+def christoffel(cs: ChartStructure, x) -> np.ndarray:
+    """Levi-Civita coefficients at an interior point x."""
+    return christoffel_array(cs, cs.require_interior(x))
 
 
 def metricity_residual(cs: ChartStructure, x) -> float:
@@ -358,11 +349,15 @@ def metricity_residual(cs: ChartStructure, x) -> float:
     return float(np.max(np.abs(ng)))
 
 
-def nabla_at(cs: ChartStructure, field: Field, x, gamma_field=None) -> np.ndarray:
-    """Covariant derivative of a covariant field at x; derivative slot first (after batch axes)."""
+def nabla_at(cs: ChartStructure, field: Field, x, gamma=None) -> np.ndarray:
+    """Covariant derivative of a covariant field at x; derivative slot first (after batch axes).
+
+    gamma gives the connection coefficients at x (default the Levi-Civita ones).
+    """
     x = np.asarray(x, dtype=float)
     s0, out = _central(field, x, cs.h)
-    gamma = christoffel_array(cs, x) if gamma_field is None else gamma_field(x)
+    if gamma is None:
+        gamma = christoffel_array(cs, x)
     slots = _LETTERS[: s0.ndim - (x.ndim - 1)]
     for letter in slots:
         # out[a, ..., i, ...] -= Gamma^m_ai s[..., m, ...] with i and m in this slot
@@ -372,12 +367,8 @@ def nabla_at(cs: ChartStructure, field: Field, x, gamma_field=None) -> np.ndarra
     return out
 
 
-def nabla_field(cs: ChartStructure, field: Field, gamma_field=None) -> Field:
-    return lambda x: nabla_at(cs, field, x, gamma_field=gamma_field)
-
-
 def nabla2_at(cs: ChartStructure, field: Field, x) -> np.ndarray:
-    return nabla_at(cs, nabla_field(cs, field), x)
+    return nabla_at(cs, lambda y: nabla_at(cs, field, y), x)
 
 
 def _trace_pair(ginv: np.ndarray, arr: np.ndarray, a: int, b: int):
@@ -448,9 +439,9 @@ def exterior_derivative_1form_at(cs: ChartStructure, taufield: Field, x) -> np.n
 # curvature
 
 
-def _curvature_from_gamma(cs: ChartStructure, gamma_field: Field, x) -> np.ndarray:
+def _curvature_from_gamma(cs: ChartStructure, coefficients: Field, x) -> np.ndarray:
     """up[..., m, i, j, k] from a coefficient field: dGamma terms plus quadratic terms."""
-    gamma0, dgamma = _central(gamma_field, x, cs.h)  # dgamma[..., a, m, i, j] = d_a Gamma^m_ij
+    gamma0, dgamma = _central(coefficients, x, cs.h)  # dgamma[..., a, m, i, j] = d_a Gamma^m_ij
     return (
         np.einsum("...imjk->...mijk", dgamma)
         - np.einsum("...jmik->...mijk", dgamma)
@@ -488,10 +479,8 @@ def rho_hat(cs: ChartStructure, x) -> float:
 
 
 def sectional_hat(cs: ChartStructure, x, plane) -> float:
-    g = cs.metric_at(x)
-    e1, e2 = orthonormal_plane(g, *plane)
     _, low = curvature_hat_arrays(cs, x)
-    return float(np.einsum("ijkl,i,j,k,l->", low, e1, e2, e2, e1))
+    return sectional(low, cs.metric_at(x), *plane)
 
 
 # ---------------------------------------------------------------------------
@@ -534,23 +523,33 @@ def _g_norm(ginv: np.ndarray, arr: np.ndarray):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass
+@dataclass(frozen=True)
 class StatConnections:
-    """Connection coefficients and curvature tensors of the pair (g, A) at a point."""
+    """Curvatures of the dual pair nabla = nabla_hat + K, nabla_bar = nabla_hat - K at a point.
 
-    gamma_hat: np.ndarray
-    gamma_nabla: np.ndarray
-    gamma_bar: np.ndarray
+    r_hat, r_nabla and r_bar are (0,4) tensors; ric and ric_bar are the Ricci
+    tensors of nabla and nabla_bar, traced from the same curvatures; scale is
+    1 + ||r_nabla||, the factor of the residual tolerances.  The chart caches
+    one instance per point and every caller shares it, so residuals is a
+    read-only mapping.
+    """
+
     r_hat: np.ndarray
     r_nabla: np.ndarray
     r_bar: np.ndarray
-    bracket: np.ndarray
-    nabla_a: np.ndarray
-    residuals: dict[str, float]
+    ric: np.ndarray
+    ric_bar: np.ndarray
+    scale: float
+    residuals: Mapping[str, float]
+
+
+def _dual_gamma(cs: ChartStructure, x, sign: float) -> np.ndarray:
+    """Coefficients Gamma_hat + sign K of nabla (sign 1) or nabla_bar (sign -1) at x."""
+    return christoffel_array(cs, x) + sign * cs.k_at(x)
 
 
 def statistical_connections(cs: ChartStructure, x) -> StatConnections:
-    """Both dual connections with their curvatures and the structural residuals.
+    """Both dual connections with their curvatures and the structural residuals, once per point.
 
     The statistical curvature is computed twice: from the coefficients of
     nabla directly, and through the decomposition into the Levi-Civita
@@ -560,49 +559,41 @@ def statistical_connections(cs: ChartStructure, x) -> StatConnections:
     applies, and the product-rule defect of the dual pairing.
     """
     x = cs.require_interior(np.asarray(x, dtype=float))
-    n = cs.n
-    g = cs.metric_at(x)
-    gamma_hat = christoffel_array(cs, x)
-    k0 = cs.k_at(x)
 
-    gamma_nabla_field = lambda y: christoffel_array(cs, y) + cs.k_at(y)
-    gamma_bar_field = lambda y: christoffel_array(cs, y) - cs.k_at(y)
+    def compute():
+        g = cs.metric_at(x)
+        ginv = cs.metric_inverse_at(x)
+        _, r_hat = curvature_hat_arrays(cs, x)
+        up = _curvature_from_gamma(cs, lambda y: _dual_gamma(cs, y, 1.0), x)
+        up_bar = _curvature_from_gamma(cs, lambda y: _dual_gamma(cs, y, -1.0), x)
+        r_nabla = np.einsum("lm,mijk->ijkl", g, up)
+        r_bar = np.einsum("lm,mijk->ijkl", g, up_bar)
+        bracket = bracket_kk(cs.point(x)).array
+        na = nabla_cubic_at(cs, x)
+        # curvature through the decomposition, Levi-Civita + dK terms + commutator
+        r_sum = r_hat + na - np.swapaxes(na, 0, 1) + bracket
+        g0, dg = _central(cs.metric_at, x, cs.h)
+        residuals = {
+            "curvature-two-routes": _g_norm(ginv, r_nabla - r_sum),
+            "duality": _g_norm(ginv, r_nabla + np.swapaxes(r_bar, 2, 3)),
+            "curvature-sum": _g_norm(ginv, r_nabla + r_bar - 2.0 * r_hat - 2.0 * bracket),
+            "dual-pairing-product-rule": _dual_pairing_residual(
+                g0, dg, _dual_gamma(cs, x, 1.0), _dual_gamma(cs, x, -1.0)
+            ),
+        }
+        if conjugate_symmetry_holds(cs, x):
+            residuals["conjugate-reduction"] = _g_norm(ginv, r_nabla - r_hat - bracket)
+        return StatConnections(
+            r_hat=r_hat,
+            r_nabla=r_nabla,
+            r_bar=r_bar,
+            ric=np.einsum("iijk->jk", up),
+            ric_bar=np.einsum("iijk->jk", up_bar),
+            scale=1.0 + _g_norm(ginv, r_nabla),
+            residuals=MappingProxyType(residuals),
+        )
 
-    _, r_hat = curvature_hat_arrays(cs, x)
-    r_nabla = np.einsum("lm,mijk->ijkl", g, _curvature_from_gamma(cs, gamma_nabla_field, x))
-    r_bar = np.einsum("lm,mijk->ijkl", g, _curvature_from_gamma(cs, gamma_bar_field, x))
-
-    sp = cs.point(x)
-    bracket = bracket_kk(sp).array
-    na = nabla_cubic_at(cs, x)
-
-    # curvature through the decomposition, Levi-Civita + dK terms + commutator
-    r_sum = r_hat + na - np.swapaxes(na, 0, 1) + bracket
-
-    ginv = cs.metric_inverse_at(x)
-    scale = 1.0 + _g_norm(ginv, r_nabla)
-    residuals = {
-        "curvature-two-routes": _g_norm(ginv, r_nabla - r_sum),
-        "duality": _g_norm(ginv, r_nabla + np.swapaxes(r_bar, 2, 3)),
-        "curvature-sum": _g_norm(ginv, r_nabla + r_bar - 2.0 * r_hat - 2.0 * bracket),
-        "dual-pairing-product-rule": _dual_pairing_residual(
-            cs, x, gamma_nabla_field, gamma_bar_field
-        ),
-    }
-    if conjugate_symmetry_holds(cs, x):
-        residuals["conjugate-reduction"] = _g_norm(ginv, r_nabla - r_hat - bracket)
-    residuals["scale"] = scale
-    return StatConnections(
-        gamma_hat=gamma_hat,
-        gamma_nabla=gamma_hat + k0,
-        gamma_bar=gamma_hat - k0,
-        r_hat=r_hat,
-        r_nabla=r_nabla,
-        r_bar=r_bar,
-        bracket=bracket,
-        nabla_a=na,
-        residuals=residuals,
-    )
+    return cs._memo("conn", x, compute)
 
 
 def conjugate_coefficients(g: np.ndarray, dg: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -622,27 +613,15 @@ def duality_involution_defect(cs: ChartStructure, x) -> float:
     """Round-trip defect of conjugating the statistical connection twice."""
     x = np.asarray(x, dtype=float)
     g, dg = _central(cs.metric_at, x, cs.h)
-    gamma_nabla = christoffel_array(cs, x) + cs.k_at(x)
+    gamma_nabla = _dual_gamma(cs, x, 1.0)
     back = conjugate_coefficients(g, dg, conjugate_coefficients(g, dg, gamma_nabla))
     return float(np.max(np.abs(back - gamma_nabla)))
 
 
-def _dual_pairing_residual(cs, x, gamma_nabla_field, gamma_bar_field) -> float:
+def _dual_pairing_residual(g, dg, gn, gb) -> float:
     """Defect of X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_bar_X Z) on coordinate frames."""
-    g, dg = _central(cs.metric_at, x, cs.h)
-    gn = gamma_nabla_field(x)
-    gb = gamma_bar_field(x)
     resid = dg - np.einsum("jm,mai->aij", g, gn) - np.einsum("im,maj->aij", g, gb)
     return float(np.max(np.abs(resid)))
-
-
-def ricci_nabla(cs: ChartStructure, x) -> tuple[np.ndarray, np.ndarray]:
-    """(Ric of nabla, Ric of nabla_bar) from the coefficient route."""
-    gamma_nabla_field = lambda y: christoffel_array(cs, y) + cs.k_at(y)
-    gamma_bar_field = lambda y: christoffel_array(cs, y) - cs.k_at(y)
-    up_n = _curvature_from_gamma(cs, gamma_nabla_field, x)
-    up_b = _curvature_from_gamma(cs, gamma_bar_field, x)
-    return np.einsum("iijk->jk", up_n), np.einsum("iijk->jk", up_b)
 
 
 def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
@@ -654,27 +633,26 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
     trace-free structures and hessian-ricci when nabla is flat at x.
     """
     x = cs.require_interior(np.asarray(x, dtype=float))
-    g = cs.metric_at(x)
     ginv = cs.metric_inverse_at(x)
     sp = cs.point(x)
 
-    ric, ric_bar = ricci_nabla(cs, x)
+    conn = statistical_connections(cs, x)
+    ric, ric_bar = conn.ric, conn.ric_bar
     ric_hat_arr = ric_hat(cs, x)
     na = nabla_cubic_at(cs, x)
     div_k = _trace_pair(ginv, na, 0, 3)  # = divergence_at(cs, a_field, x), reusing nabla A
-    nabla_tau = nabla_at(cs, lambda y: cs.tau_at(y), x)
+    nabla_tau = nabla_at(cs, cs.tau_at, x)
     ric_k_arr = sp.tau_circ_k() - sp.gram_k()
     tau_circ = sp.tau_circ_k()
     gram = sp.gram_k()
 
     rho = float(np.einsum("jk,jk->", ginv, ric))
-    rho_hat_val = float(np.einsum("jk,jk->", ginv, ric_hat_arr))
+    rho_hat_val = rho_hat(cs, x)
     e_sq = float(sp.g.norm(sp.E) ** 2)
     k_sq = sp.norm_a_sq()
 
     # Koszul form beta = nabla tau computed from the nabla coefficients directly
-    gamma_nabla_field = lambda y: christoffel_array(cs, y) + cs.k_at(y)
-    beta_direct = nabla_at(cs, lambda y: cs.tau_at(y), x, gamma_field=gamma_nabla_field)
+    beta_direct = nabla_at(cs, cs.tau_at, x, gamma=_dual_gamma(cs, x, 1.0))
     beta_formula = nabla_tau - tau_circ
     tau_sq = float(sp.tau @ ginv @ sp.tau)
     delta_tau = float(np.einsum("ab,ab->", ginv, nabla_tau))
@@ -696,11 +674,7 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
         out["ricci-comparison-min-eig"] = float(
             np.min(np.linalg.eigvalsh(b.T @ (0.5 * (comparison + comparison.T)) @ b))
         )
-    r_nabla_norm = _g_norm(
-        ginv,
-        np.einsum("lm,mijk->ijkl", g, _curvature_from_gamma(cs, gamma_nabla_field, x)),
-    )
-    if r_nabla_norm < 1e-4:
+    if _g_norm(ginv, conn.r_nabla) < 1e-4:
         out["hessian-ricci"] = _g_norm(ginv, ric_hat_arr - (gram - tau_circ))
     return out
 
@@ -708,10 +682,7 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
 def sectional_nabla(cs: ChartStructure, x, plane) -> float:
     """Sectional curvature of the averaged statistical curvature (R + R_bar)/2."""
     conn = statistical_connections(cs, x)
-    g = cs.metric_at(x)
-    e1, e2 = orthonormal_plane(g, *plane)
-    avg = 0.5 * (conn.r_nabla + conn.r_bar)
-    return float(np.einsum("ijkl,i,j,k,l->", avg, e1, e2, e2, e1))
+    return sectional(0.5 * (conn.r_nabla + conn.r_bar), cs.metric_at(x), *plane)
 
 
 # ---------------------------------------------------------------------------
@@ -867,10 +838,8 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
     lhs, grad_sq, tau_pair = _cubic_laplace_terms(cs, x, ginv)
 
     bracket = bracket_kk(sp).array
-    _, r_hat_low = curvature_hat_arrays(cs, x)
     conn = statistical_connections(cs, x)
-    r_low = conn.r_nabla
-    ric = np.einsum("il,ijkl->jk", ginv, r_low)
+    r_hat_low, r_low, ric = conn.r_hat, conn.r_nabla, conn.ric
     ric_hat_arr = ric_hat(cs, x)
     gram = sp.gram_k()
     tau_circ = sp.tau_circ_k()
@@ -927,7 +896,7 @@ def cubic_laplace_constant_sectional_residual(cs: ChartStructure, x, kappa=None)
 
     lhs, grad_sq, tau_pair = _cubic_laplace_terms(cs, x, ginv)
     ric_hat_arr = ric_hat(cs, x)
-    rho_hat_val = float(np.einsum("jk,jk->", ginv, ric_hat_arr))
+    rho_hat_val = rho_hat(cs, x)
     ric_gram = contract(ginv, ric_hat_arr, sp.gram_k())
     return abs(lhs - (grad_sq + tau_pair - 2.0 * kappa * rho_hat_val + ric_gram))
 
@@ -953,7 +922,7 @@ def cubic_laplace_lagrangian_residual(cs: ChartStructure, x, c=None) -> float:
     lhs, grad_sq, tau_pair = _cubic_laplace_terms(cs, x, ginv)
     rhat_sq = contract(ginv, r_hat_low, r_hat_low)
     ric_hat_arr = ric_hat(cs, x)
-    rho_hat_val = float(np.einsum("jk,jk->", ginv, ric_hat_arr))
+    rho_hat_val = rho_hat(cs, x)
     ric_gram = contract(ginv, ric_hat_arr, sp.gram_k())
     return abs(lhs - (grad_sq + tau_pair - rhat_sq + 2.0 * c * rho_hat_val + ric_gram))
 

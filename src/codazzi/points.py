@@ -31,11 +31,11 @@ from .tensors import (
     inner,
     norm,
     orthonormal_frame,
-    orthonormal_plane,
     r0_curvature,
     raise_last,
     ricci_from_curvature,
     scalar_from_ricci,
+    sectional,
     symmetrize,
 )
 
@@ -181,9 +181,7 @@ def rho_k(sp: StatPoint) -> tuple[float, float]:
 
 def sectional_k(sp: StatPoint, x, y) -> float:
     """Sectional invariant of [K,K] on the plane spanned by x, y."""
-    e1, e2 = orthonormal_plane(sp.g.components, x, y)
-    b = bracket_kk(sp).array
-    return float(np.einsum("ijkl,i,j,k,l->", b, e1, e2, e2, e1))
+    return sectional(bracket_kk(sp).array, sp.g.components, x, y)
 
 
 # ---------------------------------------------------------------------------

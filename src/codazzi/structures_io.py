@@ -55,6 +55,35 @@ def _require(cond, message, pointer):
         raise SchemaError(message, pointer=pointer)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number that is a finite float; true and false are not numbers here."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _dimension(data: dict) -> int:
+    n = data["n"]
+    _require(_is_int(n) and n >= 1, f"n must be a positive integer, got {n!r}", "/n")
+    return n
+
+
+def _square_rows(rows, n: int) -> None:
+    """g must be a list of n rows, each a list of n entries."""
+    _require(isinstance(rows, list) and len(rows) == n, f"g must be an {n}x{n} matrix", "/g")
+    for i, row in enumerate(rows):
+        _require(isinstance(row, list) and len(row) == n,
+                 f"row {i} of g must be a list of {n} entries", f"/g/{i}")
+
+
 def _parse_cubic_key(key: str, n: int, pointer: str) -> tuple[int, int, int]:
     _require(
         isinstance(key, str) and len(key) == 3 and key.isdigit(),
@@ -76,25 +105,19 @@ def stat_point_from_dict(data: dict) -> StatPoint:
     _require(isinstance(data, dict), "structure file must be a JSON object", "")
     for key in ("n", "g", "A"):
         _require(key in data, f"missing required key {key!r}", f"/{key}")
-    n = data["n"]
-    _require(isinstance(n, int) and n >= 1, f"n must be a positive integer, got {n!r}", "/n")
+    n = _dimension(data)
     g_rows = data["g"]
-    _require(
-        isinstance(g_rows, list) and len(g_rows) == n and all(len(r) == n for r in g_rows),
-        f"g must be an {n}x{n} matrix",
-        "/g",
-    )
-    try:
-        g_arr = np.asarray(g_rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"g entries must be numbers: {exc}", pointer="/g") from exc
-    _require(bool(np.all(np.isfinite(g_arr))), "g entries must be finite numbers", "/g")
-    g = MetricPoint(g_arr)
+    _square_rows(g_rows, n)
+    for i, row in enumerate(g_rows):
+        for j, value in enumerate(row):
+            _require(_is_number(value), f"g entries must be finite numbers, got {value!r}",
+                     f"/g/{i}/{j}")
+    g = MetricPoint(np.asarray(g_rows, dtype=float))
     _require(isinstance(data["A"], dict), "A must be an object of cubic entries", "/A")
     entries = {}
     for key, value in data["A"].items():
         idx = _parse_cubic_key(key, n, f"/A/{key}")
-        _require(isinstance(value, (int, float)) and math.isfinite(value),
+        _require(_is_number(value),
                  f"cubic value for {key!r} must be a finite number", f"/A/{key}")
         entries[idx] = float(value)
     return StatPoint(g, CubicForm.from_entries(n, entries))
@@ -125,20 +148,18 @@ def chart_from_dict(data: dict) -> ChartStructure:
     _require(isinstance(data, dict), "chart file must be a JSON object", "")
     for key in ("n", "domain", "g", "A"):
         _require(key in data, f"missing required key {key!r}", f"/{key}")
-    n = data["n"]
-    _require(isinstance(n, int) and n >= 1, f"n must be a positive integer, got {n!r}", "/n")
+    n = _dimension(data)
     domain = data["domain"]
-    _require(
-        isinstance(domain, list) and len(domain) == n and all(len(r) == 2 for r in domain),
-        f"domain must be a list of {n} [lo, hi] pairs",
-        "/domain",
-    )
+    _require(isinstance(domain, list) and len(domain) == n,
+             f"domain must be a list of {n} [lo, hi] pairs", "/domain")
+    for i, pair in enumerate(domain):
+        _require(isinstance(pair, list) and len(pair) == 2,
+                 "a domain entry must be a [lo, hi] pair", f"/domain/{i}")
+        for j, value in enumerate(pair):
+            _require(_is_number(value), f"domain bounds must be finite numbers, got {value!r}",
+                     f"/domain/{i}/{j}")
     g_exprs = data["g"]
-    _require(
-        isinstance(g_exprs, list) and len(g_exprs) == n and all(len(r) == n for r in g_exprs),
-        f"g must be an {n}x{n} matrix of expressions",
-        "/g",
-    )
+    _square_rows(g_exprs, n)
     g_parsed = [[_expression(g_exprs[i][j], n, f"/g/{i}/{j}") for j in range(n)] for i in range(n)]
     _require(isinstance(data["A"], dict), "A must be an object of cubic expressions", "/A")
     a_parsed = {}
@@ -146,7 +167,11 @@ def chart_from_dict(data: dict) -> ChartStructure:
         _parse_cubic_key(key, n, f"/A/{key}")
         a_parsed[key] = _expression(expr, n, f"/A/{key}")
     periodic = data.get("periodic", [False] * n)
+    _require(isinstance(periodic, list) and len(periodic) == n
+             and all(isinstance(p, bool) for p in periodic),
+             f"periodic must be a list of {n} booleans", "/periodic")
     h = data.get("h", 1e-3)
+    _require(_is_number(h) and h > 0, f"h must be a positive finite number, got {h!r}", "/h")
     fields = data.get("fields") or {}
     _require(isinstance(fields, dict), "fields must be an object of named tensor fields", "/fields")
     aux_parsed = {}
@@ -154,7 +179,7 @@ def chart_from_dict(data: dict) -> ChartStructure:
         ptr = f"/fields/{name}"
         _require(isinstance(spec, dict), "a field must be an object", ptr)
         degree, comps = spec.get("degree"), spec.get("components")
-        _require(isinstance(degree, int) and degree >= 0,
+        _require(_is_int(degree) and degree >= 0,
                  f"degree must be a nonnegative integer, got {degree!r}", f"{ptr}/degree")
         _require(isinstance(comps, dict), "components must be an object", f"{ptr}/components")
         parsed = {}
@@ -176,6 +201,8 @@ def chart_from_dict(data: dict) -> ChartStructure:
 
 def _expression(text, n: int, pointer: str):
     """Parse one expression of a chart file; a parse error names its JSON pointer."""
+    _require(not isinstance(text, bool), f"expected an expression or a number, got {text!r}",
+             pointer)
     try:
         return parse_expression(text, n)
     except SchemaError as exc:

@@ -490,7 +490,7 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
         2, [[-0.5, 0.5], [0.5, 1.5]], lambda x: np.eye(2) / x[..., 1, None, None] ** 2,
         zero_cubic, h=h,
     )
-    gamma = charts_mod.christoffel(poincare, [0.0, 1.0]).gamma
+    gamma = charts_mod.christoffel(poincare, [0.0, 1.0])
     hand = abs(gamma[0, 0, 1] + 1.0) + abs(gamma[1, 0, 0] - 1.0) + abs(gamma[1, 1, 1] + 1.0)
     col.add("poincare-christoffel", A_DUAL_PAIRING, hand, fd_tol("metricity", h, cfg.tol_scale),
             "poincare/(0,1)")
@@ -513,7 +513,7 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
                 col.add("metricity", A_DUAL_PAIRING, charts_mod.metricity_residual(cs, x),
                         fd_tol("metricity", h, cfg.tol_scale), loc)
                 conn = charts_mod.statistical_connections(cs, x)
-                scale = conn.residuals.pop("scale")
+                scale = conn.scale
                 for key, fam in (
                     ("curvature-two-routes", "curvature-two-routes"),
                     ("duality", "duality"),
@@ -553,7 +553,7 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
                             -rd["ricci-comparison-min-eig"],
                             fd_tol("ricci-comparison", h, cfg.tol_scale) * scale, loc)
                 # three-Ricci comparison with the trace-form correction
-                ric, ric_bar = charts_mod.ricci_nabla(cs, x)
+                ric, ric_bar = conn.ric, conn.ric_bar
                 ric_hat_arr = charts_mod.ric_hat(cs, x)
                 tau = cs.tau_at(x)
                 ginv = cs.metric_inverse_at(x)
@@ -972,7 +972,7 @@ def check_structure(structure) -> ResidualReport:
         sp = structure.point(mid)
         loc = "chart-midpoint"
         conn = charts_mod.statistical_connections(structure, mid)
-        scale = conn.residuals.pop("scale")
+        scale = conn.scale
         h = structure.h
         col.add("curvature-two-routes", A_TWO_ROUTES, conn.residuals["curvature-two-routes"],
                 fd_tol("curvature-two-routes", h) * scale, loc)

@@ -161,10 +161,6 @@ class CubicForm:
         return cls(n, packed)
 
     @property
-    def packed(self) -> np.ndarray:
-        return self._packed
-
-    @property
     def dense(self) -> np.ndarray:
         if self._dense is None:
             n = self.n
@@ -209,15 +205,6 @@ class Tensor:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
-
-    @classmethod
-    def covariant(cls, array) -> "Tensor":
-        arr = np.asarray(array, dtype=float)
-        return cls(arr.shape[0] if arr.ndim else 1, arr.ndim, 0, arr)
-
-    @property
-    def degree(self) -> int:
-        return self.p + self.q
 
 
 class CurvTensor:
@@ -399,8 +386,11 @@ def symmetrize(arr: np.ndarray, degree: int | None = None) -> np.ndarray:
     return out
 
 
-def orthonormal_plane(g: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt pair (e1, e2) spanning the plane of u, v, orthonormal for the matrix g."""
+def sectional(r: np.ndarray, g: np.ndarray, u, v) -> float:
+    """Sectional curvature r(e1, e2, e2, e1) of the (0,4) array r on the plane of u, v.
+
+    (e1, e2) is the Gram-Schmidt pair of u, v, orthonormal for the matrix g.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     nu = float(np.sqrt(u @ g @ u))
@@ -411,7 +401,8 @@ def orthonormal_plane(g: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
     nv = float(np.sqrt(v2 @ g @ v2))
     if nv <= 1e-12 * max(float(np.sqrt(v @ g @ v)), 1.0):
         raise PreconditionError("plane vectors are linearly dependent")
-    return e1, v2 / nv
+    e2 = v2 / nv
+    return float(np.einsum("ijkl,i,j,k,l->", r, e1, e2, e2, e1))
 
 
 def frame_components(b: np.ndarray, arr) -> np.ndarray:

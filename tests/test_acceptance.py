@@ -119,7 +119,7 @@ class TestAcceptance:
                 via_trace, via_norms = rho_k(sp)
                 worst_scalar = max(worst_scalar, abs(via_trace - via_norms))
                 conn = statistical_connections(cs, x)
-                scale = conn.residuals["scale"]
+                scale = conn.scale
                 worst_sum = max(worst_sum, conn.residuals["curvature-sum"] / scale)
                 worst_dual = max(worst_dual, conn.residuals["duality"] / scale)
         elapsed = time.monotonic() - started

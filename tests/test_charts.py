@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from codazzi import ConstructionError, PreconditionError
+from codazzi import ConstructionError, PreconditionError, charts
 from codazzi.charts import (
     ChartStructure,
     christoffel,
@@ -28,6 +28,7 @@ from codazzi.charts import (
 )
 from codazzi.generators import GeneratorSpec, generate, sample_points
 from codazzi.points import sectional_k
+from codazzi.tensors import contract
 from codazzi.spheres import ros_residual, unit_bundle_functional
 
 
@@ -93,7 +94,7 @@ class TestChartStructure:
 
 class TestChristoffel:
     def test_flat_is_zero(self):
-        gamma = christoffel(flat_chart(), [0.2, 0.3]).gamma
+        gamma = christoffel(flat_chart(), [0.2, 0.3])
         assert np.max(np.abs(gamma)) < 1e-14
 
     def test_diagonal_metric_hand_value(self):
@@ -102,25 +103,25 @@ class TestChristoffel:
             lambda x: np.eye(2) * (x**2 + 1.0)[..., None, :],
             constant_field(np.zeros((2, 2, 2))),
         )
-        gamma = christoffel(cs, [1.0, 0.0]).gamma
+        gamma = christoffel(cs, [1.0, 0.0])
         assert gamma[0, 0, 0] == pytest.approx(0.5, abs=1e-8)
         mask = np.ones((2, 2, 2), dtype=bool)
         mask[0, 0, 0] = False
         assert np.max(np.abs(gamma[mask])) < 1e-8
 
     def test_poincare_hand_values(self):
-        gamma = christoffel(poincare_chart(), [0.0, 1.0]).gamma
+        gamma = christoffel(poincare_chart(), [0.0, 1.0])
         assert gamma[0, 0, 1] == pytest.approx(-1.0, abs=1e-5)
         assert gamma[1, 0, 0] == pytest.approx(1.0, abs=1e-5)
         assert gamma[1, 1, 1] == pytest.approx(-1.0, abs=1e-5)
         # second-order in h: the finer chart meets the sharper tolerance
-        gamma = christoffel(poincare_chart(h=2e-4), [0.0, 1.0]).gamma
+        gamma = christoffel(poincare_chart(h=2e-4), [0.0, 1.0])
         assert gamma[0, 0, 1] == pytest.approx(-1.0, abs=1e-7)
 
     def test_torsion_free_and_metricity(self):
         cs = poincare_chart()
-        conn = christoffel(cs, [0.1, 0.9])
-        assert conn.torsion_defect() == 0.0
+        gamma = christoffel(cs, [0.1, 0.9])
+        assert float(np.max(np.abs(gamma - np.swapaxes(gamma, 1, 2)))) == 0.0
         assert metricity_residual(cs, [0.1, 0.9]) < 50 * cs.h**2
 
 
@@ -265,7 +266,7 @@ class TestStatisticalConnections:
             cs = generate(GeneratorSpec(family, seed=1, params=params))
             x = sample_points(cs, 1, seed=2)[0]
             conn = statistical_connections(cs, x)
-            scale = conn.residuals.pop("scale")
+            scale = conn.scale
             for key, value in conn.residuals.items():
                 assert value < 1e-3 * scale, (family, key, value)
 
@@ -289,6 +290,44 @@ class TestStatisticalConnections:
                 assert max(d1, d3) < 1e-6 and d2 < 1e-6
             else:
                 assert min(d1, d3) > 1e-3 and d2 > 1e-3
+
+
+class TestOneProducer:
+    """statistical_connections forms the dual curvatures once per point; the rest read it."""
+
+    def test_three_curvatures_per_point(self, monkeypatch):
+        formed = []
+        original = charts._curvature_from_gamma
+
+        def spy(*args):
+            formed.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(charts, "_curvature_from_gamma", spy)
+        cs = generate(GeneratorSpec("G4-random-smooth", seed=0))
+        x = sample_points(cs, 1, seed=11)[0]
+        plane = ([1, 0], [0, 1])
+        statistical_connections(cs, x)
+        curvature_hat(cs, x)
+        ricci_decomposition_residuals(cs, x)
+        sectional_nabla(cs, x, plane)
+        sectional_hat(cs, x, plane)
+        assert len(formed) == 3  # R_hat, R_nabla and R_bar
+
+    def test_cached_and_read_only(self):
+        cs = generate(GeneratorSpec("G4-random-smooth", seed=0))
+        x = sample_points(cs, 1, seed=11)[0]
+        conn = statistical_connections(cs, x)
+        assert statistical_connections(cs, x.tolist()) is conn
+        assert "scale" not in conn.residuals
+        with pytest.raises(TypeError):
+            conn.residuals["duality"] = 0.0
+        ginv = cs.metric_inverse_at(x)
+        norm = np.sqrt(contract(ginv, conn.r_nabla, conn.r_nabla))
+        assert conn.scale == pytest.approx(1.0 + norm, rel=1e-14)
+        # the Ricci tensors trace the same curvatures as r_nabla and r_bar
+        for ric, low in ((conn.ric, conn.r_nabla), (conn.ric_bar, conn.r_bar)):
+            assert np.max(np.abs(ric - np.einsum("il,ijkl->jk", ginv, low))) < 1e-12
 
 
 class TestRicciDecomposition:

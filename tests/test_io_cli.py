@@ -8,6 +8,7 @@ import pytest
 
 from codazzi import ConstructionError, SchemaError
 from codazzi.charts import ChartStructure
+from codazzi.cli import main
 from codazzi.generators import GeneratorSpec, generate
 from codazzi.structures_io import (
     canonical_json,
@@ -330,6 +331,45 @@ class TestAuxFieldSchema:
         out = run_cli("check", "--file", str(path))
         assert out.returncode == 2, out.stdout + out.stderr
         assert f"schema error: {pointer}:" in out.stderr and "Traceback" not in out.stderr
+
+
+POINT = {"n": 2, "g": [[1.0, 0.0], [0.0, 1.0]], "A": {"111": 0.5}}
+
+
+class TestMalformedStructureFile:
+    """A malformed value in a structure file exits 2 and names its JSON pointer.
+
+    JSON booleans are never read as numbers, and strings never as rows or flags.
+    """
+
+    @pytest.mark.parametrize("base, overrides, pointer", [
+        ("chart", {"h": "abc"}, "/h"),
+        ("chart", {"h": None}, "/h"),
+        ("chart", {"h": True}, "/h"),
+        ("chart", {"h": 10**400}, "/h"),
+        ("chart", {"periodic": 5}, "/periodic"),
+        ("chart", {"periodic": "ab"}, "/periodic"),
+        ("chart", {"domain": [["a", 1.0], [0.0, 1.0]]}, "/domain/0/0"),
+        ("chart", {"domain": [[[0.0], 1.0], [0.0, 1.0]]}, "/domain/0/0"),
+        ("chart", {"g": ["10", ["0", "1"]]}, "/g/0"),
+        ("chart", {"g": [[True, "0"], ["0", "1"]]}, "/g/0/0"),
+        ("chart", {"fields": {"tau": {"degree": True, "components": {"1": "x1"}}}},
+         "/fields/tau/degree"),
+        ("point", {"g": [1.0, [0.0, 1.0]]}, "/g/0"),
+        ("point", {"g": [[True, 0.0], [0.0, 1.0]]}, "/g/0/0"),
+        ("point", {"n": True, "g": [[1.0]], "A": {}}, "/n"),
+        ("point", {"A": {"111": True}}, "/A/111"),
+    ], ids=["h-string", "h-null", "h-bool", "h-huge-int", "periodic-int", "periodic-string",
+            "domain-string", "domain-nested", "g-row-string", "chart-g-bool", "degree-bool",
+            "point-g-row-number", "point-g-bool", "point-n-bool", "point-a-bool"])
+    def test_exits_two_with_pointer(self, tmp_path, capsys, base, overrides, pointer):
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(dict(TestNonFiniteInput.CHART if base == "chart" else POINT,
+                                        **overrides)))
+        status = main(["check", "--file", str(path)])
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert f"schema error: {pointer}:" in err
 
 
 class TestSuiteConfigValidation:

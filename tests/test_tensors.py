@@ -19,7 +19,7 @@ from codazzi import (
     symmetrize,
     trace_g,
 )
-from codazzi.tensors import contract
+from codazzi.tensors import contract, sectional
 from conftest import equality_point
 
 
@@ -223,6 +223,19 @@ class TestSlotKernels:
             with pytest.raises(DimensionMismatchError) as info:
                 call()
             assert str(m_shape) in str(info.value) and str(t_shape) in str(info.value)
+
+
+class TestSectional:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_constant_curvature_model_on_random_planes(self, n):
+        # every plane of H R0 has sectional curvature H, for any metric
+        rng = np.random.default_rng(70 + n)
+        for _ in range(5):
+            g = random_spd(n, rng)
+            h_curv = rng.uniform(-3.0, 3.0)
+            u, v = rng.normal(size=(2, n))
+            r = h_curv * r0_curvature(MetricPoint(g)).array
+            assert sectional(r, g, u, v) == pytest.approx(h_curv, rel=1e-12, abs=1e-12)
 
 
 class TestTraceG:
