@@ -254,9 +254,12 @@ class ChartStructure:
         return self._memo("tau", x, lambda: np.einsum("...mim->...i", self.k_at(x)))
 
     def point(self, x) -> StatPoint:
-        """The pointwise structure at a single point x[n]."""
-        g = self.metric_at(x)
-        return StatPoint(MetricPoint(0.5 * (g + g.T)), CubicForm.from_dense(self.cubic_at(x)))
+        """The pointwise structure at a single point x[n], built once per point (it is immutable)."""
+        def compute():
+            g = self.metric_at(x)
+            return StatPoint(MetricPoint(0.5 * (g + g.T)), CubicForm.from_dense(self.cubic_at(x)))
+
+        return self._memo("point", x, compute)
 
     def _memo(self, tag, x, compute):
         """compute() once per (tag, batch); the key holds the shape because two batch shapes
@@ -451,6 +454,9 @@ def _curvature_from_gamma(cs: ChartStructure, coefficients: Field, x) -> np.ndar
 
 
 def curvature_hat_arrays(cs: ChartStructure, x) -> tuple[np.ndarray, np.ndarray]:
+    """(up, low) arrays of R_hat at x; raises for a point within 2h of a non-periodic face."""
+    cs.require_interior(x)
+
     def compute():
         up = _curvature_from_gamma(cs, lambda y: christoffel_array(cs, y), x)
         low = np.einsum("...lm,...mijk->...ijkl", cs.metric_at(x), up)
@@ -460,7 +466,6 @@ def curvature_hat_arrays(cs: ChartStructure, x) -> tuple[np.ndarray, np.ndarray]
 
 
 def curvature_hat(cs: ChartStructure, x) -> CurvTensor:
-    cs.require_interior(x)
     _, low = curvature_hat_arrays(cs, x)
     out = CurvTensor(0.5 * (low - np.swapaxes(low, 0, 1)))
     scale = 1.0 + float(np.max(np.abs(low)))

@@ -17,6 +17,8 @@ suites call them on whole batches.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,27 +232,67 @@ def scalar_gap_terms(a: np.ndarray):
     return a2 - e2, -(n - 1) / 3.0 * a2, -(n - 1) / (n + 2) * e2
 
 
+@functools.cache
+def _trace_part_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each flat (i, j, k): the slot of w in its trace part, and the number of
+    equal pairs among ij, ik, jk (0, 1 or 3)."""
+    triples = list(itertools.product(range(n), repeat=3))
+    return (np.array([k if i == j else j if i == k else i for i, j, k in triples], dtype=np.intp),
+            np.array([(i == j) + (i == k) + (j == k) for i, j, k in triples], dtype=float))
+
+
 def trace_free_projection(a: np.ndarray) -> np.ndarray:
-    """a minus its trace part w_i d_jk + w_j d_ik + w_k d_ij, w = tau/(n+2)."""
+    """a minus its trace part w_i d_jk + w_j d_ik + w_k d_ij, w = tau/(n+2).
+
+    An entry of the trace part is 0, w_k (i = j != k and its slot moves) or 3 w_i
+    (i = j = k), so it is read from w through a flat table: one gather and one
+    product.  Its values equal those of the sum of the three terms bit for bit.
+    """
     n = a.shape[-1]
     w = trace_form(a) / (n + 2)
-    eye = np.eye(n)
-    return a - (
-        np.einsum("...i,jk->...ijk", w, eye)
-        + np.einsum("...j,ik->...ijk", w, eye)
-        + np.einsum("...k,ij->...ijk", w, eye)
-    )
+    slot, equal_pairs = _trace_part_tables(n)
+    flat = a.reshape(a.shape[:-3] + (n**3,))
+    return (flat - w[..., slot] * equal_pairs).reshape(a.shape)
+
+
+@functools.cache
+def _minor_tables(n: int) -> list[np.ndarray]:
+    """Flat pair indices (ij, kl, il, kj) over i < k and j < l, one array per slot."""
+    quads = [(i * n + j, k * n + l, i * n + l, k * n + j)
+             for i, k in itertools.combinations(range(n), 2)
+             for j, l in itertools.combinations(range(n), 2)]
+    return [np.array([q[s] for q in quads], dtype=np.intp) for s in range(4)]
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, one elementwise add per row: the same bits at any batch size."""
+    out = np.zeros(x.shape[1:])
+    for row in x:
+        out += row
+    return out
 
 
 def lp_norms(a: np.ndarray):
-    """(||L||^2, ||P||^2) for L(X,Y,W,Z) = g(K(X,Y),K(W,Z)) and its antisymmetrization P."""
+    """(||L||^2, ||P||^2) for L(X,Y,W,Z) = g(K(X,Y),K(W,Z)) and P(X,Y,W,Z) = L - L(W,Y,X,Z).
+
+    With v_ij = K(e_i, e_j): ||L||^2 is the squared norm of the Gram matrix
+    G_mm' = sum_ij v_ij^m v_ij^m', and P vanishes unless i != k and j != l,
+    with the same square under i <-> k and j <-> l, so
+    ||P||^2 = 4 sum over i < k, j < l of (<v_ij, v_kl> - <v_il, v_kj>)^2.
+    The kernel runs batch-last and every sum is elementwise.
+    """
     n = a.shape[-1]
-    rows = a.reshape(a.shape[:-3] + (n, n * n))  # row i holds a_i..; Gram matrix a_ij
-    a_ij = rows @ np.swapaxes(rows, -1, -2)
-    pairs = a.reshape(a.shape[:-3] + (n * n, n))  # row (i, j) holds K(e_i, e_j)
-    b = (pairs @ np.swapaxes(pairs, -1, -2)).reshape(a.shape[:-3] + (n,) * 4)
-    b = b - np.swapaxes(b, -4, -2)
-    return np.einsum("...ij,...ij->...", a_ij, a_ij), np.einsum("...ijkl,...ijkl->...", b, b)
+    batch = a.shape[:-3]
+    v = np.ascontiguousarray(np.moveaxis(a.reshape(batch + (n * n, n)), (-2, -1), (0, 1)))
+    gram = np.zeros((n, n) + batch)
+    for row in v:
+        gram += row[:, None] * row[None, :]
+    gram = gram.reshape((n * n,) + batch)
+    ij, kl, il, kj = (v[t] for t in _minor_tables(n))
+    minors = np.zeros(ij.shape[:1] + batch)
+    for m in range(n):
+        minors += ij[:, m] * kl[:, m] - il[:, m] * kj[:, m]
+    return _sum_rows(gram * gram), 4.0 * _sum_rows(minors * minors)
 
 
 def _frame_vector(sp: StatPoint, u) -> np.ndarray:

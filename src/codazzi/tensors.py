@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -370,20 +371,57 @@ def trace_g(g: MetricPoint, t, slots: tuple[int, int]):
     return float(out) if out.ndim == 0 else out
 
 
+@functools.cache
+def _orbit_tables(n: int, k: int):
+    """The orbits of S_k on the flat indices of an (n,)*k array.
+
+    Returns (groups, orbit_of).  Each group holds the orbits of one size as
+    (size, columns): columns[c][r] is the c-th flat index of the group's r-th
+    orbit.  orbit_of[f] is the position of the orbit of f when the groups'
+    orbits are laid end to end.  Built in plain Python: a numpy sort here
+    would map its working memory on the first call of a process.
+    """
+    orbits: dict[tuple[int, ...], list[int]] = {}
+    for flat, index in enumerate(itertools.product(range(n), repeat=k)):
+        orbits.setdefault(tuple(sorted(index)), []).append(flat)
+    by_size: dict[int, list[list[int]]] = {}
+    for members in orbits.values():
+        by_size.setdefault(len(members), []).append(members)
+    groups, orbit_of, position = [], [0] * n**k, 0
+    for size, same_size in by_size.items():
+        groups.append((size, [np.array(c, dtype=np.intp) for c in zip(*same_size)]))
+        for members in same_size:
+            for flat in members:
+                orbit_of[flat] = position
+            position += 1
+    return groups, np.array(orbit_of, dtype=np.intp)
+
+
 def symmetrize(arr: np.ndarray, degree: int | None = None) -> np.ndarray:
     """Average over all permutations of the last `degree` axes (default: all axes).
 
-    Leading axes beyond `degree` are batch axes and are left in place.
+    Leading axes beyond `degree` are batch axes and are left in place.  Each
+    orbit of the permutations on the multi-indices is averaged once and its
+    mean written to all its members, so the result is exactly symmetric.
     """
     arr = np.asarray(arr, dtype=float)
-    batch = arr.ndim - (arr.ndim if degree is None else degree)
-    lead = tuple(range(batch))
-    perms = [lead + p for p in itertools.permutations(range(batch, arr.ndim))]
-    out = np.transpose(arr, perms[0]).copy()
-    for p in perms[1:]:
-        out += np.transpose(arr, p)
-    out /= len(perms)
-    return out
+    k = arr.ndim if degree is None else degree
+    if not 0 <= k <= arr.ndim or len(set(arr.shape[arr.ndim - k:])) > 1:
+        raise DimensionMismatchError(
+            f"cannot symmetrize the last {k} axes of a tensor of shape {arr.shape}")
+    if k < 2 or arr.size == 0:
+        return arr.copy()
+    n = arr.shape[-1]
+    groups, orbit_of = _orbit_tables(n, k)
+    flat = arr.reshape(arr.shape[:-k] + (n**k,))
+    means = []
+    for size, columns in groups:
+        total = flat[..., columns[0]]
+        for column in columns[1:]:
+            total += flat[..., column]
+        total /= size
+        means.append(total)
+    return np.concatenate(means, axis=-1)[..., orbit_of].reshape(arr.shape)
 
 
 def sectional(r: np.ndarray, g: np.ndarray, u, v) -> float:

@@ -91,6 +91,12 @@ class TestChartStructure:
         cs = flat_chart(periodic=True)
         christoffel(cs, [0.0, 0.0])
 
+    def test_point_is_built_once(self):
+        cs = sphere_chart()
+        sp = cs.point([0.1, 0.2])
+        assert cs.point(np.array([0.1, 0.2])) is sp
+        assert cs.point([0.2, 0.1]) is not sp
+
 
 class TestChristoffel:
     def test_flat_is_zero(self):
@@ -151,6 +157,16 @@ class TestCurvature:
     def test_ricci_symmetric(self):
         ric = ric_hat(poincare_chart(), [0.1, 1.1])
         assert np.allclose(ric, ric.T)
+
+    def test_boundary_raises(self):
+        # the Poincare box starts at y = 0.5: R_hat there would difference the metric outside it
+        cs = poincare_chart()
+        face = [0.0, 0.5]
+        for read in (lambda: curvature_hat_arrays(cs, face), lambda: ric_hat(cs, face),
+                     lambda: rho_hat(cs, face), lambda: sectional_hat(cs, face, ([1, 0], [0, 1])),
+                     lambda: curvature_hat(cs, face)):
+            with pytest.raises(PreconditionError, match="boundary"):
+                read()
 
 
 class TestDerivativeEngine:

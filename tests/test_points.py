@@ -540,6 +540,17 @@ class TestBatchedKernels:
             _close(single, oracle, np.max(np.abs(oracle)))
         assert np.max(np.abs(points.trace_form(projected))) < 1e-13
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
+    def test_trace_free_projection_matches_the_three_terms(self, n, shape):
+        # the table-driven trace part equals the sum of its three Kronecker-delta terms bitwise
+        a = np.random.default_rng(n).uniform(-1.0, 1.0, shape + (n, n, n))
+        w = points.trace_form(a) / (n + 2)
+        eye = np.eye(n)
+        oracle = a - (np.einsum("...i,jk->...ijk", w, eye) + np.einsum("...j,ik->...ijk", w, eye)
+                      + np.einsum("...k,ij->...ijk", w, eye))
+        assert np.array_equal(points.trace_free_projection(a), oracle)
+
     def test_lp_norms(self, batch):
         sps, _, a = batch
         l2, p2 = points.lp_norms(a)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -223,6 +224,62 @@ class TestSlotKernels:
             with pytest.raises(DimensionMismatchError) as info:
                 call()
             assert str(m_shape) in str(info.value) and str(t_shape) in str(info.value)
+
+
+def _permutation_sum_oracle(arr, degree):
+    """Mean of arr over every transpose of its last `degree` axes, one add per permutation."""
+    lead = tuple(range(arr.ndim - degree))
+    perms = [lead + p for p in itertools.permutations(range(arr.ndim - degree, arr.ndim))]
+    out = np.transpose(arr, perms[0]).copy()
+    for p in perms[1:]:
+        out += np.transpose(arr, p)
+    return out / len(perms)
+
+
+def _assert_oracle_close(got, want, degree):
+    # the oracle adds degree! terms in sequence, so its own rounding grows with that count:
+    # at degree 5 and n = 1 it is 3e-15 off the exact mean of 120 equal copies
+    tol = max(math.factorial(degree), 4) * np.finfo(float).eps
+    assert np.max(np.abs(got - want), initial=0.0) <= tol * np.max(np.abs(want), initial=0.0)
+
+
+class TestSymmetrize:
+    """symmetrize averages each S_k orbit of multi-indices once and writes it to every member."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    def test_against_permutation_sum(self, n, degree, batch, rng):
+        arr = rng.uniform(-1, 1, batch + (n,) * degree)
+        got, want = symmetrize(arr, degree=degree), _permutation_sum_oracle(arr, degree)
+        assert got.shape == want.shape
+        _assert_oracle_close(got, want, degree)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2), (3, 3, 3), (2, 2, 2, 2)])
+    def test_default_degree_is_every_axis(self, shape, rng):
+        arr = rng.uniform(-1, 1, shape)
+        _assert_oracle_close(symmetrize(arr), _permutation_sum_oracle(arr, arr.ndim), arr.ndim)
+
+    @pytest.mark.parametrize("n, degree", [(2, 2), (3, 3), (4, 3), (3, 4), (2, 5)])
+    def test_exactly_symmetric(self, n, degree, rng):
+        out = symmetrize(rng.uniform(-1, 1, (4,) + (n,) * degree), degree=degree)
+        for a, b in itertools.combinations(range(1, degree + 1), 2):
+            assert np.swapaxes(out, a, b).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("n, degree", [(2, 3), (3, 3), (4, 3), (3, 4)])
+    def test_batch_equals_rows(self, n, degree, rng):
+        arr = rng.uniform(-1, 1, (7,) + (n,) * degree)
+        batched = symmetrize(arr, degree=degree)
+        for row, value in zip(arr, batched):
+            assert symmetrize(row).tobytes() == value.tobytes()
+        assert symmetrize(arr[2:5], degree=degree).tobytes() == batched[2:5].tobytes()
+
+    @pytest.mark.parametrize("shape, degree", [((2, 8, 4), 3), ((5, 3, 2), 2), ((3, 3), 3)])
+    def test_slot_axes_must_agree(self, shape, degree):
+        # 2 * 8 * 4 = 4 ** 3, so a flat reshape alone would take (2, 8, 4) for a cube
+        with pytest.raises(DimensionMismatchError) as info:
+            symmetrize(np.ones(shape), degree=degree)
+        assert str(shape) in str(info.value)
 
 
 class TestSectional:
