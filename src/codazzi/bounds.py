@@ -25,8 +25,8 @@ from .charts import (
     statistical_connections,
 )
 from .errors import PreconditionError
-from .points import best_fit_curvature_coefficient
-from .tensors import CurvTensor, contract, inner, r0_curvature
+from .points import best_fit_curvature_coefficient, constant_curvature_residual
+from .tensors import CurvTensor, contract
 
 
 @dataclass
@@ -206,13 +206,13 @@ def surface_u_bounds(
 # pointwise sandwich and scalar-curvature corollaries
 
 
-def simons_sandwich_check(
-    cs: ChartStructure,
-    x,
-    h_curv: float | None = None,
-    trace_tol: float = 1e-8,
-    fit_tol: float = 1e-4,
-) -> tuple[float, float]:
+# |E| is algebra on the cubic form at x (no FD step), so only round-off may remain
+SANDWICH_TRACE_TOL = 1e-8
+# relative g-norm of R - H R0 that counts as FD error of the curvature, not a non-constant one
+SANDWICH_FIT_TOL = 1e-4
+
+
+def simons_sandwich_check(cs: ChartStructure, x, h_curv: float | None = None) -> tuple[float, float]:
     """Gaps of the Laplacian sandwich for u = ||A||^2 at a point.
 
     Requires the structure to be trace-free at x and the statistical
@@ -224,15 +224,14 @@ def simons_sandwich_check(
     x = cs.require_interior(np.asarray(x, dtype=float))
     n = cs.n
     sp = cs.point(x)
-    if sp.g.norm(sp.E) > trace_tol:
+    if sp.g.norm(sp.E) > SANDWICH_TRACE_TOL:
         raise PreconditionError(f"structure is not trace-free at x (|E| = {sp.g.norm(sp.E):g})")
     conn = statistical_connections(cs, x)
     r = CurvTensor(0.5 * (conn.r_nabla - np.swapaxes(conn.r_nabla, 0, 1)))
     if h_curv is None:
         h_curv = best_fit_curvature_coefficient(sp.g, r)
-    r0 = r0_curvature(sp.g)
-    fit = math.sqrt(max(inner(sp.g, r.array - h_curv * r0.array, r.array - h_curv * r0.array), 0.0))
-    if fit > fit_tol * (1.0 + abs(h_curv)):
+    fit = constant_curvature_residual(r, sp.g, h_curv)
+    if fit > SANDWICH_FIT_TOL * (1.0 + abs(h_curv)):
         raise PreconditionError(f"curvature is not H R0 at x (fit residual {fit:g})")
 
     u_field = squared_norm_field(cs, cs.a_field)

@@ -629,13 +629,21 @@ def _dual_pairing_residual(g, dg, gn, gb) -> float:
     return float(np.max(np.abs(resid)))
 
 
+def _g_frame_min_eig(ginv: np.ndarray, form: np.ndarray) -> float:
+    """Least eigenvalue of the symmetric part of a (0,2) form in a g-orthonormal frame."""
+    b = np.linalg.cholesky(ginv)
+    return float(np.min(np.linalg.eigvalsh(b.T @ (0.5 * (form + form.T)) @ b)))
+
+
 def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
     """Residuals of the Ricci and scalar curvature decompositions at x.
 
     Keys: ricci-decomposition (Ric against Levi-Civita Ricci + div K -
     nabla tau + commutator Ricci), ricci-conjugate-sum, scalar-gap,
-    koszul-form and koszul-trace, plus ricci-comparison-min-eig for
-    trace-free structures and hessian-ricci when nabla is flat at x.
+    koszul-form, koszul-trace, ricci-comparison-chain-min-eig (least g-frame
+    eigenvalue of 2 Ric_hat - Ric - Ric_bar + ||tau||^2 g / 2), plus the same
+    without the tau term, ricci-comparison-min-eig, for trace-free structures
+    and hessian-ricci when nabla is flat at x.
     """
     x = cs.require_interior(np.asarray(x, dtype=float))
     ginv = cs.metric_inverse_at(x)
@@ -673,12 +681,12 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
             float(np.einsum("ab,ab->", ginv, beta_formula)) - (delta_tau - tau_sq)
         ),
     }
+    comparison = 2.0 * ric_hat_arr - ric - ric_bar
     if sp.trace_free:
-        comparison = 2.0 * ric_hat_arr - ric - ric_bar
-        b = np.linalg.cholesky(ginv)
-        out["ricci-comparison-min-eig"] = float(
-            np.min(np.linalg.eigvalsh(b.T @ (0.5 * (comparison + comparison.T)) @ b))
-        )
+        out["ricci-comparison-min-eig"] = _g_frame_min_eig(ginv, comparison)
+    tau = cs.tau_at(x)
+    chain = comparison + 0.5 * float(tau @ ginv @ tau) * cs.metric_at(x)
+    out["ricci-comparison-chain-min-eig"] = _g_frame_min_eig(ginv, chain)
     if _g_norm(ginv, conn.r_nabla) < 1e-4:
         out["hessian-ricci"] = _g_norm(ginv, ric_hat_arr - (gram - tau_circ))
     return out

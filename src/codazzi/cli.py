@@ -15,7 +15,7 @@ import numpy as np
 from .errors import CodazziError, SchemaError
 from .generators import FAMILIES, GeneratorSpec, generate
 from .structures_io import emit, ingest
-from .suites import SUITE_NAMES, SuiteConfig, check_structure, run_suite
+from .suites import SUITE_NAMES, SuiteConfig, check_structure, laplacian_series, run_suite
 
 USAGE_ERROR = 2
 
@@ -129,25 +129,6 @@ def _convergence_plot(path: str, h_values, series: dict) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def _emit_convergence_plot(path: str, args) -> None:
-    from .charts import (
-        hessian_from_potential,
-        ricci_identity_residual,
-        simons_residual,
-    )
-
-    h_values = [4.0 * args.h, 2.0 * args.h, args.h]
-    x = np.array([0.15, -0.22])
-    series = {"ricci-identity": [], "simons-formula": []}
-    for h in h_values:
-        cs = hessian_from_potential(
-            "0.5*x1**2*x2**2 + 0.5*(x1**2 + x2**2)", [[-0.6, 0.6]] * 2, h=h
-        )
-        series["ricci-identity"].append(ricci_identity_residual(cs, cs.a_field, x))
-        series["simons-formula"].append(simons_residual(cs, cs.a_field, x))
-    _convergence_plot(path, h_values, series)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -163,7 +144,9 @@ def main(argv=None) -> int:
             if args.report:
                 _write_report(report, args.report, args.emit_csv)
             if args.plot:
-                _emit_convergence_plot(args.plot, args)
+                steps, series, _ = laplacian_series(2, args.h)
+                _convergence_plot(args.plot, steps, {name: series[name] for name in
+                                                     ("ricci-identity", "simons-formula")})
             return report.exit_status(strict=args.strict)
 
         if args.command == "gen":

@@ -19,6 +19,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,6 +64,7 @@ FD_TOL_CONSTANTS = {
     "laplace-cubic": 400.0,
     "laplace-cubic-special": 400.0,
     "sandwich": 400.0,
+    "curvature-closed-form": 700.0,
 }
 
 
@@ -196,7 +198,10 @@ class ResidualReport:
 
 
 class _Collector:
-    def __init__(self):
+    """The checks of one run in report order: the one place a residual meets its tolerance."""
+
+    def __init__(self, cfg: SuiteConfig):
+        self.h, self.tol_scale = cfg.h, cfg.tol_scale
         self.checks: list[Check] = []
 
     def add(self, check_id, anchor, residual, tolerance, location=""):
@@ -205,7 +210,21 @@ class _Collector:
             Check(check_id, anchor, float(residual), float(tolerance), verdict, location)
         )
 
-    def skip(self, check_id, anchor, reason, location=""):
+    def tolerance(self, family, scale=1.0):
+        """The FD tolerance of a check family at the run's step, times the residual's scale."""
+        return fd_tol(family, self.h, self.tol_scale) * scale
+
+    def fd(self, check_id, anchor, residual, family, location="", scale=1.0):
+        self.add(check_id, anchor, residual, self.tolerance(family, scale), location)
+
+    def chart(self, key, value, location, scale=1.0, suffix=""):
+        """The FD check that CHART_CHECKS names for one residual key of a chart."""
+        check = CHART_CHECKS[key]
+        self.add(check.id + suffix, check.anchor, check.reading(value),
+                 check.floor + self.tolerance(check.family, scale), location)
+
+    def skip(self, check_id, anchor, exc: PreconditionError, location=""):
+        reason = str(exc)[:60]
         self.checks.append(
             Check(check_id, anchor, float("nan"), float("nan"), "precondition-skipped",
                   f"{location} [{reason}]" if location else f"[{reason}]")
@@ -295,6 +314,47 @@ A_BUNDLE = (
 A_PLUMBING = "invented — artifact plumbing"
 
 
+class ChartCheck(NamedTuple):
+    """The check fed by a chart residual key; reading turns the value into the residual."""
+
+    id: str
+    anchor: str
+    family: str  # of FD_TOL_CONSTANTS
+    reading: Callable[[float], float] = float
+    floor: float = 0.0  # added to the FD tolerance
+
+
+# each residual key of statistical_connections, ricci_decomposition_residuals,
+# cubic_simons_residuals, weitzenbock_residual and laplacian_series that a suite checks
+CHART_CHECKS = {key: ChartCheck(*row) for key, *row in (
+    ("curvature-two-routes", "curvature-two-routes", A_TWO_ROUTES, "curvature-two-routes"),
+    ("duality", "duality", A_DUALITY, "duality"),
+    ("curvature-sum", "curvature-sum", A_CURV_SUM, "curvature-sum"),
+    ("dual-pairing-product-rule", "dual-pairing-product-rule", A_DUAL_PAIRING, "dual-pairing"),
+    ("conjugate-reduction", "conjugate-reduction", A_CONJ_REDUCTION, "conjugate-reduction"),
+    ("ricci-decomposition", "ricci-decomposition", A_RIC_DECOMP, "ricci-decomposition"),
+    ("ricci-conjugate-sum", "ricci-conjugate-sum", A_RIC_SUM, "ricci-conjugate-sum"),
+    ("scalar-gap", "scalar-gap", A_SCALAR_DECOMP, "scalar-gap"),
+    ("koszul-form", "koszul-form", A_KOSZUL, "koszul-form"),
+    ("koszul-trace", "koszul-trace", A_KOSZUL_TRACE, "koszul-trace"),
+    # the comparisons report the signed least eigenvalue of a form that must be >= 0
+    ("ricci-comparison-min-eig", "ricci-comparison-tracefree", A_RIC_TRACEFREE,
+     "ricci-comparison", lambda v: -v),
+    # the floor absorbs the round-off of the eigenvalue solver
+    ("ricci-comparison-chain-min-eig", "ricci-comparison-chain", A_RIC_COMPARE,
+     "ricci-comparison", lambda v: max(0.0, -v), 1e-8),
+    ("hessian-ricci", "hessian-ricci", A_HESSIAN_RIC, "hessian-ricci"),
+    ("ricci-identity", "ricci-identity", A_RICCI_ID, "ricci-identity"),
+    ("simons-formula", "simons-formula", A_SIMONS, "simons-formula"),
+    ("weitzenbock", "weitzenbock", A_WEITZENBOCK, "weitzenbock"),
+    ("sym2-simons", "sym2-simons", A_SYM2, "sym2-simons"),
+    ("laplace-cubic-bracket", "laplace-cubic-bracket", A_CUBIC_BRACKET, "laplace-cubic"),
+    ("laplace-cubic-curvdiff", "laplace-cubic-curvdiff", A_CUBIC_CURVDIFF, "laplace-cubic"),
+    ("laplace-cubic-ricci", "laplace-cubic-ricci", A_CUBIC_RICCI, "laplace-cubic"),
+    ("laplace-cubic-tracefree", "laplace-cubic-tracefree", A_CUBIC_TRACEFREE, "laplace-cubic"),
+)}
+
+
 # ---------------------------------------------------------------------------
 # vectorized random sweeps (g = identity; the inequalities are frame covariant)
 
@@ -380,7 +440,7 @@ def _quarter_form(a_hat: np.ndarray) -> np.ndarray:
 
 
 def algebraic_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
-    col = _Collector()
+    col = _Collector(cfg)
     sp_eq = equality_point()
 
     lhs, rhs, cert = points_mod.check_ineq_eighth(sp_eq, [1.0, 0.0])
@@ -481,7 +541,7 @@ _DIFF_FAMILIES = (
 
 
 def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
-    col = _Collector()
+    col = _Collector(cfg)
     h = cfg.h
 
     # closed-form reference charts
@@ -492,17 +552,16 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     )
     gamma = charts_mod.christoffel(poincare, [0.0, 1.0])
     hand = abs(gamma[0, 0, 1] + 1.0) + abs(gamma[1, 0, 0] - 1.0) + abs(gamma[1, 1, 1] + 1.0)
-    col.add("poincare-christoffel", A_DUAL_PAIRING, hand, fd_tol("metricity", h, cfg.tol_scale),
-            "poincare/(0,1)")
-    col.add("poincare-sectional", A_CURV_TENSORS,
-            abs(charts_mod.sectional_hat(poincare, [0.0, 1.0], ([1, 0], [0, 1])) + 1.0),
-            1e-5 * cfg.tol_scale, "poincare/(0,1)")
+    col.fd("poincare-christoffel", A_DUAL_PAIRING, hand, "metricity", "poincare/(0,1)")
+    col.fd("poincare-sectional", A_CURV_TENSORS,
+           abs(charts_mod.sectional_hat(poincare, [0.0, 1.0], ([1, 0], [0, 1])) + 1.0),
+           "curvature-closed-form", "poincare/(0,1)")
     sphere = charts_mod.ChartStructure(
         2, [[-0.5, 0.5], [-0.5, 0.5]], _stereographic_metric(2), zero_cubic, h=h,
     )
-    col.add("sphere-scalar-curvature", A_CURV_TENSORS,
-            abs(charts_mod.rho_hat(sphere, [0.1, 0.2]) - 2.0), 1e-5 * cfg.tol_scale,
-            "stereographic-sphere/(0.1,0.2)")
+    col.fd("sphere-scalar-curvature", A_CURV_TENSORS,
+           abs(charts_mod.rho_hat(sphere, [0.1, 0.2]) - 2.0), "curvature-closed-form",
+           "stereographic-sphere/(0.1,0.2)")
 
     for family, params in _DIFF_FAMILIES:
         for seed in range(cfg.seeds):
@@ -510,70 +569,24 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
             cs = generate(spec)
             for x in sample_points(cs, 2, seed=seed):
                 loc = f"{family}/seed={seed}/x=({x[0]:.3f},{x[1]:.3f})"
-                col.add("metricity", A_DUAL_PAIRING, charts_mod.metricity_residual(cs, x),
-                        fd_tol("metricity", h, cfg.tol_scale), loc)
+                col.fd("metricity", A_DUAL_PAIRING, charts_mod.metricity_residual(cs, x),
+                       "metricity", loc)
                 conn = charts_mod.statistical_connections(cs, x)
                 scale = conn.scale
-                for key, fam in (
-                    ("curvature-two-routes", "curvature-two-routes"),
-                    ("duality", "duality"),
-                    ("curvature-sum", "curvature-sum"),
-                    ("dual-pairing-product-rule", "dual-pairing"),
-                ):
-                    anchor = {
-                        "curvature-two-routes": A_TWO_ROUTES,
-                        "duality": A_DUALITY,
-                        "curvature-sum": A_CURV_SUM,
-                        "dual-pairing-product-rule": A_DUAL_PAIRING,
-                    }[key]
-                    col.add(key, anchor, conn.residuals[key],
-                            fd_tol(fam, h, cfg.tol_scale) * scale, loc)
-                if "conjugate-reduction" in conn.residuals:
-                    col.add("conjugate-reduction", A_CONJ_REDUCTION,
-                            conn.residuals["conjugate-reduction"],
-                            fd_tol("conjugate-reduction", h, cfg.tol_scale) * scale, loc)
+                for key, value in conn.residuals.items():
+                    col.chart(key, value, loc, scale)
                 # curvature tensor invariants for the Levi-Civita tensor
                 rhat = charts_mod.curvature_hat(cs, x)
-                col.add("curvature-invariants", A_CURV_TENSORS,
-                        rhat.first_bianchi_defect() + rhat.last_pair_antisymmetry_defect(),
-                        fd_tol("curvature-invariants", h, cfg.tol_scale) * scale, loc)
-                rd = charts_mod.ricci_decomposition_residuals(cs, x)
-                col.add("ricci-decomposition", A_RIC_DECOMP, rd["ricci-decomposition"],
-                        fd_tol("ricci-decomposition", h, cfg.tol_scale) * scale, loc)
-                col.add("ricci-conjugate-sum", A_RIC_SUM, rd["ricci-conjugate-sum"],
-                        fd_tol("ricci-conjugate-sum", h, cfg.tol_scale) * scale, loc)
-                col.add("scalar-gap", A_SCALAR_DECOMP, rd["scalar-gap"],
-                        fd_tol("scalar-gap", h, cfg.tol_scale) * scale, loc)
-                col.add("koszul-form", A_KOSZUL, rd["koszul-form"],
-                        fd_tol("koszul-form", h, cfg.tol_scale) * scale, loc)
-                col.add("koszul-trace", A_KOSZUL_TRACE, rd["koszul-trace"],
-                        fd_tol("koszul-trace", h, cfg.tol_scale) * scale, loc)
-                if "ricci-comparison-min-eig" in rd:
-                    col.add("ricci-comparison-tracefree", A_RIC_TRACEFREE,
-                            -rd["ricci-comparison-min-eig"],
-                            fd_tol("ricci-comparison", h, cfg.tol_scale) * scale, loc)
-                # three-Ricci comparison with the trace-form correction
-                ric, ric_bar = conn.ric, conn.ric_bar
-                ric_hat_arr = charts_mod.ric_hat(cs, x)
-                tau = cs.tau_at(x)
-                ginv = cs.metric_inverse_at(x)
-                tau_sq = float(tau @ ginv @ tau)
-                form = (2.0 * ric_hat_arr - ric - ric_bar
-                        + 0.5 * tau_sq * cs.metric_at(x))
-                b_frame = np.linalg.cholesky(ginv)
-                min_eig = float(np.min(np.linalg.eigvalsh(
-                    b_frame.T @ (0.5 * (form + form.T)) @ b_frame)))
-                col.add("ricci-comparison-chain", A_RIC_COMPARE, max(0.0, -min_eig),
-                        1e-8 + fd_tol("ricci-comparison", h, cfg.tol_scale) * scale, loc)
-                if "hessian-ricci" in rd:
-                    col.add("hessian-ricci", A_HESSIAN_RIC, rd["hessian-ricci"],
-                            fd_tol("hessian-ricci", h, cfg.tol_scale) * scale, loc)
+                col.fd("curvature-invariants", A_CURV_TENSORS,
+                       rhat.first_bianchi_defect() + rhat.last_pair_antisymmetry_defect(),
+                       "curvature-invariants", loc, scale)
+                for key, value in charts_mod.ricci_decomposition_residuals(cs, x).items():
+                    col.chart(key, value, loc, scale)
                 sec_total = charts_mod.sectional_nabla(cs, x, ([1, 0], [0, 1]))
                 sec_hat = charts_mod.sectional_hat(cs, x, ([1, 0], [0, 1]))
-                sp = cs.point(x)
-                sec_k = points_mod.sectional_k(sp, [1, 0], [0, 1])
-                col.add("sectional-sum", A_SECTIONAL_SUM, abs(sec_total - sec_hat - sec_k),
-                        fd_tol("sectional-sum", h, cfg.tol_scale) * scale, loc)
+                sec_k = points_mod.sectional_k(cs.point(x), [1, 0], [0, 1])
+                col.fd("sectional-sum", A_SECTIONAL_SUM, abs(sec_total - sec_hat - sec_k),
+                       "sectional-sum", loc, scale)
                 # duality involution: conjugating twice returns the coefficients exactly
                 col.add("duality-involution", A_DUAL_INVOLUTION,
                         charts_mod.duality_involution_defect(cs, x), 1e-12, loc)
@@ -581,9 +594,8 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
             if family == "G2-hessian-potential":
                 x = cs.domain.mean(axis=1) + 0.03
                 conn = charts_mod.statistical_connections(cs, x)
-                col.add("hessian-flatness", A_HESSIAN, float(np.max(np.abs(conn.r_nabla))),
-                        fd_tol("curvature-two-routes", h, cfg.tol_scale),
-                        f"{family}/seed={seed}")
+                col.fd("hessian-flatness", A_HESSIAN, float(np.max(np.abs(conn.r_nabla))),
+                       "curvature-two-routes", f"{family}/seed={seed}")
 
     # conjugate-symmetry criteria: the three defects vanish together or stay
     # large together
@@ -594,39 +606,31 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     for tag, cs, should_hold in (("conformal", cs_sym, True), ("random", cs_asym, False)):
         x = sample_points(cs, 1, seed=7)[0]
         defects = charts_mod.conjugate_symmetry_criteria(cs, x)
-        threshold = fd_tol("curvature-two-routes", h, cfg.tol_scale)
         if should_hold:
             residual = max(defects["r-vs-rbar"], defects["zw-skew"],
                            defects["asym-nabla-a"])
-            col.add(f"conjugate-symmetry-equivalence-{tag}", A_CONJ_SYM, residual,
-                    threshold * 10.0, f"G5-conformal/x=({x[0]:.3f},{x[1]:.3f})")
+            col.fd(f"conjugate-symmetry-equivalence-{tag}", A_CONJ_SYM, residual,
+                   "curvature-two-routes", f"G5-conformal/x=({x[0]:.3f},{x[1]:.3f})", 10.0)
         else:
-            weakest = min(defects.values())
+            threshold = col.tolerance("curvature-two-routes", 10.0)
             col.add(f"conjugate-symmetry-equivalence-{tag}", A_CONJ_SYM,
-                    threshold * 10.0 - weakest, threshold * 10.0,
+                    threshold - min(defects.values()), threshold,
                     f"G4-random/x=({x[0]:.3f},{x[1]:.3f})")
     return col.checks, {}
 
 
-def simons_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
-    col = _Collector()
-    h = cfg.h
+def laplacian_series(n: int, h: float):
+    """Residuals of the Laplacian identities at the steps 4h, 2h and h, in dimension n = 2 or 3.
 
-    def curved_hessian(n, step):
-        if n == 2:
-            potential = "0.5*x1**2*x2**2 + 0.5*(x1**2 + x2**2)"
-        else:
-            potential = (
-                "0.4*x1**2*x2**2 + 0.3*x2**2*x3**2 + 0.35*x1**2*x3**2 "
-                "+ 0.5*(x1**2 + x2**2 + x3**2)"
-            )
-        return charts_mod.hessian_from_potential(potential, [[-0.6, 0.6]] * n, h=step, n=n)
-
-    def sphere_chart(n, step):
-        return charts_mod.ChartStructure(
-            n, [[-0.4, 0.4]] * n, _stereographic_metric(n),
-            charts_mod.constant_field(np.zeros((n, n, n))), h=step,
-        )
+    The Ricci identity, the Simons formula and the cubic formulas are taken on a curved
+    Hessian chart, the Weitzenbock and symmetric 2-form formulas on the stereographic
+    sphere, all at one point.  Returns (steps, series, skips): series maps each identity
+    to its residual per step, and skips maps an identity whose precondition fails at some
+    step to the PreconditionError of the last such step.
+    """
+    potential = {2: "0.5*x1**2*x2**2 + 0.5*(x1**2 + x2**2)",
+                 3: "0.4*x1**2*x2**2 + 0.3*x2**2*x3**2 + 0.35*x1**2*x3**2 "
+                    "+ 0.5*(x1**2 + x2**2 + x3**2)"}[n]
 
     def codazzi_beta(cs):
         eye = np.eye(cs.n)
@@ -646,54 +650,58 @@ def simons_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
         return np.stack([np.sin(y[..., 0] + 2.0 * y[..., 1]), np.cos(y[..., 0] - y[..., 1])]
                         + [np.sin(y[..., i]) for i in range(2, y.shape[-1])], axis=-1)
 
-    anchors = {"ricci-identity": A_RICCI_ID, "simons-formula": A_SIMONS,
-               "weitzenbock": A_WEITZENBOCK, "sym2-simons": A_SYM2,
-               "laplace-cubic-bracket": A_CUBIC_BRACKET,
-               "laplace-cubic-curvdiff": A_CUBIC_CURVDIFF, "laplace-cubic-ricci": A_CUBIC_RICCI}
+    x = np.array([0.15, -0.22, 0.1][:n])
+    steps = (4.0 * h, 2.0 * h, h)
     cubic_keys = ("laplace-cubic-bracket", "laplace-cubic-curvdiff", "laplace-cubic-ricci")
+    series = {name: [] for name in ("ricci-identity", "simons-formula", "weitzenbock",
+                                    "sym2-simons") + cubic_keys}
+    skips = {}
+    for step in steps:
+        hess = charts_mod.hessian_from_potential(potential, [[-0.6, 0.6]] * n, h=step, n=n)
+        sph = charts_mod.ChartStructure(n, [[-0.4, 0.4]] * n, _stereographic_metric(n),
+                                        charts_mod.constant_field(np.zeros((n, n, n))), h=step)
+        series["ricci-identity"].append(charts_mod.ricci_identity_residual(hess, hess.a_field, x))
+        series["simons-formula"].append(charts_mod.simons_residual(hess, hess.a_field, x))
+        series["weitzenbock"].append(
+            charts_mod.weitzenbock_residual(sph, trig_tau, x)["weitzenbock"])
+        try:
+            series["sym2-simons"].append(
+                charts_mod.sym2_simons_residual(sph, codazzi_beta(sph), x)[0])
+        except PreconditionError as exc:
+            skips["sym2-simons"] = exc
+        try:
+            cubic = charts_mod.cubic_simons_residuals(hess, x)
+            for key in cubic_keys:
+                series[key].append(cubic[key])
+        except PreconditionError as exc:
+            skips.update(dict.fromkeys(cubic_keys, exc))
+    return steps, series, skips
+
+
+def simons_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
+    col = _Collector(cfg)
+    h = cfg.h
+
     for n in (2, 3):
-        x = np.array([0.15, -0.22, 0.1][:n])
-        steps = (4.0 * h, 2.0 * h, h)
-        series = {name: [] for name in anchors}
-        skips = {}  # a family whose precondition fails at some step: name -> reason
-        for step in steps:
-            hess = curved_hessian(n, step)
-            sph = sphere_chart(n, step)
-            series["ricci-identity"].append(
-                charts_mod.ricci_identity_residual(hess, hess.a_field, x))
-            series["simons-formula"].append(charts_mod.simons_residual(hess, hess.a_field, x))
-            series["weitzenbock"].append(
-                charts_mod.weitzenbock_residual(sph, trig_tau, x)["weitzenbock"])
-            try:
-                series["sym2-simons"].append(
-                    charts_mod.sym2_simons_residual(sph, codazzi_beta(sph), x)[0])
-            except PreconditionError as exc:
-                skips["sym2-simons"] = str(exc)[:60]
-            try:
-                cubic = charts_mod.cubic_simons_residuals(hess, x)
-                for key in cubic_keys:
-                    series[key].append(cubic[key])
-            except PreconditionError:
-                pass
+        steps, series, skips = laplacian_series(n, h)
         loc = f"n={n}/h={h}"
         for name, values in series.items():
             if name in skips:
-                col.skip(f"{name}-n{n}", anchors[name], skips[name], loc)
+                col.skip(f"{name}-n{n}", CHART_CHECKS[name].anchor, skips[name], loc)
             else:
-                family = "laplace-cubic" if name in cubic_keys else name
-                col.add(f"{name}-n{n}", anchors[name], values[-1],
-                        fd_tol(family, h, cfg.tol_scale), loc)
+                col.chart(name, values[-1], loc, suffix=f"-n{n}")
         for name in ("ricci-identity", "simons-formula", "weitzenbock", "sym2-simons",
                      "laplace-cubic-ricci"):
             values = series[name]
+            anchor = CHART_CHECKS[name].anchor
             for i in range(2):
                 check_id = f"convergence-{name}-n{n}-halving{i}"
                 halving = f"n={n}/h={steps[i]}->{steps[i + 1]}"
                 if name in skips:
-                    col.skip(check_id, anchors[name], skips[name], halving)
+                    col.skip(check_id, anchor, skips[name], halving)
                     continue
                 factor = values[i] / values[i + 1] if values[i + 1] else float("inf")
-                col.add(check_id, anchors[name], abs(factor - 4.0), 0.8, halving)
+                col.add(check_id, anchor, abs(factor - 4.0), 0.8, halving)
 
     # trace-free, constant-sectional, and dual-flat specializations on
     # conformal and constant fields
@@ -701,14 +709,13 @@ def simons_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
                                   params={"variant": "conformal", "h": h, "amp": 0.35}))
     x = np.array([1.1, 2.3])
     cubic = charts_mod.cubic_simons_residuals(conf, x)
-    col.add("laplace-cubic-tracefree", A_CUBIC_TRACEFREE, cubic["laplace-cubic-tracefree"],
-            fd_tol("laplace-cubic", h, cfg.tol_scale), "G5-conformal")
-    col.add("laplace-cubic-constant-sectional", A_CUBIC_KAPPA,
-            charts_mod.cubic_laplace_constant_sectional_residual(conf, x),
-            fd_tol("laplace-cubic-special", h, cfg.tol_scale), "G5-conformal")
-    col.add("laplace-cubic-dualflat", A_CUBIC_LAGRANGE,
-            charts_mod.cubic_laplace_lagrangian_residual(conf, x),
-            fd_tol("laplace-cubic-special", h, cfg.tol_scale), "G5-conformal")
+    col.chart("laplace-cubic-tracefree", cubic["laplace-cubic-tracefree"], "G5-conformal")
+    col.fd("laplace-cubic-constant-sectional", A_CUBIC_KAPPA,
+           charts_mod.cubic_laplace_constant_sectional_residual(conf, x),
+           "laplace-cubic-special", "G5-conformal")
+    col.fd("laplace-cubic-dualflat", A_CUBIC_LAGRANGE,
+           charts_mod.cubic_laplace_lagrangian_residual(conf, x),
+           "laplace-cubic-special", "G5-conformal")
 
     g1 = generate(GeneratorSpec("G1-constant-A", seed=0, params={"h": h}))
     xg = np.array([1.0, 1.0])
@@ -722,12 +729,12 @@ def simons_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
         charts_mod.cubic_simons_residuals(g4, sample_points(g4, 1, seed=3)[0])
         col.add("cubic-precondition-guard", A_CONJ_SYM, 1.0, 0.5, "G4-random")
     except PreconditionError as exc:
-        col.skip("cubic-precondition-guard", A_CONJ_SYM, str(exc)[:60], "G4-random")
+        col.skip("cubic-precondition-guard", A_CONJ_SYM, exc, "G4-random")
     return col.checks, {}
 
 
 def bounds_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
-    col = _Collector()
+    col = _Collector(cfg)
     h = cfg.h
     bounds_payload = {}
 
@@ -804,14 +811,13 @@ def bounds_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     for x in sample_points(conf, 6, seed=5):
         lo_gap, hi_gap = bounds_mod.simons_sandwich_check(conf, x)
         worst_gap = max(worst_gap, abs(lo_gap), abs(hi_gap))
-    col.add("sandwich-equality-n2", A_SANDWICH, worst_gap,
-            fd_tol("sandwich", h, cfg.tol_scale), "G5-conformal/6pts")
+    col.fd("sandwich-equality-n2", A_SANDWICH, worst_gap, "sandwich", "G5-conformal/6pts")
 
     g3 = generate(GeneratorSpec("G3-2d-constant-curvature", seed=0,
                                 params={"chart": True, "h": h}))
     lo_gap, hi_gap = bounds_mod.simons_sandwich_check(g3, np.array([1.0, 1.0]), h_curv=-2.0)
-    col.add("sandwich-constant-fields", A_SANDWICH, abs(lo_gap) + abs(hi_gap),
-            fd_tol("sandwich", h, cfg.tol_scale), "G3-chart")
+    col.fd("sandwich-constant-fields", A_SANDWICH, abs(lo_gap) + abs(hi_gap), "sandwich",
+           "G3-chart")
 
     # scalar-curvature relation for dual-flat curvature split at a point
     sp3 = hyperbolic_point(1.0, 0.0)
@@ -839,7 +845,7 @@ def bounds_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
 
 
 def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
-    col = _Collector()
+    col = _Collector(cfg)
     order = cfg.fiber_order
 
     q2 = spheres_mod.product_gauss(2, order)
@@ -943,7 +949,7 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
         col.add("bundle-functional-grad-nonneg", A_BUNDLE, max(-tg, 0.0), 0.0,
                 "G5-conformal")
     except PreconditionError as exc:
-        col.skip("bundle-functional", A_BUNDLE, str(exc)[:60], "G5-conformal")
+        col.skip("bundle-functional", A_BUNDLE, exc, "G5-conformal")
 
     g1 = generate(GeneratorSpec("G1-constant-A", seed=0, params={"h": cfg.h}))
     tg, tc, total = spheres_mod.unit_bundle_functional(g1, q2, lattice=16)
@@ -955,7 +961,7 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
         spheres_mod.unit_bundle_functional(g4, q2, lattice=8)
         col.add("bundle-hypothesis-guard", A_BUNDLE, 1.0, 0.5, "G4-random")
     except PreconditionError as exc:
-        col.skip("bundle-hypothesis-guard", A_BUNDLE, str(exc)[:60], "G4-random")
+        col.skip("bundle-hypothesis-guard", A_BUNDLE, exc, "G4-random")
     return col.checks, {}
 
 
@@ -964,33 +970,30 @@ def check_structure(structure) -> ResidualReport:
 
     A chart gets the FD structural checks at its midpoint, one Laplacian
     identity per auxiliary field, and the pointwise checks of the structure
-    at the midpoint; a point gets the pointwise checks alone.
+    at the midpoint; a point gets the pointwise checks alone.  FD tolerances
+    use the chart's own step and the default tolerance scale of SuiteConfig.
     """
-    col = _Collector()
-    if isinstance(structure, charts_mod.ChartStructure):
+    is_chart = isinstance(structure, charts_mod.ChartStructure)
+    col = _Collector(SuiteConfig(h=structure.h) if is_chart else SuiteConfig())
+    if is_chart:
         mid = structure.domain.mean(axis=1)
         sp = structure.point(mid)
         loc = "chart-midpoint"
         conn = charts_mod.statistical_connections(structure, mid)
         scale = conn.scale
-        h = structure.h
-        col.add("curvature-two-routes", A_TWO_ROUTES, conn.residuals["curvature-two-routes"],
-                fd_tol("curvature-two-routes", h) * scale, loc)
+        col.chart("curvature-two-routes", conn.residuals["curvature-two-routes"], loc, scale)
         rd = charts_mod.ricci_decomposition_residuals(structure, mid)
-        col.add("ricci-decomposition", A_RIC_DECOMP, rd["ricci-decomposition"],
-                fd_tol("ricci-decomposition", h) * scale, loc)
+        col.chart("ricci-decomposition", rd["ricci-decomposition"], loc, scale)
         for name, aux in structure.aux_fields.items():
             if aux.degree == 1:
                 out = charts_mod.weitzenbock_residual(structure, aux.fn, mid)
-                col.add(f"weitzenbock[{name}]", A_WEITZENBOCK, out["weitzenbock"],
-                        fd_tol("weitzenbock", h) * scale, loc)
+                col.chart("weitzenbock", out["weitzenbock"], loc, scale, suffix=f"[{name}]")
             elif aux.degree == 2:
                 try:
                     residual, _ = charts_mod.sym2_simons_residual(structure, aux.fn, mid)
-                    col.add(f"sym2-simons[{name}]", A_SYM2, residual,
-                            fd_tol("sym2-simons", h) * scale, loc)
+                    col.chart("sym2-simons", residual, loc, scale, suffix=f"[{name}]")
                 except PreconditionError as exc:
-                    col.skip(f"sym2-simons[{name}]", A_SYM2, str(exc)[:60], loc)
+                    col.skip(f"sym2-simons[{name}]", A_SYM2, exc, loc)
     else:
         sp = structure
         loc = "point"
@@ -1002,7 +1005,7 @@ def check_structure(structure) -> ResidualReport:
         lhs, rhs, _ = points_mod.check_ineq_eighth(sp, u)
         col.add("eighth-inequality", A_EIGHTH, max(lhs - rhs, 0.0), 1e-12, loc)
     except PreconditionError as exc:
-        col.skip("eighth-inequality", A_EIGHTH, str(exc)[:60], loc)
+        col.skip("eighth-inequality", A_EIGHTH, exc, loc)
     residual = float(points_mod.norm_gap(sp.frame_cubic))
     col.add("normgap-inequality", A_NORMGAP, max(-residual, 0.0), 1e-12, loc)
     via_trace, via_norms = points_mod.rho_k(sp)

@@ -388,3 +388,54 @@ class TestSuiteConfigValidation:
         with pytest.raises(ConstructionError, match="CODAZZI_DEFAULT_TOL_SCALE"):
             SuiteConfig()
         assert SuiteConfig(tol_scale=2.0).tol_scale == 2.0
+
+
+HESSIAN_FILE = os.path.join(REPO, "demos", "structures", "hessian_chart_2d.json")
+
+
+class TestOneToleranceRule:
+    """Every FD check, in the suites and in ``check``, gets its tolerance from one rule."""
+
+    def test_closed_form_curvatures_scale_with_h(self, tmp_path, capsys):
+        # residuals of O(h^2) (r/h^2 ~ 7 and 6) once failed a fixed 1e-5 tolerance here
+        report = tmp_path / "all.json"
+        assert main(["verify", "--suite", "all", "--h", "3e-3", "--report", str(report)]) == 0
+        checks = {c["id"]: c for c in json.loads(report.read_text())["checks"]}
+        for check_id in ("poincare-sectional", "sphere-scalar-curvature"):
+            assert checks[check_id]["tolerance"] == 700.0 * 3e-3 * 3e-3 + 1e-10
+
+    def _check_report(self, monkeypatch, tmp_path, path, tol_scale):
+        monkeypatch.setenv("CODAZZI_DEFAULT_TOL_SCALE", tol_scale)
+        report = tmp_path / f"check-{tol_scale}.json"
+        assert main(["check", "--file", path, "--report", str(report)]) == 0
+        return {c["id"]: c["tolerance"] for c in json.loads(report.read_text())["checks"]}
+
+    def test_check_honours_default_tol_scale(self, monkeypatch, tmp_path, capsys):
+        one = self._check_report(monkeypatch, tmp_path, HESSIAN_FILE, "1.0")
+        scaled = self._check_report(monkeypatch, tmp_path, HESSIAN_FILE, "2.5")
+        for check_id in ("curvature-two-routes", "ricci-decomposition"):
+            # tol = C h^2 tol_scale + 1e-10: the absolute floor does not scale
+            assert scaled[check_id] - 1e-10 == pytest.approx(2.5 * (one[check_id] - 1e-10),
+                                                              rel=1e-12)
+        assert scaled["quarter-inequality"] == one["quarter-inequality"] == 1e-12
+
+    @pytest.mark.parametrize("path", [HESSIAN_FILE, EQUALITY_FILE])
+    def test_check_rejects_bad_default_tol_scale(self, monkeypatch, capsys, path):
+        monkeypatch.setenv("CODAZZI_DEFAULT_TOL_SCALE", "abc")
+        assert main(["check", "--file", path]) == 2
+        assert "CODAZZI_DEFAULT_TOL_SCALE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h", [1e-3, 5e-4])
+    def test_plot_draws_the_simons_series(self, tmp_path, capsys, h):
+        from codazzi import cli
+        from codazzi.suites import laplacian_series
+
+        plot = tmp_path / "plot.svg"
+        assert main(["verify", "--suite", "algebraic", "--seeds", "1", "--sweep-count", "100",
+                     "--h", str(h), "--plot", str(plot)]) == 0
+        steps, series, skips = laplacian_series(2, h)
+        assert skips == {}
+        drawn = tmp_path / "drawn.svg"
+        cli._convergence_plot(str(drawn), steps, {name: series[name]
+                                                  for name in ("ricci-identity", "simons-formula")})
+        assert plot.read_text() == drawn.read_text()

@@ -69,3 +69,52 @@ def test_checker_flags_each_kind_of_use():
         "line 8: uses ._g_norm",
         "line 8: uses ._memo",
     ]
+
+
+def suites_seam_violations(source: str) -> list[str]:
+    """Uses of the tolerance and skip rules outside the collector of ``suites.py``.
+
+    ``fd_tol(...)`` may be called only inside ``_Collector``, and a ``str(...)[...]``
+    truncation of an exception message may appear only in ``_Collector.skip``.
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            where = ".".join(scope) or "module"
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "fd_tol" and scope[:1] != ["_Collector"]):
+                found.append(f"line {child.lineno}: fd_tol in {where}")
+            if (isinstance(child, ast.Subscript) and isinstance(child.value, ast.Call)
+                    and isinstance(child.value.func, ast.Name) and child.value.func.id == "str"
+                    and scope != ["_Collector", "skip"]):
+                found.append(f"line {child.lineno}: str(...)[...] in {where}")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_suites_pair_residuals_with_tolerances_and_skip_reasons_in_one_place():
+    assert suites_seam_violations((PACKAGE / "suites.py").read_text(encoding="utf-8")) == []
+
+
+def test_seam_checker_flags_each_kind_of_copy():
+    source = (
+        "class _Collector:\n"
+        "    def tolerance(self, family):\n"
+        "        return fd_tol(family, self.h)\n"
+        "    def skip(self, exc):\n"
+        "        return str(exc)[:60]\n"
+        "def suite(cfg):\n"
+        "    tol = fd_tol('duality', cfg.h)\n"
+        "    try:\n"
+        "        pass\n"
+        "    except PreconditionError as exc:\n"
+        "        reason = str(exc)[:60]\n"
+    )
+    assert suites_seam_violations(source) == [
+        "line 7: fd_tol in suite",
+        "line 11: str(...)[...] in suite",
+    ]
