@@ -21,6 +21,7 @@ A covariant derivative prepends the derivative slot: (nabla s)[a, ...] =
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -50,9 +51,6 @@ Field = Callable[[np.ndarray], np.ndarray]
 """Maps points x[..., n] to values [..., *shape]."""
 
 CONJUGATE_SYMMETRY_THRESHOLD = 1e-6
-
-# einsum letters for tensor slots (the derivative and index letters a, i, m are kept apart)
-_LETTERS = "bcdefghjkl"
 
 
 @dataclass(frozen=True)
@@ -244,14 +242,17 @@ class ChartStructure:
 
     def k_at(self, x) -> np.ndarray:
         """Difference tensor K^m_ij = g^{ml} A_ijl at x."""
-        return self._memo(
-            "k", x,
-            lambda: np.einsum("...ml,...ijl->...mij", self.metric_inverse_at(x), self.cubic_at(x)),
-        )
+
+        def compute():
+            a = self.cubic_at(x)
+            flat = a.reshape(a.shape[:-3] + (self.n * self.n, self.n)).swapaxes(-1, -2)
+            return (self.metric_inverse_at(x) @ flat).reshape(a.shape)
+
+        return self._memo("k", x, compute)
 
     def tau_at(self, x) -> np.ndarray:
         """Trace form tau_i = K^m_im at x."""
-        return self._memo("tau", x, lambda: np.einsum("...mim->...i", self.k_at(x)))
+        return self._memo("tau", x, lambda: np.trace(self.k_at(x), axis1=-3, axis2=-1))
 
     def point(self, x) -> StatPoint:
         """The pointwise structure at a single point x[n], built once per point (it is immutable)."""
@@ -330,12 +331,15 @@ def christoffel_array(cs: ChartStructure, x) -> np.ndarray:
 
     def compute():
         _, dg = _central(cs.metric_at, x, cs.h)
-        ginv = cs.metric_inverse_at(x)
-        first = 0.5 * (
-            np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
-        )
+        lead, n = dg.ndim - 3, dg.shape[-1]
+        batch_axes = tuple(range(lead))
         # first[l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2
-        gamma = np.einsum("...kl,...lij->...kij", ginv, first)
+        first = 0.5 * (
+            dg.transpose(batch_axes + (lead + 2, lead, lead + 1))
+            + dg.transpose(batch_axes + (lead + 2, lead + 1, lead)) - dg
+        )
+        flat = first.reshape(first.shape[:lead] + (n, n * n))
+        gamma = (cs.metric_inverse_at(x) @ flat).reshape(first.shape)
         return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
 
     return cs._memo("gamma", x, compute)
@@ -361,13 +365,32 @@ def nabla_at(cs: ChartStructure, field: Field, x, gamma=None) -> np.ndarray:
     s0, out = _central(field, x, cs.h)
     if gamma is None:
         gamma = christoffel_array(cs, x)
-    slots = _LETTERS[: s0.ndim - (x.ndim - 1)]
-    for letter in slots:
-        # out[a, ..., i, ...] -= Gamma^m_ai s[..., m, ...] with i and m in this slot
-        s_sub = slots.replace(letter, "m")
-        out_sub = "a" + slots.replace(letter, "i")
-        out = out - np.einsum(f"...mai,...{s_sub}->...{out_sub}", gamma, s0)
+    lead, n = x.ndim - 1, x.shape[-1]
+    # gamma_t[..., (a, i), m] = Gamma^m_ai
+    gamma_t = gamma.reshape(gamma.shape[:-3] + (n, n * n)).swapaxes(-1, -2)
+    for to_front, back in _slot_orders(lead, s0.ndim - lead):
+        # out[a, ..., i, ...] -= Gamma^m_ai s[..., m, ...] with i and m in this slot; out is
+        # _central's own array, so subtracting in place keeps one output-sized buffer alive
+        s = s0.transpose(to_front).reshape(s0.shape[:lead] + (n, -1))
+        out -= (gamma_t @ s).reshape(out.shape).transpose(back)
     return out
+
+
+@functools.cache
+def _slot_orders(lead: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per slot j of a degree-k tensor after lead batch axes: (to_front, back) axis orders.
+
+    to_front moves slot j ahead of the other slots; back takes an array laid out as
+    [..., a, slots in that order] to [..., a, slots].
+    """
+    batch_axes = tuple(range(lead))
+    orders = []
+    for j in range(k):
+        slots = [j] + [p for p in range(k) if p != j]
+        to_front = batch_axes + tuple(lead + p for p in slots)
+        back = batch_axes + (lead,) + tuple(lead + 1 + slots.index(p) for p in range(k))
+        orders.append((to_front, back))
+    return tuple(orders)
 
 
 def nabla2_at(cs: ChartStructure, field: Field, x) -> np.ndarray:
@@ -375,11 +398,16 @@ def nabla2_at(cs: ChartStructure, field: Field, x) -> np.ndarray:
 
 
 def _trace_pair(ginv: np.ndarray, arr: np.ndarray, a: int, b: int):
-    """Contract slots a and b of arr (counted after the batch axes of ginv) against ginv."""
-    lead = ginv.ndim - 2
-    arr = np.moveaxis(arr, (lead + a, lead + b), (-2, -1))
-    ginv = ginv.reshape(ginv.shape[:lead] + (1,) * (arr.ndim - lead - 2) + ginv.shape[lead:])
-    out = np.sum(arr * ginv, axis=(-2, -1))
+    """Contract slots a and b of arr (counted after the batch axes of ginv) against ginv.
+
+    One [..., 1, n*n] @ [..., n*n, rest] product with slots a and b moved in front.
+    """
+    lead, n = ginv.ndim - 2, ginv.shape[-1]
+    rest = tuple(p for p in range(lead, arr.ndim) if p not in (lead + a, lead + b))
+    arr = arr.transpose(tuple(range(lead)) + (lead + a, lead + b) + rest)
+    flat = arr.reshape(arr.shape[:lead] + (n * n, -1))
+    out = ginv.reshape(ginv.shape[:lead] + (1, n * n)) @ flat
+    out = out.reshape(arr.shape[:lead] + arr.shape[lead + 2:])
     return float(out) if out.ndim == 0 else out
 
 
@@ -410,10 +438,10 @@ def scalar_laplacian_at(cs: ChartStructure, f: Field, x):
     for p, (a, b) in enumerate(pairs):
         fpp, fpm, fmp, fmm = values[2 * n + 1 + 4 * p : 2 * n + 5 + 4 * p]
         hess[..., a, b] = hess[..., b, a] = (fpp - fpm - fmp + fmm) / (4 * h * h)
-    gamma = christoffel_array(cs, x)
-    ginv = cs.metric_inverse_at(x)
-    out = np.einsum("...ab,...ab->...", ginv, hess - np.einsum("...cab,...c->...ab", gamma, grad))
-    return float(out) if out.ndim == 0 else out
+    # hess_ab - Gamma^c_ab d_c f, traced against g^ab
+    gamma = christoffel_array(cs, x).reshape(x.shape[:-1] + (n, n * n))
+    connection = (grad[..., None, :] @ gamma).reshape(hess.shape)
+    return _trace_pair(cs.metric_inverse_at(x), hess - connection, 0, 1)
 
 
 def codifferential_at(cs: ChartStructure, field: Field, x):
@@ -445,12 +473,24 @@ def exterior_derivative_1form_at(cs: ChartStructure, taufield: Field, x) -> np.n
 def _curvature_from_gamma(cs: ChartStructure, coefficients: Field, x) -> np.ndarray:
     """up[..., m, i, j, k] from a coefficient field: dGamma terms plus quadratic terms."""
     gamma0, dgamma = _central(coefficients, x, cs.h)  # dgamma[..., a, m, i, j] = d_a Gamma^m_ij
+    lead, n = gamma0.ndim - 3, gamma0.shape[-1]
+    batch = gamma0.shape[:lead]
+    # quad[m, i, j, k] = Gamma^m_ip Gamma^p_jk; its i <-> j swap is the other quadratic term
+    quad = gamma0.reshape(batch + (n * n, n)) @ gamma0.reshape(batch + (n, n * n))
+    quad = quad.reshape(dgamma.shape)
     return (
-        np.einsum("...imjk->...mijk", dgamma)
-        - np.einsum("...jmik->...mijk", dgamma)
-        + np.einsum("...mip,...pjk->...mijk", gamma0, gamma0)
-        - np.einsum("...mjp,...pik->...mijk", gamma0, gamma0)
+        np.swapaxes(dgamma, -4, -3)
+        - dgamma.transpose(tuple(range(lead)) + (lead + 1, lead + 2, lead, lead + 3))
+        + quad
+        - np.swapaxes(quad, -3, -2)
     )
+
+
+def _lower_first(g: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """low[..., i, j, k, l] = g_lm up[..., m, i, j, k]: the first slot lowered and moved last."""
+    n = g.shape[-1]
+    flat = up.reshape(up.shape[:-4] + (n, n ** 3)).swapaxes(-1, -2)
+    return (flat @ np.swapaxes(g, -1, -2)).reshape(up.shape)
 
 
 def curvature_hat_arrays(cs: ChartStructure, x) -> tuple[np.ndarray, np.ndarray]:
@@ -459,7 +499,7 @@ def curvature_hat_arrays(cs: ChartStructure, x) -> tuple[np.ndarray, np.ndarray]
 
     def compute():
         up = _curvature_from_gamma(cs, lambda y: christoffel_array(cs, y), x)
-        low = np.einsum("...lm,...mijk->...ijkl", cs.metric_at(x), up)
+        low = _lower_first(cs.metric_at(x), up)
         return up, low
 
     return cs._memo("rhat", x, compute)
@@ -571,8 +611,8 @@ def statistical_connections(cs: ChartStructure, x) -> StatConnections:
         _, r_hat = curvature_hat_arrays(cs, x)
         up = _curvature_from_gamma(cs, lambda y: _dual_gamma(cs, y, 1.0), x)
         up_bar = _curvature_from_gamma(cs, lambda y: _dual_gamma(cs, y, -1.0), x)
-        r_nabla = np.einsum("lm,mijk->ijkl", g, up)
-        r_bar = np.einsum("lm,mijk->ijkl", g, up_bar)
+        r_nabla = _lower_first(g, up)
+        r_bar = _lower_first(g, up_bar)
         bracket = bracket_kk(cs.point(x)).array
         na = nabla_cubic_at(cs, x)
         # curvature through the decomposition, Levi-Civita + dK terms + commutator

@@ -612,9 +612,10 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
             col.fd(f"conjugate-symmetry-equivalence-{tag}", A_CONJ_SYM, residual,
                    "curvature-two-routes", f"G5-conformal/x=({x[0]:.3f},{x[1]:.3f})", 10.0)
         else:
+            # the defects stay large together: threshold - min(defects) <= 0
             threshold = col.tolerance("curvature-two-routes", 10.0)
             col.add(f"conjugate-symmetry-equivalence-{tag}", A_CONJ_SYM,
-                    threshold - min(defects.values()), threshold,
+                    threshold - min(defects.values()), 0.0,
                     f"G4-random/x=({x[0]:.3f},{x[1]:.3f})")
     return col.checks, {}
 
@@ -808,16 +809,24 @@ def bounds_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     conf = generate(GeneratorSpec("G5-periodic-trig", seed=2,
                                   params={"variant": "conformal", "h": h, "amp": 0.35}))
     worst_gap = 0.0
-    for x in sample_points(conf, 6, seed=5):
-        lo_gap, hi_gap = bounds_mod.simons_sandwich_check(conf, x)
-        worst_gap = max(worst_gap, abs(lo_gap), abs(hi_gap))
-    col.fd("sandwich-equality-n2", A_SANDWICH, worst_gap, "sandwich", "G5-conformal/6pts")
+    try:
+        for x in sample_points(conf, 6, seed=5):
+            lo_gap, hi_gap = bounds_mod.simons_sandwich_check(conf, x)
+            worst_gap = max(worst_gap, abs(lo_gap), abs(hi_gap))
+    except PreconditionError as exc:
+        col.skip("sandwich-equality-n2", A_SANDWICH, exc, "G5-conformal/6pts")
+    else:
+        col.fd("sandwich-equality-n2", A_SANDWICH, worst_gap, "sandwich", "G5-conformal/6pts")
 
     g3 = generate(GeneratorSpec("G3-2d-constant-curvature", seed=0,
                                 params={"chart": True, "h": h}))
-    lo_gap, hi_gap = bounds_mod.simons_sandwich_check(g3, np.array([1.0, 1.0]), h_curv=-2.0)
-    col.fd("sandwich-constant-fields", A_SANDWICH, abs(lo_gap) + abs(hi_gap), "sandwich",
-           "G3-chart")
+    try:
+        lo_gap, hi_gap = bounds_mod.simons_sandwich_check(g3, np.array([1.0, 1.0]), h_curv=-2.0)
+    except PreconditionError as exc:
+        col.skip("sandwich-constant-fields", A_SANDWICH, exc, "G3-chart")
+    else:
+        col.fd("sandwich-constant-fields", A_SANDWICH, abs(lo_gap) + abs(hi_gap), "sandwich",
+               "G3-chart")
 
     # scalar-curvature relation for dual-flat curvature split at a point
     sp3 = hyperbolic_point(1.0, 0.0)
@@ -880,11 +889,8 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
                 worst = max(worst, residuals[0])
                 worst_slot = max(worst_slot, max(residuals) - min(residuals))
             s_raw = rng.uniform(-1.0, 1.0, (n,) * k)
-            worst_slot = max(
-                worst_slot,
-                max(spheres_mod.fiber_identity_residual(s_raw, i0, quad) for i0 in range(k))
-                - min(spheres_mod.fiber_identity_residual(s_raw, i0, quad) for i0 in range(k)),
-            )
+            residuals = [spheres_mod.fiber_identity_residual(s_raw, i0, quad) for i0 in range(k)]
+            worst_slot = max(worst_slot, max(residuals) - min(residuals))
     col.add("fiber-identity", A_FIBER, worst, 1e-9, "n=2,3/k=2,3,4")
     col.add("fiber-identity-slot-covariance", A_FIBER, worst_slot, 1e-9, "n=2,3/k=2,3,4")
 

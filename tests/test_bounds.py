@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from codazzi import PreconditionError
+from codazzi import PreconditionError, bounds, charts
 from codazzi.bounds import (
     calabi_sup_bound,
     conditional_inf_u_lower_bound,
@@ -16,6 +16,7 @@ from codazzi.bounds import (
 )
 from codazzi.charts import ChartStructure, constant_field, squared_norm_field
 from codazzi.generators import GeneratorSpec, generate
+from codazzi.suites import run_suite
 
 
 class TestCalabiBound:
@@ -198,6 +199,32 @@ class TestSandwich:
         cs = generate(GeneratorSpec("G4-random-smooth", seed=0))
         with pytest.raises(PreconditionError, match="trace-free"):
             simons_sandwich_check(cs, np.array([1.0, 1.0]))
+
+
+class TestSandwichInBoundsSuite:
+    """A failed sandwich precondition is a labelled skip; the rest of the report comes back."""
+
+    def test_planted_curvature_defect(self, monkeypatch):
+        original = charts._curvature_from_gamma
+        monkeypatch.setattr(charts, "_curvature_from_gamma",
+                            lambda *args: original(*args) * (1.0 + 1e-3))
+        verdicts = {c.id: (c.verdict, c.location) for c in run_suite("bounds").checks}
+        assert verdicts["sandwich-equality-n2"][0] == "fail"
+        verdict, location = verdicts["sandwich-constant-fields"]
+        assert verdict == "precondition-skipped"
+        assert location.startswith("G3-chart [curvature is not H R0 at x")
+        assert verdicts["max-probe-structure"][0] == "pass"
+
+    def test_both_sites_skip(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise PreconditionError("planted")
+
+        monkeypatch.setattr(bounds, "simons_sandwich_check", fails)
+        checks = {c.id: c for c in run_suite("bounds").checks}
+        for check_id, where in (("sandwich-equality-n2", "G5-conformal/6pts"),
+                                ("sandwich-constant-fields", "G3-chart")):
+            assert checks[check_id].verdict == "precondition-skipped"
+            assert checks[check_id].location == f"{where} [planted]"
 
 
 class TestScalarCorollaries:

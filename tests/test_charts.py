@@ -28,8 +28,9 @@ from codazzi.charts import (
 )
 from codazzi.generators import GeneratorSpec, generate, sample_points
 from codazzi.points import sectional_k
-from codazzi.tensors import contract
+from codazzi.tensors import contract, symmetrize
 from codazzi.spheres import ros_residual, unit_bundle_functional
+from codazzi.suites import run_suite
 
 
 def flat_chart(h=1e-3, periodic=False):
@@ -308,6 +309,19 @@ class TestStatisticalConnections:
                 assert min(d1, d3) > 1e-3 and d2 > 1e-3
 
 
+    def test_equivalence_check_fails_when_a_defect_is_small(self, monkeypatch):
+        original = charts.conjugate_symmetry_criteria
+        check_id = "conjugate-symmetry-equivalence-random"
+        at_default = {c.id: c for c in run_suite("differential").checks}[check_id]
+        assert (at_default.verdict, at_default.tolerance) == ("pass", 0.0)
+        assert at_default.residual < 0.0
+        monkeypatch.setattr(charts, "conjugate_symmetry_criteria",
+                            lambda cs, x: {k: 1e-3 * v for k, v in original(cs, x).items()})
+        planted = {c.id: c for c in run_suite("differential").checks}
+        assert planted[check_id].verdict == "fail"
+        assert planted["conjugate-symmetry-equivalence-conformal"].verdict == "pass"
+
+
 class TestOneProducer:
     """statistical_connections forms the dual curvatures once per point; the rest read it."""
 
@@ -487,3 +501,136 @@ class TestBatchedCore:
         assert tg == pytest.approx(29.134033731811556, rel=1e-12)
         assert tc == pytest.approx(-29.197517477655243, rel=1e-12)
         assert total == pytest.approx(-0.06348374584368699, rel=1e-12)
+
+
+class TestSlotContractions:
+    """The matmul slot contractions equal the einsum formulas they replaced (1e-13 relative)."""
+
+    SLOT_LETTERS = "bcdefghjkl"
+
+    @staticmethod
+    def _chart(n):
+        rng = np.random.default_rng(40 + n)
+        w, v, u = rng.uniform(-1.5, 1.5, (3, n))
+        s = rng.uniform(-1.0, 1.0, (n, n)) / n
+        s = 0.3 * (s + s.T) / 2
+        t0, t1 = (symmetrize(rng.uniform(-1.0, 1.0, (n,) * 3)) for _ in range(2))
+        return ChartStructure(
+            n, [[-1.0, 1.0]] * n,
+            lambda x: (2.0 + np.sin(x @ w))[..., None, None] * np.eye(n)
+            + np.cos(x @ v)[..., None, None] * s,
+            lambda x: np.sin(x @ u)[..., None, None, None] * t0 + t1, h=1e-3,
+        )
+
+    @staticmethod
+    def _field(n, degree):
+        rng = np.random.default_rng(10 * n + degree)
+        w = rng.uniform(-1.5, 1.5, n)
+        t0, t1 = rng.uniform(-1.0, 1.0, (2,) + (n,) * degree)
+        tail = (None,) * degree
+        return lambda x: (np.cos(x @ w)[(...,) + tail] * t0
+                          + np.sin(x[..., 0])[(...,) + tail] * t1)
+
+    @staticmethod
+    def _points(n, batch):
+        rng = np.random.default_rng(7 + len(batch))
+        return rng.uniform(-0.5, 0.5, batch + (n,))
+
+    @staticmethod
+    def _close(new, old):
+        assert np.shape(new) == np.shape(old)
+        assert np.max(np.abs(np.subtract(new, old))) <= 1e-13 * np.max(np.abs(old))
+
+    def _nabla_einsum(self, cs, field, x):
+        s0, out = charts._central(field, x, cs.h)
+        gamma = christoffel_array(cs, x)
+        slots = self.SLOT_LETTERS[: s0.ndim - (x.ndim - 1)]
+        for letter in slots:
+            spec = f"...mai,...{slots.replace(letter, 'm')}->...a{slots.replace(letter, 'i')}"
+            out = out - np.einsum(spec, gamma, s0)
+        return out
+
+    @staticmethod
+    def _christoffel_einsum(cs, x):
+        _, dg = charts._central(cs.metric_at, x, cs.h)
+        first = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
+        gamma = np.einsum("...kl,...lij->...kij", cs.metric_inverse_at(x), first)
+        return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
+
+    @staticmethod
+    def _curvature_einsum(cs, x):
+        gamma0, dgamma = charts._central(lambda y: christoffel_array(cs, y), x, cs.h)
+        up = (np.einsum("...imjk->...mijk", dgamma) - np.einsum("...jmik->...mijk", dgamma)
+              + np.einsum("...mip,...pjk->...mijk", gamma0, gamma0)
+              - np.einsum("...mjp,...pik->...mijk", gamma0, gamma0))
+        return up, np.einsum("...lm,...mijk->...ijkl", cs.metric_at(x), up)
+
+    @staticmethod
+    def _scalar_laplacian_einsum(cs, f, x):
+        n, h = cs.n, cs.h
+        steps = h * np.eye(n)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        corners = [sa * steps[a] + sb * steps[b] for a, b in pairs
+                   for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+        offsets = np.concatenate([np.zeros((1, n)), steps, -steps, np.reshape(corners, (-1, n))])
+        values = np.moveaxis(f(x[..., None, :] + offsets), -1, 0)
+        f0, fp, fm = values[0], values[1: n + 1], values[n + 1: 2 * n + 1]
+        grad = np.moveaxis((fp - fm) / (2 * h), 0, -1)
+        hess = np.empty(x.shape[:-1] + (n, n))
+        for a in range(n):
+            hess[..., a, a] = (fp[a] - 2.0 * f0 + fm[a]) / (h * h)
+        for p, (a, b) in enumerate(pairs):
+            fpp, fpm, fmp, fmm = values[2 * n + 1 + 4 * p: 2 * n + 5 + 4 * p]
+            hess[..., a, b] = hess[..., b, a] = (fpp - fpm - fmp + fmm) / (4 * h * h)
+        gamma = christoffel_array(cs, x)
+        return np.einsum("...ab,...ab->...", cs.metric_inverse_at(x),
+                         hess - np.einsum("...cab,...c->...ab", gamma, grad))
+
+    @staticmethod
+    def _trace_pair_sum(ginv, arr, a, b):
+        lead = ginv.ndim - 2
+        arr = np.moveaxis(arr, (lead + a, lead + b), (-2, -1))
+        ginv = ginv.reshape(ginv.shape[:lead] + (1,) * (arr.ndim - lead - 2) + ginv.shape[lead:])
+        return np.sum(arr * ginv, axis=(-2, -1))
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kernels_match_einsum_formulas(self, n, batch):
+        cs = self._chart(n)
+        x = self._points(n, batch)
+        ginv = cs.metric_inverse_at(x)
+        self._close(christoffel_array(cs, x), self._christoffel_einsum(cs, x))
+        self._close(cs.k_at(x), np.einsum("...ml,...ijl->...mij", ginv, cs.cubic_at(x)))
+        self._close(cs.tau_at(x), np.einsum("...mim->...i", cs.k_at(x)))
+        up, low = curvature_hat_arrays(cs, x)
+        up_old, low_old = self._curvature_einsum(cs, x)
+        self._close(up, up_old)
+        self._close(low, low_old)
+        for degree in range(4):
+            field = self._field(n, degree)
+            self._close(nabla_at(cs, field, x), self._nabla_einsum(cs, field, x))
+        f = self._field(n, 0)
+        self._close(scalar_laplacian_at(cs, f, x), self._scalar_laplacian_einsum(cs, f, x))
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_trace_pair_matches_sum(self, n, batch):
+        cs = self._chart(n)
+        ginv = cs.metric_inverse_at(self._points(n, batch))
+        rng = np.random.default_rng(n)
+        for degree in (2, 3, 4):
+            arr = rng.uniform(-1.0, 1.0, batch + (n,) * degree)
+            for a in range(degree):
+                for b in range(degree):
+                    if a != b:
+                        self._close(charts._trace_pair(ginv, arr, a, b),
+                                    self._trace_pair_sum(ginv, arr, a, b))
+
+    def test_dual_curvatures_lower_the_first_slot(self):
+        cs = self._chart(3)
+        x = self._points(3, ())
+        conn = statistical_connections(cs, x)
+        g = cs.metric_at(x)
+        for sign, low in ((1.0, conn.r_nabla), (-1.0, conn.r_bar)):
+            up = charts._curvature_from_gamma(cs, lambda y: charts._dual_gamma(cs, y, sign), x)
+            self._close(low, np.einsum("lm,mijk->ijkl", g, up))

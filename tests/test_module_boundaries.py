@@ -118,3 +118,41 @@ def test_seam_checker_flags_each_kind_of_copy():
         "line 7: fd_tol in suite",
         "line 11: str(...)[...] in suite",
     ]
+
+
+def batched_einsum_calls(source: str) -> list[str]:
+    """``np.einsum`` calls whose spec has batch axes (``...``) or is built at run time.
+
+    A batched contraction of short tensor slots belongs in a matmul on a reshape;
+    numpy's einsum runs it with inner loops of the slot length.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "einsum" and node.args):
+            continue
+        spec = node.args[0]
+        if not (isinstance(spec, ast.Constant) and isinstance(spec.value, str)):
+            found.append((node.lineno, "computed spec"))
+        elif "..." in spec.value:
+            found.append((node.lineno, spec.value))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_charts_contracts_batched_slots_without_einsum():
+    assert batched_einsum_calls((PACKAGE / "charts.py").read_text(encoding="utf-8")) == []
+
+
+def test_einsum_checker_flags_each_kind_of_batched_call():
+    source = (
+        "import numpy as np\n"
+        "def f(ginv, a, spec):\n"
+        "    k = np.einsum('...ml,...ijl->...mij', ginv, a)\n"
+        "    t = np.einsum(f'...m{spec}->...', k)\n"
+        "    return np.einsum('iijk->jk', a), np.einsum(spec, a)\n"
+    )
+    assert batched_einsum_calls(source) == [
+        "line 3: ...ml,...ijl->...mij",
+        "line 4: computed spec",
+        "line 5: computed spec",
+    ]

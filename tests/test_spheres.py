@@ -59,6 +59,12 @@ class TestQuadrature:
         assert se > 0
         assert abs(est - 4 * math.pi / 3) < 4 * se
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_monte_carlo_nodes_equal_norm_normalisation(self, n):
+        v = np.random.default_rng(5).standard_normal((20000, n))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.array_equal(monte_carlo(n, 20000, seed=5).nodes, v)
+
     def test_cross_validation_gauss_vs_mc(self):
         f_scalar = lambda v: v[:, 0] ** 2 * v[:, 1] ** 2
         exact = integrate_sphere(product_gauss(3), f_scalar)
@@ -268,3 +274,17 @@ def test_integral_suite_fiber_order_reaches_bundle_integrals(monkeypatch):
     run_suite("integral", SuiteConfig(fiber_order=2))
     assert len(quads) == 8
     assert all(q is not None and q.node_count == 4 for q in quads)
+
+
+def test_integral_suite_evaluates_each_fiber_identity_once(monkeypatch):
+    # 2 dimensions x (2 + 3 + 4 slots) x (3 symmetric tensors + 1 unsymmetrized one)
+    calls = []
+    original = spheres.fiber_identity_residual
+
+    def spy(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(spheres, "fiber_identity_residual", spy)
+    run_suite("integral", SuiteConfig())
+    assert len(calls) == 72
