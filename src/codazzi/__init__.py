@@ -23,7 +23,6 @@ from .tensors import (
     ricci_from_curvature,
     scalar_from_ricci,
     symmetrize,
-    trace_g,
 )
 from .points import (
     EqualityCertificate,
@@ -34,6 +33,7 @@ from .points import (
     check_ineq_n2over3,
     check_ineq_quarter,
     constant_curvature_residual,
+    fit_constant_curvature,
     lagrangian_gauss_residual,
     lpq,
     random_stat_point,

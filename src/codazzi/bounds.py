@@ -25,7 +25,7 @@ from .charts import (
     statistical_connections,
 )
 from .errors import PreconditionError
-from .points import best_fit_curvature_coefficient, constant_curvature_residual
+from .points import fit_constant_curvature
 from .tensors import CurvTensor, contract
 
 
@@ -228,11 +228,7 @@ def simons_sandwich_check(cs: ChartStructure, x, h_curv: float | None = None) ->
         raise PreconditionError(f"structure is not trace-free at x (|E| = {sp.g.norm(sp.E):g})")
     conn = statistical_connections(cs, x)
     r = CurvTensor(0.5 * (conn.r_nabla - np.swapaxes(conn.r_nabla, 0, 1)))
-    if h_curv is None:
-        h_curv = best_fit_curvature_coefficient(sp.g, r)
-    fit = constant_curvature_residual(r, sp.g, h_curv)
-    if fit > SANDWICH_FIT_TOL * (1.0 + abs(h_curv)):
-        raise PreconditionError(f"curvature is not H R0 at x (fit residual {fit:g})")
+    h_curv = fit_constant_curvature(sp.g, r, SANDWICH_FIT_TOL, h_curv)
 
     u_field = squared_norm_field(cs, cs.a_field)
     u = float(u_field(x))

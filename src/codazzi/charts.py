@@ -31,18 +31,12 @@ import numpy as np
 
 from .errors import ConstructionError, NotPositiveDefiniteError, PreconditionError
 from .expressions import Const, mul, parse_expression, partial
-from .points import (
-    StatPoint,
-    best_fit_curvature_coefficient,
-    bracket_kk,
-    constant_curvature_residual,
-)
+from .points import StatPoint, bracket_kk, fit_constant_curvature
 from .tensors import (
     CubicForm,
     CurvTensor,
     MetricPoint,
     contract,
-    inner,
     sectional,
     symmetrize,
 )
@@ -450,16 +444,6 @@ def codifferential_at(cs: ChartStructure, field: Field, x):
     return _trace_pair(cs.metric_inverse_at(x), ns, 0, 1)
 
 
-def divergence_at(cs: ChartStructure, field: Field, x, slot: int = -1):
-    """Divergence of a covariant field: derivative slot traced against one
-    argument slot (default the last, matching the divergence of a lowered
-    endomorphism-valued tensor)."""
-    ns = nabla_at(cs, field, x)
-    if slot < 0:
-        slot = ns.ndim + slot
-    return _trace_pair(cs.metric_inverse_at(x), ns, 0, slot)
-
-
 def exterior_derivative_1form_at(cs: ChartStructure, taufield: Field, x) -> np.ndarray:
     """d tau as a 2-form; equals the antisymmetrized covariant derivative."""
     nt = nabla_at(cs, taufield, x)
@@ -693,11 +677,11 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
     ric, ric_bar = conn.ric, conn.ric_bar
     ric_hat_arr = ric_hat(cs, x)
     na = nabla_cubic_at(cs, x)
-    div_k = _trace_pair(ginv, na, 0, 3)  # = divergence_at(cs, a_field, x), reusing nabla A
+    div_k = _trace_pair(ginv, na, 0, 3)
     nabla_tau = nabla_at(cs, cs.tau_at, x)
-    ric_k_arr = sp.tau_circ_k() - sp.gram_k()
     tau_circ = sp.tau_circ_k()
     gram = sp.gram_k()
+    ric_k_arr = tau_circ - gram
 
     rho = float(np.einsum("jk,jk->", ginv, ric))
     rho_hat_val = rho_hat(cs, x)
@@ -724,8 +708,7 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
     comparison = 2.0 * ric_hat_arr - ric - ric_bar
     if sp.trace_free:
         out["ricci-comparison-min-eig"] = _g_frame_min_eig(ginv, comparison)
-    tau = cs.tau_at(x)
-    chain = comparison + 0.5 * float(tau @ ginv @ tau) * cs.metric_at(x)
+    chain = comparison + 0.5 * tau_sq * cs.metric_at(x)
     out["ricci-comparison-chain-min-eig"] = _g_frame_min_eig(ginv, chain)
     if _g_norm(ginv, conn.r_nabla) < 1e-4:
         out["hessian-ricci"] = _g_norm(ginv, ric_hat_arr - (gram - tau_circ))
@@ -860,25 +843,22 @@ def sym2_simons_residual(cs: ChartStructure, betafield: Field, x) -> tuple[float
     return residual, eigen_term
 
 
-def _cubic_laplace_terms(cs: ChartStructure, x, ginv) -> tuple[float, float, float]:
-    """(1/2 Lap ||A||^2, ||nabla_hat A||^2, g(nabla_hat^2 tau, A)) at x for the cubic formulas.
-
-    The last pairs nabla^2 tau (derivative, derivative, argument) with A on all three slots.
-    """
-    lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, cs.a_field), x)
-    grad_sq = _g_norm(ginv, nabla_cubic_at(cs, x)) ** 2
-    tau_pair = contract(ginv, cs.cubic_at(x), nabla2_at(cs, lambda y: cs.tau_at(y), x))
-    return lhs, grad_sq, tau_pair
+# relative g-norm of R - H R0 up to which a cubic specialization applies: [K,K] is
+# algebra on A at x (round-off only), R_hat carries the FD error of the curvature
+BRACKET_FIT_TOL = 1e-6
+SPLIT_FIT_TOL = 1e-4
 
 
 def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
     """Laplacian formulas for the cubic form of a conjugate symmetric structure.
 
     Residual keys: laplace-cubic-bracket (commutator form), laplace-cubic-curvdiff
-    (curvature-difference form), laplace-cubic-ricci (Ricci-pairing form), and
-    laplace-cubic-tracefree when the trace vector vanishes at x.  Raises
-    PreconditionError with the asymmetry norm when the structure is not
-    conjugate symmetric at x.
+    (curvature-difference form), laplace-cubic-ricci (Ricci-pairing form),
+    laplace-cubic-tracefree when the trace vector vanishes at x,
+    laplace-cubic-constant-sectional when [K,K] = kappa R0 and
+    laplace-cubic-dualflat when R_hat - [K,K] = c R0 at x, with kappa and c
+    fit by fit_constant_curvature.  Raises PreconditionError with the
+    asymmetry norm when the structure is not conjugate symmetric at x.
     """
     x = cs.require_interior(np.asarray(x, dtype=float))
     defect = conjugate_symmetry_defect(cs, x)
@@ -888,17 +868,22 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
         )
     ginv = cs.metric_inverse_at(x)
     sp = cs.point(x)
-    lhs, grad_sq, tau_pair = _cubic_laplace_terms(cs, x, ginv)
+    lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, cs.a_field), x)
+    grad_sq = _g_norm(ginv, nabla_cubic_at(cs, x)) ** 2
+    # nabla^2 tau (derivative, derivative, argument) paired with A on all three slots
+    tau_pair = contract(ginv, cs.cubic_at(x), nabla2_at(cs, lambda y: cs.tau_at(y), x))
 
-    bracket = bracket_kk(sp).array
+    bracket = bracket_kk(sp)
     conn = statistical_connections(cs, x)
     r_hat_low, r_low, ric = conn.r_hat, conn.r_nabla, conn.ric
     ric_hat_arr = ric_hat(cs, x)
+    rho_hat_val = rho_hat(cs, x)
     gram = sp.gram_k()
     tau_circ = sp.tau_circ_k()
 
-    bracket_term = contract(ginv, bracket, r_hat_low)
+    bracket_term = contract(ginv, bracket.array, r_hat_low)
     ric_gram = contract(ginv, ric_hat_arr, gram)
+    rhat_sq = contract(ginv, r_hat_low, r_hat_low)
 
     out = {
         "laplace-cubic-bracket": abs(lhs - (grad_sq + tau_pair - bracket_term + ric_gram)),
@@ -910,7 +895,7 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
             - (
                 grad_sq
                 + tau_pair
-                + contract(ginv, r_hat_low, r_hat_low)
+                + rhat_sq
                 + contract(ginv, ric_hat_arr, ric_hat_arr)
                 - contract(ginv, r_low, r_hat_low)
                 - contract(ginv, ric, ric_hat_arr)
@@ -923,61 +908,32 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
             lhs
             - (
                 grad_sq
-                + contract(ginv, r_hat_low, r_hat_low)
+                + rhat_sq
                 + contract(ginv, ric_hat_arr, ric_hat_arr)
                 - contract(ginv, r_low, r_hat_low)
                 - contract(ginv, ric, ric_hat_arr)
             )
         )
+
+    def fitted(rt: CurvTensor, rel_tol: float) -> float | None:
+        try:
+            return fit_constant_curvature(sp.g, rt, rel_tol)
+        except PreconditionError:
+            return None
+
+    kappa = fitted(bracket, BRACKET_FIT_TOL)
+    if kappa is not None:
+        out["laplace-cubic-constant-sectional"] = abs(
+            lhs - (grad_sq + tau_pair - 2.0 * kappa * rho_hat_val + ric_gram)
+        )
+    split = r_hat_low - bracket.array
+    c = fitted(CurvTensor(0.5 * (split - np.swapaxes(split, 0, 1))), SPLIT_FIT_TOL)
+    if c is not None:
+        # the 1/2 on the Laplacian of ||A||^2 is inherited from the commutator form
+        out["laplace-cubic-dualflat"] = abs(
+            lhs - (grad_sq + tau_pair - rhat_sq + 2.0 * c * rho_hat_val + ric_gram)
+        )
     return out
-
-
-def cubic_laplace_constant_sectional_residual(cs: ChartStructure, x, kappa=None) -> float:
-    """Specialized cubic Laplacian formula when the commutator curvature is kappa R0.
-
-    kappa defaults to the least-squares fit; a poor fit raises PreconditionError.
-    """
-    x = cs.require_interior(np.asarray(x, dtype=float))
-    ginv = cs.metric_inverse_at(x)
-    sp = cs.point(x)
-    bracket = bracket_kk(sp)
-    if kappa is None:
-        kappa = best_fit_curvature_coefficient(sp.g, bracket)
-    fit = constant_curvature_residual(bracket, sp.g, kappa)
-    if fit > 1e-6 * (1.0 + np.sqrt(abs(inner(sp.g, bracket, bracket)))):
-        raise PreconditionError(f"commutator curvature is not proportional to R0 (residual {fit:g})")
-
-    lhs, grad_sq, tau_pair = _cubic_laplace_terms(cs, x, ginv)
-    ric_hat_arr = ric_hat(cs, x)
-    rho_hat_val = rho_hat(cs, x)
-    ric_gram = contract(ginv, ric_hat_arr, sp.gram_k())
-    return abs(lhs - (grad_sq + tau_pair - 2.0 * kappa * rho_hat_val + ric_gram))
-
-
-def cubic_laplace_lagrangian_residual(cs: ChartStructure, x, c=None) -> float:
-    """Specialized cubic Laplacian formula when c R0 = R_hat - [K,K] holds at x.
-
-    Note the 1/2 on the Laplacian of ||A||^2: the specialization inherits it
-    from the commutator form of the identity.
-    """
-    x = cs.require_interior(np.asarray(x, dtype=float))
-    ginv = cs.metric_inverse_at(x)
-    sp = cs.point(x)
-    bracket = bracket_kk(sp).array
-    _, r_hat_low = curvature_hat_arrays(cs, x)
-    diff = CurvTensor(0.5 * ((r_hat_low - bracket) - np.swapaxes(r_hat_low - bracket, 0, 1)))
-    if c is None:
-        c = best_fit_curvature_coefficient(sp.g, diff)
-    fit = constant_curvature_residual(diff, sp.g, c)
-    if fit > 1e-4 * (1.0 + abs(c)):
-        raise PreconditionError(f"R_hat - [K,K] is not proportional to R0 (residual {fit:g})")
-
-    lhs, grad_sq, tau_pair = _cubic_laplace_terms(cs, x, ginv)
-    rhat_sq = contract(ginv, r_hat_low, r_hat_low)
-    ric_hat_arr = ric_hat(cs, x)
-    rho_hat_val = rho_hat(cs, x)
-    ric_gram = contract(ginv, ric_hat_arr, sp.gram_k())
-    return abs(lhs - (grad_sq + tau_pair - rhat_sq + 2.0 * c * rho_hat_val + ric_gram))
 
 
 # ---------------------------------------------------------------------------

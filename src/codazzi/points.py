@@ -103,10 +103,6 @@ class StatPoint:
             self._frame_a = fa
         return self._frame_a
 
-    def k_operator(self, x) -> np.ndarray:
-        """Endomorphism K_X as a matrix: (K_X)^m_j = K^m_ij x^i."""
-        return np.einsum("mij,i->mj", self.K.array, np.asarray(x, dtype=float))
-
     def norm_a_sq(self) -> float:
         """||A||^2 = ||K||^2 (full contraction with g^{-1})."""
         return inner(self.g, self.A, self.A)
@@ -465,10 +461,34 @@ def lagrangian_gauss_residual(sp: StatPoint, rhat: CurvTensor, c: float) -> tupl
     return residual, scalar_residual
 
 
-def best_fit_curvature_coefficient(g: MetricPoint, rt: CurvTensor) -> float:
-    """Least-squares H minimizing ||R - H R0||: inner(R, R0) / ||R0||^2."""
-    r0 = r0_curvature(g)
+def best_fit_curvature_coefficient(
+    g: MetricPoint, rt: CurvTensor, r0: CurvTensor | None = None
+) -> float:
+    """Least-squares H minimizing ||R - H R0||: inner(R, R0) / ||R0||^2.
+
+    r0 is R0 of g when the caller has built it already.
+    """
+    if r0 is None:
+        r0 = r0_curvature(g)
     return inner(g, rt, r0) / inner(g, r0, r0)
+
+
+def fit_constant_curvature(
+    g: MetricPoint, rt: CurvTensor, rel_tol: float, h: float | None = None
+) -> float:
+    """H with R = H R0 at a point: the least-squares fit, or the supplied h.
+
+    Raises PreconditionError when ||R - H R0|| > rel_tol (1 + |H|).
+    """
+    if rt.n != g.n:
+        raise DimensionMismatchError(f"metric has n={g.n}, curvature has n={rt.n}")
+    r0 = r0_curvature(g)
+    if h is None:
+        h = best_fit_curvature_coefficient(g, rt, r0)
+    fit = norm(g, rt.array - h * r0.array)
+    if fit > rel_tol * (1.0 + abs(h)):
+        raise PreconditionError(f"curvature is not H R0 at x (fit residual {fit:g})")
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -357,20 +357,6 @@ def norm(g: MetricPoint, t) -> float:
     return float(np.sqrt(max(inner(g, t, t), 0.0)))
 
 
-def trace_g(g: MetricPoint, t, slots: tuple[int, int]):
-    """Contract two covariant slots (0-based) against g^{-1}; degree drops by 2."""
-    arr = _covariant_array(t)
-    a, b = slots
-    if a == b:
-        raise DimensionMismatchError("trace slots must differ")
-    if not (0 <= a < arr.ndim and 0 <= b < arr.ndim):
-        raise DimensionMismatchError(f"trace slots {slots} out of range for degree {arr.ndim}")
-    if arr.ndim < 2:
-        raise DimensionMismatchError("trace requires degree >= 2")
-    out = np.tensordot(arr, g.inverse, axes=((a, b), (0, 1)))
-    return float(out) if out.ndim == 0 else out
-
-
 @functools.cache
 def _orbit_tables(n: int, k: int):
     """The orbits of S_k on the flat indices of an (n,)*k array.

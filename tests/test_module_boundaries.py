@@ -156,3 +156,49 @@ def test_einsum_checker_flags_each_kind_of_batched_call():
         "line 4: computed spec",
         "line 5: computed spec",
     ]
+
+
+def curvature_fit_sites(sources: dict[str, str]) -> list[str]:
+    """Calls of ``best_fit_curvature_coefficient`` outside ``points.fit_constant_curvature``.
+
+    Every "this curvature is H R0" test fits H and bounds the fit in that one helper.
+    """
+    found = []
+
+    def visit(name, node, scope):
+        for child in ast.iter_child_nodes(node):
+            func = child.func if isinstance(child, ast.Call) else None
+            called = getattr(func, "id", None) or getattr(func, "attr", None)
+            if (called == "best_fit_curvature_coefficient"
+                    and (name, scope) != ("points.py", ["fit_constant_curvature"])):
+                found.append(f"{name}:{child.lineno}")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(name, child, scope + [child.name] if named else scope)
+
+    for name, source in sorted(sources.items()):
+        visit(name, ast.parse(source), [])
+    return found
+
+
+def test_one_constant_curvature_fit():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert curvature_fit_sites(sources) == []
+
+
+def test_fit_checker_flags_each_copy():
+    sources = {
+        "points.py": (
+            "def best_fit_curvature_coefficient(g, rt, r0=None):\n"
+            "    return 0.0\n"
+            "def fit_constant_curvature(g, rt, rel_tol, h=None):\n"
+            "    return best_fit_curvature_coefficient(g, rt)\n"
+            "def other(g, rt):\n"
+            "    return best_fit_curvature_coefficient(g, rt)\n"
+        ),
+        "bounds.py": (
+            "from . import points as points_mod\n"
+            "def check(g, r):\n"
+            "    h = points_mod.best_fit_curvature_coefficient(g, r)\n"
+        ),
+    }
+    assert curvature_fit_sites(sources) == ["bounds.py:3", "points.py:6"]

@@ -17,6 +17,7 @@ from codazzi import (
     check_ineq_n2over3,
     check_ineq_quarter,
     constant_curvature_residual,
+    fit_constant_curvature,
     frame_components,
     inner,
     lagrangian_gauss_residual,
@@ -65,7 +66,8 @@ class TestStatPoint:
         for i in range(4):
             e = np.zeros(4)
             e[i] = 1.0
-            assert abs(sp.tau[i] - np.trace(sp.k_operator(e))) < 1e-12
+            k_e = np.einsum("mij,i->mj", sp.K.array, e)  # the endomorphism K_e
+            assert abs(sp.tau[i] - np.trace(k_e)) < 1e-12
 
     def test_round_trip_a_equals_g_k(self, rng):
         sp = random_stat_point(3, rng, metric="random")
@@ -387,6 +389,26 @@ class TestConstantCurvature:
         assert constant_curvature_residual(r0_curvature(g), g, 0.0) == pytest.approx(
             np.sqrt(2 * n * (n - 1)), abs=1e-12
         )
+
+
+class TestFitConstantCurvature:
+    def test_exact_multiple_returns_h(self, rng):
+        g = random_stat_point(3, rng, metric="random").g
+        r = CurvTensor(-1.7 * r0_curvature(g).array)
+        assert fit_constant_curvature(g, r, 1e-12) == pytest.approx(-1.7, abs=1e-12)
+
+    def test_supplied_h_is_returned_when_it_fits(self, g3_point):
+        assert fit_constant_curvature(g3_point.g, bracket_kk(g3_point), 1e-12, -2.0) == -2.0
+
+    def test_wrong_supplied_h_raises(self, g3_point):
+        with pytest.raises(PreconditionError, match="curvature is not H R0 at x"):
+            fit_constant_curvature(g3_point.g, bracket_kk(g3_point), 1e-4, 5.0)
+
+    def test_non_constant_curvature_raises(self):
+        # at n = 2 every curvature tensor is a multiple of R0; at n = 3 a random [K,K] is not
+        sp = random_stat_point(3, np.random.default_rng(5))
+        with pytest.raises(PreconditionError, match="fit residual"):
+            fit_constant_curvature(sp.g, bracket_kk(sp), 1e-4)
 
 
 class TestLagrangianGauss:

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from codazzi import PreconditionError
+from codazzi import charts as charts_mod
 from codazzi.charts import (
     ChartStructure,
     constant_field,
-    cubic_laplace_constant_sectional_residual,
-    cubic_laplace_lagrangian_residual,
     cubic_simons_residuals,
     hessian_from_potential,
     ricci_identity_residual,
@@ -18,6 +17,7 @@ from codazzi.charts import (
     weitzenbock_residual,
 )
 from codazzi.generators import GeneratorSpec, generate
+from codazzi.suites import run_suite
 
 X2 = np.array([0.15, -0.22])
 
@@ -219,26 +219,60 @@ class TestCubicSimons:
 
 
 class TestSpecializations:
-    def test_constant_sectional_form(self):
-        conf = generate(GeneratorSpec("G5-periodic-trig", seed=1,
+    """The constant-sectional and dual-flat keys of the one cubic producer."""
+
+    SECTIONAL = "laplace-cubic-constant-sectional"
+    DUALFLAT = "laplace-cubic-dualflat"
+
+    def conformal(self):
+        return generate(GeneratorSpec("G5-periodic-trig", seed=1,
                                       params={"variant": "conformal", "amp": 0.35}))
-        assert cubic_laplace_constant_sectional_residual(conf, np.array([1.1, 2.3])) < 1e-4
+
+    def test_constant_sectional_form(self):
+        out = cubic_simons_residuals(self.conformal(), np.array([1.1, 2.3]))
+        assert out[self.SECTIONAL] < 1e-4
 
     def test_constant_fields_reduce_to_zero_terms(self):
         cs = generate(GeneratorSpec("G3-2d-constant-curvature", params={"chart": True}))
-        assert cubic_laplace_constant_sectional_residual(cs, np.array([1.0, 1.0])) < 1e-9
+        assert cubic_simons_residuals(cs, np.array([1.0, 1.0]))[self.SECTIONAL] < 1e-9
 
     def test_dual_flat_split_form(self):
-        conf = generate(GeneratorSpec("G5-periodic-trig", seed=1,
-                                      params={"variant": "conformal", "amp": 0.35}))
-        assert cubic_laplace_lagrangian_residual(conf, np.array([1.1, 2.3])) < 1e-4
+        out = cubic_simons_residuals(self.conformal(), np.array([1.1, 2.3]))
+        assert out[self.DUALFLAT] < 1e-4
 
-    def test_dual_flat_split_constant_fields(self):
+    def test_dual_flat_split_constant_fields(self, monkeypatch):
+        # R_hat = 0 and [K,K] = -2 R0, so the split fits c = 2
+        fit, fits = charts_mod.fit_constant_curvature, []
+
+        def spy(g, rt, rel_tol, h=None):
+            fits.append(fit(g, rt, rel_tol, h))
+            return fits[-1]
+
         cs = generate(GeneratorSpec("G3-2d-constant-curvature", params={"chart": True}))
-        # R_hat = 0 and [K,K] = -2 R0, so the split needs c = 2
-        assert cubic_laplace_lagrangian_residual(cs, np.array([1.0, 1.0]), c=2.0) < 1e-9
+        monkeypatch.setattr(charts_mod, "fit_constant_curvature", spy)
+        assert cubic_simons_residuals(cs, np.array([1.0, 1.0]))[self.DUALFLAT] < 1e-9
+        assert fits[-1] == pytest.approx(2.0, abs=1e-9)
 
-    def test_bad_fit_raises(self):
-        cs = generate(GeneratorSpec("G4-random-smooth", seed=2))
-        with pytest.raises(PreconditionError):
-            cubic_laplace_constant_sectional_residual(cs, np.array([1.0, 1.0]), kappa=5.0)
+    def test_no_fit_no_key(self):
+        # at n = 3 neither [K,K] nor R_hat - [K,K] of G1 is a multiple of R0
+        cs = generate(GeneratorSpec("G1-constant-A", n=3, seed=0))
+        out = cubic_simons_residuals(cs, cs.domain.mean(axis=1))
+        assert "laplace-cubic-bracket" in out
+        assert self.SECTIONAL not in out and self.DUALFLAT not in out
+
+    def test_failed_fit_is_a_labelled_skip_in_the_suite(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise PreconditionError("planted")
+
+        before = run_suite("simons").checks
+        monkeypatch.setattr(charts_mod, "fit_constant_curvature", fails)
+        after = run_suite("simons").checks
+        assert [c.id for c in after] == [c.id for c in before]
+        for old, new in zip(before, after):
+            if old.id in (self.SECTIONAL, self.DUALFLAT):
+                assert old.verdict == "pass"
+                assert new.verdict == "precondition-skipped"
+                assert new.location.startswith("G5-conformal [")
+            else:
+                assert new.to_dict() == old.to_dict()
+

@@ -18,7 +18,6 @@ from codazzi import (
     r0_curvature,
     raise_last,
     symmetrize,
-    trace_g,
 )
 from codazzi.tensors import contract, sectional
 from conftest import equality_point
@@ -293,35 +292,6 @@ class TestSectional:
             u, v = rng.normal(size=(2, n))
             r = h_curv * r0_curvature(MetricPoint(g)).array
             assert sectional(r, g, u, v) == pytest.approx(h_curv, rel=1e-12, abs=1e-12)
-
-
-class TestTraceG:
-    def test_metric_trace_is_dimension(self, rng):
-        g = MetricPoint(random_spd(3, rng))
-        assert trace_g(g, g.components, (0, 1)) == pytest.approx(3.0, abs=1e-12)
-
-    def test_equality_point_trace_vector(self):
-        sp = equality_point()
-        tau = trace_g(sp.g, sp.A, (0, 1))
-        assert np.allclose(tau, [0.0, 4.0])
-
-    def test_rank_one_factorization(self, rng):
-        g = MetricPoint(np.eye(3))
-        u, v, w = rng.uniform(-1, 1, (3, 3))
-        t = np.einsum("i,j,k->ijk", u, v, w)
-        assert np.allclose(trace_g(g, t, (0, 1)), (u @ v) * w)
-
-    def test_slot_order_irrelevant(self, rng):
-        g = MetricPoint(random_spd(3, rng))
-        t = rng.uniform(-1, 1, (3, 3, 3, 3))
-        assert np.allclose(trace_g(g, t, (1, 3)), trace_g(g, t, (3, 1)))
-
-    def test_bad_slots(self):
-        g = MetricPoint(np.eye(2))
-        with pytest.raises(DimensionMismatchError):
-            trace_g(g, np.zeros((2, 2)), (0, 5))
-        with pytest.raises(DimensionMismatchError):
-            trace_g(g, np.zeros((2, 2)), (1, 1))
 
 
 class TestCurvTensor:
