@@ -664,9 +664,9 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
 
     Keys: ricci-decomposition (Ric against Levi-Civita Ricci + div K -
     nabla tau + commutator Ricci), ricci-conjugate-sum, scalar-gap,
-    koszul-form, koszul-trace, ricci-comparison-chain-min-eig (least g-frame
+    koszul-form, koszul-trace, ricci-comparison-chain (least g-frame
     eigenvalue of 2 Ric_hat - Ric - Ric_bar + ||tau||^2 g / 2), plus the same
-    without the tau term, ricci-comparison-min-eig, for trace-free structures
+    without the tau term, ricci-comparison-tracefree, for trace-free structures
     and hessian-ricci when nabla is flat at x.
     """
     x = cs.require_interior(np.asarray(x, dtype=float))
@@ -707,9 +707,9 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
     }
     comparison = 2.0 * ric_hat_arr - ric - ric_bar
     if sp.trace_free:
-        out["ricci-comparison-min-eig"] = _g_frame_min_eig(ginv, comparison)
+        out["ricci-comparison-tracefree"] = _g_frame_min_eig(ginv, comparison)
     chain = comparison + 0.5 * tau_sq * cs.metric_at(x)
-    out["ricci-comparison-chain-min-eig"] = _g_frame_min_eig(ginv, chain)
+    out["ricci-comparison-chain"] = _g_frame_min_eig(ginv, chain)
     if _g_norm(ginv, conn.r_nabla) < 1e-4:
         out["hessian-ricci"] = _g_norm(ginv, ric_hat_arr - (gram - tau_circ))
     return out

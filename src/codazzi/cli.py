@@ -1,7 +1,8 @@
 """Command-line front end: run verification suites, generate structures, check files.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-configuration error, 3 precondition infeasibility under --strict.
+configuration error or a file that cannot be read or written, 3 precondition
+infeasibility under --strict.
 """
 
 from __future__ import annotations
@@ -67,7 +68,11 @@ def _suite_config(args) -> SuiteConfig:
 
 def _print_summary(report) -> None:
     for check in report.checks:
-        mark = {"pass": "ok  ", "fail": "FAIL", "precondition-skipped": "skip"}[check.verdict]
+        if check.verdict == "precondition-skipped":
+            # a skip has no residual; its location carries the reason
+            print(f"[skip] {check.id}: {check.location}")
+            continue
+        mark = "ok  " if check.verdict == "pass" else "FAIL"
         print(f"[{mark}] {check.id}: residual {check.residual:.3e} "
               f"tol {check.tolerance:.3e} ({check.location})")
     s = report.to_dict()["summary"]
@@ -172,7 +177,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except CodazziError as exc:
+    except (CodazziError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return USAGE_ERROR

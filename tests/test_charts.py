@@ -366,7 +366,7 @@ class TestRicciDecomposition:
     def test_trivial_structure(self):
         out = ricci_decomposition_residuals(poincare_chart(), [0.1, 1.0])
         for key, value in out.items():
-            if key != "ricci-comparison-min-eig":
+            if key != "ricci-comparison-tracefree":
                 assert value < 1e-6, (key, value)
 
     def test_hessian_recovers_ricci_display(self):
@@ -390,7 +390,7 @@ class TestRicciDecomposition:
     def test_trace_free_comparison(self):
         cs = generate(GeneratorSpec("G5-periodic-trig", params={"variant": "conformal"}))
         out = ricci_decomposition_residuals(cs, [1.2, 0.7])
-        assert out["ricci-comparison-min-eig"] > -1e-6
+        assert out["ricci-comparison-tracefree"] > -1e-6
 
 
 class TestStructuralConvergence:

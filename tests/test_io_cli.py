@@ -201,6 +201,22 @@ class TestCLI:
         assert out.returncode == 2
         assert "schema error" in out.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["check", "--file", "{missing}/x.json"],
+        ["check", "--file", "{tmp}"],
+        ["verify", "--suite", "algebraic", "--seeds", "1", "--sweep-count", "100",
+         "--report", "{missing}/r.json"],
+        ["verify", "--suite", "algebraic", "--seeds", "1", "--sweep-count", "100",
+         "--plot", "{missing}/p.svg"],
+        ["gen", "--family", "G1-constant-A", "--out", "{missing}/g.json"],
+    ], ids=["check-file-missing", "check-file-directory", "verify-report", "verify-plot",
+            "gen-out"])
+    def test_file_system_error_is_usage_error(self, tmp_path, capsys, args):
+        argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in args]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and "Traceback" not in err
+
     def test_plot_emission(self, tmp_path):
         svg = tmp_path / "conv.svg"
         out = run_cli("verify", "--suite", "algebraic", "--sweep-count", "100",
@@ -403,6 +419,12 @@ class TestOneToleranceRule:
         checks = {c["id"]: c for c in json.loads(report.read_text())["checks"]}
         for check_id in ("poincare-sectional", "sphere-scalar-curvature"):
             assert checks[check_id]["tolerance"] == 700.0 * 3e-3 * 3e-3 + 1e-10
+        # a skipped check prints its location, which carries the reason, not a residual
+        guard = checks["cubic-precondition-guard"]
+        assert guard["verdict"] == "precondition-skipped"
+        out = capsys.readouterr().out
+        assert f"[skip] cubic-precondition-guard: {guard['location']}\n" in out
+        assert "nan" not in out
 
     def _check_report(self, monkeypatch, tmp_path, path, tol_scale):
         monkeypatch.setenv("CODAZZI_DEFAULT_TOL_SCALE", tol_scale)

@@ -120,6 +120,76 @@ def test_seam_checker_flags_each_kind_of_copy():
     ]
 
 
+def check_table_violations(source: str, anchors: set[str]) -> list[str]:
+    """Check records built outside ``_Collector``, and anchors written outside ``CHECKS``.
+
+    A ``Check(...)`` may be built only inside ``_Collector``.  A string constant equal
+    to an anchor may appear only in the ``CHECKS = ...`` statement or in a module-level
+    constant that only that statement (or another such constant) reads.
+    """
+    tree = ast.parse(source)
+    assigned = {target.id: node for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    readers = {}
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                readers.setdefault(sub.id, set()).add(id(node))
+    table = {id(assigned["CHECKS"])} if "CHECKS" in assigned else set()
+    grown = True
+    while grown:
+        grown = False
+        for name, node in assigned.items():
+            if id(node) not in table and readers.get(name, {None}) <= table:
+                table.add(id(node))
+                grown = True
+
+    found = []
+
+    def visit(node, scope, in_table):
+        for child in ast.iter_child_nodes(node):
+            where = ".".join(scope) or "module"
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "Check" and scope[:1] != ["_Collector"]):
+                found.append(f"line {child.lineno}: Check(...) in {where}")
+            child_in_table = in_table or id(child) in table
+            if (isinstance(child, ast.Constant) and child.value in anchors
+                    and not child_in_table):
+                found.append(f"line {child.lineno}: anchor in {where}")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, scope + [child.name] if named else scope, child_in_table)
+
+    visit(tree, [], False)
+    return found
+
+
+def test_suites_write_each_anchor_in_the_check_table():
+    from codazzi.suites import CHECKS
+
+    anchors = {row.anchor for row in CHECKS.values()}
+    source = (PACKAGE / "suites.py").read_text(encoding="utf-8")
+    assert check_table_violations(source, anchors) == []
+
+
+def test_table_checker_flags_each_kind_of_copy():
+    source = (
+        "A_SHARED = 'R=HR_0'\n"
+        "A_STRAY = 'u<=1'\n"
+        "CHECKS = {'fit': (A_SHARED, 1e-10), 'band': ('u<=1', 1e-12)}\n"
+        "class _Collector:\n"
+        "    def add(self, stem, residual):\n"
+        "        self.checks.append(Check(stem, CHECKS[stem][0], residual))\n"
+        "def suite(col):\n"
+        "    col.add('band', 0.0)\n"
+        "    return Check('band', A_STRAY, 0.0), 'R=HR_0'\n"
+    )
+    assert check_table_violations(source, {"R=HR_0", "u<=1"}) == [
+        "line 2: anchor in module",
+        "line 9: Check(...) in suite",
+        "line 9: anchor in suite",
+    ]
+
+
 def batched_einsum_calls(source: str) -> list[str]:
     """``np.einsum`` calls whose spec has batch axes (``...``) or is built at run time.
 
