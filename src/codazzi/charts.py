@@ -22,6 +22,7 @@ A covariant derivative prepends the derivative slot: (nabla s)[a, ...] =
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -30,7 +31,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConstructionError, NotPositiveDefiniteError, PreconditionError
-from .expressions import Const, mul, parse_expression, partial
+from .expressions import CACHE_SIZE, Const, compile_tensor, mul, parse_expression, partial
 from .points import StatPoint, bracket_kk, fit_constant_curvature
 from .tensors import (
     CubicForm,
@@ -120,7 +121,8 @@ class ChartStructure:
         for i in range(n):
             for j in range(i + 1, n):
                 g_parsed[j][i] = g_parsed[i][j]
-        g_fns = {(i, j): g_parsed[i][j].compile(n) for i in range(n) for j in range(i, n)}
+        g_field = compile_tensor((n, n), [(g_parsed[i][j], sorted({(i, j), (j, i)}))
+                                          for i in range(n) for j in range(i, n)])
 
         a_parsed = {}
         for key, expr in a_entries.items():
@@ -128,23 +130,8 @@ class ChartStructure:
             if len(idx) != 3 or not all(0 <= i < n for i in idx):
                 raise ConstructionError(f"cubic entry key {key!r} invalid for n={n}")
             a_parsed[idx] = parse_expression(expr, n)
-        a_fns = {idx: e.compile(n) for idx, e in a_parsed.items()}
-
-        def g_field(x):
-            x = np.asarray(x, dtype=float)
-            arr = np.empty(x.shape[:-1] + (n, n))
-            for (i, j), fn in g_fns.items():
-                arr[..., i, j] = arr[..., j, i] = fn(x)
-            return arr
-
-        def a_field(x):
-            x = np.asarray(x, dtype=float)
-            arr = np.zeros(x.shape[:-1] + (n, n, n))
-            for (i, j, k), fn in a_fns.items():
-                value = fn(x)
-                arr[..., i, j, k] = arr[..., i, k, j] = arr[..., j, i, k] = value
-                arr[..., j, k, i] = arr[..., k, i, j] = arr[..., k, j, i] = value
-            return arr
+        a_field = compile_tensor((n, n, n), [(e, sorted(set(itertools.permutations(idx))))
+                                             for idx, e in a_parsed.items()])
 
         g_source = [[g_parsed[i][j].source() for j in range(n)] for i in range(n)]
         a_source = {
@@ -278,15 +265,9 @@ def _parse_aux_field(n: int, spec) -> AuxField:
         return spec
     degree = int(spec["degree"])
     exprs = {str(key): parse_expression(expr, n) for key, expr in spec["components"].items()}
-    comps = {tuple(int(c) - 1 for c in key): e.compile(n) for key, e in exprs.items()}
+    fn = compile_tensor((n,) * degree, [(e, [tuple(int(c) - 1 for c in key)])
+                                        for key, e in exprs.items()])
     sources = {key: e.source() for key, e in exprs.items()}
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        arr = np.zeros(x.shape[:-1] + (n,) * degree)
-        for idx, f in comps.items():
-            arr[(Ellipsis,) + idx] = f(x)
-        return arr
 
     return AuxField(degree=degree, fn=fn, source={"degree": degree, "components": sources})
 
@@ -940,6 +921,21 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
 # construction of Hessian structures from a convex potential
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _potential_partials(expr, n: int):
+    """The second partials and the cubic entries -(1/2) d^3 of a parsed potential, once per
+    (tree, n); the parse cache makes the tree one per (potential text, n)."""
+    first = [partial(expr, a) for a in range(n)]
+    second = tuple(tuple(partial(first[a], b) for b in range(n)) for a in range(n))
+    a_entries = MappingProxyType({
+        f"{a + 1}{b + 1}{c + 1}": mul(Const(-0.5), partial(second[a][b], c))
+        for a in range(n)
+        for b in range(a, n)
+        for c in range(b, n)
+    })
+    return second, a_entries
+
+
 def hessian_from_potential(
     potential,
     domain,
@@ -960,16 +956,9 @@ def hessian_from_potential(
     domain = np.asarray(domain, dtype=float)
     if n is None:
         n = domain.shape[0]
-    expr = parse_expression(potential, n)
-    first = [partial(expr, a) for a in range(n)]
-    second = [[partial(first[a], b) for b in range(n)] for a in range(n)]
-    a_entries = {
-        f"{a + 1}{b + 1}{c + 1}": mul(Const(-0.5), partial(second[a][b], c))
-        for a in range(n)
-        for b in range(a, n)
-        for c in range(b, n)
-    }
+    second, a_entries = _potential_partials(parse_expression(potential, n), n)
     try:
         return ChartStructure.from_expressions(n, domain, second, a_entries, h=h, periodic=periodic)
     except NotPositiveDefiniteError as exc:
         raise ConstructionError(f"potential is not convex on the domain: {exc}") from exc
+

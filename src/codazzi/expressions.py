@@ -13,6 +13,7 @@ finite-difference error of their own.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -27,6 +28,9 @@ _TOKEN = re.compile(
 )
 
 _FUNCTIONS = {"sin", "cos", "exp", "pow"}
+
+# entries kept by each per-process cache (string parses, compiled tensor functions)
+CACHE_SIZE = 1024
 
 
 class Expr:
@@ -50,11 +54,7 @@ class Expr:
         An expression without variables broadcasts its value; the parser has
         checked the variables against the n coordinates.
         """
-        fn = eval(f"lambda x: {self._code()}", {"np": np, "__builtins__": {}})
-        if not self.variables():
-            value = float(fn(None))
-            return lambda x: np.full(np.shape(x)[:-1], value)
-        return lambda x: fn(np.asarray(x, dtype=float))
+        return compile_tensor((), [(self, [()])])
 
     def __repr__(self):
         return f"Expr({self.source()})"
@@ -149,9 +149,9 @@ class Neg(Expr):
 
 
 class Call(Expr):
-    def __init__(self, fn: str, args: list[Expr]):
+    def __init__(self, fn: str, args):
         self.fn = fn
-        self.args = args
+        self.args = tuple(args)
 
     def source(self):
         return f"{self.fn}({', '.join(a.source() for a in self.args)})"
@@ -348,12 +348,53 @@ class _Parser:
 
 
 def parse_expression(text, n_vars: int) -> Expr:
-    """Parse an expression string (or pass through numbers) over variables x1..x{n_vars}."""
+    """Parse an expression string (or pass through numbers) over variables x1..x{n_vars}.
+
+    A string is parsed once per (text, n_vars) in a process: the same text returns the
+    same tree, which no caller mutates.
+    """
     if isinstance(text, (int, float)):
         return Const(float(text))
     if isinstance(text, Expr):
         return text
-    return _Parser(str(text), n_vars).parse()
+    return _parse_text(str(text), n_vars)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _parse_text(text: str, n_vars: int) -> Expr:
+    return _Parser(text, n_vars).parse()
+
+
+def compile_tensor(shape, entries):
+    """Return f(x[..., n]) -> [..., *shape], one generated numpy function for a whole field.
+
+    entries pairs each Expr with the index tuples (of len(shape)) its value fills; a slot
+    no entry names is 0.  Each call evaluates every expression once on
+    np.asarray(x, dtype=np.float64) and writes it into a fresh C-ordered zero array.  The
+    function is compiled once per generated source, which names the shape.
+    """
+    shape = tuple(shape)
+    lines = ["def f(x):",
+             "    x = np.asarray(x, dtype=np.float64)",
+             f"    out = np.zeros(x.shape[:-1] + {shape!r})"]
+    for expr, slots in entries:
+        lines.append(f"    v = {expr._code()}")
+        lines += [f"    out[{', '.join(['...'] + [str(i) for i in slot])}] = v"
+                  for slot in slots]
+    lines.append("    return out")
+    return _compile_source("\n".join(lines))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _compile_source(source: str):
+    namespace = {"np": np, "__builtins__": {}}
+    exec(source, namespace)
+    return namespace["f"]
+
+
+def compile_cache_info():
+    """Hits, misses and size of the per-process cache of compiled field functions."""
+    return _compile_source.cache_info()
 
 
 def partial(e: Expr, axis: int) -> Expr:

@@ -28,6 +28,7 @@ from . import charts as charts_mod
 from . import points as points_mod
 from . import spheres as spheres_mod
 from .errors import ConstructionError, PreconditionError
+from .expressions import compile_cache_info
 from .generators import GeneratorSpec, generate, hyperbolic_point, equality_point, sample_points
 from .structures_io import canonical_json
 from .tensors import CurvTensor, symmetrize
@@ -292,6 +293,8 @@ CHECKS = {stem: CheckRow(anchor, rule) for anchor, rows in (
      {"ricci-identity": FD("ricci-identity"), "convergence-ricci-identity": 0.8}),
     ("(d\\delta \\tau+\\delta d\\tau)(X)+\\widehat\\Ric(X,E)",
      {"weitzenbock": FD("weitzenbock"), "convergence-weitzenbock": 0.8}),
+    ("g((d\\delta+\\delta d) \\tau,\\tau)+\\widehat{\\Ric}(E,E)+\\Vert\\hat\\nabla\\tau\\Vert^2",
+     {"simons-1form": FD("simons-1form")}),
     ("\\sum_{i<k}\\hat k(e_i\\wedge e_k)(\\lambda_i-\\lambda_k)^2",
      {"sym2-simons": FD("sym2-simons"), "convergence-sym2-simons": 0.8}),
     ("-g([K,K],\\hat R)+g(\\widehat{\\Ric},g(K_\\cdot,K_\\cdot))",
@@ -667,7 +670,7 @@ def laplacian_series(n: int, h: float):
     steps = (4.0 * h, 2.0 * h, h)
     cubic_keys = ("laplace-cubic-bracket", "laplace-cubic-curvdiff", "laplace-cubic-ricci")
     series = {name: [] for name in ("ricci-identity", "simons-formula", "weitzenbock",
-                                    "sym2-simons") + cubic_keys}
+                                    "simons-1form", "sym2-simons") + cubic_keys}
     skips = {}
     for step in steps:
         hess = charts_mod.hessian_from_potential(potential, [[-0.6, 0.6]] * n, h=step, n=n)
@@ -675,8 +678,9 @@ def laplacian_series(n: int, h: float):
                                         charts_mod.constant_field(np.zeros((n, n, n))), h=step)
         series["ricci-identity"].append(charts_mod.ricci_identity_residual(hess, hess.a_field, x))
         series["simons-formula"].append(charts_mod.simons_residual(hess, hess.a_field, x))
-        series["weitzenbock"].append(
-            charts_mod.weitzenbock_residual(sph, trig_tau, x)["weitzenbock"])
+        hodge = charts_mod.weitzenbock_residual(sph, trig_tau, x)
+        for key in ("weitzenbock", "simons-1form"):
+            series[key].append(hodge[key])
         try:
             series["sym2-simons"].append(
                 charts_mod.sym2_simons_residual(sph, codazzi_beta(sph), x)[0])
@@ -1032,6 +1036,7 @@ def run_suite(name: str, cfg: SuiteConfig | None = None) -> ResidualReport:
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     cfg = cfg or SuiteConfig()
+    compiled = compile_cache_info()
     started = time.perf_counter()
     report = ResidualReport(suite=name, environment=cfg.environment())
     names = [name] if name != "all" else list(_SUITES)
@@ -1042,4 +1047,8 @@ def run_suite(name: str, cfg: SuiteConfig | None = None) -> ResidualReport:
         report.bounds.update(bounds_payload)
         report.timing[part] = round(time.perf_counter() - t0, 3)
     report.timing["total"] = round(time.perf_counter() - started, 3)
+    # field functions compiled during the run, and builds that found theirs in the cache
+    now = compile_cache_info()
+    report.timing["expression-compiles"] = now.misses - compiled.misses
+    report.timing["expression-compile-hits"] = now.hits - compiled.hits
     return report

@@ -1,10 +1,15 @@
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from codazzi.charts import ChartStructure
 from codazzi.errors import SchemaError
-from codazzi.expressions import parse_expression, partial
+from codazzi.expressions import (
+    CACHE_SIZE, Call, compile_cache_info, compile_tensor, parse_expression, partial,
+)
 
 
 def compiled(text, n):
@@ -101,3 +106,144 @@ class TestDerivatives:
     def test_constant_folding(self):
         e = parse_expression("0*x1 + 1*x2 + 2*3", 2)
         assert e.source() == "(x2 + 6)"
+
+
+class TestParseCache:
+    TEXT = "sin(2*x1)*cos(x2) + pow(x1 - x2, 3)/7 - exp(0.5*x2)"
+
+    def test_same_text_same_tree(self):
+        assert parse_expression(self.TEXT, 2) is parse_expression(self.TEXT, 2)
+        assert parse_expression(self.TEXT, 3) is not parse_expression(self.TEXT, 2)
+
+    def test_cached_tree_is_not_changed_by_its_readers(self):
+        e = parse_expression(self.TEXT, 2)
+        before = pickle.dumps(e)
+        for axis in range(2):
+            partial(partial(e, axis), 1 - axis)
+        e.source()
+        e.compile(2)([0.3, -0.4])
+        compile_tensor((2,), [(e, [(0,), (1,)])])([0.3, -0.4])
+        assert pickle.dumps(e) == before
+        assert isinstance(e.right, Call) and isinstance(e.right.args, tuple)
+
+    def test_a_parse_error_is_raised_again(self):
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="unknown name"):
+                parse_expression("tan(x1)", 1)
+
+
+def per_entry_compile(e, n):
+    """Expr.compile before compile_tensor: one evaluated lambda per expression."""
+    fn = eval(f"lambda x: {e._code()}", {"np": np, "__builtins__": {}})
+    if not e.variables():
+        value = float(fn(None))
+        return lambda x: np.full(np.shape(x)[:-1], value)
+    return lambda x: fn(np.asarray(x, dtype=float))
+
+
+def per_entry_field(n, shape, entries):
+    """The chart field loops before compile_tensor: evaluate each entry, assign its slots."""
+    fns = [(per_entry_compile(e, n), slots) for e, slots in entries]
+
+    def field(x):
+        x = np.asarray(x, dtype=float)
+        arr = np.zeros(x.shape[:-1] + shape)
+        for fn, slots in fns:
+            value = fn(x)
+            for slot in slots:
+                arr[(Ellipsis,) + slot] = value
+        return arr
+
+    return field
+
+
+def entry_pool(n):
+    """Constant and variable expressions over x1..xn."""
+    texts = ["2.5", "sin(1) - 3", f"sin(x1)*x{n} + exp(-x2)", f"pow(x{n} + 1.5, 3)/(1 + x1**2)",
+             "cos(x1 - x2)*0.3", f"x{n}", "-x1*x2/(2 + sin(x2))"]
+    return [parse_expression(t, n) for t in texts]
+
+
+def tensor_entries(n, degree):
+    """Entries filling symmetric orbits of sorted index tuples; every third orbit is missing."""
+    pool = entry_pool(n)
+    orbits = sorted({tuple(sorted(idx)) for idx in itertools.product(range(n), repeat=degree)})
+    return [(pool[k % len(pool)], sorted(set(itertools.permutations(idx))))
+            for k, idx in enumerate(orbits) if k % 3 != 2]
+
+
+def batch_points(n, axes):
+    rng = np.random.default_rng(100 * n + axes)
+    return rng.uniform(-0.9, 0.9, size=(3, 4)[:axes] + (n,))
+
+
+class TestCompileTensor:
+    @pytest.mark.parametrize("axes", [0, 1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_scalar_matches_per_entry_compile(self, n, axes):
+        x = batch_points(n, axes)
+        for e in entry_pool(n):
+            got = compile_tensor((), [(e, [()])])(x)
+            assert got.shape == x.shape[:-1]
+            assert np.array_equal(got, per_entry_compile(e, n)(x))
+            assert np.array_equal(e.compile(n)(x), got)
+
+    @pytest.mark.parametrize("axes", [0, 1, 2])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tensor_matches_per_entry_loops(self, n, degree, axes):
+        shape = (n,) * degree
+        entries = tensor_entries(n, degree)
+        x = batch_points(n, axes)
+        got = compile_tensor(shape, entries)(x)
+        assert got.shape == x.shape[:-1] + shape
+        assert np.array_equal(got, per_entry_field(n, shape, entries)(x))
+        assert got.flags.c_contiguous
+
+    def test_each_call_returns_a_fresh_array(self):
+        f = compile_tensor((2, 2), tensor_entries(2, 2))
+        x = batch_points(2, 1)
+        first = f(x)
+        expected = first.copy()
+        first[...] = 7.0
+        again = f(x)
+        assert again is not first and np.array_equal(again, expected)
+
+    def test_chart_fields_match_per_entry_loops(self):
+        n = 3
+        g = [["2 + 0.1*sin(x1)", "0.1*cos(x2)", "0"],
+             ["0.1*cos(x2)", "2 + x2**2", "0.05*x1*x3"],
+             ["0", "0.05*x1*x3", "3"]]
+        a = {"111": "0.2*cos(x2)", "123": "x1*x3", "332": "0.5"}
+        fields = {"tau": {"degree": 1, "components": {"1": "sin(x1)", "3": "0.5"}},
+                  "s": {"degree": 0, "components": {"": "exp(x2)"}}}
+        cs = ChartStructure.from_expressions(n, [[-0.5, 0.5]] * n, g, a, aux_fields=fields)
+        parse = lambda text: parse_expression(text, n)
+        g_ref = per_entry_field(n, (n, n), [(parse(g[i][j]), [(i, j), (j, i)])
+                                            for i in range(n) for j in range(i, n)])
+        a_ref = per_entry_field(n, (n, n, n), [
+            (parse(text), set(itertools.permutations(sorted(int(c) - 1 for c in key))))
+            for key, text in a.items()])
+        tau_ref = per_entry_field(n, (n,), [(parse("sin(x1)"), [(0,)]), (parse("0.5"), [(2,)])])
+        s_ref = per_entry_field(n, (), [(parse("exp(x2)"), [()])])
+        for axes in (0, 1, 2):
+            x = batch_points(n, axes) * 0.5
+            assert np.array_equal(cs.g_field(x), g_ref(x))
+            assert np.array_equal(cs.a_field(x), a_ref(x))
+            assert np.array_equal(cs.aux_fields["tau"].fn(x), tau_ref(x))
+            assert np.array_equal(cs.aux_fields["s"].fn(x), s_ref(x))
+
+    def test_a_chart_built_twice_compiles_once(self):
+        def build():
+            return ChartStructure.from_expressions(
+                2, [[-1.0, 1.0]] * 2, [["1.2345678 + 0.01*sin(x1)", "0"], ["0", "1"]],
+                {"112": "0.7654321*x2"})
+
+        start = compile_cache_info()
+        build()
+        once = compile_cache_info()
+        build()
+        twice = compile_cache_info()
+        assert once.misses - start.misses == 2
+        assert (twice.misses, twice.hits - once.hits) == (once.misses, 2)
+        assert twice.maxsize == CACHE_SIZE

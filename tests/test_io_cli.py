@@ -141,6 +141,15 @@ class TestReports:
         b = run_suite("algebraic", cfg).to_json(include_timing=False)
         assert a == b
 
+    def test_timing_counts_expression_compiles(self):
+        # a second run finds every field function of the first in the compile cache
+        first = run_suite("simons").timing
+        second = run_suite("simons").timing
+        assert first["expression-compiles"] + first["expression-compile-hits"] > 0
+        assert second["expression-compiles"] == 0
+        assert second["expression-compile-hits"] == (
+            first["expression-compiles"] + first["expression-compile-hits"])
+
     def test_schema_field(self):
         rep = run_suite("algebraic", SuiteConfig(seeds=1, sweep_count=100))
         data = json.loads(rep.to_json())

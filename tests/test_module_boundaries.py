@@ -272,3 +272,52 @@ def test_fit_checker_flags_each_copy():
         ),
     }
     assert curvature_fit_sites(sources) == ["bounds.py:3", "points.py:6"]
+
+
+def dynamic_code_sites(sources: dict[str, str]) -> list[str]:
+    """Functions that call ``eval`` or ``exec``, as ``file:function`` (``module`` at top level).
+
+    Generated numpy code is compiled in one function of ``expressions.py``, so what that
+    code may reach (its namespace) is decided in one place.
+    """
+    found = set()
+
+    def visit(name, node, scope):
+        for child in ast.iter_child_nodes(node):
+            func = child.func if isinstance(child, ast.Call) else None
+            called = getattr(func, "id", None) or getattr(func, "attr", None)
+            if called in ("eval", "exec"):
+                found.add(f"{name}:{'.'.join(scope) or 'module'}")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(name, child, scope + [child.name] if named else scope)
+
+    for name, source in sorted(sources.items()):
+        visit(name, ast.parse(source), [])
+    return sorted(found)
+
+
+def test_one_function_compiles_generated_code():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert dynamic_code_sites(sources) == ["expressions.py:_compile_source"]
+
+
+def test_compile_checker_flags_each_copy():
+    sources = {
+        "expressions.py": (
+            "def _compile_source(source):\n"
+            "    exec(source, {})\n"
+            "class Expr:\n"
+            "    def compile(self, n):\n"
+            "        return eval(f'lambda x: {self._code()}')\n"
+        ),
+        "charts.py": (
+            "import builtins\n"
+            "FIELD = eval('lambda x: x')\n"
+            "def field(code):\n"
+            "    return builtins.exec(code)\n"
+        ),
+    }
+    assert dynamic_code_sites(sources) == [
+        "charts.py:field", "charts.py:module",
+        "expressions.py:Expr.compile", "expressions.py:_compile_source",
+    ]
