@@ -15,14 +15,14 @@ from .tensors import (
     Tensor,
     frame_components,
     inner,
-    lower_last,
     norm,
     orthonormal_frame,
     r0_curvature,
     raise_last,
-    ricci_from_curvature,
-    scalar_from_ricci,
+    ricci_trace,
     symmetrize,
+    trace_k,
+    trace_pair,
 )
 from .points import (
     EqualityCertificate,

@@ -123,20 +123,6 @@ def inf_u_dichotomy(n: int, h_curv: float, sup_nabla_a_sq: float) -> Dichotomy:
     return Dichotomy(feasible=bool(sup_nabla_a_sq < threshold), lo=lo, hi=hi)
 
 
-def conditional_inf_u_lower_bound(n: int, h_curv: float, sup_nabla_a_sq: float, inf_u: float):
-    """Lower-bound refinement: if inf u exceeds the lower branch, u >= upper branch everywhere.
-
-    Separate from the dichotomy on purpose: this variant takes an inf-u
-    hypothesis and H only needs to be a negative number.
-    """
-    d = inf_u_dichotomy(n, h_curv, sup_nabla_a_sq)
-    if not d.feasible:
-        raise PreconditionError("sup ||nabla A||^2 is not below H^2(n+1)^2/6")
-    if inf_u <= d.lo:
-        return None
-    return d.hi
-
-
 def sup_u_bounds(n: int, h_curv: float, inf_nabla_a_sq: float) -> BoundReport:
     """Bound on inf ||nabla A||^2 and the resulting interval for sup u.
 
@@ -203,7 +189,7 @@ def surface_u_bounds(
 
 
 # ---------------------------------------------------------------------------
-# pointwise sandwich and scalar-curvature corollaries
+# pointwise sandwich and the maximum-principle probe
 
 
 # |E| is algebra on the cubic form at x (no FD step), so only round-off may remain
@@ -240,26 +226,6 @@ def simons_sandwich_check(cs: ChartStructure, x, h_curv: float | None = None) ->
     lower = (n + 1) * h_curv * u + (n + 1) / (n * (n - 1)) * u * u + nabla_sq
     upper = (n + 1) * h_curv * u + 1.5 * u * u + nabla_sq
     return half_lap_u - lower, upper - half_lap_u
-
-
-def sphere_scalar_lower_bounds(n: int, h_curv: float, e_sq: float, a_sq: float) -> tuple[float, float]:
-    """Lower bounds on the Riemannian scalar curvature when R = H R0."""
-    return (
-        (n - 1) / (n + 2) * (h_curv * n * (n + 2) - e_sq),
-        (n - 1) / 3.0 * (3.0 * h_curv * n - a_sq),
-    )
-
-
-def lagrangian_scalar_upper_bounds(n: int, c: float, e_sq: float, a_sq: float) -> tuple[float, float]:
-    """Upper bounds on the Riemannian scalar curvature when c R0 = R_hat - [K,K].
-
-    The mean-curvature norm enters as ||mu||^2 = ||E||^2 / n^2.
-    """
-    mu_sq = e_sq / n**2
-    return (
-        n * (n - 1) / (n + 2) * (c * (n + 2) + n * mu_sq),
-        (n - 1) / 3.0 * (3.0 * c * n + a_sq),
-    )
 
 
 def discrete_max_probe(

@@ -38,8 +38,13 @@ from .tensors import (
     CurvTensor,
     MetricPoint,
     contract,
+    raise_last,
+    ricci_trace,
     sectional,
+    sectional_contraction,
     symmetrize,
+    trace_k,
+    trace_pair,
 )
 
 Field = Callable[[np.ndarray], np.ndarray]
@@ -223,17 +228,11 @@ class ChartStructure:
 
     def k_at(self, x) -> np.ndarray:
         """Difference tensor K^m_ij = g^{ml} A_ijl at x."""
-
-        def compute():
-            a = self.cubic_at(x)
-            flat = a.reshape(a.shape[:-3] + (self.n * self.n, self.n)).swapaxes(-1, -2)
-            return (self.metric_inverse_at(x) @ flat).reshape(a.shape)
-
-        return self._memo("k", x, compute)
+        return self._memo("k", x, lambda: raise_last(self.metric_inverse_at(x), self.cubic_at(x)))
 
     def tau_at(self, x) -> np.ndarray:
         """Trace form tau_i = K^m_im at x."""
-        return self._memo("tau", x, lambda: np.trace(self.k_at(x), axis1=-3, axis2=-1))
+        return self._memo("tau", x, lambda: trace_k(self.k_at(x)))
 
     def point(self, x) -> StatPoint:
         """The pointwise structure at a single point x[n], built once per point (it is immutable)."""
@@ -372,24 +371,10 @@ def nabla2_at(cs: ChartStructure, field: Field, x) -> np.ndarray:
     return nabla_at(cs, lambda y: nabla_at(cs, field, y), x)
 
 
-def _trace_pair(ginv: np.ndarray, arr: np.ndarray, a: int, b: int):
-    """Contract slots a and b of arr (counted after the batch axes of ginv) against ginv.
-
-    One [..., 1, n*n] @ [..., n*n, rest] product with slots a and b moved in front.
-    """
-    lead, n = ginv.ndim - 2, ginv.shape[-1]
-    rest = tuple(p for p in range(lead, arr.ndim) if p not in (lead + a, lead + b))
-    arr = arr.transpose(tuple(range(lead)) + (lead + a, lead + b) + rest)
-    flat = arr.reshape(arr.shape[:lead] + (n * n, -1))
-    out = ginv.reshape(ginv.shape[:lead] + (1, n * n)) @ flat
-    out = out.reshape(arr.shape[:lead] + arr.shape[lead + 2:])
-    return float(out) if out.ndim == 0 else out
-
-
 def laplacian_tensor_at(cs: ChartStructure, field: Field, x) -> np.ndarray:
     """Trace Laplacian tr_g(nabla^2 s) on a covariant tensor field."""
     second = nabla2_at(cs, field, x)
-    return _trace_pair(cs.metric_inverse_at(x), second, 0, 1)
+    return trace_pair(cs.metric_inverse_at(x), second, 0, 1)
 
 
 def scalar_laplacian_at(cs: ChartStructure, f: Field, x):
@@ -416,13 +401,13 @@ def scalar_laplacian_at(cs: ChartStructure, f: Field, x):
     # hess_ab - Gamma^c_ab d_c f, traced against g^ab
     gamma = christoffel_array(cs, x).reshape(x.shape[:-1] + (n, n * n))
     connection = (grad[..., None, :] @ gamma).reshape(hess.shape)
-    return _trace_pair(cs.metric_inverse_at(x), hess - connection, 0, 1)
+    return trace_pair(cs.metric_inverse_at(x), hess - connection, 0, 1)
 
 
 def codifferential_at(cs: ChartStructure, field: Field, x):
     """Codifferential with the plus convention: + tr_g(nabla s)(., ., rest)."""
     ns = nabla_at(cs, field, x)
-    return _trace_pair(cs.metric_inverse_at(x), ns, 0, 1)
+    return trace_pair(cs.metric_inverse_at(x), ns, 0, 1)
 
 
 def exterior_derivative_1form_at(cs: ChartStructure, taufield: Field, x) -> np.ndarray:
@@ -480,12 +465,12 @@ def curvature_hat(cs: ChartStructure, x) -> CurvTensor:
 
 def ric_hat(cs: ChartStructure, x) -> np.ndarray:
     up, _ = curvature_hat_arrays(cs, x)
-    ric = np.einsum("iijk->jk", up)
+    ric = ricci_trace(up)
     return 0.5 * (ric + ric.T)
 
 
 def rho_hat(cs: ChartStructure, x) -> float:
-    return float(np.einsum("jk,jk->", cs.metric_inverse_at(x), ric_hat(cs, x)))
+    return trace_pair(cs.metric_inverse_at(x), ric_hat(cs, x), 0, 1)
 
 
 def sectional_hat(cs: ChartStructure, x, plane) -> float:
@@ -507,10 +492,6 @@ def conjugate_symmetry_defect(cs: ChartStructure, x) -> float:
     na = nabla_cubic_at(cs, x)
     ginv = cs.metric_inverse_at(x)
     return _g_norm(ginv, na - symmetrize(na, degree=4)) / (1.0 + _g_norm(ginv, na))
-
-
-def conjugate_symmetry_holds(cs: ChartStructure, x, threshold=CONJUGATE_SYMMETRY_THRESHOLD) -> bool:
-    return conjugate_symmetry_defect(cs, x) < threshold
 
 
 def conjugate_symmetry_criteria(cs: ChartStructure, x) -> dict[str, float]:
@@ -591,14 +572,14 @@ def statistical_connections(cs: ChartStructure, x) -> StatConnections:
                 g0, dg, _dual_gamma(cs, x, 1.0), _dual_gamma(cs, x, -1.0)
             ),
         }
-        if conjugate_symmetry_holds(cs, x):
+        if conjugate_symmetry_defect(cs, x) < CONJUGATE_SYMMETRY_THRESHOLD:
             residuals["conjugate-reduction"] = _g_norm(ginv, r_nabla - r_hat - bracket)
         return StatConnections(
             r_hat=r_hat,
             r_nabla=r_nabla,
             r_bar=r_bar,
-            ric=np.einsum("iijk->jk", up),
-            ric_bar=np.einsum("iijk->jk", up_bar),
+            ric=ricci_trace(up),
+            ric_bar=ricci_trace(up_bar),
             scale=1.0 + _g_norm(ginv, r_nabla),
             residuals=MappingProxyType(residuals),
         )
@@ -658,33 +639,29 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
     ric, ric_bar = conn.ric, conn.ric_bar
     ric_hat_arr = ric_hat(cs, x)
     na = nabla_cubic_at(cs, x)
-    div_k = _trace_pair(ginv, na, 0, 3)
+    div_k = trace_pair(ginv, na, 0, 3)
     nabla_tau = nabla_at(cs, cs.tau_at, x)
     tau_circ = sp.tau_circ_k()
     gram = sp.gram_k()
     ric_k_arr = tau_circ - gram
 
-    rho = float(np.einsum("jk,jk->", ginv, ric))
+    rho = trace_pair(ginv, ric, 0, 1)
     rho_hat_val = rho_hat(cs, x)
-    e_sq = float(sp.g.norm(sp.E) ** 2)
-    k_sq = sp.norm_a_sq()
 
     # Koszul form beta = nabla tau computed from the nabla coefficients directly
     beta_direct = nabla_at(cs, cs.tau_at, x, gamma=_dual_gamma(cs, x, 1.0))
     beta_formula = nabla_tau - tau_circ
     tau_sq = float(sp.tau @ ginv @ sp.tau)
-    delta_tau = float(np.einsum("ab,ab->", ginv, nabla_tau))
+    delta_tau = trace_pair(ginv, nabla_tau, 0, 1)
 
     out = {
         "ricci-decomposition": _g_norm(ginv, ric - (ric_hat_arr + div_k - nabla_tau + ric_k_arr)),
         "ricci-conjugate-sum": _g_norm(
             ginv, ric + ric_bar - (2.0 * ric_hat_arr + 2.0 * tau_circ - 2.0 * gram)
         ),
-        "scalar-gap": abs(rho_hat_val - (rho + k_sq - e_sq)),
+        "scalar-gap": abs(rho_hat_val - (rho + sp.scalar_gap())),
         "koszul-form": _g_norm(ginv, beta_direct - beta_formula),
-        "koszul-trace": abs(
-            float(np.einsum("ab,ab->", ginv, beta_formula)) - (delta_tau - tau_sq)
-        ),
+        "koszul-trace": abs(trace_pair(ginv, beta_formula, 0, 1) - (delta_tau - tau_sq)),
     }
     comparison = 2.0 * ric_hat_arr - ric - ric_bar
     if sp.trace_free:
@@ -802,7 +779,7 @@ def sym2_simons_residual(cs: ChartStructure, betafield: Field, x) -> tuple[float
     grad_sq = _g_norm(ginv, nb) ** 2
 
     second = nabla2_at(cs, betafield, x)
-    middle = contract(ginv, beta0, _trace_pair(ginv, second, 2, 3))
+    middle = contract(ginv, beta0, trace_pair(ginv, second, 2, 3))
 
     # generalized eigenstructure of beta against g via the orthonormal frame
     b = np.linalg.cholesky(ginv)
@@ -813,13 +790,10 @@ def sym2_simons_residual(cs: ChartStructure, betafield: Field, x) -> tuple[float
     eigvecs = eigvecs[:, order]
     frame = b @ eigvecs
     _, r_low = curvature_hat_arrays(cs, x)
-    eigen_term = 0.0
-    for i in range(cs.n):
-        for k in range(i + 1, cs.n):
-            ei = frame[:, i]
-            ek = frame[:, k]
-            k_ik = float(np.einsum("ijkl,i,j,k,l->", r_low, ei, ek, ek, ei))
-            eigen_term += k_ik * (eigvals[i] - eigvals[k]) ** 2
+    # one sectional curvature per pair i < k of eigenvectors
+    i, k = np.triu_indices(cs.n, 1)
+    k_ik = sectional_contraction(r_low, frame[:, i].T, frame[:, k].T)
+    eigen_term = float(np.sum(k_ik * (eigvals[i] - eigvals[k]) ** 2))
     residual = abs(lhs - (grad_sq + middle + eigen_term))
     return residual, eigen_term
 

@@ -243,14 +243,15 @@ def _check_predicates(spec: GeneratorSpec, out) -> None:
                 f"constant-curvature predicate failed: residual {residual:g} at H={h_curv:g}"
             )
     if spec.family == "G2-hessian-potential":
-        from .charts import conjugate_symmetry_holds, statistical_connections
+        from .charts import (CONJUGATE_SYMMETRY_THRESHOLD, conjugate_symmetry_defect,
+                             statistical_connections)
 
         x = out.domain.mean(axis=1) + 0.05
         conn = statistical_connections(out, x)
         r_norm = float(np.max(np.abs(conn.r_nabla)))
         if r_norm > 100.0 * out.h**2:
             raise ConstructionError(f"Hessian flatness predicate failed: |R| = {r_norm:g}")
-        if not conjugate_symmetry_holds(out, x):
+        if conjugate_symmetry_defect(out, x) >= CONJUGATE_SYMMETRY_THRESHOLD:
             raise ConstructionError("Hessian structure is not conjugate symmetric")
     if spec.family == "G5-periodic-trig" and spec.params.get("variant", "conformal") == "conformal":
         x = np.array([1.1, 2.3])

@@ -35,10 +35,11 @@ from .tensors import (
     orthonormal_frame,
     r0_curvature,
     raise_last,
-    ricci_from_curvature,
-    scalar_from_ricci,
+    ricci_trace,
     sectional,
     symmetrize,
+    trace_k,
+    trace_pair,
 )
 
 TRACE_FREE_TOL = 1e-12
@@ -68,23 +69,23 @@ class StatPoint:
     def K(self) -> Tensor:
         """Difference tensor as a (1,2) tensor: K^m_ij = g^{ml} A_ijl."""
         if self._k is None:
-            self._k = raise_last(self.g, self.A)
+            self._k = Tensor(self.n, 2, 1, raise_last(self.g.inverse, self.A.dense))
         return self._k
 
     @property
     def E(self) -> np.ndarray:
-        """Trace vector E^m = g^{ij} K^m_ij."""
+        """Trace vector E, the dual of tau: E^m = g^{mi} tau_i."""
         if self._e is None:
-            e = np.einsum("ij,mij->m", self.g.inverse, self.K.array)
+            e = self.g.inverse @ self.tau
             e.setflags(write=False)
             self._e = e
         return self._e
 
     @property
     def tau(self) -> np.ndarray:
-        """Trace form tau_i = tr(K_{e_i}) = g(E, e_i)."""
+        """Trace form tau_i = tr(K_{e_i}) = K^m_im."""
         if self._tau is None:
-            t = self.g.components @ self.E
+            t = trace_k(self.K.array)
             t.setflags(write=False)
             self._tau = t
         return self._tau
@@ -106,6 +107,10 @@ class StatPoint:
     def norm_a_sq(self) -> float:
         """||A||^2 = ||K||^2 (full contraction with g^{-1})."""
         return inner(self.g, self.A, self.A)
+
+    def scalar_gap(self) -> float:
+        """||A||^2 - ||E||^2, the scalar curvature of g minus that of the connection nabla."""
+        return self.norm_a_sq() - float(self.tau @ self.E)
 
     def tau_circ_k(self) -> np.ndarray:
         """(tau o K)(Y,Z) = tau(K(Y,Z)) as a symmetric 2-form."""
@@ -145,12 +150,16 @@ class EqualityCertificate:
 # commutator curvature
 
 
-def bracket_kk(sp: StatPoint) -> CurvTensor:
-    """[K,K](X,Y)Z = K_X K_Y Z - K_Y K_X Z, lowered to a (0,4) curvature tensor."""
+def _bracket_up(sp: StatPoint) -> np.ndarray:
+    """up[m, i, j, k] = ([K,K](e_i, e_j)e_k)^m = (K_i K_j e_k - K_j K_i e_k)^m."""
     k = sp.K.array
     up = np.einsum("mip,pjk->mijk", k, k)
-    up = up - np.swapaxes(up, 1, 2)
-    low = np.einsum("lm,mijk->ijkl", sp.g.components, up)
+    return up - np.swapaxes(up, 1, 2)
+
+
+def bracket_kk(sp: StatPoint) -> CurvTensor:
+    """[K,K](X,Y)Z = K_X K_Y Z - K_Y K_X Z, lowered to a (0,4) curvature tensor."""
+    low = np.einsum("lm,mijk->ijkl", sp.g.components, _bracket_up(sp))
     out = CurvTensor(low)
     out.check(tol=1e-10 * (1.0 + float(np.max(np.abs(low)))), riemannian=True)
     return out
@@ -163,7 +172,7 @@ def ric_k(sp: StatPoint) -> np.ndarray:
 
 def ric_k_from_bracket(sp: StatPoint) -> np.ndarray:
     """Ricci tensor of [K,K] as the direct trace of X -> [K,K](X,Y)Z."""
-    return ricci_from_curvature(sp.g, bracket_kk(sp))
+    return ricci_trace(_bracket_up(sp))
 
 
 def rho_k(sp: StatPoint) -> tuple[float, float]:
@@ -172,9 +181,7 @@ def rho_k(sp: StatPoint) -> tuple[float, float]:
     Returns (trace of ric_k, ||E||^2 - ||K||^2); the two agree for every
     structure and the harness reports their difference as a residual.
     """
-    via_trace = scalar_from_ricci(sp.g, ric_k(sp))
-    via_norms = sp.g.norm(sp.E) ** 2 - sp.norm_a_sq()
-    return via_trace, via_norms
+    return trace_pair(sp.g.inverse, ric_k(sp), 0, 1), -sp.scalar_gap()
 
 
 def sectional_k(sp: StatPoint, x, y) -> float:
@@ -443,33 +450,26 @@ def constant_curvature_residual(rt: CurvTensor, g: MetricPoint, h: float) -> flo
     """g-norm of R - H R0: zero exactly on constant-curvature structures."""
     if rt.n != g.n:
         raise DimensionMismatchError(f"metric has n={g.n}, curvature has n={rt.n}")
-    diff = rt.array - h * r0_curvature(g).array
-    return norm(g, diff)
+    return norm(g, rt.array - h * r0_curvature(g).array)
 
 
 def lagrangian_gauss_residual(sp: StatPoint, rhat: CurvTensor, c: float) -> tuple[float, float]:
     """Residual of c R0 = Rhat - [K,K], plus the scalar-curvature consistency check.
 
-    Returns (||c R0 - Rhat + [K,K]||, |rho_hat - (c n(n-1) + ||E||^2 - ||A||^2)|).
+    Returns (||Rhat - [K,K] - c R0||, |rho_hat - (c n(n-1) - ||A||^2 + ||E||^2)|).
     """
     g = sp.g
-    diff = c * r0_curvature(g).array - rhat.array + bracket_kk(sp).array
-    residual = norm(g, diff)
-    rho_hat = scalar_from_ricci(g, ricci_from_curvature(g, rhat))
+    residual = constant_curvature_residual(CurvTensor(rhat.array - bracket_kk(sp).array), g, c)
+    # the Ricci trace of a (0,4) tensor contracts its first and last slots against g^-1
+    rho_hat = trace_pair(g.inverse, trace_pair(g.inverse, rhat.array, 0, 3), 0, 1)
     n = sp.n
-    scalar_residual = abs(rho_hat - (c * n * (n - 1) + g.norm(sp.E) ** 2 - sp.norm_a_sq()))
+    scalar_residual = abs(rho_hat - (c * n * (n - 1) - sp.scalar_gap()))
     return residual, scalar_residual
 
 
-def best_fit_curvature_coefficient(
-    g: MetricPoint, rt: CurvTensor, r0: CurvTensor | None = None
-) -> float:
-    """Least-squares H minimizing ||R - H R0||: inner(R, R0) / ||R0||^2.
-
-    r0 is R0 of g when the caller has built it already.
-    """
-    if r0 is None:
-        r0 = r0_curvature(g)
+def best_fit_curvature_coefficient(g: MetricPoint, rt: CurvTensor) -> float:
+    """Least-squares H minimizing ||R - H R0||: inner(R, R0) / ||R0||^2."""
+    r0 = r0_curvature(g)
     return inner(g, rt, r0) / inner(g, r0, r0)
 
 
@@ -482,10 +482,9 @@ def fit_constant_curvature(
     """
     if rt.n != g.n:
         raise DimensionMismatchError(f"metric has n={g.n}, curvature has n={rt.n}")
-    r0 = r0_curvature(g)
     if h is None:
-        h = best_fit_curvature_coefficient(g, rt, r0)
-    fit = norm(g, rt.array - h * r0.array)
+        h = best_fit_curvature_coefficient(g, rt)
+    fit = constant_curvature_residual(rt, g, h)
     if fit > rel_tol * (1.0 + abs(h)):
         raise PreconditionError(f"curvature is not H R0 at x (fit residual {fit:g})")
     return h

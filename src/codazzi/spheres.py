@@ -240,7 +240,7 @@ def unit_bundle_functional(
     points, cell, _ = _periodic_lattice(cs, lattice)
 
     # spot-check the hypotheses at a handful of lattice points, in lattice order; conjugate
-    # symmetry uses the same bar as conjugate_symmetry_holds
+    # symmetry uses CONJUGATE_SYMMETRY_THRESHOLD, the bar of every conjugate-symmetry test
     probe = points[:: max(1, len(points) // 7)]
     defect = conjugate_symmetry_defect(cs, probe)
     nabla_tau = np.max(np.abs(nabla_at(cs, cs.tau_at, probe)), axis=(1, 2))

@@ -278,22 +278,19 @@ class CurvTensor:
 # metric-aware algebra
 
 
-def raise_last(g: MetricPoint, a: CubicForm) -> Tensor:
-    """Sharp of the last slot: K^m_ij = g^{ml} A_ijl, so A(X,Y,Z) = g(K(X,Y),Z)."""
-    if a.n != g.n:
-        raise DimensionMismatchError(f"metric has n={g.n}, cubic form has n={a.n}")
-    k = np.einsum("ml,ijl->mij", g.inverse, a.dense)
-    return Tensor(g.n, 2, 1, k)
+def raise_last(ginv: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Difference tensor K[..., m, i, j] = g^{ml} A_ijl, so A(X,Y,Z) = g(K(X,Y),Z).
+
+    ginv[..., n, n] and a[..., n, n, n] share their batch axes; one matmul on a reshape.
+    """
+    n = a.shape[-1]
+    flat = a.reshape(a.shape[:-3] + (n * n, n)).swapaxes(-1, -2)
+    return (ginv @ flat).reshape(a.shape)
 
 
-def lower_last(g: MetricPoint, k: Tensor) -> CubicForm:
-    """Flat of the upper index of a (1,2) tensor; inverse of raise_last."""
-    if (k.p, k.q) != (2, 1):
-        raise DimensionMismatchError("lower_last expects a (1,2) tensor")
-    if k.n != g.n:
-        raise DimensionMismatchError(f"metric has n={g.n}, tensor has n={k.n}")
-    a = np.einsum("lm,mij->ijl", g.components, k.array)
-    return CubicForm.from_dense(a, tol=1e-12)
+def trace_k(k: np.ndarray) -> np.ndarray:
+    """Trace form tau[..., i] = K^m_im of K[..., m, i, j]."""
+    return np.trace(k, axis1=-3, axis2=-1)
 
 
 def _per_slot(m: np.ndarray, arr) -> np.ndarray:
@@ -326,6 +323,26 @@ def contract(ginv: np.ndarray, t: np.ndarray, s: np.ndarray):
     lead = ginv.ndim - 2
     out = np.sum(t * _per_slot(ginv, s), axis=tuple(range(lead, np.ndim(s))))
     return float(out) if lead == 0 else out
+
+
+def trace_pair(ginv: np.ndarray, arr: np.ndarray, a: int, b: int):
+    """Contract slots a and b of arr (counted after the batch axes of ginv) against ginv.
+
+    One [..., 1, n*n] @ [..., n*n, rest] product with slots a and b moved in front;
+    a single point traced to a scalar gives a float.
+    """
+    lead, n = ginv.ndim - 2, ginv.shape[-1]
+    rest = tuple(p for p in range(lead, arr.ndim) if p not in (lead + a, lead + b))
+    arr = arr.transpose(tuple(range(lead)) + (lead + a, lead + b) + rest)
+    flat = arr.reshape(arr.shape[:lead] + (n * n, -1))
+    out = ginv.reshape(ginv.shape[:lead] + (1, n * n)) @ flat
+    out = out.reshape(arr.shape[:lead] + arr.shape[lead + 2:])
+    return float(out) if out.ndim == 0 else out
+
+
+def ricci_trace(up: np.ndarray) -> np.ndarray:
+    """Ric[..., j, k] = trace of X -> R(X, e_j)e_k, from up[..., m, i, j, k] = R(e_i, e_j)e_k^m."""
+    return np.trace(up, axis1=-4, axis2=-3)
 
 
 def _covariant_array(t) -> np.ndarray:
@@ -426,7 +443,19 @@ def sectional(r: np.ndarray, g: np.ndarray, u, v) -> float:
     if nv <= 1e-12 * max(float(np.sqrt(v @ g @ v)), 1.0):
         raise PreconditionError("plane vectors are linearly dependent")
     e2 = v2 / nv
-    return float(np.einsum("ijkl,i,j,k,l->", r, e1, e2, e2, e1))
+    return float(sectional_contraction(r, e1, e2))
+
+
+def sectional_contraction(r: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """r(e1, e2, e2, e1) for r[..., n, n, n, n] and vectors e1, e2 [..., n]: one matmul per slot.
+
+    The batch axes of r, e1 and e2 broadcast.
+    """
+    n = r.shape[-1]
+    t = r.reshape(r.shape[:-4] + (n ** 3, n)) @ e1[..., :, None]
+    t = t.reshape(t.shape[:-2] + (n * n, n)) @ e2[..., :, None]
+    t = t.reshape(t.shape[:-2] + (n, n)) @ e2[..., :, None]
+    return (t.reshape(t.shape[:-2] + (1, n)) @ e1[..., :, None])[..., 0, 0]
 
 
 def frame_components(b: np.ndarray, arr) -> np.ndarray:
@@ -442,12 +471,3 @@ def r0_curvature(g: MetricPoint) -> CurvTensor:
     gm = g.components
     arr = np.einsum("jk,il->ijkl", gm, gm) - np.einsum("ik,jl->ijkl", gm, gm)
     return CurvTensor(arr)
-
-
-def ricci_from_curvature(g: MetricPoint, r: CurvTensor) -> np.ndarray:
-    """Ric(Y,Z) = trace of X -> R(X,Y)Z, from (0,4) components."""
-    return np.einsum("il,ijkl->jk", g.inverse, r.array)
-
-
-def scalar_from_ricci(g: MetricPoint, ric: np.ndarray) -> float:
-    return float(np.einsum("jk,jk->", g.inverse, ric))

@@ -4,13 +4,10 @@ import pytest
 from codazzi import PreconditionError, bounds, charts
 from codazzi.bounds import (
     calabi_sup_bound,
-    conditional_inf_u_lower_bound,
     discrete_max_probe,
     inf_u_dichotomy,
-    lagrangian_scalar_upper_bounds,
     parallel_cubic_band,
     simons_sandwich_check,
-    sphere_scalar_lower_bounds,
     sup_u_bounds,
     surface_u_bounds,
 )
@@ -106,10 +103,6 @@ class TestInfUDichotomy:
             inf_u_dichotomy(2, 0.5, 0.0)
         with pytest.raises(PreconditionError):
             inf_u_dichotomy(2, -1.0, -0.1)
-
-    def test_conditional_lower_bound(self):
-        assert conditional_inf_u_lower_bound(2, -1.0, 0.0, 0.5) == pytest.approx(2.0)
-        assert conditional_inf_u_lower_bound(2, -1.0, 0.0, -1.0) is None
 
 
 class TestSupUBounds:
@@ -225,20 +218,6 @@ class TestSandwichInBoundsSuite:
                                 ("sandwich-constant-fields", "G3-chart")):
             assert checks[check_id].verdict == "precondition-skipped"
             assert checks[check_id].location == f"{where} [planted]"
-
-
-class TestScalarCorollaries:
-    def test_sphere_lower_bounds_on_family(self):
-        # R = H R0 with H = -2, u = 4, E = 0, rho_hat = 0 for constant fields
-        lo1, lo2 = sphere_scalar_lower_bounds(2, -2.0, 0.0, 4.0)
-        assert 0.0 >= lo1 - 1e-12
-        assert 0.0 >= lo2 - 1e-12
-
-    def test_dual_split_upper_bounds(self):
-        # c R0 = R_hat - [K,K] with c = 2, rho_hat = 0
-        hi1, hi2 = lagrangian_scalar_upper_bounds(2, 2.0, 0.0, 4.0)
-        assert 0.0 <= hi1 + 1e-12
-        assert 0.0 <= hi2 + 1e-12
 
 
 class TestMaxProbe:

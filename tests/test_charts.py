@@ -28,7 +28,7 @@ from codazzi.charts import (
 )
 from codazzi.generators import GeneratorSpec, generate, sample_points
 from codazzi.points import sectional_k
-from codazzi.tensors import contract, symmetrize
+from codazzi.tensors import contract, symmetrize, trace_pair
 from codazzi.spheres import ros_residual, unit_bundle_functional
 from codazzi.suites import run_suite
 
@@ -201,7 +201,7 @@ class TestDerivativeEngine:
     def test_divergence_matches_trace_identity(self):
         # div of the lowered difference tensor equals the (0,3)-slot trace of
         # its derivative; cross-check against the hessian generator's field
-        from codazzi.charts import nabla_at, nabla_cubic_at, _trace_pair
+        from codazzi.charts import nabla_at, nabla_cubic_at
 
         cs = hessian_from_potential(
             "0.5*x1**2*x2**2 + 0.5*(x1**2 + x2**2)", [[-0.6, 0.6]] * 2
@@ -210,7 +210,7 @@ class TestDerivativeEngine:
         ginv = cs.metric_inverse_at(x)
         # derivative slot traced against the last argument slot
         via_op = np.einsum("ab,aijb->ij", ginv, nabla_at(cs, cs.a_field, x))
-        via_trace = _trace_pair(ginv, nabla_cubic_at(cs, x), 0, 3)
+        via_trace = trace_pair(ginv, nabla_cubic_at(cs, x), 0, 3)
         assert np.max(np.abs(via_op - via_trace)) < 1e-12
         assert np.allclose(via_op, via_op.T, atol=1e-6)
 
@@ -625,7 +625,7 @@ class TestSlotContractions:
             for a in range(degree):
                 for b in range(degree):
                     if a != b:
-                        self._close(charts._trace_pair(ginv, arr, a, b),
+                        self._close(trace_pair(ginv, arr, a, b),
                                     self._trace_pair_sum(ginv, arr, a, b))
 
     def test_dual_curvatures_lower_the_first_slot(self):

@@ -321,3 +321,44 @@ def test_compile_checker_flags_each_copy():
         "charts.py:field", "charts.py:module",
         "expressions.py:Expr.compile", "expressions.py:_compile_source",
     ]
+
+
+def repeated_einsum_specs(sources: dict[str, str]) -> list[str]:
+    """``np.einsum`` spec strings written at more than one site, with the sites in order.
+
+    A contraction written twice is one kernel with two copies: both sites should call a
+    single function (the shared kernels live in ``tensors.py``).
+    """
+    sites = {}
+    for name, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "einsum" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                sites.setdefault(node.args[0].value, []).append((name, node.lineno))
+    return [f"{spec}: " + ", ".join(f"{name}:{line}" for name, line in sorted(where))
+            for spec, where in sorted(sites.items()) if len(where) > 1]
+
+
+def test_each_einsum_spec_is_written_once():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert repeated_einsum_specs(sources) == []
+
+
+def test_spec_checker_flags_each_copy():
+    sources = {
+        "tensors.py": (
+            "import numpy as np\n"
+            "def ricci(ginv, r):\n"
+            "    return np.einsum('il,ijkl->jk', ginv, r)\n"
+            "def scalar(ginv, ric):\n"
+            "    return np.einsum('jk,jk->', ginv, ric)\n"
+        ),
+        "charts.py": (
+            "import numpy as np\n"
+            "def rho(ginv, ric, up):\n"
+            "    r = np.einsum('jk,jk->', ginv, ric)\n"
+            "    return r, np.einsum('iijk->jk', up), np.einsum('jk,jk->', ginv, ric.T)\n"
+        ),
+    }
+    assert repeated_einsum_specs(sources) == ["jk,jk->: charts.py:3, charts.py:4, tensors.py:5"]

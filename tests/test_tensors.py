@@ -13,13 +13,12 @@ from codazzi import (
     Tensor,
     frame_components,
     inner,
-    lower_last,
     orthonormal_frame,
     r0_curvature,
     raise_last,
     symmetrize,
 )
-from codazzi.tensors import contract, sectional
+from codazzi.tensors import contract, ricci_trace, sectional, sectional_contraction, trace_k
 from conftest import equality_point
 
 
@@ -96,22 +95,16 @@ class TestRaiseLast:
 
     def test_zero(self):
         g = MetricPoint(np.eye(3))
-        k = raise_last(g, CubicForm.zero(3))
-        assert np.all(k.array == 0.0)
+        k = raise_last(g.inverse, CubicForm.zero(3).dense)
+        assert np.all(k == 0.0)
 
     def test_hand_contraction_diag_metric(self):
         g = MetricPoint(np.diag([2.0, 1.0]))
         a = CubicForm.from_entries(2, {(0, 0, 0): -1.0})
-        k = raise_last(g, a)
+        k = raise_last(g.inverse, a.dense)
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 0] = -0.5
-        assert np.allclose(k.array, expected)
-
-    def test_lower_round_trip(self, rng):
-        g = MetricPoint(random_spd(3, rng))
-        a = CubicForm.from_dense(symmetrize(rng.uniform(-1, 1, (3, 3, 3))))
-        back = lower_last(g, raise_last(g, a))
-        assert np.max(np.abs(back.dense - a.dense)) < 1e-13
+        assert np.allclose(k, expected)
 
 
 class TestInner:
@@ -171,7 +164,8 @@ def _spd_stack(shape, n, rng):
 
 
 class TestSlotKernels:
-    """contract and frame_components apply one matrix per slot; einsum is the oracle."""
+    """contract, frame_components and the pointwise kernels contract slots by matmuls;
+    einsum is the oracle."""
 
     # (batch axes of the matrices, batch axes of the tensors)
     BATCHES = [((), ()), ((5,), (5,)), ((2, 3), (2, 3)), ((2, 1), (1, 3))]
@@ -191,6 +185,24 @@ class TestSlotKernels:
         got, want = frame_components(frame, t), _frame_oracle(frame, t)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+    def test_pointwise_kernels_against_einsum(self, n, batch, rng):
+        ginv = _spd_stack(batch, n, rng)
+        a = rng.uniform(-1, 1, batch + (n,) * 3)
+        r = rng.uniform(-1, 1, batch + (n,) * 4)
+        e1, e2 = rng.uniform(-1, 1, (2,) + batch + (n,))
+        k = raise_last(ginv, a)
+        for got, want in (
+            (k, np.einsum("...ml,...ijl->...mij", ginv, a)),
+            (trace_k(k), np.einsum("...mim->...i", k)),
+            (ricci_trace(r), np.einsum("...iijk->...jk", r)),
+            (sectional_contraction(r, e1, e2), np.einsum("...ijkl,...i,...j,...k,...l->...",
+                                                        r, e1, e2, e2, e1)),
+        ):
+            assert np.shape(got) == np.shape(want)
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("k", [1, 3, 4])
