@@ -38,6 +38,7 @@ from .tensors import (
     CurvTensor,
     MetricPoint,
     contract,
+    metric_factors,
     raise_last,
     ricci_trace,
     sectional,
@@ -187,14 +188,11 @@ class ChartStructure:
                 raise ConstructionError(f"{message} at x={points[np.argmax(bad)].tolist()}")
 
         first(~np.all(np.isfinite(g), axis=(1, 2)), "metric field is not finite")
-        g = 0.5 * (g + np.swapaxes(g, 1, 2))
-        minors = np.stack([np.linalg.det(g[:, :k, :k]) for k in range(1, n + 1)], axis=-1)
-        # MetricPoint names the failing minor (and enforces the dimension cap); keep its type
-        i = int(np.argmax(~np.all(minors > 0.0, axis=-1)))
         try:
-            MetricPoint(g[i])
+            metric_factors(g, points)
         except ConstructionError as exc:
-            raise type(exc)(f"metric field fails at x={points[i].tolist()}: {exc}") from exc
+            # the message names the point; keep the type (hessian_from_potential reads it)
+            raise type(exc)(f"metric field fails: {exc}") from exc
         first(~np.all(np.isfinite(a), axis=(1, 2, 3)), "cubic field is not finite")
         scale = np.max(np.abs(a), axis=(1, 2, 3))
         defect = np.max(np.abs(a - symmetrize(a, degree=3)), axis=(1, 2, 3))
@@ -221,7 +219,16 @@ class ChartStructure:
         return self._memo("g", x, lambda: np.asarray(self.g_field(np.asarray(x, float)), float))
 
     def metric_inverse_at(self, x) -> np.ndarray:
-        return self._memo("ginv", x, lambda: np.linalg.inv(self.metric_at(x)))
+        return self._metric_factors(x)[0]
+
+    def metric_frame_at(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(frame, sqrt(det g)) at x: the orthonormal frame of orthonormal_frame, from the
+        factorization that gives metric_inverse_at, and the Riemannian volume density."""
+        _, frame, vol = self._metric_factors(x)
+        return frame, vol
+
+    def _metric_factors(self, x):
+        return self._memo("factors", x, lambda: metric_factors(self.metric_at(x), x))
 
     def cubic_at(self, x) -> np.ndarray:
         return self._memo("a", x, lambda: np.asarray(self.a_field(np.asarray(x, float)), float))
@@ -587,14 +594,14 @@ def statistical_connections(cs: ChartStructure, x) -> StatConnections:
     return cs._memo("conn", x, compute)
 
 
-def conjugate_coefficients(g: np.ndarray, dg: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def conjugate_coefficients(g: np.ndarray, ginv: np.ndarray, dg: np.ndarray,
+                           gamma: np.ndarray) -> np.ndarray:
     """Coefficients of the metric-dual connection from the product rule.
 
-    g(nabla_a e_i, e_j) + g(e_i, conj_a e_j) = d_a g_ij solved for conj;
-    applying the map twice returns the input exactly (no FD error beyond
-    the supplied dg).
+    g(nabla_a e_i, e_j) + g(e_i, conj_a e_j) = d_a g_ij solved for conj, with
+    ginv = g^{-1}; applying the map twice returns the input exactly (no FD
+    error beyond the supplied dg).
     """
-    ginv = np.linalg.inv(g)
     # conj[m,a,j] g_im = dg[a,i,j] - gamma[l,a,i] g_lj
     rhs = dg - np.einsum("lai,lj->aij", gamma, g)
     return np.einsum("mi,aij->maj", ginv, rhs)
@@ -604,8 +611,9 @@ def duality_involution_defect(cs: ChartStructure, x) -> float:
     """Round-trip defect of conjugating the statistical connection twice."""
     x = np.asarray(x, dtype=float)
     g, dg = _central(cs.metric_at, x, cs.h)
+    ginv = cs.metric_inverse_at(x)
     gamma_nabla = _dual_gamma(cs, x, 1.0)
-    back = conjugate_coefficients(g, dg, conjugate_coefficients(g, dg, gamma_nabla))
+    back = conjugate_coefficients(g, ginv, dg, conjugate_coefficients(g, ginv, dg, gamma_nabla))
     return float(np.max(np.abs(back - gamma_nabla)))
 
 
@@ -615,9 +623,8 @@ def _dual_pairing_residual(g, dg, gn, gb) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def _g_frame_min_eig(ginv: np.ndarray, form: np.ndarray) -> float:
-    """Least eigenvalue of the symmetric part of a (0,2) form in a g-orthonormal frame."""
-    b = np.linalg.cholesky(ginv)
+def _g_frame_min_eig(b: np.ndarray, form: np.ndarray) -> float:
+    """Least eigenvalue of the symmetric part of a (0,2) form in the g-orthonormal frame b."""
     return float(np.min(np.linalg.eigvalsh(b.T @ (0.5 * (form + form.T)) @ b)))
 
 
@@ -664,10 +671,11 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
         "koszul-trace": abs(trace_pair(ginv, beta_formula, 0, 1) - (delta_tau - tau_sq)),
     }
     comparison = 2.0 * ric_hat_arr - ric - ric_bar
+    frame, _ = cs.metric_frame_at(x)
     if sp.trace_free:
-        out["ricci-comparison-tracefree"] = _g_frame_min_eig(ginv, comparison)
+        out["ricci-comparison-tracefree"] = _g_frame_min_eig(frame, comparison)
     chain = comparison + 0.5 * tau_sq * cs.metric_at(x)
-    out["ricci-comparison-chain"] = _g_frame_min_eig(ginv, chain)
+    out["ricci-comparison-chain"] = _g_frame_min_eig(frame, chain)
     if _g_norm(ginv, conn.r_nabla) < 1e-4:
         out["hessian-ricci"] = _g_norm(ginv, ric_hat_arr - (gram - tau_circ))
     return out
@@ -782,7 +790,7 @@ def sym2_simons_residual(cs: ChartStructure, betafield: Field, x) -> tuple[float
     middle = contract(ginv, beta0, trace_pair(ginv, second, 2, 3))
 
     # generalized eigenstructure of beta against g via the orthonormal frame
-    b = np.linalg.cholesky(ginv)
+    b, _ = cs.metric_frame_at(x)
     beta_hat = b.T @ beta0 @ b
     eigvals, eigvecs = np.linalg.eigh(0.5 * (beta_hat + beta_hat.T))
     order = np.argsort(eigvals, kind="stable")

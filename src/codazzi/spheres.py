@@ -11,6 +11,7 @@ fall back to Monte Carlo with a reported standard error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,11 +96,31 @@ def integrate_sphere(q: SphereQuadrature, f):
 
 
 def node_powers(nodes: np.ndarray, k: int) -> np.ndarray:
-    """The (m, n**k) rows V (x) ... (x) V (k factors) of the nodes, flattened in C order."""
+    """The (m, n**k) rows V (x) ... (x) V (k factors) of the nodes, flattened in C order.
+
+    The table is read-only and built once per (nodes, k): the cache holds the
+    NODE_POWER_CACHE_SIZE most recently used tables.
+    """
+    nodes = np.ascontiguousarray(nodes, dtype=float)
+    return _node_power_table(nodes.tobytes(), nodes.shape, k)
+
+
+NODE_POWER_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=NODE_POWER_CACHE_SIZE)
+def _node_power_table(data: bytes, shape: tuple[int, int], k: int) -> np.ndarray:
+    nodes = np.frombuffer(data).reshape(shape)
     rows = np.ones((len(nodes), 1))
     for _ in range(k):
         rows = (rows[:, :, None] * nodes[:, None, :]).reshape(len(nodes), -1)
+    rows.setflags(write=False)
     return rows
+
+
+def node_power_cache_info():
+    """Hits, misses and size of the per-process cache of node-power tables."""
+    return _node_power_table.cache_info()
 
 
 def poly_eval(s: np.ndarray, nodes: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -214,9 +235,9 @@ def ros_residual(
     work = ChartStructure(cs.n, cs.domain, cs.g_field, cs.a_field,
                           h=min(cs.h, spacing / 4.0), periodic=cs.periodic)
     traced = codifferential_at(work, s_field, points)
-    frame = np.linalg.cholesky(work.metric_inverse_at(points))
+    frame, vol = work.metric_frame_at(points)
     fiber = poly_eval(frame_components(frame, traced), quad.nodes, k - 1) @ quad.weights
-    return abs(float(np.sum(fiber * np.sqrt(np.linalg.det(work.metric_at(points))) * cell)))
+    return abs(float(np.sum(fiber * vol * cell)))
 
 
 def unit_bundle_functional(
@@ -257,8 +278,8 @@ def unit_bundle_functional(
         )
 
     nodes = quad.nodes
-    frame = np.linalg.cholesky(cs.metric_inverse_at(points))
-    density = np.sqrt(np.linalg.det(cs.metric_at(points))) * cell
+    frame, vol = cs.metric_frame_at(points)
+    density = vol * cell
     na_hat = frame_components(frame, nabla_cubic_at(cs, points))
     a_hat = frame_components(frame, cs.cubic_at(points))
     r_hat = frame_components(frame, curvature_hat_arrays(cs, points)[1])

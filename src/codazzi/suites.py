@@ -31,7 +31,7 @@ from .errors import ConstructionError, PreconditionError
 from .expressions import compile_cache_info
 from .generators import GeneratorSpec, generate, hyperbolic_point, equality_point, sample_points
 from .structures_io import canonical_json
-from .tensors import CurvTensor, symmetrize
+from .tensors import CurvTensor, metric_factor_counts, symmetrize
 
 SUITE_NAMES = ("algebraic", "differential", "simons", "bounds", "integral", "all")
 
@@ -1037,6 +1037,8 @@ def run_suite(name: str, cfg: SuiteConfig | None = None) -> ResidualReport:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     cfg = cfg or SuiteConfig()
     compiled = compile_cache_info()
+    factored = metric_factor_counts()
+    powers = spheres_mod.node_power_cache_info()
     started = time.perf_counter()
     report = ResidualReport(suite=name, environment=cfg.environment())
     names = [name] if name != "all" else list(_SUITES)
@@ -1051,4 +1053,11 @@ def run_suite(name: str, cfg: SuiteConfig | None = None) -> ResidualReport:
     now = compile_cache_info()
     report.timing["expression-compiles"] = now.misses - compiled.misses
     report.timing["expression-compile-hits"] = now.hits - compiled.hits
+    # metric factorizations (calls and matrices), and node-power tables found or built
+    batches, matrices = metric_factor_counts()
+    report.timing["metric-factor-batches"] = batches - factored[0]
+    report.timing["metric-factor-matrices"] = matrices - factored[1]
+    now = spheres_mod.node_power_cache_info()
+    report.timing["node-power-hits"] = now.hits - powers.hits
+    report.timing["node-power-misses"] = now.misses - powers.misses
     return report

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,7 @@ class MetricPoint:
     principal minors; the error names the first failing minor.
     """
 
-    __slots__ = ("n", "components", "_inverse", "_frame")
+    __slots__ = ("n", "components", "_factors")
 
     def __init__(self, components):
         m = _as_matrix(components)
@@ -57,17 +58,18 @@ class MetricPoint:
         m.setflags(write=False)
         self.n = n
         self.components = m
-        self._inverse = None
-        self._frame = None
+        self._factors = None
+
+    @property
+    def factors(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(g^{-1}, orthonormal frame, sqrt(det g)) from metric_factors, computed once."""
+        if self._factors is None:
+            self._factors = metric_factors(self.components)
+        return self._factors
 
     @property
     def inverse(self) -> np.ndarray:
-        if self._inverse is None:
-            inv = np.linalg.inv(self.components)
-            inv = 0.5 * (inv + inv.T)
-            inv.setflags(write=False)
-            self._inverse = inv
-        return self._inverse
+        return self.factors[0]
 
     def norm(self, vector) -> float:
         v = np.asarray(vector, dtype=float)
@@ -86,11 +88,151 @@ def orthonormal_frame(g: MetricPoint) -> np.ndarray:
     Columns of B are the frame vectors; the convention is deterministic so
     frame-dependent intermediates are reproducible.
     """
-    if g._frame is None:
-        b = np.linalg.cholesky(g.inverse)
-        b.setflags(write=False)
-        g._frame = b
-    return g._frame
+    return g.factors[1]
+
+
+# matrices factored per pass of the elementwise loop: its temporaries stay in cache
+FACTOR_BLOCK = 2048
+
+_factorized = {"batches": 0, "matrices": 0}
+
+
+def metric_factor_counts() -> tuple[int, int]:
+    """Calls of metric_factors in this process, and the matrices they factored."""
+    return _factorized["batches"], _factorized["matrices"]
+
+
+def metric_factors(g, points=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g^{-1}, frame, sqrt(det g)) of a batch of metrics g[..., n, n] from one factorization.
+
+    g is symmetrized, 0.5 (g + g^T), and factored as g = U U^T with U upper
+    triangular (a Cholesky factorization run from the last row up).  The frame
+    is B = U^{-T}: lower triangular with B^T g B = I, so it is the Cholesky
+    factor of g^{-1}, and g^{-1} = B B^T, sqrt(det g) = prod U_ii.  Each entry
+    is formed elementwise over the batch axes in a fixed order, so a matrix gets
+    the same bits alone or inside any batch.  The outputs are read-only.
+
+    A pivot that is not positive raises NotPositiveDefiniteError; a non-finite
+    entry of g or of a factor raises ConstructionError.  The error names the
+    failing matrix by its row of points[..., n] when given, else by its batch index.
+    """
+    g = np.asarray(g, dtype=float)
+    n = g.shape[-1] if g.ndim >= 2 else 0
+    if g.ndim < 2 or g.shape[-2] != n:
+        raise ConstructionError(f"metric components must be square, got shape {g.shape}")
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ConstructionError(f"dimension {n} must lie in 1..{MAX_DIMENSION}")
+    batch = g.shape[:-2]
+    _factorized["batches"] += 1
+    _factorized["matrices"] += math.prod(batch)
+    if not batch:
+        # one matrix in Python floats: the same IEEE operations in the same order as for a
+        # batch, without the per-call cost of numpy on single numbers
+        m = g.tolist()
+        vol, _, ginv, frame = _factor_entries(
+            [[0.5 * (m[i][j] + m[j][i]) for j in range(n)] for i in range(n)], _float_sqrt, 0.0)
+        if not (vol > 0.0 and vol < math.inf and all(map(math.isfinite, sum(ginv, [])))):
+            _raise_factor_error(g, np.float64(vol), np.array(ginv), points)
+        ginv, frame = np.array(ginv), np.array(frame)
+        ginv.setflags(write=False)
+        frame.setflags(write=False)
+        return ginv, frame, np.float64(vol)
+    ginv, frame, vol = np.empty(g.shape), np.empty(g.shape), np.empty(batch)
+    with np.errstate(all="ignore"):
+        sym = 0.5 * (g + np.swapaxes(g, -1, -2))
+        flat_sym, flat_ginv, flat_frame = (a.reshape(-1, n, n) for a in (sym, ginv, frame))
+        flat_vol = vol.reshape(-1)
+        for lo in range(0, len(flat_sym), FACTOR_BLOCK):
+            part = slice(lo, lo + FACTOR_BLOCK)
+            # matrix axes first: entry (i, j) of a block is one array over its matrices
+            block = flat_sym[part].transpose(1, 2, 0)
+            flat_vol[part], _, block_ginv, block_frame = _factor_entries(
+                block, np.sqrt, np.zeros(block.shape[-1]))
+            for out, rows in ((flat_ginv[part], block_ginv), (flat_frame[part], block_frame)):
+                out = out.transpose(1, 2, 0)
+                for i, row in enumerate(rows):
+                    for j, entry in enumerate(row):
+                        out[i, j] = entry
+    if not ((vol > 0.0).all() and (vol < np.inf).all() and np.isfinite(ginv).all()):
+        _raise_factor_error(g, vol, ginv, points)
+    for out in (ginv, frame, vol):
+        out.setflags(write=False)
+    return ginv, frame, vol
+
+
+def _float_sqrt(d: float) -> float:
+    """math.sqrt (correctly rounded, as np.sqrt), with NaN where the pivot is not positive."""
+    return math.sqrt(d) if d > 0.0 else math.nan
+
+
+def _factor_entries(s, sqrt, zero):
+    """Factor the symmetric matrix whose entry (i, j) is s[i][j]: a float, or an array over
+    a batch of matrices.
+
+    Returns sqrt(det g), the pivots U_kk^2 in the order they are formed, and the rows of
+    g^{-1} and of the frame as lists of entries (zero above the frame's diagonal).
+    """
+    n = len(s)
+    # g = U U^T: column k of U from the columns after it, last column first
+    u, pivots = [[zero] * n for _ in range(n)], []
+    for k in range(n - 1, -1, -1):
+        uk = u[k]
+        d = s[k][k]
+        for m in range(k + 1, n):
+            d = d - uk[m] * uk[m]
+        pivots.append(d)
+        uk[k] = sqrt(d)
+        for i in range(k):
+            ui = u[i]
+            t = s[i][k]
+            for m in range(k + 1, n):
+                t = t - ui[m] * uk[m]
+            ui[k] = t / uk[k]
+    # W = U^{-1}, upper triangular, by back substitution: w[j][i] = W_ij, so w[j] is column j
+    # of W and row j of the frame W^T
+    w = [[zero] * n for _ in range(n)]
+    for j in range(n):
+        wj = w[j]
+        wj[j] = 1.0 / u[j][j]
+        for i in range(j - 1, -1, -1):
+            ui = u[i]
+            t = ui[i + 1] * wj[i + 1]
+            for m in range(i + 2, j + 1):
+                t = t + ui[m] * wj[m]
+            wj[i] = -t * w[i][i]
+    vol = u[0][0]
+    for k in range(1, n):
+        vol = vol * u[k][k]
+    # g^{-1} = W^T W, each entry formed once and read by both halves
+    ginv = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            t = w[i][0] * w[j][0]
+            for k in range(1, j + 1):
+                t = t + w[i][k] * w[j][k]
+            ginv[i][j] = ginv[j][i] = t
+    return vol, pivots, ginv, w
+
+
+def _raise_factor_error(g: np.ndarray, vol, ginv: np.ndarray, points) -> None:
+    """Raise the error of the first matrix of g whose factors are not finite and positive."""
+    ok = (vol > 0.0) & (vol < np.inf) & np.all(np.isfinite(ginv), axis=(-2, -1))
+    index = np.unravel_index(np.argmin(ok), np.shape(ok)) if np.ndim(ok) else ()
+    where = (f" at x={np.asarray(points)[index].tolist()}" if points is not None
+             else f" at batch index {tuple(int(i) for i in index)}" if index else "")
+    bad = g[index]
+    if not np.all(np.isfinite(bad)):
+        raise ConstructionError(f"metric is not finite{where}")
+    with np.errstate(all="ignore"):
+        pivots = _factor_entries(0.5 * (bad + bad.T), np.sqrt, 0.0)[1]
+    for k, pivot in zip(range(g.shape[-1], 0, -1), pivots):
+        if not pivot > 0.0:
+            if np.isfinite(pivot):
+                raise NotPositiveDefiniteError(
+                    f"metric is not positive definite{where}: pivot {k} of g = U U^T is {pivot:g}")
+            break
+    raise ConstructionError(
+        f"metric factors are not finite{where}: g, g^-1 or sqrt(det g) leaves the float range")
 
 
 _PACK_TABLES: dict[int, list[tuple[int, int, int]]] = {}

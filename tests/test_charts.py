@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from codazzi import ConstructionError, PreconditionError, charts
+from codazzi import ConstructionError, NotPositiveDefiniteError, PreconditionError, charts
 from codazzi.charts import (
     ChartStructure,
     christoffel,
@@ -28,7 +28,7 @@ from codazzi.charts import (
 )
 from codazzi.generators import GeneratorSpec, generate, sample_points
 from codazzi.points import sectional_k
-from codazzi.tensors import contract, symmetrize, trace_pair
+from codazzi.tensors import contract, orthonormal_frame, symmetrize, trace_pair
 from codazzi.spheres import ros_residual, unit_bundle_functional
 from codazzi.suites import run_suite
 
@@ -97,6 +97,31 @@ class TestChartStructure:
         sp = cs.point([0.1, 0.2])
         assert cs.point(np.array([0.1, 0.2])) is sp
         assert cs.point([0.2, 0.1]) is not sp
+
+    @pytest.mark.parametrize("family", ["G2-hessian-potential", "G4-random-smooth"])
+    def test_point_and_chart_share_one_inverse_and_frame(self, family):
+        cs = generate(GeneratorSpec(family, n=3, seed=0))
+        xs = sample_points(cs, 6, seed=0)
+        frames, vols = cs.metric_frame_at(xs)
+        for i, x in enumerate(xs):
+            g = cs.point(x).g
+            assert np.array_equal(g.inverse, cs.metric_inverse_at(x))
+            assert np.array_equal(g.inverse, cs.metric_inverse_at(xs)[i])
+            assert np.array_equal(orthonormal_frame(g), frames[i])
+            assert g.factors[2] == vols[i]
+
+    def test_inverse_at_an_indefinite_point_raises(self):
+        def g(x):
+            out = np.zeros(x.shape[:-1] + (2, 2))
+            out[..., 0, 0] = 1.0
+            out[..., 1, 1] = x[..., 0]
+            return out
+
+        cs = ChartStructure(2, [[0.5, 1.5], [-1, 1]], g, constant_field(np.zeros((2, 2, 2))))
+        with pytest.raises(NotPositiveDefiniteError, match=r"x=\[-0.5, 0.25\]"):
+            cs.metric_inverse_at([-0.5, 0.25])
+        with pytest.raises(NotPositiveDefiniteError, match=r"x=\[0.0, 0.0\]"):
+            cs.metric_frame_at([[1.0, 0.0], [0.0, 0.0]])
 
 
 class TestChristoffel:

@@ -150,6 +150,12 @@ class TestReports:
         assert second["expression-compile-hits"] == (
             first["expression-compiles"] + first["expression-compile-hits"])
 
+    def test_timing_counts_factorizations_and_node_power_tables(self):
+        # the integral suite factors each lattice batch once and reuses its node-power tables
+        timing = run_suite("integral", SuiteConfig(lattice=8, fiber_order=4)).timing
+        assert 0 < timing["metric-factor-batches"] < timing["metric-factor-matrices"]
+        assert timing["node-power-hits"] > timing["node-power-misses"] > 0
+
     def test_schema_field(self):
         rep = run_suite("algebraic", SuiteConfig(seeds=1, sweep_count=100))
         data = json.loads(rep.to_json())
@@ -334,6 +340,11 @@ class TestNonFiniteInput:
     def test_chart_field_overflow(self, tmp_path):
         err = self.check(tmp_path, dict(self.CHART, g=[["exp(800*x1)", "0"], ["0", "1"]]))
         assert "metric field is not finite at x=[1.0, 0.0]" in err
+
+    def test_chart_metric_at_the_float_limit(self, tmp_path):
+        # symmetrizing 1e308 overflows: the factorization reports it, with no LinAlgError
+        err = self.check(tmp_path, dict(self.CHART, g=[["1e308", "0"], ["0", "1"]]))
+        assert err.count("\n") == 1 and "metric factors are not finite at x=" in err
 
     def test_point_cubic_infinity(self, tmp_path):
         data = {"n": 2, "g": [[1.0, 0.0], [0.0, 1.0]], "A": {"111": float("inf")}}

@@ -362,3 +362,62 @@ def test_spec_checker_flags_each_copy():
         ),
     }
     assert repeated_einsum_specs(sources) == ["jk,jk->: charts.py:3, charts.py:4, tensors.py:5"]
+
+
+def linalg_factorization_sites(sources: dict[str, str]) -> list[str]:
+    """Uses of ``linalg.inv``, ``linalg.cholesky`` and ``linalg.det`` as ``file:line name``.
+
+    Every inverse, orthonormal frame and volume density of a metric comes from
+    ``tensors.metric_factors``; the one ``det`` left is the leading-minor test of
+    ``MetricPoint`` in ``tensors.py``, whose error names the failing minor.
+    """
+    found = []
+
+    def visit(name, node, scope):
+        for child in ast.iter_child_nodes(node):
+            used = []
+            if (isinstance(child, ast.Attribute) and child.attr in ("inv", "cholesky", "det")
+                    and isinstance(child.value, (ast.Attribute, ast.Name))
+                    and getattr(child.value, "attr", getattr(child.value, "id", None)) == "linalg"):
+                used.append(child.attr)
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").endswith("linalg"):
+                used += [a.name for a in child.names if a.name in ("inv", "cholesky", "det")]
+            for what in used:
+                if (what, name, scope[:1]) != ("det", "tensors.py", ["MetricPoint"]):
+                    found.append(f"{name}:{child.lineno} {what}")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(name, child, scope + [child.name] if named else scope)
+
+    for name, source in sorted(sources.items()):
+        visit(name, ast.parse(source), [])
+    return found
+
+
+def test_metrics_are_factored_by_one_kernel():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert linalg_factorization_sites(sources) == []
+
+
+def test_factorization_checker_flags_each_copy():
+    sources = {
+        "tensors.py": (
+            "import numpy as np\n"
+            "class MetricPoint:\n"
+            "    def __init__(self, m):\n"
+            "        self.minor = np.linalg.det(m[:1, :1])\n"
+            "    def inverse(self):\n"
+            "        return np.linalg.inv(self.m)\n"
+            "def frame(g):\n"
+            "    return np.linalg.cholesky(g), np.linalg.det(g)\n"
+        ),
+        "spheres.py": (
+            "from numpy.linalg import cholesky, det, eigh\n"
+            "import numpy.linalg as linalg\n"
+            "def density(g):\n"
+            "    return linalg.det(g) + np.linalg.eigvalsh(g)\n"
+        ),
+    }
+    assert linalg_factorization_sites(sources) == [
+        "spheres.py:1 cholesky", "spheres.py:1 det", "spheres.py:4 det",
+        "tensors.py:6 inv", "tensors.py:8 cholesky", "tensors.py:8 det",
+    ]

@@ -7,9 +7,12 @@ from codazzi import PreconditionError, spheres
 from codazzi.charts import ChartStructure, codifferential_at, constant_field
 from codazzi.generators import GeneratorSpec, generate
 from codazzi.spheres import (
+    NODE_POWER_CACHE_SIZE,
     fiber_identity_residual,
     integrate_sphere,
     monte_carlo,
+    node_power_cache_info,
+    node_powers,
     poly_eval,
     product_gauss,
     ros_residual,
@@ -88,6 +91,34 @@ class TestPolyEval:
         assert np.max(np.abs(batched - want)) <= 1e-13 * np.max(np.abs(want))
         single = poly_eval(s[0], nodes)
         assert np.max(np.abs(single - want[0])) <= 1e-13 * np.max(np.abs(want[0]))
+
+
+class TestNodePowers:
+    @staticmethod
+    def fresh(nodes, k):
+        rows = np.ones((len(nodes), 1))
+        for _ in range(k):
+            rows = (rows[:, :, None] * nodes[:, None, :]).reshape(len(nodes), -1)
+        return rows
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 4])
+    def test_cached_table_is_read_only_and_equals_a_fresh_build(self, k):
+        nodes = product_gauss(3, order=5).nodes
+        table = node_powers(nodes, k)
+        assert node_powers(nodes.copy(), k) is table
+        assert np.array_equal(table, self.fresh(nodes, k))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+
+    def test_cache_stays_bounded(self):
+        rng = np.random.default_rng(0)
+        before = node_power_cache_info()
+        for _ in range(NODE_POWER_CACHE_SIZE + 10):
+            node_powers(rng.standard_normal((4, 2)), 2)
+        info = node_power_cache_info()
+        assert info.misses - before.misses == NODE_POWER_CACHE_SIZE + 10
+        assert info.currsize == info.maxsize == NODE_POWER_CACHE_SIZE
 
 
 class TestFiberIdentity:

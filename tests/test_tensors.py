@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from codazzi import (
     CurvTensor,
     DimensionMismatchError,
     MetricPoint,
+    NotPositiveDefiniteError,
     Tensor,
     frame_components,
     inner,
@@ -18,7 +20,8 @@ from codazzi import (
     raise_last,
     symmetrize,
 )
-from codazzi.tensors import contract, ricci_trace, sectional, sectional_contraction, trace_k
+from codazzi.tensors import (contract, metric_factor_counts, metric_factors, ricci_trace,
+                             sectional, sectional_contraction, trace_k)
 from conftest import equality_point
 
 
@@ -63,6 +66,87 @@ class TestOrthonormalFrame:
         assert np.max(np.abs(b.T @ g.components @ b - np.eye(4))) < 1e-12
         # lower triangular convention
         assert np.allclose(b, np.tril(b))
+
+
+class TestMetricFactors:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+    def test_matches_lapack_oracles(self, n, batch):
+        rng = np.random.default_rng(n)
+        g = np.stack([random_spd(n, rng) for _ in range(math.prod(batch))]).reshape(batch + (n, n))
+        ginv, frame, vol = metric_factors(g)
+        inv = np.linalg.inv(g)
+        scale = np.max(np.abs(inv))
+        assert ginv.shape == frame.shape == g.shape and np.shape(vol) == batch
+        assert np.max(np.abs(ginv - inv)) < 1e-13 * scale
+        assert np.max(np.abs(frame - np.linalg.cholesky(inv))) < 1e-13 * math.sqrt(scale)
+        assert np.max(np.abs(vol / np.sqrt(np.linalg.det(g)) - 1.0)) < 1e-13
+        assert np.array_equal(ginv, np.swapaxes(ginv, -1, -2))
+        assert np.array_equal(frame, np.tril(frame))
+        assert not ginv.flags.writeable and not frame.flags.writeable
+
+    def test_symmetrizes_its_input(self, rng):
+        g = random_spd(3, rng)
+        skew = g + np.triu(np.full((3, 3), 1e-3), 1) - np.tril(np.full((3, 3), 1e-3), -1)
+        assert all(np.array_equal(a, b) for a, b in zip(metric_factors(skew), metric_factors(g)))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_a_matrix_gets_the_same_bits_alone_and_in_any_batch(self, n):
+        rng = np.random.default_rng(10 + n)
+        g = np.stack([random_spd(n, rng) for _ in range(4500)])
+        together = metric_factors(g)
+        for i in (0, 2047, 2048, 4499):
+            alone = metric_factors(g[i])
+            assert all(np.array_equal(a, b[i]) for a, b in zip(alone, together)), i
+        nested = metric_factors(g[:12].reshape(3, 4, n, n))
+        assert all(np.array_equal(a.reshape(b[:12].shape), b[:12])
+                   for a, b in zip(nested, together))
+
+    def test_metric_point_reads_the_kernel(self, rng):
+        g = MetricPoint(random_spd(4, rng))
+        ginv, frame, vol = metric_factors(g.components)
+        assert np.array_equal(g.inverse, ginv) and np.array_equal(orthonormal_frame(g), frame)
+
+    def test_counts_batches_and_matrices(self, rng):
+        before = metric_factor_counts()
+        metric_factors(np.broadcast_to(np.eye(2), (3, 4, 2, 2)))
+        metric_factors(np.eye(3))
+        after = metric_factor_counts()
+        assert (after[0] - before[0], after[1] - before[1]) == (2, 13)
+
+    @pytest.mark.parametrize("g, error, match", [
+        ([[1.0, 2.0], [2.0, 1.0]], NotPositiveDefiniteError, "pivot 1 .* is -3"),
+        ([[-1.0, 0.0], [0.0, 1.0]], NotPositiveDefiniteError, "pivot 1"),
+        ([[1.0, 0.0], [0.0, 0.0]], NotPositiveDefiniteError, "pivot 2 .* is 0"),
+        ([[1.0, np.nan], [np.nan, 1.0]], ConstructionError, "metric is not finite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], ConstructionError, "metric is not finite"),
+        ([[1e308, 0.0], [0.0, 1.0]], ConstructionError, "factors are not finite"),
+        ([[1e-320, 0.0], [0.0, 1.0]], ConstructionError, "factors are not finite"),
+        ([[1e300, 1e300], [1e300, 1e-10]], ConstructionError, "factors are not finite"),
+    ])
+    def test_bad_metric_raises_without_warnings(self, g, error, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match):
+                metric_factors(np.array(g))
+
+    def test_error_names_the_failing_point(self):
+        g = np.broadcast_to(np.eye(2), (2, 3, 2, 2)).copy()
+        g[1, 2, 1, 1] = -1.0
+        points = np.arange(12.0).reshape(2, 3, 2)
+        with pytest.raises(NotPositiveDefiniteError, match=r"x=\[10.0, 11.0\]"):
+            metric_factors(g, points)
+        with pytest.raises(NotPositiveDefiniteError, match=r"batch index \(1, 2\)"):
+            metric_factors(g)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (3, 2, 3)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ConstructionError, match="square"):
+            metric_factors(np.ones(shape))
+
+    def test_rejects_dimension_over_cap(self):
+        with pytest.raises(ConstructionError, match="1..8"):
+            metric_factors(np.eye(9))
 
 
 class TestCubicForm:
