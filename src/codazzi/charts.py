@@ -9,7 +9,10 @@ differences give covariant second derivatives, Laplacians and curvature.
 All residual checks of the differential identities (curvature
 decompositions, Ricci identities, Laplacian formulas for 1-forms, symmetric
 2-forms and cubic forms) live here, each returning a plain residual number
-that the harness compares against a tol(h) = C * h^2 budget.
+that the harness compares against a tol(h) = C * h^2 budget.  The structural
+producers (statistical_connections, ricci_decomposition_residuals and the
+other pointwise identities) take a batch x[..., n] and return one residual per
+point; a key that applies at some points only carries a mask (Applies).
 
 Index conventions (after the leading batch axes): connection coefficients
 are stored as gamma[k, i, j] = Gamma^k_ij, curvature as up[m, i, j, k] with
@@ -26,24 +29,30 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ConstructionError, NotPositiveDefiniteError, PreconditionError
 from .expressions import CACHE_SIZE, Const, compile_tensor, mul, parse_expression, partial
-from .points import StatPoint, bracket_kk, fit_constant_curvature
+from .points import TRACE_FREE_TOL, StatPoint, bracket_kk, fit_constant_curvature
 from .tensors import (
     CubicForm,
     CurvTensor,
     MetricPoint,
+    commutator_curvature,
     contract,
+    first_bianchi_defect,
+    gram_k,
+    last_pair_antisymmetry_defect,
+    lower_first,
     metric_factors,
     raise_last,
     ricci_trace,
     sectional,
     sectional_contraction,
     symmetrize,
+    tau_circ_k,
     trace_k,
     trace_pair,
 )
@@ -331,10 +340,19 @@ def christoffel(cs: ChartStructure, x) -> np.ndarray:
     return christoffel_array(cs, cs.require_interior(x))
 
 
-def metricity_residual(cs: ChartStructure, x) -> float:
-    """Max |nabla_hat g| component; O(h^2) since the coefficients come from FD."""
-    ng = nabla_at(cs, cs.g_field, x)
-    return float(np.max(np.abs(ng)))
+def _floats(out):
+    """A float at a single point, else the array over the batch axes."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _max_abs(arr: np.ndarray, degree: int):
+    """max |arr| over its last degree axes, per point."""
+    return _floats(np.max(np.abs(arr), axis=tuple(range(-degree, 0))))
+
+
+def metricity_residual(cs: ChartStructure, x):
+    """Max |nabla_hat g| component at x[..., n]; O(h^2) since the coefficients come from FD."""
+    return _max_abs(nabla_at(cs, cs.g_field, x), 3)
 
 
 def nabla_at(cs: ChartStructure, field: Field, x, gamma=None) -> np.ndarray:
@@ -443,44 +461,40 @@ def _curvature_from_gamma(cs: ChartStructure, coefficients: Field, x) -> np.ndar
     )
 
 
-def _lower_first(g: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """low[..., i, j, k, l] = g_lm up[..., m, i, j, k]: the first slot lowered and moved last."""
-    n = g.shape[-1]
-    flat = up.reshape(up.shape[:-4] + (n, n ** 3)).swapaxes(-1, -2)
-    return (flat @ np.swapaxes(g, -1, -2)).reshape(up.shape)
-
-
 def curvature_hat_arrays(cs: ChartStructure, x) -> tuple[np.ndarray, np.ndarray]:
     """(up, low) arrays of R_hat at x; raises for a point within 2h of a non-periodic face."""
     cs.require_interior(x)
 
     def compute():
         up = _curvature_from_gamma(cs, lambda y: christoffel_array(cs, y), x)
-        low = _lower_first(cs.metric_at(x), up)
+        low = lower_first(cs.metric_at(x), up)
         return up, low
 
     return cs._memo("rhat", x, compute)
 
 
-def curvature_hat(cs: ChartStructure, x) -> CurvTensor:
+def curvature_hat_invariants(cs: ChartStructure, x):
+    """First Bianchi defect plus (k,l) antisymmetry defect of R_hat at x[..., n], per point.
+
+    Both are read on R_hat antisymmetrized in its first two slots.
+    """
     _, low = curvature_hat_arrays(cs, x)
-    out = CurvTensor(0.5 * (low - np.swapaxes(low, 0, 1)))
-    scale = 1.0 + float(np.max(np.abs(low)))
-    out.check(tol=1e-8 * scale)
-    return out
+    r = 0.5 * (low - np.swapaxes(low, -4, -3))
+    return first_bianchi_defect(r) + last_pair_antisymmetry_defect(r)
 
 
 def ric_hat(cs: ChartStructure, x) -> np.ndarray:
     up, _ = curvature_hat_arrays(cs, x)
     ric = ricci_trace(up)
-    return 0.5 * (ric + ric.T)
+    return 0.5 * (ric + np.swapaxes(ric, -1, -2))
 
 
 def rho_hat(cs: ChartStructure, x) -> float:
     return trace_pair(cs.metric_inverse_at(x), ric_hat(cs, x), 0, 1)
 
 
-def sectional_hat(cs: ChartStructure, x, plane) -> float:
+def sectional_hat(cs: ChartStructure, x, plane):
+    """Sectional curvature of R_hat on the plane (u, v) at x[..., n], per point."""
     _, low = curvature_hat_arrays(cs, x)
     return sectional(low, cs.metric_at(x), *plane)
 
@@ -494,8 +508,8 @@ def nabla_cubic_at(cs: ChartStructure, x) -> np.ndarray:
     return cs._memo("nablaA", x, lambda: nabla_at(cs, cs.a_field, x))
 
 
-def conjugate_symmetry_defect(cs: ChartStructure, x) -> float:
-    """Scale-free asymmetry of nabla_hat A: ||asym|| / (1 + ||nabla_hat A||)."""
+def conjugate_symmetry_defect(cs: ChartStructure, x):
+    """Scale-free asymmetry of nabla_hat A at x[..., n]: ||asym|| / (1 + ||nabla_hat A||)."""
     na = nabla_cubic_at(cs, x)
     ginv = cs.metric_inverse_at(x)
     return _g_norm(ginv, na - symmetrize(na, degree=4)) / (1.0 + _g_norm(ginv, na))
@@ -512,33 +526,66 @@ def conjugate_symmetry_criteria(cs: ChartStructure, x) -> dict[str, float]:
     return {
         "r-vs-rbar": _g_norm(ginv, conn.r_nabla - conn.r_bar),
         "asym-nabla-a": conjugate_symmetry_defect(cs, x),
-        "zw-skew": _g_norm(ginv, conn.r_nabla + np.swapaxes(conn.r_nabla, 2, 3)),
+        "zw-skew": _g_norm(ginv, conn.r_nabla + np.swapaxes(conn.r_nabla, -2, -1)),
     }
 
 
 def _g_norm(ginv: np.ndarray, arr: np.ndarray):
-    out = np.sqrt(np.maximum(contract(ginv, arr, arr), 0.0))
-    return float(out) if np.ndim(out) == 0 else out
+    return _floats(np.sqrt(np.maximum(contract(ginv, arr, arr), 0.0)))
+
+
+class Applies(NamedTuple):
+    """A residual key that applies at some points only: its values over the batch axes,
+    and mask, true at the points where it applies."""
+
+    values: np.ndarray
+    mask: np.ndarray
+
+
+def residuals_at(residuals: Mapping, index) -> dict[str, float]:
+    """A producer's residuals at one point of its batch: each key that applies there.
+
+    index () reads a batch with no leading axis (a single point).
+    """
+    out = {}
+    for key, value in residuals.items():
+        if isinstance(value, Applies):
+            if not value.mask[index]:
+                continue
+            value = value.values
+        out[key] = float(value[index])
+    return out
+
+
+def _residual_map(x: np.ndarray, values: dict, applies: dict) -> dict:
+    """The residual map of a producer at x[..., n]: arrays over the batch axes, each key of
+    applies held with its mask; at a single point, floats for the keys that apply."""
+    out = {key: Applies(np.asarray(value), np.asarray(applies[key])) if key in applies
+           else np.asarray(value) for key, value in values.items()}
+    return residuals_at(out, ()) if x.ndim == 1 else out
 
 
 @dataclass(frozen=True)
 class StatConnections:
-    """Curvatures of the dual pair nabla = nabla_hat + K, nabla_bar = nabla_hat - K at a point.
+    """Curvatures of the dual pair nabla = nabla_hat + K, nabla_bar = nabla_hat - K at x[..., n].
 
-    r_hat, r_nabla and r_bar are (0,4) tensors; ric and ric_bar are the Ricci
-    tensors of nabla and nabla_bar, traced from the same curvatures; scale is
-    1 + ||r_nabla||, the factor of the residual tolerances.  The chart caches
-    one instance per point and every caller shares it, so residuals is a
+    r_hat, r_nabla, r_bar and bracket ([K,K] lowered) are (0,4) tensors; ric and
+    ric_bar are the Ricci tensors of nabla and nabla_bar, traced from the same
+    curvatures; scale is 1 + ||r_nabla||, the factor of the residual tolerances.
+    Each has the batch axes of x in front, and residuals maps each key to its
+    values as residuals_at reads them (floats at a single point).  The chart
+    caches one instance per batch and every caller shares it, so residuals is a
     read-only mapping.
     """
 
     r_hat: np.ndarray
     r_nabla: np.ndarray
     r_bar: np.ndarray
+    bracket: np.ndarray
     ric: np.ndarray
     ric_bar: np.ndarray
-    scale: float
-    residuals: Mapping[str, float]
+    scale: float | np.ndarray
+    residuals: Mapping[str, float | np.ndarray]
 
 
 def _dual_gamma(cs: ChartStructure, x, sign: float) -> np.ndarray:
@@ -547,13 +594,13 @@ def _dual_gamma(cs: ChartStructure, x, sign: float) -> np.ndarray:
 
 
 def statistical_connections(cs: ChartStructure, x) -> StatConnections:
-    """Both dual connections with their curvatures and the structural residuals, once per point.
+    """Both dual connections with their curvatures and the structural residuals at x[..., n].
 
     The statistical curvature is computed twice: from the coefficients of
     nabla directly, and through the decomposition into the Levi-Civita
     part, the antisymmetrized derivative of K, and the commutator term;
     the residual map reports the disagreement together with the duality
-    defect, the curvature-sum defect, the conjugate reduction when it
+    defect, the curvature-sum defect, the conjugate reduction where it
     applies, and the product-rule defect of the dual pairing.
     """
     x = cs.require_interior(np.asarray(x, dtype=float))
@@ -564,31 +611,33 @@ def statistical_connections(cs: ChartStructure, x) -> StatConnections:
         _, r_hat = curvature_hat_arrays(cs, x)
         up = _curvature_from_gamma(cs, lambda y: _dual_gamma(cs, y, 1.0), x)
         up_bar = _curvature_from_gamma(cs, lambda y: _dual_gamma(cs, y, -1.0), x)
-        r_nabla = _lower_first(g, up)
-        r_bar = _lower_first(g, up_bar)
-        bracket = bracket_kk(cs.point(x)).array
+        r_nabla = lower_first(g, up)
+        r_bar = lower_first(g, up_bar)
+        bracket = lower_first(g, commutator_curvature(cs.k_at(x)))
         na = nabla_cubic_at(cs, x)
         # curvature through the decomposition, Levi-Civita + dK terms + commutator
-        r_sum = r_hat + na - np.swapaxes(na, 0, 1) + bracket
+        r_sum = r_hat + na - np.swapaxes(na, -4, -3) + bracket
         g0, dg = _central(cs.metric_at, x, cs.h)
-        residuals = {
+        values = {
             "curvature-two-routes": _g_norm(ginv, r_nabla - r_sum),
-            "duality": _g_norm(ginv, r_nabla + np.swapaxes(r_bar, 2, 3)),
+            "duality": _g_norm(ginv, r_nabla + np.swapaxes(r_bar, -2, -1)),
             "curvature-sum": _g_norm(ginv, r_nabla + r_bar - 2.0 * r_hat - 2.0 * bracket),
             "dual-pairing-product-rule": _dual_pairing_residual(
                 g0, dg, _dual_gamma(cs, x, 1.0), _dual_gamma(cs, x, -1.0)
             ),
+            "conjugate-reduction": _g_norm(ginv, r_nabla - r_hat - bracket),
         }
-        if conjugate_symmetry_defect(cs, x) < CONJUGATE_SYMMETRY_THRESHOLD:
-            residuals["conjugate-reduction"] = _g_norm(ginv, r_nabla - r_hat - bracket)
+        symmetric = conjugate_symmetry_defect(cs, x) < CONJUGATE_SYMMETRY_THRESHOLD
         return StatConnections(
             r_hat=r_hat,
             r_nabla=r_nabla,
             r_bar=r_bar,
+            bracket=bracket,
             ric=ricci_trace(up),
             ric_bar=ricci_trace(up_bar),
             scale=1.0 + _g_norm(ginv, r_nabla),
-            residuals=MappingProxyType(residuals),
+            residuals=MappingProxyType(
+                _residual_map(x, values, {"conjugate-reduction": symmetric})),
         )
 
     return cs._memo("conn", x, compute)
@@ -600,47 +649,61 @@ def conjugate_coefficients(g: np.ndarray, ginv: np.ndarray, dg: np.ndarray,
 
     g(nabla_a e_i, e_j) + g(e_i, conj_a e_j) = d_a g_ij solved for conj, with
     ginv = g^{-1}; applying the map twice returns the input exactly (no FD
-    error beyond the supplied dg).
+    error beyond the supplied dg).  The batch axes of g, ginv, dg[..., a, i, j]
+    and gamma[..., l, a, i] match.
     """
-    # conj[m,a,j] g_im = dg[a,i,j] - gamma[l,a,i] g_lj
-    rhs = dg - np.einsum("lai,lj->aij", gamma, g)
-    return np.einsum("mi,aij->maj", ginv, rhs)
+    n = g.shape[-1]
+    batch = g.shape[:-2]
+    # rhs[a, i, j] = dg[a, i, j] - gamma[l, a, i] g_lj
+    rhs = dg - (np.swapaxes(gamma.reshape(batch + (n, n * n)), -1, -2) @ g).reshape(dg.shape)
+    # conj[m, a, j] = g^{mi} rhs[a, i, j]
+    return (ginv @ np.swapaxes(rhs, -3, -2).reshape(batch + (n, n * n))).reshape(dg.shape)
 
 
-def duality_involution_defect(cs: ChartStructure, x) -> float:
-    """Round-trip defect of conjugating the statistical connection twice."""
+def duality_involution_defect(cs: ChartStructure, x):
+    """Round-trip defect of conjugating the statistical connection twice, at x[..., n]."""
     x = np.asarray(x, dtype=float)
     g, dg = _central(cs.metric_at, x, cs.h)
     ginv = cs.metric_inverse_at(x)
     gamma_nabla = _dual_gamma(cs, x, 1.0)
     back = conjugate_coefficients(g, ginv, dg, conjugate_coefficients(g, ginv, dg, gamma_nabla))
-    return float(np.max(np.abs(back - gamma_nabla)))
+    return _max_abs(back - gamma_nabla, 3)
 
 
-def _dual_pairing_residual(g, dg, gn, gb) -> float:
+def _dual_pairing_residual(g, dg, gn, gb):
     """Defect of X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_bar_X Z) on coordinate frames."""
-    resid = dg - np.einsum("jm,mai->aij", g, gn) - np.einsum("im,maj->aij", g, gb)
-    return float(np.max(np.abs(resid)))
+    n = g.shape[-1]
+    lead = g.ndim - 2
+    batch_axes = tuple(range(lead))
+    # g_jm gn[m, a, i] as [j, a, i] and g_im gb[m, a, j] as [i, a, j]
+    first = (g @ gn.reshape(gn.shape[:-3] + (n, n * n))).reshape(gn.shape)
+    second = (g @ gb.reshape(gb.shape[:-3] + (n, n * n))).reshape(gb.shape)
+    resid = (dg - first.transpose(batch_axes + (lead + 1, lead + 2, lead))
+             - np.swapaxes(second, -3, -2))
+    return _max_abs(resid, 3)
 
 
-def _g_frame_min_eig(b: np.ndarray, form: np.ndarray) -> float:
+def _g_frame_min_eig(b: np.ndarray, form: np.ndarray):
     """Least eigenvalue of the symmetric part of a (0,2) form in the g-orthonormal frame b."""
-    return float(np.min(np.linalg.eigvalsh(b.T @ (0.5 * (form + form.T)) @ b)))
+    sym = 0.5 * (form + np.swapaxes(form, -1, -2))
+    return _floats(np.min(np.linalg.eigvalsh(np.swapaxes(b, -1, -2) @ sym @ b), axis=-1))
 
 
-def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
-    """Residuals of the Ricci and scalar curvature decompositions at x.
+def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict:
+    """Residuals of the Ricci and scalar curvature decompositions at x[..., n].
 
     Keys: ricci-decomposition (Ric against Levi-Civita Ricci + div K -
     nabla tau + commutator Ricci), ricci-conjugate-sum, scalar-gap,
     koszul-form, koszul-trace, ricci-comparison-chain (least g-frame
     eigenvalue of 2 Ric_hat - Ric - Ric_bar + ||tau||^2 g / 2), plus the same
-    without the tau term, ricci-comparison-tracefree, for trace-free structures
-    and hessian-ricci when nabla is flat at x.
+    without the tau term, ricci-comparison-tracefree, where the structure is
+    trace-free and hessian-ricci where nabla is flat.  The values are read as
+    residuals_at reads them (floats at a single point).
     """
     x = cs.require_interior(np.asarray(x, dtype=float))
+    g = cs.metric_at(x)
     ginv = cs.metric_inverse_at(x)
-    sp = cs.point(x)
+    k, tau = cs.k_at(x), cs.tau_at(x)
 
     conn = statistical_connections(cs, x)
     ric, ric_bar = conn.ric, conn.ric_bar
@@ -648,8 +711,8 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
     na = nabla_cubic_at(cs, x)
     div_k = trace_pair(ginv, na, 0, 3)
     nabla_tau = nabla_at(cs, cs.tau_at, x)
-    tau_circ = sp.tau_circ_k()
-    gram = sp.gram_k()
+    tau_circ = tau_circ_k(tau, k)
+    gram = gram_k(ginv, g, k)
     ric_k_arr = tau_circ - gram
 
     rho = trace_pair(ginv, ric, 0, 1)
@@ -658,33 +721,43 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict[str, float]:
     # Koszul form beta = nabla tau computed from the nabla coefficients directly
     beta_direct = nabla_at(cs, cs.tau_at, x, gamma=_dual_gamma(cs, x, 1.0))
     beta_formula = nabla_tau - tau_circ
-    tau_sq = float(sp.tau @ ginv @ sp.tau)
+    # ||tau||^2 = ||E||^2, and ||A||^2 - ||E||^2 is the scalar gap
+    tau_sq = contract(ginv, tau, tau)
+    scalar_gap = contract(ginv, cs.cubic_at(x), cs.cubic_at(x)) - tau_sq
     delta_tau = trace_pair(ginv, nabla_tau, 0, 1)
 
-    out = {
+    comparison = 2.0 * ric_hat_arr - ric - ric_bar
+    frame, _ = cs.metric_frame_at(x)
+    chain = comparison + 0.5 * np.asarray(tau_sq)[..., None, None] * g
+    values = {
         "ricci-decomposition": _g_norm(ginv, ric - (ric_hat_arr + div_k - nabla_tau + ric_k_arr)),
         "ricci-conjugate-sum": _g_norm(
             ginv, ric + ric_bar - (2.0 * ric_hat_arr + 2.0 * tau_circ - 2.0 * gram)
         ),
-        "scalar-gap": abs(rho_hat_val - (rho + sp.scalar_gap())),
+        "scalar-gap": abs(rho_hat_val - (rho + scalar_gap)),
         "koszul-form": _g_norm(ginv, beta_direct - beta_formula),
         "koszul-trace": abs(trace_pair(ginv, beta_formula, 0, 1) - (delta_tau - tau_sq)),
+        "ricci-comparison-tracefree": _g_frame_min_eig(frame, comparison),
+        "ricci-comparison-chain": _g_frame_min_eig(frame, chain),
+        "hessian-ricci": _g_norm(ginv, ric_hat_arr - (gram - tau_circ)),
     }
-    comparison = 2.0 * ric_hat_arr - ric - ric_bar
-    frame, _ = cs.metric_frame_at(x)
-    if sp.trace_free:
-        out["ricci-comparison-tracefree"] = _g_frame_min_eig(frame, comparison)
-    chain = comparison + 0.5 * tau_sq * cs.metric_at(x)
-    out["ricci-comparison-chain"] = _g_frame_min_eig(frame, chain)
-    if _g_norm(ginv, conn.r_nabla) < 1e-4:
-        out["hessian-ricci"] = _g_norm(ginv, ric_hat_arr - (gram - tau_circ))
-    return out
+    applies = {
+        # ||E|| < TRACE_FREE_TOL, as StatPoint.trace_free
+        "ricci-comparison-tracefree": tau_sq < TRACE_FREE_TOL ** 2,
+        "hessian-ricci": _g_norm(ginv, conn.r_nabla) < 1e-4,
+    }
+    return _residual_map(x, values, applies)
 
 
-def sectional_nabla(cs: ChartStructure, x, plane) -> float:
-    """Sectional curvature of the averaged statistical curvature (R + R_bar)/2."""
+def sectional_nabla(cs: ChartStructure, x, plane):
+    """Sectional curvature of the averaged statistical curvature (R + R_bar)/2 at x[..., n]."""
     conn = statistical_connections(cs, x)
     return sectional(0.5 * (conn.r_nabla + conn.r_bar), cs.metric_at(x), *plane)
+
+
+def sectional_bracket(cs: ChartStructure, x, plane):
+    """Sectional curvature of the commutator curvature [K,K] at x[..., n]."""
+    return sectional(statistical_connections(cs, x).bracket, cs.metric_at(x), *plane)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ infeasibility under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,7 +22,9 @@ from .suites import SUITE_NAMES, SuiteConfig, check_structure, laplacian_series,
 USAGE_ERROR = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="codazzi",
         description="Numerical verification of statistical-structure identities",

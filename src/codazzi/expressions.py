@@ -42,8 +42,15 @@ class Expr:
     def source(self) -> str:
         raise NotImplementedError
 
-    def _code(self) -> str:
+    def _children(self) -> tuple["Expr", ...]:
+        return ()
+
+    def _code_from(self, args: list[str]) -> str:
+        """numpy code of this node, given the code of each of its children."""
         raise NotImplementedError
+
+    def _code(self) -> str:
+        return self._code_from([c._code() for c in self._children()])
 
     def variables(self) -> set[str]:
         raise NotImplementedError
@@ -74,7 +81,7 @@ class Const(Expr):
             return str(int(self.value))
         return repr(self.value)
 
-    def _code(self):
+    def _code_from(self, args):
         return f"({self.value!r})"
 
     def variables(self):
@@ -91,7 +98,7 @@ class Var(Expr):
     def source(self):
         return self.name
 
-    def _code(self):
+    def _code_from(self, args):
         return f"x[..., {int(self.name[1:]) - 1}]"
 
     def variables(self):
@@ -111,8 +118,11 @@ class Binary(Expr):
     def source(self):
         return f"({self.left.source()} {self.op} {self.right.source()})"
 
-    def _code(self):
-        return f"({self.left._code()} {self.op} {self.right._code()})"
+    def _children(self):
+        return (self.left, self.right)
+
+    def _code_from(self, args):
+        return f"({args[0]} {self.op} {args[1]})"
 
     def variables(self):
         return self.left.variables() | self.right.variables()
@@ -138,8 +148,11 @@ class Neg(Expr):
     def source(self):
         return f"(-{self.operand.source()})"
 
-    def _code(self):
-        return f"(-{self.operand._code()})"
+    def _children(self):
+        return (self.operand,)
+
+    def _code_from(self, args):
+        return f"(-{args[0]})"
 
     def variables(self):
         return self.operand.variables()
@@ -156,9 +169,12 @@ class Call(Expr):
     def source(self):
         return f"{self.fn}({', '.join(a.source() for a in self.args)})"
 
-    def _code(self):
+    def _children(self):
+        return self.args
+
+    def _code_from(self, args):
         fn = "power" if self.fn == "pow" else self.fn
-        return f"np.{fn}({', '.join(a._code() for a in self.args)})"
+        return f"np.{fn}({', '.join(args)})"
 
     def variables(self):
         out = set()
@@ -370,19 +386,58 @@ def compile_tensor(shape, entries):
 
     entries pairs each Expr with the index tuples (of len(shape)) its value fills; a slot
     no entry names is 0.  Each call evaluates every expression once on
-    np.asarray(x, dtype=np.float64) and writes it into a fresh C-ordered zero array.  The
-    function is compiled once per generated source, which names the shape.
+    np.asarray(x, dtype=np.float64) and writes it into a fresh C-ordered zero array.
+    Every function call (sin, cos, exp, pow) and every subexpression that occurs more
+    than once in the field, equal by its code, is computed once per call into a local,
+    so the values are those of evaluating each expression on its own.  The function is
+    compiled once per generated source, which names the shape.
     """
-    shape = tuple(shape)
+    return _compile_source(_field_source(
+        tuple(shape), tuple((e, tuple(tuple(slot) for slot in slots)) for e, slots in entries)))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _field_source(shape: tuple, entries: tuple) -> str:
+    """The source of compile_tensor's function, once per (shape, entries) in a process; the
+    parse cache makes the trees of one text the same objects, so a rebuilt chart finds it."""
     lines = ["def f(x):",
              "    x = np.asarray(x, dtype=np.float64)",
              f"    out = np.zeros(x.shape[:-1] + {shape!r})"]
+    codes: dict[int, str] = {}  # id of a node -> its code, the key of its subexpression
+    uses: dict[str, int] = {}
+    local: dict[str, str] = {}
+
+    def key(e: Expr) -> str:
+        if id(e) not in codes:
+            codes[id(e)] = e._code_from([key(c) for c in e._children()])
+        return codes[id(e)]
+
+    def count(e: Expr) -> None:
+        k = key(e)
+        uses[k] = uses.get(k, 0) + 1
+        if uses[k] == 1:
+            for c in e._children():
+                count(c)
+
+    def emit(e: Expr) -> str:
+        k = key(e)
+        if k in local or not e._children():
+            return local.get(k, k)
+        code = e._code_from([emit(c) for c in e._children()])
+        if isinstance(e, Call) or uses[k] > 1:
+            local[k] = f"t{len(local)}"
+            lines.append(f"    {local[k]} = {code}")
+            return local[k]
+        return code
+
+    for expr, _ in entries:
+        count(expr)
     for expr, slots in entries:
-        lines.append(f"    v = {expr._code()}")
+        lines.append(f"    v = {emit(expr)}")
         lines += [f"    out[{', '.join(['...'] + [str(i) for i in slot])}] = v"
                   for slot in slots]
     lines.append("    return out")
-    return _compile_source("\n".join(lines))
+    return "\n".join(lines)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)

@@ -29,8 +29,11 @@ from .tensors import (
     CurvTensor,
     MetricPoint,
     Tensor,
+    commutator_curvature,
     frame_components,
+    gram_k,
     inner,
+    lower_first,
     norm,
     orthonormal_frame,
     r0_curvature,
@@ -38,6 +41,7 @@ from .tensors import (
     ricci_trace,
     sectional,
     symmetrize,
+    tau_circ_k,
     trace_k,
     trace_pair,
 )
@@ -114,12 +118,11 @@ class StatPoint:
 
     def tau_circ_k(self) -> np.ndarray:
         """(tau o K)(Y,Z) = tau(K(Y,Z)) as a symmetric 2-form."""
-        return np.einsum("m,mij->ij", self.tau, self.K.array)
+        return tau_circ_k(self.tau, self.K.array)
 
     def gram_k(self) -> np.ndarray:
         """g(K_., K_.) as a symmetric 2-form: entry (i,j) is g(K_{e_i}, K_{e_j})."""
-        k = self.K.array
-        return np.einsum("ab,mn,mia,njb->ij", self.g.inverse, self.g.components, k, k)
+        return gram_k(self.g.inverse, self.g.components, self.K.array)
 
     def __repr__(self):
         return f"StatPoint(n={self.n})"
@@ -152,14 +155,12 @@ class EqualityCertificate:
 
 def _bracket_up(sp: StatPoint) -> np.ndarray:
     """up[m, i, j, k] = ([K,K](e_i, e_j)e_k)^m = (K_i K_j e_k - K_j K_i e_k)^m."""
-    k = sp.K.array
-    up = np.einsum("mip,pjk->mijk", k, k)
-    return up - np.swapaxes(up, 1, 2)
+    return commutator_curvature(sp.K.array)
 
 
 def bracket_kk(sp: StatPoint) -> CurvTensor:
     """[K,K](X,Y)Z = K_X K_Y Z - K_Y K_X Z, lowered to a (0,4) curvature tensor."""
-    low = np.einsum("lm,mijk->ijkl", sp.g.components, _bracket_up(sp))
+    low = lower_first(sp.g.components, _bracket_up(sp))
     out = CurvTensor(low)
     out.check(tol=1e-10 * (1.0 + float(np.max(np.abs(low)))), riemannian=True)
     return out

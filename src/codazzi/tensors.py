@@ -387,17 +387,14 @@ class CurvTensor:
         return float(np.max(np.abs(r + np.swapaxes(r, 0, 1))))
 
     def first_bianchi_defect(self) -> float:
-        r = self.array
-        cyc = r + np.transpose(r, (1, 2, 0, 3)) + np.transpose(r, (2, 0, 1, 3))
-        return float(np.max(np.abs(cyc)))
+        return first_bianchi_defect(self.array)
 
     def pair_symmetry_defect(self) -> float:
         r = self.array
         return float(np.max(np.abs(r - np.transpose(r, (2, 3, 0, 1)))))
 
     def last_pair_antisymmetry_defect(self) -> float:
-        r = self.array
-        return float(np.max(np.abs(r + np.swapaxes(r, 2, 3))))
+        return last_pair_antisymmetry_defect(self.array)
 
     def check(self, tol: float = 1e-10, riemannian: bool = False) -> None:
         defect = self.antisymmetry_defect()
@@ -414,6 +411,24 @@ class CurvTensor:
 
     def __repr__(self):
         return f"CurvTensor(n={self.n})"
+
+
+def _max_abs4(arr: np.ndarray):
+    """max |arr| over the last four axes: a float for one tensor, else an array over the batch."""
+    out = np.max(np.abs(arr), axis=(-4, -3, -2, -1))
+    return float(out) if out.ndim == 0 else out
+
+
+def first_bianchi_defect(r: np.ndarray):
+    """max |R(X,Y)Z + R(Y,Z)X + R(Z,X)Y| over the frame of r[..., i, j, k, l]."""
+    lead = tuple(range(r.ndim - 4))
+    i, j, k, l = range(r.ndim - 4, r.ndim)
+    return _max_abs4(r + r.transpose(lead + (j, k, i, l)) + r.transpose(lead + (k, i, j, l)))
+
+
+def last_pair_antisymmetry_defect(r: np.ndarray):
+    """max |r_ijkl + r_ijlk| of r[..., i, j, k, l]."""
+    return _max_abs4(r + np.swapaxes(r, -2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +500,47 @@ def trace_pair(ginv: np.ndarray, arr: np.ndarray, a: int, b: int):
 def ricci_trace(up: np.ndarray) -> np.ndarray:
     """Ric[..., j, k] = trace of X -> R(X, e_j)e_k, from up[..., m, i, j, k] = R(e_i, e_j)e_k^m."""
     return np.trace(up, axis1=-4, axis2=-3)
+
+
+def lower_first(g: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """low[..., i, j, k, l] = g_lm up[..., m, i, j, k]: the first slot lowered and moved last."""
+    n = g.shape[-1]
+    flat = up.reshape(up.shape[:-4] + (n, n ** 3)).swapaxes(-1, -2)
+    return (flat @ np.swapaxes(g, -1, -2)).reshape(up.shape)
+
+
+def commutator_curvature(k: np.ndarray) -> np.ndarray:
+    """[K,K] of K[..., m, i, j]: up[..., m, i, j, k] = (K_{e_i} K_{e_j} e_k - K_{e_j} K_{e_i} e_k)^m.
+
+    One [..., n*n, n] @ [..., n, n*n] product gives K^m_ip K^p_jk; its i <-> j swap is
+    the other term.
+    """
+    n = k.shape[-1]
+    batch = k.shape[:-3]
+    up = (k.reshape(batch + (n * n, n)) @ k.reshape(batch + (n, n * n))).reshape(batch + (n,) * 4)
+    return up - np.swapaxes(up, -3, -2)
+
+
+def gram_k(ginv: np.ndarray, g: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """g(K_., K_.)[..., i, j] = g(K_{e_i}, K_{e_j}) = g^{ab} g_mn K^m_ia K^n_jb.
+
+    K is lowered by g and contracted with g^{-1} on its last slot, then the two
+    are paired over (m, a) in one [..., n, n*n] @ [..., n*n, n] product.
+    """
+    n = k.shape[-1]
+    batch = k.shape[:-3]
+    # low[..., m, i, a] = g_mn K^n_ia and right[..., m, j, a] = K^m_jb g^{ba}
+    low = (g @ k.reshape(batch + (n, n * n))).reshape(k.shape)
+    right = k @ ginv[..., None, :, :]
+    low = np.swapaxes(low, -3, -2).reshape(batch + (n, n * n))
+    return low @ np.swapaxes(right, -2, -1).reshape(batch + (n * n, n))
+
+
+def tau_circ_k(tau: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(tau o K)[..., i, j] = tau(K(e_i, e_j)) = tau_m K^m_ij."""
+    n = k.shape[-1]
+    batch = k.shape[:-3]
+    return (tau[..., None, :] @ k.reshape(batch + (n, n * n))).reshape(batch + (n, n))
 
 
 def _covariant_array(t) -> np.ndarray:
@@ -569,23 +625,29 @@ def symmetrize(arr: np.ndarray, degree: int | None = None) -> np.ndarray:
     return np.concatenate(means, axis=-1)[..., orbit_of].reshape(arr.shape)
 
 
-def sectional(r: np.ndarray, g: np.ndarray, u, v) -> float:
+def sectional(r: np.ndarray, g: np.ndarray, u, v):
     """Sectional curvature r(e1, e2, e2, e1) of the (0,4) array r on the plane of u, v.
 
-    (e1, e2) is the Gram-Schmidt pair of u, v, orthonormal for the matrix g.
+    (e1, e2) is the Gram-Schmidt pair of u, v, orthonormal for the matrix g, formed per
+    batch element: r[..., n, n, n, n], g[..., n, n] and u, v [..., n] broadcast.  A single
+    plane gives a float.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = float(np.sqrt(u @ g @ u))
-    if nu == 0.0:
+
+    def g_pair(a, b):
+        return (a[..., None, :] @ g @ b[..., :, None])[..., 0, 0]
+
+    nu = np.sqrt(g_pair(u, u))
+    if np.any(nu == 0.0):
         raise PreconditionError("plane vectors must be nonzero")
-    e1 = u / nu
-    v2 = v - (e1 @ g @ v) * e1
-    nv = float(np.sqrt(v2 @ g @ v2))
-    if nv <= 1e-12 * max(float(np.sqrt(v @ g @ v)), 1.0):
+    e1 = u / nu[..., None]
+    v2 = v - g_pair(e1, v)[..., None] * e1
+    nv = np.sqrt(g_pair(v2, v2))
+    if np.any(nv <= 1e-12 * np.maximum(np.sqrt(g_pair(v, v)), 1.0)):
         raise PreconditionError("plane vectors are linearly dependent")
-    e2 = v2 / nv
-    return float(sectional_contraction(r, e1, e2))
+    out = sectional_contraction(r, e1, v2 / nv[..., None])
+    return float(out) if out.ndim == 0 else out
 
 
 def sectional_contraction(r: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:

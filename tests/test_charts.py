@@ -8,8 +8,8 @@ from codazzi.charts import (
     christoffel_array,
     conjugate_symmetry_defect,
     constant_field,
-    curvature_hat,
     curvature_hat_arrays,
+    curvature_hat_invariants,
     duality_involution_defect,
     hessian_from_potential,
     laplacian_tensor_at,
@@ -18,9 +18,11 @@ from codazzi.charts import (
     codifferential_at,
     exterior_derivative_1form_at,
     ric_hat,
+    residuals_at,
     ricci_decomposition_residuals,
     rho_hat,
     scalar_laplacian_at,
+    sectional_bracket,
     sectional_hat,
     sectional_nabla,
     squared_norm_field,
@@ -28,7 +30,7 @@ from codazzi.charts import (
 )
 from codazzi.generators import GeneratorSpec, generate, sample_points
 from codazzi.points import sectional_k
-from codazzi.tensors import contract, orthonormal_frame, symmetrize, trace_pair
+from codazzi.tensors import CurvTensor, contract, orthonormal_frame, symmetrize, trace_pair
 from codazzi.spheres import ros_residual, unit_bundle_functional
 from codazzi.suites import run_suite
 
@@ -160,7 +162,8 @@ class TestChristoffel:
 class TestCurvature:
     def test_flat_curvature_vanishes(self):
         cs = flat_chart()
-        assert np.max(np.abs(curvature_hat(cs, [0.1, 0.2]).array)) < 1e-12
+        _, low = curvature_hat_arrays(cs, [0.1, 0.2])
+        assert np.max(np.abs(low)) < 1e-12
 
     def test_poincare_sectional(self):
         cs = poincare_chart(h=2.5e-4)
@@ -174,11 +177,13 @@ class TestCurvature:
 
     def test_curvature_invariants(self):
         cs = sphere_chart()
-        r = curvature_hat(cs, [0.15, -0.1])
+        x = [0.15, -0.1]
+        r = CurvTensor(curvature_hat_arrays(cs, x)[1])
         scale = 1.0 + float(np.max(np.abs(r.array)))
         assert r.antisymmetry_defect() < 1e-10 * scale
         assert r.first_bianchi_defect() < 1e-8 * scale
         assert r.last_pair_antisymmetry_defect() < 1e-8 * scale
+        assert curvature_hat_invariants(cs, x) < 2e-8 * scale
 
     def test_ricci_symmetric(self):
         ric = ric_hat(poincare_chart(), [0.1, 1.1])
@@ -190,7 +195,7 @@ class TestCurvature:
         face = [0.0, 0.5]
         for read in (lambda: curvature_hat_arrays(cs, face), lambda: ric_hat(cs, face),
                      lambda: rho_hat(cs, face), lambda: sectional_hat(cs, face, ([1, 0], [0, 1])),
-                     lambda: curvature_hat(cs, face)):
+                     lambda: curvature_hat_invariants(cs, face)):
             with pytest.raises(PreconditionError, match="boundary"):
                 read()
 
@@ -365,7 +370,7 @@ class TestOneProducer:
         x = sample_points(cs, 1, seed=11)[0]
         plane = ([1, 0], [0, 1])
         statistical_connections(cs, x)
-        curvature_hat(cs, x)
+        curvature_hat_invariants(cs, x)
         ricci_decomposition_residuals(cs, x)
         sectional_nabla(cs, x, plane)
         sectional_hat(cs, x, plane)
@@ -470,6 +475,95 @@ class TestSectionalNabla:
     def test_degenerate_plane_rejected(self):
         with pytest.raises(PreconditionError):
             sectional_nabla(poincare_chart(), [0.0, 1.0], ([1, 0], [2, 0]))
+
+
+class TestBatchedProducers:
+    """Each structural producer on a [2, 2, n] batch equals its calls at the single points."""
+
+    CASES = [(family, n) for family in ("G2-hessian-potential", "G4-random-smooth")
+             for n in (2, 3)]
+
+    @staticmethod
+    def _batch(family, n):
+        cs = generate(GeneratorSpec(family, n=n, seed=0))
+        return cs, sample_points(cs, 4, seed=3).reshape(2, 2, n)
+
+    @staticmethod
+    def _scalars(n):
+        plane = (np.eye(n)[0], np.eye(n)[1])
+        return {
+            "metricity": metricity_residual,
+            "invariants": curvature_hat_invariants,
+            "involution": duality_involution_defect,
+            "conjugate-symmetry": conjugate_symmetry_defect,
+            "sectional-nabla": lambda cs, x: sectional_nabla(cs, x, plane),
+            "sectional-hat": lambda cs, x: sectional_hat(cs, x, plane),
+            "sectional-bracket": lambda cs, x: sectional_bracket(cs, x, plane),
+            "scale": lambda cs, x: statistical_connections(cs, x).scale,
+        }
+
+    @pytest.mark.parametrize("family, n", CASES)
+    def test_scalar_producers_match_single_points(self, family, n):
+        cs, xs = self._batch(family, n)
+        for name, producer in self._scalars(n).items():
+            batch = producer(cs, xs)
+            assert np.shape(batch) == (2, 2), name
+            for index in np.ndindex(2, 2):
+                single = producer(cs, xs[index])
+                assert type(single) is float, name
+                assert abs(batch[index] - single) <= 1e-14, (name, index)
+
+    @pytest.mark.parametrize("family, n", CASES)
+    def test_residual_maps_match_single_points(self, family, n):
+        cs, xs = self._batch(family, n)
+        for producer in (lambda x: statistical_connections(cs, x).residuals,
+                         lambda x: ricci_decomposition_residuals(cs, x)):
+            batch = producer(xs)
+            for index in np.ndindex(2, 2):
+                single = producer(xs[index])
+                at = residuals_at(batch, index)
+                # the same keys in the same order: the masks agree point by point
+                assert list(at) == list(single)
+                for key, value in single.items():
+                    assert type(value) is float, key
+                    assert abs(at[key] - value) <= 1e-14, (key, index)
+
+    @pytest.mark.parametrize("family, n", CASES)
+    def test_connection_arrays_match_single_points(self, family, n):
+        cs, xs = self._batch(family, n)
+        conn = statistical_connections(cs, xs)
+        for index in np.ndindex(2, 2):
+            single = statistical_connections(cs, xs[index])
+            for name in ("r_hat", "r_nabla", "r_bar", "bracket", "ric", "ric_bar"):
+                want = getattr(single, name)
+                got = getattr(conn, name)[index]
+                assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want))), name
+
+    def test_conjugate_coefficients_match_single_points(self):
+        cs, xs = self._batch("G4-random-smooth", 3)
+        g, dg = charts._central(cs.metric_at, xs, cs.h)
+        ginv = cs.metric_inverse_at(xs)
+        gamma = charts._dual_gamma(cs, xs, 1.0)
+        batch = charts.conjugate_coefficients(g, ginv, dg, gamma)
+        for index in np.ndindex(2, 2):
+            single = charts.conjugate_coefficients(g[index], ginv[index], dg[index], gamma[index])
+            assert np.max(np.abs(batch[index] - single)) <= 1e-14 * (1.0 + np.max(np.abs(single)))
+            # conj[m,a,j] g_im = dg[a,i,j] - gamma[l,a,i] g_lj
+            rhs = dg[index] - np.einsum("lai,lj->aij", gamma[index], g[index])
+            assert np.allclose(np.einsum("mi,aij->maj", ginv[index], rhs), single,
+                               rtol=1e-13, atol=1e-13)
+
+    def test_a_key_is_read_only_where_it_applies(self):
+        mask = np.array([[False, True], [True, False]])
+        residuals = {"always": np.arange(4.0).reshape(2, 2),
+                     "sometimes": charts.Applies(np.ones((2, 2)), mask)}
+        assert residuals_at(residuals, (0, 0)) == {"always": 0.0}
+        assert residuals_at(residuals, (0, 1)) == {"always": 1.0, "sometimes": 1.0}
+
+    def test_degenerate_plane_in_a_batch_raises(self):
+        cs, xs = self._batch("G4-random-smooth", 2)
+        with pytest.raises(PreconditionError, match="linearly dependent"):
+            sectional_nabla(cs, xs, ([1, 0], [2, 0]))
 
 
 class TestBatchedCore:

@@ -1,15 +1,18 @@
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
+from codazzi import expressions
 from codazzi.charts import ChartStructure
 from codazzi.errors import SchemaError
 from codazzi.expressions import (
     CACHE_SIZE, Call, compile_cache_info, compile_tensor, parse_expression, partial,
 )
+from codazzi.generators import GeneratorSpec, generate
 
 
 def compiled(text, n):
@@ -247,3 +250,58 @@ class TestCompileTensor:
         assert once.misses - start.misses == 2
         assert (twice.misses, twice.hits - once.hits) == (once.misses, 2)
         assert twice.maxsize == CACHE_SIZE
+
+
+class TestSharedSubexpressions:
+    @staticmethod
+    def _generated_sources(monkeypatch, build):
+        sources = []
+        compile_source = expressions._compile_source
+
+        def spy(source):
+            sources.append(source)
+            return compile_source(source)
+
+        monkeypatch.setattr(expressions, "_compile_source", spy)
+        return build(), sources
+
+    def test_each_call_is_evaluated_once_per_distinct_argument(self, monkeypatch):
+        spec = GeneratorSpec("G5-periodic-trig", seed=0,
+                             params={"variant": "generic", "freq": 32, "gfreq": 4, "amp": 0.8})
+        cs, sources = self._generated_sources(monkeypatch, lambda: generate(spec))
+        assert len(sources) == 2  # the metric and the cubic form
+        for source in sources:
+            calls = re.findall(r"np\.(?:sin|cos|exp)\(", source)
+            # every call is bound to a local once: no call appears twice with the same argument
+            lines = [line.strip() for line in source.splitlines()]
+            bound = [line.split(" = ", 1)[1] for line in lines if re.match(r"t\d+ = np\.", line)]
+            assert len(bound) == len(set(bound)) == len(calls)
+        metric, cubic = sources
+        assert metric.count("np.exp(") == 1 and metric.count("np.sin(") == 1
+        assert cubic.count("np.sin(((32.0) * x[..., 0]))") == 1
+        assert cubic.count("np.cos(((32.0) * x[..., 1]))") == 1
+
+    @pytest.mark.parametrize("variant", ["generic", "conformal"])
+    def test_shared_fields_equal_per_entry_builds(self, variant):
+        spec = GeneratorSpec("G5-periodic-trig", seed=0,
+                             params={"variant": variant, "freq": 32, "gfreq": 4, "amp": 0.8})
+        cs = generate(spec)
+        parse = lambda text: parse_expression(text, 2)
+        g_ref = per_entry_field(2, (2, 2), [(parse(cs.g_source[i][j]), [(i, j), (j, i)])
+                                            for i in range(2) for j in range(i, 2)])
+        a_ref = per_entry_field(2, (2, 2, 2), [
+            (parse(text), set(itertools.permutations(sorted(int(c) - 1 for c in key))))
+            for key, text in cs.a_source.items()])
+        rng = np.random.default_rng(7)
+        for shape in ((2,), (5, 2), (3, 4, 2)):
+            x = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+            assert np.array_equal(cs.g_field(x), g_ref(x))
+            assert np.array_equal(cs.a_field(x), a_ref(x))
+
+    def test_repeated_subexpressions_are_bound_once(self, monkeypatch):
+        e = parse_expression("(x1*x2 + 1)*(x1*x2 + 1) - exp(x1*x2 + 1)", 2)
+        f, sources = self._generated_sources(monkeypatch, lambda: compile_tensor((), [(e, [()])]))
+        (source,) = sources
+        assert source.count("(x[..., 0] * x[..., 1])") == 1
+        x = batch_points(2, 2)
+        assert np.array_equal(f(x), per_entry_compile(e, 2)(x))

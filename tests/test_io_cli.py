@@ -268,6 +268,25 @@ class TestCLI:
             assert "nabla beta is not symmetric" in checks[check_id]["location"]
         assert checks["sym2-simons-n2"]["verdict"] == "pass"
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        from codazzi import cli
+
+        assert cli._build_parser() is cli._build_parser()
+        report = tmp_path / "check.json"
+        for _ in range(2):
+            assert main(["verify", "--suite", "nope"]) == 2
+            bad = capsys.readouterr()
+            assert "invalid choice: 'nope'" in bad.err and bad.out == ""
+            assert main(["check", "--file", EQUALITY_FILE, "--report", str(report)]) == 0
+            good = capsys.readouterr()
+            assert "eighth-inequality" in good.out and good.err == ""
+            assert json.loads(report.read_text())["suite"] == "check"
+            assert main(["--help"]) == 0
+            helped = capsys.readouterr()
+            assert helped.out.startswith("usage: codazzi") and helped.err == ""
+            assert main(["check", "--help"]) == 0
+            assert "--strict" in capsys.readouterr().out
+
     def test_check_has_no_suite_option(self):
         assert run_cli("check", "--suite", "integral", "--file", EQUALITY_FILE).returncode == 2
 

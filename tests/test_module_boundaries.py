@@ -421,3 +421,116 @@ def test_factorization_checker_flags_each_copy():
         "spheres.py:1 cholesky", "spheres.py:1 det", "spheres.py:4 det",
         "tensors.py:6 inv", "tensors.py:8 cholesky", "tensors.py:8 det",
     ]
+
+
+# the chart producers that run on a batch of points x[..., n]
+BATCHED_PRODUCERS = ("statistical_connections", "ricci_decomposition_residuals",
+                     "duality_involution_defect", "metricity_residual", "curvature_hat_invariants",
+                     "sectional_nabla", "sectional_hat", "sectional_bracket")
+
+
+def point_calls(source: str, functions) -> list[str]:
+    """Calls of ``.point(...)`` inside the named functions (and functions nested in them).
+
+    A batched producer reads K, tau and the metric factors from the chart's memoized
+    batch; ``ChartStructure.point`` builds one ``StatPoint`` per point.
+    """
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            found += [f"{node.name}:{call.lineno}" for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                      and call.func.attr == "point"]
+    return found
+
+
+def test_batched_producers_build_no_point():
+    source = (PACKAGE / "charts.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert set(BATCHED_PRODUCERS) <= defined
+    assert point_calls(source, BATCHED_PRODUCERS) == []
+
+
+def test_point_call_checker_flags_each_call():
+    source = (
+        "def statistical_connections(cs, x):\n"
+        "    def compute():\n"
+        "        return bracket_kk(cs.point(x))\n"
+        "    return compute()\n"
+        "def ricci_decomposition_residuals(cs, x):\n"
+        "    return cs.point(x).gram_k()\n"
+        "def cubic_simons_residuals(cs, x):\n"
+        "    return cs.point(x)\n"
+    )
+    assert point_calls(source, BATCHED_PRODUCERS) == [
+        "statistical_connections:3", "ricci_decomposition_residuals:6"]
+
+
+# each contraction of K with itself or with tau -> (file, function) sites that must call it
+COMMUTATOR_KERNELS = {
+    "commutator_curvature": [("points.py", "_bracket_up"), ("charts.py", "statistical_connections")],
+    "gram_k": [("points.py", "StatPoint.gram_k"), ("charts.py", "ricci_decomposition_residuals")],
+    "tau_circ_k": [("points.py", "StatPoint.tau_circ_k"),
+                   ("charts.py", "ricci_decomposition_residuals")],
+    "lower_first": [("points.py", "bracket_kk"), ("charts.py", "statistical_connections")],
+}
+
+
+def kernel_site_violations(sources: dict[str, str], kernels) -> list[str]:
+    """Sites of a kernel that do not call it, or that also call ``np.einsum``.
+
+    Each kernel is defined in ``tensors.py``; a site calls it by name, so the
+    contraction is written once whichever route reads it.
+    """
+    functions = {}
+    for name, source in sources.items():
+        for node in ast.parse(source).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            for member in members:
+                if isinstance(member, ast.FunctionDef):
+                    functions[(name, prefix + member.name)] = member
+    tensors = {node.name for node in ast.parse(sources["tensors.py"]).body
+               if isinstance(node, ast.FunctionDef)}
+    found = []
+    for kernel, sites in kernels.items():
+        if kernel not in tensors:
+            found.append(f"{kernel}: not defined in tensors.py")
+        for site in sites:
+            called = {getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                      for call in ast.walk(functions[site]) if isinstance(call, ast.Call)}
+            if kernel not in called:
+                found.append(f"{kernel}: {site[0]}:{site[1]} does not call it")
+            if "einsum" in called:
+                found.append(f"{kernel}: {site[0]}:{site[1]} calls einsum")
+    return found
+
+
+def test_commutator_kernels_have_one_site():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert kernel_site_violations(sources, COMMUTATOR_KERNELS) == []
+
+
+def test_kernel_site_checker_flags_each_copy():
+    sources = {
+        "tensors.py": "def gram_k(ginv, g, k):\n    return k\n",
+        "points.py": (
+            "class StatPoint:\n"
+            "    def gram_k(self):\n"
+            "        return np.einsum('ab,mn,mia,njb->ij', self.ginv, self.g, self.k, self.k)\n"
+            "def _bracket_up(sp):\n"
+            "    return commutator_curvature(sp.k)\n"
+        ),
+        "charts.py": (
+            "def ricci_decomposition_residuals(cs, x):\n"
+            "    return gram_k(cs.ginv, cs.g, np.einsum('mij->mij', cs.k))\n"
+        ),
+    }
+    kernels = {"gram_k": COMMUTATOR_KERNELS["gram_k"],
+               "commutator_curvature": [("points.py", "_bracket_up")]}
+    assert kernel_site_violations(sources, kernels) == [
+        "gram_k: points.py:StatPoint.gram_k does not call it",
+        "gram_k: points.py:StatPoint.gram_k calls einsum",
+        "gram_k: charts.py:ricci_decomposition_residuals calls einsum",
+        "commutator_curvature: not defined in tensors.py",
+    ]

@@ -27,6 +27,14 @@ CONTROLS = {
                     "differential": ({"ricci-decomposition", "sphere-scalar-curvature"}, set())},
     "trace_pair": {"algebraic": ({"commutator-scalar-two-routes"}, set()),
                    "differential": ({"sphere-scalar-curvature"}, set())},
+    # [K,K] enters one side of the two routes, of the curvature sum and of the sectional sum
+    "commutator_curvature": {
+        "algebraic": ({"commutator-ricci-two-routes"}, set()),
+        "differential": ({"curvature-two-routes", "curvature-sum", "sectional-sum"}, set())},
+    "gram_k": {"algebraic": ({"commutator-ricci-two-routes"}, set()),
+               "differential": ({"ricci-decomposition", "ricci-conjugate-sum"}, set())},
+    "tau_circ_k": {"algebraic": ({"commutator-ricci-two-routes"}, set()),
+                   "differential": ({"ricci-decomposition", "koszul-form"}, set())},
 }
 
 FACTOR_OUTPUTS = ("ginv", "frame", "vol")
