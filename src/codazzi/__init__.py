@@ -10,12 +10,10 @@ from .errors import (
 )
 from .tensors import (
     CubicForm,
-    CurvTensor,
     MetricPoint,
     Tensor,
     frame_components,
     inner,
-    norm,
     orthonormal_frame,
     r0_curvature,
     raise_last,

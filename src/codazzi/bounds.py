@@ -26,7 +26,7 @@ from .charts import (
 )
 from .errors import PreconditionError
 from .points import fit_constant_curvature
-from .tensors import CurvTensor, contract
+from .tensors import contract
 
 
 @dataclass
@@ -198,28 +198,34 @@ SANDWICH_TRACE_TOL = 1e-8
 SANDWICH_FIT_TOL = 1e-4
 
 
-def simons_sandwich_check(cs: ChartStructure, x, h_curv: float | None = None) -> tuple[float, float]:
-    """Gaps of the Laplacian sandwich for u = ||A||^2 at a point.
+def simons_sandwich_check(cs: ChartStructure, x, h_curv: float | None = None):
+    """Gaps of the Laplacian sandwich for u = ||A||^2 at each point of x[..., n].
 
-    Requires the structure to be trace-free at x and the statistical
-    curvature to be H R0 there (H estimated by least squares when not
-    supplied; a bad fit raises PreconditionError).  Returns (lower_gap,
-    upper_gap), both >= -tol(h) when the hypotheses hold; at n = 2 both
-    gaps vanish to FD accuracy.
+    Requires the structure to be trace-free at x and the statistical curvature
+    to be H R0 there (H fit per point when not supplied); PreconditionError names
+    the first point, in batch order, that fails a test, the trace-free one first.
+    Returns (lower_gap, upper_gap), floats at a single point, both >= -tol(h)
+    when the hypotheses hold; at n = 2 both gaps vanish to FD accuracy.
     """
     x = cs.require_interior(np.asarray(x, dtype=float))
     n = cs.n
-    sp = cs.point(x)
-    if sp.g.norm(sp.E) > SANDWICH_TRACE_TOL:
-        raise PreconditionError(f"structure is not trace-free at x (|E| = {sp.g.norm(sp.E):g})")
+    g, ginv, tau = cs.metric_at(x), cs.metric_inverse_at(x), cs.tau_at(x)
+    # ||E||_g = ||tau|| against g^-1
+    e_norm = np.sqrt(np.maximum(np.ravel(contract(ginv, tau, tau)), 0.0))
     conn = statistical_connections(cs, x)
-    r = CurvTensor(0.5 * (conn.r_nabla - np.swapaxes(conn.r_nabla, 0, 1)))
-    h_curv = fit_constant_curvature(sp.g, r, SANDWICH_FIT_TOL, h_curv)
+    r = 0.5 * (conn.r_nabla - np.swapaxes(conn.r_nabla, -4, -3))
+    not_trace_free = e_norm > SANDWICH_TRACE_TOL
+    if np.any(not_trace_free):
+        first = int(np.argmax(not_trace_free))
+        # a point before it that fails the fit raises first
+        fit_constant_curvature(*(a.reshape((-1,) + a.shape[x.ndim - 1:])[:first]
+                                 for a in (g, ginv, r)), SANDWICH_FIT_TOL, h_curv)
+        raise PreconditionError(f"structure is not trace-free at x (|E| = {e_norm[first]:g})")
+    h_curv = fit_constant_curvature(g, ginv, r, SANDWICH_FIT_TOL, h_curv)
 
     u_field = squared_norm_field(cs, cs.a_field)
-    u = float(u_field(x))
+    u = u_field(x)
     half_lap_u = 0.5 * scalar_laplacian_at(cs, u_field, x)
-    ginv = cs.metric_inverse_at(x)
     na = nabla_cubic_at(cs, x)
     nabla_sq = contract(ginv, na, na)
 

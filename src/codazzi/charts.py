@@ -35,10 +35,9 @@ import numpy as np
 
 from .errors import ConstructionError, NotPositiveDefiniteError, PreconditionError
 from .expressions import CACHE_SIZE, Const, compile_tensor, mul, parse_expression, partial
-from .points import TRACE_FREE_TOL, StatPoint, bracket_kk, fit_constant_curvature
+from .points import TRACE_FREE_TOL, StatPoint, fit_constant_curvature
 from .tensors import (
     CubicForm,
-    CurvTensor,
     MetricPoint,
     commutator_curvature,
     contract,
@@ -251,12 +250,12 @@ class ChartStructure:
         return self._memo("tau", x, lambda: trace_k(self.k_at(x)))
 
     def point(self, x) -> StatPoint:
-        """The pointwise structure at a single point x[n], built once per point (it is immutable)."""
-        def compute():
-            g = self.metric_at(x)
-            return StatPoint(MetricPoint(0.5 * (g + g.T)), CubicForm.from_dense(self.cubic_at(x)))
+        """The pointwise structure at a single point x[n], for the checks that read a StatPoint.
 
-        return self._memo("point", x, compute)
+        CubicForm.from_dense checks the symmetry of A there.
+        """
+        g = self.metric_at(x)
+        return StatPoint(MetricPoint(0.5 * (g + g.T)), CubicForm.from_dense(self.cubic_at(x)))
 
     def _memo(self, tag, x, compute):
         """compute() once per (tag, batch); the key holds the shape because two batch shapes
@@ -451,6 +450,7 @@ def _curvature_from_gamma(cs: ChartStructure, coefficients: Field, x) -> np.ndar
     lead, n = gamma0.ndim - 3, gamma0.shape[-1]
     batch = gamma0.shape[:lead]
     # quad[m, i, j, k] = Gamma^m_ip Gamma^p_jk; its i <-> j swap is the other quadratic term
+    # (not commutator_curvature: a defect in a shared kernel would cancel in curvature-sum)
     quad = gamma0.reshape(batch + (n * n, n)) @ gamma0.reshape(batch + (n, n * n))
     quad = quad.reshape(dgamma.shape)
     return (
@@ -894,7 +894,8 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
     laplace-cubic-constant-sectional when [K,K] = kappa R0 and
     laplace-cubic-dualflat when R_hat - [K,K] = c R0 at x, with kappa and c
     fit by fit_constant_curvature.  Raises PreconditionError with the
-    asymmetry norm when the structure is not conjugate symmetric at x.
+    asymmetry norm when the structure is not conjugate symmetric at x.  [K,K]
+    comes from statistical_connections, so a chart point builds it once.
     """
     x = cs.require_interior(np.asarray(x, dtype=float))
     defect = conjugate_symmetry_defect(cs, x)
@@ -902,22 +903,21 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
         raise PreconditionError(
             f"structure is not conjugate symmetric at x (asymmetry ratio {defect:g})"
         )
-    ginv = cs.metric_inverse_at(x)
-    sp = cs.point(x)
+    g, ginv = cs.metric_at(x), cs.metric_inverse_at(x)
+    k, tau = cs.k_at(x), cs.tau_at(x)
     lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, cs.a_field), x)
     grad_sq = _g_norm(ginv, nabla_cubic_at(cs, x)) ** 2
     # nabla^2 tau (derivative, derivative, argument) paired with A on all three slots
     tau_pair = contract(ginv, cs.cubic_at(x), nabla2_at(cs, lambda y: cs.tau_at(y), x))
 
-    bracket = bracket_kk(sp)
     conn = statistical_connections(cs, x)
-    r_hat_low, r_low, ric = conn.r_hat, conn.r_nabla, conn.ric
+    r_hat_low, r_low, ric, bracket = conn.r_hat, conn.r_nabla, conn.ric, conn.bracket
     ric_hat_arr = ric_hat(cs, x)
     rho_hat_val = rho_hat(cs, x)
-    gram = sp.gram_k()
-    tau_circ = sp.tau_circ_k()
+    gram = gram_k(ginv, g, k)
+    tau_circ = tau_circ_k(tau, k)
 
-    bracket_term = contract(ginv, bracket.array, r_hat_low)
+    bracket_term = contract(ginv, bracket, r_hat_low)
     ric_gram = contract(ginv, ric_hat_arr, gram)
     rhat_sq = contract(ginv, r_hat_low, r_hat_low)
 
@@ -939,7 +939,8 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
             )
         ),
     }
-    if sp.trace_free:
+    # ||E|| < TRACE_FREE_TOL, as StatPoint.trace_free
+    if contract(ginv, tau, tau) < TRACE_FREE_TOL ** 2:
         out["laplace-cubic-tracefree"] = abs(
             lhs
             - (
@@ -951,9 +952,9 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
             )
         )
 
-    def fitted(rt: CurvTensor, rel_tol: float) -> float | None:
+    def fitted(r: np.ndarray, rel_tol: float) -> float | None:
         try:
-            return fit_constant_curvature(sp.g, rt, rel_tol)
+            return fit_constant_curvature(g, ginv, r, rel_tol)
         except PreconditionError:
             return None
 
@@ -962,8 +963,8 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
         out["laplace-cubic-constant-sectional"] = abs(
             lhs - (grad_sq + tau_pair - 2.0 * kappa * rho_hat_val + ric_gram)
         )
-    split = r_hat_low - bracket.array
-    c = fitted(CurvTensor(0.5 * (split - np.swapaxes(split, 0, 1))), SPLIT_FIT_TOL)
+    split = r_hat_low - bracket
+    c = fitted(0.5 * (split - np.swapaxes(split, -4, -3)), SPLIT_FIT_TOL)
     if c is not None:
         # the 1/2 on the Laplacian of ||A||^2 is inherited from the commutator form
         out["laplace-cubic-dualflat"] = abs(

@@ -237,7 +237,8 @@ def _check_predicates(spec: GeneratorSpec, out) -> None:
         a = float(spec.params.get("a", 1.0))
         b = float(spec.params.get("b", 0.0))
         h_curv = -2.0 * (a * a + b * b)
-        residual = constant_curvature_residual(bracket_kk(out), out.g, h_curv)
+        residual = constant_curvature_residual(bracket_kk(out), out.g.components, out.g.inverse,
+                                               h_curv)
         if residual > 1e-10:
             raise ConstructionError(
                 f"constant-curvature predicate failed: residual {residual:g} at H={h_curv:g}"

@@ -26,15 +26,15 @@ import numpy as np
 from .errors import DimensionMismatchError, PreconditionError
 from .tensors import (
     CubicForm,
-    CurvTensor,
     MetricPoint,
     Tensor,
+    check_riemannian_symmetries,
     commutator_curvature,
+    contract,
     frame_components,
     gram_k,
     inner,
     lower_first,
-    norm,
     orthonormal_frame,
     r0_curvature,
     raise_last,
@@ -158,12 +158,15 @@ def _bracket_up(sp: StatPoint) -> np.ndarray:
     return commutator_curvature(sp.K.array)
 
 
-def bracket_kk(sp: StatPoint) -> CurvTensor:
-    """[K,K](X,Y)Z = K_X K_Y Z - K_Y K_X Z, lowered to a (0,4) curvature tensor."""
+def bracket_kk(sp: StatPoint) -> np.ndarray:
+    """[K,K](X,Y)Z = K_X K_Y Z - K_Y K_X Z, lowered to a (0,4) curvature array.
+
+    [K,K] has every symmetry of a Riemannian curvature tensor; a defect above
+    round-off raises ConstructionError.
+    """
     low = lower_first(sp.g.components, _bracket_up(sp))
-    out = CurvTensor(low)
-    out.check(tol=1e-10 * (1.0 + float(np.max(np.abs(low)))), riemannian=True)
-    return out
+    check_riemannian_symmetries(low, 1e-10 * (1.0 + float(np.max(np.abs(low)))))
+    return low
 
 
 def ric_k(sp: StatPoint) -> np.ndarray:
@@ -187,7 +190,7 @@ def rho_k(sp: StatPoint) -> tuple[float, float]:
 
 def sectional_k(sp: StatPoint, x, y) -> float:
     """Sectional invariant of [K,K] on the plane spanned by x, y."""
-    return sectional(bracket_kk(sp).array, sp.g.components, x, y)
+    return sectional(bracket_kk(sp), sp.g.components, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -447,47 +450,52 @@ def lpq(sp: StatPoint) -> tuple[float, float, Tensor, float]:
     return float(normsq_l), float(normsq_p), Tensor(sp.n, 3, 0, q), pairing
 
 
-def constant_curvature_residual(rt: CurvTensor, g: MetricPoint, h: float) -> float:
-    """g-norm of R - H R0: zero exactly on constant-curvature structures."""
-    if rt.n != g.n:
-        raise DimensionMismatchError(f"metric has n={g.n}, curvature has n={rt.n}")
-    return norm(g, rt.array - h * r0_curvature(g).array)
+def constant_curvature_residual(r: np.ndarray, g: np.ndarray, ginv: np.ndarray, h):
+    """g-norm of R - H R0 per point of r[..., n, n, n, n], zero exactly on constant curvature.
+
+    g, its inverse ginv and h carry the batch axes of r; a single point gives a float.
+    """
+    if r.shape[-1] != g.shape[-1]:
+        raise DimensionMismatchError(f"metric has n={g.shape[-1]}, curvature has n={r.shape[-1]}")
+    d = r - np.asarray(h)[..., None, None, None, None] * r0_curvature(g)
+    out = np.sqrt(np.maximum(contract(ginv, d, d), 0.0))
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def lagrangian_gauss_residual(sp: StatPoint, rhat: CurvTensor, c: float) -> tuple[float, float]:
+def lagrangian_gauss_residual(sp: StatPoint, rhat: np.ndarray, c: float) -> tuple[float, float]:
     """Residual of c R0 = Rhat - [K,K], plus the scalar-curvature consistency check.
 
     Returns (||Rhat - [K,K] - c R0||, |rho_hat - (c n(n-1) - ||A||^2 + ||E||^2)|).
     """
-    g = sp.g
-    residual = constant_curvature_residual(CurvTensor(rhat.array - bracket_kk(sp).array), g, c)
+    ginv = sp.g.inverse
+    residual = constant_curvature_residual(rhat - bracket_kk(sp), sp.g.components, ginv, c)
     # the Ricci trace of a (0,4) tensor contracts its first and last slots against g^-1
-    rho_hat = trace_pair(g.inverse, trace_pair(g.inverse, rhat.array, 0, 3), 0, 1)
+    rho_hat = trace_pair(ginv, trace_pair(ginv, rhat, 0, 3), 0, 1)
     n = sp.n
     scalar_residual = abs(rho_hat - (c * n * (n - 1) - sp.scalar_gap()))
     return residual, scalar_residual
 
 
-def best_fit_curvature_coefficient(g: MetricPoint, rt: CurvTensor) -> float:
-    """Least-squares H minimizing ||R - H R0||: inner(R, R0) / ||R0||^2."""
+def best_fit_curvature_coefficient(g: np.ndarray, ginv: np.ndarray, r: np.ndarray):
+    """Least-squares H minimizing ||R - H R0|| per point: <R, R0> / ||R0||^2."""
     r0 = r0_curvature(g)
-    return inner(g, rt, r0) / inner(g, r0, r0)
+    return contract(ginv, r, r0) / contract(ginv, r0, r0)
 
 
-def fit_constant_curvature(
-    g: MetricPoint, rt: CurvTensor, rel_tol: float, h: float | None = None
-) -> float:
-    """H with R = H R0 at a point: the least-squares fit, or the supplied h.
+def fit_constant_curvature(g: np.ndarray, ginv: np.ndarray, r: np.ndarray, rel_tol: float,
+                           h=None):
+    """H with R = H R0 per point of r[..., n, n, n, n]: the least-squares fit or the supplied h.
 
-    Raises PreconditionError when ||R - H R0|| > rel_tol (1 + |H|).
+    Raises PreconditionError at the first point, in batch order, with
+    ||R - H R0|| > rel_tol (1 + |H|).
     """
-    if rt.n != g.n:
-        raise DimensionMismatchError(f"metric has n={g.n}, curvature has n={rt.n}")
     if h is None:
-        h = best_fit_curvature_coefficient(g, rt)
-    fit = constant_curvature_residual(rt, g, h)
-    if fit > rel_tol * (1.0 + abs(h)):
-        raise PreconditionError(f"curvature is not H R0 at x (fit residual {fit:g})")
+        h = best_fit_curvature_coefficient(g, ginv, r)
+    fit = constant_curvature_residual(r, g, ginv, h)
+    bad = np.ravel(fit > rel_tol * (1.0 + np.abs(h)))
+    if np.any(bad):
+        raise PreconditionError(
+            f"curvature is not H R0 at x (fit residual {np.ravel(fit)[np.argmax(bad)]:g})")
     return h
 
 

@@ -350,69 +350,6 @@ class Tensor:
         object.__setattr__(self, "array", arr)
 
 
-class CurvTensor:
-    """Curvature-type (0,4) tensor R[i,j,k,l] = g(R(e_i,e_j)e_k, e_l).
-
-    Antisymmetry in (i,j) holds for every curvature tensor here; the first
-    Bianchi identity and (k,l)-antisymmetry are asserted only for the
-    constructions that guarantee them (Levi-Civita, commutator, constant
-    curvature model); the statistical curvature in general has no (k,l)
-    skew-symmetry.
-    """
-
-    __slots__ = ("tensor",)
-
-    def __init__(self, array_or_tensor):
-        if isinstance(array_or_tensor, Tensor):
-            t = array_or_tensor
-            if (t.p, t.q) != (4, 0):
-                raise ConstructionError("CurvTensor requires a (0,4) tensor")
-        else:
-            arr = np.asarray(array_or_tensor, dtype=float)
-            if arr.ndim != 4 or len(set(arr.shape)) != 1:
-                raise ConstructionError(f"CurvTensor requires shape (n,n,n,n), got {arr.shape}")
-            t = Tensor(arr.shape[0], 4, 0, arr)
-        self.tensor = t
-
-    @property
-    def n(self) -> int:
-        return self.tensor.n
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.tensor.array
-
-    def antisymmetry_defect(self) -> float:
-        r = self.array
-        return float(np.max(np.abs(r + np.swapaxes(r, 0, 1))))
-
-    def first_bianchi_defect(self) -> float:
-        return first_bianchi_defect(self.array)
-
-    def pair_symmetry_defect(self) -> float:
-        r = self.array
-        return float(np.max(np.abs(r - np.transpose(r, (2, 3, 0, 1)))))
-
-    def last_pair_antisymmetry_defect(self) -> float:
-        return last_pair_antisymmetry_defect(self.array)
-
-    def check(self, tol: float = 1e-10, riemannian: bool = False) -> None:
-        defect = self.antisymmetry_defect()
-        if defect > tol:
-            raise ConstructionError(f"curvature tensor not antisymmetric in (i,j): defect {defect:g}")
-        if riemannian:
-            for name, value in (
-                ("first Bianchi", self.first_bianchi_defect()),
-                ("(k,l) antisymmetry", self.last_pair_antisymmetry_defect()),
-                ("pair symmetry", self.pair_symmetry_defect()),
-            ):
-                if value > tol:
-                    raise ConstructionError(f"curvature tensor fails {name}: defect {value:g}")
-
-    def __repr__(self):
-        return f"CurvTensor(n={self.n})"
-
-
 def _max_abs4(arr: np.ndarray):
     """max |arr| over the last four axes: a float for one tensor, else an array over the batch."""
     out = np.max(np.abs(arr), axis=(-4, -3, -2, -1))
@@ -429,6 +366,19 @@ def first_bianchi_defect(r: np.ndarray):
 def last_pair_antisymmetry_defect(r: np.ndarray):
     """max |r_ijkl + r_ijlk| of r[..., i, j, k, l]."""
     return _max_abs4(r + np.swapaxes(r, -2, -1))
+
+
+def check_riemannian_symmetries(r: np.ndarray, tol: float) -> None:
+    """Raise ConstructionError when r[..., i, j, k, l] misses a symmetry of a Riemannian
+    curvature tensor by more than tol at some point; the error names the first one missed."""
+    for message, defect in (
+        ("not antisymmetric in (i,j)", _max_abs4(r + np.swapaxes(r, -4, -3))),
+        ("fails first Bianchi", first_bianchi_defect(r)),
+        ("fails (k,l) antisymmetry", last_pair_antisymmetry_defect(r)),
+        ("fails pair symmetry", _max_abs4(r - np.moveaxis(r, (-2, -1), (-4, -3)))),
+    ):
+        if np.max(defect) > tol:
+            raise ConstructionError(f"curvature tensor {message}: defect {np.max(defect):g}")
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +494,6 @@ def tau_circ_k(tau: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _covariant_array(t) -> np.ndarray:
-    if isinstance(t, CurvTensor):
-        return t.array
     if isinstance(t, CubicForm):
         return t.dense
     if isinstance(t, Tensor):
@@ -566,10 +514,6 @@ def inner(g: MetricPoint, t, s) -> float:
     if ta.shape[0] != g.n:
         raise DimensionMismatchError(f"metric has n={g.n}, tensors have n={ta.shape[0]}")
     return contract(g.inverse, ta, sa)
-
-
-def norm(g: MetricPoint, t) -> float:
-    return float(np.sqrt(max(inner(g, t, t), 0.0)))
 
 
 @functools.cache
@@ -670,8 +614,11 @@ def frame_components(b: np.ndarray, arr) -> np.ndarray:
     return _per_slot(b.swapaxes(-1, -2), _covariant_array(arr))
 
 
-def r0_curvature(g: MetricPoint) -> CurvTensor:
-    """Constant-curvature model tensor R0(X,Y)Z = g(Y,Z)X - g(X,Z)Y as a (0,4) tensor."""
-    gm = g.components
-    arr = np.einsum("jk,il->ijkl", gm, gm) - np.einsum("ik,jl->ijkl", gm, gm)
-    return CurvTensor(arr)
+def r0_curvature(g: np.ndarray) -> np.ndarray:
+    """Constant-curvature model R0(X,Y)Z = g(Y,Z)X - g(X,Z)Y of g[..., n, n] as a (0,4) array.
+
+    r0[..., i, j, k, l] = g_jk g_il - g_ik g_jl: one broadcast product minus its (i, j) swap.
+    """
+    g = np.asarray(g, dtype=float)
+    prod = g[..., None, :, :, None] * g[..., :, None, None, :]
+    return prod - np.swapaxes(prod, -4, -3)

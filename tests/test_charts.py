@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from codazzi import ConstructionError, NotPositiveDefiniteError, PreconditionError, charts
+from codazzi import (ConstructionError, MetricPoint, NotPositiveDefiniteError, PreconditionError,
+                     charts, points)
 from codazzi.charts import (
     ChartStructure,
     christoffel,
@@ -30,7 +31,10 @@ from codazzi.charts import (
 )
 from codazzi.generators import GeneratorSpec, generate, sample_points
 from codazzi.points import sectional_k
-from codazzi.tensors import CurvTensor, contract, orthonormal_frame, symmetrize, trace_pair
+from codazzi.bounds import simons_sandwich_check
+from codazzi.tensors import (commutator_curvature, contract, first_bianchi_defect,
+                             last_pair_antisymmetry_defect, orthonormal_frame, r0_curvature,
+                             symmetrize, trace_pair)
 from codazzi.spheres import ros_residual, unit_bundle_functional
 from codazzi.suites import run_suite
 
@@ -93,12 +97,6 @@ class TestChartStructure:
     def test_periodic_axes_skip_margin(self):
         cs = flat_chart(periodic=True)
         christoffel(cs, [0.0, 0.0])
-
-    def test_point_is_built_once(self):
-        cs = sphere_chart()
-        sp = cs.point([0.1, 0.2])
-        assert cs.point(np.array([0.1, 0.2])) is sp
-        assert cs.point([0.2, 0.1]) is not sp
 
     @pytest.mark.parametrize("family", ["G2-hessian-potential", "G4-random-smooth"])
     def test_point_and_chart_share_one_inverse_and_frame(self, family):
@@ -178,11 +176,11 @@ class TestCurvature:
     def test_curvature_invariants(self):
         cs = sphere_chart()
         x = [0.15, -0.1]
-        r = CurvTensor(curvature_hat_arrays(cs, x)[1])
-        scale = 1.0 + float(np.max(np.abs(r.array)))
-        assert r.antisymmetry_defect() < 1e-10 * scale
-        assert r.first_bianchi_defect() < 1e-8 * scale
-        assert r.last_pair_antisymmetry_defect() < 1e-8 * scale
+        r = curvature_hat_arrays(cs, x)[1]
+        scale = 1.0 + float(np.max(np.abs(r)))
+        assert np.max(np.abs(r + np.swapaxes(r, 0, 1))) < 1e-10 * scale
+        assert first_bianchi_defect(r) < 1e-8 * scale
+        assert last_pair_antisymmetry_defect(r) < 1e-8 * scale
         assert curvature_hat_invariants(cs, x) < 2e-8 * scale
 
     def test_ricci_symmetric(self):
@@ -301,9 +299,7 @@ class TestStatisticalConnections:
     def test_constant_fields_constant_curvature(self):
         cs = generate(GeneratorSpec("G3-2d-constant-curvature", params={"chart": True}))
         conn = statistical_connections(cs, [1.0, 1.0])
-        from codazzi import MetricPoint, r0_curvature
-
-        r0 = r0_curvature(MetricPoint(np.eye(2))).array
+        r0 = r0_curvature(np.eye(2))
         assert np.max(np.abs(conn.r_nabla + 2.0 * r0)) < 1e-10
 
     def test_residual_map_on_generators(self):
@@ -564,6 +560,77 @@ class TestBatchedProducers:
         cs, xs = self._batch("G4-random-smooth", 2)
         with pytest.raises(PreconditionError, match="linearly dependent"):
             sectional_nabla(cs, xs, ([1, 0], [2, 0]))
+
+
+class TestSimonsProducersReadTheBatch:
+    """The cubic Simons and sandwich producers read g, K, tau and [K,K] from the chart."""
+
+    @staticmethod
+    def conformal():
+        return generate(GeneratorSpec("G5-periodic-trig", seed=2,
+                                      params={"variant": "conformal", "amp": 0.35}))
+
+    @staticmethod
+    def g3_chart():
+        return generate(GeneratorSpec("G3-2d-constant-curvature", params={"chart": True}))
+
+    @staticmethod
+    def quartic_hessian():
+        # g = diag(1 + x1^2, 1) and A = 0 on x1 = 0: trace-free there only; nabla is flat
+        return hessian_from_potential("0.5*x1**2 + 0.5*x2**2 + x1**4/12", [[-1.0, 1.0]] * 2)
+
+    @pytest.mark.parametrize("shape", [(6, 2), (2, 3, 2)])
+    def test_sandwich_batch_matches_single_points(self, shape):
+        cs = self.conformal()
+        xs = sample_points(cs, 6, seed=5).reshape(shape)
+        lo, hi = simons_sandwich_check(cs, xs)
+        assert np.shape(lo) == np.shape(hi) == shape[:-1]
+        for index in np.ndindex(shape[:-1]):
+            lo1, hi1 = simons_sandwich_check(cs, xs[index])
+            assert type(lo1) is float and type(hi1) is float
+            assert abs(lo[index] - lo1) <= 1e-14 and abs(hi[index] - hi1) <= 1e-14
+
+    def test_sandwich_names_the_point_that_is_not_trace_free(self):
+        cs = self.quartic_hessian()
+        xs = np.array([[0.0, 0.3], [0.5, 0.3], [0.0, -0.2]])
+        tau = cs.tau_at(xs[1])
+        e_norm = np.sqrt(contract(cs.metric_inverse_at(xs[1]), tau, tau))
+        with pytest.raises(PreconditionError,
+                           match=rf"not trace-free at x \(\|E\| = {e_norm:g}\)"):
+            simons_sandwich_check(cs, xs)
+        lo, hi = simons_sandwich_check(cs, xs[[0, 2]])
+        assert np.shape(lo) == (2,)
+
+    def test_sandwich_tests_points_in_batch_order(self):
+        # a wrong H fails the fit at every point; the trace-free test comes first at a point
+        cs = self.quartic_hessian()
+        trace_free, not_trace_free = [0.0, 0.3], [0.5, 0.3]
+        with pytest.raises(PreconditionError, match="curvature is not H R0"):
+            simons_sandwich_check(cs, np.array([trace_free, not_trace_free]), h_curv=5.0)
+        with pytest.raises(PreconditionError, match="not trace-free"):
+            simons_sandwich_check(cs, np.array([not_trace_free, trace_free]), h_curv=5.0)
+
+    def test_producers_factor_no_metric_point(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("MetricPoint.factors was called")
+
+        cases = [(self.conformal(), np.array([1.1, 2.3])), (self.g3_chart(), np.array([1.0, 1.0]))]
+        monkeypatch.setattr(MetricPoint, "factors", property(refuse))
+        for cs, x in cases:
+            assert "laplace-cubic-dualflat" in charts.cubic_simons_residuals(cs, x)
+            simons_sandwich_check(cs, x)
+
+    def test_cubic_simons_builds_the_bracket_once(self, monkeypatch):
+        calls = []
+
+        def counted(k):
+            calls.append(k.shape)
+            return commutator_curvature(k)
+
+        monkeypatch.setattr(charts, "commutator_curvature", counted)
+        monkeypatch.setattr(points, "commutator_curvature", counted)
+        charts.cubic_simons_residuals(self.conformal(), np.array([1.1, 2.3]))
+        assert calls == [(2, 2, 2)]
 
 
 class TestBatchedCore:

@@ -258,17 +258,17 @@ def test_one_constant_curvature_fit():
 def test_fit_checker_flags_each_copy():
     sources = {
         "points.py": (
-            "def best_fit_curvature_coefficient(g, rt, r0=None):\n"
+            "def best_fit_curvature_coefficient(g, ginv, r):\n"
             "    return 0.0\n"
-            "def fit_constant_curvature(g, rt, rel_tol, h=None):\n"
-            "    return best_fit_curvature_coefficient(g, rt)\n"
-            "def other(g, rt):\n"
-            "    return best_fit_curvature_coefficient(g, rt)\n"
+            "def fit_constant_curvature(g, ginv, r, rel_tol, h=None):\n"
+            "    return best_fit_curvature_coefficient(g, ginv, r)\n"
+            "def other(g, ginv, r):\n"
+            "    return best_fit_curvature_coefficient(g, ginv, r)\n"
         ),
         "bounds.py": (
             "from . import points as points_mod\n"
-            "def check(g, r):\n"
-            "    h = points_mod.best_fit_curvature_coefficient(g, r)\n"
+            "def check(g, ginv, r):\n"
+            "    h = points_mod.best_fit_curvature_coefficient(g, ginv, r)\n"
         ),
     }
     assert curvature_fit_sites(sources) == ["bounds.py:3", "points.py:6"]
@@ -423,10 +423,14 @@ def test_factorization_checker_flags_each_copy():
     ]
 
 
-# the chart producers that run on a batch of points x[..., n]
-BATCHED_PRODUCERS = ("statistical_connections", "ricci_decomposition_residuals",
-                     "duality_involution_defect", "metricity_residual", "curvature_hat_invariants",
-                     "sectional_nabla", "sectional_hat", "sectional_bracket")
+# the chart producers that read K, tau and the metric factors from the chart's memoized batch
+BATCHED_PRODUCERS = {
+    "charts.py": ("statistical_connections", "ricci_decomposition_residuals",
+                  "duality_involution_defect", "metricity_residual", "curvature_hat_invariants",
+                  "sectional_nabla", "sectional_hat", "sectional_bracket",
+                  "cubic_simons_residuals"),
+    "bounds.py": ("simons_sandwich_check",),
+}
 
 
 def point_calls(source: str, functions) -> list[str]:
@@ -445,10 +449,12 @@ def point_calls(source: str, functions) -> list[str]:
 
 
 def test_batched_producers_build_no_point():
-    source = (PACKAGE / "charts.py").read_text(encoding="utf-8")
-    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
-    assert set(BATCHED_PRODUCERS) <= defined
-    assert point_calls(source, BATCHED_PRODUCERS) == []
+    for name, producers in BATCHED_PRODUCERS.items():
+        source = (PACKAGE / name).read_text(encoding="utf-8")
+        defined = {node.name for node in ast.parse(source).body
+                   if isinstance(node, ast.FunctionDef)}
+        assert set(producers) <= defined, name
+        assert point_calls(source, producers) == [], name
 
 
 def test_point_call_checker_flags_each_call():
@@ -459,19 +465,72 @@ def test_point_call_checker_flags_each_call():
         "    return compute()\n"
         "def ricci_decomposition_residuals(cs, x):\n"
         "    return cs.point(x).gram_k()\n"
-        "def cubic_simons_residuals(cs, x):\n"
+        "def check_structure(cs, x):\n"
         "    return cs.point(x)\n"
     )
-    assert point_calls(source, BATCHED_PRODUCERS) == [
+    assert point_calls(source, BATCHED_PRODUCERS["charts.py"]) == [
         "statistical_connections:3", "ricci_decomposition_residuals:6"]
+
+
+# the constructors that validate a pointwise structure from outside the program
+POINT_CONSTRUCTORS = ("StatPoint", "MetricPoint", "CubicForm")
+
+
+def point_construction_sites(source: str) -> list[str]:
+    """Calls of ``StatPoint(...)``, ``MetricPoint(...)`` or ``CubicForm.<name>(...)`` outside
+    ``ChartStructure.point``, as ``function:line``.
+
+    The chart code reads its own arrays; the one place that turns a chart point into
+    a validated ``StatPoint`` is ``ChartStructure.point``.
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and scope[:2] != ["ChartStructure", "point"]:
+                func, owner = child.func, getattr(child.func, "value", None)
+                names = {getattr(part, key, None)
+                         for part in (func, owner) for key in ("id", "attr")}
+                if names & set(POINT_CONSTRUCTORS):
+                    found.append(f"{'.'.join(scope) or 'module'}:{child.lineno}")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_chart_code_builds_points_in_one_place():
+    for name in ("charts.py", "bounds.py"):
+        assert point_construction_sites((PACKAGE / name).read_text(encoding="utf-8")) == [], name
+
+
+def test_point_construction_checker_flags_each_copy():
+    source = (
+        "class ChartStructure:\n"
+        "    def point(self, x):\n"
+        "        def compute():\n"
+        "            return StatPoint(MetricPoint(self.g), CubicForm.from_dense(self.a))\n"
+        "        return compute()\n"
+        "    def other(self, x):\n"
+        "        return MetricPoint(self.g)\n"
+        "def simons_sandwich_check(cs, x):\n"
+        "    sp = StatPoint(cs.g, CubicForm.from_dense(cs.a))\n"
+        "    return tensors.MetricPoint(cs.g), sp.g.norm(x)\n"
+    )
+    assert point_construction_sites(source) == [
+        "ChartStructure.other:7", "simons_sandwich_check:9", "simons_sandwich_check:9",
+        "simons_sandwich_check:10"]
 
 
 # each contraction of K with itself or with tau -> (file, function) sites that must call it
 COMMUTATOR_KERNELS = {
     "commutator_curvature": [("points.py", "_bracket_up"), ("charts.py", "statistical_connections")],
-    "gram_k": [("points.py", "StatPoint.gram_k"), ("charts.py", "ricci_decomposition_residuals")],
+    "gram_k": [("points.py", "StatPoint.gram_k"), ("charts.py", "ricci_decomposition_residuals"),
+               ("charts.py", "cubic_simons_residuals")],
     "tau_circ_k": [("points.py", "StatPoint.tau_circ_k"),
-                   ("charts.py", "ricci_decomposition_residuals")],
+                   ("charts.py", "ricci_decomposition_residuals"),
+                   ("charts.py", "cubic_simons_residuals")],
     "lower_first": [("points.py", "bracket_kk"), ("charts.py", "statistical_connections")],
 }
 
@@ -526,7 +585,7 @@ def test_kernel_site_checker_flags_each_copy():
             "    return gram_k(cs.ginv, cs.g, np.einsum('mij->mij', cs.k))\n"
         ),
     }
-    kernels = {"gram_k": COMMUTATOR_KERNELS["gram_k"],
+    kernels = {"gram_k": COMMUTATOR_KERNELS["gram_k"][:2],
                "commutator_curvature": [("points.py", "_bracket_up")]}
     assert kernel_site_violations(sources, kernels) == [
         "gram_k: points.py:StatPoint.gram_k does not call it",

@@ -35,6 +35,13 @@ CONTROLS = {
                "differential": ({"ricci-decomposition", "ricci-conjugate-sum"}, set())},
     "tau_circ_k": {"algebraic": ({"commutator-ricci-two-routes"}, set()),
                    "differential": ({"ricci-decomposition", "koszul-form"}, set())},
+    # every R = H R0 test reads the model tensor; a fitted H absorbs a constant scaling, so the
+    # checks that fail compare the curvature with a known H or use H in a formula
+    "r0_curvature": {
+        "algebraic": ({"hyperbolic-constant-curvature-a1.0-b0.0",
+                       "hyperbolic-constant-curvature-a0.8-b-0.5"}, set()),
+        "simons": ({"laplace-cubic-constant-sectional", "laplace-cubic-dualflat"}, set()),
+        "bounds": ({"dualflat-split-scalar", "sandwich-equality-n2"}, set())},
 }
 
 FACTOR_OUTPUTS = ("ginv", "frame", "vol")

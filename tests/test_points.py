@@ -5,9 +5,11 @@ import pytest
 
 from codazzi import points, suites
 from codazzi.generators import GeneratorSpec, generate
+from codazzi.tensors import check_riemannian_symmetries
 from codazzi import (
+    ConstructionError,
     CubicForm,
-    CurvTensor,
+    DimensionMismatchError,
     MetricPoint,
     PreconditionError,
     StatPoint,
@@ -50,7 +52,7 @@ def commutator_bracket_oracle(sp):
 
 
 def trace_oracle_ric_k(sp):
-    b = bracket_kk(sp).array
+    b = bracket_kk(sp)
     up = np.einsum("ml,ijkl->mijk", sp.g.inverse, b)
     return np.einsum("iijk->jk", up)
 
@@ -81,19 +83,28 @@ class TestStatPoint:
 class TestBracketKK:
     def test_zero_cubic(self):
         sp = StatPoint(MetricPoint(np.eye(3)), CubicForm.zero(3))
-        assert np.all(bracket_kk(sp).array == 0.0)
+        assert np.all(bracket_kk(sp) == 0.0)
 
     def test_g3_sectional_entry(self, g3_point):
-        b = bracket_kk(g3_point).array
+        b = bracket_kk(g3_point)
         assert b[0, 1, 1, 0] == pytest.approx(-2.0, abs=1e-13)
 
     def test_matches_commutator_oracle(self, eq_point, rng):
         for sp in (eq_point, random_stat_point(4, rng, metric="random")):
-            assert np.max(np.abs(bracket_kk(sp).array - commutator_bracket_oracle(sp))) < 1e-13
+            assert np.max(np.abs(bracket_kk(sp) - commutator_bracket_oracle(sp))) < 1e-13
 
     def test_riemann_symmetries(self, rng):
         sp = random_stat_point(3, rng, metric="random")
-        bracket_kk(sp).check(tol=1e-10, riemannian=True)
+        check_riemannian_symmetries(bracket_kk(sp), 1e-10)
+
+    def test_symmetry_defect_raises(self, monkeypatch):
+        # a planted [K,K] without the symmetries of a curvature tensor fails bracket_kk's check
+        sp = random_stat_point(3, np.random.default_rng(2), metric="random")
+        bracket = points.commutator_curvature(sp.K.array)
+        monkeypatch.setattr(points, "commutator_curvature",
+                            lambda k: bracket + np.swapaxes(bracket, -2, -1))
+        with pytest.raises(ConstructionError, match="curvature tensor"):
+            bracket_kk(sp)
 
 
 class TestRicK:
@@ -373,54 +384,103 @@ class TestLPQ:
             assert normsq_l + normsq_p == pytest.approx(1.5 * u * u, abs=1e-10 * max(1.0, u * u))
 
 
+def metric_arrays(g):
+    return g.components, g.inverse
+
+
 class TestConstantCurvature:
     def test_r0_itself(self, rng):
         g = MetricPoint(np.eye(3))
-        assert constant_curvature_residual(r0_curvature(g), g, 1.0) == pytest.approx(0.0, abs=1e-13)
+        assert constant_curvature_residual(
+            r0_curvature(g.components), *metric_arrays(g), 1.0) == pytest.approx(0.0, abs=1e-13)
 
     def test_g3_is_constant_curvature(self, g3_point):
         b = bracket_kk(g3_point)
-        assert constant_curvature_residual(b, g3_point.g, -2.0) < 1e-12
-        assert best_fit_curvature_coefficient(g3_point.g, b) == pytest.approx(-2.0, abs=1e-12)
+        assert constant_curvature_residual(b, *metric_arrays(g3_point.g), -2.0) < 1e-12
+        assert best_fit_curvature_coefficient(*metric_arrays(g3_point.g), b) == pytest.approx(
+            -2.0, abs=1e-12)
 
     def test_r0_against_zero(self):
         g = MetricPoint(np.eye(4))
         n = 4
-        assert constant_curvature_residual(r0_curvature(g), g, 0.0) == pytest.approx(
+        assert constant_curvature_residual(
+            r0_curvature(g.components), *metric_arrays(g), 0.0) == pytest.approx(
             np.sqrt(2 * n * (n - 1)), abs=1e-12
         )
+
+    def test_single_point_gives_floats(self, g3_point):
+        g, ginv = metric_arrays(g3_point.g)
+        b = bracket_kk(g3_point)
+        assert type(constant_curvature_residual(b, g, ginv, -2.0)) is float
+        assert type(best_fit_curvature_coefficient(g, ginv, b)) is float
+
+    def test_batch_matches_points(self, rng):
+        sps = [random_stat_point(3, rng, metric="random") for _ in range(6)]
+        g = np.stack([sp.g.components for sp in sps]).reshape(2, 3, 3, 3)
+        ginv = np.stack([sp.g.inverse for sp in sps]).reshape(2, 3, 3, 3)
+        r = np.stack([bracket_kk(sp) for sp in sps]).reshape((2, 3) + (3,) * 4)
+        h = best_fit_curvature_coefficient(g, ginv, r)
+        residual = constant_curvature_residual(r, g, ginv, h)
+        assert h.shape == residual.shape == (2, 3)
+        for i, sp in enumerate(sps):
+            h_one = best_fit_curvature_coefficient(*metric_arrays(sp.g), bracket_kk(sp))
+            assert h.ravel()[i] == h_one
+            assert residual.ravel()[i] == constant_curvature_residual(
+                bracket_kk(sp), *metric_arrays(sp.g), h_one)
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            constant_curvature_residual(np.zeros((3, 3, 3, 3)), np.eye(2), np.eye(2), 0.0)
 
 
 class TestFitConstantCurvature:
     def test_exact_multiple_returns_h(self, rng):
         g = random_stat_point(3, rng, metric="random").g
-        r = CurvTensor(-1.7 * r0_curvature(g).array)
-        assert fit_constant_curvature(g, r, 1e-12) == pytest.approx(-1.7, abs=1e-12)
+        r = -1.7 * r0_curvature(g.components)
+        assert fit_constant_curvature(*metric_arrays(g), r, 1e-12) == pytest.approx(
+            -1.7, abs=1e-12)
 
     def test_supplied_h_is_returned_when_it_fits(self, g3_point):
-        assert fit_constant_curvature(g3_point.g, bracket_kk(g3_point), 1e-12, -2.0) == -2.0
+        assert fit_constant_curvature(
+            *metric_arrays(g3_point.g), bracket_kk(g3_point), 1e-12, -2.0) == -2.0
 
     def test_wrong_supplied_h_raises(self, g3_point):
         with pytest.raises(PreconditionError, match="curvature is not H R0 at x"):
-            fit_constant_curvature(g3_point.g, bracket_kk(g3_point), 1e-4, 5.0)
+            fit_constant_curvature(*metric_arrays(g3_point.g), bracket_kk(g3_point), 1e-4, 5.0)
 
     def test_non_constant_curvature_raises(self):
         # at n = 2 every curvature tensor is a multiple of R0; at n = 3 a random [K,K] is not
         sp = random_stat_point(3, np.random.default_rng(5))
         with pytest.raises(PreconditionError, match="fit residual"):
-            fit_constant_curvature(sp.g, bracket_kk(sp), 1e-4)
+            fit_constant_curvature(*metric_arrays(sp.g), bracket_kk(sp), 1e-4)
+
+    def test_batch_raises_at_first_failing_point(self, rng):
+        # points 0 and 2 are exact multiples of R0; point 1 is a random [K,K] at n = 3
+        g = random_stat_point(3, rng, metric="random").g
+        bad = random_stat_point(3, np.random.default_rng(5))
+        r = np.stack([-1.7 * r0_curvature(g.components), bracket_kk(bad),
+                      0.5 * r0_curvature(g.components)])
+        gs = np.stack([g.components, np.eye(3), g.components])
+        ginvs = np.stack([g.inverse, np.eye(3), g.inverse])
+        h = best_fit_curvature_coefficient(gs, ginvs, r)
+        fit = constant_curvature_residual(r, gs, ginvs, h)
+        with pytest.raises(PreconditionError, match=f"fit residual {fit[1]:g}"):
+            fit_constant_curvature(gs, ginvs, r, 1e-4)
+        keep = [0, 2]
+        fitted = fit_constant_curvature(gs[keep], ginvs[keep], r[keep], 1e-12)
+        assert np.array_equal(fitted, h[keep])
 
 
 class TestLagrangianGauss:
     def test_trivial(self):
         sp = StatPoint(MetricPoint(np.eye(3)), CubicForm.zero(3))
-        rhat = CurvTensor(2.0 * r0_curvature(sp.g).array)
+        rhat = 2.0 * r0_curvature(sp.g.components)
         residual, scalar_residual = lagrangian_gauss_residual(sp, rhat, 2.0)
         assert residual < 1e-12
         assert scalar_residual < 1e-11
 
     def test_g3_needs_c_equal_2(self, g3_point):
-        rhat = CurvTensor(np.zeros((2, 2, 2, 2)))
+        rhat = np.zeros((2, 2, 2, 2))
         residual, scalar_residual = lagrangian_gauss_residual(g3_point, rhat, 2.0)
         assert residual < 1e-12
         assert scalar_residual < 1e-12
@@ -431,7 +491,7 @@ class TestLagrangianGauss:
         sp = random_stat_point(3, rng, metric="random")
         arr = rng.uniform(-1, 1, (3, 3, 3, 3))
         arr = arr - np.swapaxes(arr, 0, 1)
-        residual, scalar_residual = lagrangian_gauss_residual(sp, CurvTensor(arr), 0.7)
+        residual, scalar_residual = lagrangian_gauss_residual(sp, arr, 0.7)
         assert residual > 0.0
         assert np.isfinite(scalar_residual)
 

@@ -244,8 +244,8 @@ class TestSpecializations:
         # R_hat = 0 and [K,K] = -2 R0, so the split fits c = 2
         fit, fits = charts_mod.fit_constant_curvature, []
 
-        def spy(g, rt, rel_tol, h=None):
-            fits.append(fit(g, rt, rel_tol, h))
+        def spy(g, ginv, r, rel_tol, h=None):
+            fits.append(fit(g, ginv, r, rel_tol, h))
             return fits[-1]
 
         cs = generate(GeneratorSpec("G3-2d-constant-curvature", params={"chart": True}))

@@ -8,7 +8,6 @@ import pytest
 from codazzi import (
     ConstructionError,
     CubicForm,
-    CurvTensor,
     DimensionMismatchError,
     MetricPoint,
     NotPositiveDefiniteError,
@@ -20,8 +19,9 @@ from codazzi import (
     raise_last,
     symmetrize,
 )
-from codazzi.tensors import (contract, metric_factor_counts, metric_factors, ricci_trace,
-                             sectional, sectional_contraction, trace_k)
+from codazzi.tensors import (check_riemannian_symmetries, contract, metric_factor_counts,
+                             metric_factors, ricci_trace, sectional, sectional_contraction,
+                             trace_k)
 from conftest import equality_point
 
 
@@ -386,28 +386,67 @@ class TestSectional:
             g = random_spd(n, rng)
             h_curv = rng.uniform(-3.0, 3.0)
             u, v = rng.normal(size=(2, n))
-            r = h_curv * r0_curvature(MetricPoint(g)).array
+            r = h_curv * r0_curvature(g)
             assert sectional(r, g, u, v) == pytest.approx(h_curv, rel=1e-12, abs=1e-12)
 
 
-class TestCurvTensor:
-    def test_r0_has_riemann_symmetries(self, rng):
-        g = MetricPoint(random_spd(3, rng))
+class TestR0Curvature:
+    def test_matches_two_einsums_bitwise(self, rng):
+        for n in (2, 3, 4):
+            g = random_spd(n, rng)
+            oracle = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
+            assert r0_curvature(g).tobytes() == oracle.tobytes()
+
+    def test_batch_matches_points(self, rng):
+        g = np.stack([random_spd(3, rng) for _ in range(6)]).reshape(2, 3, 3, 3)
         r0 = r0_curvature(g)
-        r0.check(tol=1e-12, riemannian=True)
+        assert r0.shape == (2, 3) + (3,) * 4
+        for index in np.ndindex(2, 3):
+            assert r0[index].tobytes() == r0_curvature(g[index]).tobytes()
 
     def test_r0_norm(self, rng):
         for n in (2, 3, 4):
             g = MetricPoint(np.eye(n))
-            r0 = r0_curvature(g)
+            r0 = r0_curvature(g.components)
             assert inner(g, r0, r0) == pytest.approx(2 * n * (n - 1), abs=1e-12)
+
+
+class TestRiemannianSymmetries:
+    def test_r0_has_riemann_symmetries(self, rng):
+        check_riemannian_symmetries(r0_curvature(random_spd(3, rng)), 1e-12)
+
+    def test_batch_of_r0_passes(self, rng):
+        g = np.stack([random_spd(3, rng) for _ in range(4)])
+        check_riemannian_symmetries(r0_curvature(g), 1e-12)
 
     def test_rejects_non_antisymmetric(self):
         arr = np.zeros((2, 2, 2, 2))
         arr[0, 0, 0, 0] = 1.0
-        with pytest.raises(ConstructionError, match="antisymmetric"):
-            CurvTensor(arr).check()
+        with pytest.raises(ConstructionError, match=r"not antisymmetric in \(i,j\)"):
+            check_riemannian_symmetries(arr, 1e-10)
 
+    def test_names_first_bianchi(self, rng):
+        # a random array made antisymmetric in (i,j) fails the first Bianchi identity
+        t = rng.uniform(-1.0, 1.0, (3,) * 4)
+        with pytest.raises(ConstructionError, match="fails first Bianchi"):
+            check_riemannian_symmetries(t - np.swapaxes(t, 0, 1), 1e-10)
+
+    def test_names_last_pair_antisymmetry(self, rng):
+        # p_jk q_il - p_ik q_jl with p symmetric is antisymmetric in (i,j) and satisfies the
+        # first Bianchi identity; it is antisymmetric in (k,l) only when q is a multiple of p
+        p, q = np.eye(3), random_spd(3, rng)
+        t = np.einsum("jk,il->ijkl", p, q) - np.einsum("ik,jl->ijkl", p, q)
+        with pytest.raises(ConstructionError, match=r"fails \(k,l\) antisymmetry"):
+            check_riemannian_symmetries(t, 1e-10)
+
+    def test_batch_names_the_largest_defect(self, rng):
+        r = np.stack([r0_curvature(random_spd(2, rng)) for _ in range(3)])
+        r[1, 0, 0, 0, 0] = 0.25
+        with pytest.raises(ConstructionError, match="defect 0.5"):
+            check_riemannian_symmetries(r, 1e-10)
+
+
+class TestTensor:
     def test_tensor_shape_guard(self):
         with pytest.raises(ConstructionError):
             Tensor(2, 2, 0, np.zeros((2, 3)))
