@@ -24,6 +24,7 @@ A covariant derivative prepends the derivative slot: (nabla s)[a, ...] =
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -97,11 +98,9 @@ class ChartStructure:
             np.all(np.isfinite(domain)) and np.all(domain[:, 1] > domain[:, 0])
         ):
             raise ConstructionError(f"domain must be a finite (n,2) box with lo < hi: {domain!r}")
-        if not (math.isfinite(h) and h > 0):
-            raise ConstructionError(f"finite-difference step h must be finite and positive: {h!r}")
         self.n = n
         self.domain = domain
-        self.h = float(h)
+        self.h = _valid_step(h)
         self.periodic = tuple(bool(p) for p in (periodic or [False] * n))
         if len(self.periodic) != n:
             raise ConstructionError("periodic flags must list one boolean per axis")
@@ -167,6 +166,17 @@ class ChartStructure:
             a_source=a_source,
             aux_fields=parsed_aux,
         )
+
+    def with_step(self, h: float) -> "ChartStructure":
+        """The same chart with finite-difference step h and an empty memo.
+
+        The fields, box, periodic flags, sources and aux fields are shared with this
+        chart.  The spot check reads only the fields and the box, so it is not run again.
+        """
+        out = copy.copy(self)
+        out.h = _valid_step(h)
+        out._cache = {}
+        return out
 
     def lattice(self, counts) -> np.ndarray:
         """Grid points of the box, counts per axis (or one int), as an array [m, n] in C order.
@@ -274,6 +284,12 @@ class ChartStructure:
         return f"ChartStructure(n={self.n}, h={self.h}, periodic={self.periodic})"
 
 
+def _valid_step(h) -> float:
+    if not (math.isfinite(h) and h > 0):
+        raise ConstructionError(f"finite-difference step h must be finite and positive: {h!r}")
+    return float(h)
+
+
 def _parse_aux_field(n: int, spec) -> AuxField:
     if isinstance(spec, AuxField):
         return spec
@@ -319,7 +335,10 @@ def christoffel_array(cs: ChartStructure, x) -> np.ndarray:
     """Levi-Civita coefficients gamma[..., k, i, j] of g at x (exactly torsion-free)."""
 
     def compute():
-        _, dg = _central(cs.metric_at, x, cs.h)
+        g, dg = _central(cs.metric_at, x, cs.h)
+        # the stencil's centre row is g at x: memoized here, metric_inverse_at reads it
+        # without a second field call (a view of the memoized stencil, never written)
+        cs._memo("g", x, lambda: g)
         lead, n = dg.ndim - 3, dg.shape[-1]
         batch_axes = tuple(range(lead))
         # first[l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2

@@ -134,6 +134,16 @@ def poly_eval(s: np.ndarray, nodes: np.ndarray, k: int | None = None) -> np.ndar
     return s.reshape(s.shape[:s.ndim - k] + (-1,)) @ node_powers(nodes, k).T
 
 
+def _fiber_sum(values: np.ndarray, q: SphereQuadrature) -> np.ndarray:
+    """The quadrature sum over the last (node) axis of values[..., m], per batch entry.
+
+    Each entry gets the same bits alone or in any batch, so a lattice sum does not
+    depend on its blocks; a BLAS matrix-vector product groups the entries by their
+    position in the batch, and an entry's bits follow its group.
+    """
+    return np.einsum("...m,m->...", values, q.weights)
+
+
 def fiber_identity_residual(s, i0: int, quad: SphereQuadrature | None = None) -> float:
     """Defect of the fiber-integral identity for a covariant tensor on the round sphere.
 
@@ -201,6 +211,10 @@ def sphere_codiff_residual(s, i0: int, quad: SphereQuadrature | None = None) -> 
 # unit sphere bundle integrals over periodic charts
 
 
+# lattice points per block of the bundle integrals: the default 32^2 lattice is one block
+_LATTICE_BLOCK = 1024
+
+
 def _periodic_lattice(cs: ChartStructure, lattice) -> tuple[np.ndarray, float, float]:
     if not all(cs.periodic):
         raise PreconditionError("bundle integrals need a fully periodic chart")
@@ -210,6 +224,25 @@ def _periodic_lattice(cs: ChartStructure, lattice) -> tuple[np.ndarray, float, f
     cell = float(np.prod([(cs.domain[a, 1] - cs.domain[a, 0]) / lattice[a] for a in range(cs.n)]))
     spacing = max((cs.domain[a, 1] - cs.domain[a, 0]) / lattice[a] for a in range(cs.n))
     return points, cell, spacing
+
+
+def _lattice_sums(cs: ChartStructure, h: float, points: np.ndarray, per_point) -> list[float]:
+    """The lattice sums of the per-point values that per_point(chart, block) returns.
+
+    The lattice goes through in blocks of at most _LATTICE_BLOCK points, each on a
+    chart of its own (cs with step h and an empty memo) that is freed before the next
+    block starts, so memory does not grow with the lattice.  Each value lands in an
+    array of lattice length that is summed once at the end, as for a single block.
+    """
+    values = None
+    for start in range(0, len(points), _LATTICE_BLOCK):
+        block = points[start:start + _LATTICE_BLOCK]
+        parts = per_point(cs.with_step(h), block)
+        if values is None:
+            values = [np.empty(len(points)) for _ in parts]
+        for out, part in zip(values, parts):
+            out[start:start + len(block)] = part
+    return [float(np.sum(out)) for out in values]
 
 
 def ros_residual(
@@ -232,12 +265,15 @@ def ros_residual(
     if quad is None:
         quad = product_gauss(cs.n)
     points, cell, spacing = _periodic_lattice(cs, lattice)
-    work = ChartStructure(cs.n, cs.domain, cs.g_field, cs.a_field,
-                          h=min(cs.h, spacing / 4.0), periodic=cs.periodic)
-    traced = codifferential_at(work, s_field, points)
-    frame, vol = work.metric_frame_at(points)
-    fiber = poly_eval(frame_components(frame, traced), quad.nodes, k - 1) @ quad.weights
-    return abs(float(np.sum(fiber * vol * cell)))
+
+    def per_point(work, block):
+        traced = codifferential_at(work, s_field, block)
+        frame, vol = work.metric_frame_at(block)
+        fiber = _fiber_sum(poly_eval(frame_components(frame, traced), quad.nodes, k - 1), quad)
+        return (fiber * vol * cell,)
+
+    (total,) = _lattice_sums(cs, min(cs.h, spacing / 4.0), points, per_point)
+    return abs(total)
 
 
 def unit_bundle_functional(
@@ -278,18 +314,21 @@ def unit_bundle_functional(
         )
 
     nodes = quad.nodes
-    frame, vol = cs.metric_frame_at(points)
-    density = vol * cell
-    na_hat = frame_components(frame, nabla_cubic_at(cs, points))
-    a_hat = frame_components(frame, cs.cubic_at(points))
-    r_hat = frame_components(frame, curvature_hat_arrays(cs, points)[1])
 
-    # the output slot goes ahead of the node slots: [L, n, m]
-    f1 = np.sum(poly_eval(np.moveaxis(na_hat, -1, -4), nodes, 3) ** 2, axis=-2)
-    kvv = poly_eval(np.moveaxis(a_hat, -1, -3), nodes, 2)
-    # R_hat(K(V,V), V, V, K(V,V)) one (i, l) pair at a time keeps the temporaries [L, m]
-    f2 = sum(poly_eval(r_hat[..., i, :, :, l], nodes, 2) * kvv[..., i, :] * kvv[..., l, :]
-             for i in range(cs.n) for l in range(cs.n))
-    term_grad = float(np.sum(f1 @ quad.weights * density))
-    term_curv = float(np.sum(3.0 * (f2 @ quad.weights) * density))
+    def per_point(work, block):
+        frame, vol = work.metric_frame_at(block)
+        density = vol * cell
+        na_hat = frame_components(frame, nabla_cubic_at(work, block))
+        a_hat = frame_components(frame, work.cubic_at(block))
+        r_hat = frame_components(frame, curvature_hat_arrays(work, block)[1])
+
+        # the output slot goes ahead of the node slots: [block, n, m]
+        f1 = np.sum(poly_eval(np.moveaxis(na_hat, -1, -4), nodes, 3) ** 2, axis=-2)
+        kvv = poly_eval(np.moveaxis(a_hat, -1, -3), nodes, 2)
+        # R_hat(K(V,V), V, V, K(V,V)) one (i, l) pair at a time keeps the temporaries [block, m]
+        f2 = sum(poly_eval(r_hat[..., i, :, :, l], nodes, 2) * kvv[..., i, :] * kvv[..., l, :]
+                 for i in range(cs.n) for l in range(cs.n))
+        return _fiber_sum(f1, quad) * density, 3.0 * _fiber_sum(f2, quad) * density
+
+    term_grad, term_curv = _lattice_sums(cs, cs.h, points, per_point)
     return term_grad, term_curv, term_grad + term_curv

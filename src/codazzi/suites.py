@@ -877,8 +877,9 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     col.add("quadrature-parity", abs(spheres_mod.integrate_sphere(q2, lambda v: v[:, 0])),
             "n=2/V1")
 
-    mc = spheres_mod.monte_carlo(3, 200000, seed=cfg.seeds)
-    est, se = spheres_mod.integrate_sphere(mc, lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
+    # the 200000-node quadrature is a temporary, freed before the lattice integrals start
+    est, se = spheres_mod.integrate_sphere(spheres_mod.monte_carlo(3, 200000, seed=cfg.seeds),
+                                           lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
     exact = spheres_mod.integrate_sphere(q3, lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
     col.add("quadrature-cross-validation", abs(est - exact), "monte-carlo/2e5", bar=4.0 * se)
 

@@ -123,6 +123,42 @@ class TestChartStructure:
         with pytest.raises(NotPositiveDefiniteError, match=r"x=\[0.0, 0.0\]"):
             cs.metric_frame_at([[1.0, 0.0], [0.0, 0.0]])
 
+    def test_with_step_shares_the_fields_and_starts_an_empty_memo(self):
+        calls = []
+
+        def g(x):
+            calls.append(np.shape(x))
+            return np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2))
+
+        cs = ChartStructure(2, [[0, 1], [0, 2]], g, constant_field(np.zeros((2, 2, 2))),
+                            periodic=[True, False], aux_fields={"one": charts.AuxField(
+                                1, constant_field(np.ones(2)))})
+        x = np.array([[0.5, 1.0]])
+        cs.metric_at(x)
+        calls.clear()
+        work = cs.with_step(2.5e-4)
+        assert work.h == 2.5e-4 and cs.h == 1e-3
+        for name in ("n", "domain", "g_field", "a_field", "periodic", "g_source", "a_source",
+                     "aux_fields"):
+            assert getattr(work, name) is getattr(cs, name), name
+        assert calls == []
+        work.metric_at(x)
+        assert calls == [(1, 2)]
+        cs.metric_at(x)
+        assert calls == [(1, 2)]
+
+    def test_with_step_runs_no_spot_check(self, monkeypatch):
+        cs = flat_chart()
+        factored = []
+        monkeypatch.setattr(charts, "metric_factors", lambda *args: factored.append(args))
+        cs.with_step(1e-4)
+        assert factored == []
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_with_step_rejects_a_bad_step(self, h):
+        with pytest.raises(ConstructionError, match="finite and positive"):
+            flat_chart().with_step(h)
+
 
 class TestChristoffel:
     def test_flat_is_zero(self):
@@ -155,6 +191,22 @@ class TestChristoffel:
         gamma = christoffel(cs, [0.1, 0.9])
         assert float(np.max(np.abs(gamma - np.swapaxes(gamma, 1, 2)))) == 0.0
         assert metricity_residual(cs, [0.1, 0.9]) < 50 * cs.h**2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_metric_points_are_evaluated_once_per_stencil_row(self, n):
+        # the stencil's centre row gives g at x, so g^-1 needs no field call of its own
+        counted = []
+
+        def g(x):
+            counted.append(int(np.prod(np.shape(x)[:-1])))
+            return (1.0 + 0.1 * np.sin(x[..., :1, None])) * np.eye(n)
+
+        cs = ChartStructure(n, [[-1, 1]] * n, g, constant_field(np.zeros((n, n, n))))
+        x = np.random.default_rng(n).uniform(-0.5, 0.5, (5, n))
+        counted.clear()
+        christoffel_array(cs, x)
+        assert sum(counted) == (2 * n + 1) * len(x)
+        assert np.array_equal(cs.metric_at(x), g(x))
 
 
 class TestCurvature:

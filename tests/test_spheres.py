@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +187,34 @@ class TestSphericalCodifferential:
         assert fiber_identity_residual(s, 2) < 1e-9
 
 
+def _three_torus_case():
+    torus = ChartStructure(
+        3, [[0, 2 * np.pi]] * 3,
+        lambda x: np.exp(0.3 * np.sin(x[..., 0]) * np.cos(x[..., 2]))[..., None, None] * np.eye(3),
+        constant_field(np.zeros((3, 3, 3))), periodic=[True] * 3,
+    )
+    s = lambda y: np.array([[0.0, 0.2, 0.0], [0.2, 0.0, 0.1], [0.0, 0.1, 0.0]]) + np.eye(3) * (
+        np.stack([np.sin(y[..., 0]), np.cos(y[..., 1]), np.sin(y[..., 2] + y[..., 0])], axis=-1)
+    )[..., None, :]
+    return torus, s
+
+
+def _generic_chart():
+    return generate(GeneratorSpec("G5-periodic-trig", seed=3,
+                                  params={"variant": "generic", "freq": 3}))
+
+
+def _generic_case():
+    gen = _generic_chart()
+    return gen, gen.a_field
+
+
+def _conformal_chart():
+    return generate(GeneratorSpec(
+        "G5-periodic-trig", seed=4,
+        params={"variant": "conformal", "h": 5e-4, "amp": 0.25, "a": 0.8, "b": -0.5}))
+
+
 class TestRos:
     def test_hessian_field_on_flat_torus(self):
         flat = ChartStructure(2, [[0, 2 * np.pi]] * 2, constant_field(np.eye(2)),
@@ -199,8 +229,7 @@ class TestRos:
         assert ros_residual(conf, const_s, k=2, lattice=32) < 1e-6
 
     def test_generic_cubic_field(self):
-        gen = generate(GeneratorSpec("G5-periodic-trig", seed=3,
-                                     params={"variant": "generic", "freq": 3}))
+        gen = _generic_chart()
         assert ros_residual(gen, gen.a_field, k=3, lattice=64) < 1e-6
 
     def test_refinement_shrinks_residual(self):
@@ -219,15 +248,7 @@ class TestRos:
             ros_residual(box, box.a_field, k=3)
 
     def test_three_torus(self):
-        torus = ChartStructure(
-            3, [[0, 2 * np.pi]] * 3,
-            lambda x: np.exp(0.3 * np.sin(x[..., 0]) * np.cos(x[..., 2]))[..., None, None]
-            * np.eye(3),
-            constant_field(np.zeros((3, 3, 3))), periodic=[True] * 3,
-        )
-        s = lambda y: np.array([[0.0, 0.2, 0.0], [0.2, 0.0, 0.1], [0.0, 0.1, 0.0]]) + np.eye(3) * (
-            np.stack([np.sin(y[..., 0]), np.cos(y[..., 1]), np.sin(y[..., 2] + y[..., 0])], axis=-1)
-        )[..., None, :]
+        torus, s = _three_torus_case()
         assert ros_residual(torus, s, k=2, lattice=12) < 1e-6
 
     @staticmethod
@@ -253,12 +274,7 @@ class TestRos:
     def test_three_torus_matches_world_node_oracle(self, k):
         # sin(4y) is aliased on a lattice of 4, so the lattice sum stays far from zero
         # (an even k leaves an odd fiber integrand, which vanishes at every point)
-        torus = ChartStructure(
-            3, [[0, 2 * np.pi]] * 3,
-            lambda x: np.exp(0.3 * np.sin(x[..., 0]) * np.cos(x[..., 2]))[..., None, None]
-            * np.eye(3),
-            constant_field(np.zeros((3, 3, 3))), periodic=[True] * 3,
-        )
+        torus, _ = _three_torus_case()
         c = np.random.default_rng(5).uniform(0.5, 1.5, (3,) * k)
         s = lambda y: c * np.sin(4 * y).reshape(y.shape[:-1] + (1,) * (k - 1) + (3,))
         quad = product_gauss(3)
@@ -276,9 +292,7 @@ class TestBundleFunctional:
         assert abs(total) < 1e-12
 
     def test_conformal_family_cancellation(self):
-        conf = generate(GeneratorSpec(
-            "G5-periodic-trig", seed=4,
-            params={"variant": "conformal", "h": 5e-4, "amp": 0.25, "a": 0.8, "b": -0.5}))
+        conf = _conformal_chart()
         tg, tc, total = unit_bundle_functional(conf, lattice=64)
         assert tg > 1.0
         assert tc < -1.0
@@ -319,3 +333,91 @@ def test_integral_suite_evaluates_each_fiber_identity_once(monkeypatch):
     monkeypatch.setattr(spheres, "fiber_identity_residual", spy)
     run_suite("integral", SuiteConfig())
     assert len(calls) == 72
+
+
+class TestLatticeBlocks:
+    """The bundle integrals walk their lattice in blocks; the block size changes no bit."""
+
+    CASES = {
+        "ros-generic": lambda: ros_residual(*_generic_case(), k=3, lattice=32),
+        "ros-three-torus": lambda: ros_residual(*_three_torus_case(), k=2, lattice=12),
+        "bundle-conformal": lambda: unit_bundle_functional(_conformal_chart(), lattice=64),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_block_size_changes_no_bit(self, monkeypatch, case):
+        # 7 leaves a ragged last block; 10**6 puts each lattice in one block
+        values = {}
+        for block in (7, 1024, 10**6):
+            monkeypatch.setattr(spheres, "_LATTICE_BLOCK", block)
+            values[block] = np.float64(self.CASES[case]()).tobytes()
+        assert values[7] == values[1024] == values[10**6]
+
+    def test_each_block_gets_a_fresh_chart(self, monkeypatch):
+        monkeypatch.setattr(spheres, "_LATTICE_BLOCK", 100)
+        steps = []
+        original = ChartStructure.with_step
+
+        def spy(cs, h):
+            steps.append(h)
+            return original(cs, h)
+
+        monkeypatch.setattr(ChartStructure, "with_step", spy)
+        gen = _generic_chart()
+        ros_residual(gen, gen.a_field, k=3, lattice=32)
+        spacing = 2 * np.pi / 32
+        assert steps == [min(gen.h, spacing / 4.0)] * 11
+        steps.clear()
+        conf = _conformal_chart()
+        unit_bundle_functional(conf, lattice=16)
+        assert steps == [conf.h] * 3
+
+    def test_spheres_builds_charts_only_through_with_step(self):
+        source = Path(spheres.__file__).read_text(encoding="utf-8")
+        assert "ChartStructure(" not in source
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLatticeMemory:
+    """Peak memory of the bundle integrals does not grow with the lattice."""
+
+    def test_ros_peak_does_not_grow_with_the_lattice(self):
+        gen = _generic_chart()
+        quad = product_gauss(2)
+        ros_residual(gen, gen.a_field, k=3, quad=quad, lattice=8)  # fills the node-power cache
+        small = _traced_peak(lambda: ros_residual(gen, gen.a_field, k=3, quad=quad, lattice=32))
+        large = _traced_peak(lambda: ros_residual(gen, gen.a_field, k=3, quad=quad, lattice=128))
+        assert large <= 1.5 * small, (small, large)
+
+    def test_bundle_peak_does_not_grow_with_the_lattice(self):
+        quad = product_gauss(2)
+        unit_bundle_functional(_conformal_chart(), quad, lattice=8)
+        peaks = {}
+        for lattice in (32, 128):
+            conf = _conformal_chart()
+            peaks[lattice] = _traced_peak(lambda: unit_bundle_functional(conf, quad, lattice=lattice))
+        assert peaks[128] <= 1.5 * peaks[32], peaks
+
+    def test_bundle_leaves_little_in_the_callers_chart(self):
+        quad = product_gauss(2)
+        conf = _conformal_chart()
+        unit_bundle_functional(_conformal_chart(), quad, lattice=8)
+        tracemalloc.start()
+        try:
+            unit_bundle_functional(conf, quad, lattice=64)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1e6
+
+    def test_integral_suite_peak(self):
+        run_suite("integral", SuiteConfig())
+        assert _traced_peak(lambda: run_suite("integral", SuiteConfig())) < 12e6
