@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import ConstructionError, DimensionMismatchError, PreconditionError
 from .tensors import (
     CubicForm,
     MetricPoint,
@@ -56,7 +57,7 @@ class StatPoint:
     Immutable after construction; derived arrays are cached on first use.
     """
 
-    __slots__ = ("n", "g", "A", "_k", "_e", "_tau", "_frame_a")
+    __slots__ = ("n", "g", "A", "_k", "_e", "_tau", "_frame_a", "_norm_a_sq", "_bracket")
 
     def __init__(self, g: MetricPoint, a: CubicForm):
         if g.n != a.n:
@@ -68,6 +69,8 @@ class StatPoint:
         self._e = None
         self._tau = None
         self._frame_a = None
+        self._norm_a_sq = None
+        self._bracket = None
 
     @property
     def K(self) -> Tensor:
@@ -110,7 +113,26 @@ class StatPoint:
 
     def norm_a_sq(self) -> float:
         """||A||^2 = ||K||^2 (full contraction with g^{-1})."""
-        return inner(self.g, self.A, self.A)
+        if self._norm_a_sq is None:
+            self._norm_a_sq = inner(self.g, self.A, self.A)
+        return self._norm_a_sq
+
+    def require_finite(self) -> StatPoint:
+        """self, once g^{-1}, the orthonormal frame, ||A||^2 and [K,K] are all finite.
+
+        Each is computed here once, with floating-point warnings silenced, and kept for the
+        checks that read it.  Entries of g or A near the limits of float64 make one of them
+        overflow; ConstructionError names the first that is not finite.
+        """
+        with np.errstate(all="ignore"):
+            for name, value in (("g^-1", lambda: self.g.inverse),
+                                ("the orthonormal frame of g", lambda: orthonormal_frame(self.g)),
+                                ("||A||^2", self.norm_a_sq),
+                                ("[K,K]", lambda: _bracket_up(self))):
+                if not np.all(np.isfinite(value())):
+                    raise ConstructionError(
+                        f"{name} is not finite: the entries of g or A are out of range")
+        return self
 
     def scalar_gap(self) -> float:
         """||A||^2 - ||E||^2, the scalar curvature of g minus that of the connection nabla."""
@@ -154,8 +176,12 @@ class EqualityCertificate:
 
 
 def _bracket_up(sp: StatPoint) -> np.ndarray:
-    """up[m, i, j, k] = ([K,K](e_i, e_j)e_k)^m = (K_i K_j e_k - K_j K_i e_k)^m."""
-    return commutator_curvature(sp.K.array)
+    """up[m, i, j, k] = ([K,K](e_i, e_j)e_k)^m = (K_i K_j e_k - K_j K_i e_k)^m, computed once."""
+    if sp._bracket is None:
+        up = commutator_curvature(sp.K.array)
+        up.setflags(write=False)
+        sp._bracket = up
+    return sp._bracket
 
 
 def bracket_kk(sp: StatPoint) -> np.ndarray:
@@ -195,47 +221,121 @@ def sectional_k(sp: StatPoint, x, y) -> float:
 
 # ---------------------------------------------------------------------------
 # batched kernels over orthonormal-frame components a[..., n, n, n]
+#
+# The kernels read their operands with the batch axes innermost in memory, so each
+# contraction of the short (length n) slots is an einsum whose inner loop runs over
+# contiguous batch rows: a fixed-order sum of elementwise products.  A point then gets
+# the same bits alone, in any batch and from either memory layout.
 
 
+@functools.cache
+def _core_first_axes(ndim: int, core: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis orders moving an ndim array's leading batch axes behind its core axes, and back."""
+    lead = ndim - core
+    return (tuple(range(lead, ndim)) + tuple(range(lead)),
+            tuple(range(core, ndim)) + tuple(range(core)))
+
+
+def _core_first(x: np.ndarray, core: int) -> np.ndarray:
+    """View of x[..., *core axes] with its leading batch axes moved behind the core axes."""
+    return x.transpose(_core_first_axes(x.ndim, core)[0])
+
+
+def _batch_first(t: np.ndarray, core: int) -> np.ndarray:
+    """Inverse of _core_first: t[*core axes, ...] viewed as [..., *core axes]."""
+    return t.transpose(_core_first_axes(t.ndim, core)[1])
+
+
+def _batch_last(x: np.ndarray, core: int) -> np.ndarray:
+    """x itself when its batch axes are innermost in memory, else a copy laid out that way."""
+    t = _core_first(x, core)
+    return x if t.flags.c_contiguous else _batch_first(np.ascontiguousarray(t), core)
+
+
+def _batch_kernel(*cores: int):
+    """Run a kernel on operands laid out batch-last; operand i has cores[i] trailing core axes.
+
+    Operands are broadcast to one batch shape first.  A batch of one point (or a single
+    point) runs as a batch of two copies of it, and its outputs are the first copy's:
+    einsum sums a length-one batch axis together with the contracted axes, by a different
+    route than it sums contiguous batch rows.  A kernel calls another through its
+    __wrapped__ body, since its own operands are laid out.
+    """
+    def decorate(kernel):
+        @functools.wraps(kernel)
+        def run(*operands):
+            operands = [np.asarray(x) for x in operands]
+            batches = [x.shape[:x.ndim - k] for x, k in zip(operands, cores)]
+            batch = batches[0]
+            if any(b != batch for b in batches):
+                batch = np.broadcast_shapes(*batches)
+            if math.prod(batch) == 1:
+                return _first_of_two(kernel, operands, cores, batch)
+            return kernel(*(_batch_last(x if b == batch else
+                                        np.broadcast_to(x, batch + x.shape[len(b):]), k)
+                            for x, b, k in zip(operands, batches, cores)))
+
+        return run
+
+    return decorate
+
+
+def _first_of_two(kernel, operands, cores, batch):
+    """kernel's outputs for one point, run on a batch of two copies of it."""
+    out = kernel(*(_batch_first(np.repeat(x.reshape(x.shape[x.ndim - k:] + (1,)), 2, axis=-1), k)
+                   for x, k in zip(operands, cores)))
+    if isinstance(out, tuple):
+        return tuple(y[0].reshape(batch + y.shape[1:]) for y in out)
+    return out[0].reshape(batch + out.shape[1:])
+
+
+@_batch_kernel(1, 1)
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...m,...m->...", x, y)
 
 
+@_batch_kernel(3)
 def trace_form(a: np.ndarray) -> np.ndarray:
     """tau_m = sum_i a_iim."""
     return np.einsum("...iim->...m", a)
 
 
+@_batch_kernel(3)
 def cubic_norm_sq(a: np.ndarray) -> np.ndarray:
     """||A||^2 = sum a_ijk^2."""
     return np.einsum("...ijk,...ijk->...", a, a)
 
 
+@_batch_kernel(1, 1, 2)
 def quarter_parts(tau: np.ndarray, kuu: np.ndarray, ku: np.ndarray):
     """(lhs, ||tau||^2, |K_U|^2) from tau, K(U,U) and K_U; lhs = (tau o K)(U,U) - g(K_U, K_U)."""
     ku_sq = np.einsum("...jm,...jm->...", ku, ku)
-    return _dot(tau, kuu) - ku_sq, _dot(tau, tau), ku_sq
+    return _dot.__wrapped__(tau, kuu) - ku_sq, _dot.__wrapped__(tau, tau), ku_sq
 
 
+@_batch_kernel(3, 1)
 def quarter_terms(a: np.ndarray, u: np.ndarray):
     """(lhs, ||tau||^2, |U|^2, |K_U|^2) of the trace inequalities; u is in the frame of a."""
     ku = np.einsum("...ijm,...i->...jm", a, u)
-    lhs, tau_sq, ku_sq = quarter_parts(trace_form(a), np.einsum("...jm,...j->...m", ku, u), ku)
-    return lhs, tau_sq, _dot(u, u), ku_sq
+    kuu = np.einsum("...jm,...j->...m", ku, u)
+    lhs, tau_sq, ku_sq = quarter_parts.__wrapped__(trace_form.__wrapped__(a), kuu, ku)
+    return lhs, tau_sq, _dot.__wrapped__(u, u), ku_sq
 
 
+@_batch_kernel(3)
 def norm_gap(a: np.ndarray) -> np.ndarray:
     """(n+2)/3 ||A||^2 - ||E||^2, nonnegative for every cubic form."""
-    tau = trace_form(a)
-    return (a.shape[-1] + 2) / 3.0 * cubic_norm_sq(a) - _dot(tau, tau)
+    tau = trace_form.__wrapped__(a)
+    return (a.shape[-1] + 2) / 3.0 * cubic_norm_sq.__wrapped__(a) - _dot.__wrapped__(tau, tau)
 
 
+@_batch_kernel(3)
 def scalar_gap_terms(a: np.ndarray):
     """(||A||^2 - ||E||^2, -(n-1)/3 ||A||^2, -(n-1)/(n+2) ||E||^2)."""
     n = a.shape[-1]
-    tau = trace_form(a)
-    a2 = cubic_norm_sq(a)
-    e2 = _dot(tau, tau)
+    tau = trace_form.__wrapped__(a)
+    a2 = cubic_norm_sq.__wrapped__(a)
+    e2 = _dot.__wrapped__(tau, tau)
     return a2 - e2, -(n - 1) / 3.0 * a2, -(n - 1) / (n + 2) * e2
 
 
@@ -248,6 +348,7 @@ def _trace_part_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
             np.array([(i == j) + (i == k) + (j == k) for i, j, k in triples], dtype=float))
 
 
+@_batch_kernel(3)
 def trace_free_projection(a: np.ndarray) -> np.ndarray:
     """a minus its trace part w_i d_jk + w_j d_ik + w_k d_ij, w = tau/(n+2).
 
@@ -256,10 +357,12 @@ def trace_free_projection(a: np.ndarray) -> np.ndarray:
     product.  Its values equal those of the sum of the three terms bit for bit.
     """
     n = a.shape[-1]
-    w = trace_form(a) / (n + 2)
+    w = _core_first(trace_form.__wrapped__(a), 1) / (n + 2)
     slot, equal_pairs = _trace_part_tables(n)
-    flat = a.reshape(a.shape[:-3] + (n**3,))
-    return (flat - w[..., slot] * equal_pairs).reshape(a.shape)
+    out = w[slot]
+    out *= equal_pairs.reshape((n**3,) + (1,) * (w.ndim - 1))
+    np.subtract(_core_first(a, 3).reshape(out.shape), out, out=out)
+    return _batch_first(out.reshape((n,) * 3 + w.shape[1:]), 3)
 
 
 @functools.cache
@@ -271,14 +374,7 @@ def _minor_tables(n: int) -> list[np.ndarray]:
     return [np.array([q[s] for q in quads], dtype=np.intp) for s in range(4)]
 
 
-def _sum_rows(x: np.ndarray) -> np.ndarray:
-    """Sum over the first axis, one elementwise add per row: the same bits at any batch size."""
-    out = np.zeros(x.shape[1:])
-    for row in x:
-        out += row
-    return out
-
-
+@_batch_kernel(3)
 def lp_norms(a: np.ndarray):
     """(||L||^2, ||P||^2) for L(X,Y,W,Z) = g(K(X,Y),K(W,Z)) and P(X,Y,W,Z) = L - L(W,Y,X,Z).
 
@@ -286,20 +382,24 @@ def lp_norms(a: np.ndarray):
     G_mm' = sum_ij v_ij^m v_ij^m', and P vanishes unless i != k and j != l,
     with the same square under i <-> k and j <-> l, so
     ||P||^2 = 4 sum over i < k, j < l of (<v_ij, v_kl> - <v_il, v_kj>)^2.
-    The kernel runs batch-last and every sum is elementwise.
     """
     n = a.shape[-1]
     batch = a.shape[:-3]
-    v = np.ascontiguousarray(np.moveaxis(a.reshape(batch + (n * n, n)), (-2, -1), (0, 1)))
-    gram = np.zeros((n, n) + batch)
-    for row in v:
-        gram += row[:, None] * row[None, :]
-    gram = gram.reshape((n * n,) + batch)
-    ij, kl, il, kj = (v[t] for t in _minor_tables(n))
-    minors = np.zeros(ij.shape[:1] + batch)
+    v = _core_first(a, 3).reshape((n * n, n) + batch)
+    gram = np.einsum("pa...,pb...->ab...", v, v).reshape((n * n,) + batch)
+    ij, kl, il, kj = _minor_tables(n)
+    minors = np.zeros((len(ij),) + batch)
     for m in range(n):
-        minors += ij[:, m] * kl[:, m] - il[:, m] * kj[:, m]
-    return _sum_rows(gram * gram), 4.0 * _sum_rows(minors * minors)
+        vm = v[:, m]
+        d = vm[ij] * vm[kl]
+        d -= vm[il] * vm[kj]
+        minors += d
+    return _sum_squares(gram), 4.0 * _sum_squares(minors)
+
+
+def _sum_squares(rows: np.ndarray) -> np.ndarray:
+    """Sum of squares over the first axis of a [rows, ...] array."""
+    return np.einsum("r...,r...->...", rows, rows)
 
 
 def _frame_vector(sp: StatPoint, u) -> np.ndarray:

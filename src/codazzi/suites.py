@@ -401,7 +401,15 @@ def _sweep_blocks(seed: int, count: int, *row_shapes):
         offset += count * math.prod(shape)
     for start in range(0, count, _SWEEP_CHUNK):
         m = min(_SWEEP_CHUNK, count - start)
-        yield [gen.uniform(-1.0, 1.0, (m, *shape)) for gen, shape in zip(gens, row_shapes)]
+        yield [_uniform(gen, (m, *shape)) for gen, shape in zip(gens, row_shapes)]
+
+
+def _uniform(gen: np.random.Generator, shape) -> np.ndarray:
+    """gen.uniform(-1.0, 1.0, shape), bit for bit: numpy computes it as -1 + 2 x of the draw x."""
+    r = gen.random(shape)
+    r *= 2.0
+    r -= 1.0
+    return r
 
 
 def sweep_trace_inequalities(n: int, count: int, seed: int) -> dict[str, float]:
@@ -988,7 +996,7 @@ def check_structure(structure) -> ResidualReport:
     col = _Collector(SuiteConfig(h=structure.h) if is_chart else SuiteConfig())
     if is_chart:
         mid = structure.domain.mean(axis=1)
-        sp = structure.point(mid)
+        sp = structure.point(mid).require_finite()
         loc = "chart-midpoint"
         conn = charts_mod.statistical_connections(structure, mid)
         scale = conn.scale
@@ -1006,7 +1014,7 @@ def check_structure(structure) -> ResidualReport:
                 except PreconditionError as exc:
                     col.skip("sym2-simons", exc, loc, suffix=f"[{name}]")
     else:
-        sp = structure
+        sp = structure.require_finite()
         loc = "point"
     u = np.zeros(sp.n)
     u[0] = 1.0

@@ -518,13 +518,11 @@ def inner(g: MetricPoint, t, s) -> float:
 
 @functools.cache
 def _orbit_tables(n: int, k: int):
-    """The orbits of S_k on the flat indices of an (n,)*k array.
+    """The orbits of S_k on the flat indices of an (n,)*k array, grouped by size.
 
-    Returns (groups, orbit_of).  Each group holds the orbits of one size as
-    (size, columns): columns[c][r] is the c-th flat index of the group's r-th
-    orbit.  orbit_of[f] is the position of the orbit of f when the groups'
-    orbits are laid end to end.  Built in plain Python: a numpy sort here
-    would map its working memory on the first call of a process.
+    Each group holds the orbits of one size as (size, columns): columns[c][r]
+    is the c-th flat index of the group's r-th orbit.  Built in plain Python: a
+    numpy sort here would map its working memory on the first call of a process.
     """
     orbits: dict[tuple[int, ...], list[int]] = {}
     for flat, index in enumerate(itertools.product(range(n), repeat=k)):
@@ -532,21 +530,16 @@ def _orbit_tables(n: int, k: int):
     by_size: dict[int, list[list[int]]] = {}
     for members in orbits.values():
         by_size.setdefault(len(members), []).append(members)
-    groups, orbit_of, position = [], [0] * n**k, 0
-    for size, same_size in by_size.items():
-        groups.append((size, [np.array(c, dtype=np.intp) for c in zip(*same_size)]))
-        for members in same_size:
-            for flat in members:
-                orbit_of[flat] = position
-            position += 1
-    return groups, np.array(orbit_of, dtype=np.intp)
+    return [(size, [np.array(c, dtype=np.intp) for c in zip(*same_size)])
+            for size, same_size in by_size.items()]
 
 
 def symmetrize(arr: np.ndarray, degree: int | None = None) -> np.ndarray:
     """Average over all permutations of the last `degree` axes (default: all axes).
 
-    Leading axes beyond `degree` are batch axes and are left in place.  Each
-    orbit of the permutations on the multi-indices is averaged once and its
+    Leading axes beyond `degree` are batch axes and are left in place; the result
+    holds them innermost in memory, the layout the batched kernels of `points` read.
+    Each orbit of the permutations on the multi-indices is averaged once and its
     mean written to all its members, so the result is exactly symmetric.
     """
     arr = np.asarray(arr, dtype=float)
@@ -557,16 +550,19 @@ def symmetrize(arr: np.ndarray, degree: int | None = None) -> np.ndarray:
     if k < 2 or arr.size == 0:
         return arr.copy()
     n = arr.shape[-1]
-    groups, orbit_of = _orbit_tables(n, k)
-    flat = arr.reshape(arr.shape[:-k] + (n**k,))
-    means = []
-    for size, columns in groups:
-        total = flat[..., columns[0]]
+    lead = arr.ndim - k
+    batch = arr.shape[:lead]
+    # one row per flat index, batch axes last: the orbit sums add whole batch rows
+    rows = arr.reshape(batch + (n**k,)).transpose((lead,) + tuple(range(lead)))
+    out = np.empty(rows.shape)
+    for size, columns in _orbit_tables(n, k):
+        total = rows[columns[0]]
         for column in columns[1:]:
-            total += flat[..., column]
+            total += rows[column]
         total /= size
-        means.append(total)
-    return np.concatenate(means, axis=-1)[..., orbit_of].reshape(arr.shape)
+        for column in columns:
+            out[column] = total
+    return out.reshape((n,) * k + batch).transpose(tuple(range(k, arr.ndim)) + tuple(range(k)))
 
 
 def sectional(r: np.ndarray, g: np.ndarray, u, v):

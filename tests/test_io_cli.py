@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +370,20 @@ class TestNonFiniteInput:
         data = {"n": 2, "g": [[1.0, 0.0], [0.0, 1.0]], "A": {"111": float("inf")}}
         err = self.check(tmp_path, data)
         assert "/A/111" in err and "finite" in err
+
+    @pytest.mark.parametrize("change", [{"A": {"112": 1.0, "222": 1e308}},
+                                        {"g": [[1e-300, 0.0], [0.0, 1.0]]}])
+    def test_point_overflow_is_an_input_error(self, tmp_path, capsys, change):
+        # finite entries whose derived quantities overflow: one line naming the first, no warning
+        data = dict(json.loads(open(EQUALITY_FILE, encoding="utf-8").read()), **change)
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--file", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: ||A||^2 is not finite: the entries of g or A are out of range\n"
 
 
 class TestAuxFieldSchema:

@@ -593,3 +593,64 @@ def test_kernel_site_checker_flags_each_copy():
         "gram_k: charts.py:ricci_decomposition_residuals calls einsum",
         "commutator_curvature: not defined in tensors.py",
     ]
+
+
+# random sweep of suites.py -> the points kernels through which it reaches its inequalities
+SWEEP_KERNELS = {
+    "sweep_trace_inequalities": {"quarter_terms", "norm_gap", "quarter_parts", "trace_form"},
+    "sweep_cubic_norm_bounds": {"trace_free_projection", "cubic_norm_sq", "lp_norms"},
+}
+
+CONTRACTIONS = {"einsum", "tensordot", "dot", "inner", "matmul"}
+
+
+def sweep_kernel_violations(source: str, sweeps) -> list[str]:
+    """Sweeps that contract arrays themselves, or that do not call a kernel of ``points``.
+
+    The sweeps and the pointwise checks share one kernel per quantity; a contraction
+    written in a sweep would be a second copy, free to differ in layout or formula.
+    """
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    found = []
+    for name, kernels in sweeps.items():
+        if name not in functions:
+            found.append(f"{name}: not defined")
+            continue
+        called, own = set(), []
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                own.append((node.lineno, "uses @"))
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = getattr(func, "attr", None) or getattr(func, "id", None)
+            if callee in CONTRACTIONS:
+                own.append((node.lineno, f"calls {callee}"))
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "points_mod":
+                called.add(func.attr)
+        found += [f"{name}:{line}: {what}" for line, what in sorted(own)]
+        found += [f"{name}: does not call points_mod.{k}" for k in sorted(kernels - called)]
+    return found
+
+
+def test_sweeps_reach_their_inequalities_through_the_points_kernels():
+    source = (PACKAGE / "suites.py").read_text(encoding="utf-8")
+    assert sweep_kernel_violations(source, SWEEP_KERNELS) == []
+
+
+def test_sweep_checker_flags_each_copy():
+    source = (
+        "import numpy as np\n"
+        "def sweep_trace_inequalities(n, count, seed):\n"
+        "    tau = np.einsum('...iim->...m', a)\n"
+        "    gap = points_mod.norm_gap(a) + a @ a + np.tensordot(a, a)\n"
+        "    return points_mod.quarter_terms(a, u), points_mod.quarter_parts(tau, a, a)\n"
+    )
+    assert sweep_kernel_violations(source, SWEEP_KERNELS) == [
+        "sweep_trace_inequalities:3: calls einsum",
+        "sweep_trace_inequalities:4: calls tensordot",
+        "sweep_trace_inequalities:4: uses @",
+        "sweep_trace_inequalities: does not call points_mod.trace_form",
+        "sweep_cubic_norm_bounds: not defined",
+    ]

@@ -7,53 +7,91 @@ checks compare a quantity read through ``StatPoint`` with one read through the
 chart, and a consistent scaling of K or tau cancels in them: those must still
 pass, and a route that computed the kernel by a copy of its own would fail them.
 
-``metric_factors`` returns three outputs, and each is scaled on its own.
+``metric_factors`` returns three outputs, and each is scaled on its own.  The batched
+kernels of ``points`` that the random sweeps and the equality point read get a defect of
+their own: an output scaled by 1 + 1e-3, or a paper constant weakened.
+
+A row may also list checks that must not pass: a defect can turn a check into a labelled
+skip, and a skip is not a pass.
 """
 
 import sys
 
+import numpy as np
 import pytest
 
-from codazzi import tensors
+from codazzi import points, tensors
 from codazzi.suites import run_suite
 
-# kernel -> suite -> (ids that must fail, ids that must pass) with the kernel scaled
+# kernel -> suite -> (ids that must fail, ids that must not pass, ids that must pass) with the
+# kernel scaled; a check that fails or is skipped does not pass
 CONTROLS = {
-    "raise_last": {"algebraic": ({"commutator-scalar-two-routes"}, set()),
-                   "differential": ({"curvature-two-routes"}, {"curvature-sum"})},
-    "trace_k": {"algebraic": ({"commutator-scalar-two-routes"}, set()),
-                "differential": ({"koszul-trace"}, {"koszul-form"})},
-    "ricci_trace": {"algebraic": ({"commutator-ricci-two-routes"}, set()),
-                    "differential": ({"ricci-decomposition", "sphere-scalar-curvature"}, set())},
-    "trace_pair": {"algebraic": ({"commutator-scalar-two-routes"}, set()),
-                   "differential": ({"sphere-scalar-curvature"}, set())},
+    "raise_last": {"algebraic": ({"commutator-scalar-two-routes"}, set(), set()),
+                   "differential": ({"curvature-two-routes"}, set(), {"curvature-sum"})},
+    "trace_k": {"algebraic": ({"commutator-scalar-two-routes"}, set(), set()),
+                "differential": ({"koszul-trace"}, set(), {"koszul-form"})},
+    "ricci_trace": {"algebraic": ({"commutator-ricci-two-routes"}, set(), set()),
+                    "differential": ({"ricci-decomposition", "sphere-scalar-curvature"}, set(),
+                                     set())},
+    "trace_pair": {"algebraic": ({"commutator-scalar-two-routes"}, set(), set()),
+                   "differential": ({"sphere-scalar-curvature"}, set(), set())},
     # [K,K] enters one side of the two routes, of the curvature sum and of the sectional sum
     "commutator_curvature": {
-        "algebraic": ({"commutator-ricci-two-routes"}, set()),
-        "differential": ({"curvature-two-routes", "curvature-sum", "sectional-sum"}, set())},
-    "gram_k": {"algebraic": ({"commutator-ricci-two-routes"}, set()),
-               "differential": ({"ricci-decomposition", "ricci-conjugate-sum"}, set())},
-    "tau_circ_k": {"algebraic": ({"commutator-ricci-two-routes"}, set()),
-                   "differential": ({"ricci-decomposition", "koszul-form"}, set())},
+        "algebraic": ({"commutator-ricci-two-routes"}, set(), set()),
+        "differential": ({"curvature-two-routes", "curvature-sum", "sectional-sum"}, set(), set())},
+    "gram_k": {"algebraic": ({"commutator-ricci-two-routes"}, set(), set()),
+               "differential": ({"ricci-decomposition", "ricci-conjugate-sum"}, set(), set())},
+    "tau_circ_k": {"algebraic": ({"commutator-ricci-two-routes"}, set(), set()),
+                   "differential": ({"ricci-decomposition", "koszul-form"}, set(), set())},
     # every R = H R0 test reads the model tensor; a fitted H absorbs a constant scaling, so the
-    # checks that fail compare the curvature with a known H or use H in a formula
+    # checks that fail compare the curvature with a known H or use H in a formula.  The supplied
+    # H of sandwich-constant-fields no longer fits, so that check turns into a skip
     "r0_curvature": {
         "algebraic": ({"hyperbolic-constant-curvature-a1.0-b0.0",
-                       "hyperbolic-constant-curvature-a0.8-b-0.5"}, set()),
-        "simons": ({"laplace-cubic-constant-sectional", "laplace-cubic-dualflat"}, set()),
-        "bounds": ({"dualflat-split-scalar", "sandwich-equality-n2"}, set())},
+                       "hyperbolic-constant-curvature-a0.8-b-0.5"}, set(), set()),
+        "simons": ({"laplace-cubic-constant-sectional", "laplace-cubic-dualflat"}, set(), set()),
+        "bounds": ({"dualflat-split-scalar", "sandwich-equality-n2"},
+                   {"sandwich-constant-fields"}, set())},
+}
+
+
+def _scaled_lhs(quarter_terms):
+    def scaled(a, u):
+        lhs, *rest = quarter_terms(a, u)
+        return (lhs * (1.0 + 1e-3), *rest)
+
+    return scaled
+
+
+def _weakened_norm_gap(_original):
+    # (n+2)/3 ||A||^2 - ||E||^2 with its constant times 0.9; scaling the output could not show
+    # at the equality point, whose gap is 0
+    def weakened(a):
+        tau = points.trace_form(a)
+        return 0.9 * (a.shape[-1] + 2) / 3.0 * points.cubic_norm_sq(a) - np.sum(tau * tau, axis=-1)
+
+    return weakened
+
+
+# batched kernel of points -> its defect -> suite -> ids as in CONTROLS
+SWEEP_CONTROLS = {
+    "lp_norms": (lambda f: lambda a: tuple(v * (1.0 + 1e-3) for v in f(a)),
+                 {"algebraic": ({"li-equality-n2", "cubic-bound-upper-n2"}, set(), set())}),
+    "quarter_terms": (_scaled_lhs, {"algebraic": ({"equality-point-eighth"}, set(), set())}),
+    "norm_gap": (_weakened_norm_gap,
+                 {"algebraic": ({"normgap-sweep-n2", "equality-point-normgap"}, set(), set())}),
 }
 
 FACTOR_OUTPUTS = ("ginv", "frame", "vol")
 
-# output of metric_factors -> suite -> (ids that must fail, ids that must pass) with it scaled
+# output of metric_factors -> suite -> ids as in CONTROLS, with that output scaled
 FACTOR_CONTROLS = {
-    "ginv": {"algebraic": ({"commutator-scalar-two-routes"}, set()),
+    "ginv": {"algebraic": ({"commutator-scalar-two-routes"}, set(), set()),
              "differential": ({"curvature-two-routes", "metricity", "sphere-scalar-curvature"},
-                              set())},
-    "frame": {"algebraic": ({"equality-point-eighth"}, set()),
-              "simons": ({"sym2-simons-n2", "sym2-simons-n3"}, set()),
-              "integral": ({"bundle-functional"}, set())},
+                              set(), set())},
+    "frame": {"algebraic": ({"equality-point-eighth"}, set(), set()),
+              "simons": ({"sym2-simons-n2", "sym2-simons-n3"}, set(), set()),
+              "integral": ({"bundle-functional"}, set(), set())},
 }
 
 # outputs of metric_factors that no check can see scaled by a constant, and why
@@ -63,8 +101,8 @@ FACTOR_BLIND = {
 }
 
 
-def _replace_everywhere(monkeypatch, name: str, make) -> int:
-    original = getattr(tensors, name)
+def _replace_everywhere(monkeypatch, name: str, make, home=tensors) -> int:
+    original = getattr(home, name)
     replacement = make(original)
     modules = [m for key, m in sorted(sys.modules.items())
                if (key == "codazzi" or key.startswith("codazzi."))
@@ -93,19 +131,29 @@ def _scale_factor_output(monkeypatch, output: str, factor: float) -> int:
 
 
 def _assert_verdicts(table):
-    for suite, (must_fail, must_pass) in table.items():
+    for suite, (must_fail, must_not_pass, must_pass) in table.items():
         verdicts = {}
         for check in run_suite(suite).checks:
             verdicts.setdefault(check.id, set()).add(check.verdict)
         failed = {cid for cid, seen in verdicts.items() if "fail" in seen}
         assert must_fail <= failed, (suite, sorted(failed))
-        assert {cid for cid in must_pass if verdicts[cid] == {"pass"}} == must_pass, suite
+        assert must_not_pass <= set(verdicts), suite
+        passed = {cid for cid, seen in verdicts.items() if seen == {"pass"}}
+        assert not must_not_pass & passed, (suite, sorted(must_not_pass & passed))
+        assert must_pass <= passed, suite
 
 
 @pytest.mark.parametrize("kernel", sorted(CONTROLS))
 def test_scaled_kernel_fails_the_checks_that_read_it(monkeypatch, kernel):
     assert _scale_everywhere(monkeypatch, kernel, 1.0 + 1e-3) >= 2
     _assert_verdicts(CONTROLS[kernel])
+
+
+@pytest.mark.parametrize("kernel", sorted(SWEEP_CONTROLS))
+def test_defective_sweep_kernel_fails_the_checks_that_read_it(monkeypatch, kernel):
+    make, table = SWEEP_CONTROLS[kernel]
+    assert _replace_everywhere(monkeypatch, kernel, make, home=points) >= 1
+    _assert_verdicts(table)
 
 
 @pytest.mark.parametrize("output", sorted(FACTOR_CONTROLS))

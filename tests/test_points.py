@@ -645,3 +645,83 @@ class TestBatchedKernels:
             _close(l_value, inner(sp.g, lt, lt), scale)
             _close(p_value, inner(sp.g, pt, pt), scale)
 
+
+
+def _kernel_operands(n, count, seed):
+    """Operands of each batched kernel, C-ordered with one leading batch axis of count rows."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (count, n, n, n))
+    vec = rng.uniform(-1.0, 1.0, (3, count, n))
+    ku = rng.uniform(-1.0, 1.0, (count, n, n))
+    return {
+        "trace_form": (a,), "cubic_norm_sq": (a,), "norm_gap": (a,), "scalar_gap_terms": (a,),
+        "trace_free_projection": (a,), "lp_norms": (a,), "_dot": (vec[0], vec[1]),
+        "quarter_parts": (vec[0], vec[1], ku), "quarter_terms": (a, vec[2]),
+    }
+
+
+def _batch_last_copy(x):
+    """x's values with its leading batch axis innermost in memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+
+
+def _outputs(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _ordered_sum(terms):
+    """0 + t_0 + t_1 + ..., one elementwise add at a time, in the given order."""
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+class TestBatchLayout:
+    """Each batched kernel gives a point the same bits in a block of either memory layout,
+    in a batch of one and alone."""
+
+    COUNT = 2000
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kernel", ["trace_form", "cubic_norm_sq", "_dot", "quarter_parts",
+                                        "quarter_terms", "norm_gap", "scalar_gap_terms",
+                                        "trace_free_projection", "lp_norms"])
+    def test_layouts_batches_and_points_share_bits(self, kernel, n):
+        fn = getattr(points, kernel)
+        operands = _kernel_operands(n, self.COUNT, seed=n)[kernel]
+        laid = [_batch_last_copy(x) for x in operands]
+        assert all(np.moveaxis(x, 0, -1).flags.c_contiguous for x in laid)
+        c_ordered = _outputs(fn(*operands))
+        for got, want in zip(_outputs(fn(*laid)), c_ordered):
+            assert np.array_equal(got, want)
+        # every row alone, as a batch of one and as a single point (rows spread over the block)
+        for row in [*range(0, self.COUNT, 97), self.COUNT - 1]:
+            one = _outputs(fn(*(x[row:row + 1] for x in operands)))
+            single = _outputs(fn(*(x[row] for x in operands)))
+            for batch, alone, want in zip(one, single, c_ordered):
+                assert batch.shape == want[row:row + 1].shape and np.shape(alone) == want[row].shape
+                assert np.array_equal(batch[0], want[row]) and np.array_equal(alone, want[row])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("count", [1, 2, 2000])
+    def test_contractions_are_fixed_order_sums(self, n, count):
+        # the sum over the short slots runs in index order, one elementwise add per term
+        ops = _kernel_operands(n, count, seed=10 + n)
+        a = ops["trace_form"][0]
+        x, y = ops["_dot"]
+        triples = list(itertools.product(range(n), repeat=3))
+        assert np.array_equal(points.trace_form(a), _ordered_sum(a[:, i, i] for i in range(n)))
+        assert np.array_equal(points.cubic_norm_sq(a),
+                              _ordered_sum(a[:, i, j, k] ** 2 for i, j, k in triples))
+        assert np.array_equal(points._dot(x, y), _ordered_sum(x[:, m] * y[:, m] for m in range(n)))
+        assert np.array_equal(points._dot(x[0], y[0]),
+                              _ordered_sum(x[0, m] * y[0, m] for m in range(n)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_broadcast_operands_share_bits_with_points(self, n):
+        # one cubic form against a batch of vectors, as the Ricci-comparison form polarizes it
+        a, u = _kernel_operands(n, 6, seed=20 + n)["quarter_terms"]
+        batched = points.quarter_terms(a[0], u.reshape(2, 3, n))
+        for got, out in zip(batched, zip(*(points.quarter_terms(a[0], row) for row in u))):
+            assert np.array_equal(got.reshape(-1), out)

@@ -37,8 +37,9 @@ def whole_batch_cubic(n, count, seed):
     }
 
 
-# one partial block, exactly one block, and two full blocks plus a partial one
-@pytest.mark.parametrize("count", [7, 2000, 4999])
+# one row, one partial block, exactly one block, one block plus a last block of one row,
+# and two full blocks plus a partial one
+@pytest.mark.parametrize("count", [1, 7, 2000, 2001, 4999])
 @pytest.mark.parametrize("n", [2, 3, 4])
 class TestStreamEquivalence:
     def test_trace_sweep(self, n, count):
