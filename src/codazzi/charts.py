@@ -40,9 +40,13 @@ from .points import TRACE_FREE_TOL, StatPoint, fit_constant_curvature
 from .tensors import (
     CubicForm,
     MetricPoint,
+    batch_first,
     commutator_curvature,
+    compose,
     contract,
+    covariant_derivative,
     first_bianchi_defect,
+    frame_components,
     gram_k,
     last_pair_antisymmetry_defect,
     lower_first,
@@ -222,10 +226,15 @@ class ChartStructure:
         """x[..., n] as floats; raises for the first point within 2h of a non-periodic face."""
         x = np.asarray(x, dtype=float)
         margin = 2.0 * self.h
-        lo = self.domain[:, 0] + margin - 1e-12
-        hi = self.domain[:, 1] - margin + 1e-12
-        bad = ~((lo <= x) & (x <= hi)) & ~np.array(self.periodic)
-        if np.any(bad):
+        bounds = self._cache.get(("interior", margin))
+        if bounds is None:
+            # the box shrunk by the margin, and the axes that are not periodic
+            bounds = self._cache[("interior", margin)] = (
+                self.domain[:, 0] + margin - 1e-12, self.domain[:, 1] - margin + 1e-12,
+                ~np.array(self.periodic))
+        lo, hi, fixed = bounds
+        bad = ~((lo <= x) & (x <= hi)) & fixed
+        if bad.any():
             *where, a = np.argwhere(bad)[0]
             raise PreconditionError(
                 f"point {x[tuple(where)].tolist()} too close to the boundary on axis {a} "
@@ -312,23 +321,41 @@ def constant_field(value) -> Field:
     return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _stencil(n: int, h: float, corners: bool) -> np.ndarray:
+    """Offsets [m, n] of a point's stencil: 0 and +-h e_a, then with corners the points
+    +-h e_a +- h e_b (a < b) of the mixed second differences."""
+    steps = h * np.eye(n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)] if corners else []
+    mixed = [sa * steps[a] + sb * steps[b] for a, b in pairs
+             for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    out = np.concatenate([np.zeros((1, n)), steps, -steps, np.reshape(mixed, (-1, n))])
+    out.setflags(write=False)
+    return out
+
+
 def _shifted(field: Field, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The field at x + each row of offsets, [..., m, *shape], from a single call."""
-    return np.asarray(field(x[..., None, :] + offsets), dtype=float)
+    """The field at x + each row of offsets[m, n], [m, ..., *shape], from a single call: the
+    stencil axis leads the batch axes, so a batch-last value holds each row as one block."""
+    m, n = offsets.shape
+    return np.asarray(field(x + offsets.reshape((m,) + (1,) * (x.ndim - 1) + (n,))), dtype=float)
 
 
 def _central(field: Field, x, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(s, ds) at x: the value [..., *shape] and the central differences [..., a, *shape].
 
-    One field call on x and its 2n shifts x +- h e_a; the stencil axis follows the batch axes.
+    One field call on x and its 2n shifts x +- h e_a.  The value is the stencil's first row,
+    whose batch rows are contiguous; the differences are laid out batch-last.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    steps = h * np.eye(n)
-    values = _shifted(field, x, np.concatenate([np.zeros((1, n)), steps, -steps]))
-    batch = (slice(None),) * (x.ndim - 1)
-    plus, minus = values[batch + (slice(1, n + 1),)], values[batch + (slice(n + 1, None),)]
-    return values[batch + (0,)], (plus - minus) / (2.0 * h)
+    values = _shifted(field, x, _stencil(n, h, False))
+    core = values.ndim - x.ndim
+    # [stencil, *shape, ...]: each difference is written core-first, batch rows innermost
+    rows = values.transpose((0,) + tuple(range(x.ndim, values.ndim)) + tuple(range(1, x.ndim)))
+    ds = np.subtract(rows[1:n + 1], rows[n + 1:], order="C")
+    ds /= 2.0 * h
+    return values[0], batch_first(ds, core + 1)
 
 
 def christoffel_array(cs: ChartStructure, x) -> np.ndarray:
@@ -339,15 +366,10 @@ def christoffel_array(cs: ChartStructure, x) -> np.ndarray:
         # the stencil's centre row is g at x: memoized here, metric_inverse_at reads it
         # without a second field call (a view of the memoized stencil, never written)
         cs._memo("g", x, lambda: g)
-        lead, n = dg.ndim - 3, dg.shape[-1]
-        batch_axes = tuple(range(lead))
-        # first[l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2
-        first = 0.5 * (
-            dg.transpose(batch_axes + (lead + 2, lead, lead + 1))
-            + dg.transpose(batch_axes + (lead + 2, lead + 1, lead)) - dg
-        )
-        flat = first.reshape(first.shape[:lead] + (n, n * n))
-        gamma = (cs.metric_inverse_at(x) @ flat).reshape(first.shape)
+        # first kind: first[i, j, l] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, then l raised
+        d_l = np.swapaxes(np.swapaxes(dg, -3, -2), -2, -1)
+        first = 0.5 * (dg + np.swapaxes(dg, -3, -2) - d_l)
+        gamma = raise_last(cs.metric_inverse_at(x), first)
         return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
 
     return cs._memo("gamma", x, compute)
@@ -379,35 +401,8 @@ def nabla_at(cs: ChartStructure, field: Field, x, gamma=None) -> np.ndarray:
     gamma gives the connection coefficients at x (default the Levi-Civita ones).
     """
     x = np.asarray(x, dtype=float)
-    s0, out = _central(field, x, cs.h)
-    if gamma is None:
-        gamma = christoffel_array(cs, x)
-    lead, n = x.ndim - 1, x.shape[-1]
-    # gamma_t[..., (a, i), m] = Gamma^m_ai
-    gamma_t = gamma.reshape(gamma.shape[:-3] + (n, n * n)).swapaxes(-1, -2)
-    for to_front, back in _slot_orders(lead, s0.ndim - lead):
-        # out[a, ..., i, ...] -= Gamma^m_ai s[..., m, ...] with i and m in this slot; out is
-        # _central's own array, so subtracting in place keeps one output-sized buffer alive
-        s = s0.transpose(to_front).reshape(s0.shape[:lead] + (n, -1))
-        out -= (gamma_t @ s).reshape(out.shape).transpose(back)
-    return out
-
-
-@functools.cache
-def _slot_orders(lead: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per slot j of a degree-k tensor after lead batch axes: (to_front, back) axis orders.
-
-    to_front moves slot j ahead of the other slots; back takes an array laid out as
-    [..., a, slots in that order] to [..., a, slots].
-    """
-    batch_axes = tuple(range(lead))
-    orders = []
-    for j in range(k):
-        slots = [j] + [p for p in range(k) if p != j]
-        to_front = batch_axes + tuple(lead + p for p in slots)
-        back = batch_axes + (lead,) + tuple(lead + 1 + slots.index(p) for p in range(k))
-        orders.append((to_front, back))
-    return tuple(orders)
+    s0, ds = _central(field, x, cs.h)
+    return covariant_derivative(christoffel_array(cs, x) if gamma is None else gamma, ds, s0)
 
 
 def nabla2_at(cs: ChartStructure, field: Field, x) -> np.ndarray:
@@ -427,24 +422,20 @@ def scalar_laplacian_at(cs: ChartStructure, f: Field, x):
     """
     x = np.asarray(x, dtype=float)
     n, h = cs.n, cs.h
-    steps = h * np.eye(n)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    corners = [sa * steps[a] + sb * steps[b] for a, b in pairs
-               for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    offsets = np.concatenate([np.zeros((1, n)), steps, -steps, np.reshape(corners, (-1, n))])
-    values = np.moveaxis(_shifted(f, x, offsets), -1, 0)
+    values = _shifted(f, x, _stencil(n, h, True))
     f0, fp, fm = values[0], values[1 : n + 1], values[n + 1 : 2 * n + 1]
-    grad = np.moveaxis((fp - fm) / (2 * h), 0, -1)
-    hess = np.empty(x.shape[:-1] + (n, n))
+    grad = batch_first((fp - fm) / (2 * h), 1)
+    # written core-first: hess[..., a, b] laid out batch-last
+    hess = np.empty((n, n) + x.shape[:-1])
     for a in range(n):
-        hess[..., a, a] = (fp[a] - 2.0 * f0 + fm[a]) / (h * h)
+        hess[a, a] = (fp[a] - 2.0 * f0 + fm[a]) / (h * h)
     for p, (a, b) in enumerate(pairs):
         fpp, fpm, fmp, fmm = values[2 * n + 1 + 4 * p : 2 * n + 5 + 4 * p]
-        hess[..., a, b] = hess[..., b, a] = (fpp - fpm - fmp + fmm) / (4 * h * h)
+        hess[a, b] = hess[b, a] = (fpp - fpm - fmp + fmm) / (4 * h * h)
     # hess_ab - Gamma^c_ab d_c f, traced against g^ab
-    gamma = christoffel_array(cs, x).reshape(x.shape[:-1] + (n, n * n))
-    connection = (grad[..., None, :] @ gamma).reshape(hess.shape)
-    return trace_pair(cs.metric_inverse_at(x), hess - connection, 0, 1)
+    connection = tau_circ_k(grad, christoffel_array(cs, x))
+    return trace_pair(cs.metric_inverse_at(x), batch_first(hess, 2) - connection, 0, 1)
 
 
 def codifferential_at(cs: ChartStructure, field: Field, x):
@@ -466,18 +457,11 @@ def exterior_derivative_1form_at(cs: ChartStructure, taufield: Field, x) -> np.n
 def _curvature_from_gamma(cs: ChartStructure, coefficients: Field, x) -> np.ndarray:
     """up[..., m, i, j, k] from a coefficient field: dGamma terms plus quadratic terms."""
     gamma0, dgamma = _central(coefficients, x, cs.h)  # dgamma[..., a, m, i, j] = d_a Gamma^m_ij
-    lead, n = gamma0.ndim - 3, gamma0.shape[-1]
-    batch = gamma0.shape[:lead]
     # quad[m, i, j, k] = Gamma^m_ip Gamma^p_jk; its i <-> j swap is the other quadratic term
-    # (not commutator_curvature: a defect in a shared kernel would cancel in curvature-sum)
-    quad = gamma0.reshape(batch + (n * n, n)) @ gamma0.reshape(batch + (n, n * n))
-    quad = quad.reshape(dgamma.shape)
-    return (
-        np.swapaxes(dgamma, -4, -3)
-        - dgamma.transpose(tuple(range(lead)) + (lead + 1, lead + 2, lead, lead + 3))
-        + quad
-        - np.swapaxes(quad, -3, -2)
-    )
+    # (not commutator_curvature: a defect in that kernel would cancel in curvature-sum)
+    quad = compose(gamma0)
+    d_j = np.swapaxes(np.swapaxes(dgamma, -4, -3), -3, -2)  # d_j Gamma^m_ik at [m, i, j, k]
+    return np.swapaxes(dgamma, -4, -3) - d_j + quad - np.swapaxes(quad, -3, -2)
 
 
 def curvature_hat_arrays(cs: ChartStructure, x) -> tuple[np.ndarray, np.ndarray]:
@@ -530,8 +514,8 @@ def nabla_cubic_at(cs: ChartStructure, x) -> np.ndarray:
 def conjugate_symmetry_defect(cs: ChartStructure, x):
     """Scale-free asymmetry of nabla_hat A at x[..., n]: ||asym|| / (1 + ||nabla_hat A||)."""
     na = nabla_cubic_at(cs, x)
-    ginv = cs.metric_inverse_at(x)
-    return _g_norm(ginv, na - symmetrize(na, degree=4)) / (1.0 + _g_norm(ginv, na))
+    asym, size = _g_norms(cs.metric_inverse_at(x), na - symmetrize(na, degree=4), na)
+    return asym / (1.0 + size)
 
 
 def conjugate_symmetry_criteria(cs: ChartStructure, x) -> dict[str, float]:
@@ -541,16 +525,22 @@ def conjugate_symmetry_criteria(cs: ChartStructure, x) -> dict[str, float]:
     zw-skew ||R + R with its last two slots swapped||.
     """
     conn = statistical_connections(cs, x)
-    ginv = cs.metric_inverse_at(x)
-    return {
-        "r-vs-rbar": _g_norm(ginv, conn.r_nabla - conn.r_bar),
-        "asym-nabla-a": conjugate_symmetry_defect(cs, x),
-        "zw-skew": _g_norm(ginv, conn.r_nabla + np.swapaxes(conn.r_nabla, -2, -1)),
-    }
+    r_vs_rbar, zw_skew = _g_norms(cs.metric_inverse_at(x), conn.r_nabla - conn.r_bar,
+                                  conn.r_nabla + np.swapaxes(conn.r_nabla, -2, -1))
+    return {"r-vs-rbar": r_vs_rbar, "asym-nabla-a": conjugate_symmetry_defect(cs, x),
+            "zw-skew": zw_skew}
 
 
-def _g_norm(ginv: np.ndarray, arr: np.ndarray):
-    return _floats(np.sqrt(np.maximum(contract(ginv, arr, arr), 0.0)))
+def _pairings(ginv: np.ndarray, *pairs) -> list:
+    """contract(ginv, t, s) for each pair (t, s), all of one shape, from one contraction."""
+    left = np.stack([t for t, _ in pairs])
+    right = left if all(t is s for t, s in pairs) else np.stack([s for _, s in pairs])
+    return [_floats(v) for v in contract(ginv[None], left, right)]
+
+
+def _g_norms(ginv: np.ndarray, *arrs) -> list:
+    """The g-norm of each array, all of one shape, from one contraction."""
+    return [_floats(np.sqrt(np.maximum(v, 0.0))) for v in _pairings(ginv, *((a, a) for a in arrs))]
 
 
 class Applies(NamedTuple):
@@ -637,14 +627,17 @@ def statistical_connections(cs: ChartStructure, x) -> StatConnections:
         # curvature through the decomposition, Levi-Civita + dK terms + commutator
         r_sum = r_hat + na - np.swapaxes(na, -4, -3) + bracket
         g0, dg = _central(cs.metric_at, x, cs.h)
+        two_routes, duality, curvature_sum, reduction, size = _g_norms(
+            ginv, r_nabla - r_sum, r_nabla + np.swapaxes(r_bar, -2, -1),
+            r_nabla + r_bar - 2.0 * r_hat - 2.0 * bracket, r_nabla - r_hat - bracket, r_nabla)
         values = {
-            "curvature-two-routes": _g_norm(ginv, r_nabla - r_sum),
-            "duality": _g_norm(ginv, r_nabla + np.swapaxes(r_bar, -2, -1)),
-            "curvature-sum": _g_norm(ginv, r_nabla + r_bar - 2.0 * r_hat - 2.0 * bracket),
+            "curvature-two-routes": two_routes,
+            "duality": duality,
+            "curvature-sum": curvature_sum,
             "dual-pairing-product-rule": _dual_pairing_residual(
                 g0, dg, _dual_gamma(cs, x, 1.0), _dual_gamma(cs, x, -1.0)
             ),
-            "conjugate-reduction": _g_norm(ginv, r_nabla - r_hat - bracket),
+            "conjugate-reduction": reduction,
         }
         symmetric = conjugate_symmetry_defect(cs, x) < CONJUGATE_SYMMETRY_THRESHOLD
         return StatConnections(
@@ -654,7 +647,7 @@ def statistical_connections(cs: ChartStructure, x) -> StatConnections:
             bracket=bracket,
             ric=ricci_trace(up),
             ric_bar=ricci_trace(up_bar),
-            scale=1.0 + _g_norm(ginv, r_nabla),
+            scale=1.0 + size,
             residuals=MappingProxyType(
                 _residual_map(x, values, {"conjugate-reduction": symmetric})),
         )
@@ -671,12 +664,10 @@ def conjugate_coefficients(g: np.ndarray, ginv: np.ndarray, dg: np.ndarray,
     error beyond the supplied dg).  The batch axes of g, ginv, dg[..., a, i, j]
     and gamma[..., l, a, i] match.
     """
-    n = g.shape[-1]
-    batch = g.shape[:-2]
     # rhs[a, i, j] = dg[a, i, j] - gamma[l, a, i] g_lj
-    rhs = dg - (np.swapaxes(gamma.reshape(batch + (n, n * n)), -1, -2) @ g).reshape(dg.shape)
+    rhs = dg - lower_first(g, gamma)
     # conj[m, a, j] = g^{mi} rhs[a, i, j]
-    return (ginv @ np.swapaxes(rhs, -3, -2).reshape(batch + (n, n * n))).reshape(dg.shape)
+    return raise_last(ginv, np.swapaxes(rhs, -1, -2))
 
 
 def duality_involution_defect(cs: ChartStructure, x):
@@ -691,21 +682,15 @@ def duality_involution_defect(cs: ChartStructure, x):
 
 def _dual_pairing_residual(g, dg, gn, gb):
     """Defect of X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_bar_X Z) on coordinate frames."""
-    n = g.shape[-1]
-    lead = g.ndim - 2
-    batch_axes = tuple(range(lead))
-    # g_jm gn[m, a, i] as [j, a, i] and g_im gb[m, a, j] as [i, a, j]
-    first = (g @ gn.reshape(gn.shape[:-3] + (n, n * n))).reshape(gn.shape)
-    second = (g @ gb.reshape(gb.shape[:-3] + (n, n * n))).reshape(gb.shape)
-    resid = (dg - first.transpose(batch_axes + (lead + 1, lead + 2, lead))
-             - np.swapaxes(second, -3, -2))
+    # g_jm gn[m, a, i] and g_im gb[m, a, j], each at [a, i, j]
+    resid = dg - lower_first(g, gn) - np.swapaxes(lower_first(g, gb), -1, -2)
     return _max_abs(resid, 3)
 
 
 def _g_frame_min_eig(b: np.ndarray, form: np.ndarray):
     """Least eigenvalue of the symmetric part of a (0,2) form in the g-orthonormal frame b."""
     sym = 0.5 * (form + np.swapaxes(form, -1, -2))
-    return _floats(np.min(np.linalg.eigvalsh(np.swapaxes(b, -1, -2) @ sym @ b), axis=-1))
+    return _floats(np.min(np.linalg.eigvalsh(frame_components(b, sym)), axis=-1))
 
 
 def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict:
@@ -748,22 +733,25 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict:
     comparison = 2.0 * ric_hat_arr - ric - ric_bar
     frame, _ = cs.metric_frame_at(x)
     chain = comparison + 0.5 * np.asarray(tau_sq)[..., None, None] * g
+    decomposition, conjugate_sum, koszul, hessian = _g_norms(
+        ginv, ric - (ric_hat_arr + div_k - nabla_tau + ric_k_arr),
+        ric + ric_bar - (2.0 * ric_hat_arr + 2.0 * tau_circ - 2.0 * gram),
+        beta_direct - beta_formula, ric_hat_arr - (gram - tau_circ))
     values = {
-        "ricci-decomposition": _g_norm(ginv, ric - (ric_hat_arr + div_k - nabla_tau + ric_k_arr)),
-        "ricci-conjugate-sum": _g_norm(
-            ginv, ric + ric_bar - (2.0 * ric_hat_arr + 2.0 * tau_circ - 2.0 * gram)
-        ),
+        "ricci-decomposition": decomposition,
+        "ricci-conjugate-sum": conjugate_sum,
         "scalar-gap": abs(rho_hat_val - (rho + scalar_gap)),
-        "koszul-form": _g_norm(ginv, beta_direct - beta_formula),
+        "koszul-form": koszul,
         "koszul-trace": abs(trace_pair(ginv, beta_formula, 0, 1) - (delta_tau - tau_sq)),
         "ricci-comparison-tracefree": _g_frame_min_eig(frame, comparison),
         "ricci-comparison-chain": _g_frame_min_eig(frame, chain),
-        "hessian-ricci": _g_norm(ginv, ric_hat_arr - (gram - tau_circ)),
+        "hessian-ricci": hessian,
     }
     applies = {
         # ||E|| < TRACE_FREE_TOL, as StatPoint.trace_free
         "ricci-comparison-tracefree": tau_sq < TRACE_FREE_TOL ** 2,
-        "hessian-ricci": _g_norm(ginv, conn.r_nabla) < 1e-4,
+        # scale is 1 + ||R||
+        "hessian-ricci": conn.scale - 1.0 < 1e-4,
     }
     return _residual_map(x, values, applies)
 
@@ -783,27 +771,17 @@ def sectional_bracket(cs: ChartStructure, x, plane):
 # Laplacian-type identities for tensor fields
 
 
-def _curvature_action(up: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Derivation action out[i,j, a...] = -(sum over slots) s(..., R(e_i,e_j) e_a, ...)."""
-    k = s.ndim
-    n = up.shape[0]
-    out = np.zeros((n, n) + s.shape)
-    for slot in range(k):
-        term = np.tensordot(s, up, axes=(slot, 0))
-        # axes now: s-minus-slot (k-1), then (i, j, a_slot)
-        term = np.moveaxis(term, (k - 1, k, k + 1), (0, 1, 2 + slot))
-        out -= term
-    return out
-
-
 def ricci_identity_residual(cs: ChartStructure, field: Field, x) -> float:
     """g-norm of nabla^2 s antisymmetrized in the derivative slots minus the curvature action."""
     x = cs.require_interior(np.asarray(x, dtype=float))
     second = nabla2_at(cs, field, x)
     up, _ = curvature_hat_arrays(cs, x)
-    action = _curvature_action(up, np.asarray(field(x), dtype=float))
-    diff = second - np.moveaxis(second, (0, 1), (1, 0)) - action
-    return _g_norm(cs.metric_inverse_at(x), diff)
+    s, n = np.asarray(field(x), dtype=float), cs.n
+    # the action -(sum over slots) s(..., R(e_i,e_j) e_a, ...) is the connection term of a
+    # covariant derivative whose coefficients up[m, (i, j), a] take (i, j) as its slot
+    action = covariant_derivative(up.reshape(n, n * n, n), np.zeros((n * n,) + s.shape), s)
+    diff = second - np.swapaxes(second, 0, 1) - action.reshape((n, n) + s.shape)
+    return _g_norms(cs.metric_inverse_at(x), diff)[0]
 
 
 def squared_norm_field(cs: ChartStructure, field: Field) -> Callable[[np.ndarray], float]:
@@ -823,7 +801,7 @@ def simons_residual(cs: ChartStructure, field: Field, x) -> float:
     lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, field), x)
     lap_s = laplacian_tensor_at(cs, field, x)
     middle = contract(ginv, np.asarray(field(x), dtype=float), lap_s)
-    grad_norm_sq = _g_norm(ginv, nabla_at(cs, field, x)) ** 2
+    grad_norm_sq = _g_norms(ginv, nabla_at(cs, field, x))[0] ** 2
     return abs(lhs - middle - grad_norm_sq)
 
 
@@ -849,12 +827,12 @@ def weitzenbock_residual(cs: ChartStructure, taufield: Field, x) -> dict[str, fl
     e_vec = ginv @ tau0
     ric_term = ric @ e_vec
 
-    residual_1form = _g_norm(ginv, rough - d_delta - delta_d - ric_term)
+    residual_1form = _g_norms(ginv, rough - d_delta - delta_d - ric_term)[0]
 
     lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, taufield), x)
     hodge_pair = float((d_delta + delta_d) @ ginv @ tau0)
     ric_ee = float(e_vec @ ric @ e_vec)
-    grad_sq = _g_norm(ginv, nabla_at(cs, taufield, x)) ** 2
+    grad_sq = _g_norms(ginv, nabla_at(cs, taufield, x))[0] ** 2
     residual_scalar = abs(lhs - hodge_pair - ric_ee - grad_sq)
     return {"weitzenbock": residual_1form, "simons-1form": residual_scalar}
 
@@ -869,21 +847,22 @@ def sym2_simons_residual(cs: ChartStructure, betafield: Field, x) -> tuple[float
     x = cs.require_interior(np.asarray(x, dtype=float))
     ginv = cs.metric_inverse_at(x)
     nb = nabla_at(cs, betafield, x)
-    scale = 1.0 + _g_norm(ginv, nb)
-    asym = _g_norm(ginv, nb - symmetrize(nb)) / scale
+    nb_norm, asym = _g_norms(ginv, nb, nb - symmetrize(nb))
+    scale = 1.0 + nb_norm
+    asym = asym / scale
     if asym >= 1e-4:
         raise PreconditionError(f"nabla beta is not symmetric at x (defect ratio {asym:g})")
 
     beta0 = np.asarray(betafield(x), dtype=float)
     lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, betafield), x)
-    grad_sq = _g_norm(ginv, nb) ** 2
+    grad_sq = nb_norm ** 2
 
     second = nabla2_at(cs, betafield, x)
     middle = contract(ginv, beta0, trace_pair(ginv, second, 2, 3))
 
     # generalized eigenstructure of beta against g via the orthonormal frame
     b, _ = cs.metric_frame_at(x)
-    beta_hat = b.T @ beta0 @ b
+    beta_hat = frame_components(b, beta0)
     eigvals, eigvecs = np.linalg.eigh(0.5 * (beta_hat + beta_hat.T))
     order = np.argsort(eigvals, kind="stable")
     eigvals = eigvals[order]
@@ -925,7 +904,6 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
     g, ginv = cs.metric_at(x), cs.metric_inverse_at(x)
     k, tau = cs.k_at(x), cs.tau_at(x)
     lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, cs.a_field), x)
-    grad_sq = _g_norm(ginv, nabla_cubic_at(cs, x)) ** 2
     # nabla^2 tau (derivative, derivative, argument) paired with A on all three slots
     tau_pair = contract(ginv, cs.cubic_at(x), nabla2_at(cs, lambda y: cs.tau_at(y), x))
 
@@ -936,40 +914,24 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
     gram = gram_k(ginv, g, k)
     tau_circ = tau_circ_k(tau, k)
 
-    bracket_term = contract(ginv, bracket, r_hat_low)
-    ric_gram = contract(ginv, ric_hat_arr, gram)
-    rhat_sq = contract(ginv, r_hat_low, r_hat_low)
+    na = nabla_cubic_at(cs, x)
+    grad_sq, bracket_term, rhat_sq, curvdiff_term, r_rhat = _pairings(
+        ginv, (na, na), (bracket, r_hat_low), (r_hat_low, r_hat_low),
+        (r_hat_low - r_low, r_hat_low), (r_low, r_hat_low))
+    ric_gram, ric_hat_sq, ric_ric_hat, ric_tau = _pairings(
+        ginv, (ric_hat_arr, gram), (ric_hat_arr, ric_hat_arr), (ric, ric_hat_arr),
+        (ric_hat_arr, tau_circ))
+    # the Ricci-pairing form without its tau term
+    ricci_form = grad_sq + rhat_sq + ric_hat_sq - r_rhat - ric_ric_hat
 
     out = {
         "laplace-cubic-bracket": abs(lhs - (grad_sq + tau_pair - bracket_term + ric_gram)),
-        "laplace-cubic-curvdiff": abs(
-            lhs - (grad_sq + tau_pair + contract(ginv, r_hat_low - r_low, r_hat_low) + ric_gram)
-        ),
-        "laplace-cubic-ricci": abs(
-            lhs
-            - (
-                grad_sq
-                + tau_pair
-                + rhat_sq
-                + contract(ginv, ric_hat_arr, ric_hat_arr)
-                - contract(ginv, r_low, r_hat_low)
-                - contract(ginv, ric, ric_hat_arr)
-                + contract(ginv, ric_hat_arr, tau_circ)
-            )
-        ),
+        "laplace-cubic-curvdiff": abs(lhs - (grad_sq + tau_pair + curvdiff_term + ric_gram)),
+        "laplace-cubic-ricci": abs(lhs - (ricci_form + tau_pair + ric_tau)),
     }
     # ||E|| < TRACE_FREE_TOL, as StatPoint.trace_free
     if contract(ginv, tau, tau) < TRACE_FREE_TOL ** 2:
-        out["laplace-cubic-tracefree"] = abs(
-            lhs
-            - (
-                grad_sq
-                + rhat_sq
-                + contract(ginv, ric_hat_arr, ric_hat_arr)
-                - contract(ginv, r_low, r_hat_low)
-                - contract(ginv, ric, ric_hat_arr)
-            )
-        )
+        out["laplace-cubic-tracefree"] = abs(lhs - ricci_form)
 
     def fitted(r: np.ndarray, rel_tol: float) -> float | None:
         try:

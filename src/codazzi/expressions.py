@@ -20,6 +20,7 @@ import re
 import numpy as np
 
 from .errors import SchemaError
+from .tensors import batch_first
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -386,7 +387,8 @@ def compile_tensor(shape, entries):
 
     entries pairs each Expr with the index tuples (of len(shape)) its value fills; a slot
     no entry names is 0.  Each call evaluates every expression once on
-    np.asarray(x, dtype=np.float64) and writes it into a fresh C-ordered zero array.
+    np.asarray(x, dtype=np.float64) and writes it into a fresh zero array laid out
+    batch-last (tensors.batch_last): each entry is one block of contiguous batch rows.
     Every function call (sin, cos, exp, pow) and every subexpression that occurs more
     than once in the field, equal by its code, is computed once per call into a local,
     so the values are those of evaluating each expression on its own.  The function is
@@ -402,7 +404,7 @@ def _field_source(shape: tuple, entries: tuple) -> str:
     parse cache makes the trees of one text the same objects, so a rebuilt chart finds it."""
     lines = ["def f(x):",
              "    x = np.asarray(x, dtype=np.float64)",
-             f"    out = np.zeros(x.shape[:-1] + {shape!r})"]
+             f"    out = np.zeros({shape!r} + x.shape[:-1])"]
     codes: dict[int, str] = {}  # id of a node -> its code, the key of its subexpression
     uses: dict[str, int] = {}
     local: dict[str, str] = {}
@@ -434,15 +436,15 @@ def _field_source(shape: tuple, entries: tuple) -> str:
         count(expr)
     for expr, slots in entries:
         lines.append(f"    v = {emit(expr)}")
-        lines += [f"    out[{', '.join(['...'] + [str(i) for i in slot])}] = v"
+        lines += [f"    out[{', '.join([str(i) for i in slot] + ['...'])}] = v"
                   for slot in slots]
-    lines.append("    return out")
+    lines.append(f"    return batch_first(out, {len(shape)})")
     return "\n".join(lines)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _compile_source(source: str):
-    namespace = {"np": np, "__builtins__": {}}
+    namespace = {"np": np, "batch_first": batch_first, "__builtins__": {}}
     exec(source, namespace)
     return namespace["f"]
 

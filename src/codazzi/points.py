@@ -29,9 +29,12 @@ from .tensors import (
     CubicForm,
     MetricPoint,
     Tensor,
+    batch_first,
+    batch_last,
     check_riemannian_symmetries,
     commutator_curvature,
     contract,
+    core_first,
     frame_components,
     gram_k,
     inner,
@@ -118,11 +121,13 @@ class StatPoint:
         return self._norm_a_sq
 
     def require_finite(self) -> StatPoint:
-        """self, once g^{-1}, the orthonormal frame, ||A||^2 and [K,K] are all finite.
+        """self, once g^{-1}, the orthonormal frame, ||A||^2 and [K,K] are all finite and the
+        condition number of g is at most 1/(n eps).
 
         Each is computed here once, with floating-point warnings silenced, and kept for the
         checks that read it.  Entries of g or A near the limits of float64 make one of them
-        overflow; ConstructionError names the first that is not finite.
+        overflow, and a worse conditioned g leaves no correct digit in g^{-1}: ConstructionError
+        names the first quantity out of range.
         """
         with np.errstate(all="ignore"):
             for name, value in (("g^-1", lambda: self.g.inverse),
@@ -132,6 +137,11 @@ class StatPoint:
                 if not np.all(np.isfinite(value())):
                     raise ConstructionError(
                         f"{name} is not finite: the entries of g or A are out of range")
+        eig = np.linalg.eigvalsh(self.g.components)
+        bar = 1.0 / (self.n * np.finfo(float).eps)
+        if not eig[-1] <= bar * eig[0]:
+            raise ConstructionError(
+                f"g has condition number {eig[-1] / eig[0]:.3g}, above 1/(n eps) = {bar:.3g}")
         return self
 
     def scalar_gap(self) -> float:
@@ -222,34 +232,10 @@ def sectional_k(sp: StatPoint, x, y) -> float:
 # ---------------------------------------------------------------------------
 # batched kernels over orthonormal-frame components a[..., n, n, n]
 #
-# The kernels read their operands with the batch axes innermost in memory, so each
+# The kernels read their operands laid out batch-last (see tensors.batch_last), so each
 # contraction of the short (length n) slots is an einsum whose inner loop runs over
 # contiguous batch rows: a fixed-order sum of elementwise products.  A point then gets
 # the same bits alone, in any batch and from either memory layout.
-
-
-@functools.cache
-def _core_first_axes(ndim: int, core: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis orders moving an ndim array's leading batch axes behind its core axes, and back."""
-    lead = ndim - core
-    return (tuple(range(lead, ndim)) + tuple(range(lead)),
-            tuple(range(core, ndim)) + tuple(range(core)))
-
-
-def _core_first(x: np.ndarray, core: int) -> np.ndarray:
-    """View of x[..., *core axes] with its leading batch axes moved behind the core axes."""
-    return x.transpose(_core_first_axes(x.ndim, core)[0])
-
-
-def _batch_first(t: np.ndarray, core: int) -> np.ndarray:
-    """Inverse of _core_first: t[*core axes, ...] viewed as [..., *core axes]."""
-    return t.transpose(_core_first_axes(t.ndim, core)[1])
-
-
-def _batch_last(x: np.ndarray, core: int) -> np.ndarray:
-    """x itself when its batch axes are innermost in memory, else a copy laid out that way."""
-    t = _core_first(x, core)
-    return x if t.flags.c_contiguous else _batch_first(np.ascontiguousarray(t), core)
 
 
 def _batch_kernel(*cores: int):
@@ -271,7 +257,7 @@ def _batch_kernel(*cores: int):
                 batch = np.broadcast_shapes(*batches)
             if math.prod(batch) == 1:
                 return _first_of_two(kernel, operands, cores, batch)
-            return kernel(*(_batch_last(x if b == batch else
+            return kernel(*(batch_last(x if b == batch else
                                         np.broadcast_to(x, batch + x.shape[len(b):]), k)
                             for x, b, k in zip(operands, batches, cores)))
 
@@ -282,7 +268,7 @@ def _batch_kernel(*cores: int):
 
 def _first_of_two(kernel, operands, cores, batch):
     """kernel's outputs for one point, run on a batch of two copies of it."""
-    out = kernel(*(_batch_first(np.repeat(x.reshape(x.shape[x.ndim - k:] + (1,)), 2, axis=-1), k)
+    out = kernel(*(batch_first(np.repeat(x.reshape(x.shape[x.ndim - k:] + (1,)), 2, axis=-1), k)
                    for x, k in zip(operands, cores)))
     if isinstance(out, tuple):
         return tuple(y[0].reshape(batch + y.shape[1:]) for y in out)
@@ -357,12 +343,12 @@ def trace_free_projection(a: np.ndarray) -> np.ndarray:
     product.  Its values equal those of the sum of the three terms bit for bit.
     """
     n = a.shape[-1]
-    w = _core_first(trace_form.__wrapped__(a), 1) / (n + 2)
+    w = core_first(trace_form.__wrapped__(a), 1) / (n + 2)
     slot, equal_pairs = _trace_part_tables(n)
     out = w[slot]
     out *= equal_pairs.reshape((n**3,) + (1,) * (w.ndim - 1))
-    np.subtract(_core_first(a, 3).reshape(out.shape), out, out=out)
-    return _batch_first(out.reshape((n,) * 3 + w.shape[1:]), 3)
+    np.subtract(core_first(a, 3).reshape(out.shape), out, out=out)
+    return batch_first(out.reshape((n,) * 3 + w.shape[1:]), 3)
 
 
 @functools.cache
@@ -385,7 +371,7 @@ def lp_norms(a: np.ndarray):
     """
     n = a.shape[-1]
     batch = a.shape[:-3]
-    v = _core_first(a, 3).reshape((n * n, n) + batch)
+    v = core_first(a, 3).reshape((n * n, n) + batch)
     gram = np.einsum("pa...,pb...->ab...", v, v).reshape((n * n,) + batch)
     ij, kl, il, kj = _minor_tables(n)
     minors = np.zeros((len(ij),) + batch)

@@ -27,7 +27,7 @@ from .charts import (
     nabla_cubic_at,
 )
 from .errors import PreconditionError
-from .tensors import frame_components
+from .tensors import batch_first, batch_last, core_first, frame_components
 
 
 def sphere_area(n: int) -> float:
@@ -124,14 +124,16 @@ def node_power_cache_info():
 
 
 def poly_eval(s: np.ndarray, nodes: np.ndarray, k: int | None = None) -> np.ndarray:
-    """s(V,...,V) for every node V of nodes[m, n]: one matmul against the node tensor powers.
+    """s(V,...,V) for every node V of nodes[m, n]: one node-table @ block product.
 
     The last k axes of s are its slots (default: all of them); axes before them are
-    batch axes and stay in front of the node axis, giving [..., m].
+    batch axes and stay in front of the node axis, giving [..., m] laid out batch-last.
     """
     s = np.asarray(s, dtype=float)
     k = s.ndim if k is None else k
-    return s.reshape(s.shape[:s.ndim - k] + (-1,)) @ node_powers(nodes, k).T
+    rows = core_first(batch_last(s, k), k)
+    out = node_powers(nodes, k) @ rows.reshape((nodes.shape[-1] ** k, math.prod(rows.shape[k:])))
+    return batch_first(out.reshape(out.shape[:1] + rows.shape[k:]), 1)
 
 
 def _fiber_sum(values: np.ndarray, q: SphereQuadrature) -> np.ndarray:
@@ -322,11 +324,11 @@ def unit_bundle_functional(
         a_hat = frame_components(frame, work.cubic_at(block))
         r_hat = frame_components(frame, curvature_hat_arrays(work, block)[1])
 
-        # the output slot goes ahead of the node slots: [block, n, m]
-        f1 = np.sum(poly_eval(np.moveaxis(na_hat, -1, -4), nodes, 3) ** 2, axis=-2)
-        kvv = poly_eval(np.moveaxis(a_hat, -1, -3), nodes, 2)
+        # the output slot goes ahead of the block as a batch axis: [n, block, m]
+        f1 = np.sum(poly_eval(np.moveaxis(na_hat, -1, 0), nodes, 3) ** 2, axis=0)
+        kvv = poly_eval(np.moveaxis(a_hat, -1, 0), nodes, 2)
         # R_hat(K(V,V), V, V, K(V,V)) one (i, l) pair at a time keeps the temporaries [block, m]
-        f2 = sum(poly_eval(r_hat[..., i, :, :, l], nodes, 2) * kvv[..., i, :] * kvv[..., l, :]
+        f2 = sum(poly_eval(r_hat[..., i, :, :, l], nodes, 2) * kvv[i] * kvv[l]
                  for i in range(cs.n) for l in range(cs.n))
         return _fiber_sum(f1, quad) * density, 3.0 * _fiber_sum(f2, quad) * density
 

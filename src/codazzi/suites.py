@@ -31,7 +31,7 @@ from .errors import ConstructionError, PreconditionError
 from .expressions import compile_cache_info
 from .generators import GeneratorSpec, generate, hyperbolic_point, equality_point, sample_points
 from .structures_io import canonical_json
-from .tensors import metric_factor_counts, symmetrize
+from .tensors import batch_first, batch_last, core_first, metric_factor_counts, symmetrize
 
 SUITE_NAMES = ("algebraic", "differential", "simons", "bounds", "integral", "all")
 
@@ -422,8 +422,10 @@ def sweep_trace_inequalities(n: int, count: int, seed: int) -> dict[str, float]:
     quarter = eighth = normgap = -np.inf
     for a, u in _sweep_blocks(seed, count, (n, n, n), (n,)):
         a = symmetrize(a, degree=3)
-        u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-3)
-        lhs, tau_sq, u_sq, _ = points_mod.quarter_terms(a, u)
+        # u laid out batch-last: its norm sums n contiguous rows
+        rows = core_first(batch_last(u, 1), 1)
+        rows /= np.maximum(np.sqrt(np.add.reduce(rows * rows, axis=0)), 1e-3)
+        lhs, tau_sq, u_sq, _ = points_mod.quarter_terms(a, batch_first(rows, 1))
         quarter = max(quarter, float(np.max(lhs - 0.25 * tau_sq * u_sq)))
         normgap = max(normgap, -float(np.min(points_mod.norm_gap(a))))
 

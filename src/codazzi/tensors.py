@@ -94,6 +94,43 @@ def orthonormal_frame(g: MetricPoint) -> np.ndarray:
 # matrices factored per pass of the elementwise loop: its temporaries stay in cache
 FACTOR_BLOCK = 2048
 
+# ---------------------------------------------------------------------------
+# batch-last memory layout: an array keeps its shape [..., *core axes], and its core-first
+# view [*core axes, ...] is C-contiguous.  The kernels below read their operands so (copying
+# one that is not): each contraction of the short core slots is an einsum whose inner loop
+# runs over contiguous batch rows, a fixed-order sum of products, so a point gets the same
+# bits in any batch of two or more and from either layout.
+
+
+@functools.cache
+def _core_first_axes(ndim: int, core: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis orders moving an ndim array's leading batch axes behind its core axes, and back."""
+    lead = ndim - core
+    return (tuple(range(lead, ndim)) + tuple(range(lead)),
+            tuple(range(core, ndim)) + tuple(range(core)))
+
+
+def core_first(x: np.ndarray, core: int) -> np.ndarray:
+    """View of x[..., *core axes] with its leading batch axes moved behind the core axes."""
+    return x.transpose(_core_first_axes(x.ndim, core)[0]) if x.ndim > core else x
+
+
+def batch_first(t: np.ndarray, core: int) -> np.ndarray:
+    """Inverse of core_first: t[*core axes, ...] viewed as [..., *core axes]."""
+    return t.transpose(_core_first_axes(t.ndim, core)[1]) if t.ndim > core else t
+
+
+def _rows(x, core: int) -> np.ndarray:
+    """The C-contiguous core-first view of x laid out batch-last (a copy when x is not)."""
+    t = core_first(np.asarray(x, dtype=float), core)
+    return t if t.flags.c_contiguous else np.ascontiguousarray(t)
+
+
+def batch_last(x, core: int) -> np.ndarray:
+    """x[..., *core axes] laid out with its batch axes innermost in memory (a copy when not)."""
+    return batch_first(_rows(x, core), core)
+
+
 _factorized = {"batches": 0, "matrices": 0}
 
 
@@ -110,7 +147,8 @@ def metric_factors(g, points=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is B = U^{-T}: lower triangular with B^T g B = I, so it is the Cholesky
     factor of g^{-1}, and g^{-1} = B B^T, sqrt(det g) = prod U_ii.  Each entry
     is formed elementwise over the batch axes in a fixed order, so a matrix gets
-    the same bits alone or inside any batch.  The outputs are read-only.
+    the same bits alone or inside any batch.  The outputs are read-only and laid
+    out batch-last.
 
     A pivot that is not positive raises NotPositiveDefiniteError; a non-finite
     entry of g or of a factor raises ConstructionError.  The error names the
@@ -137,22 +175,24 @@ def metric_factors(g, points=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ginv.setflags(write=False)
         frame.setflags(write=False)
         return ginv, frame, np.float64(vol)
-    ginv, frame, vol = np.empty(g.shape), np.empty(g.shape), np.empty(batch)
+    # the outputs are written core-first, each entry a block of contiguous batch rows
+    ginv, frame, vol = np.empty((n, n) + batch), np.empty((n, n) + batch), np.empty(batch)
     with np.errstate(all="ignore"):
-        sym = 0.5 * (g + np.swapaxes(g, -1, -2))
-        flat_sym, flat_ginv, flat_frame = (a.reshape(-1, n, n) for a in (sym, ginv, frame))
+        rows = core_first(g, 2)
+        size = math.prod(batch)
+        rows = (0.5 * (rows + rows.swapaxes(0, 1))).reshape(n, n, size)
+        flat_ginv, flat_frame = ginv.reshape(n, n, size), frame.reshape(n, n, size)
         flat_vol = vol.reshape(-1)
-        for lo in range(0, len(flat_sym), FACTOR_BLOCK):
+        for lo in range(0, rows.shape[-1], FACTOR_BLOCK):
             part = slice(lo, lo + FACTOR_BLOCK)
-            # matrix axes first: entry (i, j) of a block is one array over its matrices
-            block = flat_sym[part].transpose(1, 2, 0)
+            block = rows[:, :, part]
             flat_vol[part], _, block_ginv, block_frame = _factor_entries(
                 block, np.sqrt, np.zeros(block.shape[-1]))
-            for out, rows in ((flat_ginv[part], block_ginv), (flat_frame[part], block_frame)):
-                out = out.transpose(1, 2, 0)
-                for i, row in enumerate(rows):
+            for out, entries in ((flat_ginv, block_ginv), (flat_frame, block_frame)):
+                for i, row in enumerate(entries):
                     for j, entry in enumerate(row):
-                        out[i, j] = entry
+                        out[i, j, part] = entry
+    ginv, frame = batch_first(ginv, 2), batch_first(frame, 2)
     if not ((vol > 0.0).all() and (vol < np.inf).all() and np.isfinite(ginv).all()):
         _raise_factor_error(g, vol, ginv, points)
     for out in (ginv, frame, vol):
@@ -388,11 +428,9 @@ def check_riemannian_symmetries(r: np.ndarray, tol: float) -> None:
 def raise_last(ginv: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Difference tensor K[..., m, i, j] = g^{ml} A_ijl, so A(X,Y,Z) = g(K(X,Y),Z).
 
-    ginv[..., n, n] and a[..., n, n, n] share their batch axes; one matmul on a reshape.
+    ginv[..., n, n] and a[..., n, n, n] share their batch axes.
     """
-    n = a.shape[-1]
-    flat = a.reshape(a.shape[:-3] + (n * n, n)).swapaxes(-1, -2)
-    return (ginv @ flat).reshape(a.shape)
+    return batch_first(np.einsum("ml...,ijl...->mij...", _rows(ginv, 2), _rows(a, 3)), 3)
 
 
 def trace_k(k: np.ndarray) -> np.ndarray:
@@ -401,7 +439,7 @@ def trace_k(k: np.ndarray) -> np.ndarray:
 
 
 def _per_slot(m: np.ndarray, arr) -> np.ndarray:
-    """Apply m[..., n, n] to every slot of arr[..., n, ..., n], one matmul per slot.
+    """Core-first rows of m[..., n, n] applied to every slot of arr[..., n, ..., n].
 
     The batch axes of m (all but its last two) and as many leading axes of arr
     must broadcast.  The caller broadcasts an unbatched arr against a batched m:
@@ -410,15 +448,24 @@ def _per_slot(m: np.ndarray, arr) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     lead, n = m.ndim - 2, m.shape[-1]
     k = arr.ndim - lead
-    if (k < 0 or any(p != q and 1 not in (p, q) for p, q in zip(m.shape[:lead], arr.shape[:lead]))
-            or any(s != n for s in arr.shape[lead:])):
+    if (k < 0 or arr.shape[lead:] != (n,) * k or m.shape[:lead] != arr.shape[:lead] and any(
+            p != q and 1 not in (p, q) for p, q in zip(m.shape[:lead], arr.shape[:lead]))):
         raise DimensionMismatchError(
             f"matrices of shape {m.shape} cannot act on the slots of a tensor of shape {arr.shape}")
-    # the product puts the new slot first; moving it last walks every slot once
+    m, t = _rows(m, 2), _rows(arr, k)
+    if k == 0:
+        return t
+    rest, batch = n ** (k - 1), t.shape[k:]
+    if m.shape[2:] != batch:
+        batch = tuple(q if p == 1 else p for p, q in zip(m.shape[2:], batch))
     for _ in range(k):
-        arr = m @ arr.reshape(arr.shape[:lead] + (n, n ** (k - 1)))
-        arr = arr.swapaxes(-1, -2).reshape(arr.shape[:lead] + (n,) * k)
-    return arr
+        if batch:
+            # on the last slot, which comes first: the sums run over contiguous batch rows
+            t = np.einsum("ab...,rb...->ar...", m, t.reshape((rest, n) + t.shape[-len(batch):]))
+        else:
+            # at one point the slot is copied ahead of the rest, which the sums then run over
+            t = np.einsum("ab,br->ar", m, t.reshape(rest, n).T.copy())
+    return t.reshape((n,) * k + batch)
 
 
 def contract(ginv: np.ndarray, t: np.ndarray, s: np.ndarray):
@@ -427,23 +474,32 @@ def contract(ginv: np.ndarray, t: np.ndarray, s: np.ndarray):
     Axes of ginv before its last two are batch axes, matched by as many leading
     axes of t and s (broadcast an unbatched tensor first); a single point gives a float.
     """
-    lead = ginv.ndim - 2
-    out = np.sum(t * _per_slot(ginv, s), axis=tuple(range(lead, np.ndim(s))))
-    return float(out) if lead == 0 else out
+    lead, n = ginv.ndim - 2, ginv.shape[-1]
+    s = _per_slot(ginv, s)
+    k = np.ndim(t) - lead
+    batch = s.shape[k:]
+    prod = (_rows(t, k) * s).reshape((n ** k, math.prod(batch)))
+    # summed in row order: over contiguous batch rows, or cumulatively at a single point
+    out = np.add.reduce(prod, axis=0) if prod.shape[1] > 1 else np.cumsum(prod)[-1:]
+    return float(out[0]) if lead == 0 else out.reshape(batch)
+
+
+@functools.cache
+def _trace_spec(k: int, a: int, b: int) -> str:
+    """The einsum spec of trace_pair on core-first operands: slots a and b of k against g^-1."""
+    slots = [chr(ord("c") + p) for p in range(k)]
+    slots[a], slots[b] = "a", "b"
+    rest = "".join(p for p in slots if p not in "ab")
+    return f"ab...,{''.join(slots)}...->{rest}..."
 
 
 def trace_pair(ginv: np.ndarray, arr: np.ndarray, a: int, b: int):
     """Contract slots a and b of arr (counted after the batch axes of ginv) against ginv.
 
-    One [..., 1, n*n] @ [..., n*n, rest] product with slots a and b moved in front;
-    a single point traced to a scalar gives a float.
+    A single point traced to a scalar gives a float.
     """
-    lead, n = ginv.ndim - 2, ginv.shape[-1]
-    rest = tuple(p for p in range(lead, arr.ndim) if p not in (lead + a, lead + b))
-    arr = arr.transpose(tuple(range(lead)) + (lead + a, lead + b) + rest)
-    flat = arr.reshape(arr.shape[:lead] + (n * n, -1))
-    out = ginv.reshape(ginv.shape[:lead] + (1, n * n)) @ flat
-    out = out.reshape(arr.shape[:lead] + arr.shape[lead + 2:])
+    k = arr.ndim - (ginv.ndim - 2)
+    out = batch_first(np.einsum(_trace_spec(k, a, b), _rows(ginv, 2), _rows(arr, k)), k - 2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -453,44 +509,81 @@ def ricci_trace(up: np.ndarray) -> np.ndarray:
 
 
 def lower_first(g: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """low[..., i, j, k, l] = g_lm up[..., m, i, j, k]: the first slot lowered and moved last."""
+    """low[..., i, j, k, l] = g_lm up[..., m, i, j, k]: the first slot lowered and moved last
+    (up may have any number of slots after the batch axes of g)."""
     n = g.shape[-1]
-    flat = up.reshape(up.shape[:-4] + (n, n ** 3)).swapaxes(-1, -2)
-    return (flat @ np.swapaxes(g, -1, -2)).reshape(up.shape)
+    k = up.ndim - (g.ndim - 2)
+    t = _rows(up, k)
+    low = np.einsum("lm...,mr...->rl...", _rows(g, 2), t.reshape((n, n ** (k - 1)) + t.shape[k:]))
+    return batch_first(low.reshape((n,) * k + low.shape[2:]), k)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c[m, r, ...] = a[m, p, ...] b[p, r, ...] over core-first rows."""
+    return np.einsum("mp...,pr...->mr...", a, b)
+
+
+def compose(k: np.ndarray) -> np.ndarray:
+    """(K o K)[..., m, i, j, k] = K^m_ip K^p_jk of coefficients K[..., m, i, j]."""
+    n = k.shape[-1]
+    t = _rows(k, 3)
+    batch = t.shape[3:]
+    out = _product(t.reshape((n * n, n) + batch), t.reshape((n, n * n) + batch))
+    return batch_first(out.reshape((n,) * 4 + batch), 4)
 
 
 def commutator_curvature(k: np.ndarray) -> np.ndarray:
     """[K,K] of K[..., m, i, j]: up[..., m, i, j, k] = (K_{e_i} K_{e_j} e_k - K_{e_j} K_{e_i} e_k)^m.
 
-    One [..., n*n, n] @ [..., n, n*n] product gives K^m_ip K^p_jk; its i <-> j swap is
-    the other term.
+    K^m_ip K^p_jk is compose(K); its i <-> j swap is the other term.
     """
-    n = k.shape[-1]
-    batch = k.shape[:-3]
-    up = (k.reshape(batch + (n * n, n)) @ k.reshape(batch + (n, n * n))).reshape(batch + (n,) * 4)
+    up = compose(k)
     return up - np.swapaxes(up, -3, -2)
+
+
+def covariant_derivative(gamma: np.ndarray, ds: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """nabla s from s, its partial derivatives ds[..., a, *slots] and gamma[..., m, a, i]:
+    ds minus, for each slot, Gamma^m_ai s(..., e_m, ...) with i and m in that slot.
+    """
+    n = gamma.shape[-1]
+    k = np.ndim(s) - (gamma.ndim - 3)
+    if k == 0:
+        return ds
+    gamma, t = _rows(gamma, 3), _rows(s, k)
+    # term j [a, p, i, q] = Gamma^m_ai s[p, m, q]: slot j of s, p and q the slots around it
+    terms = (np.einsum("mai...,pmq...->apiq...", gamma,
+                       t.reshape((n ** j, n, n ** (k - j - 1)) + t.shape[k:]))
+             for j in range(k))
+    out = _rows(ds, k + 1)
+    out = out - next(terms).reshape(out.shape)
+    for term in terms:
+        out -= term.reshape(out.shape)
+    return batch_first(out, k + 1)
 
 
 def gram_k(ginv: np.ndarray, g: np.ndarray, k: np.ndarray) -> np.ndarray:
     """g(K_., K_.)[..., i, j] = g(K_{e_i}, K_{e_j}) = g^{ab} g_mn K^m_ia K^n_jb.
 
     K is lowered by g and contracted with g^{-1} on its last slot, then the two
-    are paired over (m, a) in one [..., n, n*n] @ [..., n*n, n] product.
+    are paired over (m, a).
     """
     n = k.shape[-1]
-    batch = k.shape[:-3]
-    # low[..., m, i, a] = g_mn K^n_ia and right[..., m, j, a] = K^m_jb g^{ba}
-    low = (g @ k.reshape(batch + (n, n * n))).reshape(k.shape)
-    right = k @ ginv[..., None, :, :]
-    low = np.swapaxes(low, -3, -2).reshape(batch + (n, n * n))
-    return low @ np.swapaxes(right, -2, -1).reshape(batch + (n * n, n))
+    t = _rows(k, 3)
+    batch = t.shape[3:]
+    # low[m, i, a] = g_mn K^n_ia and right[m, j, a] = K^m_jb g^{ba}
+    low = _product(_rows(g, 2), t.reshape((n, n * n) + batch))
+    right = _product(t.reshape((n * n, n) + batch), _rows(ginv, 2))
+    out = np.einsum("mia...,mja...->ij...", low.reshape((n,) * 3 + low.shape[2:]),
+                    right.reshape((n,) * 3 + right.shape[2:]))
+    return batch_first(out, 2)
 
 
 def tau_circ_k(tau: np.ndarray, k: np.ndarray) -> np.ndarray:
     """(tau o K)[..., i, j] = tau(K(e_i, e_j)) = tau_m K^m_ij."""
     n = k.shape[-1]
-    batch = k.shape[:-3]
-    return (tau[..., None, :] @ k.reshape(batch + (n, n * n))).reshape(batch + (n, n))
+    t = _rows(k, 3)
+    out = _product(_rows(tau, 1)[None], t.reshape((n, n * n) + t.shape[3:]))
+    return batch_first(out.reshape((n, n) + out.shape[2:]), 2)
 
 
 def _covariant_array(t) -> np.ndarray:
@@ -538,7 +631,7 @@ def symmetrize(arr: np.ndarray, degree: int | None = None) -> np.ndarray:
     """Average over all permutations of the last `degree` axes (default: all axes).
 
     Leading axes beyond `degree` are batch axes and are left in place; the result
-    holds them innermost in memory, the layout the batched kernels of `points` read.
+    is laid out batch-last.
     Each orbit of the permutations on the multi-indices is averaged once and its
     mean written to all its members, so the result is exactly symmetric.
     """
@@ -550,10 +643,9 @@ def symmetrize(arr: np.ndarray, degree: int | None = None) -> np.ndarray:
     if k < 2 or arr.size == 0:
         return arr.copy()
     n = arr.shape[-1]
-    lead = arr.ndim - k
-    batch = arr.shape[:lead]
+    batch = arr.shape[:arr.ndim - k]
     # one row per flat index, batch axes last: the orbit sums add whole batch rows
-    rows = arr.reshape(batch + (n**k,)).transpose((lead,) + tuple(range(lead)))
+    rows = core_first(arr.reshape(batch + (n**k,)), 1)
     out = np.empty(rows.shape)
     for size, columns in _orbit_tables(n, k):
         total = rows[columns[0]]
@@ -562,7 +654,7 @@ def symmetrize(arr: np.ndarray, degree: int | None = None) -> np.ndarray:
         total /= size
         for column in columns:
             out[column] = total
-    return out.reshape((n,) * k + batch).transpose(tuple(range(k, arr.ndim)) + tuple(range(k)))
+    return batch_first(out.reshape((n,) * k + batch), k)
 
 
 def sectional(r: np.ndarray, g: np.ndarray, u, v):
@@ -607,7 +699,8 @@ def frame_components(b: np.ndarray, arr) -> np.ndarray:
 
     Batch axes as in contract: broadcast an unbatched arr against a batched b first.
     """
-    return _per_slot(b.swapaxes(-1, -2), _covariant_array(arr))
+    arr = _covariant_array(arr)
+    return batch_first(_per_slot(b.swapaxes(-1, -2), arr), arr.ndim - (b.ndim - 2))
 
 
 def r0_curvature(g: np.ndarray) -> np.ndarray:

@@ -32,9 +32,9 @@ from codazzi.charts import (
 from codazzi.generators import GeneratorSpec, generate, sample_points
 from codazzi.points import sectional_k
 from codazzi.bounds import simons_sandwich_check
-from codazzi.tensors import (commutator_curvature, contract, first_bianchi_defect,
-                             last_pair_antisymmetry_defect, orthonormal_frame, r0_curvature,
-                             symmetrize, trace_pair)
+from codazzi.tensors import (batch_last, commutator_curvature, contract, core_first,
+                             first_bianchi_defect, last_pair_antisymmetry_defect,
+                             orthonormal_frame, r0_curvature, symmetrize, trace_pair)
 from codazzi.spheres import ros_residual, unit_bundle_functional
 from codazzi.suites import run_suite
 
@@ -743,8 +743,59 @@ class TestBatchedCore:
         assert total == pytest.approx(-0.06348374584368699, rel=1e-12)
 
 
+class TestBatchLastFields:
+    """The chart kernels give the same bits whether the fields return C-ordered arrays,
+    batch-last arrays or constant_field's broadcast view, on a 2-point batch and on a
+    1024-point block."""
+
+    @staticmethod
+    def _charts(n):
+        rng = np.random.default_rng(60 + n)
+        w = rng.uniform(-1.5, 1.5, n)
+        s = 0.1 * symmetrize(rng.uniform(-1.0, 1.0, (n, n)))
+        a = symmetrize(rng.uniform(-1.0, 1.0, (n,) * 3))
+
+        def g_c(x):
+            return np.ascontiguousarray((2.0 + np.sin(x @ w))[..., None, None] * np.eye(n)
+                                        + np.cos(x[..., :1, None]) * s)
+
+        def a_c(x):
+            return np.ascontiguousarray(np.broadcast_to(a, np.shape(x)[:-1] + a.shape))
+
+        fields = [(g_c, a_c), (lambda x: batch_last(g_c(x), 2), lambda x: batch_last(a_c(x), 3)),
+                  (g_c, constant_field(a))]
+        return [ChartStructure(n, [[-1.0, 1.0]] * n, g, a_field) for g, a_field in fields]
+
+    @pytest.mark.parametrize("count", [2, 1024])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_field_layouts_give_the_same_bits(self, n, count):
+        x = np.random.default_rng(count).uniform(-0.5, 0.5, (count, n))
+        charts_ = self._charts(n)
+        assert not core_first(charts_[0].a_field(x), 3).flags.c_contiguous
+        assert core_first(charts_[1].a_field(x), 3).flags.c_contiguous
+        kernels = {
+            "christoffel": lambda cs: christoffel_array(cs, x),
+            "nabla-cubic": lambda cs: nabla_at(cs, cs.a_field, x),
+            "nabla-metric": lambda cs: nabla_at(cs, cs.g_field, x),
+            "curvature-up": lambda cs: curvature_hat_arrays(cs, x)[0],
+            "curvature-low": lambda cs: curvature_hat_arrays(cs, x)[1],
+        }
+        for name, kernel in kernels.items():
+            want = kernel(charts_[0])
+            for cs in charts_[1:]:
+                assert np.array_equal(kernel(cs), want), name
+
+    def test_kernel_outputs_are_laid_out_batch_last(self):
+        cs = hessian_from_potential("exp(0.3*x1) + x2**2 + 0.1*x1**2*x2**2", [[-1.0, 1.0]] * 2)
+        x = np.random.default_rng(0).uniform(-0.5, 0.5, (16, 2))
+        for out, slots in ((cs.metric_at(x), 2), (christoffel_array(cs, x), 3),
+                           (nabla_at(cs, cs.a_field, x), 4), (curvature_hat_arrays(cs, x)[0], 4),
+                           (cs.metric_inverse_at(x), 2), (cs.k_at(x), 3)):
+            assert core_first(out, slots)[(0,) * slots].flags.c_contiguous
+
+
 class TestSlotContractions:
-    """The matmul slot contractions equal the einsum formulas they replaced (1e-13 relative)."""
+    """The slot contractions equal the einsum formulas of their definitions (1e-13 relative)."""
 
     SLOT_LETTERS = "bcdefghjkl"
 

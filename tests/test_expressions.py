@@ -13,6 +13,7 @@ from codazzi.expressions import (
     CACHE_SIZE, Call, compile_cache_info, compile_tensor, parse_expression, partial,
 )
 from codazzi.generators import GeneratorSpec, generate
+from codazzi.tensors import core_first
 
 
 def compiled(text, n):
@@ -201,7 +202,8 @@ class TestCompileTensor:
         got = compile_tensor(shape, entries)(x)
         assert got.shape == x.shape[:-1] + shape
         assert np.array_equal(got, per_entry_field(n, shape, entries)(x))
-        assert got.flags.c_contiguous
+        # laid out batch-last: each entry one block of contiguous batch rows
+        assert core_first(got, degree).flags.c_contiguous
 
     def test_each_call_returns_a_fresh_array(self):
         f = compile_tensor((2, 2), tensor_entries(2, 2))

@@ -385,6 +385,39 @@ class TestNonFiniteInput:
         assert out.out == ""
         assert out.err == "error: ||A||^2 is not finite: the entries of g or A are out of range\n"
 
+    @pytest.mark.parametrize("chart", [False, True], ids=["point", "chart-midpoint"])
+    def test_ill_conditioned_metric_is_an_input_error(self, tmp_path, capsys, chart):
+        # condition number 1e17 > 1/(2 eps): g^-1 keeps no correct digit, so before the bar
+        # commutator-scalar-two-routes read 1.9e36 and check exited 1
+        if chart:
+            data = dict(self.CHART, g=[["1", "0"], ["0", "1e-17"]])
+        else:
+            data = dict(json.loads(open(EQUALITY_FILE, encoding="utf-8").read()),
+                        g=[[1.0, 0.0], [0.0, 1e-17]])
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", "--file", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: g has condition number 1e+17, above 1/(n eps) = 2.25e+15\n"
+
+    def test_shipped_and_generated_structures_are_below_the_condition_bar(self):
+        structures = [ingest(path) for path in sorted(
+            os.path.join(REPO, "demos", "structures", name)
+            for name in os.listdir(os.path.join(REPO, "demos", "structures")))]
+        structures += [generate(GeneratorSpec(family, n=n, seed=seed))
+                       for family, dims in (("G1-constant-A", (2, 3)),
+                                            ("G2-hessian-potential", (2, 3)),
+                                            ("G4-random-smooth", (2, 3)),
+                                            ("G5-periodic-trig", (2,)))
+                       for n in dims for seed in range(4)]
+        structures.append(generate(GeneratorSpec("G3-2d-constant-curvature",
+                                                 params={"chart": True})))
+        for structure in structures:
+            point = structure.point(structure.domain.mean(axis=1)) if isinstance(
+                structure, ChartStructure) else structure
+            assert point.require_finite() is point
+
 
 class TestAuxFieldSchema:
     """A malformed auxiliary field of a chart file exits 2 and names its JSON pointer."""

@@ -190,42 +190,81 @@ def test_table_checker_flags_each_kind_of_copy():
     ]
 
 
-def batched_einsum_calls(source: str) -> list[str]:
-    """``np.einsum`` calls whose spec has batch axes (``...``) or is built at run time.
+CONTRACTION_CALLS = {"einsum", "tensordot", "matmul", "dot", "inner"}
+RESHAPES = {"reshape", "swapaxes", "transpose", "moveaxis", "T"}
 
-    A batched contraction of short tensor slots belongs in a matmul on a reshape;
-    numpy's einsum runs it with inner loops of the slot length.
+
+def contraction_sites(source: str) -> list[str]:
+    """Contractions written out in a module: ``einsum``, ``tensordot``, ``matmul``, ``dot`` and
+    ``inner`` calls, and ``@`` on a reshaped, swapped or transposed array.
+
+    The chart calculus keeps its arrays batch-last and contracts their slots through the
+    kernels of ``tensors.py``; a matmul on a reshaped batch array is the batch-first idiom.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "einsum" and node.args):
-            continue
-        spec = node.args[0]
-        if not (isinstance(spec, ast.Constant) and isinstance(spec.value, str)):
-            found.append((node.lineno, "computed spec"))
-        elif "..." in spec.value:
-            found.append((node.lineno, spec.value))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in CONTRACTION_CALLS):
+            found.append((node.lineno, node.func.attr))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            for operand in (node.left, node.right):
+                inner = operand.func if isinstance(operand, ast.Call) else operand
+                if isinstance(inner, ast.Attribute) and inner.attr in RESHAPES:
+                    found.append((node.lineno, f"@ on .{inner.attr}"))
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
-def test_charts_contracts_batched_slots_without_einsum():
-    assert batched_einsum_calls((PACKAGE / "charts.py").read_text(encoding="utf-8")) == []
+def test_charts_contracts_only_through_tensors_kernels():
+    assert contraction_sites((PACKAGE / "charts.py").read_text(encoding="utf-8")) == []
 
 
-def test_einsum_checker_flags_each_kind_of_batched_call():
+def test_contraction_checker_flags_each_kind_of_site():
     source = (
         "import numpy as np\n"
-        "def f(ginv, a, spec):\n"
-        "    k = np.einsum('...ml,...ijl->...mij', ginv, a)\n"
-        "    t = np.einsum(f'...m{spec}->...', k)\n"
-        "    return np.einsum('iijk->jk', a), np.einsum(spec, a)\n"
+        "def f(ginv, a, b, spec):\n"
+        "    k = np.einsum('...ml,...ijl->...mij', ginv, a) + np.tensordot(a, b, 1)\n"
+        "    t = ginv @ a.reshape(4, 2) + b.T @ ginv + np.swapaxes(a, 0, 1) @ b\n"
+        "    return np.matmul(a, b), a.dot(b), ginv @ b\n"
     )
-    assert batched_einsum_calls(source) == [
-        "line 3: ...ml,...ijl->...mij",
-        "line 4: computed spec",
-        "line 5: computed spec",
+    assert contraction_sites(source) == [
+        "line 3: einsum", "line 3: tensordot", "line 4: @ on .T", "line 4: @ on .reshape",
+        "line 4: @ on .swapaxes", "line 5: dot", "line 5: matmul",
     ]
+
+
+LAYOUT_HELPERS = ("core_first", "batch_first", "batch_last")
+
+
+def layout_helper_sites(sources: dict[str, str]) -> list[str]:
+    """Functions named like a layout helper outside ``tensors.py``, and helpers it lacks.
+
+    One set of helpers lays batched arrays out batch-last for every module.
+    """
+    found = []
+    for name, source in sorted(sources.items()):
+        defined = {node.name.lstrip("_") for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        if name == "tensors.py":
+            found += [f"tensors.py lacks {h}" for h in LAYOUT_HELPERS if h not in defined]
+        else:
+            found += [f"{name}: {h}" for h in LAYOUT_HELPERS if h in defined]
+    return found
+
+
+def test_only_tensors_defines_layout_helpers():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert layout_helper_sites(sources) == []
+
+
+def test_layout_checker_flags_each_copy():
+    sources = {
+        "tensors.py": ("def core_first(x, k):\n    return x\n"
+                       "def batch_first(t, k):\n    return t\n"),
+        "points.py": "def _batch_last(x, k):\n    return x\n",
+        "charts.py": "class C:\n    def core_first(self, x):\n        return x\n",
+    }
+    assert layout_helper_sites(sources) == [
+        "charts.py: core_first", "points.py: batch_last", "tensors.py lacks batch_last"]
 
 
 def curvature_fit_sites(sources: dict[str, str]) -> list[str]:

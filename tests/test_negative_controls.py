@@ -7,7 +7,9 @@ checks compare a quantity read through ``StatPoint`` with one read through the
 chart, and a consistent scaling of K or tau cancels in them: those must still
 pass, and a route that computed the kernel by a copy of its own would fail them.
 
-``metric_factors`` returns three outputs, and each is scaled on its own.  The batched
+``metric_factors`` returns three outputs, and each is scaled on its own.  The two kernels of
+the lattice path that no other control reaches, ``frame_components`` and ``spheres.poly_eval``,
+are scaled in the same way and must fail the integral checks that read them.  The batched
 kernels of ``points`` that the random sweeps and the equality point read get a defect of
 their own: an output scaled by 1 + 1e-3, or a paper constant weakened.
 
@@ -20,7 +22,7 @@ import sys
 import numpy as np
 import pytest
 
-from codazzi import points, tensors
+from codazzi import points, spheres, tensors
 from codazzi.suites import run_suite
 
 # kernel -> suite -> (ids that must fail, ids that must not pass, ids that must pass) with the
@@ -82,6 +84,14 @@ SWEEP_CONTROLS = {
                  {"algebraic": ({"normgap-sweep-n2", "equality-point-normgap"}, set(), set())}),
 }
 
+# kernel of the lattice path -> (its module, suite -> ids as in CONTROLS): the bundle functional
+# is the integral check that sees a scaled fiber integrand, since its two terms cancel
+LATTICE_CONTROLS = {
+    "frame_components": (tensors, {"integral": ({"bundle-functional"}, set(), set()),
+                                   "algebraic": ({"equality-point-eighth"}, set(), set())}),
+    "poly_eval": (spheres, {"integral": ({"bundle-functional"}, set(), set())}),
+}
+
 FACTOR_OUTPUTS = ("ginv", "frame", "vol")
 
 # output of metric_factors -> suite -> ids as in CONTROLS, with that output scaled
@@ -112,8 +122,8 @@ def _replace_everywhere(monkeypatch, name: str, make, home=tensors) -> int:
     return len(modules)
 
 
-def _scale_everywhere(monkeypatch, name: str, factor: float) -> int:
-    return _replace_everywhere(monkeypatch, name, lambda f: lambda *args: f(*args) * factor)
+def _scale_everywhere(monkeypatch, name: str, factor: float, home=tensors) -> int:
+    return _replace_everywhere(monkeypatch, name, lambda f: lambda *args: f(*args) * factor, home)
 
 
 def _scale_factor_output(monkeypatch, output: str, factor: float) -> int:
@@ -156,6 +166,13 @@ def test_defective_sweep_kernel_fails_the_checks_that_read_it(monkeypatch, kerne
     _assert_verdicts(table)
 
 
+@pytest.mark.parametrize("kernel", sorted(LATTICE_CONTROLS))
+def test_scaled_lattice_kernel_fails_the_integral_checks_that_read_it(monkeypatch, kernel):
+    home, table = LATTICE_CONTROLS[kernel]
+    assert _scale_everywhere(monkeypatch, kernel, 1.0 + 1e-3, home) >= 1
+    _assert_verdicts(table)
+
+
 @pytest.mark.parametrize("output", sorted(FACTOR_CONTROLS))
 def test_scaled_metric_factor_fails_the_checks_that_read_it(monkeypatch, output):
     # tensors (MetricPoint) and charts (ChartStructure, and through it spheres) import the kernel
@@ -176,6 +193,8 @@ def test_scaled_volume_density_changes_no_integral_verdict(monkeypatch):
 def test_unscaled_wrappers_change_no_verdict(monkeypatch):
     for kernel in CONTROLS:
         _scale_everywhere(monkeypatch, kernel, 1.0)
+    for kernel, (home, _) in LATTICE_CONTROLS.items():
+        _scale_everywhere(monkeypatch, kernel, 1.0, home)
     for output in FACTOR_OUTPUTS:
         _scale_factor_output(monkeypatch, output, 1.0)
     for suite in ("algebraic", "differential", "simons", "integral"):

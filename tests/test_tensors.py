@@ -19,9 +19,10 @@ from codazzi import (
     raise_last,
     symmetrize,
 )
-from codazzi.tensors import (check_riemannian_symmetries, contract, metric_factor_counts,
-                             metric_factors, ricci_trace, sectional, sectional_contraction,
-                             trace_k)
+from codazzi.spheres import poly_eval, product_gauss
+from codazzi.tensors import (batch_last, check_riemannian_symmetries, contract, core_first,
+                             lower_first, metric_factor_counts, metric_factors, ricci_trace,
+                             sectional, sectional_contraction, trace_k, trace_pair)
 from conftest import equality_point
 
 
@@ -248,8 +249,8 @@ def _spd_stack(shape, n, rng):
 
 
 class TestSlotKernels:
-    """contract, frame_components and the pointwise kernels contract slots by matmuls;
-    einsum is the oracle."""
+    """contract, frame_components and the pointwise kernels contract slots over batch-last
+    rows; one explicit einsum per formula is the oracle."""
 
     # (batch axes of the matrices, batch axes of the tensors)
     BATCHES = [((), ()), ((5,), (5,)), ((2, 3), (2, 3)), ((2, 1), (1, 3))]
@@ -319,6 +320,54 @@ class TestSlotKernels:
             with pytest.raises(DimensionMismatchError) as info:
                 call()
             assert str(m_shape) in str(info.value) and str(t_shape) in str(info.value)
+
+
+class TestBatchLastLayout:
+    """Each rewritten slot kernel gives the same bits from C-ordered operands, batch-last ones
+    and broadcast views of one point, on a 2-point batch and on a 1024-point block."""
+
+    @staticmethod
+    def _kernels(n):
+        nodes = product_gauss(n).nodes
+        # name -> (kernel, slots of each operand)
+        return {
+            "metric_factors": (metric_factors, (2,)),
+            "raise_last": (raise_last, (2, 3)),
+            "lower_first": (lower_first, (2, 4)),
+            "trace_pair": (lambda ginv, t: trace_pair(ginv, t, 0, 2), (2, 4)),
+            "frame_components": (frame_components, (2, 4)),
+            "poly_eval": (lambda t: poly_eval(t, nodes, 3), (3,)),
+        }
+
+    @staticmethod
+    def _operands(count, n, slots, rng):
+        ops = [_spd_stack((count,), n, rng) if k == 2 else rng.uniform(-1, 1, (count,) + (n,) * k)
+               for k in slots]
+        views = [np.broadcast_to(x[0], x.shape) for x in ops]
+        # each case in three layouts: C order, batch-last and the case as it is drawn
+        return [[[np.ascontiguousarray(x) for x in case], [batch_last(x, k) for x, k in
+                                                            zip(case, slots)], case]
+                for case in (ops, views)]
+
+    @pytest.mark.parametrize("count", [2, 1024])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_either_layout_gives_the_same_bits(self, n, count, rng):
+        for name, (kernel, slots) in self._kernels(n).items():
+            for layouts in self._operands(count, n, slots, rng):
+                assert not core_first(layouts[0][-1], slots[-1]).flags.c_contiguous
+                assert core_first(layouts[1][-1], slots[-1]).flags.c_contiguous
+                outs = [kernel(*operands) for operands in layouts]
+                for out in outs[1:]:
+                    for got, want in zip(*(o if isinstance(o, tuple) else (o,)
+                                           for o in (out, outs[0]))):
+                        assert np.array_equal(got, want), name
+
+    def test_outputs_are_laid_out_batch_last(self, rng):
+        ginv, t = _spd_stack((8,), 3, rng), rng.uniform(-1, 1, (8, 3, 3, 3, 3))
+        for out, slots in ((metric_factors(ginv)[0], 2), (raise_last(ginv, t[..., 0]), 3),
+                           (trace_pair(ginv, t, 0, 1), 2), (frame_components(ginv, t), 4),
+                           (poly_eval(t, product_gauss(3).nodes, 4), 1)):
+            assert core_first(out, slots)[(0,) * slots].flags.c_contiguous
 
 
 def _permutation_sum_oracle(arr, degree):
