@@ -44,7 +44,7 @@ def main():
 
     k_hat = sectional_hat(cs, x, ([1, 0], [0, 1]))
     k_total = sectional_nabla(cs, x, ([1, 0], [0, 1]))
-    k_comm = sectional_k(cs.point(x), [1, 0], [0, 1])
+    k_comm = sectional_k(cs.metric_at(x), cs.cubic_at(x), [1, 0], [0, 1])
     print(f"\n  sectional curvatures: hat {k_hat:+.6f}, commutator {k_comm:+.6f}")
     print(f"  sum rule k = k_hat + k_K: {k_total:+.6f} vs {k_hat + k_comm:+.6f}")
     ok = abs(k_total - k_hat - k_comm) < 1e-5

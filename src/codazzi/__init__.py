@@ -9,12 +9,9 @@ from .errors import (
     SchemaError,
 )
 from .tensors import (
-    CubicForm,
-    MetricPoint,
-    Tensor,
+    contract,
     frame_components,
-    inner,
-    orthonormal_frame,
+    metric_factors,
     r0_curvature,
     raise_last,
     ricci_trace,
@@ -24,7 +21,6 @@ from .tensors import (
 )
 from .points import (
     EqualityCertificate,
-    StatPoint,
     best_fit_curvature_coefficient,
     bracket_kk,
     check_ineq_eighth,
@@ -32,9 +28,11 @@ from .points import (
     check_ineq_quarter,
     constant_curvature_residual,
     fit_constant_curvature,
+    frame_cubic,
     lagrangian_gauss_residual,
     lpq,
     random_stat_point,
+    require_finite,
     ric_k,
     ric_k_from_bracket,
     rho_k,

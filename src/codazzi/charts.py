@@ -36,10 +36,8 @@ import numpy as np
 
 from .errors import ConstructionError, NotPositiveDefiniteError, PreconditionError
 from .expressions import CACHE_SIZE, Const, compile_tensor, mul, parse_expression, partial
-from .points import TRACE_FREE_TOL, StatPoint, fit_constant_curvature
+from .points import TRACE_FREE_TOL, fit_constant_curvature
 from .tensors import (
-    CubicForm,
-    MetricPoint,
     batch_first,
     commutator_curvature,
     compose,
@@ -65,6 +63,8 @@ Field = Callable[[np.ndarray], np.ndarray]
 """Maps points x[..., n] to values [..., *shape]."""
 
 CONJUGATE_SYMMETRY_THRESHOLD = 1e-6
+# largest asymmetry max |A - sym A| of a cubic field, relative to max |A|, that the chart accepts
+CUBIC_SYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,11 @@ class ChartStructure:
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.n)
 
     def _spot_check(self):
+        """Validate the fields on the 5-point lattice of the box and at its midpoint (which
+        a periodic axis's lattice leaves out): shapes, finite values, a positive definite
+        metric and a cubic form symmetric to within CUBIC_SYMMETRY_TOL relative."""
         n = self.n
-        points = self.lattice(5)
+        points = np.vstack([self.lattice(5), self.domain.mean(axis=1)])
         # overflow and invalid values are what this check reports, as errors
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             g = np.asarray(self.g_field(points), dtype=float)
@@ -218,7 +221,8 @@ class ChartStructure:
         first(~np.all(np.isfinite(a), axis=(1, 2, 3)), "cubic field is not finite")
         scale = np.max(np.abs(a), axis=(1, 2, 3))
         defect = np.max(np.abs(a - symmetrize(a, degree=3)), axis=(1, 2, 3))
-        first(defect > 1e-8 * np.where(scale > 0.0, scale, 1.0), "cubic field is not symmetric")
+        first(defect > CUBIC_SYMMETRY_TOL * np.where(scale > 0.0, scale, 1.0),
+              "cubic field is not symmetric")
 
     # -- point access ----------------------------------------------------------
 
@@ -249,8 +253,8 @@ class ChartStructure:
         return self._metric_factors(x)[0]
 
     def metric_frame_at(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(frame, sqrt(det g)) at x: the orthonormal frame of orthonormal_frame, from the
-        factorization that gives metric_inverse_at, and the Riemannian volume density."""
+        """(frame, sqrt(det g)) at x: the orthonormal frame and the Riemannian volume density,
+        from the factorization that gives metric_inverse_at."""
         _, frame, vol = self._metric_factors(x)
         return frame, vol
 
@@ -267,14 +271,6 @@ class ChartStructure:
     def tau_at(self, x) -> np.ndarray:
         """Trace form tau_i = K^m_im at x."""
         return self._memo("tau", x, lambda: trace_k(self.k_at(x)))
-
-    def point(self, x) -> StatPoint:
-        """The pointwise structure at a single point x[n], for the checks that read a StatPoint.
-
-        CubicForm.from_dense checks the symmetry of A there.
-        """
-        g = self.metric_at(x)
-        return StatPoint(MetricPoint(0.5 * (g + g.T)), CubicForm.from_dense(self.cubic_at(x)))
 
     def _memo(self, tag, x, compute):
         """compute() once per (tag, batch); the key holds the shape because two batch shapes
@@ -748,7 +744,7 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict:
         "hessian-ricci": hessian,
     }
     applies = {
-        # ||E|| < TRACE_FREE_TOL, as StatPoint.trace_free
+        # trace-free: ||E|| < TRACE_FREE_TOL
         "ricci-comparison-tracefree": tau_sq < TRACE_FREE_TOL ** 2,
         # scale is 1 + ||R||
         "hessian-ricci": conn.scale - 1.0 < 1e-4,
@@ -929,7 +925,7 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
         "laplace-cubic-curvdiff": abs(lhs - (grad_sq + tau_pair + curvdiff_term + ric_gram)),
         "laplace-cubic-ricci": abs(lhs - (ricci_form + tau_pair + ric_tau)),
     }
-    # ||E|| < TRACE_FREE_TOL, as StatPoint.trace_free
+    # trace-free: ||E|| < TRACE_FREE_TOL
     if contract(ginv, tau, tau) < TRACE_FREE_TOL ** 2:
         out["laplace-cubic-tracefree"] = abs(lhs - ricci_form)
 
@@ -962,13 +958,13 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
 def _potential_partials(expr, n: int):
     """The second partials and the cubic entries -(1/2) d^3 of a parsed potential, once per
     (tree, n); the parse cache makes the tree one per (potential text, n)."""
+    from .structures_io import cubic_triples  # structures_io imports charts, so import late
+
     first = [partial(expr, a) for a in range(n)]
     second = tuple(tuple(partial(first[a], b) for b in range(n)) for a in range(n))
     a_entries = MappingProxyType({
         f"{a + 1}{b + 1}{c + 1}": mul(Const(-0.5), partial(second[a][b], c))
-        for a in range(n)
-        for b in range(a, n)
-        for c in range(b, n)
+        for a, b, c in cubic_triples(n)
     })
     return second, a_entries
 

@@ -146,6 +146,10 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
+            if args.emit_csv and not args.report:
+                print("error: --emit-csv writes the CSV next to the report; give --report too",
+                      file=sys.stderr)
+                return USAGE_ERROR
             cfg = _suite_config(args)
             report = run_suite(args.suite, cfg)
             _print_summary(report)

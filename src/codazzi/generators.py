@@ -25,8 +25,8 @@ import numpy as np
 
 from .charts import ChartStructure, hessian_from_potential
 from .errors import ConstructionError
-from .points import StatPoint
-from .tensors import CubicForm, MetricPoint, symmetrize
+from .structures_io import cubic_entries, cubic_from_entries, cubic_triples
+from .tensors import metric_factors, symmetrize
 
 FAMILIES = (
     "G1-constant-A",
@@ -58,27 +58,29 @@ def hyperbolic_cubic_entries(a: float, b: float) -> dict:
     return {(0, 0, 0): a, (0, 1, 1): -a, (0, 0, 1): b, (1, 1, 1): -b}
 
 
-def hyperbolic_point(a: float = 1.0, b: float = 0.0) -> StatPoint:
-    return StatPoint(
-        MetricPoint(np.eye(2)), CubicForm.from_entries(2, hyperbolic_cubic_entries(a, b))
-    )
+def _flat_point(entries: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only structure (g, a) with g the identity on R^2 and the given cubic entries."""
+    g = np.eye(2)
+    g.setflags(write=False)
+    return g, cubic_from_entries(2, entries)
 
 
-def equality_point() -> StatPoint:
-    """The 2D structure attaining equality in both sharp trace inequalities."""
-    return StatPoint(
-        MetricPoint(np.eye(2)), CubicForm.from_entries(2, {(0, 0, 1): 1.0, (1, 1, 1): 3.0})
-    )
+def hyperbolic_point(a: float = 1.0, b: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Trace-free 2D structure (g, a) with commutator curvature -2(a^2+b^2) R0."""
+    return _flat_point(hyperbolic_cubic_entries(a, b))
 
 
-def _constant_cubic_sources(n: int, dense: np.ndarray) -> dict:
-    out = {}
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                if dense[i, j, k] != 0.0:
-                    out[f"{i + 1}{j + 1}{k + 1}"] = _fmt(dense[i, j, k])
-    return out
+def equality_point() -> tuple[np.ndarray, np.ndarray]:
+    """The 2D structure (g, a) attaining equality in both sharp trace inequalities.
+
+    g is the standard metric; the nonzero cubic entries are A(1,1,2) = 1 (all
+    permutations) and A(2,2,2) = 3, i.e. K(e1,e1) = e2, K(e1,e2) = e1, K(e2,e2) = 3 e2.
+    """
+    return _flat_point({(0, 0, 1): 1.0, (1, 1, 1): 3.0})
+
+
+def _constant_cubic_sources(dense: np.ndarray) -> dict:
+    return {f"{i + 1}{j + 1}{k + 1}": _fmt(v) for (i, j, k), v in cubic_entries(dense).items()}
 
 
 def _identity_metric_sources(n: int) -> list:
@@ -89,7 +91,7 @@ def g1_constant(spec: GeneratorSpec) -> ChartStructure:
     n = spec.n
     rng = np.random.default_rng(spec.seed)
     if "entries" in spec.params:
-        a = CubicForm.from_entries(n, spec.params["entries"]).dense
+        a = cubic_from_entries(n, spec.params["entries"])
     else:
         a = 0.5 * symmetrize(rng.uniform(-1.0, 1.0, (n, n, n)))
     scale = float(spec.params.get("scale", 1.0))
@@ -100,7 +102,7 @@ def g1_constant(spec: GeneratorSpec) -> ChartStructure:
         n,
         domain,
         _identity_metric_sources(n),
-        _constant_cubic_sources(n, a),
+        _constant_cubic_sources(a),
         h=float(spec.params.get("h", 1e-3)),
         periodic=periodic,
     )
@@ -137,7 +139,7 @@ def g3_constant_curvature(spec: GeneratorSpec):
             2,
             domain,
             _identity_metric_sources(2),
-            _constant_cubic_sources(2, CubicForm.from_entries(2, hyperbolic_cubic_entries(a, b)).dense),
+            _constant_cubic_sources(cubic_from_entries(2, hyperbolic_cubic_entries(a, b))),
             h=float(spec.params.get("h", 1e-3)),
             periodic=spec.params.get("periodic", [True, True]),
         )
@@ -166,11 +168,8 @@ def g4_random_smooth(spec: GeneratorSpec) -> ChartStructure:
         g_exprs[i][i] = f"1 + {_trig_source(rng, n, 0.12 / n)}"
         for j in range(i + 1, n):
             g_exprs[i][j] = g_exprs[j][i] = _trig_source(rng, n, 0.08 / n)
-    a_entries = {}
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                a_entries[f"{i + 1}{j + 1}{k + 1}"] = _trig_source(rng, n, 0.3)
+    a_entries = {f"{i + 1}{j + 1}{k + 1}": _trig_source(rng, n, 0.3)
+                 for i, j, k in cubic_triples(n)}
     return ChartStructure.from_expressions(
         n, domain, g_exprs, a_entries, h=float(spec.params.get("h", 1e-3)), periodic=periodic
     )
@@ -192,8 +191,7 @@ def g5_periodic(spec: GeneratorSpec) -> ChartStructure:
         conf = f"exp(2*({_fmt(amp)}*sin({fx}*x1)*cos({fy}*x2)))"
         g_exprs = [[conf, "0"], ["0", conf]]
         a_entries = _constant_cubic_sources(
-            2, CubicForm.from_entries(2, hyperbolic_cubic_entries(a, b)).dense
-        )
+            cubic_from_entries(2, hyperbolic_cubic_entries(a, b)))
         return ChartStructure.from_expressions(2, domain, g_exprs, a_entries, h=h, periodic=[True, True])
     if variant == "generic":
         freq = int(spec.params.get("freq", 2))
@@ -224,21 +222,22 @@ _BUILDERS = {
 
 
 def generate(spec: GeneratorSpec):
-    """Build the family's structure and verify its declared predicates."""
+    """Build the family's structure, a chart or the arrays (g, a) of a point, and verify its
+    declared predicates."""
     out = _BUILDERS[spec.family](spec)
     _check_predicates(spec, out)
     return out
 
 
 def _check_predicates(spec: GeneratorSpec, out) -> None:
-    if spec.family == "G3-2d-constant-curvature" and isinstance(out, StatPoint):
+    if spec.family == "G3-2d-constant-curvature" and not isinstance(out, ChartStructure):
         from .points import bracket_kk, constant_curvature_residual
 
         a = float(spec.params.get("a", 1.0))
         b = float(spec.params.get("b", 0.0))
         h_curv = -2.0 * (a * a + b * b)
-        residual = constant_curvature_residual(bracket_kk(out), out.g.components, out.g.inverse,
-                                               h_curv)
+        g = out[0]
+        residual = constant_curvature_residual(bracket_kk(*out), g, metric_factors(g)[0], h_curv)
         if residual > 1e-10:
             raise ConstructionError(
                 f"constant-curvature predicate failed: residual {residual:g} at H={h_curv:g}"

@@ -1,18 +1,26 @@
 """Pointwise (derivative-free) quantities of a statistical structure.
 
-A statistical structure at a point is a metric g together with a totally
-symmetric cubic form A; K = A with the last slot raised, E = tr_g K, and
-tau = g(E, .) is the trace form.  Everything here is algebra in those
-components: the commutator curvature [K,K], its Ricci tensor and scalar,
-the sectional invariant of [K,K], the sharp trace inequalities with their
-equality certificates, and the squared-norm quantities entering the
-Laplacian bounds for the cubic form.
+A statistical structure at a point is a pair of arrays: a metric g[n, n]
+and a totally symmetric cubic form a[n, n, n].  K = A with the last slot
+raised, E = tr_g K, and tau = g(E, .) is the trace form.  Everything here
+is algebra in those components: the commutator curvature [K,K], its Ricci
+tensor and scalar, the sectional invariant of [K,K], the sharp trace
+inequalities with their equality certificates, and the squared-norm
+quantities entering the Laplacian bounds for the cubic form.
 
-The inequality and norm formulas are written once, as batched kernels over
-cubic components a[..., n, n, n] in an orthonormal frame (g = identity
-there) with any number of leading batch axes.  The StatPoint functions call
-them with the frame components of one point; the random sweeps of the
-suites call them on whole batches.
+Each function takes (g, a) and factors g through tensors.metric_factors.
+The ones that check_structure and the algebraic suite run together on one
+structure (ric_k, ric_k_from_bracket, rho_k, frame_cubic, scalar_gap_bounds
+and the quarter and eighth inequalities) also read the factors passed as
+factors=metric_factors(g), so the caller factors the structure once;
+require_finite returns the factors it checked.  The functions built from
+the batched kernels of tensors alone (bracket_kk, ric_k, ric_k_from_bracket,
+frame_cubic, trace_free_part) accept leading batch axes on g and a.  The
+inequality and norm formulas are written once, as
+batched kernels over cubic components a[..., n, n, n] in an orthonormal
+frame (g = identity there); the pointwise checks call them with the frame
+components of one structure, the random sweeps of the suites on whole
+batches.
 """
 
 from __future__ import annotations
@@ -26,9 +34,6 @@ import numpy as np
 
 from .errors import ConstructionError, DimensionMismatchError, PreconditionError
 from .tensors import (
-    CubicForm,
-    MetricPoint,
-    Tensor,
     batch_first,
     batch_last,
     check_riemannian_symmetries,
@@ -37,9 +42,8 @@ from .tensors import (
     core_first,
     frame_components,
     gram_k,
-    inner,
     lower_first,
-    orthonormal_frame,
+    metric_factors,
     r0_curvature,
     raise_last,
     ricci_trace,
@@ -52,112 +56,6 @@ from .tensors import (
 
 TRACE_FREE_TOL = 1e-12
 CERTIFICATE_TOL = 1e-9
-
-
-class StatPoint:
-    """A pointwise statistical structure (g, A) with its derived quantities.
-
-    Immutable after construction; derived arrays are cached on first use.
-    """
-
-    __slots__ = ("n", "g", "A", "_k", "_e", "_tau", "_frame_a", "_norm_a_sq", "_bracket")
-
-    def __init__(self, g: MetricPoint, a: CubicForm):
-        if g.n != a.n:
-            raise DimensionMismatchError(f"metric has n={g.n}, cubic form has n={a.n}")
-        self.n = g.n
-        self.g = g
-        self.A = a
-        self._k = None
-        self._e = None
-        self._tau = None
-        self._frame_a = None
-        self._norm_a_sq = None
-        self._bracket = None
-
-    @property
-    def K(self) -> Tensor:
-        """Difference tensor as a (1,2) tensor: K^m_ij = g^{ml} A_ijl."""
-        if self._k is None:
-            self._k = Tensor(self.n, 2, 1, raise_last(self.g.inverse, self.A.dense))
-        return self._k
-
-    @property
-    def E(self) -> np.ndarray:
-        """Trace vector E, the dual of tau: E^m = g^{mi} tau_i."""
-        if self._e is None:
-            e = self.g.inverse @ self.tau
-            e.setflags(write=False)
-            self._e = e
-        return self._e
-
-    @property
-    def tau(self) -> np.ndarray:
-        """Trace form tau_i = tr(K_{e_i}) = K^m_im."""
-        if self._tau is None:
-            t = trace_k(self.K.array)
-            t.setflags(write=False)
-            self._tau = t
-        return self._tau
-
-    @property
-    def trace_free(self) -> bool:
-        return self.g.norm(self.E) < TRACE_FREE_TOL
-
-    @property
-    def frame_cubic(self) -> np.ndarray:
-        """Cubic form components in the deterministic orthonormal frame of g."""
-        if self._frame_a is None:
-            b = orthonormal_frame(self.g)
-            fa = frame_components(b, self.A.dense)
-            fa.setflags(write=False)
-            self._frame_a = fa
-        return self._frame_a
-
-    def norm_a_sq(self) -> float:
-        """||A||^2 = ||K||^2 (full contraction with g^{-1})."""
-        if self._norm_a_sq is None:
-            self._norm_a_sq = inner(self.g, self.A, self.A)
-        return self._norm_a_sq
-
-    def require_finite(self) -> StatPoint:
-        """self, once g^{-1}, the orthonormal frame, ||A||^2 and [K,K] are all finite and the
-        condition number of g is at most 1/(n eps).
-
-        Each is computed here once, with floating-point warnings silenced, and kept for the
-        checks that read it.  Entries of g or A near the limits of float64 make one of them
-        overflow, and a worse conditioned g leaves no correct digit in g^{-1}: ConstructionError
-        names the first quantity out of range.
-        """
-        with np.errstate(all="ignore"):
-            for name, value in (("g^-1", lambda: self.g.inverse),
-                                ("the orthonormal frame of g", lambda: orthonormal_frame(self.g)),
-                                ("||A||^2", self.norm_a_sq),
-                                ("[K,K]", lambda: _bracket_up(self))):
-                if not np.all(np.isfinite(value())):
-                    raise ConstructionError(
-                        f"{name} is not finite: the entries of g or A are out of range")
-        eig = np.linalg.eigvalsh(self.g.components)
-        bar = 1.0 / (self.n * np.finfo(float).eps)
-        if not eig[-1] <= bar * eig[0]:
-            raise ConstructionError(
-                f"g has condition number {eig[-1] / eig[0]:.3g}, above 1/(n eps) = {bar:.3g}")
-        return self
-
-    def scalar_gap(self) -> float:
-        """||A||^2 - ||E||^2, the scalar curvature of g minus that of the connection nabla."""
-        return self.norm_a_sq() - float(self.tau @ self.E)
-
-    def tau_circ_k(self) -> np.ndarray:
-        """(tau o K)(Y,Z) = tau(K(Y,Z)) as a symmetric 2-form."""
-        return tau_circ_k(self.tau, self.K.array)
-
-    def gram_k(self) -> np.ndarray:
-        """g(K_., K_.) as a symmetric 2-form: entry (i,j) is g(K_{e_i}, K_{e_j})."""
-        return gram_k(self.g.inverse, self.g.components, self.K.array)
-
-    def __repr__(self):
-        return f"StatPoint(n={self.n})"
 
 
 @dataclass
@@ -185,48 +83,68 @@ class EqualityCertificate:
 # commutator curvature
 
 
-def _bracket_up(sp: StatPoint) -> np.ndarray:
-    """up[m, i, j, k] = ([K,K](e_i, e_j)e_k)^m = (K_i K_j e_k - K_j K_i e_k)^m, computed once."""
-    if sp._bracket is None:
-        up = commutator_curvature(sp.K.array)
-        up.setflags(write=False)
-        sp._bracket = up
-    return sp._bracket
+def _factors(g, factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g^{-1}, frame, sqrt(det g)): the factors passed in, else metric_factors(g)."""
+    return metric_factors(g) if factors is None else factors
 
 
-def bracket_kk(sp: StatPoint) -> np.ndarray:
+def _difference_tensor(g, a, factors=None) -> tuple[np.ndarray, np.ndarray]:
+    """(g^{-1}, K) of the structure: K[..., m, i, j] = g^{ml} A_ijl."""
+    ginv = _factors(g, factors)[0]
+    return ginv, raise_last(ginv, a)
+
+
+def _bracket_up(g, a, factors=None) -> np.ndarray:
+    """up[..., m, i, j, k] = ([K,K](e_i, e_j)e_k)^m = (K_i K_j e_k - K_j K_i e_k)^m."""
+    return commutator_curvature(_difference_tensor(g, a, factors)[1])
+
+
+def bracket_kk(g, a) -> np.ndarray:
     """[K,K](X,Y)Z = K_X K_Y Z - K_Y K_X Z, lowered to a (0,4) curvature array.
 
     [K,K] has every symmetry of a Riemannian curvature tensor; a defect above
     round-off raises ConstructionError.
     """
-    low = lower_first(sp.g.components, _bracket_up(sp))
+    low = lower_first(g, _bracket_up(g, a))
     check_riemannian_symmetries(low, 1e-10 * (1.0 + float(np.max(np.abs(low)))))
     return low
 
 
-def ric_k(sp: StatPoint) -> np.ndarray:
+def _ric(ginv: np.ndarray, g, k: np.ndarray) -> np.ndarray:
+    """tau(K(Y,Z)) - g(K_Y, K_Z) from g^{-1}, g and K."""
+    return tau_circ_k(trace_k(k), k) - gram_k(ginv, g, k)
+
+
+def ric_k(g, a, factors=None) -> np.ndarray:
     """Ricci tensor of [K,K] through the trace identity tau(K(Y,Z)) - g(K_Y, K_Z)."""
-    return sp.tau_circ_k() - sp.gram_k()
+    ginv, k = _difference_tensor(g, a, factors)
+    return _ric(ginv, g, k)
 
 
-def ric_k_from_bracket(sp: StatPoint) -> np.ndarray:
+def ric_k_from_bracket(g, a, factors=None) -> np.ndarray:
     """Ricci tensor of [K,K] as the direct trace of X -> [K,K](X,Y)Z."""
-    return ricci_trace(_bracket_up(sp))
+    return ricci_trace(_bracket_up(g, a, factors))
 
 
-def rho_k(sp: StatPoint) -> tuple[float, float]:
+def _scalar_gap(ginv: np.ndarray, k: np.ndarray, a) -> float:
+    """||A||^2 - ||E||^2 of one structure, the scalar curvature of g minus that of nabla."""
+    tau = trace_k(k)
+    return contract(ginv, a, a) - float(tau @ (ginv @ tau))
+
+
+def rho_k(g, a, factors=None) -> tuple[float, float]:
     """Scalar curvature of [K,K], computed two independent ways.
 
     Returns (trace of ric_k, ||E||^2 - ||K||^2); the two agree for every
     structure and the harness reports their difference as a residual.
     """
-    return trace_pair(sp.g.inverse, ric_k(sp), 0, 1), -sp.scalar_gap()
+    ginv, k = _difference_tensor(g, a, factors)
+    return trace_pair(ginv, _ric(ginv, g, k), 0, 1), -_scalar_gap(ginv, k, a)
 
 
-def sectional_k(sp: StatPoint, x, y) -> float:
+def sectional_k(g, a, x, y) -> float:
     """Sectional invariant of [K,K] on the plane spanned by x, y."""
-    return sectional(bracket_kk(sp), sp.g.components, x, y)
+    return sectional(bracket_kk(g, a), g, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -388,91 +306,111 @@ def _sum_squares(rows: np.ndarray) -> np.ndarray:
     return np.einsum("r...,r...->...", rows, rows)
 
 
-def _frame_vector(sp: StatPoint, u) -> np.ndarray:
-    """Components of the coordinate vector u in the orthonormal frame of sp.g."""
-    return orthonormal_frame(sp.g).T @ sp.g.components @ np.asarray(u, dtype=float)
+def frame_cubic(g, a, factors=None) -> np.ndarray:
+    """Cubic form components in the orthonormal frame of g from metric_factors."""
+    return frame_components(_factors(g, factors)[1], a)
 
 
 # ---------------------------------------------------------------------------
 # trace inequalities with equality certificates
 
 
-def _adapted_frame(sp: StatPoint, u) -> np.ndarray:
+def _norm(g: np.ndarray, u: np.ndarray) -> float:
+    return float(np.sqrt(u @ g @ u))
+
+
+def _adapted_frame(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     """g-orthonormal frame whose first column is u/|u| (Gram-Schmidt completion)."""
-    g = sp.g
-    u = np.asarray(u, dtype=float)
-    cols = [u / g.norm(u)]
-    for i in range(sp.n):
-        v = np.zeros(sp.n)
+    n = len(u)
+    cols = [u / _norm(g, u)]
+    for i in range(n):
+        v = np.zeros(n)
         v[i] = 1.0
         for c in cols:
-            v = v - g.pair(c, v) * c
-        nv = g.norm(v)
+            v = v - float(c @ g @ v) * c
+        nv = _norm(g, v)
         if nv > 1e-9:
             cols.append(v / nv)
-        if len(cols) == sp.n:
+        if len(cols) == n:
             break
     return np.column_stack(cols)
 
 
-def check_ineq_quarter(sp: StatPoint, u) -> tuple[float, float, EqualityCertificate]:
+def _vector(g: np.ndarray, u) -> tuple[np.ndarray, float]:
+    """u as floats and its g-norm; U = 0 raises PreconditionError."""
+    u = np.asarray(u, dtype=float)
+    nu = _norm(g, u)
+    if nu == 0.0:
+        raise PreconditionError("U must be nonzero")
+    return u, nu
+
+
+def _quarter_terms(g, a, u: np.ndarray, factors):
+    """quarter_terms of the structure at U, read in the orthonormal frame of g."""
+    frame = factors[1]
+    return quarter_terms(frame_components(frame, a), frame.T @ g @ u)
+
+
+def check_ineq_quarter(g, a, u, factors=None) -> tuple[float, float, EqualityCertificate]:
     """(tau o K)(U,U) - g(K_U, K_U) <= ||tau||^2 g(U,U) / 4.
 
     Equality (for U != 0) holds exactly when tau = 0 and K_U = 0; the
     certificate reports both witness norms.
     """
-    if sp.g.norm(u) == 0.0:
-        raise PreconditionError("U must be nonzero")
-    lhs, tau_sq, u_sq, ku_sq = quarter_terms(sp.frame_cubic, _frame_vector(sp, u))
+    u, _ = _vector(g, u)
+    lhs, tau_sq, u_sq, ku_sq = _quarter_terms(g, a, u, _factors(g, factors))
     cert = EqualityCertificate.from_witnesses(
         [("|tau|", float(np.sqrt(tau_sq))), ("|K_U|", float(np.sqrt(ku_sq)))]
     )
     return float(lhs), float(0.25 * tau_sq * u_sq), cert
 
 
-def check_ineq_eighth(sp: StatPoint, u) -> tuple[float, float, EqualityCertificate]:
+def check_ineq_eighth(g, a, u, factors=None) -> tuple[float, float, EqualityCertificate]:
     """Sharper bound ||tau||^2 g(U,U) / 8, valid when A(U,U,U) = 0.
 
     A violated precondition raises PreconditionError rather than counting
     as an inequality failure.  The certificate (for unit U) witnesses:
     A(U,V,W) = 0 for V,W orthogonal to U; E orthogonal to U; E = 4K(U,U).
     """
-    u = np.asarray(u, dtype=float)
-    nu = sp.g.norm(u)
-    if nu == 0.0:
-        raise PreconditionError("U must be nonzero")
-    auuu = sp.A(u, u, u)
+    u, nu = _vector(g, u)
+    auuu = float(np.einsum("ijk,i,j,k->", a, u, u, u))
     if abs(auuu) >= 1e-10 * max(nu**3, 1.0):
         raise PreconditionError(f"A(U,U,U) = {auuu:g} is not zero; the 1/8 bound does not apply")
-    lhs, tau_sq, u_sq, _ = quarter_terms(sp.frame_cubic, _frame_vector(sp, u))
+    factors = _factors(g, factors)
+    lhs, tau_sq, u_sq, _ = _quarter_terms(g, a, u, factors)
 
-    frame = _adapted_frame(sp, u)
-    a_hat = frame_components(frame, sp.A.dense)
+    n = len(u)
+    ortho_block = (float(np.max(np.abs(frame_components(_adapted_frame(g, u), a)[0, 1:, 1:])))
+                   if n > 1 else 0.0)
+    ginv, k = _difference_tensor(g, a, factors)
+    tau = trace_k(k)
     u_hat = u / nu
-    k_u_hat = np.einsum("mij,i,j->m", sp.K.array, u_hat, u_hat)
-    ortho_block = float(np.max(np.abs(a_hat[0, 1:, 1:]))) if sp.n > 1 else 0.0
+    k_u_hat = np.einsum("mij,i,j->m", k, u_hat, u_hat)
     cert = EqualityCertificate.from_witnesses(
         [
             ("max |A(U,V,W)| for V,W perp U", ortho_block),
-            ("tau(U)", float(sp.tau @ u_hat)),
-            ("|E - 4K(U,U)|", sp.g.norm(sp.E - 4.0 * k_u_hat)),
+            ("tau(U)", float(tau @ u_hat)),
+            ("|E - 4K(U,U)|", _norm(g, ginv @ tau - 4.0 * k_u_hat)),
         ]
     )
     return float(lhs), float(0.125 * tau_sq * u_sq), cert
 
 
-def _equality_frames(sp: StatPoint, rotations: int = 64, seed: int = 20240) -> np.ndarray:
+def _equality_frames(frame: np.ndarray, a_hat: np.ndarray, rotations: int = 64,
+                     seed: int = 20240) -> np.ndarray:
     """Candidate orthonormal frames [F, n, n] for the norm-gap equality search.
 
-    The frame of g, the eigenframes of the K-operators, then seeded random rotations.
+    The frame of g, the eigenframes of the K-operators (read from the frame cubic
+    a_hat), then seeded random rotations.
     """
-    _, vecs = np.linalg.eigh(sp.frame_cubic)
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((rotations, sp.n, sp.n)))
+    n = len(frame)
+    _, vecs = np.linalg.eigh(a_hat)
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((rotations, n, n)))
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-    return orthonormal_frame(sp.g) @ np.concatenate([np.eye(sp.n)[None], vecs, q])
+    return frame @ np.concatenate([np.eye(n)[None], vecs, q])
 
 
-def check_ineq_n2over3(sp: StatPoint) -> tuple[float, EqualityCertificate]:
+def check_ineq_n2over3(g, a) -> tuple[float, EqualityCertificate]:
     """Nonnegativity of (n+2)/3 ||A||^2 - ||E||^2.
 
     The equality condition (A_iii = 3 A_jji and vanishing off-diagonal
@@ -482,14 +420,17 @@ def check_ineq_n2over3(sp: StatPoint) -> tuple[float, EqualityCertificate]:
     the inequality failed.  The witness is the defect of the first searched
     frame below the tolerance, or the smallest defect if there is none.
     """
-    n = sp.n
-    frames = _equality_frames(sp)
-    a = frame_components(frames, np.broadcast_to(sp.A.dense, (len(frames),) + (n,) * 3))
+    frame = metric_factors(g)[1]
+    a_hat = frame_components(frame, a)
+    n = len(frame)
+    frames = _equality_frames(frame, a_hat)
+    searched = frame_components(frames, np.broadcast_to(a, (len(frames),) + (n,) * 3))
     # the defect of a frame is its largest |a_iii - 3 a_jji| (j != i) or |a_ijr| (i, j, r distinct)
-    diag = np.einsum("...iii->...i", a)[:, :, None] - 3.0 * np.einsum("...jji->...ij", a)
+    diag = (np.einsum("...iii->...i", searched)[:, :, None]
+            - 3.0 * np.einsum("...jji->...ij", searched))
     eye = np.eye(n, dtype=bool)
     distinct = ~(eye[:, :, None] | eye[:, None, :] | eye[None, :, :])
-    defect = np.max(np.abs(np.concatenate([diag[:, ~eye], a[:, distinct]], axis=1)),
+    defect = np.max(np.abs(np.concatenate([diag[:, ~eye], searched[:, distinct]], axis=1)),
                     axis=1, initial=0.0)
     below = np.flatnonzero(defect < CERTIFICATE_TOL)
     best = defect[below[0]] if below.size else np.min(defect)
@@ -497,32 +438,32 @@ def check_ineq_n2over3(sp: StatPoint) -> tuple[float, EqualityCertificate]:
         [("min over searched bases of the equality-condition defect", float(best))],
         best_effort=True,
     )
-    return float(norm_gap(sp.frame_cubic)), cert
+    return float(norm_gap(a_hat)), cert
 
 
-def scalar_gap_bounds(sp: StatPoint) -> tuple[float, float, float]:
+def scalar_gap_bounds(g, a, factors=None) -> tuple[float, float, float]:
     """Norm gap ||A||^2 - ||E||^2 with its two algebraic lower bounds.
 
     Returns (gap, -(n-1)/3 ||A||^2, -(n-1)/(n+2) ||E||^2); the gap dominates
     both bounds for every structure.
     """
-    return tuple(float(v) for v in scalar_gap_terms(sp.frame_cubic))
+    return tuple(float(v) for v in scalar_gap_terms(frame_cubic(g, a, factors)))
 
 
 # ---------------------------------------------------------------------------
 # squared-norm tensors of the cubic form (Laplacian bound ingredients)
 
 
-def lpq(sp: StatPoint) -> tuple[float, float, Tensor, float]:
+def lpq(g, a) -> tuple[float, float, np.ndarray, float]:
     """Squared norms of L(X,Y,W,Z) = g(K(X,Y),K(W,Z)) and its antisymmetrization P,
     together with the contraction tensor Q and the pairing g(Q, A).
 
     Q(Y,W,Z) = trace over X of the derivation action of [K_X, K_Y] on A;
     -g(Q,A) = ||L||^2 + ||P||^2.  Everything is computed in the deterministic
-    orthonormal frame of g (the returned Q carries frame components); the
-    scalars are frame-invariant.
+    orthonormal frame of g (the returned Q[n, n, n] holds frame components);
+    the scalars are frame-invariant.
     """
-    a_hat = sp.frame_cubic
+    a_hat = frame_cubic(g, a)
     normsq_l, normsq_p = lp_norms(a_hat)
 
     comm = np.einsum("xab,ybc->xyac", a_hat, a_hat)
@@ -533,7 +474,7 @@ def lpq(sp: StatPoint) -> tuple[float, float, Tensor, float]:
         - np.einsum("xyaz,xwa->ywz", comm, a_hat)
     )
     pairing = float(np.sum(q * a_hat))
-    return float(normsq_l), float(normsq_p), Tensor(sp.n, 3, 0, q), pairing
+    return float(normsq_l), float(normsq_p), q, pairing
 
 
 def constant_curvature_residual(r: np.ndarray, g: np.ndarray, ginv: np.ndarray, h):
@@ -548,17 +489,17 @@ def constant_curvature_residual(r: np.ndarray, g: np.ndarray, ginv: np.ndarray, 
     return float(out) if np.ndim(out) == 0 else out
 
 
-def lagrangian_gauss_residual(sp: StatPoint, rhat: np.ndarray, c: float) -> tuple[float, float]:
+def lagrangian_gauss_residual(g, a, rhat: np.ndarray, c: float) -> tuple[float, float]:
     """Residual of c R0 = Rhat - [K,K], plus the scalar-curvature consistency check.
 
     Returns (||Rhat - [K,K] - c R0||, |rho_hat - (c n(n-1) - ||A||^2 + ||E||^2)|).
     """
-    ginv = sp.g.inverse
-    residual = constant_curvature_residual(rhat - bracket_kk(sp), sp.g.components, ginv, c)
+    ginv, k = _difference_tensor(g, a)
+    residual = constant_curvature_residual(rhat - bracket_kk(g, a), g, ginv, c)
     # the Ricci trace of a (0,4) tensor contracts its first and last slots against g^-1
     rho_hat = trace_pair(ginv, trace_pair(ginv, rhat, 0, 3), 0, 1)
-    n = sp.n
-    scalar_residual = abs(rho_hat - (c * n * (n - 1) - sp.scalar_gap()))
+    n = len(g)
+    scalar_residual = abs(rho_hat - (c * n * (n - 1) - _scalar_gap(ginv, k, a)))
     return residual, scalar_residual
 
 
@@ -589,22 +530,47 @@ def fit_constant_curvature(g: np.ndarray, ginv: np.ndarray, r: np.ndarray, rel_t
 # random structures
 
 
-def trace_free_part(g: MetricPoint, a: CubicForm) -> CubicForm:
+def trace_free_part(g, a) -> np.ndarray:
     """Remove the g-trace part: subtract (w_i g_jk + w_j g_ik + w_k g_ij) with w = tau/(n+2).
 
-    The projection runs in the orthonormal frame of g and the result is
-    mapped back to coordinates with the inverse frame B^T g.
+    The projection runs in the orthonormal frame B of g and the result is
+    mapped back to coordinates with the inverse frame B^T g, then symmetrized.
     """
-    b = orthonormal_frame(g)
-    tf = trace_free_projection(frame_components(b, a.dense))
-    return CubicForm.from_dense(frame_components(b.T @ g.components, tf), tol=1e-10)
+    frame = metric_factors(g)[1]
+    tf = trace_free_projection(frame_components(frame, a))
+    return symmetrize(frame_components(np.swapaxes(frame, -1, -2) @ g, tf), degree=3)
 
 
-def random_metric(n: int, rng: np.random.Generator) -> MetricPoint:
+def require_finite(g, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """metric_factors(g), once g^{-1}, the orthonormal frame, ||A||^2 and [K,K] of (g, a)
+    are all finite and the condition number of g is at most 1/(n eps).
+
+    Entries of g or A near the limits of float64 make one of them overflow, and a worse
+    conditioned g leaves no correct digit in g^{-1}.  metric_factors raises for a metric
+    whose factors leave the float range; ConstructionError names the first other quantity
+    out of range.
+    """
+    with np.errstate(all="ignore"):
+        factors = metric_factors(g)
+        ginv, k = _difference_tensor(g, a, factors)
+        for name, value in (("||A||^2", lambda: contract(ginv, a, a)),
+                            ("[K,K]", lambda: commutator_curvature(k))):
+            if not np.all(np.isfinite(value())):
+                raise ConstructionError(
+                    f"{name} is not finite: the entries of g or A are out of range")
+    eig = np.linalg.eigvalsh(g)
+    bar = 1.0 / (len(g) * np.finfo(float).eps)
+    if not eig[-1] <= bar * eig[0]:
+        raise ConstructionError(
+            f"g has condition number {eig[-1] / eig[0]:.3g}, above 1/(n eps) = {bar:.3g}")
+    return factors
+
+
+def random_metric(n: int, rng: np.random.Generator) -> np.ndarray:
     """Well-conditioned random SPD metric: L L^T for a unit-diagonal lower factor."""
     l = np.eye(n) + 0.4 * np.tril(rng.uniform(-1.0, 1.0, (n, n)), k=-1)
     m = l @ l.T
-    return MetricPoint(0.5 * (m + m.T))
+    return 0.5 * (m + m.T)
 
 
 def random_stat_point(
@@ -612,15 +578,20 @@ def random_stat_point(
     rng_or_seed,
     trace_free: bool = False,
     metric: str = "identity",
-) -> StatPoint:
-    """Seeded random structure: A_ijk i.i.d. uniform[-1,1] then symmetrized."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded random structure (g, a): A_ijk i.i.d. uniform[-1,1] then symmetrized.
+
+    Both arrays are read-only.
+    """
     rng = (
         rng_or_seed
         if isinstance(rng_or_seed, np.random.Generator)
         else np.random.default_rng(rng_or_seed)
     )
-    g = MetricPoint(np.eye(n)) if metric == "identity" else random_metric(n, rng)
-    a = CubicForm.from_dense(symmetrize(rng.uniform(-1.0, 1.0, (n, n, n))), tol=1e-9)
+    g = np.eye(n) if metric == "identity" else random_metric(n, rng)
+    a = symmetrize(rng.uniform(-1.0, 1.0, (n, n, n)))
     if trace_free:
         a = trace_free_part(g, a)
-    return StatPoint(g, a)
+    g.setflags(write=False)
+    a.setflags(write=False)
+    return g, a

@@ -5,22 +5,25 @@ cubic keys are 1-based digit strings over sorted indices (n <= 8 keeps
 single digits unambiguous).  Chart structure: {"n", "domain", "periodic",
 "h", "g": expression matrix, "A": {"ijk": expression}, "fields": {...}}.
 
+A point file ingests as the read-only arrays (g, a); the packed cubic
+entries i <= j <= k and their dense array are converted here alone.
 Canonical form: sorted keys, 17-significant-digit floats, newline-free
 separators; ingest followed by emit is the identity on canonical files.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 
 import numpy as np
 
 from .charts import ChartStructure
-from .errors import SchemaError
+from .errors import ConstructionError, SchemaError
 from .expressions import parse_expression
-from .points import StatPoint
-from .tensors import CubicForm, MetricPoint
+from .tensors import metric_factors
 
 
 def _format_float(v: float) -> str:
@@ -96,12 +99,44 @@ def _parse_cubic_key(key: str, n: int, pointer: str) -> tuple[int, int, int]:
     return idx
 
 
-def stat_point_to_dict(sp: StatPoint) -> dict:
-    entries = {f"{i + 1}{j + 1}{k + 1}": v for (i, j, k), v in sp.A.entries().items()}
-    return {"n": sp.n, "g": [[float(v) for v in row] for row in sp.g.components], "A": entries}
+@functools.cache
+def cubic_triples(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The packed multi-indices i <= j <= k of a cubic form on n dimensions, in order."""
+    return tuple((i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n))
 
 
-def stat_point_from_dict(data: dict) -> StatPoint:
+def cubic_from_entries(n: int, entries: dict) -> np.ndarray:
+    """Read-only dense cubic form a[n, n, n] from {(i, j, k): value} (0-based, any index order).
+
+    Each value is written to every permutation of its index, so a is exactly symmetric.
+    """
+    a = np.zeros((n, n, n))
+    for key, value in entries.items():
+        t = tuple(sorted(key))
+        if len(t) != 3 or not all(0 <= i < n for i in t):
+            raise ConstructionError(f"cubic form index {key} out of range for n={n}")
+        for p in set(itertools.permutations(t)):
+            a[p] = float(value)
+    a.setflags(write=False)
+    return a
+
+
+def cubic_entries(a: np.ndarray) -> dict[tuple[int, int, int], float]:
+    """{(i, j, k): a[i, j, k]} over the packed multi-indices whose entry is nonzero."""
+    return {t: float(a[t]) for t in cubic_triples(len(a)) if a[t] != 0.0}
+
+
+def stat_point_to_dict(g: np.ndarray, a: np.ndarray) -> dict:
+    entries = {f"{i + 1}{j + 1}{k + 1}": v for (i, j, k), v in cubic_entries(a).items()}
+    return {"n": len(g), "g": [[float(v) for v in row] for row in g], "A": entries}
+
+
+def stat_point_from_dict(data: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The structure (g, a) of a point file, as read-only arrays.
+
+    g must be exactly symmetric and positive definite, of dimension at most 8;
+    metric_factors checks the dimension and names the first pivot that is not positive.
+    """
     _require(isinstance(data, dict), "structure file must be a JSON object", "")
     for key in ("n", "g", "A"):
         _require(key in data, f"missing required key {key!r}", f"/{key}")
@@ -112,7 +147,11 @@ def stat_point_from_dict(data: dict) -> StatPoint:
         for j, value in enumerate(row):
             _require(_is_number(value), f"g entries must be finite numbers, got {value!r}",
                      f"/g/{i}/{j}")
-    g = MetricPoint(np.asarray(g_rows, dtype=float))
+    g = np.asarray(g_rows, dtype=float)
+    if not np.array_equal(g, g.T):
+        raise ConstructionError("metric components are not symmetric")
+    metric_factors(g)
+    g.setflags(write=False)
     _require(isinstance(data["A"], dict), "A must be an object of cubic entries", "/A")
     entries = {}
     for key, value in data["A"].items():
@@ -120,7 +159,7 @@ def stat_point_from_dict(data: dict) -> StatPoint:
         _require(_is_number(value),
                  f"cubic value for {key!r} must be a finite number", f"/A/{key}")
         entries[idx] = float(value)
-    return StatPoint(g, CubicForm.from_entries(n, entries))
+    return g, cubic_from_entries(n, entries)
 
 
 def chart_to_dict(cs: ChartStructure) -> dict:
@@ -213,8 +252,9 @@ def is_chart_dict(data: dict) -> bool:
     return isinstance(data, dict) and "domain" in data
 
 
-def ingest(path) -> StatPoint | ChartStructure:
-    """Load a structure file, dispatching on the presence of a chart domain."""
+def ingest(path) -> tuple[np.ndarray, np.ndarray] | ChartStructure:
+    """Load a structure file, dispatching on the presence of a chart domain: a chart, or
+    the arrays (g, a) of a point."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -225,7 +265,8 @@ def ingest(path) -> StatPoint | ChartStructure:
     return stat_point_from_dict(data)
 
 
-def emit(structure: StatPoint | ChartStructure) -> str:
-    if isinstance(structure, StatPoint):
-        return canonical_json(stat_point_to_dict(structure))
-    return canonical_json(chart_to_dict(structure))
+def emit(structure: tuple[np.ndarray, np.ndarray] | ChartStructure) -> str:
+    """Canonical JSON of a chart, or of a point given as its arrays (g, a)."""
+    if isinstance(structure, ChartStructure):
+        return canonical_json(chart_to_dict(structure))
+    return canonical_json(stat_point_to_dict(*structure))

@@ -31,7 +31,8 @@ from .errors import ConstructionError, PreconditionError
 from .expressions import compile_cache_info
 from .generators import GeneratorSpec, generate, hyperbolic_point, equality_point, sample_points
 from .structures_io import canonical_json
-from .tensors import batch_first, batch_last, core_first, metric_factor_counts, symmetrize
+from .tensors import (batch_first, batch_last, core_first, metric_factor_counts,
+                      metric_factors, symmetrize)
 
 SUITE_NAMES = ("algebraic", "differential", "simons", "bounds", "integral", "all")
 
@@ -478,12 +479,12 @@ def _quarter_form(a_hat: np.ndarray) -> np.ndarray:
 
 def algebraic_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     col = _Collector(cfg)
-    sp_eq = equality_point()
+    g_eq, a_eq = equality_point()
 
-    lhs, rhs, cert = points_mod.check_ineq_eighth(sp_eq, [1.0, 0.0])
+    lhs, rhs, cert = points_mod.check_ineq_eighth(g_eq, a_eq, [1.0, 0.0])
     col.add("equality-point-eighth", abs(lhs - 2.0) + abs(rhs - 2.0), "equality-point/U=e1")
     col.add("equality-point-eighth-cert", 0.0 if cert.holds else 1.0, "equality-point/U=e1")
-    residual, cert_gap = points_mod.check_ineq_n2over3(sp_eq)
+    residual, cert_gap = points_mod.check_ineq_n2over3(g_eq, a_eq)
     col.add("equality-point-normgap", abs(residual), "equality-point")
     col.add("equality-point-normgap-cert", 0.0 if cert_gap.holds else 1.0, "equality-point")
 
@@ -512,18 +513,19 @@ def algebraic_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     for seed in range(cfg.seeds):
         rng = np.random.default_rng(seed)
         for n in (2, 3, 4):
-            sp = points_mod.random_stat_point(n, rng, metric="random")
-            sp_tf = points_mod.random_stat_point(n, rng, trace_free=True, metric="random")
+            g, a = points_mod.random_stat_point(n, rng, metric="random")
+            tf = points_mod.random_stat_point(n, rng, trace_free=True, metric="random")
+            factors = metric_factors(g)
             worst_rick = max(worst_rick, float(np.max(np.abs(
-                points_mod.ric_k(sp) - points_mod.ric_k_from_bracket(sp)))))
-            via_trace, via_norms = points_mod.rho_k(sp)
+                points_mod.ric_k(g, a, factors) - points_mod.ric_k_from_bracket(g, a, factors)))))
+            via_trace, via_norms = points_mod.rho_k(g, a, factors)
             worst_rhok = max(worst_rhok, abs(via_trace - via_norms))
-            nl, npq, _, pairing = points_mod.lpq(sp_tf)
+            nl, npq, _, pairing = points_mod.lpq(*tf)
             worst_pairing = max(worst_pairing, abs(-pairing - (nl + npq)) / (1.0 + nl + npq))
-            gap, lo13, lon2 = points_mod.scalar_gap_bounds(sp)
+            gap, lo13, lon2 = points_mod.scalar_gap_bounds(g, a, factors)
             worst_gap13 = max(worst_gap13, lo13 - gap)
             worst_gapn2 = max(worst_gapn2, lon2 - gap)
-            form = _quarter_form(sp.frame_cubic)
+            form = _quarter_form(points_mod.frame_cubic(g, a, factors))
             worst_eig = max(worst_eig, -float(np.min(np.linalg.eigvalsh(form))))
     col.add("commutator-ricci-two-routes", worst_rick, "random/n=2..4")
     col.add("commutator-scalar-two-routes", worst_rhok, "random/n=2..4")
@@ -535,22 +537,22 @@ def algebraic_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     # trace-free commutator Ricci is negative semi-definite
     worst_nsd = -np.inf
     for seed in range(max(cfg.seeds, 3)):
-        sp = points_mod.random_stat_point(3, np.random.default_rng(1000 + seed), trace_free=True)
-        b = points_mod.orthonormal_frame(sp.g)
+        g, a = points_mod.random_stat_point(3, np.random.default_rng(1000 + seed), trace_free=True)
+        b = metric_factors(g)[1]
         worst_nsd = max(worst_nsd, float(np.max(np.linalg.eigvalsh(
-            b.T @ points_mod.ric_k(sp) @ b))))
+            b.T @ points_mod.ric_k(g, a) @ b))))
     col.add("tracefree-commutator-ricci-nsd", worst_nsd, "random-tracefree/n=3")
 
     # hyperbolic family closed forms
     for (aa, bb) in ((1.0, 0.0), (0.8, -0.5)):
-        sp = hyperbolic_point(aa, bb)
+        g, a = hyperbolic_point(aa, bb)
         h_curv = -2.0 * (aa * aa + bb * bb)
         residual = points_mod.constant_curvature_residual(
-            points_mod.bracket_kk(sp), sp.g.components, sp.g.inverse, h_curv)
+            points_mod.bracket_kk(g, a), g, metric_factors(g)[0], h_curv)
         loc, suffix = f"hyperbolic/a={aa}/b={bb}", f"-a{aa}-b{bb}"
         col.add("hyperbolic-constant-curvature", residual, loc, suffix=suffix)
-        sec = points_mod.sectional_k(sp, [1.0, 0.0], [0.0, 1.0])
-        sec2 = points_mod.sectional_k(sp, [1.0, 1.0], [1.0, -1.0])
+        sec = points_mod.sectional_k(g, a, [1.0, 0.0], [0.0, 1.0])
+        sec2 = points_mod.sectional_k(g, a, [1.0, 1.0], [1.0, -1.0])
         col.add("sectional-plane-invariance", abs(sec - h_curv) + abs(sec2 - sec), loc,
                 suffix=suffix)
     return col.checks, {}
@@ -774,7 +776,6 @@ def bounds_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
         s = aa * aa + bb * bb
         h_curv = -2.0 * s
         u = 4.0 * s
-        sp = hyperbolic_point(aa, bb)
         loc = f"hyperbolic/a={aa}/b={bb}"
         col.add("calabi-sup-attained", abs(bounds_mod.calabi_sup_bound(2, h_curv) - u), loc)
         band = bounds_mod.parallel_cubic_band(2, h_curv)
@@ -850,9 +851,8 @@ def bounds_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
         col.add("sandwich-constant-fields", abs(lo_gap) + abs(hi_gap), "G3-chart")
 
     # scalar-curvature relation for dual-flat curvature split at a point
-    sp3 = hyperbolic_point(1.0, 0.0)
     residual, scalar_residual = points_mod.lagrangian_gauss_residual(
-        sp3, np.zeros((2, 2, 2, 2)), 2.0)
+        *hyperbolic_point(1.0, 0.0), np.zeros((2, 2, 2, 2)), 2.0)
     col.add("dualflat-split-scalar", residual + scalar_residual, "hyperbolic/a=1/b=0")
 
     # maximum-principle surrogate on the torus
@@ -987,7 +987,7 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
 
 
 def check_structure(structure) -> ResidualReport:
-    """Run the checks that apply to one ingested structure (a point or a chart).
+    """Run the checks that apply to one ingested structure: a chart, or a point (g, a).
 
     A chart gets the FD structural checks at its midpoint, one Laplacian
     identity per auxiliary field, and the pointwise checks of the structure
@@ -998,8 +998,13 @@ def check_structure(structure) -> ResidualReport:
     col = _Collector(SuiteConfig(h=structure.h) if is_chart else SuiteConfig())
     if is_chart:
         mid = structure.domain.mean(axis=1)
-        sp = structure.point(mid).require_finite()
+        g, a = structure.metric_at(mid), structure.cubic_at(mid)
         loc = "chart-midpoint"
+    else:
+        g, a = structure
+        loc = "point"
+    factors = points_mod.require_finite(g, a)
+    if is_chart:
         conn = charts_mod.statistical_connections(structure, mid)
         scale = conn.scale
         col.add("curvature-two-routes", conn.residuals["curvature-two-routes"], loc, scale)
@@ -1015,24 +1020,21 @@ def check_structure(structure) -> ResidualReport:
                     col.add("sym2-simons", residual, loc, scale, suffix=f"[{name}]")
                 except PreconditionError as exc:
                     col.skip("sym2-simons", exc, loc, suffix=f"[{name}]")
-    else:
-        sp = structure.require_finite()
-        loc = "point"
-    u = np.zeros(sp.n)
+    u = np.zeros(len(g))
     u[0] = 1.0
-    lhs, rhs, _ = points_mod.check_ineq_quarter(sp, u)
+    lhs, rhs, _ = points_mod.check_ineq_quarter(g, a, u, factors)
     col.add("quarter-inequality", max(lhs - rhs, 0.0), loc)
     try:
-        lhs, rhs, _ = points_mod.check_ineq_eighth(sp, u)
+        lhs, rhs, _ = points_mod.check_ineq_eighth(g, a, u, factors)
         col.add("eighth-inequality", max(lhs - rhs, 0.0), loc)
     except PreconditionError as exc:
         col.skip("eighth-inequality", exc, loc)
-    residual = float(points_mod.norm_gap(sp.frame_cubic))
+    residual = float(points_mod.norm_gap(points_mod.frame_cubic(g, a, factors)))
     col.add("normgap-inequality", max(-residual, 0.0), loc)
-    via_trace, via_norms = points_mod.rho_k(sp)
+    via_trace, via_norms = points_mod.rho_k(g, a, factors)
     col.add("commutator-scalar-two-routes", abs(via_trace - via_norms), loc)
-    col.add("commutator-ricci-two-routes",
-            float(np.max(np.abs(points_mod.ric_k(sp) - points_mod.ric_k_from_bracket(sp)))), loc)
+    ricci_gap = points_mod.ric_k(g, a, factors) - points_mod.ric_k_from_bracket(g, a, factors)
+    col.add("commutator-ricci-two-routes", float(np.max(np.abs(ricci_gap))), loc)
     return ResidualReport(suite="check", checks=col.checks, environment={"source": "check"})
 
 

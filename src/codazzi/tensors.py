@@ -1,10 +1,13 @@
-"""Dense tensor containers and metric-aware algebra.
+"""Metric-aware algebra on dense component arrays.
 
 Conventions used throughout the package:
 
-- all component arrays are dense float64 numpy arrays of shape (n,)*degree;
+- all component arrays are dense float64 numpy arrays of shape (n,)*degree,
+  after any leading batch axes;
+- a structure at a point is the pair (g[n, n], a[n, n, n]): a metric and a
+  totally symmetric cubic form;
 - a mixed tensor of type (p covariant, q contravariant) stores its
-  contravariant axes first: K of type (1,2) has K.array[m, i, j] = K^m_ij;
+  contravariant axes first: K of type (1,2) has k[m, i, j] = K^m_ij;
 - curvature-type (0,4) tensors store R[i, j, k, l] = g(R(e_i, e_j)e_k, e_l);
 - scalar products of covariant tensors contract every slot against g^{-1}.
 """
@@ -14,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,74 +24,6 @@ from .errors import (ConstructionError, DimensionMismatchError, NotPositiveDefin
                      PreconditionError)
 
 MAX_DIMENSION = 8
-
-
-def _as_matrix(components) -> np.ndarray:
-    m = np.asarray(components, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConstructionError(f"metric components must be square, got shape {m.shape}")
-    return m
-
-
-class MetricPoint:
-    """Symmetric positive-definite bilinear form at a point.
-
-    Positive definiteness is checked on construction through the leading
-    principal minors; the error names the first failing minor.
-    """
-
-    __slots__ = ("n", "components", "_factors")
-
-    def __init__(self, components):
-        m = _as_matrix(components)
-        n = m.shape[0]
-        if n < 1:
-            raise ConstructionError("dimension must be >= 1")
-        if n > MAX_DIMENSION:
-            raise ConstructionError(f"dimension {n} exceeds the cap of {MAX_DIMENSION}")
-        if not np.array_equal(m, m.T):
-            raise ConstructionError("metric components are not symmetric")
-        for k in range(1, n + 1):
-            minor = float(np.linalg.det(m[:k, :k]))
-            if not minor > 0.0:
-                raise NotPositiveDefiniteError(
-                    f"metric is not positive definite: leading principal minor {k} is {minor:g}"
-                )
-        m.setflags(write=False)
-        self.n = n
-        self.components = m
-        self._factors = None
-
-    @property
-    def factors(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(g^{-1}, orthonormal frame, sqrt(det g)) from metric_factors, computed once."""
-        if self._factors is None:
-            self._factors = metric_factors(self.components)
-        return self._factors
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return self.factors[0]
-
-    def norm(self, vector) -> float:
-        v = np.asarray(vector, dtype=float)
-        return float(np.sqrt(v @ self.components @ v))
-
-    def pair(self, u, v) -> float:
-        return float(np.asarray(u) @ self.components @ np.asarray(v))
-
-    def __repr__(self):
-        return f"MetricPoint(n={self.n})"
-
-
-def orthonormal_frame(g: MetricPoint) -> np.ndarray:
-    """Lower-triangular B with B^T g B = Identity (Cholesky factor of g^{-1}).
-
-    Columns of B are the frame vectors; the convention is deterministic so
-    frame-dependent intermediates are reproducible.
-    """
-    return g.factors[1]
-
 
 # matrices factored per pass of the elementwise loop: its temporaries stay in cache
 FACTOR_BLOCK = 2048
@@ -275,121 +209,6 @@ def _raise_factor_error(g: np.ndarray, vol, ginv: np.ndarray, points) -> None:
         f"metric factors are not finite{where}: g, g^-1 or sqrt(det g) leaves the float range")
 
 
-_PACK_TABLES: dict[int, list[tuple[int, int, int]]] = {}
-
-
-def _packed_triples(n: int) -> list[tuple[int, int, int]]:
-    if n not in _PACK_TABLES:
-        _PACK_TABLES[n] = [
-            (i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
-        ]
-    return _PACK_TABLES[n]
-
-
-class CubicForm:
-    """Fully symmetric (0,3) tensor stored compressed over multi-indices i<=j<=k.
-
-    Total symmetry is unfalsifiable by construction: only one value per
-    multi-index class is kept and the dense array is expanded on access.
-    """
-
-    __slots__ = ("n", "_packed", "_dense")
-
-    def __init__(self, n: int, packed):
-        triples = _packed_triples(n)
-        packed = np.asarray(packed, dtype=float)
-        if packed.shape != (len(triples),):
-            raise ConstructionError(
-                f"packed cubic form for n={n} needs {len(triples)} entries, got {packed.shape}"
-            )
-        packed.setflags(write=False)
-        self.n = n
-        self._packed = packed
-        self._dense = None
-
-    @classmethod
-    def zero(cls, n: int) -> "CubicForm":
-        return cls(n, np.zeros(len(_packed_triples(n))))
-
-    @classmethod
-    def from_dense(cls, components, tol: float = 1e-9) -> "CubicForm":
-        """Ingest a dense rank-3 array, asserting total symmetry within tol (relative)."""
-        arr = np.asarray(components, dtype=float)
-        if arr.ndim != 3 or len(set(arr.shape)) != 1:
-            raise ConstructionError(f"cubic form needs shape (n,n,n), got {arr.shape}")
-        n = arr.shape[0]
-        if n > MAX_DIMENSION:
-            raise ConstructionError(f"dimension {n} exceeds the cap of {MAX_DIMENSION}")
-        scale = float(np.max(np.abs(arr))) or 1.0
-        sym = symmetrize(arr)
-        defect = float(np.max(np.abs(arr - sym)))
-        if defect > tol * scale:
-            raise ConstructionError(
-                f"cubic form is not totally symmetric: max asymmetry {defect:g} (scale {scale:g})"
-            )
-        packed = np.array([sym[t] for t in _packed_triples(n)])
-        return cls(n, packed)
-
-    @classmethod
-    def from_entries(cls, n: int, entries: dict) -> "CubicForm":
-        """Build from {(i,j,k): value} with arbitrary index order (0-based)."""
-        triples = _packed_triples(n)
-        index = {t: pos for pos, t in enumerate(triples)}
-        packed = np.zeros(len(triples))
-        for key, value in entries.items():
-            t = tuple(sorted(key))
-            if len(t) != 3 or not all(0 <= i < n for i in t):
-                raise ConstructionError(f"cubic form index {key} out of range for n={n}")
-            packed[index[t]] = float(value)
-        return cls(n, packed)
-
-    @property
-    def dense(self) -> np.ndarray:
-        if self._dense is None:
-            n = self.n
-            arr = np.zeros((n, n, n))
-            for value, (i, j, k) in zip(self._packed, _packed_triples(n)):
-                for p in set(itertools.permutations((i, j, k))):
-                    arr[p] = value
-            arr.setflags(write=False)
-            self._dense = arr
-        return self._dense
-
-    def __call__(self, u, v, w) -> float:
-        u, v, w = (np.asarray(a, dtype=float) for a in (u, v, w))
-        return float(np.einsum("ijk,i,j,k->", self.dense, u, v, w))
-
-    def entries(self) -> dict[tuple[int, int, int], float]:
-        return {
-            t: float(v)
-            for t, v in zip(_packed_triples(self.n), self._packed)
-            if v != 0.0
-        }
-
-    def __repr__(self):
-        return f"CubicForm(n={self.n})"
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """Dense tensor of type (p covariant, q contravariant); contravariant axes first."""
-
-    n: int
-    p: int
-    q: int
-    array: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.array, dtype=float)
-        expected = (self.n,) * (self.p + self.q)
-        if arr.shape != expected:
-            raise ConstructionError(
-                f"tensor of type ({self.p},{self.q}) over n={self.n} needs shape {expected}, got {arr.shape}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "array", arr)
-
-
 def _max_abs4(arr: np.ndarray):
     """max |arr| over the last four axes: a float for one tensor, else an array over the batch."""
     out = np.max(np.abs(arr), axis=(-4, -3, -2, -1))
@@ -474,6 +293,9 @@ def contract(ginv: np.ndarray, t: np.ndarray, s: np.ndarray):
     Axes of ginv before its last two are batch axes, matched by as many leading
     axes of t and s (broadcast an unbatched tensor first); a single point gives a float.
     """
+    if np.shape(t) != np.shape(s):
+        raise DimensionMismatchError(
+            f"contract needs two arrays of equal shape, got {np.shape(t)} and {np.shape(s)}")
     lead, n = ginv.ndim - 2, ginv.shape[-1]
     s = _per_slot(ginv, s)
     k = np.ndim(t) - lead
@@ -586,29 +408,6 @@ def tau_circ_k(tau: np.ndarray, k: np.ndarray) -> np.ndarray:
     return batch_first(out.reshape((n, n) + out.shape[2:]), 2)
 
 
-def _covariant_array(t) -> np.ndarray:
-    if isinstance(t, CubicForm):
-        return t.dense
-    if isinstance(t, Tensor):
-        if t.q != 0:
-            raise DimensionMismatchError("operation requires a fully covariant tensor")
-        return t.array
-    return np.asarray(t, dtype=float)
-
-
-def inner(g: MetricPoint, t, s) -> float:
-    """Full scalar product: contraction of two (0,p) tensors with g^{-1} on every slot."""
-    ta = _covariant_array(t)
-    sa = _covariant_array(s)
-    if ta.shape != sa.shape:
-        raise DimensionMismatchError(f"degree/shape mismatch: {ta.shape} vs {sa.shape}")
-    if ta.ndim == 0:
-        return float(ta) * float(sa)
-    if ta.shape[0] != g.n:
-        raise DimensionMismatchError(f"metric has n={g.n}, tensors have n={ta.shape[0]}")
-    return contract(g.inverse, ta, sa)
-
-
 @functools.cache
 def _orbit_tables(n: int, k: int):
     """The orbits of S_k on the flat indices of an (n,)*k array, grouped by size.
@@ -699,7 +498,7 @@ def frame_components(b: np.ndarray, arr) -> np.ndarray:
 
     Batch axes as in contract: broadcast an unbatched arr against a batched b first.
     """
-    arr = _covariant_array(arr)
+    arr = np.asarray(arr, dtype=float)
     return batch_first(_per_slot(b.swapaxes(-1, -2), arr), arr.ndim - (b.ndim - 2))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from codazzi import CubicForm, MetricPoint, StatPoint
+from codazzi.generators import equality_point, hyperbolic_point
 
 
 @pytest.fixture
@@ -9,34 +9,13 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def equality_point() -> StatPoint:
-    """2D structure attaining equality in both sharp pointwise inequalities.
-
-    g is the standard metric; the nonzero cubic entries are A(1,1,2) = 1
-    (all permutations) and A(2,2,2) = 3, i.e. K(e1,e1) = e2, K(e1,e2) = e1,
-    K(e2,e2) = 3 e2.
-    """
-    return StatPoint(
-        MetricPoint(np.eye(2)),
-        CubicForm.from_entries(2, {(0, 0, 1): 1.0, (1, 1, 1): 3.0}),
-    )
-
-
-def hyperbolic_point(a: float = 1.0, b: float = 0.0) -> StatPoint:
-    """Trace-free 2D structure with commutator curvature -2(a^2+b^2) R0."""
-    return StatPoint(
-        MetricPoint(np.eye(2)),
-        CubicForm.from_entries(
-            2, {(0, 0, 0): a, (0, 1, 1): -a, (0, 0, 1): b, (1, 1, 1): -b}
-        ),
-    )
-
-
 @pytest.fixture
 def eq_point():
+    """(g, a) of the 2D structure attaining equality in both sharp pointwise inequalities."""
     return equality_point()
 
 
 @pytest.fixture
 def g3_point():
+    """(g, a) of the trace-free 2D structure with commutator curvature -2 R0."""
     return hyperbolic_point()

@@ -60,8 +60,8 @@ class TestAcceptance:
     def test_criterion_1_equality_point_reproduction(self):
         started = time.monotonic()
         sp = ingest(EQUALITY_FILE)
-        lhs, rhs, cert = check_ineq_eighth(sp, [1.0, 0.0])
-        residual_gap, _ = check_ineq_n2over3(sp)
+        lhs, rhs, cert = check_ineq_eighth(*sp, [1.0, 0.0])
+        residual_gap, _ = check_ineq_n2over3(*sp)
         elapsed = time.monotonic() - started
         ok = (
             abs(lhs - 2.0) < 1e-12
@@ -113,10 +113,10 @@ class TestAcceptance:
             for seed in range(seeds):
                 cs = generate(GeneratorSpec(family, seed=seed, params=dict(params, h=h)))
                 x = sample_points(cs, 1, seed=seed)[0]
-                sp = cs.point(x)
+                sp = cs.metric_at(x), cs.cubic_at(x)
                 worst_ricci = max(worst_ricci, float(np.max(np.abs(
-                    ric_k(sp) - ric_k_from_bracket(sp)))))
-                via_trace, via_norms = rho_k(sp)
+                    ric_k(*sp) - ric_k_from_bracket(*sp)))))
+                via_trace, via_norms = rho_k(*sp)
                 worst_scalar = max(worst_scalar, abs(via_trace - via_norms))
                 conn = statistical_connections(cs, x)
                 scale = conn.scale

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from codazzi import (ConstructionError, MetricPoint, NotPositiveDefiniteError, PreconditionError,
-                     charts, points)
+from codazzi import ConstructionError, NotPositiveDefiniteError, PreconditionError, charts, points
 from codazzi.charts import (
     ChartStructure,
     christoffel,
@@ -34,7 +33,7 @@ from codazzi.points import sectional_k
 from codazzi.bounds import simons_sandwich_check
 from codazzi.tensors import (batch_last, commutator_curvature, contract, core_first,
                              first_bianchi_defect, last_pair_antisymmetry_defect,
-                             orthonormal_frame, r0_curvature, symmetrize, trace_pair)
+                             metric_factors, r0_curvature, symmetrize, trace_pair)
 from codazzi.spheres import ros_residual, unit_bundle_functional
 from codazzi.suites import run_suite
 
@@ -82,7 +81,8 @@ class TestChartStructure:
             ChartStructure(2, [[-1, 1], [-1, 1]], constant_field(np.eye(2)), constant_field(arr))
 
     def test_spot_check_rejects_single_point_field(self):
-        with pytest.raises(ConstructionError, match="metric field maps 25 points to shape"):
+        # the spot check reads the 5 x 5 lattice and the midpoint
+        with pytest.raises(ConstructionError, match="metric field maps 26 points to shape"):
             ChartStructure(2, [[-1, 1], [-1, 1]], lambda x: np.eye(2),
                            constant_field(np.zeros((2, 2, 2))))
 
@@ -104,11 +104,12 @@ class TestChartStructure:
         xs = sample_points(cs, 6, seed=0)
         frames, vols = cs.metric_frame_at(xs)
         for i, x in enumerate(xs):
-            g = cs.point(x).g
-            assert np.array_equal(g.inverse, cs.metric_inverse_at(x))
-            assert np.array_equal(g.inverse, cs.metric_inverse_at(xs)[i])
-            assert np.array_equal(orthonormal_frame(g), frames[i])
-            assert g.factors[2] == vols[i]
+            # the factors of the metric at one point, as the pointwise checks take them
+            ginv, frame, vol = metric_factors(cs.metric_at(x))
+            assert np.array_equal(ginv, cs.metric_inverse_at(x))
+            assert np.array_equal(ginv, cs.metric_inverse_at(xs)[i])
+            assert np.array_equal(frame, frames[i])
+            assert vol == vols[i]
 
     def test_inverse_at_an_indefinite_point_raises(self):
         def g(x):
@@ -517,7 +518,7 @@ class TestSectionalNabla:
         for x in ([0.1, 0.2], [0.25, -0.3]):
             total = sectional_nabla(cs, x, ([1, 0], [0, 1]))
             k_hat = sectional_hat(cs, x, ([1, 0], [0, 1]))
-            k_comm = sectional_k(cs.point(np.asarray(x)), [1, 0], [0, 1])
+            k_comm = sectional_k(cs.metric_at(x), cs.cubic_at(x), [1, 0], [0, 1])
             assert total == pytest.approx(k_hat + k_comm, abs=1e-5)
 
     def test_degenerate_plane_rejected(self):
@@ -663,11 +664,12 @@ class TestSimonsProducersReadTheBatch:
             simons_sandwich_check(cs, np.array([not_trace_free, trace_free]), h_curv=5.0)
 
     def test_producers_factor_no_metric_point(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("MetricPoint.factors was called")
+        # the producers read the chart's factors; the (g, a) functions of points factor g anew
+        def refuse(*_):
+            raise AssertionError("a pointwise structure was factored")
 
         cases = [(self.conformal(), np.array([1.1, 2.3])), (self.g3_chart(), np.array([1.0, 1.0]))]
-        monkeypatch.setattr(MetricPoint, "factors", property(refuse))
+        monkeypatch.setattr(points, "metric_factors", refuse)
         for cs, x in cases:
             assert "laplace-cubic-dualflat" in charts.cubic_simons_residuals(cs, x)
             simons_sandwich_check(cs, x)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,17 +8,21 @@ import warnings
 import numpy as np
 import pytest
 
-from codazzi import ConstructionError, SchemaError
+from codazzi import ConstructionError, NotPositiveDefiniteError, SchemaError
 from codazzi.charts import ChartStructure
 from codazzi.cli import main
 from codazzi.generators import GeneratorSpec, generate
+from codazzi.points import require_finite
 from codazzi.structures_io import (
     canonical_json,
+    cubic_from_entries,
+    cubic_triples,
     emit,
     ingest,
     stat_point_from_dict,
 )
 from codazzi.suites import SuiteConfig, run_suite
+from codazzi.tensors import metric_factors, raise_last
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EQUALITY_FILE = os.path.join(REPO, "demos", "structures", "equality_point_2d.json")
@@ -25,8 +30,8 @@ EQUALITY_FILE = os.path.join(REPO, "demos", "structures", "equality_point_2d.jso
 
 class TestStatPointIO:
     def test_shipped_equality_file(self):
-        sp = ingest(EQUALITY_FILE)
-        k = sp.K.array
+        g, a = ingest(EQUALITY_FILE)
+        k = raise_last(metric_factors(g)[0], a)
         assert np.allclose(k[:, 0, 0], [0.0, 1.0])  # K(e1,e1) = e2
         assert np.allclose(k[:, 0, 1], [1.0, 0.0])  # K(e1,e2) = e1
         assert np.allclose(k[:, 1, 1], [0.0, 3.0])  # K(e2,e2) = 3 e2
@@ -45,9 +50,10 @@ class TestStatPointIO:
         with pytest.raises(SchemaError, match="invalid JSON"):
             ingest(path)
 
-    def test_non_spd_metric_names_minor(self):
+    def test_non_spd_metric_names_pivot(self):
+        # the factorization runs from the last row up, so this metric fails at pivot 1
         data = {"n": 2, "g": [[1.0, 2.0], [2.0, 1.0]], "A": {}}
-        with pytest.raises(ConstructionError, match="minor 2"):
+        with pytest.raises(NotPositiveDefiniteError, match="pivot 1 "):
             stat_point_from_dict(data)
 
     def test_bad_cubic_key_has_pointer(self):
@@ -63,6 +69,60 @@ class TestStatPointIO:
         data = {"n": 2, "g": [[1.0, 0.0], [0.0, 1.0]], "A": {"113": 1.0}}
         with pytest.raises(SchemaError, match="out of range"):
             stat_point_from_dict(data)
+
+
+class TestPointFileProperties:
+    """Random point structures at n = 1..4: ingest of emit gives back (g, a), emit is stable,
+    and the dense cubic form built from packed entries is exactly symmetric."""
+
+    @staticmethod
+    def _structures():
+        st = pytest.importorskip("hypothesis.strategies")
+        finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+        @st.composite
+        def structure(draw):
+            n = draw(st.integers(1, 4))
+            # diagonally dominant, so positive definite; each off-diagonal pair drawn once
+            g = np.diag([draw(st.floats(1.0, 10.0)) for _ in range(n)])
+            for i, j in itertools.combinations(range(n), 2):
+                g[i, j] = g[j, i] = draw(st.floats(-0.5 / n, 0.5 / n))
+            entries = draw(st.dictionaries(st.sampled_from(cubic_triples(n)), finite))
+            return g, entries
+
+        return structure()
+
+    def test_ingest_of_emit_is_the_identity(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        path = tmp_path / "point.json"
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(self._structures())
+        def round_trip(structure):
+            g, entries = structure
+            a = cubic_from_entries(len(g), entries)
+            text = emit((g, a))
+            path.write_text(text + "\n")
+            g2, a2 = ingest(path)
+            # canonical JSON writes a zero as 0.0, so signed zeros compare as one value
+            for want, got in ((g, g2), (a, a2)):
+                assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+            assert emit((g2, a2)) == text
+
+        round_trip()
+
+    def test_dense_from_packed_entries_is_exactly_symmetric(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(self._structures())
+        def symmetric(structure):
+            g, entries = structure
+            a = cubic_from_entries(len(g), entries)
+            for p in itertools.permutations(range(3)):
+                assert np.transpose(a, p).tobytes() == a.tobytes()
+
+        symmetric()
 
 
 class TestChartIO:
@@ -191,6 +251,16 @@ class TestCLI:
 
     def test_unknown_suite_usage_error(self):
         assert run_cli("verify", "--suite", "nope").returncode == 2
+
+    def test_emit_csv_needs_a_report(self, tmp_path, capsys, monkeypatch):
+        # the CSV is written next to the report, so without --report the flag would do nothing
+        monkeypatch.chdir(tmp_path)
+        status = main(["verify", "--suite", "algebraic", "--seeds", "1", "--sweep-count", "100",
+                       "--emit-csv"])
+        out = capsys.readouterr()
+        assert status == 2
+        assert out.out == "" and out.err.count("\n") == 1 and "--report" in out.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_gen_and_check(self, tmp_path):
         out_file = tmp_path / "gen.json"
@@ -414,9 +484,10 @@ class TestNonFiniteInput:
         structures.append(generate(GeneratorSpec("G3-2d-constant-curvature",
                                                  params={"chart": True})))
         for structure in structures:
-            point = structure.point(structure.domain.mean(axis=1)) if isinstance(
-                structure, ChartStructure) else structure
-            assert point.require_finite() is point
+            if isinstance(structure, ChartStructure):
+                mid = structure.domain.mean(axis=1)
+                structure = structure.metric_at(mid), structure.cubic_at(mid)
+            require_finite(*structure)
 
 
 class TestAuxFieldSchema:

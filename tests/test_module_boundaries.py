@@ -406,30 +406,21 @@ def test_spec_checker_flags_each_copy():
 def linalg_factorization_sites(sources: dict[str, str]) -> list[str]:
     """Uses of ``linalg.inv``, ``linalg.cholesky`` and ``linalg.det`` as ``file:line name``.
 
-    Every inverse, orthonormal frame and volume density of a metric comes from
-    ``tensors.metric_factors``; the one ``det`` left is the leading-minor test of
-    ``MetricPoint`` in ``tensors.py``, whose error names the failing minor.
+    Every inverse, orthonormal frame, volume density and positive-definiteness test of a
+    metric comes from ``tensors.metric_factors``, whose error names the failing pivot.
     """
     found = []
-
-    def visit(name, node, scope):
-        for child in ast.iter_child_nodes(node):
-            used = []
-            if (isinstance(child, ast.Attribute) and child.attr in ("inv", "cholesky", "det")
-                    and isinstance(child.value, (ast.Attribute, ast.Name))
-                    and getattr(child.value, "attr", getattr(child.value, "id", None)) == "linalg"):
-                used.append(child.attr)
-            elif isinstance(child, ast.ImportFrom) and (child.module or "").endswith("linalg"):
-                used += [a.name for a in child.names if a.name in ("inv", "cholesky", "det")]
-            for what in used:
-                if (what, name, scope[:1]) != ("det", "tensors.py", ["MetricPoint"]):
-                    found.append(f"{name}:{child.lineno} {what}")
-            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(name, child, scope + [child.name] if named else scope)
-
     for name, source in sorted(sources.items()):
-        visit(name, ast.parse(source), [])
-    return found
+        for node in ast.walk(ast.parse(source)):
+            used = []
+            if (isinstance(node, ast.Attribute) and node.attr in ("inv", "cholesky", "det")
+                    and isinstance(node.value, (ast.Attribute, ast.Name))
+                    and getattr(node.value, "attr", getattr(node.value, "id", None)) == "linalg"):
+                used.append(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                used += [a.name for a in node.names if a.name in ("inv", "cholesky", "det")]
+            found += [(name, node.lineno, what) for what in used]
+    return [f"{name}:{line} {what}" for name, line, what in sorted(found)]
 
 
 def test_metrics_are_factored_by_one_kernel():
@@ -458,42 +449,33 @@ def test_factorization_checker_flags_each_copy():
     }
     assert linalg_factorization_sites(sources) == [
         "spheres.py:1 cholesky", "spheres.py:1 det", "spheres.py:4 det",
-        "tensors.py:6 inv", "tensors.py:8 cholesky", "tensors.py:8 det",
+        "tensors.py:4 det", "tensors.py:6 inv", "tensors.py:8 cholesky", "tensors.py:8 det",
     ]
 
 
-# the chart producers that read K, tau and the metric factors from the chart's memoized batch
-BATCHED_PRODUCERS = {
-    "charts.py": ("statistical_connections", "ricci_decomposition_residuals",
-                  "duality_involution_defect", "metricity_residual", "curvature_hat_invariants",
-                  "sectional_nabla", "sectional_hat", "sectional_bracket",
-                  "cubic_simons_residuals"),
-    "bounds.py": ("simons_sandwich_check",),
-}
+def point_calls(source: str) -> list[str]:
+    """Calls of ``.point(...)`` anywhere in a module, as ``function:line``.
 
-
-def point_calls(source: str, functions) -> list[str]:
-    """Calls of ``.point(...)`` inside the named functions (and functions nested in them).
-
-    A batched producer reads K, tau and the metric factors from the chart's memoized
-    batch; ``ChartStructure.point`` builds one ``StatPoint`` per point.
+    A structure at a point is the pair of arrays (g, a): a chart hands out
+    ``metric_at`` and ``cubic_at``, and no method builds a pointwise object.
     """
     found = []
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and node.name in functions:
-            found += [f"{node.name}:{call.lineno}" for call in ast.walk(node)
-                      if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                      and call.func.attr == "point"]
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "point"):
+                found.append(f"{'.'.join(scope) or 'module'}:{child.lineno}")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    visit(ast.parse(source), [])
     return found
 
 
 def test_batched_producers_build_no_point():
-    for name, producers in BATCHED_PRODUCERS.items():
-        source = (PACKAGE / name).read_text(encoding="utf-8")
-        defined = {node.name for node in ast.parse(source).body
-                   if isinstance(node, ast.FunctionDef)}
-        assert set(producers) <= defined, name
-        assert point_calls(source, producers) == [], name
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert point_calls(path.read_text(encoding="utf-8")) == [], path.name
 
 
 def test_point_call_checker_flags_each_call():
@@ -503,71 +485,134 @@ def test_point_call_checker_flags_each_call():
         "        return bracket_kk(cs.point(x))\n"
         "    return compute()\n"
         "def ricci_decomposition_residuals(cs, x):\n"
-        "    return cs.point(x).gram_k()\n"
-        "def check_structure(cs, x):\n"
-        "    return cs.point(x)\n"
+        "    return cs.point(x).gram_k(), cs.metric_at(x), point(x)\n"
+        "POINT = ChartStructure.point(cs, x)\n"
     )
-    assert point_calls(source, BATCHED_PRODUCERS["charts.py"]) == [
-        "statistical_connections:3", "ricci_decomposition_residuals:6"]
+    assert point_calls(source) == [
+        "statistical_connections.compute:3", "ricci_decomposition_residuals:6", "module:7"]
 
 
-# the constructors that validate a pointwise structure from outside the program
-POINT_CONSTRUCTORS = ("StatPoint", "MetricPoint", "CubicForm")
+# the classes of an object layer over (g, a), which no module may define again
+STRUCTURE_CLASSES = ("StatPoint", "MetricPoint", "CubicForm", "Tensor")
 
 
-def point_construction_sites(source: str) -> list[str]:
-    """Calls of ``StatPoint(...)``, ``MetricPoint(...)`` or ``CubicForm.<name>(...)`` outside
-    ``ChartStructure.point``, as ``function:line``.
+def structure_class_sites(source: str) -> list[str]:
+    """Definitions of a name in ``STRUCTURE_CLASSES`` (class, function or assignment), as
+    ``name:line``.
 
-    The chart code reads its own arrays; the one place that turns a chart point into
-    a validated ``StatPoint`` is ``ChartStructure.point``.
+    A structure is the pair of read-only arrays (g[..., n, n], a[..., n, n, n]), validated
+    once on its way in; a second, object layer would validate it a second time.
     """
     found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and scope[:2] != ["ChartStructure", "point"]:
-                func, owner = child.func, getattr(child.func, "value", None)
-                names = {getattr(part, key, None)
-                         for part in (func, owner) for key in ("id", "attr")}
-                if names & set(POINT_CONSTRUCTORS):
-                    found.append(f"{'.'.join(scope) or 'module'}:{child.lineno}")
-            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, scope + [child.name] if named else scope)
-
-    visit(ast.parse(source), [])
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [(t.id, node.lineno) for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [(a.asname or a.name, node.lineno) for a in node.names]
+        else:
+            continue
+        found += [f"{name}:{line}" for name, line in names if name in STRUCTURE_CLASSES]
     return found
 
 
-def test_chart_code_builds_points_in_one_place():
-    for name in ("charts.py", "bounds.py"):
-        assert point_construction_sites((PACKAGE / name).read_text(encoding="utf-8")) == [], name
+def test_no_module_defines_a_structure_class():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert structure_class_sites(path.read_text(encoding="utf-8")) == [], path.name
 
 
-def test_point_construction_checker_flags_each_copy():
+def test_structure_class_checker_flags_each_definition():
     source = (
-        "class ChartStructure:\n"
-        "    def point(self, x):\n"
-        "        def compute():\n"
-        "            return StatPoint(MetricPoint(self.g), CubicForm.from_dense(self.a))\n"
-        "        return compute()\n"
-        "    def other(self, x):\n"
-        "        return MetricPoint(self.g)\n"
-        "def simons_sandwich_check(cs, x):\n"
-        "    sp = StatPoint(cs.g, CubicForm.from_dense(cs.a))\n"
-        "    return tensors.MetricPoint(cs.g), sp.g.norm(x)\n"
+        "from .tensors import MetricPoint, metric_factors\n"
+        "class StatPoint:\n"
+        "    def __init__(self, g, a):\n"
+        "        self.g = g\n"
+        "def CubicForm(n, packed):\n"
+        "    return packed\n"
+        "Tensor = tuple\n"
+        "stat_point = StatPoint\n"
     )
-    assert point_construction_sites(source) == [
-        "ChartStructure.other:7", "simons_sandwich_check:9", "simons_sandwich_check:9",
-        "simons_sandwich_check:10"]
+    assert structure_class_sites(source) == [
+        "MetricPoint:1", "StatPoint:2", "CubicForm:5", "Tensor:7"]
+
+
+def packed_triple_sites(source: str) -> list[str]:
+    """Loops over the packed cubic multi-indices i <= j <= k, as ``line``.
+
+    Three nested ``range`` loops, each starting at the variable of the one around it,
+    or ``combinations_with_replacement(..., 3)``: only ``structures_io.cubic_triples``
+    builds the triples, and every other module reads them from there.
+    """
+    found = []
+
+    def enter(target, it, env):
+        """env with the loop's variable bound to the length of its chain of range starts."""
+        if not (isinstance(target, ast.Name) and isinstance(it, ast.Call)
+                and getattr(it.func, "id", None) == "range"):
+            return env
+        start = it.args[0] if len(it.args) > 1 else None
+        depth = 1 + env.get(getattr(start, "id", None), 0)
+        if depth >= 3:
+            found.append(it.lineno)
+        return {**env, target.id: depth}
+
+    def visit(node, env):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            inner = enter(node.target, node.iter, env)
+            for child in node.body:
+                visit(child, inner)
+            return
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            for gen in node.generators:
+                env = enter(gen.target, gen.iter, env)
+            for child in ((node.key, node.value) if isinstance(node, ast.DictComp)
+                          else (node.elt,)):
+                visit(child, env)
+            return
+        if (isinstance(node, ast.Call)
+                and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+                == "combinations_with_replacement"
+                and len(node.args) == 2 and getattr(node.args[1], "value", None) == 3):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, env)
+
+    visit(ast.parse(source), {})
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_only_structures_io_builds_packed_triples():
+    for path in sorted(PACKAGE.glob("*.py")):
+        sites = packed_triple_sites(path.read_text(encoding="utf-8"))
+        assert (sites != []) == (path.name == "structures_io.py"), (path.name, sites)
+
+
+def test_triple_checker_flags_each_copy():
+    source = (
+        "import itertools\n"
+        "def sources(n, a):\n"
+        "    out = {}\n"
+        "    for i in range(n):\n"
+        "        for j in range(i, n):\n"
+        "            for k in range(j, n):\n"
+        "                out[i, j, k] = a[i, j, k]\n"
+        "    pairs = [(p, q) for p in range(n) for q in range(p, n)]\n"
+        "    full = [(p, q, r) for p in range(n) for q in range(n) for r in range(n)]\n"
+        "    return out, pairs, full, list(itertools.combinations_with_replacement(range(n), 3))\n"
+        "TRIPLES = [(x, y, z) for x in range(3) for y in range(x, 3) for z in range(y, 3)]\n"
+    )
+    assert packed_triple_sites(source) == ["line 6", "line 10", "line 11"]
 
 
 # each contraction of K with itself or with tau -> (file, function) sites that must call it
 COMMUTATOR_KERNELS = {
     "commutator_curvature": [("points.py", "_bracket_up"), ("charts.py", "statistical_connections")],
-    "gram_k": [("points.py", "StatPoint.gram_k"), ("charts.py", "ricci_decomposition_residuals"),
+    "gram_k": [("points.py", "_ric"), ("charts.py", "ricci_decomposition_residuals"),
                ("charts.py", "cubic_simons_residuals")],
-    "tau_circ_k": [("points.py", "StatPoint.tau_circ_k"),
+    "tau_circ_k": [("points.py", "_ric"),
                    ("charts.py", "ricci_decomposition_residuals"),
                    ("charts.py", "cubic_simons_residuals")],
     "lower_first": [("points.py", "bracket_kk"), ("charts.py", "statistical_connections")],
@@ -613,11 +658,10 @@ def test_kernel_site_checker_flags_each_copy():
     sources = {
         "tensors.py": "def gram_k(ginv, g, k):\n    return k\n",
         "points.py": (
-            "class StatPoint:\n"
-            "    def gram_k(self):\n"
-            "        return np.einsum('ab,mn,mia,njb->ij', self.ginv, self.g, self.k, self.k)\n"
-            "def _bracket_up(sp):\n"
-            "    return commutator_curvature(sp.k)\n"
+            "def _ric(ginv, g, k):\n"
+            "    return np.einsum('ab,mn,mia,njb->ij', ginv, g, k, k)\n"
+            "def _bracket_up(g, a):\n"
+            "    return commutator_curvature(raise_last(g, a))\n"
         ),
         "charts.py": (
             "def ricci_decomposition_residuals(cs, x):\n"
@@ -627,8 +671,8 @@ def test_kernel_site_checker_flags_each_copy():
     kernels = {"gram_k": COMMUTATOR_KERNELS["gram_k"][:2],
                "commutator_curvature": [("points.py", "_bracket_up")]}
     assert kernel_site_violations(sources, kernels) == [
-        "gram_k: points.py:StatPoint.gram_k does not call it",
-        "gram_k: points.py:StatPoint.gram_k calls einsum",
+        "gram_k: points.py:_ric does not call it",
+        "gram_k: points.py:_ric calls einsum",
         "gram_k: charts.py:ricci_decomposition_residuals calls einsum",
         "commutator_curvature: not defined in tensors.py",
     ]

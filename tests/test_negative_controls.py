@@ -2,10 +2,10 @@
 
 Scaling a kernel's output by 1 + 1e-3, in every module that imports it, must fail
 the listed checks of each suite.  The algebraic suite reads the kernels through
-``StatPoint``, the differential suite mostly through the chart calculus.  Some
-checks compare a quantity read through ``StatPoint`` with one read through the
-chart, and a consistent scaling of K or tau cancels in them: those must still
-pass, and a route that computed the kernel by a copy of its own would fail them.
+the (g, a) functions of ``points``, the differential suite mostly through the chart
+calculus.  Some checks compare a quantity read through ``points`` with one read
+through the chart, and a consistent scaling of K or tau cancels in them: those must
+still pass, and a route that computed the kernel by a copy of its own would fail them.
 
 ``metric_factors`` returns three outputs, and each is scaled on its own.  The two kernels of
 the lattice path that no other control reaches, ``frame_components`` and ``spheres.poly_eval``,
@@ -175,7 +175,7 @@ def test_scaled_lattice_kernel_fails_the_integral_checks_that_read_it(monkeypatc
 
 @pytest.mark.parametrize("output", sorted(FACTOR_CONTROLS))
 def test_scaled_metric_factor_fails_the_checks_that_read_it(monkeypatch, output):
-    # tensors (MetricPoint) and charts (ChartStructure, and through it spheres) import the kernel
+    # points (the (g, a) functions) and charts (and through it spheres) import the kernel
     assert _scale_factor_output(monkeypatch, output, 1.0 + 1e-3) >= 2
     _assert_verdicts(FACTOR_CONTROLS[output])
 

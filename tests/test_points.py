@@ -5,14 +5,13 @@ import pytest
 
 from codazzi import points, suites
 from codazzi.generators import GeneratorSpec, generate
-from codazzi.tensors import check_riemannian_symmetries
+from codazzi.structures_io import cubic_entries, cubic_from_entries
+from codazzi.tensors import (check_riemannian_symmetries, contract, metric_factors, raise_last,
+                             trace_k)
 from codazzi import (
     ConstructionError,
-    CubicForm,
     DimensionMismatchError,
-    MetricPoint,
     PreconditionError,
-    StatPoint,
     bracket_kk,
     best_fit_curvature_coefficient,
     check_ineq_eighth,
@@ -21,10 +20,9 @@ from codazzi import (
     constant_curvature_residual,
     fit_constant_curvature,
     frame_components,
-    inner,
+    frame_cubic,
     lagrangian_gauss_residual,
     lpq,
-    orthonormal_frame,
     r0_curvature,
     random_stat_point,
     ric_k,
@@ -36,10 +34,26 @@ from codazzi import (
 )
 
 
-def commutator_bracket_oracle(sp):
+def zero_point(n):
+    return np.eye(n), np.zeros((n, n, n))
+
+
+def difference_tensor(g, a):
+    """(g^-1, K, tau, E) of a structure."""
+    ginv = metric_factors(g)[0]
+    k = raise_last(ginv, a)
+    tau = trace_k(k)
+    return ginv, k, tau, ginv @ tau
+
+
+def norm_a_sq(g, a):
+    return contract(metric_factors(g)[0], a, a)
+
+
+def commutator_bracket_oracle(g, a):
     """Brute-force [K,K] through explicit matrix commutators per basis pair."""
-    n = sp.n
-    k = sp.K.array
+    n = len(g)
+    k = difference_tensor(g, a)[1]
     out = np.zeros((n, n, n, n))
     for i in range(n):
         for j in range(n):
@@ -47,145 +61,194 @@ def commutator_bracket_oracle(sp):
             kj = k[:, j, :]
             comm = ki @ kj - kj @ ki
             for kk in range(n):
-                out[i, j, kk, :] = sp.g.components @ comm[:, kk]
+                out[i, j, kk, :] = g @ comm[:, kk]
     return out
 
 
-def trace_oracle_ric_k(sp):
-    b = bracket_kk(sp)
-    up = np.einsum("ml,ijkl->mijk", sp.g.inverse, b)
+def trace_oracle_ric_k(g, a):
+    b = bracket_kk(g, a)
+    up = np.einsum("ml,ijkl->mijk", metric_factors(g)[0], b)
     return np.einsum("iijk->jk", up)
 
 
 class TestStatPoint:
+    """K, tau and E of a structure (g, a), from the kernels the (g, a) functions read."""
+
     def test_trace_ingredients(self, eq_point):
-        assert np.allclose(eq_point.E, [0.0, 4.0])
-        assert np.allclose(eq_point.tau, [0.0, 4.0])
-        assert not eq_point.trace_free
+        _, _, tau, e = difference_tensor(*eq_point)
+        assert np.allclose(e, [0.0, 4.0])
+        assert np.allclose(tau, [0.0, 4.0])
+        assert np.sqrt(e @ eq_point[0] @ e) >= points.TRACE_FREE_TOL
 
     def test_tau_is_operator_trace(self, rng):
-        sp = random_stat_point(4, rng, metric="random")
+        g, a = random_stat_point(4, rng, metric="random")
+        _, k, tau, _ = difference_tensor(g, a)
         for i in range(4):
             e = np.zeros(4)
             e[i] = 1.0
-            k_e = np.einsum("mij,i->mj", sp.K.array, e)  # the endomorphism K_e
-            assert abs(sp.tau[i] - np.trace(k_e)) < 1e-12
+            k_e = np.einsum("mij,i->mj", k, e)  # the endomorphism K_e
+            assert abs(tau[i] - np.trace(k_e)) < 1e-12
 
     def test_round_trip_a_equals_g_k(self, rng):
-        sp = random_stat_point(3, rng, metric="random")
-        rebuilt = np.einsum("lm,mij->ijl", sp.g.components, sp.K.array)
-        assert np.max(np.abs(rebuilt - sp.A.dense)) < 1e-13
+        g, a = random_stat_point(3, rng, metric="random")
+        rebuilt = np.einsum("lm,mij->ijl", g, difference_tensor(g, a)[1])
+        assert np.max(np.abs(rebuilt - a)) < 1e-13
 
     def test_trace_free_flag(self, g3_point):
-        assert g3_point.trace_free
+        e = difference_tensor(*g3_point)[3]
+        assert np.sqrt(e @ g3_point[0] @ e) < points.TRACE_FREE_TOL
+
+    def test_random_structures_are_read_only_arrays(self):
+        for trace_free in (False, True):
+            g, a = random_stat_point(3, 5, trace_free=trace_free, metric="random")
+            assert g.shape == (3, 3) and a.shape == (3, 3, 3)
+            assert not g.flags.writeable and not a.flags.writeable
+            for p in itertools.permutations(range(3)):
+                assert np.array_equal(np.transpose(a, p), a)
+
+
+class TestBatchAxes:
+    """The (g, a) functions built from the batched kernels alone take leading batch axes."""
+
+    def test_batch_matches_points(self):
+        rng = np.random.default_rng(31)
+        pairs = [random_stat_point(3, rng, metric="random") for _ in range(6)]
+        g = np.stack([p[0] for p in pairs]).reshape(2, 3, 3, 3)
+        a = np.stack([p[1] for p in pairs]).reshape(2, 3, 3, 3, 3)
+        for fn in (bracket_kk, ric_k, ric_k_from_bracket, frame_cubic, trace_free_part):
+            batched = fn(g, a)
+            assert batched.shape[:2] == (2, 3), fn.__name__
+            for index, (g_one, a_one) in zip(np.ndindex(2, 3), pairs):
+                one = fn(g_one, a_one)
+                assert np.max(np.abs(batched[index] - one)) <= 1e-13 * max(
+                    np.max(np.abs(one)), 1.0), fn.__name__
+
+
+class TestPassedFactors:
+    """A caller that factors g once and passes the factors on gets the same bits."""
+
+    def test_same_bits_with_and_without_factors(self):
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 4):
+            g, a = random_stat_point(n, rng, metric="random")
+            factors = metric_factors(g)
+            u = np.eye(n)[0]
+            calls = {
+                "ric_k": lambda **kw: ric_k(g, a, **kw),
+                "ric_k_from_bracket": lambda **kw: ric_k_from_bracket(g, a, **kw),
+                "rho_k": lambda **kw: rho_k(g, a, **kw),
+                "frame_cubic": lambda **kw: frame_cubic(g, a, **kw),
+                "scalar_gap_bounds": lambda **kw: scalar_gap_bounds(g, a, **kw),
+                "quarter": lambda **kw: check_ineq_quarter(g, a, u, **kw)[:2],
+                "eighth": lambda **kw: check_ineq_eighth(g, without_a111(a), u, **kw)[:2],
+            }
+            for name, call in calls.items():
+                assert np.array_equal(call(factors=factors), call()), name
+            assert all(np.array_equal(x, y) for x, y in
+                       zip(points.require_finite(g, a), factors))
 
 
 class TestBracketKK:
     def test_zero_cubic(self):
-        sp = StatPoint(MetricPoint(np.eye(3)), CubicForm.zero(3))
-        assert np.all(bracket_kk(sp) == 0.0)
+        assert np.all(bracket_kk(*zero_point(3)) == 0.0)
 
     def test_g3_sectional_entry(self, g3_point):
-        b = bracket_kk(g3_point)
+        b = bracket_kk(*g3_point)
         assert b[0, 1, 1, 0] == pytest.approx(-2.0, abs=1e-13)
 
     def test_matches_commutator_oracle(self, eq_point, rng):
-        for sp in (eq_point, random_stat_point(4, rng, metric="random")):
-            assert np.max(np.abs(bracket_kk(sp) - commutator_bracket_oracle(sp))) < 1e-13
+        for g, a in (eq_point, random_stat_point(4, rng, metric="random")):
+            assert np.max(np.abs(bracket_kk(g, a) - commutator_bracket_oracle(g, a))) < 1e-13
 
     def test_riemann_symmetries(self, rng):
-        sp = random_stat_point(3, rng, metric="random")
-        check_riemannian_symmetries(bracket_kk(sp), 1e-10)
+        check_riemannian_symmetries(bracket_kk(*random_stat_point(3, rng, metric="random")),
+                                    1e-10)
 
     def test_symmetry_defect_raises(self, monkeypatch):
         # a planted [K,K] without the symmetries of a curvature tensor fails bracket_kk's check
-        sp = random_stat_point(3, np.random.default_rng(2), metric="random")
-        bracket = points.commutator_curvature(sp.K.array)
+        g, a = random_stat_point(3, np.random.default_rng(2), metric="random")
+        bracket = points.commutator_curvature(difference_tensor(g, a)[1])
         monkeypatch.setattr(points, "commutator_curvature",
                             lambda k: bracket + np.swapaxes(bracket, -2, -1))
         with pytest.raises(ConstructionError, match="curvature tensor"):
-            bracket_kk(sp)
+            bracket_kk(g, a)
 
 
 class TestRicK:
     def test_zero(self):
-        sp = StatPoint(MetricPoint(np.eye(2)), CubicForm.zero(2))
-        assert np.all(ric_k(sp) == 0.0)
+        assert np.all(ric_k(*zero_point(2)) == 0.0)
 
     def test_g3_diagonal(self, g3_point):
-        assert np.allclose(ric_k(g3_point), np.diag([-2.0, -2.0]), atol=1e-13)
+        assert np.allclose(ric_k(*g3_point), np.diag([-2.0, -2.0]), atol=1e-13)
 
     def test_formula_equals_direct_trace(self, eq_point, rng):
         for sp in (eq_point, random_stat_point(5, rng, metric="random")):
-            assert np.max(np.abs(ric_k(sp) - trace_oracle_ric_k(sp))) < 1e-12
-            assert np.max(np.abs(ric_k_from_bracket(sp) - ric_k(sp))) < 1e-12
+            assert np.max(np.abs(ric_k(*sp) - trace_oracle_ric_k(*sp))) < 1e-12
+            assert np.max(np.abs(ric_k_from_bracket(*sp) - ric_k(*sp))) < 1e-12
 
     def test_symmetric(self, rng):
-        r = ric_k(random_stat_point(4, rng, metric="random"))
+        r = ric_k(*random_stat_point(4, rng, metric="random"))
         assert np.allclose(r, r.T, atol=1e-13)
 
     def test_negative_semidefinite_when_trace_free(self, rng):
         for seed in range(20):
             sp = random_stat_point(4, np.random.default_rng(seed), trace_free=True)
-            eigs = np.linalg.eigvalsh(ric_k(sp))
+            eigs = np.linalg.eigvalsh(ric_k(*sp))
             assert np.all(eigs <= 1e-12)
 
 
 class TestRhoK:
     def test_values(self, eq_point, g3_point):
-        via_trace, via_norms = rho_k(eq_point)
+        via_trace, via_norms = rho_k(*eq_point)
         assert via_trace == pytest.approx(4.0, abs=1e-12)
         assert via_norms == pytest.approx(16.0 - 12.0, abs=1e-12)
-        via_trace, via_norms = rho_k(g3_point)
+        via_trace, via_norms = rho_k(*g3_point)
         assert via_trace == pytest.approx(-4.0, abs=1e-12)
         assert via_norms == pytest.approx(-4.0, abs=1e-12)
 
     def test_two_routes_agree(self, rng):
         for n in (2, 3, 5):
-            sp = random_stat_point(n, rng, metric="random")
-            via_trace, via_norms = rho_k(sp)
+            via_trace, via_norms = rho_k(*random_stat_point(n, rng, metric="random"))
             assert abs(via_trace - via_norms) < 1e-12 * max(1.0, abs(via_trace))
 
 
 class TestSectionalK:
     def test_zero(self):
-        sp = StatPoint(MetricPoint(np.eye(2)), CubicForm.zero(2))
-        assert sectional_k(sp, [1, 0], [0, 1]) == 0.0
+        assert sectional_k(*zero_point(2), [1, 0], [0, 1]) == 0.0
 
     def test_g3_plane(self, g3_point):
-        assert sectional_k(g3_point, [1, 0], [0, 1]) == pytest.approx(-2.0, abs=1e-12)
+        assert sectional_k(*g3_point, [1, 0], [0, 1]) == pytest.approx(-2.0, abs=1e-12)
 
     def test_invariant_under_respanning(self, g3_point, rng):
-        assert sectional_k(g3_point, [1, 1], [1, -1]) == pytest.approx(-2.0, abs=1e-12)
+        assert sectional_k(*g3_point, [1, 1], [1, -1]) == pytest.approx(-2.0, abs=1e-12)
         sp = random_stat_point(4, rng, metric="random")
         x, y = rng.uniform(-1, 1, (2, 4))
-        base = sectional_k(sp, x, y)
+        base = sectional_k(*sp, x, y)
         m = rng.uniform(-1, 1, (2, 2)) + 2 * np.eye(2)
         x2 = m[0, 0] * x + m[0, 1] * y
         y2 = m[1, 0] * x + m[1, 1] * y
-        assert sectional_k(sp, x2, y2) == pytest.approx(base, rel=1e-10, abs=1e-12)
+        assert sectional_k(*sp, x2, y2) == pytest.approx(base, rel=1e-10, abs=1e-12)
 
     def test_dependent_inputs(self, g3_point):
         with pytest.raises(PreconditionError):
-            sectional_k(g3_point, [1.0, 2.0], [2.0, 4.0])
+            sectional_k(*g3_point, [1.0, 2.0], [2.0, 4.0])
 
 
 class TestQuarterInequality:
     def test_equality_point_strict_at_e2(self, eq_point):
-        lhs, rhs, cert = check_ineq_quarter(eq_point, [0.0, 1.0])
+        lhs, rhs, cert = check_ineq_quarter(*eq_point, [0.0, 1.0])
         assert lhs == pytest.approx(2.0, abs=1e-13)
         assert rhs == pytest.approx(4.0, abs=1e-13)
         assert not cert.holds
 
     def test_trivial_structure_equality(self):
-        sp = StatPoint(MetricPoint(np.eye(3)), CubicForm.zero(3))
-        lhs, rhs, cert = check_ineq_quarter(sp, [1.0, 0.0, 0.0])
+        lhs, rhs, cert = check_ineq_quarter(*zero_point(3), [1.0, 0.0, 0.0])
         assert lhs == rhs == 0.0
         assert cert.holds
 
     def test_zero_vector_rejected(self, eq_point):
         with pytest.raises(PreconditionError):
-            check_ineq_quarter(eq_point, [0.0, 0.0])
+            check_ineq_quarter(*eq_point, [0.0, 0.0])
 
     def test_random_sweep_never_violated(self):
         for seed in range(200):
@@ -193,39 +256,42 @@ class TestQuarterInequality:
             n = int(rng.integers(2, 6))
             sp = random_stat_point(n, rng, metric="random")
             u = rng.uniform(-1, 1, n)
-            lhs, rhs, _ = check_ineq_quarter(sp, u)
+            lhs, rhs, _ = check_ineq_quarter(*sp, u)
             assert lhs <= rhs + 1e-12
+
+
+def without_a111(a):
+    """a with its A(e1,e1,e1) entry removed, so the eighth bound applies at U = e1."""
+    return cubic_from_entries(len(a), {k: v for k, v in cubic_entries(a).items()
+                                       if k != (0, 0, 0)})
 
 
 class TestEighthInequality:
     def test_equality_point_at_e1(self, eq_point):
-        lhs, rhs, cert = check_ineq_eighth(eq_point, [1.0, 0.0])
+        lhs, rhs, cert = check_ineq_eighth(*eq_point, [1.0, 0.0])
         assert lhs == pytest.approx(2.0, abs=1e-13)
         assert rhs == pytest.approx(2.0, abs=1e-13)
         assert cert.holds
 
     def test_zero_cubic(self):
-        sp = StatPoint(MetricPoint(np.eye(2)), CubicForm.zero(2))
-        lhs, rhs, cert = check_ineq_eighth(sp, [0.0, 1.0])
+        lhs, rhs, cert = check_ineq_eighth(*zero_point(2), [0.0, 1.0])
         assert lhs == rhs == 0.0
         assert cert.holds
 
     def test_precondition_violation_is_distinct(self, eq_point):
         with pytest.raises(PreconditionError, match="does not apply"):
-            check_ineq_eighth(eq_point, [0.0, 1.0])
+            check_ineq_eighth(*eq_point, [0.0, 1.0])
 
     def test_random_sweep(self):
         violations = 0
         for seed in range(200):
             rng = np.random.default_rng(1000 + seed)
             n = int(rng.integers(2, 6))
-            sp = random_stat_point(n, rng, trace_free=True)
+            g, a = random_stat_point(n, rng, trace_free=True)
             # force A(e1,e1,e1) = 0 so the hypothesis holds exactly
-            entries = {k: v for k, v in sp.A.entries().items() if k != (0, 0, 0)}
-            sp = StatPoint(sp.g, CubicForm.from_entries(n, entries))
             u = np.zeros(n)
             u[0] = 1.0
-            lhs, rhs, _ = check_ineq_eighth(sp, u)
+            lhs, rhs, _ = check_ineq_eighth(g, without_a111(a), u)
             if lhs > rhs + 1e-12:
                 violations += 1
         assert violations == 0
@@ -233,15 +299,14 @@ class TestEighthInequality:
 
 class TestNormGapInequality:
     def test_equality_point(self, eq_point):
-        residual, cert = check_ineq_n2over3(eq_point)
+        residual, cert = check_ineq_n2over3(*eq_point)
         assert residual == pytest.approx((4.0 / 3.0) * 12.0 - 16.0, abs=1e-12)
         assert abs(residual) < 1e-12
         assert cert.holds
         assert cert.best_effort
 
     def test_zero(self):
-        sp = StatPoint(MetricPoint(np.eye(2)), CubicForm.zero(2))
-        residual, cert = check_ineq_n2over3(sp)
+        residual, cert = check_ineq_n2over3(*zero_point(2))
         assert residual == 0.0
         assert cert.holds
 
@@ -249,30 +314,30 @@ class TestNormGapInequality:
         for seed in range(200):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 7))
-            sp = random_stat_point(n, rng, metric="random")
-            residual, _ = check_ineq_n2over3(sp)
+            residual, _ = check_ineq_n2over3(*random_stat_point(n, rng, metric="random"))
             assert residual >= -1e-12
 
 
-def _equality_defect_loop(sp, rotations=64, seed=20240):
+def _equality_defect_loop(g, a, rotations=64, seed=20240):
     """The per-frame equality search as one loop over frames, with its early exit."""
-    n = sp.n
-    b = orthonormal_frame(sp.g)
-    frames = [b] + [b @ np.linalg.eigh(sp.frame_cubic[i])[1] for i in range(n)]
+    n = len(g)
+    b = metric_factors(g)[1]
+    a_hat = frame_cubic(g, a)
+    frames = [b] + [b @ np.linalg.eigh(a_hat[i])[1] for i in range(n)]
     rng = np.random.default_rng(seed)
     for _ in range(rotations):
         q, r = np.linalg.qr(rng.standard_normal((n, n)))
         frames.append(b @ q @ np.diag(np.sign(np.diag(r))))
     best = np.inf
     for frame in frames:
-        a = frame_components(frame, sp.A.dense)
+        a_frame = frame_components(frame, a)
         worst = 0.0
         for i, j in itertools.product(range(n), repeat=2):
             if j != i:
-                worst = max(worst, abs(a[i, i, i] - 3.0 * a[j, j, i]))
+                worst = max(worst, abs(a_frame[i, i, i] - 3.0 * a_frame[j, j, i]))
         for i, j, r in itertools.product(range(n), repeat=3):
             if len({i, j, r}) == 3:
-                worst = max(worst, abs(a[i, j, r]))
+                worst = max(worst, abs(a_frame[i, j, r]))
         best = min(best, worst)
         if best < points.CERTIFICATE_TOL:
             break
@@ -286,32 +351,32 @@ class TestNormGapEqualitySearch:
         n = 2 + seed % 3
         sp = random_stat_point(n, rng, trace_free=seed % 2 == 0,
                                metric="random" if seed % 4 < 2 else "identity")
-        _, cert = check_ineq_n2over3(sp)
-        want = _equality_defect_loop(sp)
+        _, cert = check_ineq_n2over3(*sp)
+        want = _equality_defect_loop(*sp)
         (_, got), = cert.witnesses
-        assert abs(got - want) <= 1e-12 * max(sp.norm_a_sq(), 1.0)
+        assert abs(got - want) <= 1e-12 * max(norm_a_sq(*sp), 1.0)
         assert cert.holds == (want < points.CERTIFICATE_TOL)
 
     def test_equality_point_certified_by_first_frame(self, eq_point):
-        _, cert = check_ineq_n2over3(eq_point)
-        assert cert.witnesses[0][1] == _equality_defect_loop(eq_point) == 0.0
+        _, cert = check_ineq_n2over3(*eq_point)
+        assert cert.witnesses[0][1] == _equality_defect_loop(*eq_point) == 0.0
 
     def test_first_frame_below_tolerance_is_reported(self, monkeypatch):
         # the defect is 1e-10 in the identity frame and scales with the cube of
         # a scaled frame: like the loop, the search reports the first defect
         # below the tolerance, else the smallest one
-        a = CubicForm.from_entries(2, {(0, 0, 0): 3.0, (0, 1, 1): 1.0 + 1e-10 / 3.0})
-        sp = StatPoint(MetricPoint(np.eye(2)), a)
+        a = cubic_from_entries(2, {(0, 0, 0): 3.0, (0, 1, 1): 1.0 + 1e-10 / 3.0})
         for scales, want in (((1e3, 1.0, 0.5), 1e-10), ((1e3, 2e3), 0.1)):
             frames = np.stack([c * np.eye(2) for c in scales])
-            monkeypatch.setattr(points, "_equality_frames", lambda _, f=frames: f)
-            assert check_ineq_n2over3(sp)[1].witnesses[0][1] == pytest.approx(want, rel=1e-5)
+            monkeypatch.setattr(points, "_equality_frames", lambda *_, f=frames: f)
+            assert check_ineq_n2over3(np.eye(2), a)[1].witnesses[0][1] == pytest.approx(
+                want, rel=1e-5)
 
     @pytest.mark.parametrize("family, n", [("G2-hessian-potential", 3), ("G4-random-smooth", 2)])
     def test_check_structure_runs_no_search(self, family, n, monkeypatch):
         structure = generate(GeneratorSpec(family, n=n, seed=3))
-        sp = structure.point(structure.domain.mean(axis=1))
-        want = check_ineq_n2over3(sp)[0]
+        mid = structure.domain.mean(axis=1)
+        want = check_ineq_n2over3(structure.metric_at(mid), structure.cubic_at(mid))[0]
         real_norm_gap = points.norm_gap
         gaps = []
 
@@ -319,7 +384,7 @@ class TestNormGapEqualitySearch:
             gaps.append(real_norm_gap(a))
             return gaps[-1]
 
-        def no_search(_):
+        def no_search(*_):
             raise AssertionError("check_structure ran the equality search")
 
         monkeypatch.setattr(points, "norm_gap", spy_norm_gap)
@@ -331,102 +396,101 @@ class TestNormGapEqualitySearch:
 
 class TestScalarGapBounds:
     def test_equality_point(self, eq_point):
-        gap, lower_13, lower_n2 = scalar_gap_bounds(eq_point)
+        gap, lower_13, lower_n2 = scalar_gap_bounds(*eq_point)
         assert gap == pytest.approx(-4.0, abs=1e-12)
         assert lower_13 == pytest.approx(-4.0, abs=1e-12)
         assert gap >= lower_13 - 1e-12
         assert gap >= lower_n2 - 1e-12
 
     def test_zero(self):
-        sp = StatPoint(MetricPoint(np.eye(3)), CubicForm.zero(3))
-        assert scalar_gap_bounds(sp) == (0.0, 0.0, 0.0)
+        assert scalar_gap_bounds(*zero_point(3)) == (0.0, 0.0, 0.0)
 
     def test_random_sweep_n3(self):
         for seed in range(100):
             sp = random_stat_point(3, np.random.default_rng(seed), metric="random")
-            gap, lower_13, lower_n2 = scalar_gap_bounds(sp)
+            gap, lower_13, lower_n2 = scalar_gap_bounds(*sp)
             assert gap >= lower_13 - 1e-12
             assert gap >= lower_n2 - 1e-12
 
 
 class TestLPQ:
     def test_g3_values(self, g3_point):
-        normsq_l, normsq_p, _, pairing = lpq(g3_point)
+        normsq_l, normsq_p, _, pairing = lpq(*g3_point)
         assert normsq_l == pytest.approx(8.0, abs=1e-12)
         assert normsq_p == pytest.approx(16.0, abs=1e-12)
         assert -pairing == pytest.approx(24.0, abs=1e-12)
-        u = g3_point.norm_a_sq()
+        u = norm_a_sq(*g3_point)
         assert normsq_l + normsq_p == pytest.approx(1.5 * u * u, abs=1e-10)
 
     def test_zero(self):
-        sp = StatPoint(MetricPoint(np.eye(3)), CubicForm.zero(3))
-        normsq_l, normsq_p, q, pairing = lpq(sp)
+        normsq_l, normsq_p, q, pairing = lpq(*zero_point(3))
         assert normsq_l == normsq_p == pairing == 0.0
-        assert np.all(q.array == 0.0)
+        assert isinstance(q, np.ndarray) and q.shape == (3, 3, 3) and np.all(q == 0.0)
 
     def test_pairing_identity_and_bounds_trace_free(self):
         for seed in range(60):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(3, 6))
             sp = random_stat_point(n, rng, trace_free=True)
-            normsq_l, normsq_p, _, pairing = lpq(sp)
+            normsq_l, normsq_p, _, pairing = lpq(*sp)
             total = normsq_l + normsq_p
             assert -pairing == pytest.approx(total, rel=1e-10, abs=1e-10)
-            u = sp.norm_a_sq()
+            u = norm_a_sq(*sp)
             assert total >= (n + 1) / (n * (n - 1)) * u * u - 1e-10
             assert total <= 1.5 * u * u + 1e-10
 
     def test_n2_forces_li_equality(self):
         for seed in range(30):
             sp = random_stat_point(2, np.random.default_rng(seed), trace_free=True)
-            normsq_l, normsq_p, _, _ = lpq(sp)
-            u = sp.norm_a_sq()
+            normsq_l, normsq_p, _, _ = lpq(*sp)
+            u = norm_a_sq(*sp)
             assert normsq_l + normsq_p == pytest.approx(1.5 * u * u, abs=1e-10 * max(1.0, u * u))
 
 
 def metric_arrays(g):
-    return g.components, g.inverse
+    return g, metric_factors(g)[0]
 
 
 class TestConstantCurvature:
     def test_r0_itself(self, rng):
-        g = MetricPoint(np.eye(3))
+        g = np.eye(3)
         assert constant_curvature_residual(
-            r0_curvature(g.components), *metric_arrays(g), 1.0) == pytest.approx(0.0, abs=1e-13)
+            r0_curvature(g), *metric_arrays(g), 1.0) == pytest.approx(0.0, abs=1e-13)
 
     def test_g3_is_constant_curvature(self, g3_point):
-        b = bracket_kk(g3_point)
-        assert constant_curvature_residual(b, *metric_arrays(g3_point.g), -2.0) < 1e-12
-        assert best_fit_curvature_coefficient(*metric_arrays(g3_point.g), b) == pytest.approx(
+        b = bracket_kk(*g3_point)
+        g = g3_point[0]
+        assert constant_curvature_residual(b, *metric_arrays(g), -2.0) < 1e-12
+        assert best_fit_curvature_coefficient(*metric_arrays(g), b) == pytest.approx(
             -2.0, abs=1e-12)
 
     def test_r0_against_zero(self):
-        g = MetricPoint(np.eye(4))
+        g = np.eye(4)
         n = 4
         assert constant_curvature_residual(
-            r0_curvature(g.components), *metric_arrays(g), 0.0) == pytest.approx(
+            r0_curvature(g), *metric_arrays(g), 0.0) == pytest.approx(
             np.sqrt(2 * n * (n - 1)), abs=1e-12
         )
 
     def test_single_point_gives_floats(self, g3_point):
-        g, ginv = metric_arrays(g3_point.g)
-        b = bracket_kk(g3_point)
+        g, ginv = metric_arrays(g3_point[0])
+        b = bracket_kk(*g3_point)
         assert type(constant_curvature_residual(b, g, ginv, -2.0)) is float
         assert type(best_fit_curvature_coefficient(g, ginv, b)) is float
 
     def test_batch_matches_points(self, rng):
         sps = [random_stat_point(3, rng, metric="random") for _ in range(6)]
-        g = np.stack([sp.g.components for sp in sps]).reshape(2, 3, 3, 3)
-        ginv = np.stack([sp.g.inverse for sp in sps]).reshape(2, 3, 3, 3)
-        r = np.stack([bracket_kk(sp) for sp in sps]).reshape((2, 3) + (3,) * 4)
+        g = np.stack([sp[0] for sp in sps]).reshape(2, 3, 3, 3)
+        ginv = np.stack([metric_arrays(sp[0])[1] for sp in sps]).reshape(2, 3, 3, 3)
+        r = np.stack([bracket_kk(*sp) for sp in sps]).reshape((2, 3) + (3,) * 4)
         h = best_fit_curvature_coefficient(g, ginv, r)
         residual = constant_curvature_residual(r, g, ginv, h)
         assert h.shape == residual.shape == (2, 3)
         for i, sp in enumerate(sps):
-            h_one = best_fit_curvature_coefficient(*metric_arrays(sp.g), bracket_kk(sp))
+            h_one = best_fit_curvature_coefficient(*metric_arrays(sp[0]), bracket_kk(*sp))
             assert h.ravel()[i] == h_one
             assert residual.ravel()[i] == constant_curvature_residual(
-                bracket_kk(sp), *metric_arrays(sp.g), h_one)
+                bracket_kk(*sp), *metric_arrays(sp[0]), h_one)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
@@ -435,33 +499,32 @@ class TestConstantCurvature:
 
 class TestFitConstantCurvature:
     def test_exact_multiple_returns_h(self, rng):
-        g = random_stat_point(3, rng, metric="random").g
-        r = -1.7 * r0_curvature(g.components)
+        g = random_stat_point(3, rng, metric="random")[0]
+        r = -1.7 * r0_curvature(g)
         assert fit_constant_curvature(*metric_arrays(g), r, 1e-12) == pytest.approx(
             -1.7, abs=1e-12)
 
     def test_supplied_h_is_returned_when_it_fits(self, g3_point):
         assert fit_constant_curvature(
-            *metric_arrays(g3_point.g), bracket_kk(g3_point), 1e-12, -2.0) == -2.0
+            *metric_arrays(g3_point[0]), bracket_kk(*g3_point), 1e-12, -2.0) == -2.0
 
     def test_wrong_supplied_h_raises(self, g3_point):
         with pytest.raises(PreconditionError, match="curvature is not H R0 at x"):
-            fit_constant_curvature(*metric_arrays(g3_point.g), bracket_kk(g3_point), 1e-4, 5.0)
+            fit_constant_curvature(*metric_arrays(g3_point[0]), bracket_kk(*g3_point), 1e-4, 5.0)
 
     def test_non_constant_curvature_raises(self):
         # at n = 2 every curvature tensor is a multiple of R0; at n = 3 a random [K,K] is not
         sp = random_stat_point(3, np.random.default_rng(5))
         with pytest.raises(PreconditionError, match="fit residual"):
-            fit_constant_curvature(*metric_arrays(sp.g), bracket_kk(sp), 1e-4)
+            fit_constant_curvature(*metric_arrays(sp[0]), bracket_kk(*sp), 1e-4)
 
     def test_batch_raises_at_first_failing_point(self, rng):
         # points 0 and 2 are exact multiples of R0; point 1 is a random [K,K] at n = 3
-        g = random_stat_point(3, rng, metric="random").g
+        g, ginv = metric_arrays(random_stat_point(3, rng, metric="random")[0])
         bad = random_stat_point(3, np.random.default_rng(5))
-        r = np.stack([-1.7 * r0_curvature(g.components), bracket_kk(bad),
-                      0.5 * r0_curvature(g.components)])
-        gs = np.stack([g.components, np.eye(3), g.components])
-        ginvs = np.stack([g.inverse, np.eye(3), g.inverse])
+        r = np.stack([-1.7 * r0_curvature(g), bracket_kk(*bad), 0.5 * r0_curvature(g)])
+        gs = np.stack([g, np.eye(3), g])
+        ginvs = np.stack([ginv, np.eye(3), ginv])
         h = best_fit_curvature_coefficient(gs, ginvs, r)
         fit = constant_curvature_residual(r, gs, ginvs, h)
         with pytest.raises(PreconditionError, match=f"fit residual {fit[1]:g}"):
@@ -473,66 +536,65 @@ class TestFitConstantCurvature:
 
 class TestLagrangianGauss:
     def test_trivial(self):
-        sp = StatPoint(MetricPoint(np.eye(3)), CubicForm.zero(3))
-        rhat = 2.0 * r0_curvature(sp.g.components)
-        residual, scalar_residual = lagrangian_gauss_residual(sp, rhat, 2.0)
+        g, a = zero_point(3)
+        residual, scalar_residual = lagrangian_gauss_residual(g, a, 2.0 * r0_curvature(g), 2.0)
         assert residual < 1e-12
         assert scalar_residual < 1e-11
 
     def test_g3_needs_c_equal_2(self, g3_point):
         rhat = np.zeros((2, 2, 2, 2))
-        residual, scalar_residual = lagrangian_gauss_residual(g3_point, rhat, 2.0)
+        residual, scalar_residual = lagrangian_gauss_residual(*g3_point, rhat, 2.0)
         assert residual < 1e-12
         assert scalar_residual < 1e-12
-        bad, _ = lagrangian_gauss_residual(g3_point, rhat, 1.0)
+        bad, _ = lagrangian_gauss_residual(*g3_point, rhat, 1.0)
         assert bad > 1.0
 
     def test_random_smoke(self, rng):
         sp = random_stat_point(3, rng, metric="random")
         arr = rng.uniform(-1, 1, (3, 3, 3, 3))
         arr = arr - np.swapaxes(arr, 0, 1)
-        residual, scalar_residual = lagrangian_gauss_residual(sp, arr, 0.7)
+        residual, scalar_residual = lagrangian_gauss_residual(*sp, arr, 0.7)
         assert residual > 0.0
         assert np.isfinite(scalar_residual)
 
 
 class TestGeneratorHelpers:
     def test_trace_free_projection(self, rng):
-        sp = random_stat_point(4, rng, metric="random")
-        a_tf = trace_free_part(sp.g, sp.A)
-        tf = StatPoint(sp.g, a_tf)
-        assert tf.trace_free
+        g, a = random_stat_point(4, rng, metric="random")
+        e = difference_tensor(g, trace_free_part(g, a))[3]
+        assert np.sqrt(e @ g @ e) < points.TRACE_FREE_TOL
 
     def test_determinism(self):
         a = random_stat_point(3, 99, metric="random")
         b = random_stat_point(3, 99, metric="random")
-        assert np.array_equal(a.A.dense, b.A.dense)
-        assert np.array_equal(a.g.components, b.g.components)
+        assert np.array_equal(a[1], b[1])
+        assert np.array_equal(a[0], b[0])
 
 
 class TestRicciComparisonChain:
     def test_quadratic_form_version(self, rng):
         # 2 Ric_hat - Ric - Ric_bar + ||tau||^2 g / 2 reduces algebraically to
         # 2 (g(K_.,K_.) - tau o K + ||tau||^2 g / 4); positive semi-definite always.
-        from codazzi import orthonormal_frame
+        from codazzi.tensors import gram_k, tau_circ_k
 
         for seed in range(50):
-            sp = random_stat_point(4, np.random.default_rng(seed), metric="random")
-            tau_sq = float(sp.tau @ sp.g.inverse @ sp.tau)
-            form = sp.gram_k() - sp.tau_circ_k() + 0.25 * tau_sq * sp.g.components
+            g, a = random_stat_point(4, np.random.default_rng(seed), metric="random")
+            ginv, k, tau, _ = difference_tensor(g, a)
+            tau_sq = float(tau @ ginv @ tau)
+            form = gram_k(ginv, g, k) - tau_circ_k(tau, k) + 0.25 * tau_sq * g
             # eigenvalues w.r.t. g via the orthonormal frame
-            b = orthonormal_frame(sp.g)
+            b = metric_factors(g)[1]
             eigs = np.linalg.eigvalsh(b.T @ form @ b)
             assert np.all(eigs >= -1e-8)
 
 
 def _frame_vectors(sps, us):
-    return np.stack([orthonormal_frame(sp.g).T @ sp.g.components @ u for sp, u in zip(sps, us)])
+    return np.stack([metric_factors(g)[1].T @ g @ u for (g, _), u in zip(sps, us)])
 
 
 def _quarter_scales(sps, us):
     """Size of the quarter-inequality terms at each point: ||A||^2 g(U,U)."""
-    return [sp.norm_a_sq() * float(u @ sp.g.components @ u) for sp, u in zip(sps, us)]
+    return [norm_a_sq(g, a) * float(u @ g @ u) for (g, a), u in zip(sps, us)]
 
 
 def _close(value, oracle, scale):
@@ -541,10 +603,10 @@ def _close(value, oracle, scale):
 
 
 class TestBatchedKernels:
-    """One kernel call over a batch equals per-point StatPoint calls and the coordinate formulas.
+    """One kernel call over a batch equals per-point (g, a) calls and the coordinate formulas.
 
-    The oracles are the coordinate-form expressions (g^{-1}, K, tau) the
-    StatPoint functions used before they were routed through the frame kernels.
+    The oracles are the coordinate-form expressions (g^{-1}, K, tau) of the
+    pointwise checks, before they were routed through the frame kernels.
     """
 
     COUNT = 25
@@ -555,69 +617,71 @@ class TestBatchedKernels:
         rng = np.random.default_rng(700 + n)
         sps = [random_stat_point(n, rng, metric="random") for _ in range(self.COUNT)]
         us = rng.uniform(-1.0, 1.0, (self.COUNT, n))
-        return sps, us, np.stack([sp.frame_cubic for sp in sps])
+        return sps, us, np.stack([frame_cubic(*sp) for sp in sps])
 
     def test_quarter_terms(self, batch):
-        sps, us, a = batch
-        lhs, tau_sq, u_sq, _ = points.quarter_terms(a, _frame_vectors(sps, us))
-        single = np.array([check_ineq_quarter(sp, u)[:2] for sp, u in zip(sps, us)])
+        sps, us, a_hat = batch
+        lhs, tau_sq, u_sq, _ = points.quarter_terms(a_hat, _frame_vectors(sps, us))
+        single = np.array([check_ineq_quarter(*sp, u)[:2] for sp, u in zip(sps, us)])
         assert np.array_equal(lhs, single[:, 0])
         assert np.array_equal(0.25 * tau_sq * u_sq, single[:, 1])
         for sp, u, value, t2, scale in zip(sps, us, lhs, tau_sq, _quarter_scales(sps, us)):
-            k = sp.K.array
+            g = sp[0]
+            ginv, k, tau, _ = difference_tensor(*sp)
             ku = np.einsum("mij,i->mj", k, u)
-            oracle = float(sp.tau @ np.einsum("mij,i,j->m", k, u, u)) - float(
-                np.einsum("ab,mn,ma,nb->", sp.g.inverse, sp.g.components, ku, ku))
+            oracle = float(tau @ np.einsum("mij,i,j->m", k, u, u)) - float(
+                np.einsum("ab,mn,ma,nb->", ginv, g, ku, ku))
             _close(value, oracle, scale)
-            _close(t2, sp.tau @ sp.g.inverse @ sp.tau, scale)
+            _close(t2, tau @ ginv @ tau, scale)
 
     def test_eighth_uses_the_quarter_terms(self, batch):
         sps, us, _ = batch
-        n = sps[0].n
+        n = len(sps[0][0])
         # drop A(e1,e1,e1) so the eighth bound applies at U = e1
-        sps = [StatPoint(sp.g, CubicForm.from_entries(
-            n, {k: v for k, v in sp.A.entries().items() if k != (0, 0, 0)})) for sp in sps]
+        sps = [(g, without_a111(a)) for g, a in sps]
         e1 = np.tile(np.eye(n)[0], (len(sps), 1))
-        a = np.stack([sp.frame_cubic for sp in sps])
-        lhs, tau_sq, u_sq, _ = points.quarter_terms(a, _frame_vectors(sps, e1))
-        single = np.array([check_ineq_eighth(sp, e1[0])[:2] for sp in sps])
+        a_hat = np.stack([frame_cubic(*sp) for sp in sps])
+        lhs, tau_sq, u_sq, _ = points.quarter_terms(a_hat, _frame_vectors(sps, e1))
+        single = np.array([check_ineq_eighth(*sp, e1[0])[:2] for sp in sps])
         assert np.array_equal(lhs, single[:, 0])
         assert np.array_equal(0.125 * tau_sq * u_sq, single[:, 1])
         for sp, value in zip(sps, single[:, 1]):
-            tau_sq_oracle = float(sp.tau @ sp.g.inverse @ sp.tau)
-            _close(value, 0.125 * tau_sq_oracle * sp.g.components[0, 0], sp.norm_a_sq())
+            ginv, _, tau, _ = difference_tensor(*sp)
+            tau_sq_oracle = float(tau @ ginv @ tau)
+            _close(value, 0.125 * tau_sq_oracle * sp[0][0, 0], norm_a_sq(*sp))
 
     def test_norm_gap(self, batch):
-        sps, _, a = batch
-        gap = points.norm_gap(a)
-        assert np.array_equal(gap, [check_ineq_n2over3(sp)[0] for sp in sps])
-        for sp, value in zip(sps, gap):
-            oracle = (sp.n + 2) / 3.0 * inner(sp.g, sp.A, sp.A) - sp.E @ sp.g.components @ sp.E
-            _close(value, oracle, sp.norm_a_sq())
+        sps, _, a_hat = batch
+        gap = points.norm_gap(a_hat)
+        assert np.array_equal(gap, [check_ineq_n2over3(*sp)[0] for sp in sps])
+        for (g, a), value in zip(sps, gap):
+            e = difference_tensor(g, a)[3]
+            oracle = (len(g) + 2) / 3.0 * norm_a_sq(g, a) - e @ g @ e
+            _close(value, oracle, norm_a_sq(g, a))
 
     def test_scalar_gap_terms(self, batch):
-        sps, _, a = batch
-        terms = np.stack(points.scalar_gap_terms(a), axis=-1)
-        assert np.array_equal(terms, [scalar_gap_bounds(sp) for sp in sps])
-        for sp, row in zip(sps, terms):
-            n = sp.n
-            a2 = inner(sp.g, sp.A, sp.A)
-            e2 = sp.E @ sp.g.components @ sp.E
+        sps, _, a_hat = batch
+        terms = np.stack(points.scalar_gap_terms(a_hat), axis=-1)
+        assert np.array_equal(terms, [scalar_gap_bounds(*sp) for sp in sps])
+        for (g, a), row in zip(sps, terms):
+            n = len(g)
+            a2 = norm_a_sq(g, a)
+            e = difference_tensor(g, a)[3]
+            e2 = e @ g @ e
             _close(row, [a2 - e2, -(n - 1) / 3.0 * a2, -(n - 1) / (n + 2) * e2], a2)
 
     def test_trace_free_projection(self, batch):
-        sps, _, a = batch
-        projected = points.trace_free_projection(a)
-        for sp, value in zip(sps, projected):
-            single = trace_free_part(sp.g, sp.A).dense
-            # the wrapper maps the frame result back to coordinates, so the
+        sps, _, a_hat = batch
+        projected = points.trace_free_projection(a_hat)
+        for (g, a), value in zip(sps, projected):
+            single = trace_free_part(g, a)
+            # trace_free_part maps the frame result back to coordinates, so the
             # comparison goes through one more change of frame
-            _close(frame_components(orthonormal_frame(sp.g), single), value, np.max(np.abs(value)))
-            w = np.einsum("ab,abm->m", sp.g.inverse, sp.A.dense) / (sp.n + 2)
-            gm = sp.g.components
-            oracle = sp.A.dense - (
-                np.einsum("i,jk->ijk", w, gm) + np.einsum("j,ik->ijk", w, gm)
-                + np.einsum("k,ij->ijk", w, gm)
+            _close(frame_components(metric_factors(g)[1], single), value, np.max(np.abs(value)))
+            w = np.einsum("ab,abm->m", metric_factors(g)[0], a) / (len(g) + 2)
+            oracle = a - (
+                np.einsum("i,jk->ijk", w, g) + np.einsum("j,ik->ijk", w, g)
+                + np.einsum("k,ij->ijk", w, g)
             )
             _close(single, oracle, np.max(np.abs(oracle)))
         assert np.max(np.abs(points.trace_form(projected))) < 1e-13
@@ -634,16 +698,16 @@ class TestBatchedKernels:
         assert np.array_equal(points.trace_free_projection(a), oracle)
 
     def test_lp_norms(self, batch):
-        sps, _, a = batch
-        l2, p2 = points.lp_norms(a)
-        assert np.array_equal(np.stack([l2, p2], axis=-1), [lpq(sp)[:2] for sp in sps])
-        for sp, l_value, p_value in zip(sps, l2, p2):
-            ginv = sp.g.inverse
-            lt = np.einsum("abm,mn,cdn->abcd", sp.A.dense, ginv, sp.A.dense)
+        sps, _, a_hat = batch
+        l2, p2 = points.lp_norms(a_hat)
+        assert np.array_equal(np.stack([l2, p2], axis=-1), [lpq(*sp)[:2] for sp in sps])
+        for (g, a), l_value, p_value in zip(sps, l2, p2):
+            ginv = metric_factors(g)[0]
+            lt = np.einsum("abm,mn,cdn->abcd", a, ginv, a)
             pt = lt - np.transpose(lt, (2, 1, 0, 3))
-            scale = sp.norm_a_sq() ** 2
-            _close(l_value, inner(sp.g, lt, lt), scale)
-            _close(p_value, inner(sp.g, pt, pt), scale)
+            scale = norm_a_sq(g, a) ** 2
+            _close(l_value, contract(ginv, lt, lt), scale)
+            _close(p_value, contract(ginv, pt, pt), scale)
 
 
 

@@ -7,23 +7,23 @@ import pytest
 
 from codazzi import (
     ConstructionError,
-    CubicForm,
     DimensionMismatchError,
-    MetricPoint,
     NotPositiveDefiniteError,
-    Tensor,
     frame_components,
-    inner,
-    orthonormal_frame,
     r0_curvature,
     raise_last,
     symmetrize,
 )
+from codazzi.charts import ChartStructure, constant_field
+from codazzi.generators import equality_point
+from codazzi.points import frame_cubic, ric_k
 from codazzi.spheres import poly_eval, product_gauss
+from codazzi.structures_io import (cubic_entries, cubic_from_entries, cubic_triples,
+                                   stat_point_from_dict)
 from codazzi.tensors import (batch_last, check_riemannian_symmetries, contract, core_first,
-                             lower_first, metric_factor_counts, metric_factors, ricci_trace,
-                             sectional, sectional_contraction, trace_k, trace_pair)
-from conftest import equality_point
+                             gram_k, lower_first, metric_factor_counts, metric_factors,
+                             ricci_trace, sectional, sectional_contraction, tau_circ_k, trace_k,
+                             trace_pair)
 
 
 def random_spd(n, rng):
@@ -33,38 +33,52 @@ def random_spd(n, rng):
     return 0.5 * (m + m.T)
 
 
+def point_dict(g, entries=None):
+    return {"n": len(g), "g": [[float(v) for v in row] for row in g], "A": entries or {}}
+
+
 class TestMetricPoint:
+    """The metric of a point file: ingest checks its symmetry, and metric_factors its
+    dimension and positive definiteness."""
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ConstructionError, match="not symmetric"):
-            MetricPoint([[1.0, 0.1], [0.0, 1.0]])
+            stat_point_from_dict(point_dict([[1.0, 0.1], [0.0, 1.0]]))
 
-    def test_rejects_indefinite_naming_minor(self):
-        with pytest.raises(ConstructionError, match="minor 2"):
-            MetricPoint([[1.0, 2.0], [2.0, 1.0]])
+    def test_rejects_indefinite_naming_pivot(self):
+        # the factorization runs from the last row up, so [[1, 2], [2, 1]] fails at pivot 1
+        with pytest.raises(NotPositiveDefiniteError, match="pivot 1 "):
+            stat_point_from_dict(point_dict([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_rejects_dimension_over_cap(self):
-        with pytest.raises(ConstructionError, match="cap"):
-            MetricPoint(np.eye(9))
+        with pytest.raises(ConstructionError, match="dimension 9 must lie in 1..8"):
+            stat_point_from_dict(point_dict(np.eye(9)))
 
     def test_inverse(self, rng):
-        g = MetricPoint(random_spd(4, rng))
-        assert np.allclose(g.components @ g.inverse, np.eye(4), atol=1e-12)
+        g = random_spd(4, rng)
+        assert np.allclose(g @ metric_factors(g)[0], np.eye(4), atol=1e-12)
+
+    def test_ingest_gives_read_only_arrays(self):
+        g, a = stat_point_from_dict(point_dict(np.eye(2), {"112": 1.0, "222": 3.0}))
+        assert np.array_equal(g, np.eye(2)) and np.array_equal(a, equality_point()[1])
+        assert not g.flags.writeable and not a.flags.writeable
 
 
 class TestOrthonormalFrame:
+    """The frame of metric_factors: lower triangular, with B^T g B = I."""
+
     def test_identity(self):
-        b = orthonormal_frame(MetricPoint(np.eye(3)))
-        assert np.allclose(b, np.eye(3))
+        assert np.allclose(metric_factors(np.eye(3))[1], np.eye(3))
 
     def test_diagonal(self):
-        b = orthonormal_frame(MetricPoint(np.diag([2.0, 1.0])))
+        b = metric_factors(np.diag([2.0, 1.0]))[1]
         assert np.allclose(b, np.diag([1.0 / np.sqrt(2.0), 1.0]))
 
     def test_random_spd_seed7(self):
         rng = np.random.default_rng(7)
-        g = MetricPoint(random_spd(4, rng))
-        b = orthonormal_frame(g)
-        assert np.max(np.abs(b.T @ g.components @ b - np.eye(4))) < 1e-12
+        g = random_spd(4, rng)
+        b = metric_factors(g)[1]
+        assert np.max(np.abs(b.T @ g @ b - np.eye(4))) < 1e-12
         # lower triangular convention
         assert np.allclose(b, np.tril(b))
 
@@ -104,9 +118,13 @@ class TestMetricFactors:
                    for a, b in zip(nested, together))
 
     def test_metric_point_reads_the_kernel(self, rng):
-        g = MetricPoint(random_spd(4, rng))
-        ginv, frame, vol = metric_factors(g.components)
-        assert np.array_equal(g.inverse, ginv) and np.array_equal(orthonormal_frame(g), frame)
+        # the pointwise functions of a structure (g, a) read g^-1 and the frame of the kernel
+        g = random_spd(4, rng)
+        a = symmetrize(rng.uniform(-1, 1, (4, 4, 4)))
+        ginv, frame, _ = metric_factors(g)
+        assert np.array_equal(frame_cubic(g, a), frame_components(frame, a))
+        k = raise_last(ginv, a)
+        assert np.array_equal(ric_k(g, a), tau_circ_k(trace_k(k), k) - gram_k(ginv, g, k))
 
     def test_counts_batches_and_matrices(self, rng):
         before = metric_factor_counts()
@@ -151,79 +169,98 @@ class TestMetricFactors:
 
 
 class TestCubicForm:
+    """Packed cubic entries i <= j <= k and dense arrays, and the symmetry a chart's cubic
+    field must have."""
+
     def test_storage_forces_symmetry(self):
-        a = CubicForm.from_entries(3, {(0, 1, 2): 2.5})
-        dense = a.dense
+        dense = cubic_from_entries(3, {(2, 0, 1): 2.5})
         for p in itertools.permutations((0, 1, 2)):
             assert dense[p] == 2.5
+        assert np.count_nonzero(dense) == 6 and not dense.flags.writeable
 
     def test_from_dense_rejects_asymmetric(self):
-        arr = np.zeros((2, 2, 2))
-        arr[0, 0, 1] = 1.0
-        with pytest.raises(ConstructionError, match="symmetric"):
-            CubicForm.from_dense(arr)
+        # a constant cubic field off symmetry by 2e-9 relative, beyond the chart's bar of 1e-9
+        arr = np.ones((2, 2, 2))
+        arr[0, 0, 1] += 2e-9
+        with pytest.raises(ConstructionError, match="cubic field is not symmetric"):
+            ChartStructure(2, [[0.0, 1.0]] * 2, constant_field(np.eye(2)), constant_field(arr))
+        arr[0, 0, 1] = 1.0 + 5e-10
+        ChartStructure(2, [[0.0, 1.0]] * 2, constant_field(np.eye(2)), constant_field(arr))
 
     def test_round_trip(self, rng):
         arr = symmetrize(rng.uniform(-1, 1, (4, 4, 4)))
-        a = CubicForm.from_dense(arr)
-        assert np.allclose(a.dense, arr, atol=1e-15)
+        entries = cubic_entries(arr)
+        assert list(entries) == list(cubic_triples(4))
+        assert np.array_equal(cubic_from_entries(4, entries), arr)
+
+    def test_triples_are_sorted_multi_indices(self):
+        for n in range(1, 5):
+            triples = cubic_triples(n)
+            assert len(triples) == math.comb(n + 2, 3)
+            assert list(triples) == sorted(set(tuple(sorted(t)) for t in
+                                               itertools.product(range(n), repeat=3)))
+
+    def test_entries_skip_zeros_and_reject_bad_indices(self):
+        assert cubic_entries(cubic_from_entries(2, {(1, 0, 0): 0.0, (1, 1, 1): -2.0})) == {
+            (1, 1, 1): -2.0}
+        with pytest.raises(ConstructionError, match="out of range"):
+            cubic_from_entries(2, {(0, 0, 2): 1.0})
 
 
 class TestRaiseLast:
     def test_equality_point_components(self):
-        sp = equality_point()
-        k = sp.K.array
+        g, a = equality_point()
+        k = raise_last(metric_factors(g)[0], a)
         # K(e1,e1) = e2, K(e1,e2) = e1, K(e2,e2) = 3 e2
         assert np.allclose(k[:, 0, 0], [0.0, 1.0])
         assert np.allclose(k[:, 0, 1], [1.0, 0.0])
         assert np.allclose(k[:, 1, 1], [0.0, 3.0])
 
     def test_zero(self):
-        g = MetricPoint(np.eye(3))
-        k = raise_last(g.inverse, CubicForm.zero(3).dense)
+        k = raise_last(metric_factors(np.eye(3))[0], np.zeros((3, 3, 3)))
         assert np.all(k == 0.0)
 
     def test_hand_contraction_diag_metric(self):
-        g = MetricPoint(np.diag([2.0, 1.0]))
-        a = CubicForm.from_entries(2, {(0, 0, 0): -1.0})
-        k = raise_last(g.inverse, a.dense)
+        ginv = metric_factors(np.diag([2.0, 1.0]))[0]
+        k = raise_last(ginv, cubic_from_entries(2, {(0, 0, 0): -1.0}))
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 0] = -0.5
         assert np.allclose(k, expected)
 
 
 class TestInner:
+    """The full scalar product of two covariant arrays, every slot against g^-1: contract."""
+
     def test_metric_with_itself_is_dimension(self, rng):
         for n in (1, 2, 4):
-            g = MetricPoint(random_spd(n, rng))
-            assert inner(g, g.components, g.components) == pytest.approx(n, abs=1e-12)
+            g = random_spd(n, rng)
+            assert contract(metric_factors(g)[0], g, g) == pytest.approx(n, abs=1e-12)
 
     def test_equality_point_cubic_norm(self):
-        sp = equality_point()
-        assert inner(sp.g, sp.A, sp.A) == pytest.approx(12.0, abs=1e-13)
+        g, a = equality_point()
+        assert contract(metric_factors(g)[0], a, a) == pytest.approx(12.0, abs=1e-13)
 
     def test_hand_contraction(self):
-        g = MetricPoint(np.diag([2.0, 1.0]))
-        a = CubicForm.from_entries(2, {(0, 0, 0): -1.0})
-        assert inner(g, a, a) == pytest.approx(0.125, abs=1e-15)
+        ginv = metric_factors(np.diag([2.0, 1.0]))[0]
+        a = cubic_from_entries(2, {(0, 0, 0): -1.0})
+        assert contract(ginv, a, a) == pytest.approx(0.125, abs=1e-15)
 
     def test_positive_definite(self, rng):
-        g = MetricPoint(random_spd(3, rng))
+        ginv = metric_factors(random_spd(3, rng))[0]
         t = rng.uniform(-1, 1, (3, 3, 3))
-        assert inner(g, t, t) > 0.0
-        assert inner(g, np.zeros((3, 3, 3)), np.zeros((3, 3, 3))) == 0.0
+        assert contract(ginv, t, t) > 0.0
+        assert contract(ginv, np.zeros((3, 3, 3)), np.zeros((3, 3, 3))) == 0.0
 
     def test_degree_mismatch(self):
-        g = MetricPoint(np.eye(2))
-        with pytest.raises(DimensionMismatchError):
-            inner(g, np.zeros((2, 2)), np.zeros((2, 2, 2)))
+        # (2, 2) would broadcast against (2, 2, 2): the shapes must agree
+        with pytest.raises(DimensionMismatchError, match=r"\(2, 2\) and \(2, 2, 2\)"):
+            contract(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2, 2)))
 
     def test_frame_invariance(self, rng):
-        g = MetricPoint(random_spd(4, rng))
-        b = orthonormal_frame(g)
+        ginv, b, _ = metric_factors(random_spd(4, rng))
         t = rng.uniform(-1, 1, (4, 4, 4))
         s = rng.uniform(-1, 1, (4, 4, 4))
-        coord = inner(g, t, s)
+        coord = contract(ginv, t, s)
         naive = float(np.sum(frame_components(b, t) * frame_components(b, s)))
         assert abs(coord - naive) < 1e-11 * max(abs(coord), 1.0)
 
@@ -302,7 +339,7 @@ class TestSlotKernels:
     def test_unbatched_tensor_is_broadcast_by_the_caller(self):
         # with as many matrices as the dimension, an unbatched cubic form would
         # read as a batch of 2-tensors; broadcasting it first gives the per-point values
-        a = CubicForm.from_entries(2, {(0, 0, 1): 1.0, (1, 1, 1): 3.0}).dense
+        a = equality_point()[1]
         ginv = np.stack([2.0 * np.eye(2), 2.0 * np.eye(2)])
         wide = np.broadcast_to(a, (2,) + a.shape)
         assert np.array_equal(contract(ginv, wide, wide), [contract(ginv[0], a, a)] * 2)
@@ -455,9 +492,8 @@ class TestR0Curvature:
 
     def test_r0_norm(self, rng):
         for n in (2, 3, 4):
-            g = MetricPoint(np.eye(n))
-            r0 = r0_curvature(g.components)
-            assert inner(g, r0, r0) == pytest.approx(2 * n * (n - 1), abs=1e-12)
+            r0 = r0_curvature(np.eye(n))
+            assert contract(np.eye(n), r0, r0) == pytest.approx(2 * n * (n - 1), abs=1e-12)
 
 
 class TestRiemannianSymmetries:
@@ -493,9 +529,3 @@ class TestRiemannianSymmetries:
         r[1, 0, 0, 0, 0] = 0.25
         with pytest.raises(ConstructionError, match="defect 0.5"):
             check_riemannian_symmetries(r, 1e-10)
-
-
-class TestTensor:
-    def test_tensor_shape_guard(self):
-        with pytest.raises(ConstructionError):
-            Tensor(2, 2, 0, np.zeros((2, 3)))
