@@ -63,7 +63,8 @@ Field = Callable[[np.ndarray], np.ndarray]
 """Maps points x[..., n] to values [..., *shape]."""
 
 CONJUGATE_SYMMETRY_THRESHOLD = 1e-6
-# largest asymmetry max |A - sym A| of a cubic field, relative to max |A|, that the chart accepts
+# largest asymmetry of a cubic field (max |A - sym A|) or a metric field (max |g - g^T|),
+# relative to the field's largest entry, that the chart accepts
 CUBIC_SYMMETRY_TOL = 1e-9
 
 
@@ -195,7 +196,7 @@ class ChartStructure:
     def _spot_check(self):
         """Validate the fields on the 5-point lattice of the box and at its midpoint (which
         a periodic axis's lattice leaves out): shapes, finite values, a positive definite
-        metric and a cubic form symmetric to within CUBIC_SYMMETRY_TOL relative."""
+        metric, and a metric and a cubic form symmetric to within CUBIC_SYMMETRY_TOL relative."""
         n = self.n
         points = np.vstack([self.lattice(5), self.domain.mean(axis=1)])
         # overflow and invalid values are what this check reports, as errors
@@ -212,17 +213,22 @@ class ChartStructure:
             if np.any(bad):
                 raise ConstructionError(f"{message} at x={points[np.argmax(bad)].tolist()}")
 
+        def asymmetric(values, mirrored):
+            # max |T - mirrored T| per point, relative to max |T| (to 1 where T vanishes)
+            axes = tuple(range(1, values.ndim))
+            scale = np.max(np.abs(values), axis=axes)
+            defect = np.max(np.abs(values - mirrored), axis=axes)
+            return defect > CUBIC_SYMMETRY_TOL * np.where(scale > 0.0, scale, 1.0)
+
         first(~np.all(np.isfinite(g), axis=(1, 2)), "metric field is not finite")
+        first(asymmetric(g, np.swapaxes(g, -1, -2)), "metric field is not symmetric")
         try:
             metric_factors(g, points)
         except ConstructionError as exc:
             # the message names the point; keep the type (hessian_from_potential reads it)
             raise type(exc)(f"metric field fails: {exc}") from exc
         first(~np.all(np.isfinite(a), axis=(1, 2, 3)), "cubic field is not finite")
-        scale = np.max(np.abs(a), axis=(1, 2, 3))
-        defect = np.max(np.abs(a - symmetrize(a, degree=3)), axis=(1, 2, 3))
-        first(defect > CUBIC_SYMMETRY_TOL * np.where(scale > 0.0, scale, 1.0),
-              "cubic field is not symmetric")
+        first(asymmetric(a, symmetrize(a, degree=3)), "cubic field is not symmetric")
 
     # -- point access ----------------------------------------------------------
 

@@ -6,7 +6,9 @@ integral into a round-sphere integral, so quadratures are built once on
 S^{n-1}.  Product rules: the circle uses the N-point trapezoid (exact for
 trigonometric polynomials below degree N), S^2 uses Gauss-Legendre in the
 polar cosine crossed with a uniform azimuthal grid, and higher dimensions
-fall back to Monte Carlo with a reported standard error.
+fall back to Monte Carlo with a reported standard error.  A rule is built
+once per process and its nodes and weights are read-only: product rules are
+cached per (n, order), and the last Monte Carlo rule per (n, count, seed).
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+# the most recently used node-power tables, and product rules, that a process keeps
+NODE_POWER_CACHE_SIZE = 64
+
+
 @dataclass(frozen=True)
 class SphereQuadrature:
     """Nodes on S^{n-1} with weights summing to the sphere area."""
@@ -52,34 +58,60 @@ class SphereQuadrature:
 def product_gauss(n: int, order: int = 12) -> SphereQuadrature:
     """Deterministic product rule; exact for polynomial integrands up to ~order.
 
-    Supported for n = 2 and n = 3; higher dimensions are Monte Carlo only.
+    Supported for n = 2 and n = 3; higher dimensions are Monte Carlo only.  The
+    rule is read-only and built once per (n, order): the cache holds the
+    NODE_POWER_CACHE_SIZE most recently used rules.
     """
+    return _product_gauss(int(n), int(order))
+
+
+def monte_carlo(n: int, count: int, seed: int = 0) -> SphereQuadrature:
+    """count normal draws of the seed's PCG64 stream, normalized onto S^{n-1}, at equal weights.
+
+    The rule is read-only and built once per (n, count, seed); the cache holds the
+    most recently used rule only, since one rule can hold millions of nodes.
+    """
+    return _monte_carlo(int(n), int(count), int(seed))
+
+
+def quadrature_cache_info() -> tuple[int, int]:
+    """Rules built and rules found in the per-process caches of product and Monte Carlo rules."""
+    infos = (_product_gauss.cache_info(), _monte_carlo.cache_info())
+    return sum(i.misses for i in infos), sum(i.hits for i in infos)
+
+
+@functools.lru_cache(maxsize=NODE_POWER_CACHE_SIZE)
+def _product_gauss(n: int, order: int) -> SphereQuadrature:
     if n == 2:
         m = max(2 * order, 4)
         theta = 2.0 * math.pi * np.arange(m) / m
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         weights = np.full(m, 2.0 * math.pi / m)
-        return SphereQuadrature(2, "product-gauss", nodes, weights)
-    if n == 3:
+    elif n == 3:
         nt = max(order, 4)
         mphi = max(2 * order, 8)
         t, wt = np.polynomial.legendre.leggauss(nt)
         phi = 2.0 * math.pi * np.arange(mphi) / mphi
         sin_theta = np.sqrt(1.0 - t**2)[:, None]
         nodes = np.stack(np.broadcast_arrays(
-            sin_theta * np.cos(phi), sin_theta * np.sin(phi), t[:, None]), axis=-1)
+            sin_theta * np.cos(phi), sin_theta * np.sin(phi), t[:, None]), axis=-1).reshape(-1, 3)
         weights = np.repeat(wt * (2.0 * math.pi / mphi), mphi)
-        return SphereQuadrature(3, "product-gauss", nodes.reshape(-1, 3), weights)
-    raise PreconditionError(f"product-gauss fiber quadrature supports n = 2, 3 only (got {n})")
+    else:
+        raise PreconditionError(f"product-gauss fiber quadrature supports n = 2, 3 only (got {n})")
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return SphereQuadrature(n, "product-gauss", nodes, weights)
 
 
-def monte_carlo(n: int, count: int, seed: int = 0) -> SphereQuadrature:
+@functools.lru_cache(maxsize=1)
+def _monte_carlo(n: int, count: int, seed: int) -> SphereQuadrature:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, n))
     # a sum over the short axis in column order: the same value as np.linalg.norm for n < 8
     v /= np.sqrt(sum(v[:, a] ** 2 for a in range(n)))[:, None]
-    weights = np.full(count, sphere_area(n) / count)
-    return SphereQuadrature(n, "monte-carlo", v, weights)
+    v.setflags(write=False)
+    # equal weights as a read-only broadcast of one value: the rule keeps only its nodes
+    return SphereQuadrature(n, "monte-carlo", v, np.broadcast_to(sphere_area(n) / count, (count,)))
 
 
 def integrate_sphere(q: SphereQuadrature, f):
@@ -103,9 +135,6 @@ def node_powers(nodes: np.ndarray, k: int) -> np.ndarray:
     """
     nodes = np.ascontiguousarray(nodes, dtype=float)
     return _node_power_table(nodes.tobytes(), nodes.shape, k)
-
-
-NODE_POWER_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=NODE_POWER_CACHE_SIZE)

@@ -266,7 +266,12 @@ def ingest(path) -> tuple[np.ndarray, np.ndarray] | ChartStructure:
 
 
 def emit(structure: tuple[np.ndarray, np.ndarray] | ChartStructure) -> str:
-    """Canonical JSON of a chart, or of a point given as its arrays (g, a)."""
+    """Canonical JSON of a chart, or of a point given as its arrays (g, a).
+
+    ingest(emit(point)) gives back arrays equal in value to (g, a), bit for bit except
+    that a signed zero -0.0 comes back as 0.0: a zero is written as 0.0, and a zero
+    entry of A is not written at all.
+    """
     if isinstance(structure, ChartStructure):
         return canonical_json(chart_to_dict(structure))
     return canonical_json(stat_point_to_dict(*structure))

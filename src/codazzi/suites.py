@@ -887,7 +887,7 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     col.add("quadrature-parity", abs(spheres_mod.integrate_sphere(q2, lambda v: v[:, 0])),
             "n=2/V1")
 
-    # the 200000-node quadrature is a temporary, freed before the lattice integrals start
+    # the 200000-node rule is drawn on a process's first pass only; later passes reuse it
     est, se = spheres_mod.integrate_sphere(spheres_mod.monte_carlo(3, 200000, seed=cfg.seeds),
                                            lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
     exact = spheres_mod.integrate_sphere(q3, lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
@@ -1054,6 +1054,7 @@ def run_suite(name: str, cfg: SuiteConfig | None = None) -> ResidualReport:
     compiled = compile_cache_info()
     factored = metric_factor_counts()
     powers = spheres_mod.node_power_cache_info()
+    rules = spheres_mod.quadrature_cache_info()
     started = time.perf_counter()
     report = ResidualReport(suite=name, environment=cfg.environment())
     names = [name] if name != "all" else list(_SUITES)
@@ -1068,11 +1069,15 @@ def run_suite(name: str, cfg: SuiteConfig | None = None) -> ResidualReport:
     now = compile_cache_info()
     report.timing["expression-compiles"] = now.misses - compiled.misses
     report.timing["expression-compile-hits"] = now.hits - compiled.hits
-    # metric factorizations (calls and matrices), and node-power tables found or built
+    # metric factorizations (calls and matrices), node-power tables and quadrature rules
+    # found or built
     batches, matrices = metric_factor_counts()
     report.timing["metric-factor-batches"] = batches - factored[0]
     report.timing["metric-factor-matrices"] = matrices - factored[1]
     now = spheres_mod.node_power_cache_info()
     report.timing["node-power-hits"] = now.hits - powers.hits
     report.timing["node-power-misses"] = now.misses - powers.misses
+    builds, hits = spheres_mod.quadrature_cache_info()
+    report.timing["quadrature-rule-builds"] = builds - rules[0]
+    report.timing["quadrature-rule-hits"] = hits - rules[1]
     return report

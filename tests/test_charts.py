@@ -80,6 +80,23 @@ class TestChartStructure:
         with pytest.raises(ConstructionError, match="not symmetric"):
             ChartStructure(2, [[-1, 1], [-1, 1]], constant_field(np.eye(2)), constant_field(arr))
 
+    def test_spot_check_rejects_asymmetric_metric(self):
+        # metric_factors factors 0.5 (g + g^T) while the kernels read g, so g must be symmetric
+        asymmetric = constant_field([[1.0, 0.1], [0.0, 1.0]])
+        with pytest.raises(ConstructionError,
+                           match=r"metric field is not symmetric at x=\[-1\.0, -1\.0\]"):
+            ChartStructure(2, [[-1, 1], [-1, 1]], asymmetric, constant_field(np.zeros((2, 2, 2))))
+        # the bar is CUBIC_SYMMETRY_TOL relative to max |g|
+        for defect, ok in ((2e-9, False), (5e-10, True)):
+            g = constant_field([[2.0, 0.5 + 2.0 * defect], [0.5, 1.0]])
+            build = lambda: ChartStructure(2, [[-1, 1], [-1, 1]], g,
+                                           constant_field(np.zeros((2, 2, 2))))
+            if ok:
+                build()
+            else:
+                with pytest.raises(ConstructionError, match="metric field is not symmetric"):
+                    build()
+
     def test_spot_check_rejects_single_point_field(self):
         # the spot check reads the 5 x 5 lattice and the midpoint
         with pytest.raises(ConstructionError, match="metric field maps 26 points to shape"):

@@ -104,7 +104,8 @@ class TestPointFileProperties:
             text = emit((g, a))
             path.write_text(text + "\n")
             g2, a2 = ingest(path)
-            # canonical JSON writes a zero as 0.0, so signed zeros compare as one value
+            # the contract of emit's docstring (and the README's "Structure files"): equal
+            # values, with -0.0 back as 0.0, so signed zeros compare as one value
             for want, got in ((g, g2), (a, a2)):
                 assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
             assert emit((g2, a2)) == text
@@ -216,6 +217,16 @@ class TestReports:
         timing = run_suite("integral", SuiteConfig(lattice=8, fiber_order=4)).timing
         assert 0 < timing["metric-factor-batches"] < timing["metric-factor-matrices"]
         assert timing["node-power-hits"] > timing["node-power-misses"] > 0
+
+    def test_timing_counts_quadrature_rules(self):
+        # a second run finds every quadrature rule of the first in the caches
+        cfg = SuiteConfig(lattice=8, fiber_order=4)
+        first = run_suite("integral", cfg).timing
+        second = run_suite("integral", cfg).timing
+        assert first["quadrature-rule-builds"] + first["quadrature-rule-hits"] > 0
+        assert second["quadrature-rule-builds"] == 0
+        assert second["quadrature-rule-hits"] == (
+            first["quadrature-rule-builds"] + first["quadrature-rule-hits"])
 
     def test_schema_field(self):
         rep = run_suite("algebraic", SuiteConfig(seeds=1, sweep_count=100))

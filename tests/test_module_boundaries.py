@@ -737,3 +737,67 @@ def test_sweep_checker_flags_each_copy():
         "sweep_trace_inequalities: does not call points_mod.trace_form",
         "sweep_cubic_norm_bounds: not defined",
     ]
+
+
+def quadrature_rule_sites(sources: dict[str, str]) -> list[str]:
+    """Calls of ``SphereQuadrature(...)``, as ``file:function`` (``module`` at top level),
+    marked `` uncached`` unless the innermost function around them is an ``lru_cache``.
+
+    A quadrature rule is built once per process and handed out read-only, so only the two
+    cached constructors of ``spheres.py`` build one; a rule built anywhere else would be
+    drawn again on every pass, or be writable.
+    """
+    found = []
+
+    def visit(name, node, scope, cached):
+        for child in ast.iter_child_nodes(node):
+            func = child.func if isinstance(child, ast.Call) else None
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) == "SphereQuadrature":
+                where = f"{name}:{'.'.join(scope) or 'module'}"
+                found.append(where if cached else f"{where} uncached")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                lru = any("lru_cache" in ast.unparse(d) for d in child.decorator_list)
+                visit(name, child, scope + [child.name], lru)
+            elif isinstance(child, ast.ClassDef):
+                visit(name, child, scope + [child.name], False)
+            else:
+                visit(name, child, scope, cached)
+
+    for name, source in sorted(sources.items()):
+        visit(name, ast.parse(source), [], False)
+    return sorted(found)
+
+
+def test_only_the_cached_constructors_build_quadrature_rules():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert quadrature_rule_sites(sources) == [
+        "spheres.py:_monte_carlo", "spheres.py:_product_gauss"]
+
+
+def test_quadrature_rule_checker_flags_each_uncached_build():
+    sources = {
+        "spheres.py": (
+            "import functools\n"
+            "@functools.lru_cache(maxsize=1)\n"
+            "def _monte_carlo(n, count, seed):\n"
+            "    def fresh():\n"
+            "        return SphereQuadrature(n, 'monte-carlo', v, w)\n"
+            "    return SphereQuadrature(n, 'monte-carlo', v, w)\n"
+            "def product_gauss(n, order=12):\n"
+            "    return SphereQuadrature(n, 'product-gauss', v, w)\n"
+        ),
+        "suites.py": (
+            "from . import spheres as spheres_mod\n"
+            "RULE = spheres_mod.SphereQuadrature(2, 'product-gauss', v, w)\n"
+            "class Suite:\n"
+            "    def rule(self):\n"
+            "        return spheres_mod.SphereQuadrature(2, 'product-gauss', v, w)\n"
+        ),
+    }
+    assert quadrature_rule_sites(sources) == [
+        "spheres.py:_monte_carlo",
+        "spheres.py:_monte_carlo.fresh uncached",
+        "spheres.py:product_gauss uncached",
+        "suites.py:Suite.rule uncached",
+        "suites.py:module uncached",
+    ]

@@ -78,6 +78,44 @@ class TestQuadrature:
         assert abs(est - exact) < 4 * se
 
 
+class TestCachedRules:
+    """Each rule is built once per process and handed out read-only."""
+
+    def test_same_arguments_give_the_same_rule(self):
+        assert product_gauss(3, 5) is product_gauss(3, 5)
+        assert product_gauss(2) is product_gauss(2, order=12)
+        assert monte_carlo(3, 1000, seed=4) is monte_carlo(3, 1000, seed=4)
+
+    @pytest.mark.parametrize("rule", [lambda: product_gauss(2), lambda: product_gauss(3),
+                                      lambda: monte_carlo(3, 1000, seed=4)])
+    def test_nodes_and_weights_are_read_only(self, rule):
+        q = rule()
+        for array in (q.nodes, q.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            with pytest.raises(ValueError):
+                array *= 2.0
+
+    def test_monte_carlo_weights_hold_one_value(self):
+        q = monte_carlo(3, 1000, seed=4)
+        assert q.weights.shape == (1000,) and q.weights.strides == (0,)
+        assert q.weights[0] == sphere_area(3) / 1000
+
+    def test_monte_carlo_keeps_the_last_rule_only(self):
+        first = monte_carlo(3, 1000, seed=4)
+        monte_carlo(3, 1000, seed=5)
+        again = monte_carlo(3, 1000, seed=4)
+        assert again is not first and np.array_equal(again.nodes, first.nodes)
+
+    def test_consecutive_integral_suites_are_bit_identical(self):
+        runs = [run_suite("integral", SuiteConfig()) for _ in range(2)]
+        # hex compares the bits, and a skip's nan equals itself
+        cold, warm = ([(c.id, c.location, c.verdict, float(c.residual).hex(),
+                        float(c.tolerance).hex()) for c in r.checks] for r in runs)
+        assert warm == cold
+        assert runs[1].timing["quadrature-rule-builds"] == 0
+
+
 class TestPolyEval:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -419,5 +457,9 @@ class TestLatticeMemory:
         assert held < 1e6
 
     def test_integral_suite_peak(self):
+        # the traced pass is warm: it builds no quadrature rule and draws no normals
         run_suite("integral", SuiteConfig())
-        assert _traced_peak(lambda: run_suite("integral", SuiteConfig())) < 12e6
+        reports = []
+        peak = _traced_peak(lambda: reports.append(run_suite("integral", SuiteConfig())))
+        assert peak < 12e6
+        assert reports[0].timing["quadrature-rule-builds"] == 0
