@@ -47,7 +47,8 @@ def main():
 
     residual, cert = check_ineq_n2over3(g, a)
     print(f"\n  norm-gap bound: (n+2)/3*||A||^2 - ||E||^2 = {residual:.2e}  (equality!)")
-    print(f"  best-effort basis certificate holds: {cert.holds}")
+    (name, value), = cert.witnesses
+    print(f"  equality certificate witness {name} = {value:.2e}, holds: {cert.holds}")
 
     banner("Random sweep: the bounds never fail")
     worst_q = worst_n = -np.inf

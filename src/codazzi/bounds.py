@@ -35,7 +35,6 @@ class BoundReport:
 
     n: int
     H: float
-    N2: float | None = None
     N4: float | None = None
     intervals: dict = field(default_factory=dict)
     feasible: dict = field(default_factory=dict)
@@ -49,8 +48,6 @@ class BoundReport:
             "feasible": dict(self.feasible),
             "notes": list(self.notes),
         }
-        if self.N2 is not None:
-            out["N2"] = self.N2
         if self.N4 is not None:
             out["N4"] = self.N4
         return out

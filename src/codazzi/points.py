@@ -20,7 +20,9 @@ inequality and norm formulas are written once, as
 batched kernels over cubic components a[..., n, n, n] in an orthonormal
 frame (g = identity there); the pointwise checks call them with the frame
 components of one structure, the random sweeps of the suites on whole
-batches.
+batches.  An equality certificate reads its witnesses from the components of
+A in one orthonormal frame, with no search over frames: the norm gap equals
+(n+2)/3 ||A_0||^2 for the trace-free part A_0, so its witness is ||A_0||.
 """
 
 from __future__ import annotations
@@ -62,21 +64,17 @@ CERTIFICATE_TOL = 1e-9
 class EqualityCertificate:
     """Named residual witnesses for an equality characterization.
 
-    holds is True exactly when every witness residual is below the
-    tolerance; best_effort marks certificates whose witnesses live in a
-    searched (not canonical) basis, where failure to certify does not
-    disprove equality.
+    holds is True exactly when every witness residual is below the tolerance.
     """
 
     holds: bool
     witnesses: list[tuple[str, float]]
     tolerance: float = CERTIFICATE_TOL
-    best_effort: bool = False
 
     @classmethod
-    def from_witnesses(cls, witnesses, tolerance=CERTIFICATE_TOL, best_effort=False):
+    def from_witnesses(cls, witnesses, tolerance=CERTIFICATE_TOL):
         holds = all(abs(v) < tolerance for _, v in witnesses)
-        return cls(holds=holds, witnesses=list(witnesses), tolerance=tolerance, best_effort=best_effort)
+        return cls(holds=holds, witnesses=list(witnesses), tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -371,74 +369,38 @@ def check_ineq_eighth(g, a, u, factors=None) -> tuple[float, float, EqualityCert
     A violated precondition raises PreconditionError rather than counting
     as an inequality failure.  The certificate (for unit U) witnesses:
     A(U,V,W) = 0 for V,W orthogonal to U; E orthogonal to U; E = 4K(U,U).
+    All three are read from the components a_u of A in a g-orthonormal frame
+    whose first vector is U/|U|: a_u[0, 1:, 1:], tau_0 and |tau - 4 a_u[0, 0]|.
     """
     u, nu = _vector(g, u)
     auuu = float(np.einsum("ijk,i,j,k->", a, u, u, u))
     if abs(auuu) >= 1e-10 * max(nu**3, 1.0):
         raise PreconditionError(f"A(U,U,U) = {auuu:g} is not zero; the 1/8 bound does not apply")
-    factors = _factors(g, factors)
-    lhs, tau_sq, u_sq, _ = _quarter_terms(g, a, u, factors)
-
-    n = len(u)
-    ortho_block = (float(np.max(np.abs(frame_components(_adapted_frame(g, u), a)[0, 1:, 1:])))
-                   if n > 1 else 0.0)
-    ginv, k = _difference_tensor(g, a, factors)
-    tau = trace_k(k)
-    u_hat = u / nu
-    k_u_hat = np.einsum("mij,i,j->m", k, u_hat, u_hat)
+    lhs, tau_sq, u_sq, _ = _quarter_terms(g, a, u, _factors(g, factors))
+    a_u = frame_components(_adapted_frame(g, u), a)
+    tau = trace_form(a_u)
     cert = EqualityCertificate.from_witnesses(
         [
-            ("max |A(U,V,W)| for V,W perp U", ortho_block),
-            ("tau(U)", float(tau @ u_hat)),
-            ("|E - 4K(U,U)|", _norm(g, ginv @ tau - 4.0 * k_u_hat)),
+            ("max |A(U,V,W)| for V,W perp U", float(np.max(np.abs(a_u[0, 1:, 1:]), initial=0.0))),
+            ("tau(U)", float(tau[0])),
+            ("|E - 4K(U,U)|", float(np.linalg.norm(tau - 4.0 * a_u[0, 0]))),
         ]
     )
     return float(lhs), float(0.125 * tau_sq * u_sq), cert
 
 
-def _equality_frames(frame: np.ndarray, a_hat: np.ndarray, rotations: int = 64,
-                     seed: int = 20240) -> np.ndarray:
-    """Candidate orthonormal frames [F, n, n] for the norm-gap equality search.
-
-    The frame of g, the eigenframes of the K-operators (read from the frame cubic
-    a_hat), then seeded random rotations.
-    """
-    n = len(frame)
-    _, vecs = np.linalg.eigh(a_hat)
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((rotations, n, n)))
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-    return frame @ np.concatenate([np.eye(n)[None], vecs, q])
-
-
 def check_ineq_n2over3(g, a) -> tuple[float, EqualityCertificate]:
-    """Nonnegativity of (n+2)/3 ||A||^2 - ||E||^2.
+    """Nonnegativity of (n+2)/3 ||A||^2 - ||E||^2, with its equality certificate.
 
-    The equality condition (A_iii = 3 A_jji and vanishing off-diagonal
-    entries) is stated in an adapted basis the structure does not name, so
-    the certificate searches the K-operator eigenframes plus seeded random
-    rotations and is labeled best-effort: a failed certificate never means
-    the inequality failed.  The witness is the defect of the first searched
-    frame below the tolerance, or the smallest defect if there is none.
+    The gap is exactly (n+2)/3 ||A_0||^2, where A_0 is the trace-free part of
+    A, so equality holds exactly when A equals its trace part
+    w_i g_jk + w_j g_ik + w_k g_ij.  In any orthonormal frame that is the
+    paper's condition A_iii = 3 A_jji with A_ijr = 0 for distinct indices.
+    The one witness is ||A_0||, read in the orthonormal frame of g.
     """
-    frame = metric_factors(g)[1]
-    a_hat = frame_components(frame, a)
-    n = len(frame)
-    frames = _equality_frames(frame, a_hat)
-    searched = frame_components(frames, np.broadcast_to(a, (len(frames),) + (n,) * 3))
-    # the defect of a frame is its largest |a_iii - 3 a_jji| (j != i) or |a_ijr| (i, j, r distinct)
-    diag = (np.einsum("...iii->...i", searched)[:, :, None]
-            - 3.0 * np.einsum("...jji->...ij", searched))
-    eye = np.eye(n, dtype=bool)
-    distinct = ~(eye[:, :, None] | eye[:, None, :] | eye[None, :, :])
-    defect = np.max(np.abs(np.concatenate([diag[:, ~eye], searched[:, distinct]], axis=1)),
-                    axis=1, initial=0.0)
-    below = np.flatnonzero(defect < CERTIFICATE_TOL)
-    best = defect[below[0]] if below.size else np.min(defect)
-    cert = EqualityCertificate.from_witnesses(
-        [("min over searched bases of the equality-condition defect", float(best))],
-        best_effort=True,
-    )
-    return float(norm_gap(a_hat)), cert
+    a_hat = frame_cubic(g, a)
+    a_0 = float(np.sqrt(cubic_norm_sq(trace_free_projection(a_hat))))
+    return float(norm_gap(a_hat)), EqualityCertificate.from_witnesses([("||A_0||", a_0)])
 
 
 def scalar_gap_bounds(g, a, factors=None) -> tuple[float, float, float]:

@@ -110,6 +110,13 @@ def _default_tol_scale() -> float:
     return value
 
 
+# The smallest fiber_order the integral suite accepts.  The n = 2 product rule has
+# max(2 order, 4) nodes and integrates trigonometric polynomials exactly only below that
+# degree; the fiber integrands reach degree 6, so a rule of fewer than 8 nodes turns a
+# correct identity into a failure.
+MIN_FIBER_ORDER = 4
+
+
 @dataclass
 class SuiteConfig:
     seeds: int = 3
@@ -128,6 +135,10 @@ class SuiteConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConstructionError(f"{name} must be finite and positive, got {value!r}")
+        if self.fiber_order < MIN_FIBER_ORDER:
+            raise ConstructionError(f"fiber_order must be at least {MIN_FIBER_ORDER}, got "
+                                    f"{self.fiber_order!r}: fewer fiber nodes do not integrate "
+                                    "the degree-6 fiber integrands exactly")
 
     def environment(self) -> dict:
         return {
@@ -594,10 +605,13 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     col.add("sphere-scalar-curvature", abs(charts_mod.rho_hat(sphere, [0.1, 0.2]) - 2.0),
             "stereographic-sphere/(0.1,0.2)")
 
+    seed0 = {}
     for family, params in _DIFF_FAMILIES:
         for seed in range(cfg.seeds):
             spec = GeneratorSpec(family, n=2, seed=seed, params=dict(params, h=h))
             cs = generate(spec)
+            if seed == 0:
+                seed0[family] = cs
             # every producer runs once on the batch of sample points
             xs = sample_points(cs, 2, seed=seed)
             plane = ([1, 0], [0, 1])
@@ -630,12 +644,9 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
                         f"{family}/seed={seed}")
 
     # conjugate-symmetry criteria: the three defects vanish together or stay
-    # large together
-    sym_spec = GeneratorSpec("G5-periodic-trig", seed=0, params={"variant": "conformal", "h": h})
-    asym_spec = GeneratorSpec("G4-random-smooth", seed=0, params={"h": h})
-    cs_sym = generate(sym_spec)
-    cs_asym = generate(asym_spec)
-    for tag, cs, should_hold in (("conformal", cs_sym, True), ("random", cs_asym, False)):
+    # large together, on the seed-0 charts of the loop above
+    for tag, cs, should_hold in (("conformal", seed0["G5-periodic-trig"], True),
+                                 ("random", seed0["G4-random-smooth"], False)):
         x = sample_points(cs, 1, seed=7)[0]
         defects = charts_mod.conjugate_symmetry_criteria(cs, x)
         if should_hold:
@@ -689,10 +700,11 @@ def laplacian_series(n: int, h: float):
     series = {name: [] for name in ("ricci-identity", "simons-formula", "weitzenbock",
                                     "simons-1form", "sym2-simons") + cubic_keys}
     skips = {}
+    hess_chart = charts_mod.hessian_from_potential(potential, [[-0.6, 0.6]] * n, h=h, n=n)
+    sph_chart = charts_mod.ChartStructure(n, [[-0.4, 0.4]] * n, _stereographic_metric(n),
+                                          charts_mod.constant_field(np.zeros((n, n, n))), h=h)
     for step in steps:
-        hess = charts_mod.hessian_from_potential(potential, [[-0.6, 0.6]] * n, h=step, n=n)
-        sph = charts_mod.ChartStructure(n, [[-0.4, 0.4]] * n, _stereographic_metric(n),
-                                        charts_mod.constant_field(np.zeros((n, n, n))), h=step)
+        hess, sph = hess_chart.with_step(step), sph_chart.with_step(step)
         series["ricci-identity"].append(charts_mod.ricci_identity_residual(hess, hess.a_field, x))
         series["simons-formula"].append(charts_mod.simons_residual(hess, hess.a_field, x))
         hodge = charts_mod.weitzenbock_residual(sph, trig_tau, x)

@@ -260,6 +260,12 @@ class TestCLI:
         assert data["schema"] == "codazzi-report/1"
         assert (tmp_path / "report.csv").exists()
 
+    def test_fiber_nodes_below_four_is_usage_error(self, capsys):
+        # fewer nodes than the fiber integrands' degree would fail correct identities
+        assert main(["verify", "--suite", "integral", "--fiber-nodes", "3"]) == 2
+        assert "fiber_order must be at least 4" in capsys.readouterr().err
+        assert main(["verify", "--suite", "integral", "--fiber-nodes", "4"]) == 0
+
     def test_unknown_suite_usage_error(self):
         assert run_cli("verify", "--suite", "nope").returncode == 2
 
@@ -375,7 +381,7 @@ class TestCLI:
     @pytest.mark.parametrize("flag, value", [
         ("--h", "-1"), ("--h", "0"), ("--h", "nan"),
         ("--sweep-count", "0"), ("--seeds", "0"), ("--lattice", "0"), ("--fiber-nodes", "-2"),
-        ("--tol-scale", "0"), ("--tol-scale", "inf"),
+        ("--fiber-nodes", "3"), ("--tol-scale", "0"), ("--tol-scale", "inf"),
     ])
     def test_invalid_config_is_usage_error(self, flag, value):
         out = run_cli("verify", "--suite", "algebraic", "--seeds", "1", "--sweep-count", "100",
@@ -560,7 +566,8 @@ class TestMalformedStructureFile:
 class TestSuiteConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("h", -1e-3), ("h", 0.0), ("h", float("inf")), ("seeds", 0), ("sweep_count", 0),
-        ("lattice", -4), ("fiber_order", 0), ("tol_scale", 0.0), ("tol_scale", float("nan")),
+        ("lattice", -4), ("fiber_order", 0), ("fiber_order", 3), ("tol_scale", 0.0),
+        ("tol_scale", float("nan")),
     ])
     def test_rejected(self, field, value):
         with pytest.raises(ConstructionError, match=field):

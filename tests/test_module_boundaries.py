@@ -801,3 +801,52 @@ def test_quadrature_rule_checker_flags_each_uncached_build():
         "suites.py:Suite.rule uncached",
         "suites.py:module uncached",
     ]
+
+
+# the Generator methods that draw, plus the legacy module-level samplers of numpy.random
+_DRAWS = {"default_rng", "random", "uniform", "normal", "standard_normal", "integers",
+          "choice", "permutation", "permuted", "shuffle", "rand", "randn", "randint"}
+
+
+def random_draw_sites(source: str) -> list[str]:
+    """Functions that draw random numbers, as ``function`` (``module`` at top level).
+
+    A draw is a call of ``default_rng`` or of a sampling method (``rng.uniform``,
+    ``np.random.rand``, ...).  In ``points.py`` only the random-structure generators
+    draw: every other quantity there is a deterministic function of (g, a), with no
+    seeded search.
+    """
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            func = child.func if isinstance(child, ast.Call) else None
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) in _DRAWS:
+                found.add(".".join(scope) or "module")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_only_the_random_generators_of_points_draw():
+    source = (PACKAGE / "points.py").read_text(encoding="utf-8")
+    assert random_draw_sites(source) == ["random_metric", "random_stat_point"]
+
+
+def test_draw_checker_flags_each_seeded_draw():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "NOISE = np.random.rand(3)\n"
+        "def random_metric(n, rng):\n"
+        "    return rng.uniform(-1.0, 1.0, (n, n))\n"
+        "def _equality_frames(frame, seed=20240):\n"
+        "    return np.random.default_rng(seed).standard_normal((64, 2, 2))\n"
+        "class Search:\n"
+        "    def frames(self):\n"
+        "        return default_rng(1).normal(size=3)\n"
+    )
+    assert random_draw_sites(source) == [
+        "Search.frames", "_equality_frames", "module", "random_metric"]

@@ -7,7 +7,7 @@ from codazzi import points, suites
 from codazzi.generators import GeneratorSpec, generate
 from codazzi.structures_io import cubic_entries, cubic_from_entries
 from codazzi.tensors import (check_riemannian_symmetries, contract, metric_factors, raise_last,
-                             trace_k)
+                             symmetrize, trace_k)
 from codazzi import (
     ConstructionError,
     DimensionMismatchError,
@@ -303,7 +303,6 @@ class TestNormGapInequality:
         assert residual == pytest.approx((4.0 / 3.0) * 12.0 - 16.0, abs=1e-12)
         assert abs(residual) < 1e-12
         assert cert.holds
-        assert cert.best_effort
 
     def test_zero(self):
         residual, cert = check_ineq_n2over3(*zero_point(2))
@@ -318,62 +317,111 @@ class TestNormGapInequality:
             assert residual >= -1e-12
 
 
-def _equality_defect_loop(g, a, rotations=64, seed=20240):
-    """The per-frame equality search as one loop over frames, with its early exit."""
+def trace_part(g, w):
+    """w_i g_jk + w_j g_ik + w_k g_ij for a covector w."""
+    return (np.einsum("i,jk->ijk", w, g) + np.einsum("j,ik->ijk", w, g)
+            + np.einsum("k,ij->ijk", w, g))
+
+
+def trace_free_norm_loop(g, a):
+    """||A_0||_g by loops over coordinates, with g^-1 from np.linalg.inv.
+
+    A_0 = A - (w_i g_jk + w_j g_ik + w_k g_ij) with w_m = g^jk A_jkm / (n+2).
+    """
     n = len(g)
-    b = metric_factors(g)[1]
-    a_hat = frame_cubic(g, a)
-    frames = [b] + [b @ np.linalg.eigh(a_hat[i])[1] for i in range(n)]
-    rng = np.random.default_rng(seed)
-    for _ in range(rotations):
-        q, r = np.linalg.qr(rng.standard_normal((n, n)))
-        frames.append(b @ q @ np.diag(np.sign(np.diag(r))))
-    best = np.inf
-    for frame in frames:
-        a_frame = frame_components(frame, a)
-        worst = 0.0
-        for i, j in itertools.product(range(n), repeat=2):
-            if j != i:
-                worst = max(worst, abs(a_frame[i, i, i] - 3.0 * a_frame[j, j, i]))
-        for i, j, r in itertools.product(range(n), repeat=3):
-            if len({i, j, r}) == 3:
-                worst = max(worst, abs(a_frame[i, j, r]))
-        best = min(best, worst)
-        if best < points.CERTIFICATE_TOL:
-            break
-    return best
+    ginv = np.linalg.inv(g)
+    w = [sum(ginv[j, k] * a[j, k, m] for j in range(n) for k in range(n)) / (n + 2)
+         for m in range(n)]
+    a0 = np.empty((n, n, n))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        a0[i, j, k] = a[i, j, k] - (w[i] * g[j, k] + w[j] * g[i, k] + w[k] * g[i, j])
+    total = 0.0
+    for i, j, k, p, q, r in itertools.product(range(n), repeat=6):
+        total += ginv[i, p] * ginv[j, q] * ginv[k, r] * a0[i, j, k] * a0[p, q, r]
+    return float(np.sqrt(max(total, 0.0)))
 
 
-class TestNormGapEqualitySearch:
+def random_trace_part(n, rng):
+    """(g, A) with a random metric g and A = w_i g_jk + w_j g_ik + w_k g_ij for a random w."""
+    g = points.random_metric(n, rng)
+    return g, trace_part(g, rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-2, 2))
+
+
+class TestNormGapCertificate:
+    """The norm gap is (n+2)/3 ||A_0||^2, and its certificate's one witness is ||A_0||."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_gap_is_the_trace_free_norm(self, n):
+        rng = np.random.default_rng(900 + n)
+        count = 256
+        a = symmetrize(rng.uniform(-1.0, 1.0, (count, n, n, n)), degree=3)
+        a = a * (10.0 ** rng.uniform(-3, 3, count))[:, None, None, None]
+        a2 = points.cubic_norm_sq(a)
+        trace_free = (n + 2) / 3.0 * points.cubic_norm_sq(points.trace_free_projection(a))
+        bar = 1e-13 * (1.0 + a2)
+        assert np.all(np.abs(points.norm_gap(a) - trace_free) <= bar)
+        # a known defect, the constant (n+2)/3 scaled by 0.9, breaks the identity at every n
+        tau = points.trace_form(a)
+        wrong = 0.9 * (n + 2) / 3.0 * a2 - np.einsum("bm,bm->b", tau, tau)
+        assert np.any(np.abs(wrong - trace_free) > bar)
+
     @pytest.mark.parametrize("seed", range(48))
-    def test_batched_search_matches_per_frame_loop(self, seed):
+    def test_witness_matches_loop_oracle(self, seed):
         rng = np.random.default_rng(7000 + seed)
-        n = 2 + seed % 3
+        n = 2 + seed % 5
         sp = random_stat_point(n, rng, trace_free=seed % 2 == 0,
                                metric="random" if seed % 4 < 2 else "identity")
-        _, cert = check_ineq_n2over3(*sp)
-        want = _equality_defect_loop(*sp)
-        (_, got), = cert.witnesses
-        assert abs(got - want) <= 1e-12 * max(norm_a_sq(*sp), 1.0)
-        assert cert.holds == (want < points.CERTIFICATE_TOL)
+        if seed % 3 == 0:
+            # a structure near equality: its trace part plus a small trace-free part
+            g, a = sp
+            sp = g, trace_part(g, rng.uniform(-1.0, 1.0, n)) + 1e-3 * trace_free_part(g, a)
+        gap, cert = check_ineq_n2over3(*sp)
+        want = trace_free_norm_loop(*sp)
+        (name, got), = cert.witnesses
+        assert name == "||A_0||"
+        assert abs(got - want) <= 1e-12 * (1.0 + np.sqrt(norm_a_sq(*sp)))
+        assert cert.holds == (got < points.CERTIFICATE_TOL) == (want < 1e-6)
+        assert gap == pytest.approx((n + 2) / 3.0 * want**2, rel=1e-10)
 
-    def test_equality_point_certified_by_first_frame(self, eq_point):
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_trace_part_certifies(self, n):
+        rng = np.random.default_rng(60 + n)
+        for _ in range(10):
+            g, a = random_trace_part(n, rng)
+            gap, cert = check_ineq_n2over3(g, a)
+            assert cert.holds, cert.witnesses
+            assert abs(gap) <= 1e-13 * (1.0 + norm_a_sq(g, a))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_trace_free_perturbation_does_not_certify(self, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(10):
+            g, a = random_trace_part(n, rng)
+            b = trace_free_part(g, symmetrize(rng.uniform(-1.0, 1.0, (n, n, n))))
+            b = b / np.sqrt(norm_a_sq(g, b))
+            gap, cert = check_ineq_n2over3(g, a + 1e-6 * b)
+            (_, witness), = cert.witnesses
+            assert not cert.holds
+            assert witness == pytest.approx(1e-6, rel=1e-6)
+            # the gap itself is a difference of large terms, known only to round-off
+            assert abs(gap - (n + 2) / 3.0 * 1e-12) <= 1e-13 * (1.0 + norm_a_sq(g, a))
+
+    def test_equality_point_witness_is_zero(self, eq_point):
         _, cert = check_ineq_n2over3(*eq_point)
-        assert cert.witnesses[0][1] == _equality_defect_loop(*eq_point) == 0.0
+        assert cert.witnesses == [("||A_0||", 0.0)]
+        assert trace_free_norm_loop(*eq_point) == 0.0
 
-    def test_first_frame_below_tolerance_is_reported(self, monkeypatch):
-        # the defect is 1e-10 in the identity frame and scales with the cube of
-        # a scaled frame: like the loop, the search reports the first defect
-        # below the tolerance, else the smallest one
-        a = cubic_from_entries(2, {(0, 0, 0): 3.0, (0, 1, 1): 1.0 + 1e-10 / 3.0})
-        for scales, want in (((1e3, 1.0, 0.5), 1e-10), ((1e3, 2e3), 0.1)):
-            frames = np.stack([c * np.eye(2) for c in scales])
-            monkeypatch.setattr(points, "_equality_frames", lambda *_, f=frames: f)
-            assert check_ineq_n2over3(np.eye(2), a)[1].witnesses[0][1] == pytest.approx(
-                want, rel=1e-5)
+    def test_tolerance_decides_at_the_witness(self):
+        # A_111 = 3 A_122 is the trace part of w = (1, 0); a defect delta in A_122
+        # leaves ||A_0|| proportional to delta
+        for delta, holds in ((1e-10, True), (1e-8, False)):
+            a = cubic_from_entries(2, {(0, 0, 0): 3.0, (0, 1, 1): 1.0 + delta})
+            (_, witness), = check_ineq_n2over3(np.eye(2), a)[1].witnesses
+            assert witness == pytest.approx(trace_free_norm_loop(np.eye(2), a), rel=1e-5)
+            assert check_ineq_n2over3(np.eye(2), a)[1].holds == holds
 
     @pytest.mark.parametrize("family, n", [("G2-hessian-potential", 3), ("G4-random-smooth", 2)])
-    def test_check_structure_runs_no_search(self, family, n, monkeypatch):
+    def test_check_builds_no_certificate(self, family, n, monkeypatch):
         structure = generate(GeneratorSpec(family, n=n, seed=3))
         mid = structure.domain.mean(axis=1)
         want = check_ineq_n2over3(structure.metric_at(mid), structure.cubic_at(mid))[0]
@@ -384,14 +432,49 @@ class TestNormGapEqualitySearch:
             gaps.append(real_norm_gap(a))
             return gaps[-1]
 
-        def no_search(*_):
-            raise AssertionError("check_structure ran the equality search")
+        def no_certificate(*_):
+            raise AssertionError("check_structure built the norm-gap certificate")
 
         monkeypatch.setattr(points, "norm_gap", spy_norm_gap)
-        monkeypatch.setattr(points, "_equality_frames", no_search)
+        monkeypatch.setattr(points, "check_ineq_n2over3", no_certificate)
+        monkeypatch.setattr(points, "trace_free_projection", no_certificate)
         checks = {c.id: c for c in suites.check_structure(structure).checks}
         assert [float(g) for g in gaps] == [want]
         assert checks["normgap-inequality"].residual == max(-want, 0.0)
+
+
+def eighth_witness_oracle(g, a, u):
+    """The eighth certificate's witnesses by coordinate formulas: K, tau and E in coordinates,
+    the g-norm of E - 4K(U,U), and A(U,V,W) over the adapted frame."""
+    ginv, k, tau, e = difference_tensor(g, a)
+    u_hat = u / np.sqrt(u @ g @ u)
+    rest = points._adapted_frame(g, u)[:, 1:]
+    block = np.einsum("ijk,i,jb,kc->bc", a, u_hat, rest, rest)
+    v = e - 4.0 * np.einsum("mij,i,j->m", k, u_hat, u_hat)
+    return [float(np.max(np.abs(block), initial=0.0)), float(tau @ u_hat),
+            float(np.sqrt(v @ g @ v))]
+
+
+class TestEighthCertificate:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_witnesses_match_coordinate_oracle(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        n = 2 + seed % 4
+        g, a = random_stat_point(n, rng, metric="random")
+        u = rng.uniform(-1.0, 1.0, n)
+        # remove A(U,U,U) along the covector g(U/|U|, .) so the bound applies at U
+        xi = g @ u / np.sqrt(u @ g @ u)
+        a = a - np.einsum("ijk,i,j,k->", a, *[u / np.sqrt(u @ g @ u)] * 3) * np.einsum(
+            "i,j,k->ijk", xi, xi, xi)
+        _, _, cert = check_ineq_eighth(g, a, u)
+        got = [value for _, value in cert.witnesses]
+        scale = 1.0 + np.sqrt(norm_a_sq(g, a))
+        assert np.all(np.abs(np.subtract(got, eighth_witness_oracle(g, a, u))) <= 1e-12 * scale)
+
+    def test_equality_point_witnesses(self, eq_point):
+        _, _, cert = check_ineq_eighth(*eq_point, [1.0, 0.0])
+        assert [value for _, value in cert.witnesses] == eighth_witness_oracle(
+            *eq_point, np.array([1.0, 0.0])) == [0.0, 0.0, 0.0]
 
 
 class TestScalarGapBounds:

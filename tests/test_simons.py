@@ -17,7 +17,7 @@ from codazzi.charts import (
     weitzenbock_residual,
 )
 from codazzi.generators import GeneratorSpec, generate
-from codazzi.suites import run_suite
+from codazzi.suites import laplacian_series, run_suite
 
 X2 = np.array([0.15, -0.22])
 
@@ -276,3 +276,20 @@ class TestSpecializations:
             else:
                 assert new.to_dict() == old.to_dict()
 
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_laplacian_series_builds_two_charts_per_n(n, monkeypatch):
+    # the Hessian chart and the sphere are built once; the three steps are with_step copies
+    checked = []
+    real = ChartStructure._spot_check
+
+    def spy(cs):
+        checked.append(cs.h)
+        return real(cs)
+
+    monkeypatch.setattr(ChartStructure, "_spot_check", spy)
+    steps, series, _ = laplacian_series(n, 1e-3)
+    assert checked == [1e-3, 1e-3]
+    assert steps == (4e-3, 2e-3, 1e-3)
+    assert all(len(values) == 3 for values in series.values())

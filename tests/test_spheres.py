@@ -354,9 +354,9 @@ def test_integral_suite_fiber_order_reaches_bundle_integrals(monkeypatch):
                         lambda cs, s_field, k, quad=None, lattice=32: quads.append(quad) or 0.0)
     monkeypatch.setattr(spheres, "unit_bundle_functional",
                         lambda cs, quad=None, lattice=32: quads.append(quad) or (0.0, 0.0, 0.0))
-    run_suite("integral", SuiteConfig(fiber_order=2))
+    run_suite("integral", SuiteConfig(fiber_order=4))
     assert len(quads) == 8
-    assert all(q is not None and q.node_count == 4 for q in quads)
+    assert all(q is not None and q.node_count == 8 for q in quads)
 
 
 def test_integral_suite_evaluates_each_fiber_identity_once(monkeypatch):
