@@ -470,8 +470,15 @@ def curvature_hat_arrays(cs: ChartStructure, x) -> tuple[np.ndarray, np.ndarray]
     """(up, low) arrays of R_hat at x; raises for a point within 2h of a non-periodic face."""
     cs.require_interior(x)
 
+    def coefficients(y):
+        gamma = christoffel_array(cs, y)
+        # the stencil's first row is x + 0, so its row is Gamma at x: memoized here,
+        # nabla_at reads it without a second field call (a view, never written)
+        cs._memo("gamma", x, lambda: gamma[0])
+        return gamma
+
     def compute():
-        up = _curvature_from_gamma(cs, lambda y: christoffel_array(cs, y), x)
+        up = _curvature_from_gamma(cs, coefficients, x)
         low = lower_first(cs.metric_at(x), up)
         return up, low
 

@@ -392,10 +392,15 @@ def compile_tensor(shape, entries):
     Every function call (sin, cos, exp, pow) and every subexpression that occurs more
     than once in the field, equal by its code, is computed once per call into a local,
     so the values are those of evaluating each expression on its own.  The function is
-    compiled once per generated source, which names the shape.
+    compiled once per generated source, which names the shape.  Each call adds itself
+    and its points to field_eval_counts.
     """
     return _compile_source(_field_source(
         tuple(shape), tuple((e, tuple(tuple(slot) for slot in slots)) for e, slots in entries)))
+
+
+# calls and evaluated points of every function compile_tensor returns, shared by all of them
+_field_counts = [0, 0]
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -404,6 +409,8 @@ def _field_source(shape: tuple, entries: tuple) -> str:
     parse cache makes the trees of one text the same objects, so a rebuilt chart finds it."""
     lines = ["def f(x):",
              "    x = np.asarray(x, dtype=np.float64)",
+             "    counts[0] += 1",
+             "    counts[1] += math.prod(x.shape[:-1])",
              f"    out = np.zeros({shape!r} + x.shape[:-1])"]
     codes: dict[int, str] = {}  # id of a node -> its code, the key of its subexpression
     uses: dict[str, int] = {}
@@ -444,9 +451,15 @@ def _field_source(shape: tuple, entries: tuple) -> str:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _compile_source(source: str):
-    namespace = {"np": np, "batch_first": batch_first, "__builtins__": {}}
+    namespace = {"np": np, "math": math, "batch_first": batch_first, "counts": _field_counts,
+                 "__builtins__": {}}
     exec(source, namespace)
     return namespace["f"]
+
+
+def field_eval_counts() -> tuple[int, int]:
+    """Calls of compile_tensor's functions in this process, and the points they evaluated."""
+    return _field_counts[0], _field_counts[1]
 
 
 def compile_cache_info():

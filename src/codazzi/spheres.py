@@ -9,11 +9,17 @@ polar cosine crossed with a uniform azimuthal grid, and higher dimensions
 fall back to Monte Carlo with a reported standard error.  A rule is built
 once per process and its nodes and weights are read-only: product rules are
 cached per (n, order), and the last Monte Carlo rule per (n, count, seed).
+
+The bundle integrals over periodic charts walk their lattice in blocks and
+evaluate each lattice point once: ros_refinement reads the Ros integral at a
+lattice off the values of one pass over the lattice twice as fine, and the
+fiber identity takes every slot's residual from one left side.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -175,12 +181,14 @@ def _fiber_sum(values: np.ndarray, q: SphereQuadrature) -> np.ndarray:
     return np.einsum("...m,m->...", values, q.weights)
 
 
-def fiber_identity_residual(s, i0: int, quad: SphereQuadrature | None = None) -> float:
-    """Defect of the fiber-integral identity for a covariant tensor on the round sphere.
+def fiber_identity_residuals(s, quad: SphereQuadrature | None = None) -> list[float]:
+    """Defects of the fiber-integral identity for a covariant tensor on the round sphere,
+    one per slot i0.
 
     (n + k - 2) * integral of s(V,...,V) equals the sum over slots j != i0 of
     the integrals of the (j, i0)-trace of s evaluated on (V,...,V).
-    Components are taken in an orthonormal frame, so traces are plain.
+    Components are taken in an orthonormal frame, so traces are plain.  The left
+    side and each slot-pair trace are evaluated once for all slots.
     """
     s = np.asarray(s, dtype=float)
     k = s.ndim
@@ -190,16 +198,25 @@ def fiber_identity_residual(s, i0: int, quad: SphereQuadrature | None = None) ->
     if quad is None:
         quad = product_gauss(n)
     lhs = (n + k - 2) * float(quad.weights @ poly_eval(s, quad.nodes))
-    return abs(lhs - float(quad.weights @ _trace_terms(s, i0, quad.nodes)))
+    traces = _pair_traces(s, quad.nodes, range(k))
+    return [abs(lhs - float(quad.weights @ _trace_terms(traces, i0, k))) for i0 in range(k)]
 
 
-def _trace_terms(s: np.ndarray, i0: int, nodes: np.ndarray) -> np.ndarray:
-    """Sum over slots j != i0 of the (j, i0)-trace of s evaluated on (V,...,V), per node."""
-    out = np.zeros(len(nodes))
-    for j in range(s.ndim):
-        if j != i0:
-            out = out + poly_eval(np.trace(s, axis1=min(j, i0), axis2=max(j, i0)), nodes)
-    return out
+def fiber_identity_residual(s, i0: int, quad: SphereQuadrature | None = None) -> float:
+    """Defect of the fiber-integral identity with the traces taken against slot i0."""
+    return fiber_identity_residuals(s, quad)[i0]
+
+
+def _pair_traces(s: np.ndarray, nodes: np.ndarray, slots) -> dict:
+    """The (a, b)-trace of s (a < b) evaluated on (V,...,V) per node, for each slot pair
+    that holds one of slots."""
+    return {(a, b): poly_eval(np.trace(s, axis1=a, axis2=b), nodes)
+            for a, b in itertools.combinations(range(s.ndim), 2) if a in slots or b in slots}
+
+
+def _trace_terms(traces: dict, i0: int, k: int) -> np.ndarray:
+    """Sum over slots j != i0 of the (j, i0)-trace per node, in slot order, from _pair_traces."""
+    return sum(traces[min(j, i0), max(j, i0)] for j in range(k) if j != i0)
 
 
 # great-circle FD step: O(step^2) = 1e-8 truncation, eps / step ~ 1e-12 round-off
@@ -234,7 +251,8 @@ def sphere_codiff_residual(s, i0: int, quad: SphereQuadrature | None = None) -> 
     plus = alpha(cp * v + sp_ * tangent, -sp_ * v + cp * tangent)
     minus = alpha(cp * v - sp_ * tangent, sp_ * v + cp * tangent)
     delta = np.sum((plus - minus) / (2.0 * SPHERE_CODIFF_STEP), axis=1)
-    rhs = -(n + k - 2) * poly_eval(s, quad.nodes) + _trace_terms(s, i0, quad.nodes)
+    traces = _pair_traces(s, quad.nodes, (i0,))
+    rhs = -(n + k - 2) * poly_eval(s, quad.nodes) + _trace_terms(traces, i0, k)
     return float(np.max(np.abs(delta - rhs)))
 
 
@@ -257,13 +275,12 @@ def _periodic_lattice(cs: ChartStructure, lattice) -> tuple[np.ndarray, float, f
     return points, cell, spacing
 
 
-def _lattice_sums(cs: ChartStructure, h: float, points: np.ndarray, per_point) -> list[float]:
-    """The lattice sums of the per-point values that per_point(chart, block) returns.
+def _lattice_values(cs: ChartStructure, h: float, points: np.ndarray, per_point) -> list:
+    """The per-point values that per_point(chart, block) returns, each one array in lattice order.
 
     The lattice goes through in blocks of at most _LATTICE_BLOCK points, each on a
     chart of its own (cs with step h and an empty memo) that is freed before the next
-    block starts, so memory does not grow with the lattice.  Each value lands in an
-    array of lattice length that is summed once at the end, as for a single block.
+    block starts, so memory does not grow with the lattice.
     """
     values = None
     for start in range(0, len(points), _LATTICE_BLOCK):
@@ -273,7 +290,28 @@ def _lattice_sums(cs: ChartStructure, h: float, points: np.ndarray, per_point) -
             values = [np.empty(len(points)) for _ in parts]
         for out, part in zip(values, parts):
             out[start:start + len(block)] = part
-    return [float(np.sum(out)) for out in values]
+    return values
+
+
+def _lattice_sums(cs: ChartStructure, h: float, points: np.ndarray, per_point) -> list[float]:
+    """The lattice sums of _lattice_values, each summed once, as for a single block."""
+    return [float(np.sum(out)) for out in _lattice_values(cs, h, points, per_point)]
+
+
+def _ros_values(cs: ChartStructure, s_field, k: int, quad: SphereQuadrature, lattice):
+    """(values, h): the Ros integrand times the volume element at each lattice point, in
+    lattice order, and the FD step they are taken with: cs.h capped at a quarter spacing."""
+    points, cell, spacing = _periodic_lattice(cs, lattice)
+    h = min(cs.h, spacing / 4.0)
+
+    def per_point(work, block):
+        traced = codifferential_at(work, s_field, block)
+        frame, vol = work.metric_frame_at(block)
+        fiber = _fiber_sum(poly_eval(frame_components(frame, traced), quad.nodes, k - 1), quad)
+        return (fiber * vol * cell,)
+
+    (values,) = _lattice_values(cs, h, points, per_point)
+    return values, h
 
 
 def ros_residual(
@@ -295,16 +333,38 @@ def ros_residual(
     """
     if quad is None:
         quad = product_gauss(cs.n)
-    points, cell, spacing = _periodic_lattice(cs, lattice)
+    values, _ = _ros_values(cs, s_field, k, quad, lattice)
+    return abs(float(np.sum(values)))
 
-    def per_point(work, block):
-        traced = codifferential_at(work, s_field, block)
-        frame, vol = work.metric_frame_at(block)
-        fiber = _fiber_sum(poly_eval(frame_components(frame, traced), quad.nodes, k - 1), quad)
-        return (fiber * vol * cell,)
 
-    (total,) = _lattice_sums(cs, min(cs.h, spacing / 4.0), points, per_point)
-    return abs(total)
+def ros_refinement(
+    cs: ChartStructure,
+    s_field,
+    k: int,
+    quad: SphereQuadrature | None = None,
+    lattice=32,
+) -> tuple[float, float]:
+    """(coarse, fine): ros_residual at lattice and at twice lattice per axis, bit for bit,
+    from one pass over the fine lattice.
+
+    A periodic axis's lattice step halves exactly, so the coarse lattice is the fine
+    one's even-index sub-lattice and its cell is 2^n fine cells.  When the fine lattice
+    takes the chart's own step, so does the coarse one; then each coarse value is 2^n
+    times a fine value, and a power of two scales a sum without rounding, so the coarse
+    sum is read off the fine values.  When the quarter-spacing cap binds, the two steps
+    differ and the coarse lattice is evaluated on its own.
+    """
+    if quad is None:
+        quad = product_gauss(cs.n)
+    counts = [lattice] * cs.n if isinstance(lattice, int) else list(lattice)
+    fine_counts = [2 * m for m in counts]
+    fine, h = _ros_values(cs, s_field, k, quad, fine_counts)
+    if h == cs.h:
+        even = np.ascontiguousarray(fine.reshape(fine_counts)[(slice(None, None, 2),) * cs.n])
+        coarse = float(np.sum(even)) * 2.0**cs.n
+    else:
+        coarse = float(np.sum(_ros_values(cs, s_field, k, quad, counts)[0]))
+    return abs(coarse), abs(float(np.sum(fine)))
 
 
 def unit_bundle_functional(
@@ -349,9 +409,10 @@ def unit_bundle_functional(
     def per_point(work, block):
         frame, vol = work.metric_frame_at(block)
         density = vol * cell
+        # R_hat first: its stencil leaves Gamma at the block in the memo for nabla_hat A
+        r_hat = frame_components(frame, curvature_hat_arrays(work, block)[1])
         na_hat = frame_components(frame, nabla_cubic_at(work, block))
         a_hat = frame_components(frame, work.cubic_at(block))
-        r_hat = frame_components(frame, curvature_hat_arrays(work, block)[1])
 
         # the output slot goes ahead of the block as a batch axis: [n, block, m]
         f1 = np.sum(poly_eval(np.moveaxis(na_hat, -1, 0), nodes, 3) ** 2, axis=0)

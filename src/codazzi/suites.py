@@ -28,7 +28,7 @@ from . import charts as charts_mod
 from . import points as points_mod
 from . import spheres as spheres_mod
 from .errors import ConstructionError, PreconditionError
-from .expressions import compile_cache_info
+from .expressions import compile_cache_info, field_eval_counts
 from .generators import GeneratorSpec, generate, hyperbolic_point, equality_point, sample_points
 from .structures_io import canonical_json
 from .tensors import (batch_first, batch_last, core_first, metric_factor_counts,
@@ -913,13 +913,11 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
         for k in (2, 3, 4):
             for _ in range(max(cfg.seeds, 3)):
                 s = symmetrize(rng.uniform(-1.0, 1.0, (n,) * k))
-                residuals = [
-                    spheres_mod.fiber_identity_residual(s, i0, quad) for i0 in range(k)
-                ]
+                # every slot's residual from one left side and one trace per slot pair
+                residuals = spheres_mod.fiber_identity_residuals(s, quad)
                 worst = max(worst, residuals[0])
                 worst_slot = max(worst_slot, max(residuals) - min(residuals))
-            s_raw = rng.uniform(-1.0, 1.0, (n,) * k)
-            residuals = [spheres_mod.fiber_identity_residual(s_raw, i0, quad) for i0 in range(k)]
+            residuals = spheres_mod.fiber_identity_residuals(rng.uniform(-1.0, 1.0, (n,) * k), quad)
             worst_slot = max(worst_slot, max(residuals) - min(residuals))
     col.add("fiber-identity", worst, "n=2,3/k=2,3,4")
     col.add("fiber-identity-slot-covariance", worst_slot, "n=2,3/k=2,3,4")
@@ -950,12 +948,12 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     col.add("ros-integral", r_ros, f"G5-generic/lattice={lattice}")
 
     # refinement: an under-resolved oscillatory cubic field must improve >= 4x
-    # when the lattice doubles
+    # when the lattice doubles; both residuals come from one pass over the 128 lattice,
+    # whose even-index points are the 64 lattice
     gen_hf = generate(GeneratorSpec("G5-periodic-trig", seed=3,
                                     params={"variant": "generic", "h": cfg.h, "freq": 32,
                                             "gfreq": 4, "amp": 0.8, "scale": 0.05}))
-    r64 = spheres_mod.ros_residual(gen_hf, gen_hf.a_field, k=3, quad=q2, lattice=64)
-    r128 = spheres_mod.ros_residual(gen_hf, gen_hf.a_field, k=3, quad=q2, lattice=128)
+    r64, r128 = spheres_mod.ros_refinement(gen_hf, gen_hf.a_field, k=3, quad=q2, lattice=64)
     col.add("ros-refinement-64", r64, "G5-generic-hf/lattice=64")
     col.add("ros-refinement-shrink", r128, "G5-generic-hf/lattice=64->128", bar=r64 / 4.0)
 
@@ -1041,12 +1039,15 @@ def check_structure(structure) -> ResidualReport:
         col.add("eighth-inequality", max(lhs - rhs, 0.0), loc)
     except PreconditionError as exc:
         col.skip("eighth-inequality", exc, loc)
-    residual = float(points_mod.norm_gap(points_mod.frame_cubic(g, a, factors)))
-    col.add("normgap-inequality", max(-residual, 0.0), loc)
+    a_hat = points_mod.frame_cubic(g, a, factors)
+    # these three rows compare terms of size ||A||^2_g, so their bars grow with it
+    size = 1.0 + float(points_mod.cubic_norm_sq(a_hat))
+    residual = float(points_mod.norm_gap(a_hat))
+    col.add("normgap-inequality", max(-residual, 0.0), loc, size)
     via_trace, via_norms = points_mod.rho_k(g, a, factors)
-    col.add("commutator-scalar-two-routes", abs(via_trace - via_norms), loc)
+    col.add("commutator-scalar-two-routes", abs(via_trace - via_norms), loc, size)
     ricci_gap = points_mod.ric_k(g, a, factors) - points_mod.ric_k_from_bracket(g, a, factors)
-    col.add("commutator-ricci-two-routes", float(np.max(np.abs(ricci_gap))), loc)
+    col.add("commutator-ricci-two-routes", float(np.max(np.abs(ricci_gap))), loc, size)
     return ResidualReport(suite="check", checks=col.checks, environment={"source": "check"})
 
 
@@ -1067,6 +1068,7 @@ def run_suite(name: str, cfg: SuiteConfig | None = None) -> ResidualReport:
     factored = metric_factor_counts()
     powers = spheres_mod.node_power_cache_info()
     rules = spheres_mod.quadrature_cache_info()
+    fields = field_eval_counts()
     started = time.perf_counter()
     report = ResidualReport(suite=name, environment=cfg.environment())
     names = [name] if name != "all" else list(_SUITES)
@@ -1081,6 +1083,10 @@ def run_suite(name: str, cfg: SuiteConfig | None = None) -> ResidualReport:
     now = compile_cache_info()
     report.timing["expression-compiles"] = now.misses - compiled.misses
     report.timing["expression-compile-hits"] = now.hits - compiled.hits
+    # calls of the compiled field functions, and the points they evaluated
+    calls, points = field_eval_counts()
+    report.timing["field-calls"] = calls - fields[0]
+    report.timing["field-points"] = points - fields[1]
     # metric factorizations (calls and matrices), node-power tables and quadrature rules
     # found or built
     batches, matrices = metric_factor_counts()

@@ -28,6 +28,7 @@ from codazzi.charts import (
     squared_norm_field,
     statistical_connections,
 )
+from codazzi.expressions import field_eval_counts
 from codazzi.generators import GeneratorSpec, generate, sample_points
 from codazzi.points import sectional_k
 from codazzi.bounds import simons_sandwich_check
@@ -456,6 +457,35 @@ class TestOneProducer:
         # the Ricci tensors trace the same curvatures as r_nabla and r_bar
         for ric, low in ((conn.ric, conn.r_nabla), (conn.ric_bar, conn.r_bar)):
             assert np.max(np.abs(ric - np.einsum("il,ijkl->jk", ginv, low))) < 1e-12
+
+
+class TestGammaFromCurvatureStencil:
+    """curvature_hat_arrays leaves Gamma at x in the memo: the centre row of its stencil."""
+
+    @pytest.mark.parametrize("n, batch", [(2, None), (2, 6), (3, 4)])
+    def test_christoffel_after_curvature_makes_no_field_call(self, n, batch):
+        spec = GeneratorSpec("G4-random-smooth", n=n, seed=2)
+        cs = generate(spec)
+        x = sample_points(cs, batch or 1, seed=7)
+        x = x[0] if batch is None else x
+        curvature_hat_arrays(cs, x)
+        before = field_eval_counts()
+        gamma = christoffel_array(cs, x)
+        assert field_eval_counts() == before
+        fresh = christoffel_array(generate(spec), x)
+        assert gamma.shape == fresh.shape
+        assert gamma.tobytes() == fresh.tobytes()
+
+    def test_nabla_cubic_reads_the_memoized_gamma(self):
+        spec = GeneratorSpec("G4-random-smooth", seed=2)
+        cs = generate(spec)
+        x = sample_points(cs, 5, seed=8)
+        curvature_hat_arrays(cs, x)
+        calls = field_eval_counts()[0]
+        got = nabla_at(cs, cs.a_field, x)
+        # one call of the cubic field on x's stencil, none of the metric field
+        assert field_eval_counts()[0] == calls + 1
+        assert got.tobytes() == nabla_at(generate(spec), cs.a_field, x).tobytes()
 
 
 class TestRicciDecomposition:

@@ -228,6 +228,22 @@ class TestReports:
         assert second["quadrature-rule-hits"] == (
             first["quadrature-rule-builds"] + first["quadrature-rule-hits"])
 
+    # (field-calls, field-points) of each suite at the defaults: the integral suite reads each
+    # lattice point once (the 64 lattice of the refinement pair is the 128 lattice's even-index
+    # part), and Gamma at a curvature point is its stencil's centre row
+    FIELD_EVALUATIONS = {"integral": (80, 319140), "differential": (166, 2462),
+                         "simons": (107, 1905), "bounds": (27, 2569), "algebraic": (0, 0)}
+
+    @pytest.mark.parametrize("suite", sorted(FIELD_EVALUATIONS))
+    def test_field_evaluations_per_suite(self, suite):
+        timing = run_suite(suite, SuiteConfig()).timing
+        assert (timing["field-calls"], timing["field-points"]) == self.FIELD_EVALUATIONS[suite]
+
+    def test_field_counts_stay_out_of_the_report_body(self):
+        report = run_suite("bounds", SuiteConfig())
+        assert report.timing["field-points"] > 0
+        assert "field-points" not in report.to_json(include_timing=False)
+
     def test_schema_field(self):
         rep = run_suite("algebraic", SuiteConfig(seeds=1, sweep_count=100))
         data = json.loads(rep.to_json())

@@ -443,6 +443,60 @@ class TestNormGapCertificate:
         assert checks["normgap-inequality"].residual == max(-want, 0.0)
 
 
+SCALED_ROWS = ("normgap-inequality", "commutator-scalar-two-routes",
+               "commutator-ricci-two-routes")
+
+
+class TestCheckScaledBars:
+    """check_structure's rows that compare terms of size ||A||^2_g carry 1e-12 (1 + ||A||^2_g)."""
+
+    @staticmethod
+    def failures(structures):
+        return sum(c.verdict == "fail" for g, a in structures
+                   for c in suites.check_structure((g, a)).checks)
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0, 1e4])
+    def test_large_a_passes(self, scale):
+        # against an absolute 1e-12 bar the commutator rows fail on most draws at x100
+        rng = np.random.default_rng(5)
+        structures = []
+        for _ in range(60):
+            g, a = random_stat_point(int(rng.integers(2, 5)), rng, metric="random")
+            structures.append((g, a * scale))
+        assert self.failures(structures) == 0
+
+    def test_pure_trace_structures_pass(self):
+        # exact equality points of the norm-gap inequality, with ||A|| up to ~100
+        rng = np.random.default_rng(82)
+        structures = []
+        for _ in range(100):
+            g = points.random_metric(int(rng.integers(2, 5)), rng)
+            structures.append((g, trace_part(g, rng.uniform(-30.0, 30.0, len(g)))))
+        assert self.failures(structures) == 0
+
+    def test_bar_is_the_rule_times_one_plus_the_norm(self):
+        rng = np.random.default_rng(9)
+        g, a = random_stat_point(3, rng, metric="random")
+        a = a * 50.0
+        checks = {c.id: c for c in suites.check_structure((g, a)).checks}
+        ginv = np.linalg.inv(g)
+        norm_sq = np.einsum("ip,jq,kr,ijk,pqr->", ginv, ginv, ginv, a, a)
+        for row in SCALED_ROWS:
+            assert checks[row].tolerance == pytest.approx(1e-12 * (1.0 + norm_sq), rel=1e-12)
+        # the algebraic suite's rows of the same stems keep their absolute bar
+        algebraic = suites.run_suite("algebraic", suites.SuiteConfig(seeds=1, sweep_count=100))
+        bars = [c.tolerance for c in algebraic.checks if c.id in SCALED_ROWS[1:]]
+        assert bars == [1e-12, 1e-12]
+
+    def test_planted_commutator_defect_still_fails(self, monkeypatch):
+        # a relative defect of 1e-9 in Ric^K stands 1e3 times above the scaled bar
+        original = points.ric_k
+        monkeypatch.setattr(points, "ric_k", lambda *args: original(*args) * (1.0 + 1e-9))
+        g, a = random_stat_point(3, np.random.default_rng(9), metric="random")
+        checks = {c.id: c for c in suites.check_structure((g, a * 100.0)).checks}
+        assert checks["commutator-ricci-two-routes"].verdict == "fail"
+
+
 def eighth_witness_oracle(g, a, u):
     """The eighth certificate's witnesses by coordinate formulas: K, tau and E in coordinates,
     the g-norm of E - 4K(U,U), and A(U,V,W) over the adapted frame."""

@@ -11,12 +11,14 @@ from codazzi.generators import GeneratorSpec, generate
 from codazzi.spheres import (
     NODE_POWER_CACHE_SIZE,
     fiber_identity_residual,
+    fiber_identity_residuals,
     integrate_sphere,
     monte_carlo,
     node_power_cache_info,
     node_powers,
     poly_eval,
     product_gauss,
+    ros_refinement,
     ros_residual,
     sphere_area,
     sphere_codiff_residual,
@@ -198,6 +200,33 @@ class TestFiberIdentity:
     def test_degree_guard(self):
         with pytest.raises(PreconditionError):
             fiber_identity_residual(np.zeros((2,) * 5), 0)
+        with pytest.raises(PreconditionError):
+            fiber_identity_residuals(np.zeros((2,) * 5))
+
+    @staticmethod
+    def _per_slot_oracle(s, i0, quad):
+        """One slot's defect with its own left side and its own traces, summed in slot order."""
+        n, k = s.shape[0], s.ndim
+        lhs = (n + k - 2) * float(quad.weights @ poly_eval(s, quad.nodes))
+        out = np.zeros(len(quad.nodes))
+        for j in range(k):
+            if j != i0:
+                out = out + poly_eval(np.trace(s, axis1=min(j, i0), axis2=max(j, i0)), quad.nodes)
+        return abs(lhs - float(quad.weights @ out))
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_all_slots_match_per_slot_oracle_bitwise(self, n, k, symmetric):
+        rng = np.random.default_rng(100 * n + 10 * k + symmetric)
+        quad = product_gauss(n)
+        for _ in range(3):
+            s = rng.uniform(-1, 1, (n,) * k)
+            s = symmetrize(s) if symmetric else s
+            got = fiber_identity_residuals(s, quad)
+            assert [r.hex() for r in got] == [self._per_slot_oracle(s, i0, quad).hex()
+                                              for i0 in range(k)]
+            assert [fiber_identity_residual(s, i0, quad) for i0 in range(k)] == got
 
 
 class TestSphericalCodifferential:
@@ -321,6 +350,62 @@ class TestRos:
         assert ros_residual(torus, s, k=k, quad=quad, lattice=4) == pytest.approx(want, rel=1e-12)
 
 
+def _hf_chart():
+    """The integral suite's under-resolved oscillatory chart of the refinement pair."""
+    return generate(GeneratorSpec(
+        "G5-periodic-trig", seed=3,
+        params={"variant": "generic", "freq": 32, "gfreq": 4, "amp": 0.8, "scale": 0.05}))
+
+
+class TestRosRefinement:
+    """ros_refinement gives the two separate ros_residual values, bit for bit."""
+
+    @staticmethod
+    def _separate(cs, s_field, k, lattice):
+        fine = [2 * m for m in lattice] if isinstance(lattice, list) else 2 * lattice
+        return (ros_residual(cs, s_field, k, lattice=lattice).hex(),
+                ros_residual(cs, s_field, k, lattice=fine).hex())
+
+    @pytest.mark.parametrize("lattice", [8, 32])
+    def test_generic_pair_matches_separate_residuals(self, lattice):
+        gen, s = _generic_case()
+        got = ros_refinement(gen, s, 3, lattice=lattice)
+        assert tuple(r.hex() for r in got) == self._separate(gen, s, 3, lattice)
+
+    def test_three_torus_pair_matches_separate_residuals(self):
+        torus, s = _three_torus_case()
+        for lattice in (4, [3, 4, 5]):
+            got = ros_refinement(torus, s, 2, lattice=lattice)
+            assert tuple(r.hex() for r in got) == self._separate(torus, s, 2, lattice)
+
+    def test_step_above_a_quarter_spacing_evaluates_the_coarse_lattice(self, monkeypatch):
+        # at lattice 8 a quarter spacing is 0.196 and at 16 it is 0.098: h = 0.15 takes both
+        # steps apart, so the even-index sub-lattice does not hold the coarse values
+        gen = generate(GeneratorSpec("G5-periodic-trig", seed=3,
+                                     params={"variant": "generic", "freq": 3, "h": 0.15}))
+        steps = []
+        original = ChartStructure.with_step
+        monkeypatch.setattr(ChartStructure, "with_step",
+                            lambda cs, h: steps.append(h) or original(cs, h))
+        got = ros_refinement(gen, gen.a_field, 3, lattice=8)
+        assert sorted(set(steps)) == [2 * np.pi / 16 / 4, 0.15]
+        assert tuple(r.hex() for r in got) == self._separate(gen, gen.a_field, 3, 8)
+
+    def test_refinement_evaluates_the_fine_lattice_only(self, monkeypatch):
+        # the suite's pair at lattice 64: 16 blocks of the 128 lattice, no 64 lattice block
+        points = []
+        original = spheres.codifferential_at
+        monkeypatch.setattr(spheres, "codifferential_at",
+                            lambda cs, field, x: points.append(x) or original(cs, field, x))
+        gen = _hf_chart()
+        coarse, fine = ros_refinement(gen, gen.a_field, 3, quad=product_gauss(2), lattice=64)
+        assert [len(block) for block in points] == [1024] * 16
+        assert np.array_equal(np.concatenate(points), gen.lattice(128))
+        assert fine <= coarse / 4.0
+        # the 64 lattice values are 4 times the even-index 128 lattice values, exactly
+        assert coarse.hex() == ros_residual(gen, gen.a_field, 3, product_gauss(2), 64).hex()
+
+
 class TestBundleFunctional:
     def test_parallel_structure_both_terms_zero(self):
         g1 = generate(GeneratorSpec("G1-constant-A", seed=0))
@@ -349,28 +434,36 @@ class TestBundleFunctional:
 
 
 def test_integral_suite_fiber_order_reaches_bundle_integrals(monkeypatch):
+    # 3 Ros integrals, the refinement pair (two Ros integrals) and 3 bundle functionals
     quads = []
     monkeypatch.setattr(spheres, "ros_residual",
                         lambda cs, s_field, k, quad=None, lattice=32: quads.append(quad) or 0.0)
+    monkeypatch.setattr(spheres, "ros_refinement",
+                        lambda cs, s_field, k, quad=None, lattice=32:
+                        quads.append(quad) or (0.0, 0.0))
     monkeypatch.setattr(spheres, "unit_bundle_functional",
                         lambda cs, quad=None, lattice=32: quads.append(quad) or (0.0, 0.0, 0.0))
     run_suite("integral", SuiteConfig(fiber_order=4))
-    assert len(quads) == 8
+    assert len(quads) == 7
     assert all(q is not None and q.node_count == 8 for q in quads)
 
 
 def test_integral_suite_evaluates_each_fiber_identity_once(monkeypatch):
-    # 2 dimensions x (2 + 3 + 4 slots) x (3 symmetric tensors + 1 unsymmetrized one)
-    calls = []
-    original = spheres.fiber_identity_residual
+    # 2 dimensions x 3 degrees x (3 symmetric tensors + 1 unsymmetrized one), each call
+    # giving every slot's residual: 2 x (2 + 3 + 4 slots) x 4 = 72 residuals
+    slots = []
+    original = spheres.fiber_identity_residuals
 
     def spy(*args):
-        calls.append(args[1])
-        return original(*args)
+        out = original(*args)
+        slots.append(len(out))
+        return out
 
-    monkeypatch.setattr(spheres, "fiber_identity_residual", spy)
+    monkeypatch.setattr(spheres, "fiber_identity_residuals", spy)
+    monkeypatch.setattr(spheres, "fiber_identity_residual", None)
     run_suite("integral", SuiteConfig())
-    assert len(calls) == 72
+    assert len(slots) == 24
+    assert sum(slots) == 72
 
 
 class TestLatticeBlocks:
@@ -379,6 +472,7 @@ class TestLatticeBlocks:
     CASES = {
         "ros-generic": lambda: ros_residual(*_generic_case(), k=3, lattice=32),
         "ros-three-torus": lambda: ros_residual(*_three_torus_case(), k=2, lattice=12),
+        "ros-refinement-generic": lambda: ros_refinement(*_generic_case(), k=3, lattice=32),
         "bundle-conformal": lambda: unit_bundle_functional(_conformal_chart(), lattice=64),
     }
 
