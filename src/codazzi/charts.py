@@ -188,7 +188,10 @@ class ChartStructure:
 
         A periodic axis leaves out its far face, which is the near face again.
         """
-        counts = [counts] * self.n if isinstance(counts, int) else counts
+        counts = [counts] * self.n if isinstance(counts, int) else list(counts)
+        if len(counts) != self.n or min(counts) < 1:
+            raise ConstructionError(f"lattice counts must be one int or one per axis (n = "
+                                    f"{self.n}), each at least 1: {counts!r}")
         axes = [np.linspace(lo, hi, m, endpoint=not periodic)
                 for (lo, hi), m, periodic in zip(self.domain, counts, self.periodic)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.n)
@@ -563,7 +566,7 @@ class Applies(NamedTuple):
 def residuals_at(residuals: Mapping, index) -> dict[str, float]:
     """A producer's residuals at one point of its batch: each key that applies there.
 
-    index () reads a batch with no leading axis (a single point).
+    index () reads a batch with no leading axis: a single point, whose values may be floats.
     """
     out = {}
     for key, value in residuals.items():
@@ -571,7 +574,7 @@ def residuals_at(residuals: Mapping, index) -> dict[str, float]:
             if not value.mask[index]:
                 continue
             value = value.values
-        out[key] = float(value[index])
+        out[key] = float(np.asarray(value)[index])
     return out
 
 

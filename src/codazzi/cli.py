@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
     verify.add_argument("--seeds", type=int, default=3)
     verify.add_argument("--h", type=float, default=1e-3, help="finite-difference step")
-    verify.add_argument("--tol-scale", type=float, default=None)
+    verify.add_argument("--tol-scale", type=float, default=1.0)
     verify.add_argument("--sweep-count", type=int, default=2000)
     verify.add_argument("--lattice", type=int, default=32)
     verify.add_argument("--fiber-nodes", type=int, default=12)
@@ -62,11 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _suite_config(args) -> SuiteConfig:
-    # one constructor call, so validation sees every value; an unset --tol-scale
-    # leaves the default to the environment
-    explicit = {} if args.tol_scale is None else {"tol_scale": args.tol_scale}
-    return SuiteConfig(seeds=args.seeds, h=args.h, lattice=args.lattice,
-                       fiber_order=args.fiber_nodes, sweep_count=args.sweep_count, **explicit)
+    # one constructor call, so validation sees every value
+    return SuiteConfig(seeds=args.seeds, h=args.h, tol_scale=args.tol_scale,
+                       lattice=args.lattice, fiber_order=args.fiber_nodes,
+                       sweep_count=args.sweep_count)
 
 
 def _print_summary(report) -> None:

@@ -202,11 +202,6 @@ def fiber_identity_residuals(s, quad: SphereQuadrature | None = None) -> list[fl
     return [abs(lhs - float(quad.weights @ _trace_terms(traces, i0, k))) for i0 in range(k)]
 
 
-def fiber_identity_residual(s, i0: int, quad: SphereQuadrature | None = None) -> float:
-    """Defect of the fiber-integral identity with the traces taken against slot i0."""
-    return fiber_identity_residuals(s, quad)[i0]
-
-
 def _pair_traces(s: np.ndarray, nodes: np.ndarray, slots) -> dict:
     """The (a, b)-trace of s (a < b) evaluated on (V,...,V) per node, for each slot pair
     that holds one of slots."""

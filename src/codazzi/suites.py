@@ -16,7 +16,6 @@ plus an absolute floor for identities that vanish exactly.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -95,21 +94,6 @@ class Check:
         }
 
 
-TOL_SCALE_ENV = "CODAZZI_DEFAULT_TOL_SCALE"
-
-
-def _default_tol_scale() -> float:
-    """The tolerance scale named by the environment, read when a SuiteConfig is made."""
-    raw = os.environ.get(TOL_SCALE_ENV, "1.0")
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise ConstructionError(f"{TOL_SCALE_ENV}={raw!r} is not a finite positive number")
-    return value
-
-
 # The smallest fiber_order the integral suite accepts.  The n = 2 product rule has
 # max(2 order, 4) nodes and integrates trigonometric polynomials exactly only below that
 # degree; the fiber integrands reach degree 6, so a rule of fewer than 8 nodes turns a
@@ -121,7 +105,7 @@ MIN_FIBER_ORDER = 4
 class SuiteConfig:
     seeds: int = 3
     h: float = 1e-3
-    tol_scale: float = field(default_factory=_default_tol_scale)
+    tol_scale: float = 1.0
     fiber_order: int = 12
     lattice: int = 32
     sweep_count: int = 2000
@@ -574,6 +558,43 @@ def _stereographic_metric(n: int):
     return lambda x: 4.0 * np.eye(n) / (1 + np.sum(x * x, axis=-1))[..., None, None] ** 2
 
 
+def _point_label(x) -> str:
+    """The location label x=(x1,...,xn) of a point, each coordinate to three decimals."""
+    return "x=(" + ",".join(f"{c:.3f}" for c in x) + ")"
+
+
+def chart_checks(col: _Collector, cs, x, locations):
+    """Record the structural checks of the chart cs at x[..., n], a batch or a single point.
+
+    Each producer runs once on x, and every key it returns is recorded at each point where
+    it applies (residuals_at), under that point's entry of locations.  The rows that read a
+    curvature get bars scaled by conn.scale, 1 + ||R||; sectional-sum is read on the plane
+    of the first two axes, so a chart of dimension 1 has none.  Returns conn.scale.
+    """
+    x = np.asarray(x, dtype=float)
+    metricity = charts_mod.metricity_residual(cs, x)
+    conn = charts_mod.statistical_connections(cs, x)
+    invariants = charts_mod.curvature_hat_invariants(cs, x)
+    ricci = charts_mod.ricci_decomposition_residuals(cs, x)
+    # in report order: each producer's residuals, and whether its bars take conn.scale
+    rows = [({"metricity": metricity}, False), (conn.residuals, True),
+            ({"curvature-invariants": invariants}, True), (ricci, True)]
+    if cs.n >= 2:
+        plane = np.eye(cs.n)[:2]
+        sectional_sum = abs(charts_mod.sectional_nabla(cs, x, plane)
+                            - charts_mod.sectional_hat(cs, x, plane)
+                            - charts_mod.sectional_bracket(cs, x, plane))
+        rows.append(({"sectional-sum": sectional_sum}, True))
+    # duality involution: conjugating twice returns the coefficients exactly
+    rows.append(({"duality-involution": charts_mod.duality_involution_defect(cs, x)}, False))
+    for i, loc in zip([()] if x.ndim == 1 else range(len(x)), locations):
+        scale = np.asarray(conn.scale)[i]
+        for residuals, scaled in rows:
+            for key, value in charts_mod.residuals_at(residuals, i).items():
+                col.add(key, value, loc, scale if scaled else 1.0)
+    return conn.scale
+
+
 _DIFF_FAMILIES = (
     ("G1-constant-A", {}),
     ("G2-hessian-potential", {}),
@@ -612,30 +633,8 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
             cs = generate(spec)
             if seed == 0:
                 seed0[family] = cs
-            # every producer runs once on the batch of sample points
             xs = sample_points(cs, 2, seed=seed)
-            plane = ([1, 0], [0, 1])
-            metricity = charts_mod.metricity_residual(cs, xs)
-            conn = charts_mod.statistical_connections(cs, xs)
-            # curvature tensor invariants for the Levi-Civita tensor
-            invariants = charts_mod.curvature_hat_invariants(cs, xs)
-            ricci = charts_mod.ricci_decomposition_residuals(cs, xs)
-            sec_total = charts_mod.sectional_nabla(cs, xs, plane)
-            sec_hat = charts_mod.sectional_hat(cs, xs, plane)
-            sec_k = charts_mod.sectional_bracket(cs, xs, plane)
-            # duality involution: conjugating twice returns the coefficients exactly
-            involution = charts_mod.duality_involution_defect(cs, xs)
-            for i, x in enumerate(xs):
-                loc = f"{family}/seed={seed}/x=({x[0]:.3f},{x[1]:.3f})"
-                scale = conn.scale[i]
-                col.add("metricity", metricity[i], loc)
-                for key, value in charts_mod.residuals_at(conn.residuals, i).items():
-                    col.add(key, value, loc, scale)
-                col.add("curvature-invariants", invariants[i], loc, scale)
-                for key, value in charts_mod.residuals_at(ricci, i).items():
-                    col.add(key, value, loc, scale)
-                col.add("sectional-sum", abs(sec_total[i] - sec_hat[i] - sec_k[i]), loc, scale)
-                col.add("duality-involution", involution[i], loc)
+            chart_checks(col, cs, xs, [f"{family}/seed={seed}/{_point_label(x)}" for x in xs])
 
             if family == "G2-hessian-potential":
                 x = cs.domain.mean(axis=1) + 0.03
@@ -653,13 +652,13 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
             residual = max(defects["r-vs-rbar"], defects["zw-skew"],
                            defects["asym-nabla-a"])
             col.add(f"conjugate-symmetry-equivalence-{tag}", residual,
-                    f"G5-conformal/x=({x[0]:.3f},{x[1]:.3f})", 10.0)
+                    f"G5-conformal/{_point_label(x)}", 10.0)
         else:
             # the defects stay large together: threshold - min(defects) <= 0, with the
             # threshold the tolerance the vanishing defects pass under
             threshold = col.tolerance("conjugate-symmetry-equivalence-conformal", 10.0)
             col.add(f"conjugate-symmetry-equivalence-{tag}", threshold - min(defects.values()),
-                    f"G4-random/x=({x[0]:.3f},{x[1]:.3f})")
+                    f"G4-random/{_point_label(x)}")
     return col.checks, {}
 
 
@@ -999,10 +998,10 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
 def check_structure(structure) -> ResidualReport:
     """Run the checks that apply to one ingested structure: a chart, or a point (g, a).
 
-    A chart gets the FD structural checks at its midpoint, one Laplacian
-    identity per auxiliary field, and the pointwise checks of the structure
-    at the midpoint; a point gets the pointwise checks alone.  FD tolerances
-    use the chart's own step and the default tolerance scale of SuiteConfig.
+    A chart gets the structural checks of chart_checks at its midpoint, one Laplacian
+    identity per auxiliary field, and the pointwise checks of the structure at the
+    midpoint; a point gets the pointwise checks alone.  FD tolerances use the chart's
+    own step and a tolerance scale of 1.
     """
     is_chart = isinstance(structure, charts_mod.ChartStructure)
     col = _Collector(SuiteConfig(h=structure.h) if is_chart else SuiteConfig())
@@ -1015,11 +1014,8 @@ def check_structure(structure) -> ResidualReport:
         loc = "point"
     factors = points_mod.require_finite(g, a)
     if is_chart:
-        conn = charts_mod.statistical_connections(structure, mid)
-        scale = conn.scale
-        col.add("curvature-two-routes", conn.residuals["curvature-two-routes"], loc, scale)
-        rd = charts_mod.ricci_decomposition_residuals(structure, mid)
-        col.add("ricci-decomposition", rd["ricci-decomposition"], loc, scale)
+        # mid is a single point, so the Laplacians below share the memo of chart_checks
+        scale = chart_checks(col, structure, mid, [loc])
         for name, aux in structure.aux_fields.items():
             if aux.degree == 1:
                 out = charts_mod.weitzenbock_residual(structure, aux.fn, mid)

@@ -39,7 +39,7 @@ from codazzi.charts import (
 )
 from codazzi.generators import GeneratorSpec, generate, sample_points
 from codazzi.spheres import (
-    fiber_identity_residual,
+    fiber_identity_residuals,
     product_gauss,
     ros_residual,
     unit_bundle_functional,
@@ -258,8 +258,7 @@ class TestAcceptance:
             for k in (2, 3, 4):
                 for _ in range(20):
                     s = rng.uniform(-1.0, 1.0, (n,) * k)
-                    worst_fiber = max(worst_fiber,
-                                      fiber_identity_residual(s, i0=0, quad=quad))
+                    worst_fiber = max(worst_fiber, fiber_identity_residuals(s, quad)[0])
         gen = generate(GeneratorSpec(
             "G5-periodic-trig", seed=3,
             params={"variant": "generic", "freq": 32, "gfreq": 4, "amp": 0.8,

@@ -173,6 +173,13 @@ class TestChartStructure:
         cs.with_step(1e-4)
         assert factored == []
 
+    @pytest.mark.parametrize("counts", [[4, 4], [4, 4, 4, 4], [4, 0, 4], 0])
+    def test_lattice_takes_one_count_of_at_least_one_per_axis(self, counts):
+        cs = sphere_chart(n=3)
+        assert cs.lattice([2, 3, 4]).shape == (24, 3)
+        with pytest.raises(ConstructionError, match="lattice counts"):
+            cs.lattice(counts)
+
     @pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
     def test_with_step_rejects_a_bad_step(self, h):
         with pytest.raises(ConstructionError, match="finite and positive"):

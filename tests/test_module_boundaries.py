@@ -850,3 +850,79 @@ def test_draw_checker_flags_each_seeded_draw():
     )
     assert random_draw_sites(source) == [
         "Search.frames", "_equality_frames", "module", "random_metric"]
+
+
+# the producers of the structural chart checks, and the residual reader of their masks
+CHART_PRODUCERS = {"metricity_residual", "statistical_connections", "curvature_hat_invariants",
+                   "ricci_decomposition_residuals", "sectional_nabla", "sectional_hat",
+                   "sectional_bracket", "duality_involution_defect", "residuals_at"}
+# the suites that record chart checks; each records them through chart_checks
+CHART_CHECK_CALLERS = ("differential_suite", "check_structure")
+
+
+def chart_check_violations(source: str) -> list[str]:
+    """Producer calls made by a chart-check caller itself, and producers chart_checks misses.
+
+    ``chart_checks`` runs every producer once and records every key it returns; a
+    producer call in a caller is a second copy of that per-point loop, free to record
+    a hand-picked subset of the keys.
+    """
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    found = []
+    for name in ("chart_checks",) + CHART_CHECK_CALLERS:
+        if name not in functions:
+            found.append(f"{name}: not defined")
+            continue
+        calls = sorted((node.lineno, getattr(node.func, "attr", None) or
+                        getattr(node.func, "id", None))
+                       for node in ast.walk(functions[name]) if isinstance(node, ast.Call))
+        called = {callee for _, callee in calls}
+        if name == "chart_checks":
+            found += [f"chart_checks: does not call {p}" for p in sorted(CHART_PRODUCERS - called)]
+            continue
+        found += [f"{name}: calls {callee}" for _, callee in calls if callee in CHART_PRODUCERS]
+        if "chart_checks" not in called:
+            found.append(f"{name}: does not call chart_checks")
+    return found
+
+
+def test_chart_checks_are_recorded_through_one_routine():
+    source = (PACKAGE / "suites.py").read_text(encoding="utf-8")
+    assert chart_check_violations(source) == [
+        # the closed-form Poincare chart's sectional curvature, not a chart check
+        "differential_suite: calls sectional_hat",
+        # hessian-flatness reads R at a point off the sample points of chart_checks
+        "differential_suite: calls statistical_connections",
+    ]
+
+
+def test_chart_check_checker_flags_each_copy():
+    source = (
+        "def chart_checks(col, cs, x, locations):\n"
+        "    conn = charts_mod.statistical_connections(cs, x)\n"
+        "    for i, loc in enumerate(locations):\n"
+        "        for key, value in charts_mod.residuals_at(conn.residuals, i).items():\n"
+        "            col.add(key, value, loc)\n"
+        "def differential_suite(cfg):\n"
+        "    chart_checks(col, cs, xs, locs)\n"
+        "    for i, x in enumerate(xs):\n"
+        "        col.add('metricity', charts_mod.metricity_residual(cs, xs)[i], loc)\n"
+        "        for key, value in residuals_at(ricci, i).items():\n"
+        "            col.add(key, value, loc)\n"
+        "def check_structure(structure):\n"
+        "    rd = charts_mod.ricci_decomposition_residuals(structure, mid)\n"
+    )
+    assert chart_check_violations(source) == [
+        "chart_checks: does not call curvature_hat_invariants",
+        "chart_checks: does not call duality_involution_defect",
+        "chart_checks: does not call metricity_residual",
+        "chart_checks: does not call ricci_decomposition_residuals",
+        "chart_checks: does not call sectional_bracket",
+        "chart_checks: does not call sectional_hat",
+        "chart_checks: does not call sectional_nabla",
+        "differential_suite: calls metricity_residual",
+        "differential_suite: calls residuals_at",
+        "check_structure: calls ricci_decomposition_residuals",
+        "check_structure: does not call chart_checks",
+    ]

@@ -5,12 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codazzi import PreconditionError, spheres
+from codazzi import ConstructionError, PreconditionError, spheres
 from codazzi.charts import ChartStructure, codifferential_at, constant_field
 from codazzi.generators import GeneratorSpec, generate
 from codazzi.spheres import (
     NODE_POWER_CACHE_SIZE,
-    fiber_identity_residual,
     fiber_identity_residuals,
     integrate_sphere,
     monte_carlo,
@@ -166,13 +165,13 @@ class TestNodePowers:
 class TestFiberIdentity:
     def test_metric_case_exact(self):
         for n in (2, 3):
-            assert fiber_identity_residual(np.eye(n), 0) < 1e-11
+            assert fiber_identity_residuals(np.eye(n))[0] < 1e-11
 
     def test_odd_degree_both_sides_vanish(self):
         rng = np.random.default_rng(0)
         for n in (2, 3):
             s = symmetrize(rng.uniform(-1, 1, (n, n, n)))
-            assert fiber_identity_residual(s, 1) < 1e-11
+            assert fiber_identity_residuals(s)[1] < 1e-11
 
     def test_random_tensors_all_slots(self):
         rng = np.random.default_rng(1)
@@ -180,8 +179,7 @@ class TestFiberIdentity:
             for k in (2, 3, 4):
                 for _ in range(5):
                     s = rng.uniform(-1, 1, (n,) * k)
-                    for i0 in range(k):
-                        assert fiber_identity_residual(s, i0) < 1e-9
+                    assert max(fiber_identity_residuals(s)) < 1e-9
 
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(2)
@@ -198,8 +196,6 @@ class TestFiberIdentity:
         assert abs(lhs_g - est) < 4 * se
 
     def test_degree_guard(self):
-        with pytest.raises(PreconditionError):
-            fiber_identity_residual(np.zeros((2,) * 5), 0)
         with pytest.raises(PreconditionError):
             fiber_identity_residuals(np.zeros((2,) * 5))
 
@@ -226,7 +222,6 @@ class TestFiberIdentity:
             got = fiber_identity_residuals(s, quad)
             assert [r.hex() for r in got] == [self._per_slot_oracle(s, i0, quad).hex()
                                               for i0 in range(k)]
-            assert [fiber_identity_residual(s, i0, quad) for i0 in range(k)] == got
 
 
 class TestSphericalCodifferential:
@@ -251,7 +246,7 @@ class TestSphericalCodifferential:
         # so the integrated right side reproduces the fiber identity
         rng = np.random.default_rng(4)
         s = symmetrize(rng.uniform(-1, 1, (3, 3, 3, 3)))
-        assert fiber_identity_residual(s, 2) < 1e-9
+        assert fiber_identity_residuals(s)[2] < 1e-9
 
 
 def _three_torus_case():
@@ -317,6 +312,12 @@ class TestRos:
     def test_three_torus(self):
         torus, s = _three_torus_case()
         assert ros_residual(torus, s, k=2, lattice=12) < 1e-6
+
+    def test_lattice_of_the_wrong_length_is_rejected(self):
+        # a fourth count on a three-torus was once dropped without a word
+        torus, s = _three_torus_case()
+        with pytest.raises(ConstructionError, match="lattice counts"):
+            ros_residual(torus, s, k=2, lattice=[4, 4, 4, 4])
 
     @staticmethod
     def _ros_world_nodes(cs, s_field, k, quad, lattice):
@@ -460,7 +461,6 @@ def test_integral_suite_evaluates_each_fiber_identity_once(monkeypatch):
         return out
 
     monkeypatch.setattr(spheres, "fiber_identity_residuals", spy)
-    monkeypatch.setattr(spheres, "fiber_identity_residual", None)
     run_suite("integral", SuiteConfig())
     assert len(slots) == 24
     assert sum(slots) == 72
