@@ -13,6 +13,7 @@ from codazzi.charts import (
     conjugate_symmetry_defect,
     duality_involution_defect,
     hessian_from_potential,
+    residuals_at,
     ricci_decomposition_residuals,
     sectional_hat,
     sectional_nabla,
@@ -35,11 +36,11 @@ def main():
     print(f"  duality involution round-trip:   {duality_involution_defect(cs, x):.3e}")
 
     print("\n  structural residuals (all O(h^2)):")
-    for key, value in conn.residuals.items():
+    for key, value in residuals_at(conn.residuals, ()).items():
         print(f"    {key:<28} {value:.3e}")
 
     print("\n  Ricci / scalar decompositions:")
-    for key, value in ricci_decomposition_residuals(cs, x).items():
+    for key, value in residuals_at(ricci_decomposition_residuals(cs, x), ()).items():
         print(f"    {key:<28} {value:.3e}")
 
     k_hat = sectional_hat(cs, x, ([1, 0], [0, 1]))

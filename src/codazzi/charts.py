@@ -8,11 +8,13 @@ taken from one field call on the whole stencil of a batch; nested
 differences give covariant second derivatives, Laplacians and curvature.
 All residual checks of the differential identities (curvature
 decompositions, Ricci identities, Laplacian formulas for 1-forms, symmetric
-2-forms and cubic forms) live here, each returning a plain residual number
-that the harness compares against a tol(h) = C * h^2 budget.  The structural
-producers (statistical_connections, ricci_decomposition_residuals and the
-other pointwise identities) take a batch x[..., n] and return one residual per
-point; a key that applies at some points only carries a mask (Applies).
+2-forms and cubic forms) live here, and the harness compares each residual
+against a tol(h) = C * h^2 budget.  Every producer, structural or Laplacian,
+takes a batch x[..., n] and returns one residual per point, as arrays over the
+batch axes; a key that applies at some points only carries a mask (Applies).
+No producer treats a single point apart: the tensors kernels run one point as
+a batch of two copies (tensors.single_point_rule), so a point alone gets the
+bits of its row in any batch.
 
 Index conventions (after the leading batch axes): connection coefficients
 are stored as gamma[k, i, j] = Gamma^k_ij, curvature as up[m, i, j, k] with
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import ConstructionError, NotPositiveDefiniteError, PreconditionError
 from .expressions import CACHE_SIZE, Const, compile_tensor, mul, parse_expression, partial
-from .points import TRACE_FREE_TOL, fit_constant_curvature
+from .points import TRACE_FREE_TOL, constant_curvature_fit, require_at_every_point
 from .tensors import (
     batch_first,
     commutator_curvature,
@@ -48,11 +50,11 @@ from .tensors import (
     gram_k,
     last_pair_antisymmetry_defect,
     lower_first,
+    max_abs,
     metric_factors,
     raise_last,
     ricci_trace,
     sectional,
-    sectional_contraction,
     symmetrize,
     tau_circ_k,
     trace_k,
@@ -385,19 +387,9 @@ def christoffel(cs: ChartStructure, x) -> np.ndarray:
     return christoffel_array(cs, cs.require_interior(x))
 
 
-def _floats(out):
-    """A float at a single point, else the array over the batch axes."""
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _max_abs(arr: np.ndarray, degree: int):
-    """max |arr| over its last degree axes, per point."""
-    return _floats(np.max(np.abs(arr), axis=tuple(range(-degree, 0))))
-
-
 def metricity_residual(cs: ChartStructure, x):
     """Max |nabla_hat g| component at x[..., n]; O(h^2) since the coefficients come from FD."""
-    return _max_abs(nabla_at(cs, cs.g_field, x), 3)
+    return max_abs(nabla_at(cs, cs.g_field, x), 3)
 
 
 def nabla_at(cs: ChartStructure, field: Field, x, gamma=None) -> np.ndarray:
@@ -504,7 +496,7 @@ def ric_hat(cs: ChartStructure, x) -> np.ndarray:
     return 0.5 * (ric + np.swapaxes(ric, -1, -2))
 
 
-def rho_hat(cs: ChartStructure, x) -> float:
+def rho_hat(cs: ChartStructure, x):
     return trace_pair(cs.metric_inverse_at(x), ric_hat(cs, x), 0, 1)
 
 
@@ -530,7 +522,7 @@ def conjugate_symmetry_defect(cs: ChartStructure, x):
     return asym / (1.0 + size)
 
 
-def conjugate_symmetry_criteria(cs: ChartStructure, x) -> dict[str, float]:
+def conjugate_symmetry_criteria(cs: ChartStructure, x) -> dict[str, np.ndarray]:
     """The three defects that vanish together exactly for conjugate symmetric structures.
 
     r-vs-rbar is ||R - R_bar||, asym-nabla-a the asymmetry of nabla_hat A, and
@@ -547,12 +539,12 @@ def _pairings(ginv: np.ndarray, *pairs) -> list:
     """contract(ginv, t, s) for each pair (t, s), all of one shape, from one contraction."""
     left = np.stack([t for t, _ in pairs])
     right = left if all(t is s for t, s in pairs) else np.stack([s for _, s in pairs])
-    return [_floats(v) for v in contract(ginv[None], left, right)]
+    return list(contract(ginv[None], left, right))
 
 
 def _g_norms(ginv: np.ndarray, *arrs) -> list:
     """The g-norm of each array, all of one shape, from one contraction."""
-    return [_floats(np.sqrt(np.maximum(v, 0.0))) for v in _pairings(ginv, *((a, a) for a in arrs))]
+    return [np.sqrt(np.maximum(v, 0.0)) for v in _pairings(ginv, *((a, a) for a in arrs))]
 
 
 class Applies(NamedTuple):
@@ -564,10 +556,8 @@ class Applies(NamedTuple):
 
 
 def residuals_at(residuals: Mapping, index) -> dict[str, float]:
-    """A producer's residuals at one point of its batch: each key that applies there.
-
-    index () reads a batch with no leading axis: a single point, whose values may be floats.
-    """
+    """A producer's residuals at one point of its batch, as floats: each key that applies
+    there.  index () reads a single point, whose values have no batch axes."""
     out = {}
     for key, value in residuals.items():
         if isinstance(value, Applies):
@@ -578,12 +568,11 @@ def residuals_at(residuals: Mapping, index) -> dict[str, float]:
     return out
 
 
-def _residual_map(x: np.ndarray, values: dict, applies: dict) -> dict:
-    """The residual map of a producer at x[..., n]: arrays over the batch axes, each key of
-    applies held with its mask; at a single point, floats for the keys that apply."""
-    out = {key: Applies(np.asarray(value), np.asarray(applies[key])) if key in applies
-           else np.asarray(value) for key, value in values.items()}
-    return residuals_at(out, ()) if x.ndim == 1 else out
+def _residual_map(values: dict, applies: dict) -> dict:
+    """The residual map of a producer: arrays over the batch axes of its points, each key of
+    applies held with its mask."""
+    return {key: Applies(np.asarray(value), np.asarray(applies[key])) if key in applies
+            else np.asarray(value) for key, value in values.items()}
 
 
 @dataclass(frozen=True)
@@ -594,9 +583,8 @@ class StatConnections:
     ric_bar are the Ricci tensors of nabla and nabla_bar, traced from the same
     curvatures; scale is 1 + ||r_nabla||, the factor of the residual tolerances.
     Each has the batch axes of x in front, and residuals maps each key to its
-    values as residuals_at reads them (floats at a single point).  The chart
-    caches one instance per batch and every caller shares it, so residuals is a
-    read-only mapping.
+    values over them, as residuals_at reads them.  The chart caches one instance
+    per batch and every caller shares it, so residuals is a read-only mapping.
     """
 
     r_hat: np.ndarray
@@ -605,8 +593,8 @@ class StatConnections:
     bracket: np.ndarray
     ric: np.ndarray
     ric_bar: np.ndarray
-    scale: float | np.ndarray
-    residuals: Mapping[str, float | np.ndarray]
+    scale: np.ndarray
+    residuals: Mapping[str, np.ndarray | Applies]
 
 
 def _dual_gamma(cs: ChartStructure, x, sign: float) -> np.ndarray:
@@ -632,9 +620,9 @@ def statistical_connections(cs: ChartStructure, x) -> StatConnections:
         _, r_hat = curvature_hat_arrays(cs, x)
         up = _curvature_from_gamma(cs, lambda y: _dual_gamma(cs, y, 1.0), x)
         up_bar = _curvature_from_gamma(cs, lambda y: _dual_gamma(cs, y, -1.0), x)
-        r_nabla = lower_first(g, up)
-        r_bar = lower_first(g, up_bar)
-        bracket = lower_first(g, commutator_curvature(cs.k_at(x)))
+        # the three lowered from one stack, so a single point is a batch of three
+        r_nabla, r_bar, bracket = lower_first(
+            g[None], np.stack([up, up_bar, commutator_curvature(cs.k_at(x))]))
         na = nabla_cubic_at(cs, x)
         # curvature through the decomposition, Levi-Civita + dK terms + commutator
         r_sum = r_hat + na - np.swapaxes(na, -4, -3) + bracket
@@ -661,7 +649,7 @@ def statistical_connections(cs: ChartStructure, x) -> StatConnections:
             ric_bar=ricci_trace(up_bar),
             scale=1.0 + size,
             residuals=MappingProxyType(
-                _residual_map(x, values, {"conjugate-reduction": symmetric})),
+                _residual_map(values, {"conjugate-reduction": symmetric})),
         )
 
     return cs._memo("conn", x, compute)
@@ -689,20 +677,21 @@ def duality_involution_defect(cs: ChartStructure, x):
     ginv = cs.metric_inverse_at(x)
     gamma_nabla = _dual_gamma(cs, x, 1.0)
     back = conjugate_coefficients(g, ginv, dg, conjugate_coefficients(g, ginv, dg, gamma_nabla))
-    return _max_abs(back - gamma_nabla, 3)
+    return max_abs(back - gamma_nabla, 3)
 
 
 def _dual_pairing_residual(g, dg, gn, gb):
     """Defect of X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_bar_X Z) on coordinate frames."""
-    # g_jm gn[m, a, i] and g_im gb[m, a, j], each at [a, i, j]
-    resid = dg - lower_first(g, gn) - np.swapaxes(lower_first(g, gb), -1, -2)
-    return _max_abs(resid, 3)
+    # g_jm gn[m, a, i] and g_im gb[m, a, j], each at [a, i, j], lowered from one stack
+    low_n, low_b = lower_first(g[None], np.stack([gn, gb]))
+    resid = dg - low_n - np.swapaxes(low_b, -1, -2)
+    return max_abs(resid, 3)
 
 
 def _g_frame_min_eig(b: np.ndarray, form: np.ndarray):
     """Least eigenvalue of the symmetric part of a (0,2) form in the g-orthonormal frame b."""
     sym = 0.5 * (form + np.swapaxes(form, -1, -2))
-    return _floats(np.min(np.linalg.eigvalsh(frame_components(b, sym)), axis=-1))
+    return np.min(np.linalg.eigvalsh(frame_components(b, sym)), axis=-1)
 
 
 def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict:
@@ -713,8 +702,8 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict:
     koszul-form, koszul-trace, ricci-comparison-chain (least g-frame
     eigenvalue of 2 Ric_hat - Ric - Ric_bar + ||tau||^2 g / 2), plus the same
     without the tau term, ricci-comparison-tracefree, where the structure is
-    trace-free and hessian-ricci where nabla is flat.  The values are read as
-    residuals_at reads them (floats at a single point).
+    trace-free and hessian-ricci where nabla is flat.  The values are arrays over
+    the batch axes of x, as residuals_at reads them.
     """
     x = cs.require_interior(np.asarray(x, dtype=float))
     g = cs.metric_at(x)
@@ -731,16 +720,15 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict:
     gram = gram_k(ginv, g, k)
     ric_k_arr = tau_circ - gram
 
-    rho = trace_pair(ginv, ric, 0, 1)
-    rho_hat_val = rho_hat(cs, x)
-
     # Koszul form beta = nabla tau computed from the nabla coefficients directly
     beta_direct = nabla_at(cs, cs.tau_at, x, gamma=_dual_gamma(cs, x, 1.0))
     beta_formula = nabla_tau - tau_circ
+    # the four g-traces from one stack
+    rho, rho_hat_val, delta_tau, tr_beta = trace_pair(
+        ginv[None], np.stack([ric, ric_hat_arr, nabla_tau, beta_formula]), 0, 1)
     # ||tau||^2 = ||E||^2, and ||A||^2 - ||E||^2 is the scalar gap
     tau_sq = contract(ginv, tau, tau)
     scalar_gap = contract(ginv, cs.cubic_at(x), cs.cubic_at(x)) - tau_sq
-    delta_tau = trace_pair(ginv, nabla_tau, 0, 1)
 
     comparison = 2.0 * ric_hat_arr - ric - ric_bar
     frame, _ = cs.metric_frame_at(x)
@@ -749,14 +737,15 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict:
         ginv, ric - (ric_hat_arr + div_k - nabla_tau + ric_k_arr),
         ric + ric_bar - (2.0 * ric_hat_arr + 2.0 * tau_circ - 2.0 * gram),
         beta_direct - beta_formula, ric_hat_arr - (gram - tau_circ))
+    tracefree_eig, chain_eig = _g_frame_min_eig(frame[None], np.stack([comparison, chain]))
     values = {
         "ricci-decomposition": decomposition,
         "ricci-conjugate-sum": conjugate_sum,
         "scalar-gap": abs(rho_hat_val - (rho + scalar_gap)),
         "koszul-form": koszul,
-        "koszul-trace": abs(trace_pair(ginv, beta_formula, 0, 1) - (delta_tau - tau_sq)),
-        "ricci-comparison-tracefree": _g_frame_min_eig(frame, comparison),
-        "ricci-comparison-chain": _g_frame_min_eig(frame, chain),
+        "koszul-trace": abs(tr_beta - (delta_tau - tau_sq)),
+        "ricci-comparison-tracefree": tracefree_eig,
+        "ricci-comparison-chain": chain_eig,
         "hessian-ricci": hessian,
     }
     applies = {
@@ -765,7 +754,7 @@ def ricci_decomposition_residuals(cs: ChartStructure, x) -> dict:
         # scale is 1 + ||R||
         "hessian-ricci": conn.scale - 1.0 < 1e-4,
     }
-    return _residual_map(x, values, applies)
+    return _residual_map(values, applies)
 
 
 def sectional_nabla(cs: ChartStructure, x, plane):
@@ -783,20 +772,22 @@ def sectional_bracket(cs: ChartStructure, x, plane):
 # Laplacian-type identities for tensor fields
 
 
-def ricci_identity_residual(cs: ChartStructure, field: Field, x) -> float:
-    """g-norm of nabla^2 s antisymmetrized in the derivative slots minus the curvature action."""
+def ricci_identity_residual(cs: ChartStructure, field: Field, x) -> np.ndarray:
+    """g-norm of nabla^2 s antisymmetrized in the derivative slots minus the curvature action,
+    per point of x[..., n]."""
     x = cs.require_interior(np.asarray(x, dtype=float))
     second = nabla2_at(cs, field, x)
     up, _ = curvature_hat_arrays(cs, x)
-    s, n = np.asarray(field(x), dtype=float), cs.n
+    s, n, lead = np.asarray(field(x), dtype=float), cs.n, x.ndim - 1
     # the action -(sum over slots) s(..., R(e_i,e_j) e_a, ...) is the connection term of a
-    # covariant derivative whose coefficients up[m, (i, j), a] take (i, j) as its slot
-    action = covariant_derivative(up.reshape(n, n * n, n), np.zeros((n * n,) + s.shape), s)
-    diff = second - np.swapaxes(second, 0, 1) - action.reshape((n, n) + s.shape)
+    # covariant derivative whose coefficients up[..., m, (i, j), a] take (i, j) as its slot
+    flat = second.shape[:lead] + (n * n,) + second.shape[lead + 2:]
+    action = covariant_derivative(up.reshape(up.shape[:lead] + (n, n * n, n)), np.zeros(flat), s)
+    diff = second - np.swapaxes(second, lead, lead + 1) - action.reshape(second.shape)
     return _g_norms(cs.metric_inverse_at(x), diff)[0]
 
 
-def squared_norm_field(cs: ChartStructure, field: Field) -> Callable[[np.ndarray], float]:
+def squared_norm_field(cs: ChartStructure, field: Field) -> Field:
     """x -> ||s(x)||^2 with all slots contracted against g(x)^{-1}."""
 
     def f(x):
@@ -806,8 +797,9 @@ def squared_norm_field(cs: ChartStructure, field: Field) -> Callable[[np.ndarray
     return f
 
 
-def simons_residual(cs: ChartStructure, field: Field, x) -> float:
-    """Defect of (1/2) Lap ||s||^2 = g(Lap s, s) + ||nabla s||^2 for a covariant field."""
+def simons_residual(cs: ChartStructure, field: Field, x) -> np.ndarray:
+    """Defect of (1/2) Lap ||s||^2 = g(Lap s, s) + ||nabla s||^2 for a covariant field, per
+    point of x[..., n]."""
     x = cs.require_interior(np.asarray(x, dtype=float))
     ginv = cs.metric_inverse_at(x)
     lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, field), x)
@@ -817,11 +809,11 @@ def simons_residual(cs: ChartStructure, field: Field, x) -> float:
     return abs(lhs - middle - grad_norm_sq)
 
 
-def weitzenbock_residual(cs: ChartStructure, taufield: Field, x) -> dict[str, float]:
+def weitzenbock_residual(cs: ChartStructure, taufield: Field, x) -> dict[str, np.ndarray]:
     """Rough-vs-Hodge comparison for a 1-form, with the plus codifferential convention.
 
-    Returns the 1-form identity residual ("weitzenbock") and the scalar
-    consequence combining it with the squared-norm Laplacian identity
+    Returns, per point of x[..., n], the 1-form identity residual ("weitzenbock") and the
+    scalar consequence combining it with the squared-norm Laplacian identity
     ("simons-1form").
     """
     x = cs.require_interior(np.asarray(x, dtype=float))
@@ -835,35 +827,34 @@ def weitzenbock_residual(cs: ChartStructure, taufield: Field, x) -> dict[str, fl
     dtau_field = lambda y: exterior_derivative_1form_at(cs, taufield, y)
     delta_d = codifferential_at(cs, dtau_field, x)
 
-    ric = ric_hat(cs, x)
-    e_vec = ginv @ tau0
-    ric_term = ric @ e_vec
+    # Ric(., E) for E = tau raised: the last slot of Ric traced against tau
+    ric_term = trace_pair(ginv, ric_hat(cs, x)[..., None] * tau0[..., None, None, :], 1, 2)
 
     residual_1form = _g_norms(ginv, rough - d_delta - delta_d - ric_term)[0]
 
     lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, taufield), x)
-    hodge_pair = float((d_delta + delta_d) @ ginv @ tau0)
-    ric_ee = float(e_vec @ ric @ e_vec)
+    hodge_pair, ric_ee = _pairings(ginv, (d_delta + delta_d, tau0), (ric_term, tau0))
     grad_sq = _g_norms(ginv, nabla_at(cs, taufield, x))[0] ** 2
     residual_scalar = abs(lhs - hodge_pair - ric_ee - grad_sq)
     return {"weitzenbock": residual_1form, "simons-1form": residual_scalar}
 
 
-def sym2_simons_residual(cs: ChartStructure, betafield: Field, x) -> tuple[float, float]:
+def sym2_simons_residual(cs: ChartStructure, betafield: Field,
+                         x) -> tuple[np.ndarray, np.ndarray]:
     """Laplacian identity for a symmetric 2-form with symmetric covariant derivative.
 
-    Returns (residual, eigen_term) where eigen_term is the sectional-curvature
-    weighted sum over eigenvalue differences of beta relative to g.  Raises
-    PreconditionError when nabla beta is not symmetric at x.
+    Returns (residual, eigen_term) per point of x[..., n], where eigen_term is the
+    sectional-curvature weighted sum over eigenvalue differences of beta relative to g.
+    Raises PreconditionError at the first point, in batch order, where nabla beta is not
+    symmetric.
     """
     x = cs.require_interior(np.asarray(x, dtype=float))
     ginv = cs.metric_inverse_at(x)
     nb = nabla_at(cs, betafield, x)
-    nb_norm, asym = _g_norms(ginv, nb, nb - symmetrize(nb))
-    scale = 1.0 + nb_norm
-    asym = asym / scale
-    if asym >= 1e-4:
-        raise PreconditionError(f"nabla beta is not symmetric at x (defect ratio {asym:g})")
+    nb_norm, asym = _g_norms(ginv, nb, nb - symmetrize(nb, degree=3))
+    asym = asym / (1.0 + nb_norm)
+    require_at_every_point(asym >= 1e-4, asym,
+                            "nabla beta is not symmetric at x (defect ratio {:g})")
 
     beta0 = np.asarray(betafield(x), dtype=float)
     lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, betafield), x)
@@ -872,19 +863,17 @@ def sym2_simons_residual(cs: ChartStructure, betafield: Field, x) -> tuple[float
     second = nabla2_at(cs, betafield, x)
     middle = contract(ginv, beta0, trace_pair(ginv, second, 2, 3))
 
-    # generalized eigenstructure of beta against g via the orthonormal frame
+    # generalized eigenstructure of beta against g via the orthonormal frame b; eigh gives
+    # the eigenvalues in ascending order
     b, _ = cs.metric_frame_at(x)
     beta_hat = frame_components(b, beta0)
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (beta_hat + beta_hat.T))
-    order = np.argsort(eigvals, kind="stable")
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    frame = b @ eigvecs
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (beta_hat + np.swapaxes(beta_hat, -1, -2)))
+    # R_hat in the eigenframe b eigvecs: one sectional curvature per pair i < k
     _, r_low = curvature_hat_arrays(cs, x)
-    # one sectional curvature per pair i < k of eigenvectors
+    r_eig = frame_components(eigvecs, frame_components(b, r_low))
     i, k = np.triu_indices(cs.n, 1)
-    k_ik = sectional_contraction(r_low, frame[:, i].T, frame[:, k].T)
-    eigen_term = float(np.sum(k_ik * (eigvals[i] - eigvals[k]) ** 2))
+    eigen_term = np.sum(r_eig[..., i, k, k, i] * (eigvals[..., i] - eigvals[..., k]) ** 2,
+                        axis=-1)
     residual = abs(lhs - (grad_sq + middle + eigen_term))
     return residual, eigen_term
 
@@ -895,24 +884,23 @@ BRACKET_FIT_TOL = 1e-6
 SPLIT_FIT_TOL = 1e-4
 
 
-def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
-    """Laplacian formulas for the cubic form of a conjugate symmetric structure.
+def cubic_simons_residuals(cs: ChartStructure, x) -> dict:
+    """Laplacian formulas for the cubic form of a conjugate symmetric structure, per point of
+    x[..., n].
 
     Residual keys: laplace-cubic-bracket (commutator form), laplace-cubic-curvdiff
-    (curvature-difference form), laplace-cubic-ricci (Ricci-pairing form),
-    laplace-cubic-tracefree when the trace vector vanishes at x,
-    laplace-cubic-constant-sectional when [K,K] = kappa R0 and
-    laplace-cubic-dualflat when R_hat - [K,K] = c R0 at x, with kappa and c
-    fit by fit_constant_curvature.  Raises PreconditionError with the
-    asymmetry norm when the structure is not conjugate symmetric at x.  [K,K]
+    (curvature-difference form), laplace-cubic-ricci (Ricci-pairing form), and three
+    that apply at some points only (Applies): laplace-cubic-tracefree where the trace
+    vector vanishes, laplace-cubic-constant-sectional where [K,K] = kappa R0 and
+    laplace-cubic-dualflat where R_hat - [K,K] = c R0, with kappa and c fit by
+    constant_curvature_fit.  Raises PreconditionError with the asymmetry norm of the
+    first point, in batch order, where the structure is not conjugate symmetric.  [K,K]
     comes from statistical_connections, so a chart point builds it once.
     """
     x = cs.require_interior(np.asarray(x, dtype=float))
     defect = conjugate_symmetry_defect(cs, x)
-    if defect >= CONJUGATE_SYMMETRY_THRESHOLD:
-        raise PreconditionError(
-            f"structure is not conjugate symmetric at x (asymmetry ratio {defect:g})"
-        )
+    require_at_every_point(defect >= CONJUGATE_SYMMETRY_THRESHOLD, defect,
+                            "structure is not conjugate symmetric at x (asymmetry ratio {:g})")
     g, ginv = cs.metric_at(x), cs.metric_inverse_at(x)
     k, tau = cs.k_at(x), cs.tau_at(x)
     lhs = 0.5 * scalar_laplacian_at(cs, squared_norm_field(cs, cs.a_field), x)
@@ -935,35 +923,28 @@ def cubic_simons_residuals(cs: ChartStructure, x) -> dict[str, float]:
         (ric_hat_arr, tau_circ))
     # the Ricci-pairing form without its tau term
     ricci_form = grad_sq + rhat_sq + ric_hat_sq - r_rhat - ric_ric_hat
-
-    out = {
+    kappa, _, kappa_fits = constant_curvature_fit(g, ginv, bracket, BRACKET_FIT_TOL)
+    split = r_hat_low - bracket
+    c, _, c_fits = constant_curvature_fit(g, ginv, 0.5 * (split - np.swapaxes(split, -4, -3)),
+                                          SPLIT_FIT_TOL)
+    values = {
         "laplace-cubic-bracket": abs(lhs - (grad_sq + tau_pair - bracket_term + ric_gram)),
         "laplace-cubic-curvdiff": abs(lhs - (grad_sq + tau_pair + curvdiff_term + ric_gram)),
         "laplace-cubic-ricci": abs(lhs - (ricci_form + tau_pair + ric_tau)),
-    }
-    # trace-free: ||E|| < TRACE_FREE_TOL
-    if contract(ginv, tau, tau) < TRACE_FREE_TOL ** 2:
-        out["laplace-cubic-tracefree"] = abs(lhs - ricci_form)
-
-    def fitted(r: np.ndarray, rel_tol: float) -> float | None:
-        try:
-            return fit_constant_curvature(g, ginv, r, rel_tol)
-        except PreconditionError:
-            return None
-
-    kappa = fitted(bracket, BRACKET_FIT_TOL)
-    if kappa is not None:
-        out["laplace-cubic-constant-sectional"] = abs(
-            lhs - (grad_sq + tau_pair - 2.0 * kappa * rho_hat_val + ric_gram)
-        )
-    split = r_hat_low - bracket
-    c = fitted(0.5 * (split - np.swapaxes(split, -4, -3)), SPLIT_FIT_TOL)
-    if c is not None:
+        "laplace-cubic-tracefree": abs(lhs - ricci_form),
+        "laplace-cubic-constant-sectional": abs(
+            lhs - (grad_sq + tau_pair - 2.0 * kappa * rho_hat_val + ric_gram)),
         # the 1/2 on the Laplacian of ||A||^2 is inherited from the commutator form
-        out["laplace-cubic-dualflat"] = abs(
-            lhs - (grad_sq + tau_pair - rhat_sq + 2.0 * c * rho_hat_val + ric_gram)
-        )
-    return out
+        "laplace-cubic-dualflat": abs(
+            lhs - (grad_sq + tau_pair - rhat_sq + 2.0 * c * rho_hat_val + ric_gram)),
+    }
+    applies = {
+        # trace-free: ||E|| < TRACE_FREE_TOL
+        "laplace-cubic-tracefree": contract(ginv, tau, tau) < TRACE_FREE_TOL ** 2,
+        "laplace-cubic-constant-sectional": kappa_fits,
+        "laplace-cubic-dualflat": c_fits,
+    }
+    return _residual_map(values, applies)
 
 
 # ---------------------------------------------------------------------------

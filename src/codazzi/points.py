@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +49,7 @@ from .tensors import (
     raise_last,
     ricci_trace,
     sectional,
+    single_point_rule,
     symmetrize,
     tau_circ_k,
     trace_k,
@@ -150,45 +150,32 @@ def sectional_k(g, a, x, y) -> float:
 #
 # The kernels read their operands laid out batch-last (see tensors.batch_last), so each
 # contraction of the short (length n) slots is an einsum whose inner loop runs over
-# contiguous batch rows: a fixed-order sum of elementwise products.  A point then gets
-# the same bits alone, in any batch and from either memory layout.
+# contiguous batch rows: a fixed-order sum of elementwise products.  One point runs by
+# tensors.single_point_rule, as a batch of two copies of it, so a point gets the same bits
+# alone as in any batch, and from either memory layout.
 
 
 def _batch_kernel(*cores: int):
     """Run a kernel on operands laid out batch-last; operand i has cores[i] trailing core axes.
 
-    Operands are broadcast to one batch shape first.  A batch of one point (or a single
-    point) runs as a batch of two copies of it, and its outputs are the first copy's:
-    einsum sums a length-one batch axis together with the contracted axes, by a different
-    route than it sums contiguous batch rows.  A kernel calls another through its
-    __wrapped__ body, since its own operands are laid out.
+    Operands are broadcast to one batch shape first, and one point runs by
+    single_point_rule.  A kernel calls another through its __wrapped__ body, since its own
+    operands are laid out.
     """
     def decorate(kernel):
-        @functools.wraps(kernel)
-        def run(*operands):
+        def laid_out(*operands):
             operands = [np.asarray(x) for x in operands]
             batches = [x.shape[:x.ndim - k] for x, k in zip(operands, cores)]
             batch = batches[0]
             if any(b != batch for b in batches):
                 batch = np.broadcast_shapes(*batches)
-            if math.prod(batch) == 1:
-                return _first_of_two(kernel, operands, cores, batch)
             return kernel(*(batch_last(x if b == batch else
-                                        np.broadcast_to(x, batch + x.shape[len(b):]), k)
+                                       np.broadcast_to(x, batch + x.shape[len(b):]), k)
                             for x, b, k in zip(operands, batches, cores)))
 
-        return run
+        return functools.update_wrapper(single_point_rule(*cores)(laid_out), kernel)
 
     return decorate
-
-
-def _first_of_two(kernel, operands, cores, batch):
-    """kernel's outputs for one point, run on a batch of two copies of it."""
-    out = kernel(*(batch_first(np.repeat(x.reshape(x.shape[x.ndim - k:] + (1,)), 2, axis=-1), k)
-                   for x, k in zip(operands, cores)))
-    if isinstance(out, tuple):
-        return tuple(y[0].reshape(batch + y.shape[1:]) for y in out)
-    return out[0].reshape(batch + out.shape[1:])
 
 
 @_batch_kernel(1, 1)
@@ -439,6 +426,7 @@ def lpq(g, a) -> tuple[float, float, np.ndarray, float]:
     return float(normsq_l), float(normsq_p), q, pairing
 
 
+@single_point_rule(4, 2, 2, 0)
 def constant_curvature_residual(r: np.ndarray, g: np.ndarray, ginv: np.ndarray, h):
     """g-norm of R - H R0 per point of r[..., n, n, n, n], zero exactly on constant curvature.
 
@@ -447,8 +435,7 @@ def constant_curvature_residual(r: np.ndarray, g: np.ndarray, ginv: np.ndarray, 
     if r.shape[-1] != g.shape[-1]:
         raise DimensionMismatchError(f"metric has n={g.shape[-1]}, curvature has n={r.shape[-1]}")
     d = r - np.asarray(h)[..., None, None, None, None] * r0_curvature(g)
-    out = np.sqrt(np.maximum(contract(ginv, d, d), 0.0))
-    return float(out) if np.ndim(out) == 0 else out
+    return np.sqrt(np.maximum(contract(ginv, d, d), 0.0))
 
 
 def lagrangian_gauss_residual(g, a, rhat: np.ndarray, c: float) -> tuple[float, float]:
@@ -471,21 +458,35 @@ def best_fit_curvature_coefficient(g: np.ndarray, ginv: np.ndarray, r: np.ndarra
     return contract(ginv, r, r0) / contract(ginv, r0, r0)
 
 
+def constant_curvature_fit(g: np.ndarray, ginv: np.ndarray, r: np.ndarray, rel_tol: float,
+                           h=None):
+    """(H, residual, fits) per point of r[..., n, n, n, n]: H of R = H R0 (the least-squares
+    fit, or the supplied h), the residual ||R - H R0||, and fits, true where the residual is
+    at most rel_tol (1 + |H|)."""
+    if h is None:
+        h = best_fit_curvature_coefficient(g, ginv, r)
+    fit = constant_curvature_residual(r, g, ginv, h)
+    return h, fit, ~(fit > rel_tol * (1.0 + np.abs(h)))
+
+
 def fit_constant_curvature(g: np.ndarray, ginv: np.ndarray, r: np.ndarray, rel_tol: float,
                            h=None):
     """H with R = H R0 per point of r[..., n, n, n, n]: the least-squares fit or the supplied h.
 
-    Raises PreconditionError at the first point, in batch order, with
-    ||R - H R0|| > rel_tol (1 + |H|).
+    Raises PreconditionError at the first point, in batch order, where
+    constant_curvature_fit finds ||R - H R0|| > rel_tol (1 + |H|).
     """
-    if h is None:
-        h = best_fit_curvature_coefficient(g, ginv, r)
-    fit = constant_curvature_residual(r, g, ginv, h)
-    bad = np.ravel(fit > rel_tol * (1.0 + np.abs(h)))
-    if np.any(bad):
-        raise PreconditionError(
-            f"curvature is not H R0 at x (fit residual {np.ravel(fit)[np.argmax(bad)]:g})")
+    h, fit, fits = constant_curvature_fit(g, ginv, r, rel_tol, h)
+    require_at_every_point(~fits, fit, "curvature is not H R0 at x (fit residual {:g})")
     return h
+
+
+def require_at_every_point(bad, values, message: str) -> None:
+    """Raise PreconditionError(message.format(v)), v the value at the first point, in batch
+    order, where bad holds."""
+    bad = np.ravel(bad)
+    if bad.any():
+        raise PreconditionError(message.format(np.ravel(values)[np.argmax(bad)]))
 
 
 # ---------------------------------------------------------------------------

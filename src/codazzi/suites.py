@@ -567,7 +567,8 @@ def chart_checks(col: _Collector, cs, x, locations):
     """Record the structural checks of the chart cs at x[..., n], a batch or a single point.
 
     Each producer runs once on x, and every key it returns is recorded at each point where
-    it applies (residuals_at), under that point's entry of locations.  The rows that read a
+    it applies (residuals_at), under that point's entry of locations, in the C order of the
+    batch axes; a point alone gets the bits it gets as a row of a batch.  The rows that read a
     curvature get bars scaled by conn.scale, 1 + ||R||; sectional-sum is read on the plane
     of the first two axes, so a chart of dimension 1 has none.  Returns conn.scale.
     """
@@ -587,7 +588,7 @@ def chart_checks(col: _Collector, cs, x, locations):
         rows.append(({"sectional-sum": sectional_sum}, True))
     # duality involution: conjugating twice returns the coefficients exactly
     rows.append(({"duality-involution": charts_mod.duality_involution_defect(cs, x)}, False))
-    for i, loc in zip([()] if x.ndim == 1 else range(len(x)), locations):
+    for i, loc in zip(np.ndindex(x.shape[:-1]), locations):
         scale = np.asarray(conn.scale)[i]
         for residuals, scaled in rows:
             for key, value in charts_mod.residuals_at(residuals, i).items():
@@ -752,7 +753,7 @@ def simons_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     conf = generate(GeneratorSpec("G5-periodic-trig", seed=1,
                                   params={"variant": "conformal", "h": h, "amp": 0.35}))
     x = np.array([1.1, 2.3])
-    cubic = charts_mod.cubic_simons_residuals(conf, x)
+    cubic = charts_mod.residuals_at(charts_mod.cubic_simons_residuals(conf, x), ())
     col.add("laplace-cubic-tracefree", cubic["laplace-cubic-tracefree"], "G5-conformal")
     # a specialization's key is absent where its curvature does not fit a multiple of R0
     for key, hypothesis in (("laplace-cubic-constant-sectional", "[K,K] is not kappa R0 at x"),

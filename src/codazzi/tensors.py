@@ -32,8 +32,9 @@ FACTOR_BLOCK = 2048
 # batch-last memory layout: an array keeps its shape [..., *core axes], and its core-first
 # view [*core axes, ...] is C-contiguous.  The kernels below read their operands so (copying
 # one that is not): each contraction of the short core slots is an einsum whose inner loop
-# runs over contiguous batch rows, a fixed-order sum of products, so a point gets the same
-# bits in any batch of two or more and from either layout.
+# runs over contiguous batch rows, a fixed-order sum of products.  A kernel whose sums take
+# another route without a batch axis runs one point by single_point_rule, as a batch of two
+# copies of it, so a point gets the same bits alone as in any batch, and from either layout.
 
 
 @functools.cache
@@ -63,6 +64,39 @@ def _rows(x, core: int) -> np.ndarray:
 def batch_last(x, core: int) -> np.ndarray:
     """x[..., *core axes] laid out with its batch axes innermost in memory (a copy when not)."""
     return batch_first(_rows(x, core), core)
+
+
+def single_point_rule(*cores):
+    """Run a kernel on one point as a batch of two copies of it, and keep the first copy.
+
+    Operand i, the i-th positional argument, has cores[i] trailing core axes (None: every
+    axis after the batch axes of operand 0).  When the batch axes of every operand hold one
+    point, each output keeps the first copy with the longest of those batch shapes, a float
+    for a number with none: einsum and add.reduce sum a missing or length-one batch axis by
+    another route than batch rows.
+    """
+    def decorate(kernel):
+        @functools.wraps(kernel)
+        def run(*args):
+            lead, copies, batch = np.ndim(args[0]) - cores[0], [], ()
+            for x, k in zip(args, cores):
+                x = np.asarray(x, dtype=float)
+                b = x.shape[:lead if k is None else x.ndim - k]
+                if math.prod(b) != 1:
+                    return kernel(*args)
+                batch = max(batch, b, key=len)
+                copies.append(batch_first(x.repeat(2).reshape(x.shape[len(b):] + (2,)),
+                                          x.ndim - len(b)))
+            out = kernel(*copies, *args[len(cores):])
+
+            def first(y):
+                return y[0].reshape(batch + y.shape[1:]) if batch or y.ndim > 1 else float(y[0])
+
+            return tuple(map(first, out)) if isinstance(out, tuple) else first(out)
+
+        return run
+
+    return decorate
 
 
 _factorized = {"batches": 0, "matrices": 0}
@@ -209,32 +243,31 @@ def _raise_factor_error(g: np.ndarray, vol, ginv: np.ndarray, points) -> None:
         f"metric factors are not finite{where}: g, g^-1 or sqrt(det g) leaves the float range")
 
 
-def _max_abs4(arr: np.ndarray):
-    """max |arr| over the last four axes: a float for one tensor, else an array over the batch."""
-    out = np.max(np.abs(arr), axis=(-4, -3, -2, -1))
-    return float(out) if out.ndim == 0 else out
+def max_abs(arr: np.ndarray, degree: int = 4):
+    """max |arr| over its last degree axes, per point."""
+    return np.max(np.abs(arr), axis=tuple(range(-degree, 0)))
 
 
 def first_bianchi_defect(r: np.ndarray):
     """max |R(X,Y)Z + R(Y,Z)X + R(Z,X)Y| over the frame of r[..., i, j, k, l]."""
     lead = tuple(range(r.ndim - 4))
     i, j, k, l = range(r.ndim - 4, r.ndim)
-    return _max_abs4(r + r.transpose(lead + (j, k, i, l)) + r.transpose(lead + (k, i, j, l)))
+    return max_abs(r + r.transpose(lead + (j, k, i, l)) + r.transpose(lead + (k, i, j, l)))
 
 
 def last_pair_antisymmetry_defect(r: np.ndarray):
     """max |r_ijkl + r_ijlk| of r[..., i, j, k, l]."""
-    return _max_abs4(r + np.swapaxes(r, -2, -1))
+    return max_abs(r + np.swapaxes(r, -2, -1))
 
 
 def check_riemannian_symmetries(r: np.ndarray, tol: float) -> None:
     """Raise ConstructionError when r[..., i, j, k, l] misses a symmetry of a Riemannian
     curvature tensor by more than tol at some point; the error names the first one missed."""
     for message, defect in (
-        ("not antisymmetric in (i,j)", _max_abs4(r + np.swapaxes(r, -4, -3))),
+        ("not antisymmetric in (i,j)", max_abs(r + np.swapaxes(r, -4, -3))),
         ("fails first Bianchi", first_bianchi_defect(r)),
         ("fails (k,l) antisymmetry", last_pair_antisymmetry_defect(r)),
-        ("fails pair symmetry", _max_abs4(r - np.moveaxis(r, (-2, -1), (-4, -3)))),
+        ("fails pair symmetry", max_abs(r - np.moveaxis(r, (-2, -1), (-4, -3)))),
     ):
         if np.max(defect) > tol:
             raise ConstructionError(f"curvature tensor {message}: defect {np.max(defect):g}")
@@ -244,6 +277,7 @@ def check_riemannian_symmetries(r: np.ndarray, tol: float) -> None:
 # metric-aware algebra
 
 
+@single_point_rule(2, 3)
 def raise_last(ginv: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Difference tensor K[..., m, i, j] = g^{ml} A_ijl, so A(X,Y,Z) = g(K(X,Y),Z).
 
@@ -257,20 +291,24 @@ def trace_k(k: np.ndarray) -> np.ndarray:
     return np.trace(k, axis1=-3, axis2=-1)
 
 
-def _per_slot(m: np.ndarray, arr) -> np.ndarray:
-    """Core-first rows of m[..., n, n] applied to every slot of arr[..., n, ..., n].
+def _require_slots(m: np.ndarray, shape: tuple) -> None:
+    """Raise DimensionMismatchError unless m[..., n, n] can act on every slot of a tensor of
+    the shape [..., n, ..., n]: the batch axes of m (all but its last two) and as many leading
+    axes of the tensor must broadcast.  The caller broadcasts an unbatched tensor against a
+    batched m: otherwise its first slot would be read as a batch axis."""
+    lead, n = m.ndim - 2, m.shape[-1]
+    k = len(shape) - lead
+    if (k < 0 or shape[lead:] != (n,) * k or m.shape[:lead] != shape[:lead] and any(
+            p != q and 1 not in (p, q) for p, q in zip(m.shape[:lead], shape[:lead]))):
+        raise DimensionMismatchError(
+            f"matrices of shape {m.shape} cannot act on the slots of a tensor of shape {shape}")
 
-    The batch axes of m (all but its last two) and as many leading axes of arr
-    must broadcast.  The caller broadcasts an unbatched arr against a batched m:
-    otherwise its first slot would be read as a batch axis.
-    """
-    arr = np.asarray(arr, dtype=float)
+
+def _per_slot(m: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Core-first rows of m[..., n, n] applied to every slot of arr[..., n, ..., n], whose
+    batch axes, at least one, broadcast against those of m."""
     lead, n = m.ndim - 2, m.shape[-1]
     k = arr.ndim - lead
-    if (k < 0 or arr.shape[lead:] != (n,) * k or m.shape[:lead] != arr.shape[:lead] and any(
-            p != q and 1 not in (p, q) for p, q in zip(m.shape[:lead], arr.shape[:lead]))):
-        raise DimensionMismatchError(
-            f"matrices of shape {m.shape} cannot act on the slots of a tensor of shape {arr.shape}")
     m, t = _rows(m, 2), _rows(arr, k)
     if k == 0:
         return t
@@ -278,12 +316,8 @@ def _per_slot(m: np.ndarray, arr) -> np.ndarray:
     if m.shape[2:] != batch:
         batch = tuple(q if p == 1 else p for p, q in zip(m.shape[2:], batch))
     for _ in range(k):
-        if batch:
-            # on the last slot, which comes first: the sums run over contiguous batch rows
-            t = np.einsum("ab...,rb...->ar...", m, t.reshape((rest, n) + t.shape[-len(batch):]))
-        else:
-            # at one point the slot is copied ahead of the rest, which the sums then run over
-            t = np.einsum("ab,br->ar", m, t.reshape(rest, n).T.copy())
+        # on the last slot, which comes first: the sums run over contiguous batch rows
+        t = np.einsum("ab...,rb...->ar...", m, t.reshape((rest, n) + t.shape[-len(batch):]))
     return t.reshape((n,) * k + batch)
 
 
@@ -296,14 +330,19 @@ def contract(ginv: np.ndarray, t: np.ndarray, s: np.ndarray):
     if np.shape(t) != np.shape(s):
         raise DimensionMismatchError(
             f"contract needs two arrays of equal shape, got {np.shape(t)} and {np.shape(s)}")
+    _require_slots(ginv, np.shape(s))
+    return _contract(ginv, t, s)
+
+
+@single_point_rule(2, None, None)
+def _contract(ginv: np.ndarray, t, s) -> np.ndarray:
     lead, n = ginv.ndim - 2, ginv.shape[-1]
-    s = _per_slot(ginv, s)
+    s = _per_slot(ginv, np.asarray(s, dtype=float))
     k = np.ndim(t) - lead
     batch = s.shape[k:]
+    # summed in row order, over contiguous batch rows
     prod = (_rows(t, k) * s).reshape((n ** k, math.prod(batch)))
-    # summed in row order: over contiguous batch rows, or cumulatively at a single point
-    out = np.add.reduce(prod, axis=0) if prod.shape[1] > 1 else np.cumsum(prod)[-1:]
-    return float(out[0]) if lead == 0 else out.reshape(batch)
+    return np.add.reduce(prod, axis=0).reshape(batch)
 
 
 @functools.cache
@@ -315,14 +354,14 @@ def _trace_spec(k: int, a: int, b: int) -> str:
     return f"ab...,{''.join(slots)}...->{rest}..."
 
 
+@single_point_rule(2, None)
 def trace_pair(ginv: np.ndarray, arr: np.ndarray, a: int, b: int):
     """Contract slots a and b of arr (counted after the batch axes of ginv) against ginv.
 
     A single point traced to a scalar gives a float.
     """
     k = arr.ndim - (ginv.ndim - 2)
-    out = batch_first(np.einsum(_trace_spec(k, a, b), _rows(ginv, 2), _rows(arr, k)), k - 2)
-    return float(out) if out.ndim == 0 else out
+    return batch_first(np.einsum(_trace_spec(k, a, b), _rows(ginv, 2), _rows(arr, k)), k - 2)
 
 
 def ricci_trace(up: np.ndarray) -> np.ndarray:
@@ -330,6 +369,7 @@ def ricci_trace(up: np.ndarray) -> np.ndarray:
     return np.trace(up, axis1=-4, axis2=-3)
 
 
+@single_point_rule(2, None)
 def lower_first(g: np.ndarray, up: np.ndarray) -> np.ndarray:
     """low[..., i, j, k, l] = g_lm up[..., m, i, j, k]: the first slot lowered and moved last
     (up may have any number of slots after the batch axes of g)."""
@@ -383,6 +423,7 @@ def covariant_derivative(gamma: np.ndarray, ds: np.ndarray, s: np.ndarray) -> np
     return batch_first(out, k + 1)
 
 
+@single_point_rule(2, 2, 3)
 def gram_k(ginv: np.ndarray, g: np.ndarray, k: np.ndarray) -> np.ndarray:
     """g(K_., K_.)[..., i, j] = g(K_{e_i}, K_{e_j}) = g^{ab} g_mn K^m_ia K^n_jb.
 
@@ -460,8 +501,7 @@ def sectional(r: np.ndarray, g: np.ndarray, u, v):
     """Sectional curvature r(e1, e2, e2, e1) of the (0,4) array r on the plane of u, v.
 
     (e1, e2) is the Gram-Schmidt pair of u, v, orthonormal for the matrix g, formed per
-    batch element: r[..., n, n, n, n], g[..., n, n] and u, v [..., n] broadcast.  A single
-    plane gives a float.
+    batch element: r[..., n, n, n, n], g[..., n, n] and u, v [..., n] broadcast.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -477,8 +517,7 @@ def sectional(r: np.ndarray, g: np.ndarray, u, v):
     nv = np.sqrt(g_pair(v2, v2))
     if np.any(nv <= 1e-12 * np.maximum(np.sqrt(g_pair(v, v)), 1.0)):
         raise PreconditionError("plane vectors are linearly dependent")
-    out = sectional_contraction(r, e1, v2 / nv[..., None])
-    return float(out) if out.ndim == 0 else out
+    return sectional_contraction(r, e1, v2 / nv[..., None])
 
 
 def sectional_contraction(r: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -499,6 +538,13 @@ def frame_components(b: np.ndarray, arr) -> np.ndarray:
     Batch axes as in contract: broadcast an unbatched arr against a batched b first.
     """
     arr = np.asarray(arr, dtype=float)
+    _require_slots(b, arr.shape)
+    # a tensor with no slots is its own components
+    return arr if arr.ndim == b.ndim - 2 else _frame_components(b, arr)
+
+
+@single_point_rule(2, None)
+def _frame_components(b: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return batch_first(_per_slot(b.swapaxes(-1, -2), arr), arr.ndim - (b.ndim - 2))
 
 

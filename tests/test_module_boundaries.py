@@ -268,7 +268,7 @@ def test_layout_checker_flags_each_copy():
 
 
 def curvature_fit_sites(sources: dict[str, str]) -> list[str]:
-    """Calls of ``best_fit_curvature_coefficient`` outside ``points.fit_constant_curvature``.
+    """Calls of ``best_fit_curvature_coefficient`` outside ``points.constant_curvature_fit``.
 
     Every "this curvature is H R0" test fits H and bounds the fit in that one helper.
     """
@@ -279,7 +279,7 @@ def curvature_fit_sites(sources: dict[str, str]) -> list[str]:
             func = child.func if isinstance(child, ast.Call) else None
             called = getattr(func, "id", None) or getattr(func, "attr", None)
             if (called == "best_fit_curvature_coefficient"
-                    and (name, scope) != ("points.py", ["fit_constant_curvature"])):
+                    and (name, scope) != ("points.py", ["constant_curvature_fit"])):
                 found.append(f"{name}:{child.lineno}")
             named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
             visit(name, child, scope + [child.name] if named else scope)
@@ -299,7 +299,7 @@ def test_fit_checker_flags_each_copy():
         "points.py": (
             "def best_fit_curvature_coefficient(g, ginv, r):\n"
             "    return 0.0\n"
-            "def fit_constant_curvature(g, ginv, r, rel_tol, h=None):\n"
+            "def constant_curvature_fit(g, ginv, r, rel_tol, h=None):\n"
             "    return best_fit_curvature_coefficient(g, ginv, r)\n"
             "def other(g, ginv, r):\n"
             "    return best_fit_curvature_coefficient(g, ginv, r)\n"
@@ -926,3 +926,96 @@ def test_chart_check_checker_flags_each_copy():
         "check_structure: calls ricci_decomposition_residuals",
         "check_structure: does not call chart_checks",
     ]
+
+
+SINGLE_POINT_HELPERS = ("single_point_rule", "two_copies", "first_copy", "first_of_two")
+
+
+def single_point_rule_sites(sources: dict[str, str]) -> list[str]:
+    """Definitions of the batch-of-two rule outside ``tensors.py``, and what tensors lacks.
+
+    A point runs alone as a batch of two copies of it by one rule: a function named like one
+    of its helpers, or a copy made by ``repeat`` with a count of 2, belongs to ``tensors.py``.
+    """
+    found = []
+    for name, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        defined = {node.name.lstrip("_") for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        if name == "tensors.py":
+            found += [f"tensors.py lacks {h}" for h in SINGLE_POINT_HELPERS[:1] if h not in defined]
+            continue
+        found += [f"{name}: {h}" for h in SINGLE_POINT_HELPERS if h in defined]
+        found += [f"{name}:{node.lineno}: repeat" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "repeat"
+                  and any(isinstance(arg, ast.Constant) and arg.value == 2 for arg in node.args)]
+    return found
+
+
+def test_one_single_point_rule():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert single_point_rule_sites(sources) == []
+
+
+def test_single_point_rule_checker_flags_each_copy():
+    sources = {
+        "tensors.py": "def batch_last(x, k):\n    return x\n",
+        "points.py": ("import numpy as np\n"
+                      "def _first_of_two(kernel, x):\n"
+                      "    return kernel(np.repeat(x[..., None], 2, axis=-1))[0]\n"),
+        "charts.py": ("def f(x):\n    return np.repeat(x, 3, axis=0)\n"
+                      "def g(x):\n    return x[..., None].repeat(2, axis=-1)[..., 0]\n"),
+    }
+    assert single_point_rule_sites(sources) == [
+        "charts.py:4: repeat", "points.py: first_of_two", "points.py:3: repeat",
+        "tensors.py lacks single_point_rule"]
+
+
+def single_point_branches(source: str) -> list[str]:
+    """Tests of a point's batch axes: a comparison of ``.ndim`` or ``np.ndim(...)`` with a
+    number, or of ``prod(...)``, ``len(...)`` or ``.size`` with 1.
+
+    A producer of ``charts.py`` or a kernel of ``points.py`` treats one point as a batch:
+    the single-point rule of ``tensors`` gives it the bits of a batch row.
+    """
+    def kind(node):
+        called = getattr(node.func, "id", None) or getattr(node.func, "attr", None) if isinstance(
+            node, ast.Call) else None
+        if isinstance(node, ast.Attribute) and node.attr == "ndim" or called == "ndim":
+            return "ndim"
+        if isinstance(node, ast.Attribute) and node.attr == "size" or called in ("prod", "len"):
+            return "count"
+        return None
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left] + node.comparators
+        numbers = {side.value for side in sides if isinstance(side, ast.Constant)}
+        for side in sides:
+            if kind(side) == "ndim" and numbers or kind(side) == "count" and 1 in numbers:
+                found.append(f"line {node.lineno}: {kind(side)}")
+    return found
+
+
+def test_charts_and_points_have_no_single_point_branch():
+    for name in ("charts.py", "points.py"):
+        assert single_point_branches((PACKAGE / name).read_text(encoding="utf-8")) == [], name
+
+
+def test_single_point_branch_checker_flags_each_test():
+    source = (
+        "import math\n"
+        "import numpy as np\n"
+        "def f(x):\n"
+        "    if x.ndim == 1:\n"
+        "        return x\n"
+        "    return float(x) if np.ndim(x) == 0 else x\n"
+        "def g(batch, x):\n"
+        "    return math.prod(batch) == 1 or x.size <= 1 or 1 != len(x)\n"
+        "def h(x, y, n):\n"
+        "    return x.ndim - y.ndim, len(x) == 2, x.ndim == n\n"
+    )
+    assert single_point_branches(source) == [
+        "line 4: ndim", "line 6: ndim", "line 8: count", "line 8: count", "line 8: count"]

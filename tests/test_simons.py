@@ -11,12 +11,13 @@ from codazzi.charts import (
     constant_field,
     cubic_simons_residuals,
     hessian_from_potential,
+    residuals_at,
     ricci_identity_residual,
     simons_residual,
     sym2_simons_residual,
     weitzenbock_residual,
 )
-from codazzi.generators import GeneratorSpec, generate
+from codazzi.generators import GeneratorSpec, generate, sample_points
 from codazzi.suites import laplacian_series, run_suite
 
 X2 = np.array([0.15, -0.22])
@@ -183,12 +184,17 @@ class TestSym2Simons:
             assert 3.2 <= rs[i] / rs[i + 1] <= 4.8
 
 
+def cubic_at_point(cs, x):
+    """The cubic Simons residuals at one point x, each key that applies there."""
+    return residuals_at(cubic_simons_residuals(cs, x), ())
+
+
 class TestCubicSimons:
     def test_all_three_forms_on_hessian(self):
         for n in (2, 3):
             cs = curved_hessian(n=n)
             x = np.array([0.15, -0.22, 0.1][:n])
-            out = cubic_simons_residuals(cs, x)
+            out = cubic_at_point(cs, x)
             for key, value in out.items():
                 assert value < 1e-4, (n, key, value)
 
@@ -200,7 +206,7 @@ class TestCubicSimons:
     def test_trace_free_specialization(self):
         conf = generate(GeneratorSpec("G5-periodic-trig", seed=1,
                                       params={"variant": "conformal", "amp": 0.35}))
-        out = cubic_simons_residuals(conf, np.array([1.1, 2.3]))
+        out = cubic_at_point(conf, np.array([1.1, 2.3]))
         assert "laplace-cubic-tracefree" in out
         assert out["laplace-cubic-tracefree"] < 1e-4
 
@@ -229,43 +235,46 @@ class TestSpecializations:
                                       params={"variant": "conformal", "amp": 0.35}))
 
     def test_constant_sectional_form(self):
-        out = cubic_simons_residuals(self.conformal(), np.array([1.1, 2.3]))
+        out = cubic_at_point(self.conformal(), np.array([1.1, 2.3]))
         assert out[self.SECTIONAL] < 1e-4
 
     def test_constant_fields_reduce_to_zero_terms(self):
         cs = generate(GeneratorSpec("G3-2d-constant-curvature", params={"chart": True}))
-        assert cubic_simons_residuals(cs, np.array([1.0, 1.0]))[self.SECTIONAL] < 1e-9
+        assert cubic_at_point(cs, np.array([1.0, 1.0]))[self.SECTIONAL] < 1e-9
 
     def test_dual_flat_split_form(self):
-        out = cubic_simons_residuals(self.conformal(), np.array([1.1, 2.3]))
+        out = cubic_at_point(self.conformal(), np.array([1.1, 2.3]))
         assert out[self.DUALFLAT] < 1e-4
 
     def test_dual_flat_split_constant_fields(self, monkeypatch):
         # R_hat = 0 and [K,K] = -2 R0, so the split fits c = 2
-        fit, fits = charts_mod.fit_constant_curvature, []
+        fit, fits = charts_mod.constant_curvature_fit, []
 
         def spy(g, ginv, r, rel_tol, h=None):
             fits.append(fit(g, ginv, r, rel_tol, h))
             return fits[-1]
 
         cs = generate(GeneratorSpec("G3-2d-constant-curvature", params={"chart": True}))
-        monkeypatch.setattr(charts_mod, "fit_constant_curvature", spy)
-        assert cubic_simons_residuals(cs, np.array([1.0, 1.0]))[self.DUALFLAT] < 1e-9
-        assert fits[-1] == pytest.approx(2.0, abs=1e-9)
+        monkeypatch.setattr(charts_mod, "constant_curvature_fit", spy)
+        assert cubic_at_point(cs, np.array([1.0, 1.0]))[self.DUALFLAT] < 1e-9
+        assert fits[-1][0] == pytest.approx(2.0, abs=1e-9)
 
     def test_no_fit_no_key(self):
         # at n = 3 neither [K,K] nor R_hat - [K,K] of G1 is a multiple of R0
         cs = generate(GeneratorSpec("G1-constant-A", n=3, seed=0))
-        out = cubic_simons_residuals(cs, cs.domain.mean(axis=1))
+        out = cubic_at_point(cs, cs.domain.mean(axis=1))
         assert "laplace-cubic-bracket" in out
         assert self.SECTIONAL not in out and self.DUALFLAT not in out
 
     def test_failed_fit_is_a_labelled_skip_in_the_suite(self, monkeypatch):
+        fit = charts_mod.constant_curvature_fit
+
         def fails(*args, **kwargs):
-            raise PreconditionError("planted")
+            h, residual, fits = fit(*args, **kwargs)
+            return h, residual, np.zeros_like(fits)
 
         before = run_suite("simons").checks
-        monkeypatch.setattr(charts_mod, "fit_constant_curvature", fails)
+        monkeypatch.setattr(charts_mod, "constant_curvature_fit", fails)
         after = run_suite("simons").checks
         assert [c.id for c in after] == [c.id for c in before]
         for old, new in zip(before, after):
@@ -293,3 +302,56 @@ def test_laplacian_series_builds_two_charts_per_n(n, monkeypatch):
     assert checked == [1e-3, 1e-3]
     assert steps == (4e-3, 2e-3, 1e-3)
     assert all(len(values) == 3 for values in series.values())
+
+
+def _rows(out) -> list:
+    """The arrays a Laplacian producer returns, in order: a mask after its values."""
+    if isinstance(out, dict):
+        out = [part for value in out.values()
+               for part in (value if isinstance(value, charts_mod.Applies) else [value])]
+    return list(out) if isinstance(out, (list, tuple)) else [out]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_laplacian_producers_give_a_point_the_same_bits_in_a_batch(n):
+    # the charts and fields of laplacian_series
+    hess, sphere, beta = curved_hessian(n=n), sphere_chart(n=n), codazzi_beta(n)
+
+    def tau(y):
+        return np.concatenate([trig_tau(y), np.sin(y[..., 2:])], axis=-1)
+
+    producers = {
+        "ricci-identity": (hess, lambda cs, x: ricci_identity_residual(cs, cs.a_field, x)),
+        "simons-formula": (hess, lambda cs, x: simons_residual(cs, cs.a_field, x)),
+        "weitzenbock": (sphere, lambda cs, x: weitzenbock_residual(cs, tau, x)),
+        "sym2-simons": (sphere, lambda cs, x: sym2_simons_residual(cs, beta, x)),
+        "cubic": (hess, cubic_simons_residuals),
+    }
+    for name, (cs, producer) in producers.items():
+        xs = sample_points(cs, 3, seed=n)
+        batch = _rows(producer(cs, xs))
+        assert all(np.shape(values) == (3,) for values in batch), name
+        for i, x in enumerate(xs):
+            alone = _rows(producer(cs.with_step(cs.h), x))
+            assert [float(values[i]).hex() for values in batch] == [
+                float(value).hex() for value in alone], (name, i)
+
+
+def test_a_batch_fails_a_precondition_with_the_message_of_its_first_point():
+    cs = generate(GeneratorSpec("G4-random-smooth", seed=0))
+    xs = sample_points(cs, 3, seed=3)
+
+    def beta(y):
+        # y_i y_j: d_a beta_ij is not symmetric in a and i
+        return y[..., :, None] * y[..., None, :]
+
+    for producer in (cubic_simons_residuals, lambda cs, x: sym2_simons_residual(cs, beta, x)):
+        messages = []
+        for x in xs:
+            with pytest.raises(PreconditionError) as alone:
+                producer(cs.with_step(cs.h), x)
+            messages.append(str(alone.value))
+        with pytest.raises(PreconditionError) as batch:
+            producer(cs, xs)
+        assert str(batch.value) == messages[0]
+        assert len(set(messages)) == 3

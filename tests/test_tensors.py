@@ -20,10 +20,10 @@ from codazzi.points import frame_cubic, ric_k
 from codazzi.spheres import poly_eval, product_gauss
 from codazzi.structures_io import (cubic_entries, cubic_from_entries, cubic_triples,
                                    stat_point_from_dict)
-from codazzi.tensors import (batch_last, check_riemannian_symmetries, contract, core_first,
-                             gram_k, lower_first, metric_factor_counts, metric_factors,
-                             ricci_trace, sectional, sectional_contraction, tau_circ_k, trace_k,
-                             trace_pair)
+from codazzi.tensors import (batch_last, check_riemannian_symmetries, compose, contract,
+                             core_first, covariant_derivative, gram_k, lower_first,
+                             metric_factor_counts, metric_factors, ricci_trace, sectional,
+                             sectional_contraction, tau_circ_k, trace_k, trace_pair)
 
 
 def random_spd(n, rng):
@@ -357,6 +357,37 @@ class TestSlotKernels:
             with pytest.raises(DimensionMismatchError) as info:
                 call()
             assert str(m_shape) in str(info.value) and str(t_shape) in str(info.value)
+
+
+class TestSinglePointRule:
+    """The kernels that charts and points call at a point give it the bits of its row in a
+    batch, alone and as a batch of one; compose, covariant_derivative and tau_circ_k sum in
+    one order at any batch size, so they carry no copy."""
+
+    KERNELS = {
+        "raise_last": lambda ginv, g, t: raise_last(ginv, t[2]),
+        "trace_pair": lambda ginv, g, t: trace_pair(ginv, t[4], 0, 3),
+        "lower_first": lambda ginv, g, t: lower_first(g, t[4]),
+        "compose": lambda ginv, g, t: compose(t[2]),
+        "covariant_derivative": lambda ginv, g, t: covariant_derivative(t[2], t[4], t[3]),
+        "gram_k": lambda ginv, g, t: gram_k(ginv, g, t[2]),
+        "tau_circ_k": lambda ginv, g, t: tau_circ_k(t[0], t[2]),
+        "contract": lambda ginv, g, t: contract(ginv, t[4], t[4]),
+        "frame_components": lambda ginv, g, t: frame_components(g, t[4]),
+    }
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_a_point_gets_the_bits_of_its_batch_row(self, name, n, rng):
+        kernel = self.KERNELS[name]
+        ginv, g = _spd_stack((3,), n, rng), _spd_stack((3,), n, rng)
+        # t[k] holds tensors with k + 1 slots
+        t = [rng.uniform(-1, 1, (3,) + (n,) * (k + 1)) for k in range(5)]
+        batch = np.asarray(kernel(ginv, g, t))
+        for i in range(3):
+            for index in (i, slice(i, i + 1)):
+                alone = np.asarray(kernel(ginv[index], g[index], [x[index] for x in t]))
+                assert alone.tobytes() == batch[index].tobytes(), (name, index)
 
 
 class TestBatchLastLayout:
