@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import (
+    LATTICE_BLOCK,
     ChartStructure,
     nabla_cubic_at,
     scalar_laplacian_at,
@@ -236,13 +237,23 @@ def discrete_max_probe(
 ) -> tuple[np.ndarray, float]:
     """Grid surrogate of the maximum principle on a fully periodic chart.
 
-    Locates the lattice argmax of the scalar field (one call of f on the
-    whole lattice) and returns it with the chart Laplacian there; on a
-    compact surrogate the Laplacian at a maximum cannot exceed the FD
-    tolerance.
+    Locates the lattice argmax of the scalar field, the first point in lattice order
+    that holds the maximum, and returns it with the chart Laplacian there; on a
+    compact surrogate the Laplacian at a maximum cannot exceed the FD tolerance.
+    The lattice goes through in blocks of at most LATTICE_BLOCK points, one call of f
+    each, inside a fresh memo of cs that is dropped after the block, so memory does
+    not grow with the lattice.
     """
     if not all(cs.periodic):
         raise PreconditionError("the maximum probe needs a fully periodic chart")
-    points = cs.lattice(lattice_points)
-    best = points[int(np.argmax(f(points)))]
+    # each block's first maximum; the first of those that holds the largest is the lattice's
+    candidates, maxima = [], []
+    for start in range(0, lattice_points ** cs.n, LATTICE_BLOCK):
+        block = cs.lattice(lattice_points, slice(start, start + LATTICE_BLOCK))
+        with cs.fresh_memo():
+            values = np.asarray(f(block))
+        i = int(np.argmax(values))
+        candidates.append(block[i].copy())
+        maxima.append(values[i])
+    best = candidates[int(np.argmax(maxima))]
     return best, scalar_laplacian_at(cs, f, best)

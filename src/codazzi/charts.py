@@ -26,6 +26,7 @@ A covariant derivative prepends the derivative slot: (nabla s)[a, ...] =
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import itertools
@@ -68,6 +69,18 @@ CONJUGATE_SYMMETRY_THRESHOLD = 1e-6
 # largest asymmetry of a cubic field (max |A - sym A|) or a metric field (max |g - g^T|),
 # relative to the field's largest entry, that the chart accepts
 CUBIC_SYMMETRY_TOL = 1e-9
+# lattice points per block of a walk over a chart's lattice; the default 32^2 lattice is one block
+LATTICE_BLOCK = 1024
+
+# bytes at each end of a point batch that a memo key holds
+_MEMO_KEY_BYTES = 256
+# memo lookups of every chart in this process, and the lookups that found a value
+_memo_counts = [0, 0]
+
+
+def memo_counts() -> tuple[int, int]:
+    """Lookups in the memo of every chart in this process, and the lookups that hit."""
+    return _memo_counts[0], _memo_counts[1]
 
 
 @dataclass(frozen=True)
@@ -185,8 +198,9 @@ class ChartStructure:
         out._cache = {}
         return out
 
-    def lattice(self, counts) -> np.ndarray:
-        """Grid points of the box, counts per axis (or one int), as an array [m, n] in C order.
+    def lattice(self, counts, rows: slice = slice(None)) -> np.ndarray:
+        """Grid points of the box, counts per axis (or one int), as an array [m, n] in C order;
+        rows picks a slice of the m points, and only those are formed.
 
         A periodic axis leaves out its far face, which is the near face again.
         """
@@ -196,7 +210,9 @@ class ChartStructure:
                                     f"{self.n}), each at least 1: {counts!r}")
         axes = [np.linspace(lo, hi, m, endpoint=not periodic)
                 for (lo, hi), m, periodic in zip(self.domain, counts, self.periodic)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.n)
+        picked = range(math.prod(counts))[rows]
+        index = np.unravel_index(np.arange(picked.start, picked.stop, picked.step), counts)
+        return np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
 
     def _spot_check(self):
         """Validate the fields on the 5-point lattice of the box and at its midpoint (which
@@ -284,17 +300,39 @@ class ChartStructure:
         return self._memo("tau", x, lambda: trace_k(self.k_at(x)))
 
     def _memo(self, tag, x, compute):
-        """compute() once per (tag, batch); the key holds the shape because two batch shapes
-        (a stencil of one point, or of a batch of one) can share the same bytes."""
+        """compute() once per (tag, batch): a value is returned only for bit-identical x.
+
+        The key holds the tag, the shape of x (two batch shapes, a stencil of one point
+        or of a batch of one, can share the same bytes) and the first and last
+        _MEMO_KEY_BYTES bytes of x, so a lookup hashes a bounded number of bytes.  The key
+        holds a list of (all bytes of x, value), and a hit needs all bytes to be equal.
+        """
         x = np.asarray(x, dtype=float)
-        key = (tag, x.shape, x.tobytes())
-        out = self._cache.get(key)
-        if out is None:
+        data = x.tobytes()
+        key = (tag, x.shape, data[:_MEMO_KEY_BYTES], data[-_MEMO_KEY_BYTES:])
+        _memo_counts[0] += 1
+        entries = self._cache.get(key)
+        if entries is None:
             if len(self._cache) > 200000:
                 self._cache.clear()
-            out = compute()
-            self._cache[key] = out
+            entries = self._cache[key] = []
+        for held, out in entries:
+            if held == data:
+                _memo_counts[1] += 1
+                return out
+        out = compute()
+        entries.append((data, out))
         return out
+
+    @contextlib.contextmanager
+    def fresh_memo(self):
+        """Memoize into an empty memo inside the with block, and drop it after: the chart's
+        own memo is back in place, holding nothing the block computed."""
+        held, self._cache = self._cache, {}
+        try:
+            yield
+        finally:
+            self._cache = held
 
     def __repr__(self):
         return f"ChartStructure(n={self.n}, h={self.h}, periodic={self.periodic})"

@@ -124,17 +124,17 @@ def ric_k_from_bracket(g, a, factors=None) -> np.ndarray:
     return ricci_trace(_bracket_up(g, a, factors))
 
 
-def _scalar_gap(ginv: np.ndarray, k: np.ndarray, a) -> float:
-    """||A||^2 - ||E||^2 of one structure, the scalar curvature of g minus that of nabla."""
+def _scalar_gap(ginv: np.ndarray, k: np.ndarray, a):
+    """||A||^2 - ||E||^2 per structure, the scalar curvature of g minus that of nabla."""
     tau = trace_k(k)
-    return contract(ginv, a, a) - float(tau @ (ginv @ tau))
+    return contract(ginv, a, a) - contract(ginv, tau, tau)
 
 
 def rho_k(g, a, factors=None) -> tuple[float, float]:
     """Scalar curvature of [K,K], computed two independent ways.
 
-    Returns (trace of ric_k, ||E||^2 - ||K||^2); the two agree for every
-    structure and the harness reports their difference as a residual.
+    Returns (trace of ric_k, ||E||^2 - ||K||^2), per structure of a stack; the two
+    agree for every structure and the harness reports their difference as a residual.
     """
     ginv, k = _difference_tensor(g, a, factors)
     return trace_pair(ginv, _ric(ginv, g, k), 0, 1), -_scalar_gap(ginv, k, a)
@@ -441,13 +441,14 @@ def constant_curvature_residual(r: np.ndarray, g: np.ndarray, ginv: np.ndarray, 
 def lagrangian_gauss_residual(g, a, rhat: np.ndarray, c: float) -> tuple[float, float]:
     """Residual of c R0 = Rhat - [K,K], plus the scalar-curvature consistency check.
 
-    Returns (||Rhat - [K,K] - c R0||, |rho_hat - (c n(n-1) - ||A||^2 + ||E||^2)|).
+    Returns (||Rhat - [K,K] - c R0||, |rho_hat - (c n(n-1) - ||A||^2 + ||E||^2)|), per
+    structure of a stack.
     """
     ginv, k = _difference_tensor(g, a)
     residual = constant_curvature_residual(rhat - bracket_kk(g, a), g, ginv, c)
     # the Ricci trace of a (0,4) tensor contracts its first and last slots against g^-1
     rho_hat = trace_pair(ginv, trace_pair(ginv, rhat, 0, 3), 0, 1)
-    n = len(g)
+    n = g.shape[-1]
     scalar_residual = abs(rho_hat - (c * n * (n - 1) - _scalar_gap(ginv, k, a)))
     return residual, scalar_residual
 

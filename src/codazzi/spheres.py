@@ -9,6 +9,9 @@ polar cosine crossed with a uniform azimuthal grid, and higher dimensions
 fall back to Monte Carlo with a reported standard error.  A rule is built
 once per process and its nodes and weights are read-only: product rules are
 cached per (n, order), and the last Monte Carlo rule per (n, count, seed).
+Integrals over a rule are not cached here; a caller that integrates the same
+function over the same rule on every run (the integral suite's Monte Carlo
+cross-validation) keeps the result per rule object itself.
 
 The bundle integrals over periodic charts walk their lattice in blocks and
 evaluate each lattice point once: ros_refinement reads the Ros integral at a
@@ -27,6 +30,7 @@ import numpy as np
 
 from .charts import (
     CONJUGATE_SYMMETRY_THRESHOLD,
+    LATTICE_BLOCK,
     ChartStructure,
     codifferential_at,
     conjugate_symmetry_defect,
@@ -255,10 +259,6 @@ def sphere_codiff_residual(s, i0: int, quad: SphereQuadrature | None = None) -> 
 # unit sphere bundle integrals over periodic charts
 
 
-# lattice points per block of the bundle integrals: the default 32^2 lattice is one block
-_LATTICE_BLOCK = 1024
-
-
 def _periodic_lattice(cs: ChartStructure, lattice) -> tuple[np.ndarray, float, float]:
     if not all(cs.periodic):
         raise PreconditionError("bundle integrals need a fully periodic chart")
@@ -273,13 +273,13 @@ def _periodic_lattice(cs: ChartStructure, lattice) -> tuple[np.ndarray, float, f
 def _lattice_values(cs: ChartStructure, h: float, points: np.ndarray, per_point) -> list:
     """The per-point values that per_point(chart, block) returns, each one array in lattice order.
 
-    The lattice goes through in blocks of at most _LATTICE_BLOCK points, each on a
+    The lattice goes through in blocks of at most LATTICE_BLOCK points, each on a
     chart of its own (cs with step h and an empty memo) that is freed before the next
     block starts, so memory does not grow with the lattice.
     """
     values = None
-    for start in range(0, len(points), _LATTICE_BLOCK):
-        block = points[start:start + _LATTICE_BLOCK]
+    for start in range(0, len(points), LATTICE_BLOCK):
+        block = points[start:start + LATTICE_BLOCK]
         parts = per_point(cs.with_step(h), block)
         if values is None:
             values = [np.empty(len(points)) for _ in parts]

@@ -11,12 +11,18 @@ Finite-difference tolerances are tol = C * h^2 * tol_scale with per-check
 constants C frozen from calibration runs on the curved reference
 generators (Hessian potential, conformal torus) at a x100 safety margin,
 plus an absolute floor for identities that vanish exactly.
+
+A process builds some things once and reuses them on every later run: each
+sphere quadrature rule (in the caches of spheres) and the Monte Carlo
+estimate of quadrature-cross-validation, taken once per rule.  Everything
+else a check reads is computed again on each run.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -883,6 +889,26 @@ def bounds_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     return col.checks, bounds_payload
 
 
+def _v1v2_squared(v: np.ndarray) -> np.ndarray:
+    """V1^2 V2^2 at each node of v[m, n]: the integrand of quadrature-cross-validation."""
+    return v[:, 0] ** 2 * v[:, 1] ** 2
+
+
+# (a weak reference to the Monte Carlo rule, its (estimate, standard error) of V1^2 V2^2)
+_monte_carlo_held = [lambda: None, None]
+
+
+def _monte_carlo_estimate(rule: spheres_mod.SphereQuadrature) -> tuple[float, float]:
+    """integrate_sphere(rule, _v1v2_squared), taken once per rule object: a rule is
+    read-only, so the pair is a function of it.  The last rule's pair is kept, under a weak
+    reference that does not keep the rule alive."""
+    held, pair = _monte_carlo_held
+    if held() is not rule:
+        pair = spheres_mod.integrate_sphere(rule, _v1v2_squared)
+        _monte_carlo_held[:] = weakref.ref(rule), pair
+    return pair
+
+
 def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     col = _Collector(cfg)
     order = cfg.fiber_order
@@ -899,10 +925,10 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     col.add("quadrature-parity", abs(spheres_mod.integrate_sphere(q2, lambda v: v[:, 0])),
             "n=2/V1")
 
-    # the 200000-node rule is drawn on a process's first pass only; later passes reuse it
-    est, se = spheres_mod.integrate_sphere(spheres_mod.monte_carlo(3, 200000, seed=cfg.seeds),
-                                           lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
-    exact = spheres_mod.integrate_sphere(q3, lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
+    # the 200000-node rule is drawn on a process's first pass only, and its estimate is
+    # taken once per rule; later passes reuse both
+    est, se = _monte_carlo_estimate(spheres_mod.monte_carlo(3, 200000, seed=cfg.seeds))
+    exact = spheres_mod.integrate_sphere(q3, _v1v2_squared)
     col.add("quadrature-cross-validation", abs(est - exact), "monte-carlo/2e5", bar=4.0 * se)
 
     rng = np.random.default_rng(17)
@@ -1066,6 +1092,7 @@ def run_suite(name: str, cfg: SuiteConfig | None = None) -> ResidualReport:
     powers = spheres_mod.node_power_cache_info()
     rules = spheres_mod.quadrature_cache_info()
     fields = field_eval_counts()
+    memo = charts_mod.memo_counts()
     started = time.perf_counter()
     report = ResidualReport(suite=name, environment=cfg.environment())
     names = [name] if name != "all" else list(_SUITES)
@@ -1084,6 +1111,10 @@ def run_suite(name: str, cfg: SuiteConfig | None = None) -> ResidualReport:
     calls, points = field_eval_counts()
     report.timing["field-calls"] = calls - fields[0]
     report.timing["field-points"] = points - fields[1]
+    # lookups in the memos of the charts, and the lookups that found their value
+    lookups, hits = charts_mod.memo_counts()
+    report.timing["memo-lookups"] = lookups - memo[0]
+    report.timing["memo-hits"] = hits - memo[1]
     # metric factorizations (calls and matrices), node-power tables and quadrature rules
     # found or built
     batches, matrices = metric_factor_counts()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,60 @@ class TestMaxProbe:
                              constant_field(np.zeros((2, 2, 2))))
         with pytest.raises(PreconditionError, match="periodic"):
             discrete_max_probe(box, lambda y: np.zeros(y.shape[:-1]))
+
+
+def _conformal_probe(lattice_points):
+    conf = generate(GeneratorSpec("G5-periodic-trig", seed=2,
+                                  params={"variant": "conformal", "amp": 0.35}))
+    return conf, lambda: discrete_max_probe(conf, squared_norm_field(conf, conf.a_field),
+                                            lattice_points=lattice_points)
+
+
+class TestMaxProbeBlocks:
+    """The probe walks its lattice in blocks: the same argmax, and memory that stays flat."""
+
+    @pytest.mark.parametrize("lattice_points", [16, 48, 64])
+    def test_block_size_changes_no_bit(self, monkeypatch, lattice_points):
+        # 7 leaves a ragged last block; 10**6 puts the lattice in one block
+        values = {}
+        for block in (7, 1024, 10**6):
+            monkeypatch.setattr(bounds, "LATTICE_BLOCK", block)
+            best, lap = _conformal_probe(lattice_points)[1]()
+            values[block] = (best.tobytes(), np.float64(lap).tobytes())
+        assert values[7] == values[1024] == values[10**6]
+
+    def test_first_maximum_in_lattice_order(self, monkeypatch):
+        flat = ChartStructure(2, [[0, 2 * np.pi]] * 2, constant_field(np.eye(2)),
+                              constant_field(np.zeros((2, 2, 2))), periodic=[True, True])
+        monkeypatch.setattr(bounds, "LATTICE_BLOCK", 5)
+        # the maximum 1 is held by the lattice points of rows 7 and 12 (blocks 1 and 2)
+        lattice = flat.lattice(4)
+        ties = {lattice[7].tobytes(), lattice[12].tobytes()}
+        best, _ = discrete_max_probe(
+            flat, lambda y: np.array([float(p.tobytes() in ties) for p in y]), lattice_points=4)
+        assert best.tobytes() == lattice[7].tobytes()
+
+    def test_peak_does_not_grow_with_the_lattice(self):
+        _conformal_probe(8)[1]()  # compiles the fields
+        peaks = {}
+        for lattice_points in (32, 256):
+            probe = _conformal_probe(lattice_points)[1]
+            tracemalloc.start()
+            try:
+                probe()
+                peaks[lattice_points] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[256] <= 1.5 * peaks[32], peaks
+
+    def test_leaves_little_in_the_callers_chart(self):
+        _conformal_probe(8)[1]()
+        conf, probe = _conformal_probe(256)
+        tracemalloc.start()
+        try:
+            probe()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the metric factors of the 65536 lattice points alone would take 4.7 MB
+        assert held < 1e5

@@ -180,10 +180,79 @@ class TestChartStructure:
         with pytest.raises(ConstructionError, match="lattice counts"):
             cs.lattice(counts)
 
+    def test_lattice_rows_are_the_rows_of_the_whole_lattice(self):
+        cs = flat_chart(periodic=True)
+        whole = cs.lattice([5, 7])
+        for rows in (slice(0, 4), slice(3, 30), slice(30, 100), slice(None)):
+            assert cs.lattice([5, 7], rows).tobytes() == whole[rows].tobytes()
+
     @pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
     def test_with_step_rejects_a_bad_step(self, h):
         with pytest.raises(ConstructionError, match="finite and positive"):
             flat_chart().with_step(h)
+
+
+class TestMemo:
+    """A memo key holds a bounded part of a batch's bytes; a hit needs all of them equal."""
+
+    @staticmethod
+    def _lookup(cs, x, computed):
+        """The memo's value for x: the number of values computed before it, on a miss."""
+        def compute():
+            computed.append(len(computed))
+            return computed[-1]
+
+        return cs._memo("t", x, compute)
+
+    def test_batches_equal_at_both_ends_get_separate_values(self):
+        cs = flat_chart()
+        computed = []
+        x = np.linspace(-0.5, 0.5, 400).reshape(200, 2)
+        y = x.copy()
+        y[100, 0] += 1e-9
+        # 3200 bytes: the first and last 256 agree, one middle coordinate differs
+        assert x.tobytes()[:256] == y.tobytes()[:256] and x.tobytes()[-256:] == y.tobytes()[-256:]
+        assert self._lookup(cs, x, computed) == 0
+        assert self._lookup(cs, y, computed) == 1
+        assert self._lookup(cs, x, computed) == 0
+        assert self._lookup(cs, y, computed) == 1
+        assert computed == [0, 1]
+
+    def test_signed_zeros_get_separate_values(self):
+        cs = flat_chart()
+        computed = []
+        assert self._lookup(cs, np.array([0.0, 0.5]), computed) == 0
+        assert self._lookup(cs, np.array([-0.0, 0.5]), computed) == 1
+        assert self._lookup(cs, np.array([0.0, 0.5]), computed) == 0
+
+    def test_an_equal_copy_in_another_array_hits(self):
+        cs = flat_chart()
+        computed = []
+        x = np.linspace(-0.5, 0.5, 2000).reshape(1000, 2)
+        lookups, hits = charts.memo_counts()
+        assert self._lookup(cs, x, computed) == 0
+        # a copy, and the same values read through a non-contiguous view
+        assert self._lookup(cs, x.copy(), computed) == 0
+        assert self._lookup(cs, np.asfortranarray(x), computed) == 0
+        assert computed == [0]
+        assert charts.memo_counts() == (lookups + 3, hits + 2)
+
+    def test_shapes_with_the_same_bytes_get_separate_values(self):
+        cs = flat_chart()
+        computed = []
+        x = np.array([0.25, 0.5])
+        assert self._lookup(cs, x, computed) == 0
+        assert self._lookup(cs, x[None], computed) == 1
+
+    def test_fresh_memo_keeps_nothing_in_the_chart(self):
+        cs = flat_chart()
+        x = np.array([[0.25, 0.5]])
+        held = cs.metric_inverse_at(x)
+        with cs.fresh_memo():
+            assert cs.metric_inverse_at(x) is not held
+            inside = cs.metric_inverse_at(x[::-1] + 0.125)
+        assert cs.metric_inverse_at(x) is held
+        assert cs.metric_inverse_at(x[::-1] + 0.125) is not inside
 
 
 class TestChristoffel:

@@ -239,6 +239,16 @@ class TestReports:
         timing = run_suite(suite, SuiteConfig()).timing
         assert (timing["field-calls"], timing["field-points"]) == self.FIELD_EVALUATIONS[suite]
 
+    # (memo-lookups, memo-hits) of each suite at the defaults: a memo hit needs bit-identical
+    # coordinates, whatever part of them the memo key holds
+    MEMO_LOOKUPS = {"integral": (247, 84), "differential": (1221, 838), "simons": (738, 505),
+                    "bounds": (101, 50), "algebraic": (0, 0)}
+
+    @pytest.mark.parametrize("suite", sorted(MEMO_LOOKUPS))
+    def test_memo_lookups_per_suite(self, suite):
+        timing = run_suite(suite, SuiteConfig()).timing
+        assert (timing["memo-lookups"], timing["memo-hits"]) == self.MEMO_LOOKUPS[suite]
+
     def test_field_counts_stay_out_of_the_report_body(self):
         report = run_suite("bounds", SuiteConfig())
         assert report.timing["field-points"] > 0

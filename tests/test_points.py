@@ -211,6 +211,16 @@ class TestRhoK:
             via_trace, via_norms = rho_k(*random_stat_point(n, rng, metric="random"))
             assert abs(via_trace - via_norms) < 1e-12 * max(1.0, abs(via_trace))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stack_equals_each_structure_alone(self, n):
+        rng = np.random.default_rng(40 + n)
+        sps = [random_stat_point(n, rng, metric="random") for _ in range(3)]
+        stacked = rho_k(*(np.stack(parts) for parts in zip(*sps)))
+        alone = [rho_k(*sp) for sp in sps]
+        for route in (0, 1):
+            assert [float(v).hex() for v in stacked[route]] == [
+                float(value[route]).hex() for value in alone]
+
 
 class TestSectionalK:
     def test_zero(self):
@@ -693,6 +703,19 @@ class TestLagrangianGauss:
         residual, scalar_residual = lagrangian_gauss_residual(*sp, arr, 0.7)
         assert residual > 0.0
         assert np.isfinite(scalar_residual)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stack_equals_each_structure_alone(self, n):
+        rng = np.random.default_rng(50 + n)
+        sps = [random_stat_point(n, rng, metric="random") for _ in range(3)]
+        rhat = rng.uniform(-1, 1, (3,) + (n,) * 4)
+        rhat = rhat - np.swapaxes(rhat, -4, -3)
+        g, a = (np.stack(parts) for parts in zip(*sps))
+        stacked = lagrangian_gauss_residual(g, a, rhat, 0.7)
+        alone = [lagrangian_gauss_residual(*sp, r, 0.7) for sp, r in zip(sps, rhat)]
+        for part in (0, 1):
+            assert [float(v).hex() for v in stacked[part]] == [
+                float(value[part]).hex() for value in alone]
 
 
 class TestGeneratorHelpers:

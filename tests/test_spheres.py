@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codazzi import ConstructionError, PreconditionError, spheres
+from codazzi import ConstructionError, PreconditionError, spheres, suites
 from codazzi.charts import ChartStructure, codifferential_at, constant_field
 from codazzi.generators import GeneratorSpec, generate
 from codazzi.spheres import (
@@ -115,6 +115,38 @@ class TestCachedRules:
                         float(c.tolerance).hex()) for c in r.checks] for r in runs)
         assert warm == cold
         assert runs[1].timing["quadrature-rule-builds"] == 0
+
+    def test_warm_integral_suite_takes_no_monte_carlo_estimate(self, monkeypatch):
+        run_suite("integral", SuiteConfig())
+        nodes = []
+        integrand = suites._v1v2_squared
+
+        def spy(v):
+            nodes.append(len(v))
+            return integrand(v)
+
+        monkeypatch.setattr(suites, "_v1v2_squared", spy)
+        report = run_suite("integral", SuiteConfig())
+        # the product-rule side runs on every pass, the 200000-node side once per rule
+        assert nodes == [len(product_gauss(3, SuiteConfig().fiber_order).nodes)]
+        assert report.timing["quadrature-rule-builds"] == 0
+
+    def test_monte_carlo_estimate_is_taken_once_per_rule(self, monkeypatch):
+        calls = []
+        integrate = spheres.integrate_sphere
+        monkeypatch.setattr(spheres, "integrate_sphere",
+                            lambda q, f: calls.append(q) or integrate(q, f))
+        monte_carlo(3, 1000, seed=5)
+        first = monte_carlo(3, 1000, seed=4)  # a rule built here, not one an earlier test saw
+        want = integrate(first, lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
+        assert suites._monte_carlo_estimate(first) == want
+        assert suites._monte_carlo_estimate(first) == want
+        assert calls == [first]
+        # a new rule object, even one with the same nodes, gets an estimate of its own
+        monte_carlo(3, 1000, seed=5)
+        again = monte_carlo(3, 1000, seed=4)
+        assert suites._monte_carlo_estimate(again) == want
+        assert calls == [first, again]
 
 
 class TestPolyEval:
@@ -481,12 +513,12 @@ class TestLatticeBlocks:
         # 7 leaves a ragged last block; 10**6 puts each lattice in one block
         values = {}
         for block in (7, 1024, 10**6):
-            monkeypatch.setattr(spheres, "_LATTICE_BLOCK", block)
+            monkeypatch.setattr(spheres, "LATTICE_BLOCK", block)
             values[block] = np.float64(self.CASES[case]()).tobytes()
         assert values[7] == values[1024] == values[10**6]
 
     def test_each_block_gets_a_fresh_chart(self, monkeypatch):
-        monkeypatch.setattr(spheres, "_LATTICE_BLOCK", 100)
+        monkeypatch.setattr(spheres, "LATTICE_BLOCK", 100)
         steps = []
         original = ChartStructure.with_step
 
