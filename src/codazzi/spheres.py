@@ -9,9 +9,11 @@ polar cosine crossed with a uniform azimuthal grid, and higher dimensions
 fall back to Monte Carlo with a reported standard error.  A rule is built
 once per process and its nodes and weights are read-only: product rules are
 cached per (n, order), and the last Monte Carlo rule per (n, count, seed).
-Integrals over a rule are not cached here; a caller that integrates the same
-function over the same rule on every run (the integral suite's Monte Carlo
-cross-validation) keeps the result per rule object itself.
+Monte Carlo nodes are drawn in chunks of at most MONTE_CARLO_BLOCK rows, and
+integrate_monte_carlo takes a rule's estimate from chunks that are drawn, used
+and dropped, so a caller that needs only the integral never holds the rule.
+Integrals are not cached here; a caller that integrates the same function on
+every run (the integral suite's Monte Carlo cross-validation) keeps the result.
 
 The bundle integrals over periodic charts walk their lattice in blocks and
 evaluate each lattice point once: ros_refinement reads the Ros integral at a
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +53,9 @@ def sphere_area(n: int) -> float:
 # the most recently used node-power tables, and product rules, that a process keeps
 NODE_POWER_CACHE_SIZE = 64
 
+# rows of Monte Carlo nodes drawn and normalized at a time
+MONTE_CARLO_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class SphereQuadrature:
@@ -72,22 +78,53 @@ def product_gauss(n: int, order: int = 12) -> SphereQuadrature:
     rule is read-only and built once per (n, order): the cache holds the
     NODE_POWER_CACHE_SIZE most recently used rules.
     """
-    return _product_gauss(int(n), int(order))
+    return _product_gauss(_integer("dimension n", n, 1), _integer("order", order, 1))
 
 
 def monte_carlo(n: int, count: int, seed: int = 0) -> SphereQuadrature:
     """count normal draws of the seed's PCG64 stream, normalized onto S^{n-1}, at equal weights.
 
-    The rule is read-only and built once per (n, count, seed); the cache holds the
-    most recently used rule only, since one rule can hold millions of nodes.
+    The draws are taken MONTE_CARLO_BLOCK rows at a time; the stream gives the
+    same nodes in chunks as in one draw.  The rule is read-only and built once per
+    (n, count, seed); the cache holds the most recently used rule only, since one
+    rule can hold millions of nodes.  integrate_monte_carlo integrates over the
+    same nodes without building the rule.
     """
-    return _monte_carlo(int(n), int(count), int(seed))
+    return _monte_carlo(*_monte_carlo_key(n, count, seed))
+
+
+def integrate_monte_carlo(n: int, count: int, f, seed: int = 0) -> tuple[float, float]:
+    """integrate_sphere(monte_carlo(n, count, seed), f), bit for bit, without building the rule.
+
+    The nodes come in chunks of at most MONTE_CARLO_BLOCK rows, each dropped once
+    f has read it, so only the count values of f are held at once.  f takes an
+    (m, n) chunk of nodes and returns m values, each from its own row.
+    """
+    n, count, seed = _monte_carlo_key(n, count, seed)
+    values = np.empty(count)
+    start = 0
+    for chunk in _monte_carlo_chunks(n, count, seed):
+        values[start:start + len(chunk)] = np.asarray(f(chunk), dtype=float)
+        start += len(chunk)
+    return _monte_carlo_pair(n, _monte_carlo_weights(n, count), values)
 
 
 def quadrature_cache_info() -> tuple[int, int]:
     """Rules built and rules found in the per-process caches of product and Monte Carlo rules."""
     infos = (_product_gauss.cache_info(), _monte_carlo.cache_info())
     return sum(i.misses for i in infos), sum(i.hits for i in infos)
+
+
+def _integer(name: str, value, least: int) -> int:
+    """value as an int; PreconditionError naming it unless it is an integer >= least."""
+    if isinstance(value, numbers.Integral) and value >= least:
+        return int(value)
+    raise PreconditionError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _monte_carlo_key(n, count, seed) -> tuple[int, int, int]:
+    # two nodes at least: the standard error divides by count - 1
+    return _integer("dimension n", n, 1), _integer("node count", count, 2), int(seed)
 
 
 @functools.lru_cache(maxsize=NODE_POWER_CACHE_SIZE)
@@ -113,15 +150,32 @@ def _product_gauss(n: int, order: int) -> SphereQuadrature:
     return SphereQuadrature(n, "product-gauss", nodes, weights)
 
 
+def _monte_carlo_chunks(n: int, count: int, seed: int):
+    """The nodes of monte_carlo(n, count, seed) in order, MONTE_CARLO_BLOCK rows at most a chunk."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, MONTE_CARLO_BLOCK):
+        v = rng.standard_normal((min(MONTE_CARLO_BLOCK, count - start), n))
+        # a sum over the short axis in column order: the same value as np.linalg.norm for n < 8
+        v /= np.sqrt(sum(v[:, a] ** 2 for a in range(n)))[:, None]
+        yield v
+
+
+def _monte_carlo_weights(n: int, count: int) -> np.ndarray:
+    # equal weights as a read-only broadcast of one value: a rule keeps only its nodes
+    return np.broadcast_to(sphere_area(n) / count, (count,))
+
+
 @functools.lru_cache(maxsize=1)
 def _monte_carlo(n: int, count: int, seed: int) -> SphereQuadrature:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, n))
-    # a sum over the short axis in column order: the same value as np.linalg.norm for n < 8
-    v /= np.sqrt(sum(v[:, a] ** 2 for a in range(n)))[:, None]
+    v = np.concatenate(list(_monte_carlo_chunks(n, count, seed)))
     v.setflags(write=False)
-    # equal weights as a read-only broadcast of one value: the rule keeps only its nodes
-    return SphereQuadrature(n, "monte-carlo", v, np.broadcast_to(sphere_area(n) / count, (count,)))
+    return SphereQuadrature(n, "monte-carlo", v, _monte_carlo_weights(n, count))
+
+
+def _monte_carlo_pair(n: int, weights: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """The estimate and standard error of an equal-weight rule from its weights and node values."""
+    stderr = sphere_area(n) * np.std(values, ddof=1) / math.sqrt(len(weights))
+    return float(weights @ values), float(stderr)
 
 
 def integrate_sphere(q: SphereQuadrature, f):
@@ -130,11 +184,9 @@ def integrate_sphere(q: SphereQuadrature, f):
     f takes the (m, n) node array and returns m values; a constant broadcasts to the weights.
     """
     values = np.broadcast_to(np.asarray(f(q.nodes), dtype=float), q.weights.shape)
-    estimate = float(q.weights @ values)
     if q.method == "monte-carlo":
-        stderr = float(sphere_area(q.n) * np.std(values, ddof=1) / math.sqrt(q.node_count))
-        return estimate, stderr
-    return estimate
+        return _monte_carlo_pair(q.n, q.weights, values)
+    return float(q.weights @ values)
 
 
 def node_powers(nodes: np.ndarray, k: int) -> np.ndarray:

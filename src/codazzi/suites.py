@@ -14,15 +14,16 @@ plus an absolute floor for identities that vanish exactly.
 
 A process builds some things once and reuses them on every later run: each
 sphere quadrature rule (in the caches of spheres) and the Monte Carlo
-estimate of quadrature-cross-validation, taken once per rule.  Everything
-else a check reads is computed again on each run.
+estimate of quadrature-cross-validation, taken once per seed from streamed
+nodes without building a Monte Carlo rule.  Everything else a check reads is
+computed again on each run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -894,19 +895,11 @@ def _v1v2_squared(v: np.ndarray) -> np.ndarray:
     return v[:, 0] ** 2 * v[:, 1] ** 2
 
 
-# (a weak reference to the Monte Carlo rule, its (estimate, standard error) of V1^2 V2^2)
-_monte_carlo_held = [lambda: None, None]
-
-
-def _monte_carlo_estimate(rule: spheres_mod.SphereQuadrature) -> tuple[float, float]:
-    """integrate_sphere(rule, _v1v2_squared), taken once per rule object: a rule is
-    read-only, so the pair is a function of it.  The last rule's pair is kept, under a weak
-    reference that does not keep the rule alive."""
-    held, pair = _monte_carlo_held
-    if held() is not rule:
-        pair = spheres_mod.integrate_sphere(rule, _v1v2_squared)
-        _monte_carlo_held[:] = weakref.ref(rule), pair
-    return pair
+@functools.lru_cache(maxsize=1)
+def _cross_validation_estimate(seed: int) -> tuple[float, float]:
+    """The Monte Carlo estimate and standard error of V1^2 V2^2 over the seed's 200000 nodes,
+    taken once per seed from streamed nodes: no rule is built or kept."""
+    return spheres_mod.integrate_monte_carlo(3, 200000, _v1v2_squared, seed=seed)
 
 
 def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
@@ -925,9 +918,8 @@ def integral_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     col.add("quadrature-parity", abs(spheres_mod.integrate_sphere(q2, lambda v: v[:, 0])),
             "n=2/V1")
 
-    # the 200000-node rule is drawn on a process's first pass only, and its estimate is
-    # taken once per rule; later passes reuse both
-    est, se = _monte_carlo_estimate(spheres_mod.monte_carlo(3, 200000, seed=cfg.seeds))
+    # the 200000-node estimate is taken on a process's first pass only; later passes reuse it
+    est, se = _cross_validation_estimate(cfg.seeds)
     exact = spheres_mod.integrate_sphere(q3, _v1v2_squared)
     col.add("quadrature-cross-validation", abs(est - exact), "monte-carlo/2e5", bar=4.0 * se)
 

@@ -131,22 +131,88 @@ class TestCachedRules:
         assert nodes == [len(product_gauss(3, SuiteConfig().fiber_order).nodes)]
         assert report.timing["quadrature-rule-builds"] == 0
 
-    def test_monte_carlo_estimate_is_taken_once_per_rule(self, monkeypatch):
+    def test_monte_carlo_estimate_is_taken_once_per_seed(self, monkeypatch):
         calls = []
-        integrate = spheres.integrate_sphere
-        monkeypatch.setattr(spheres, "integrate_sphere",
-                            lambda q, f: calls.append(q) or integrate(q, f))
-        monte_carlo(3, 1000, seed=5)
-        first = monte_carlo(3, 1000, seed=4)  # a rule built here, not one an earlier test saw
-        want = integrate(first, lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
-        assert suites._monte_carlo_estimate(first) == want
-        assert suites._monte_carlo_estimate(first) == want
-        assert calls == [first]
-        # a new rule object, even one with the same nodes, gets an estimate of its own
-        monte_carlo(3, 1000, seed=5)
-        again = monte_carlo(3, 1000, seed=4)
-        assert suites._monte_carlo_estimate(again) == want
-        assert calls == [first, again]
+        integrate = spheres.integrate_monte_carlo
+        monkeypatch.setattr(spheres, "integrate_monte_carlo", lambda n, count, f, seed:
+                            calls.append(seed) or integrate(n, count, f, seed))
+        suites._cross_validation_estimate.cache_clear()
+        want = integrate_sphere(monte_carlo(3, 200000, seed=4), suites._v1v2_squared)
+        assert suites._cross_validation_estimate(4) == want
+        assert suites._cross_validation_estimate(4) == want
+        assert calls == [4]
+        # the last seed's pair is kept: another seed takes an estimate of its own
+        suites._cross_validation_estimate(5)
+        assert suites._cross_validation_estimate(4) == want
+        assert calls == [4, 5, 4]
+
+
+class TestStreamedMonteCarlo:
+    """integrate_monte_carlo draws the rule's nodes in chunks and never builds the rule."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    @pytest.mark.parametrize("count", [2, 1000, spheres.MONTE_CARLO_BLOCK,
+                                       spheres.MONTE_CARLO_BLOCK + 1, 200000])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_streamed_pair_equals_the_rule_pair(self, n, count, seed):
+        f = suites._v1v2_squared
+        want = integrate_sphere(monte_carlo(n, count, seed), f)
+        got = spheres.integrate_monte_carlo(n, count, f, seed)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_chunks_hold_at_most_one_block(self):
+        count = 2 * spheres.MONTE_CARLO_BLOCK + 3
+        sizes = [len(v) for v in spheres._monte_carlo_chunks(3, count, 0)]
+        assert sizes == [spheres.MONTE_CARLO_BLOCK] * 2 + [3]
+
+    def test_streaming_builds_no_rule(self, monkeypatch):
+        monkeypatch.setattr(spheres, "_monte_carlo", pytest.fail)
+        est, se = spheres.integrate_monte_carlo(3, 20000, lambda v: v[:, 0] ** 2, seed=2)
+        assert abs(est - 4 * math.pi / 3) < 4 * se
+
+    def test_cold_integral_suite_holds_no_monte_carlo_rule(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(spheres, "monte_carlo", lambda *args, **kw: built.append(args))
+        for cache in (spheres._product_gauss, spheres._monte_carlo, spheres._node_power_table,
+                      suites._cross_validation_estimate):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            run_suite("integral", SuiteConfig())
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert built == []
+        assert held < 3e6, held
+
+
+class TestRuleArguments:
+    """A rule, and a streamed estimate, refuse a dimension, node count or order they cannot take."""
+
+    @pytest.mark.parametrize("make", [monte_carlo, lambda n, count: spheres.integrate_monte_carlo(
+        n, count, lambda v: v[:, 0])], ids=["rule", "streamed"])
+    @pytest.mark.parametrize("n, count, named", [
+        (3, 1, "node count must be an integer >= 2, got 1"),
+        (3, 0, "node count must be an integer >= 2, got 0"),
+        (0, 10, "dimension n must be an integer >= 1, got 0"),
+        (3, 2.5, "node count must be an integer >= 2, got 2.5"),
+    ], ids=["one-node", "no-nodes", "no-dimension", "fractional-count"])
+    def test_monte_carlo_refuses(self, make, n, count, named):
+        with pytest.raises(PreconditionError, match=named):
+            make(n, count)
+
+    @pytest.mark.parametrize("n, order, named", [
+        (3, -2, "order must be an integer >= 1, got -2"),
+        (3, 0, "order must be an integer >= 1, got 0"),
+        (0, 12, "dimension n must be an integer >= 1, got 0"),
+    ], ids=["negative-order", "zero-order", "no-dimension"])
+    def test_product_gauss_refuses(self, n, order, named):
+        with pytest.raises(PreconditionError, match=named):
+            product_gauss(n, order)
+
+    def test_numpy_integers_are_integers(self):
+        assert monte_carlo(np.int64(3), np.int64(1000), 4) is monte_carlo(3, 1000, 4)
+        assert product_gauss(np.int64(3), np.int64(5)) is product_gauss(3, 5)
 
 
 class TestPolyEval:
