@@ -42,8 +42,7 @@ from .points import (
 )
 from .charts import ChartStructure, christoffel, hessian_from_potential
 from .generators import FAMILIES, GeneratorSpec, generate
-from .spheres import (SphereQuadrature, integrate_monte_carlo, integrate_sphere, monte_carlo,
-                      product_gauss)
+from .spheres import SphereQuadrature, integrate_monte_carlo, integrate_sphere, product_gauss
 from .structures_io import canonical_json, emit, ingest
 from .suites import ResidualReport, SuiteConfig, run_suite
 

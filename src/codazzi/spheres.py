@@ -4,16 +4,14 @@ The fiber over a base point is the g(x)-unit sphere in the tangent space;
 mapping the round sphere through an orthonormal frame turns every fiber
 integral into a round-sphere integral, so quadratures are built once on
 S^{n-1}.  Product rules: the circle uses the N-point trapezoid (exact for
-trigonometric polynomials below degree N), S^2 uses Gauss-Legendre in the
-polar cosine crossed with a uniform azimuthal grid, and higher dimensions
-fall back to Monte Carlo with a reported standard error.  A rule is built
-once per process and its nodes and weights are read-only: product rules are
-cached per (n, order), and the last Monte Carlo rule per (n, count, seed).
-Monte Carlo nodes are drawn in chunks of at most MONTE_CARLO_BLOCK rows, and
-integrate_monte_carlo takes a rule's estimate from chunks that are drawn, used
-and dropped, so a caller that needs only the integral never holds the rule.
-Integrals are not cached here; a caller that integrates the same function on
-every run (the integral suite's Monte Carlo cross-validation) keeps the result.
+trigonometric polynomials below degree N), and S^2 uses Gauss-Legendre in the
+polar cosine crossed with a uniform azimuthal grid.  A product rule is built
+once per (n, order) per process and its nodes and weights are read-only.
+integrate_monte_carlo works in any dimension: it estimates an integral with
+its standard error from normalized normal draws, taken MONTE_CARLO_BLOCK rows
+at a time and dropped once read: no Monte Carlo node set is kept.  Integrals
+are not cached here; a caller that integrates the same function on every run
+(the integral suite's Monte Carlo cross-validation) keeps the result.
 
 The bundle integrals over periodic charts walk their lattice in blocks and
 evaluate each lattice point once: ros_refinement reads the Ros integral at a
@@ -59,10 +57,8 @@ MONTE_CARLO_BLOCK = 8192
 
 @dataclass(frozen=True)
 class SphereQuadrature:
-    """Nodes on S^{n-1} with weights summing to the sphere area."""
+    """A product rule: nodes on S^{n-1} with weights summing to the sphere area."""
 
-    n: int
-    method: str
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -74,57 +70,48 @@ class SphereQuadrature:
 def product_gauss(n: int, order: int = 12) -> SphereQuadrature:
     """Deterministic product rule; exact for polynomial integrands up to ~order.
 
-    Supported for n = 2 and n = 3; higher dimensions are Monte Carlo only.  The
-    rule is read-only and built once per (n, order): the cache holds the
+    Supported for n = 2 and n = 3; higher dimensions take integrate_monte_carlo.
+    The rule is read-only and built once per (n, order): the cache holds the
     NODE_POWER_CACHE_SIZE most recently used rules.
     """
     return _product_gauss(_integer("dimension n", n, 1), _integer("order", order, 1))
 
 
-def monte_carlo(n: int, count: int, seed: int = 0) -> SphereQuadrature:
-    """count normal draws of the seed's PCG64 stream, normalized onto S^{n-1}, at equal weights.
-
-    The draws are taken MONTE_CARLO_BLOCK rows at a time; the stream gives the
-    same nodes in chunks as in one draw.  The rule is read-only and built once per
-    (n, count, seed); the cache holds the most recently used rule only, since one
-    rule can hold millions of nodes.  integrate_monte_carlo integrates over the
-    same nodes without building the rule.
-    """
-    return _monte_carlo(*_monte_carlo_key(n, count, seed))
-
-
 def integrate_monte_carlo(n: int, count: int, f, seed: int = 0) -> tuple[float, float]:
-    """integrate_sphere(monte_carlo(n, count, seed), f), bit for bit, without building the rule.
+    """(estimate, standard error) of the integral of f over S^{n-1} at count Monte Carlo nodes.
 
-    The nodes come in chunks of at most MONTE_CARLO_BLOCK rows, each dropped once
-    f has read it, so only the count values of f are held at once.  f takes an
+    The nodes are count normal draws of the seed's PCG64 stream, normalized onto
+    S^{n-1}, at equal weights.  They are drawn MONTE_CARLO_BLOCK rows at a time, and
+    each chunk is dropped once f has read it, so only the count values of f are held
+    at once; the stream gives the same draws in chunks as in one call.  f takes an
     (m, n) chunk of nodes and returns m values, each from its own row.
     """
-    n, count, seed = _monte_carlo_key(n, count, seed)
+    # two nodes at least: the standard error divides by count - 1
+    n, count = _integer("dimension n", n, 1), _integer("node count", count, 2)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     values = np.empty(count)
-    start = 0
-    for chunk in _monte_carlo_chunks(n, count, seed):
-        values[start:start + len(chunk)] = np.asarray(f(chunk), dtype=float)
-        start += len(chunk)
-    return _monte_carlo_pair(n, _monte_carlo_weights(n, count), values)
+    for start in range(0, count, MONTE_CARLO_BLOCK):
+        v = rng.standard_normal((min(MONTE_CARLO_BLOCK, count - start), n))
+        # a sum over the short axis in column order: the same value as np.linalg.norm for n < 8
+        v /= np.sqrt(sum(v[:, a] ** 2 for a in range(n)))[:, None]
+        values[start:start + len(v)] = np.asarray(f(v), dtype=float)
+    area = sphere_area(n)
+    # a dot product with equal weights broadcast from one value; a plain sum rounds differently
+    weights = np.broadcast_to(area / count, (count,))
+    return float(weights @ values), float(area * np.std(values, ddof=1) / math.sqrt(count))
 
 
 def quadrature_cache_info() -> tuple[int, int]:
-    """Rules built and rules found in the per-process caches of product and Monte Carlo rules."""
-    infos = (_product_gauss.cache_info(), _monte_carlo.cache_info())
-    return sum(i.misses for i in infos), sum(i.hits for i in infos)
+    """Rules built and rules found in the per-process cache of product rules."""
+    info = _product_gauss.cache_info()
+    return info.misses, info.hits
 
 
 def _integer(name: str, value, least: int) -> int:
-    """value as an int; PreconditionError naming it unless it is an integer >= least."""
-    if isinstance(value, numbers.Integral) and value >= least:
+    """value as an int; PreconditionError naming it unless it is an integer >= least, not a bool."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
         return int(value)
     raise PreconditionError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _monte_carlo_key(n, count, seed) -> tuple[int, int, int]:
-    # two nodes at least: the standard error divides by count - 1
-    return _integer("dimension n", n, 1), _integer("node count", count, 2), int(seed)
 
 
 @functools.lru_cache(maxsize=NODE_POWER_CACHE_SIZE)
@@ -147,45 +134,15 @@ def _product_gauss(n: int, order: int) -> SphereQuadrature:
         raise PreconditionError(f"product-gauss fiber quadrature supports n = 2, 3 only (got {n})")
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return SphereQuadrature(n, "product-gauss", nodes, weights)
+    return SphereQuadrature(nodes, weights)
 
 
-def _monte_carlo_chunks(n: int, count: int, seed: int):
-    """The nodes of monte_carlo(n, count, seed) in order, MONTE_CARLO_BLOCK rows at most a chunk."""
-    rng = np.random.default_rng(seed)
-    for start in range(0, count, MONTE_CARLO_BLOCK):
-        v = rng.standard_normal((min(MONTE_CARLO_BLOCK, count - start), n))
-        # a sum over the short axis in column order: the same value as np.linalg.norm for n < 8
-        v /= np.sqrt(sum(v[:, a] ** 2 for a in range(n)))[:, None]
-        yield v
-
-
-def _monte_carlo_weights(n: int, count: int) -> np.ndarray:
-    # equal weights as a read-only broadcast of one value: a rule keeps only its nodes
-    return np.broadcast_to(sphere_area(n) / count, (count,))
-
-
-@functools.lru_cache(maxsize=1)
-def _monte_carlo(n: int, count: int, seed: int) -> SphereQuadrature:
-    v = np.concatenate(list(_monte_carlo_chunks(n, count, seed)))
-    v.setflags(write=False)
-    return SphereQuadrature(n, "monte-carlo", v, _monte_carlo_weights(n, count))
-
-
-def _monte_carlo_pair(n: int, weights: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """The estimate and standard error of an equal-weight rule from its weights and node values."""
-    stderr = sphere_area(n) * np.std(values, ddof=1) / math.sqrt(len(weights))
-    return float(weights @ values), float(stderr)
-
-
-def integrate_sphere(q: SphereQuadrature, f):
-    """Integrate a scalar over S^{n-1}; Monte Carlo also returns the standard error.
+def integrate_sphere(q: SphereQuadrature, f) -> float:
+    """Integrate a scalar over S^{n-1} with a product rule.
 
     f takes the (m, n) node array and returns m values; a constant broadcasts to the weights.
     """
     values = np.broadcast_to(np.asarray(f(q.nodes), dtype=float), q.weights.shape)
-    if q.method == "monte-carlo":
-        return _monte_carlo_pair(q.n, q.weights, values)
     return float(q.weights @ values)
 
 

@@ -13,16 +13,17 @@ generators (Hessian potential, conformal torus) at a x100 safety margin,
 plus an absolute floor for identities that vanish exactly.
 
 A process builds some things once and reuses them on every later run: each
-sphere quadrature rule (in the caches of spheres) and the Monte Carlo
-estimate of quadrature-cross-validation, taken once per seed from streamed
-nodes without building a Monte Carlo rule.  Everything else a check reads is
-computed again on each run.
+product quadrature rule (in the cache of spheres) and the Monte Carlo
+estimate of quadrature-cross-validation, taken once per seed by
+spheres.integrate_monte_carlo from streamed nodes.  Everything else a check
+reads is computed again on each run.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -120,8 +121,13 @@ class SuiteConfig:
     def __post_init__(self):
         for name in ("seeds", "fiber_order", "lattice", "sweep_count"):
             value = getattr(self, name)
+            # a count is an integer; a bool is not one, nor is a float of integer value
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConstructionError(f"{name} must be an integer, got {value!r}")
             if not value > 0:
                 raise ConstructionError(f"{name} must be positive, got {value!r}")
+            # a numpy integer as a Python int: the seed arithmetic and the report need one
+            setattr(self, name, int(value))
         for name in ("h", "tol_scale"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

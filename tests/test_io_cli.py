@@ -561,11 +561,20 @@ class TestSuiteConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("h", -1e-3), ("h", 0.0), ("h", float("inf")), ("seeds", 0), ("sweep_count", 0),
         ("lattice", -4), ("fiber_order", 0), ("fiber_order", 3), ("tol_scale", 0.0),
-        ("tol_scale", float("nan")),
+        ("tol_scale", float("nan")), ("seeds", 2.5), ("seeds", True), ("fiber_order", 12.5),
+        ("fiber_order", True), ("lattice", 32.0), ("lattice", True), ("sweep_count", 2000.0),
+        ("sweep_count", True),
     ])
     def test_rejected(self, field, value):
         with pytest.raises(ConstructionError, match=field):
             SuiteConfig(**{field: value})
+
+    def test_numpy_integer_counts_are_python_integers(self):
+        cfg = SuiteConfig(seeds=np.int64(1), sweep_count=np.int64(100))
+        assert type(cfg.seeds) is int and type(cfg.sweep_count) is int
+        assert (run_suite("algebraic", cfg).to_json(include_timing=False)
+                == run_suite("algebraic", SuiteConfig(seeds=1, sweep_count=100)).to_json(
+                    include_timing=False))
 
     def test_tol_scale_defaults_to_one(self, monkeypatch):
         # the retired CODAZZI_DEFAULT_TOL_SCALE variable sets nothing

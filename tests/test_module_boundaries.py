@@ -743,9 +743,9 @@ def quadrature_rule_sites(sources: dict[str, str]) -> list[str]:
     """Calls of ``SphereQuadrature(...)``, as ``file:function`` (``module`` at top level),
     marked `` uncached`` unless the innermost function around them is an ``lru_cache``.
 
-    A quadrature rule is built once per process and handed out read-only, so only the two
-    cached constructors of ``spheres.py`` build one; a rule built anywhere else would be
-    drawn again on every pass, or be writable.
+    A quadrature rule is built once per process and handed out read-only, so only the
+    cached product-rule constructor of ``spheres.py`` builds one; a rule built anywhere
+    else would be built again on every pass, or be writable.
     """
     found = []
 
@@ -770,33 +770,32 @@ def quadrature_rule_sites(sources: dict[str, str]) -> list[str]:
 
 def test_only_the_cached_constructors_build_quadrature_rules():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    assert quadrature_rule_sites(sources) == [
-        "spheres.py:_monte_carlo", "spheres.py:_product_gauss"]
+    assert quadrature_rule_sites(sources) == ["spheres.py:_product_gauss"]
 
 
 def test_quadrature_rule_checker_flags_each_uncached_build():
     sources = {
         "spheres.py": (
             "import functools\n"
-            "@functools.lru_cache(maxsize=1)\n"
-            "def _monte_carlo(n, count, seed):\n"
+            "@functools.lru_cache(maxsize=64)\n"
+            "def _product_gauss(n, order):\n"
             "    def fresh():\n"
-            "        return SphereQuadrature(n, 'monte-carlo', v, w)\n"
-            "    return SphereQuadrature(n, 'monte-carlo', v, w)\n"
+            "        return SphereQuadrature(v, w)\n"
+            "    return SphereQuadrature(v, w)\n"
             "def product_gauss(n, order=12):\n"
-            "    return SphereQuadrature(n, 'product-gauss', v, w)\n"
+            "    return SphereQuadrature(v, w)\n"
         ),
         "suites.py": (
             "from . import spheres as spheres_mod\n"
-            "RULE = spheres_mod.SphereQuadrature(2, 'product-gauss', v, w)\n"
+            "RULE = spheres_mod.SphereQuadrature(v, w)\n"
             "class Suite:\n"
             "    def rule(self):\n"
-            "        return spheres_mod.SphereQuadrature(2, 'product-gauss', v, w)\n"
+            "        return spheres_mod.SphereQuadrature(v, w)\n"
         ),
     }
     assert quadrature_rule_sites(sources) == [
-        "spheres.py:_monte_carlo",
-        "spheres.py:_monte_carlo.fresh uncached",
+        "spheres.py:_product_gauss",
+        "spheres.py:_product_gauss.fresh uncached",
         "spheres.py:product_gauss uncached",
         "suites.py:Suite.rule uncached",
         "suites.py:module uncached",
@@ -814,7 +813,8 @@ def random_draw_sites(source: str) -> list[str]:
     A draw is a call of ``default_rng`` or of a sampling method (``rng.uniform``,
     ``np.random.rand``, ...).  In ``points.py`` only the random-structure generators
     draw: every other quantity there is a deterministic function of (g, a), with no
-    seeded search.
+    seeded search.  In ``spheres.py`` only ``integrate_monte_carlo`` draws: a second
+    maker of Monte Carlo nodes would be a second path to the same estimate.
     """
     found = set()
 
@@ -833,6 +833,11 @@ def random_draw_sites(source: str) -> list[str]:
 def test_only_the_random_generators_of_points_draw():
     source = (PACKAGE / "points.py").read_text(encoding="utf-8")
     assert random_draw_sites(source) == ["random_metric", "random_stat_point"]
+
+
+def test_only_integrate_monte_carlo_draws_in_spheres():
+    source = (PACKAGE / "spheres.py").read_text(encoding="utf-8")
+    assert random_draw_sites(source) == ["integrate_monte_carlo"]
 
 
 def test_draw_checker_flags_each_seeded_draw():

@@ -11,8 +11,8 @@ from codazzi.generators import GeneratorSpec, generate
 from codazzi.spheres import (
     NODE_POWER_CACHE_SIZE,
     fiber_identity_residuals,
+    integrate_monte_carlo,
     integrate_sphere,
-    monte_carlo,
     node_power_cache_info,
     node_powers,
     poly_eval,
@@ -25,6 +25,15 @@ from codazzi.spheres import (
 )
 from codazzi.suites import SuiteConfig, run_suite
 from codazzi.tensors import symmetrize
+
+
+def one_shot_monte_carlo(n, count, f, seed):
+    """integrate_monte_carlo's pair from one draw of all count nodes: the test's reference."""
+    v = np.random.default_rng(seed).standard_normal((count, n))
+    values = np.asarray(f(v / np.linalg.norm(v, axis=1, keepdims=True)), dtype=float)
+    weights = np.broadcast_to(sphere_area(n) / count, (count,))
+    stderr = sphere_area(n) * np.std(values, ddof=1) / math.sqrt(count)
+    return float(weights @ values), float(stderr)
 
 
 class TestQuadrature:
@@ -56,12 +65,11 @@ class TestQuadrature:
     def test_high_dimension_needs_monte_carlo(self):
         with pytest.raises(PreconditionError):
             product_gauss(4)
-        q = monte_carlo(4, 1000, seed=1)
-        assert abs(q.weights.sum() - sphere_area(4)) < 1e-10
+        est, se = integrate_monte_carlo(4, 1000, lambda v: np.ones(len(v)), seed=1)
+        assert abs(est - sphere_area(4)) < 1e-10 and se == 0.0
 
     def test_monte_carlo_returns_stderr(self):
-        q = monte_carlo(3, 100000, seed=2)
-        est, se = integrate_sphere(q, lambda v: v[:, 0] ** 2)
+        est, se = integrate_monte_carlo(3, 100000, lambda v: v[:, 0] ** 2, seed=2)
         assert se > 0
         assert abs(est - 4 * math.pi / 3) < 4 * se
 
@@ -69,13 +77,15 @@ class TestQuadrature:
     def test_monte_carlo_nodes_equal_norm_normalisation(self, n):
         v = np.random.default_rng(5).standard_normal((20000, n))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        assert np.array_equal(monte_carlo(n, 20000, seed=5).nodes, v)
+        seen = []
+        integrate_monte_carlo(n, 20000, lambda chunk: seen.append(chunk.copy()) or chunk[:, 0],
+                              seed=5)
+        assert np.array_equal(np.concatenate(seen), v)
 
     def test_cross_validation_gauss_vs_mc(self):
         f_scalar = lambda v: v[:, 0] ** 2 * v[:, 1] ** 2
         exact = integrate_sphere(product_gauss(3), f_scalar)
-        q = monte_carlo(3, 10**6, seed=3)
-        est, se = integrate_sphere(q, lambda v: v[:, 0] ** 2 * v[:, 1] ** 2)
+        est, se = integrate_monte_carlo(3, 10**6, f_scalar, seed=3)
         assert abs(est - exact) < 4 * se
 
 
@@ -85,10 +95,8 @@ class TestCachedRules:
     def test_same_arguments_give_the_same_rule(self):
         assert product_gauss(3, 5) is product_gauss(3, 5)
         assert product_gauss(2) is product_gauss(2, order=12)
-        assert monte_carlo(3, 1000, seed=4) is monte_carlo(3, 1000, seed=4)
 
-    @pytest.mark.parametrize("rule", [lambda: product_gauss(2), lambda: product_gauss(3),
-                                      lambda: monte_carlo(3, 1000, seed=4)])
+    @pytest.mark.parametrize("rule", [lambda: product_gauss(2), lambda: product_gauss(3)])
     def test_nodes_and_weights_are_read_only(self, rule):
         q = rule()
         for array in (q.nodes, q.weights):
@@ -96,17 +104,6 @@ class TestCachedRules:
                 array[0] = 0.0
             with pytest.raises(ValueError):
                 array *= 2.0
-
-    def test_monte_carlo_weights_hold_one_value(self):
-        q = monte_carlo(3, 1000, seed=4)
-        assert q.weights.shape == (1000,) and q.weights.strides == (0,)
-        assert q.weights[0] == sphere_area(3) / 1000
-
-    def test_monte_carlo_keeps_the_last_rule_only(self):
-        first = monte_carlo(3, 1000, seed=4)
-        monte_carlo(3, 1000, seed=5)
-        again = monte_carlo(3, 1000, seed=4)
-        assert again is not first and np.array_equal(again.nodes, first.nodes)
 
     def test_consecutive_integral_suites_are_bit_identical(self):
         runs = [run_suite("integral", SuiteConfig()) for _ in range(2)]
@@ -137,7 +134,7 @@ class TestCachedRules:
         monkeypatch.setattr(spheres, "integrate_monte_carlo", lambda n, count, f, seed:
                             calls.append(seed) or integrate(n, count, f, seed))
         suites._cross_validation_estimate.cache_clear()
-        want = integrate_sphere(monte_carlo(3, 200000, seed=4), suites._v1v2_squared)
+        want = one_shot_monte_carlo(3, 200000, suites._v1v2_squared, 4)
         assert suites._cross_validation_estimate(4) == want
         assert suites._cross_validation_estimate(4) == want
         assert calls == [4]
@@ -148,32 +145,43 @@ class TestCachedRules:
 
 
 class TestStreamedMonteCarlo:
-    """integrate_monte_carlo draws the rule's nodes in chunks and never builds the rule."""
+    """integrate_monte_carlo draws its nodes in chunks and never holds them all."""
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
-    @pytest.mark.parametrize("count", [2, 1000, spheres.MONTE_CARLO_BLOCK,
+    @pytest.mark.parametrize("count", [2, spheres.MONTE_CARLO_BLOCK,
                                        spheres.MONTE_CARLO_BLOCK + 1, 200000])
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_streamed_pair_equals_the_rule_pair(self, n, count, seed):
+    def test_streamed_pair_equals_a_one_shot_draw(self, n, count, seed):
         f = suites._v1v2_squared
-        want = integrate_sphere(monte_carlo(n, count, seed), f)
-        got = spheres.integrate_monte_carlo(n, count, f, seed)
-        assert [x.hex() for x in got] == [x.hex() for x in want]
+        got = integrate_monte_carlo(n, count, f, seed)
+        assert [x.hex() for x in got] == [x.hex() for x in one_shot_monte_carlo(n, count, f, seed)]
 
     def test_chunks_hold_at_most_one_block(self):
-        count = 2 * spheres.MONTE_CARLO_BLOCK + 3
-        sizes = [len(v) for v in spheres._monte_carlo_chunks(3, count, 0)]
+        sizes = []
+        integrate_monte_carlo(3, 2 * spheres.MONTE_CARLO_BLOCK + 3,
+                              lambda v: sizes.append(len(v)) or v[:, 0], seed=0)
         assert sizes == [spheres.MONTE_CARLO_BLOCK] * 2 + [3]
 
-    def test_streaming_builds_no_rule(self, monkeypatch):
-        monkeypatch.setattr(spheres, "_monte_carlo", pytest.fail)
-        est, se = spheres.integrate_monte_carlo(3, 20000, lambda v: v[:, 0] ** 2, seed=2)
-        assert abs(est - 4 * math.pi / 3) < 4 * se
+    def test_streaming_holds_less_than_the_node_set(self):
+        f = suites._v1v2_squared
+        integrate_monte_carlo(3, 1000, f)
+        tracemalloc.start()
+        try:
+            integrate_monte_carlo(3, 200000, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 200000 nodes of S^2 take 4.8 MB; the streamed estimate peaks near 3.3 MB, twice its values
+        assert peak < 200000 * 3 * 8, peak
 
-    def test_cold_integral_suite_holds_no_monte_carlo_rule(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(spheres, "monte_carlo", lambda *args, **kw: built.append(args))
-        for cache in (spheres._product_gauss, spheres._monte_carlo, spheres._node_power_table,
+    def test_cross_validation_keeps_its_bits(self):
+        (check,) = [c for c in run_suite("integral", SuiteConfig()).checks
+                    if c.id == "quadrature-cross-validation"]
+        assert float(check.residual).hex() == "0x1.ddf3468ae2700p-9"
+        assert float(check.tolerance).hex() == "0x1.06359038f120bp-7"
+
+    def test_cold_integral_suite_holds_no_monte_carlo_rule(self):
+        for cache in (spheres._product_gauss, spheres._node_power_table,
                       suites._cross_validation_estimate):
             cache.cache_clear()
         tracemalloc.start()
@@ -182,36 +190,45 @@ class TestStreamedMonteCarlo:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert built == []
         assert held < 3e6, held
 
 
 class TestRuleArguments:
-    """A rule, and a streamed estimate, refuse a dimension, node count or order they cannot take."""
+    """A rule, and a Monte Carlo estimate, refuse a dimension, node count, order or seed
+    they cannot take."""
 
-    @pytest.mark.parametrize("make", [monte_carlo, lambda n, count: spheres.integrate_monte_carlo(
-        n, count, lambda v: v[:, 0])], ids=["rule", "streamed"])
-    @pytest.mark.parametrize("n, count, named", [
-        (3, 1, "node count must be an integer >= 2, got 1"),
-        (3, 0, "node count must be an integer >= 2, got 0"),
-        (0, 10, "dimension n must be an integer >= 1, got 0"),
-        (3, 2.5, "node count must be an integer >= 2, got 2.5"),
-    ], ids=["one-node", "no-nodes", "no-dimension", "fractional-count"])
-    def test_monte_carlo_refuses(self, make, n, count, named):
+    @pytest.mark.parametrize("n, count, seed, named", [
+        (3, 1, 0, "node count must be an integer >= 2, got 1"),
+        (3, 0, 0, "node count must be an integer >= 2, got 0"),
+        (0, 10, 0, "dimension n must be an integer >= 1, got 0"),
+        (3, 2.5, 0, "node count must be an integer >= 2, got 2.5"),
+        (True, 10, 0, "dimension n must be an integer >= 1, got True"),
+        (3, 1000, 2.7, "seed must be an integer >= 0, got 2.7"),
+        (3, 1000, "3", "seed must be an integer >= 0, got '3'"),
+        (3, 1000, True, "seed must be an integer >= 0, got True"),
+        (3, 1000, -1, "seed must be an integer >= 0, got -1"),
+        (3, 1000, None, "seed must be an integer >= 0, got None"),
+    ], ids=["one-node", "no-nodes", "no-dimension", "fractional-count", "bool-dimension",
+            "fractional-seed", "string-seed", "bool-seed", "negative-seed", "no-seed"])
+    def test_monte_carlo_refuses(self, n, count, seed, named):
         with pytest.raises(PreconditionError, match=named):
-            make(n, count)
+            integrate_monte_carlo(n, count, lambda v: v[:, 0], seed)
 
     @pytest.mark.parametrize("n, order, named", [
         (3, -2, "order must be an integer >= 1, got -2"),
         (3, 0, "order must be an integer >= 1, got 0"),
         (0, 12, "dimension n must be an integer >= 1, got 0"),
-    ], ids=["negative-order", "zero-order", "no-dimension"])
+        (2, True, "order must be an integer >= 1, got True"),
+        (True, 12, "dimension n must be an integer >= 1, got True"),
+    ], ids=["negative-order", "zero-order", "no-dimension", "bool-order", "bool-dimension"])
     def test_product_gauss_refuses(self, n, order, named):
         with pytest.raises(PreconditionError, match=named):
             product_gauss(n, order)
 
     def test_numpy_integers_are_integers(self):
-        assert monte_carlo(np.int64(3), np.int64(1000), 4) is monte_carlo(3, 1000, 4)
+        f = suites._v1v2_squared
+        assert (integrate_monte_carlo(np.int64(3), np.int64(1000), f, np.int64(4))
+                == integrate_monte_carlo(3, 1000, f, 4))
         assert product_gauss(np.int64(3), np.int64(5)) is product_gauss(3, 5)
 
 
@@ -286,10 +303,9 @@ class TestFiberIdentity:
         lhs_g = (n + k - 2) * integrate_sphere(
             product_gauss(3), lambda v: np.einsum("abcd,ma,mb,mc,md->m", s, v, v, v, v)
         )
-        q = monte_carlo(3, 10**6, seed=5)
-        est, se = integrate_sphere(
-            q,
-            lambda v: (n + k - 2) * np.einsum("abcd,ma,mb,mc,md->m", s, v, v, v, v),
+        est, se = integrate_monte_carlo(
+            3, 10**6, lambda v: (n + k - 2) * np.einsum("abcd,ma,mb,mc,md->m", s, v, v, v, v),
+            seed=5,
         )
         assert abs(lhs_g - est) < 4 * se
 
