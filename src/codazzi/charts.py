@@ -101,6 +101,9 @@ class ChartStructure:
     are spot-checked on a 5^n lattice at construction.
     """
 
+    # the member charts of a stack (stack_charts); a chart on its own has none
+    members: tuple = ()
+
     def __init__(
         self,
         n: int,
@@ -202,8 +205,11 @@ class ChartStructure:
         """Grid points of the box, counts per axis (or one int), as an array [m, n] in C order;
         rows picks a slice of the m points, and only those are formed.
 
-        A periodic axis leaves out its far face, which is the near face again.
+        A periodic axis leaves out its far face, which is the near face again.  A stack of
+        charts (stack_charts) has one box per member, so it has no lattice.
         """
+        if self.members:
+            raise ConstructionError("a stack of charts has no lattice: take a member's")
         counts = [counts] * self.n if isinstance(counts, int) else list(counts)
         if len(counts) != self.n or min(counts) < 1:
             raise ConstructionError(f"lattice counts must be one int or one per axis (n = "
@@ -254,14 +260,18 @@ class ChartStructure:
     # -- point access ----------------------------------------------------------
 
     def require_interior(self, x):
-        """x[..., n] as floats; raises for the first point within 2h of a non-periodic face."""
+        """x[..., n] as floats; raises for the first point within 2h of a non-periodic face.
+
+        On a stack of charts (stack_charts) the box and the periodic flags are each member's,
+        as bounds of shape [C, 1, n] against x[..., C, P, n].
+        """
         x = np.asarray(x, dtype=float)
         margin = 2.0 * self.h
         bounds = self._cache.get(("interior", margin))
         if bounds is None:
             # the box shrunk by the margin, and the axes that are not periodic
             bounds = self._cache[("interior", margin)] = (
-                self.domain[:, 0] + margin - 1e-12, self.domain[:, 1] - margin + 1e-12,
+                self.domain[..., 0] + margin - 1e-12, self.domain[..., 1] - margin + 1e-12,
                 ~np.array(self.periodic))
         lo, hi, fixed = bounds
         bad = ~((lo <= x) & (x <= hi)) & fixed
@@ -336,6 +346,48 @@ class ChartStructure:
 
     def __repr__(self):
         return f"ChartStructure(n={self.n}, h={self.h}, periodic={self.periodic})"
+
+
+def stack_charts(members) -> ChartStructure:
+    """One chart over a batch of member charts that share n and h, read at x[..., C, P, n].
+
+    Member c's g and A fields run on their own slice x[..., c, :, :], and the values are
+    stacked on the chart axis, so each member field sees exactly the points, field calls
+    and bits it sees alone.  The box and the periodic flags are each member's: domain
+    [C, 1, n, 2] and periodic [C, 1, n], as require_interior reads them.  The stack carries
+    no sources or aux fields and has no lattice.  Each member ran its own spot check, so,
+    as with with_step, the stack does not run one again.
+    """
+    members = tuple(members)
+    if not members:
+        raise ConstructionError("a stack of charts needs at least one member")
+    n, h = members[0].n, members[0].h
+    for member in members:
+        if member.members:
+            raise ConstructionError("a member of a stack of charts cannot be a stack")
+        if (member.n, member.h) != (n, h):
+            raise ConstructionError(f"the members of a stack of charts share n and h: "
+                                    f"(n, h) = {(member.n, member.h)} against {(n, h)}")
+    out = copy.copy(members[0])
+    out.members = members
+    out.domain = np.stack([m.domain for m in members])[:, None]
+    out.periodic = np.array([m.periodic for m in members])[:, None]
+    out.g_field = _stacked_field([m.g_field for m in members])
+    out.a_field = _stacked_field([m.a_field for m in members])
+    out.g_source = out.a_source = None
+    out.aux_fields = {}
+    out._cache = {}
+    return out
+
+
+def _stacked_field(fields) -> Field:
+    """x[..., C, P, n] -> [..., C, P, *shape]: field c on x[..., c, :, :], stacked."""
+
+    def stacked(x):
+        return np.stack([np.asarray(field(x[..., c, :, :]), dtype=float)
+                         for c, field in enumerate(fields)], axis=x.ndim - 3)
+
+    return stacked
 
 
 def _valid_step(h) -> float:

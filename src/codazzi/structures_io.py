@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -26,31 +27,53 @@ from .expressions import parse_expression
 from .tensors import metric_factors
 
 
-def _format_float(v: float) -> str:
-    if math.isnan(v) or math.isinf(v):
+def _format_float(v) -> str:
+    v = float(v)
+    if v.is_integer():
+        # -0.0 writes as 0.0
+        return f"{int(v)}.0" if abs(v) < 1e15 else format(v, ".17g")
+    if not math.isfinite(v):
         raise SchemaError(f"non-finite float {v!r} cannot be serialized")
-    if v == int(v) and abs(v) < 1e15:
-        return f"{int(v)}.0"
     return format(v, ".17g")
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed float formatting."""
-    if obj is None or isinstance(obj, bool):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [canonical_json(v) for v in obj]
-        return "[" + ", ".join(items) + "]"
-    if isinstance(obj, dict):
-        items = [f"{json.dumps(str(k))}: {canonical_json(v)}" for k, v in sorted(obj.items())]
-        return "{" + ", ".join(items) + "}"
-    raise SchemaError(f"cannot serialize {type(obj).__name__}")
+    """Deterministic JSON: sorted keys, fixed float formatting.
+
+    Each value's writer is found by its type in one cached lookup (_writer_for).
+    """
+    return _writer_for(type(obj))(obj)
+
+
+def _write_int(v) -> str:
+    return str(int(v))
+
+
+def _write_array(items) -> str:
+    return "[" + ", ".join([canonical_json(v) for v in items]) + "]"
+
+
+def _write_object(obj: dict) -> str:
+    return "{" + ", ".join([f"{encode_basestring_ascii(str(k))}: {canonical_json(v)}"
+                            for k, v in sorted(obj.items())]) + "}"
+
+
+@functools.lru_cache(maxsize=None)
+def _writer_for(cls):
+    """The writer of values of type cls; SchemaError for a type that has none."""
+    if cls in (type(None), bool):
+        return {None: "null", True: "true", False: "false"}.__getitem__
+    if issubclass(cls, (int, np.integer)):
+        return _write_int
+    if issubclass(cls, (float, np.floating)):
+        return _format_float
+    if issubclass(cls, str):
+        return encode_basestring_ascii
+    if issubclass(cls, (list, tuple, np.ndarray)):
+        return _write_array
+    if issubclass(cls, dict):
+        return _write_object
+    raise SchemaError(f"cannot serialize {cls.__name__}")
 
 
 def _require(cond, message, pointer):

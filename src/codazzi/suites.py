@@ -576,14 +576,18 @@ def _point_label(x) -> str:
     return "x=(" + ",".join(f"{c:.3f}" for c in x) + ")"
 
 
-def chart_checks(col: _Collector, cs, x, locations):
-    """Record the structural checks of the chart cs at x[..., n], a batch or a single point.
+def chart_checks(col: _Collector, cs, x, locations, after_point=None):
+    """Record the structural checks of the chart cs at x[..., n], a batch or a single point;
+    on a stack of charts (charts.stack_charts) x is [C, P, n], P points per member.
 
     Each producer runs once on x, and every key it returns is recorded at each point where
     it applies (residuals_at), under that point's entry of locations, in the C order of the
-    batch axes; a point alone gets the bits it gets as a row of a batch.  The rows that read a
-    curvature get bars scaled by conn.scale, 1 + ||R||; sectional-sum is read on the plane
-    of the first two axes, so a chart of dimension 1 has none.  Returns conn.scale.
+    batch axes; a point alone gets the bits it gets as a row of a batch, and a member of a
+    stack the bits it gets alone.  after_point(index), if given, runs once the rows of the
+    point at that batch index are recorded, so a caller can record its own rows in between.
+    The rows that read a curvature get bars scaled by conn.scale, 1 + ||R||; sectional-sum
+    is read on the plane of the first two axes, so a chart of dimension 1 has none.  Returns
+    conn.scale.
     """
     x = np.asarray(x, dtype=float)
     metricity = charts_mod.metricity_residual(cs, x)
@@ -606,6 +610,8 @@ def chart_checks(col: _Collector, cs, x, locations):
         for residuals, scaled in rows:
             for key, value in charts_mod.residuals_at(residuals, i).items():
                 col.add(key, value, loc, scale if scaled else 1.0)
+        if after_point is not None:
+            after_point(i)
     return conn.scale
 
 
@@ -640,39 +646,53 @@ def differential_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
     col.add("sphere-scalar-curvature", abs(charts_mod.rho_hat(sphere, [0.1, 0.2]) - 2.0),
             "stereographic-sphere/(0.1,0.2)")
 
-    seed0 = {}
-    for family, params in _DIFF_FAMILIES:
-        for seed in range(cfg.seeds):
-            spec = GeneratorSpec(family, n=2, seed=seed, params=dict(params, h=h))
-            cs = generate(spec)
-            if seed == 0:
-                seed0[family] = cs
-            xs = sample_points(cs, 2, seed=seed)
-            chart_checks(col, cs, xs, [f"{family}/seed={seed}/{_point_label(x)}" for x in xs])
+    # every generated chart, as (family, seed, chart), in report order; each kind of check
+    # below runs once, on a stack of the charts it reads
+    members = [(family, seed, generate(GeneratorSpec(family, n=2, seed=seed,
+                                                     params=dict(params, h=h))))
+               for family, params in _DIFF_FAMILIES for seed in range(cfg.seeds)]
+    xs = np.stack([sample_points(cs, 2, seed=seed) for _, seed, cs in members])
+    seed0 = {family: cs for family, seed, cs in members if seed == 0}
 
-            if family == "G2-hessian-potential":
-                x = cs.domain.mean(axis=1) + 0.03
-                conn = charts_mod.statistical_connections(cs, x)
-                col.add("hessian-flatness", float(np.max(np.abs(conn.r_nabla))),
-                        f"{family}/seed={seed}")
+    # hessian-flatness: max |R| of nabla at a point off the sample points of each G2 chart,
+    # recorded after that chart's rows
+    hessian = [(c, cs) for c, (family, _, cs) in enumerate(members)
+               if family == "G2-hessian-potential"]
+    r_nabla = charts_mod.statistical_connections(
+        charts_mod.stack_charts([cs for _, cs in hessian]),
+        np.stack([cs.domain.mean(axis=1) + 0.03 for _, cs in hessian])[:, None]).r_nabla
+    flatness = dict(zip([c for c, _ in hessian],
+                        np.max(np.abs(r_nabla), axis=tuple(range(1, r_nabla.ndim)))))
+
+    def after_point(index):
+        c, p = index
+        if c in flatness and p == xs.shape[1] - 1:
+            family, seed, _ = members[c]
+            col.add("hessian-flatness", float(flatness[c]), f"{family}/seed={seed}")
+
+    chart_checks(col, charts_mod.stack_charts([cs for _, _, cs in members]), xs,
+                 [f"{family}/seed={seed}/{_point_label(x)}"
+                  for (family, seed, _), points in zip(members, xs) for x in points],
+                 after_point)
 
     # conjugate-symmetry criteria: the three defects vanish together or stay
-    # large together, on the seed-0 charts of the loop above
-    for tag, cs, should_hold in (("conformal", seed0["G5-periodic-trig"], True),
-                                 ("random", seed0["G4-random-smooth"], False)):
-        x = sample_points(cs, 1, seed=7)[0]
-        defects = charts_mod.conjugate_symmetry_criteria(cs, x)
+    # large together, on the seed-0 charts of the generated ones
+    criteria = (("conformal", seed0["G5-periodic-trig"], True),
+                ("random", seed0["G4-random-smooth"], False))
+    x = np.stack([sample_points(cs, 1, seed=7) for _, cs, _ in criteria])
+    defects = charts_mod.conjugate_symmetry_criteria(
+        charts_mod.stack_charts([cs for _, cs, _ in criteria]), x)
+    for c, (tag, _, should_hold) in enumerate(criteria):
+        at = {key: float(value[c, 0]) for key, value in defects.items()}
         if should_hold:
-            residual = max(defects["r-vs-rbar"], defects["zw-skew"],
-                           defects["asym-nabla-a"])
-            col.add(f"conjugate-symmetry-equivalence-{tag}", residual,
-                    f"G5-conformal/{_point_label(x)}", 10.0)
+            col.add(f"conjugate-symmetry-equivalence-{tag}", max(at.values()),
+                    f"G5-conformal/{_point_label(x[c, 0])}", 10.0)
         else:
             # the defects stay large together: threshold - min(defects) <= 0, with the
             # threshold the tolerance the vanishing defects pass under
             threshold = col.tolerance("conjugate-symmetry-equivalence-conformal", 10.0)
-            col.add(f"conjugate-symmetry-equivalence-{tag}", threshold - min(defects.values()),
-                    f"G4-random/{_point_label(x)}")
+            col.add(f"conjugate-symmetry-equivalence-{tag}", threshold - min(at.values()),
+                    f"G4-random/{_point_label(x[c, 0])}")
     return col.checks, {}
 
 
