@@ -244,6 +244,7 @@ def discrete_max_probe(
     each, inside a fresh memo of cs that is dropped after the block, so memory does
     not grow with the lattice.
     """
+    cs.require_single("discrete_max_probe")
     if not all(cs.periodic):
         raise PreconditionError("the maximum probe needs a fully periodic chart")
     # each block's first maximum; the first of those that holds the largest is the lattice's

@@ -3,9 +3,11 @@
 A ChartStructure carries closed-form fields x -> g(x) and x -> A(x) over an
 axis-aligned box.  Every field maps a batch of points x[..., n] to values
 [..., *shape]; a single point is a batch of shape (n,).  Every derivative is
-a second-order central difference with a fixed step h in chart coordinates,
+a second-order central difference with the chart's step h in chart coordinates,
 taken from one field call on the whole stencil of a batch; nested
-differences give covariant second derivatives, Laplacians and curvature.
+differences give covariant second derivatives, Laplacians and curvature.  A stack
+of charts (stack_charts) carries one step per member, so one call can read a chart at
+several steps.
 All residual checks of the differential identities (curvature
 decompositions, Ricci identities, Laplacian formulas for 1-forms, symmetric
 2-forms and cubic forms) live here, and the harness compares each residual
@@ -195,7 +197,9 @@ class ChartStructure:
 
         The fields, box, periodic flags, sources and aux fields are shared with this
         chart.  The spot check reads only the fields and the box, so it is not run again.
+        A stack of charts has one step per member: take a member's copy and stack those.
         """
+        self.require_single("with_step")
         out = copy.copy(self)
         out.h = _valid_step(h)
         out._cache = {}
@@ -208,8 +212,7 @@ class ChartStructure:
         A periodic axis leaves out its far face, which is the near face again.  A stack of
         charts (stack_charts) has one box per member, so it has no lattice.
         """
-        if self.members:
-            raise ConstructionError("a stack of charts has no lattice: take a member's")
+        self.require_single("lattice")
         counts = [counts] * self.n if isinstance(counts, int) else list(counts)
         if len(counts) != self.n or min(counts) < 1:
             raise ConstructionError(f"lattice counts must be one int or one per axis (n = "
@@ -259,27 +262,36 @@ class ChartStructure:
 
     # -- point access ----------------------------------------------------------
 
+    def require_single(self, reader: str):
+        """Raise ConstructionError on a stack of charts, whose members each have a box and a
+        step: reader takes one of them."""
+        if self.members:
+            raise ConstructionError(f"{reader} reads one chart, not a stack of charts: "
+                                    "take a member's")
+
     def require_interior(self, x):
         """x[..., n] as floats; raises for the first point within 2h of a non-periodic face.
 
-        On a stack of charts (stack_charts) the box and the periodic flags are each member's,
-        as bounds of shape [C, 1, n] against x[..., C, P, n].
+        On a stack of charts (stack_charts) x is x[..., C, P, n], and the box, the periodic
+        flags and the margin 2h are each member's: bounds of shape [C, 1, n] and margins of
+        shape [C, 1, 1].  The message gives the failing member's own margin.  A chart's box
+        and step never change after construction, so the bounds are kept in its memo.
         """
-        x = np.asarray(x, dtype=float)
-        margin = 2.0 * self.h
-        bounds = self._cache.get(("interior", margin))
+        x = _stack_points(x, self.h)
+        bounds = self._cache.get("interior")
         if bounds is None:
-            # the box shrunk by the margin, and the axes that are not periodic
-            bounds = self._cache[("interior", margin)] = (
-                self.domain[..., 0] + margin - 1e-12, self.domain[..., 1] - margin + 1e-12,
+            # the margin 2h, the box shrunk by it, and the axes that are not periodic
+            margin = 2.0 * np.asarray(self.h)[..., None]
+            bounds = self._cache["interior"] = (
+                margin, self.domain[..., 0] + margin - 1e-12, self.domain[..., 1] - margin + 1e-12,
                 ~np.array(self.periodic))
-        lo, hi, fixed = bounds
+        margin, lo, hi, fixed = bounds
         bad = ~((lo <= x) & (x <= hi)) & fixed
         if bad.any():
-            *where, a = np.argwhere(bad)[0]
+            first = tuple(np.argwhere(bad)[0])
             raise PreconditionError(
-                f"point {x[tuple(where)].tolist()} too close to the boundary on axis {a} "
-                f"(margin 2h = {margin:g})"
+                f"point {x[first[:-1]].tolist()} too close to the boundary on axis {first[-1]} "
+                f"(margin 2h = {np.broadcast_to(margin, bad.shape)[first]:g})"
             )
         return x
 
@@ -317,7 +329,7 @@ class ChartStructure:
         _MEMO_KEY_BYTES bytes of x, so a lookup hashes a bounded number of bytes.  The key
         holds a list of (all bytes of x, value), and a hit needs all bytes to be equal.
         """
-        x = np.asarray(x, dtype=float)
+        x = _stack_points(x, self.h)
         data = x.tobytes()
         key = (tag, x.shape, data[:_MEMO_KEY_BYTES], data[-_MEMO_KEY_BYTES:])
         _memo_counts[0] += 1
@@ -349,27 +361,30 @@ class ChartStructure:
 
 
 def stack_charts(members) -> ChartStructure:
-    """One chart over a batch of member charts that share n and h, read at x[..., C, P, n].
+    """One chart over a batch of member charts of one dimension n, read at x[..., C, P, n].
 
     Member c's g and A fields run on their own slice x[..., c, :, :], and the values are
     stacked on the chart axis, so each member field sees exactly the points, field calls
-    and bits it sees alone.  The box and the periodic flags are each member's: domain
-    [C, 1, n, 2] and periodic [C, 1, n], as require_interior reads them.  The stack carries
-    no sources or aux fields and has no lattice.  Each member ran its own spot check, so,
-    as with with_step, the stack does not run one again.
+    and bits it sees alone.  The box, the periodic flags and the step are each member's:
+    domain [C, 1, n, 2], periodic [C, 1, n] and h [C, 1], which broadcasts over the batch
+    axes [..., C, P] of a point or of a difference.  So the members may differ in step,
+    and one stack reads a chart at several steps (with_step copies).  The stack carries no
+    sources or aux fields and has no lattice.  Each member ran its own spot check, so, as
+    with with_step, the stack does not run one again.
     """
     members = tuple(members)
     if not members:
         raise ConstructionError("a stack of charts needs at least one member")
-    n, h = members[0].n, members[0].h
+    n = members[0].n
     for member in members:
         if member.members:
             raise ConstructionError("a member of a stack of charts cannot be a stack")
-        if (member.n, member.h) != (n, h):
-            raise ConstructionError(f"the members of a stack of charts share n and h: "
-                                    f"(n, h) = {(member.n, member.h)} against {(n, h)}")
+        if member.n != n:
+            raise ConstructionError(f"the members of a stack of charts share n: "
+                                    f"n = {member.n} against {n}")
     out = copy.copy(members[0])
     out.members = members
+    out.h = np.array([m.h for m in members])[:, None]
     out.domain = np.stack([m.domain for m in members])[:, None]
     out.periodic = np.array([m.periodic for m in members])[:, None]
     out.g_field = _stacked_field([m.g_field for m in members])
@@ -378,6 +393,16 @@ def stack_charts(members) -> ChartStructure:
     out.aux_fields = {}
     out._cache = {}
     return out
+
+
+def _stack_points(x, h) -> np.ndarray:
+    """x as floats; a stack's steps h [C, 1] read x[..., C, P, n] only, or raise
+    PreconditionError.  The stencils, require_interior and the memo check their points here."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(h, np.ndarray) and x.shape[-3:-2] != h.shape[:1]:
+        raise PreconditionError(f"a stack of {len(h)} charts reads x[..., {len(h)}, P, n], "
+                                f"not x of shape {x.shape}")
+    return x
 
 
 def _stacked_field(fields) -> Field:
@@ -418,11 +443,11 @@ def constant_field(value) -> Field:
     return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _stencil(n: int, h: float, corners: bool) -> np.ndarray:
-    """Offsets [m, n] of a point's stencil: 0 and +-h e_a, then with corners the points
-    +-h e_a +- h e_b (a < b) of the mixed second differences."""
-    steps = h * np.eye(n)
+@functools.cache
+def _stencil(n: int, corners: bool) -> np.ndarray:
+    """Unit offsets [m, n] of a point's stencil: 0 and +-e_a, then with corners the points
+    +-e_a +- e_b (a < b) of the mixed second differences.  Every entry is 0 or +-1."""
+    steps = np.eye(n)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)] if corners else []
     mixed = [sa * steps[a] + sb * steps[b] for a, b in pairs
              for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
@@ -431,22 +456,27 @@ def _stencil(n: int, h: float, corners: bool) -> np.ndarray:
     return out
 
 
-def _shifted(field: Field, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The field at x + each row of offsets[m, n], [m, ..., *shape], from a single call: the
-    stencil axis leads the batch axes, so a batch-last value holds each row as one block."""
-    m, n = offsets.shape
-    return np.asarray(field(x + offsets.reshape((m,) + (1,) * (x.ndim - 1) + (n,))), dtype=float)
+def _shifted(field: Field, x: np.ndarray, h, unit: np.ndarray) -> np.ndarray:
+    """The field at x + h * each row of unit[m, n], [m, ..., *shape], from a single call: the
+    stencil axis leads the batch axes, so a batch-last value holds each row as one block.
+    h is a step or a stack's steps [C, 1]; unit holds 0 and +-1, so each offset is exactly
+    0 or +-h, the same bits at any step layout."""
+    x = _stack_points(x, h)
+    m, n = unit.shape
+    offsets = unit.reshape((m,) + (1,) * (x.ndim - 1) + (n,)) * np.asarray(h)[..., None]
+    return np.asarray(field(x + offsets), dtype=float)
 
 
-def _central(field: Field, x, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _central(field: Field, x, h) -> tuple[np.ndarray, np.ndarray]:
     """(s, ds) at x: the value [..., *shape] and the central differences [..., a, *shape].
 
     One field call on x and its 2n shifts x +- h e_a.  The value is the stencil's first row,
-    whose batch rows are contiguous; the differences are laid out batch-last.
+    whose batch rows are contiguous; the differences are laid out batch-last, so a stack's
+    steps h [C, 1] divide them per member.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    values = _shifted(field, x, _stencil(n, h, False))
+    values = _shifted(field, x, h, _stencil(n, False))
     core = values.ndim - x.ndim
     # [stencil, *shape, ...]: each difference is written core-first, batch rows innermost
     rows = values.transpose((0,) + tuple(range(x.ndim, values.ndim)) + tuple(range(1, x.ndim)))
@@ -505,12 +535,13 @@ def laplacian_tensor_at(cs: ChartStructure, field: Field, x) -> np.ndarray:
 def scalar_laplacian_at(cs: ChartStructure, f: Field, x):
     """Laplace-Beltrami of a scalar field via the direct second-order stencil, one call of f.
 
-    The stencil is x, x +- h e_a and x +- h e_a +- h e_b (a < b).
+    The stencil is x, x +- h e_a and x +- h e_a +- h e_b (a < b); the differences are laid
+    out batch-last, so a stack's steps h [C, 1] divide them per member.
     """
     x = np.asarray(x, dtype=float)
     n, h = cs.n, cs.h
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    values = _shifted(f, x, _stencil(n, h, True))
+    values = _shifted(f, x, h, _stencil(n, True))
     f0, fp, fm = values[0], values[1 : n + 1], values[n + 1 : 2 * n + 1]
     grad = batch_first((fp - fm) / (2 * h), 1)
     # written core-first: hess[..., a, b] laid out batch-last

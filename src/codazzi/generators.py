@@ -262,6 +262,7 @@ def _check_predicates(spec: GeneratorSpec, out) -> None:
 
 def sample_points(structure: ChartStructure, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic interior sample points, honoring the 2h boundary margin."""
+    structure.require_single("sample_points")
     rng = np.random.default_rng(seed)
     margin = 2.5 * structure.h
     lo = structure.domain[:, 0] + np.where(structure.periodic, 0.0, margin)

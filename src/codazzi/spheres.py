@@ -269,6 +269,7 @@ def sphere_codiff_residual(s, i0: int, quad: SphereQuadrature | None = None) -> 
 
 
 def _periodic_lattice(cs: ChartStructure, lattice) -> tuple[np.ndarray, float, float]:
+    cs.require_single("a bundle integral")
     if not all(cs.periodic):
         raise PreconditionError("bundle integrals need a fully periodic chart")
     if isinstance(lattice, int):

@@ -186,6 +186,7 @@ def stat_point_from_dict(data: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chart_to_dict(cs: ChartStructure) -> dict:
+    cs.require_single("emit")
     if cs.g_source is None or cs.a_source is None:
         raise SchemaError("chart was not built from expressions; cannot serialize closures")
     out = {

@@ -701,9 +701,12 @@ def laplacian_series(n: int, h: float):
 
     The Ricci identity, the Simons formula and the cubic formulas are taken on a curved
     Hessian chart, the Weitzenbock and symmetric 2-form formulas on the stereographic
-    sphere, all at one point.  Returns (steps, series, skips): series maps each identity
-    to its residual per step, and skips maps an identity whose precondition fails at some
-    step to the PreconditionError of the last such step.
+    sphere, all at one point.  Each chart is read once per producer, as a stack of its
+    copies at h, 2h and 4h (charts.stack_charts) at x[3, 1, n]; each member gets the bits
+    it gets alone.  Returns (steps, series, skips): series maps each identity to its
+    residual per step, in the order of steps, and skips maps an identity whose precondition
+    fails at some step to the PreconditionError of the least such step, the stack's first
+    failing member; a skipped identity's series is empty.
     """
     potential = {2: "0.5*x1**2*x2**2 + 0.5*(x1**2 + x2**2)",
                  3: "0.4*x1**2*x2**2 + 0.3*x2**2*x3**2 + 0.35*x1**2*x3**2 "
@@ -727,33 +730,30 @@ def laplacian_series(n: int, h: float):
         return np.stack([np.sin(y[..., 0] + 2.0 * y[..., 1]), np.cos(y[..., 0] - y[..., 1])]
                         + [np.sin(y[..., i]) for i in range(2, y.shape[-1])], axis=-1)
 
-    x = np.array([0.15, -0.22, 0.1][:n])
     steps = (4.0 * h, 2.0 * h, h)
     cubic_keys = ("laplace-cubic-bracket", "laplace-cubic-curvdiff", "laplace-cubic-ricci")
-    series = {name: [] for name in ("ricci-identity", "simons-formula", "weitzenbock",
-                                    "simons-1form", "sym2-simons") + cubic_keys}
-    skips = {}
     hess_chart = charts_mod.hessian_from_potential(potential, [[-0.6, 0.6]] * n, h=h, n=n)
     sph_chart = charts_mod.ChartStructure(n, [[-0.4, 0.4]] * n, _stereographic_metric(n),
                                           charts_mod.constant_field(np.zeros((n, n, n))), h=h)
-    for step in steps:
-        hess, sph = hess_chart.with_step(step), sph_chart.with_step(step)
-        series["ricci-identity"].append(charts_mod.ricci_identity_residual(hess, hess.a_field, x))
-        series["simons-formula"].append(charts_mod.simons_residual(hess, hess.a_field, x))
-        hodge = charts_mod.weitzenbock_residual(sph, trig_tau, x)
-        for key in ("weitzenbock", "simons-1form"):
-            series[key].append(hodge[key])
-        try:
-            series["sym2-simons"].append(
-                charts_mod.sym2_simons_residual(sph, codazzi_beta(sph), x)[0])
-        except PreconditionError as exc:
-            skips["sym2-simons"] = exc
-        try:
-            cubic = charts_mod.cubic_simons_residuals(hess, x)
-            for key in cubic_keys:
-                series[key].append(cubic[key])
-        except PreconditionError as exc:
-            skips.update(dict.fromkeys(cubic_keys, exc))
+    # members at h, 2h and 4h, so a failed precondition raises at the least failing step
+    hess, sph = (charts_mod.stack_charts([chart.with_step(step) for step in reversed(steps)])
+                 for chart in (hess_chart, sph_chart))
+    x = np.tile(np.array([0.15, -0.22, 0.1][:n]), (len(steps), 1, 1))
+    residuals = {"ricci-identity": charts_mod.ricci_identity_residual(hess, hess.a_field, x),
+                 "simons-formula": charts_mod.simons_residual(hess, hess.a_field, x),
+                 **charts_mod.weitzenbock_residual(sph, trig_tau, x)}
+    skips = {}
+    try:
+        residuals["sym2-simons"] = charts_mod.sym2_simons_residual(sph, codazzi_beta(sph), x)[0]
+    except PreconditionError as exc:
+        skips["sym2-simons"] = exc
+    try:
+        residuals.update(charts_mod.cubic_simons_residuals(hess, x))
+    except PreconditionError as exc:
+        skips.update(dict.fromkeys(cubic_keys, exc))
+    series = {name: [] if name in skips else residuals[name][::-1, 0].tolist()
+              for name in ("ricci-identity", "simons-formula", "weitzenbock", "simons-1form",
+                           "sym2-simons") + cubic_keys}
     return steps, series, skips
 
 
@@ -1049,6 +1049,8 @@ def check_structure(structure) -> ResidualReport:
     own step and a tolerance scale of 1.
     """
     is_chart = isinstance(structure, charts_mod.ChartStructure)
+    if is_chart:
+        structure.require_single("check_structure")
     col = _Collector(SuiteConfig(h=structure.h) if is_chart else SuiteConfig())
     if is_chart:
         mid = structure.domain.mean(axis=1)

@@ -279,7 +279,7 @@ class TestReports:
 
     # (memo-lookups, memo-hits) of each suite at the defaults: a memo hit needs bit-identical
     # coordinates, whatever part of them the memo key holds
-    MEMO_LOOKUPS = {"integral": (247, 84), "differential": (260, 143), "simons": (738, 505),
+    MEMO_LOOKUPS = {"integral": (247, 84), "differential": (260, 143), "simons": (326, 217),
                     "bounds": (101, 50), "algebraic": (0, 0)}
 
     @pytest.mark.parametrize("suite", sorted(MEMO_LOOKUPS))
