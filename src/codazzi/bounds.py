@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import (
-    LATTICE_BLOCK,
     ChartStructure,
     nabla_cubic_at,
     scalar_laplacian_at,
@@ -240,19 +239,17 @@ def discrete_max_probe(
     Locates the lattice argmax of the scalar field, the first point in lattice order
     that holds the maximum, and returns it with the chart Laplacian there; on a
     compact surrogate the Laplacian at a maximum cannot exceed the FD tolerance.
-    The lattice goes through in blocks of at most LATTICE_BLOCK points, one call of f
-    each, inside a fresh memo of cs that is dropped after the block, so memory does
-    not grow with the lattice.
+    The lattice goes through cs.lattice_blocks, one call of f per block, each in an
+    empty memo; only each block's first maximum is kept, so memory does not grow
+    with the lattice.
     """
     cs.require_single("discrete_max_probe")
     if not all(cs.periodic):
         raise PreconditionError("the maximum probe needs a fully periodic chart")
     # each block's first maximum; the first of those that holds the largest is the lattice's
     candidates, maxima = [], []
-    for start in range(0, lattice_points ** cs.n, LATTICE_BLOCK):
-        block = cs.lattice(lattice_points, slice(start, start + LATTICE_BLOCK))
-        with cs.fresh_memo():
-            values = np.asarray(f(block))
+    for block in cs.lattice_blocks(lattice_points):
+        values = np.asarray(f(block))
         i = int(np.argmax(values))
         candidates.append(block[i].copy())
         maxima.append(values[i])

@@ -28,7 +28,6 @@ A covariant derivative prepends the derivative slot: (nabla s)[a, ...] =
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import functools
 import itertools
@@ -56,6 +55,7 @@ from .tensors import (
     max_abs,
     metric_factors,
     raise_last,
+    require_dimension,
     ricci_trace,
     sectional,
     symmetrize,
@@ -71,7 +71,7 @@ CONJUGATE_SYMMETRY_THRESHOLD = 1e-6
 # largest asymmetry of a cubic field (max |A - sym A|) or a metric field (max |g - g^T|),
 # relative to the field's largest entry, that the chart accepts
 CUBIC_SYMMETRY_TOL = 1e-9
-# lattice points per block of a walk over a chart's lattice; the default 32^2 lattice is one block
+# lattice points per block of ChartStructure.lattice_blocks; the default 32^2 lattice is one block
 LATTICE_BLOCK = 1024
 
 # bytes at each end of a point batch that a memo key holds
@@ -99,8 +99,9 @@ class ChartStructure:
 
     Fields must be globally evaluable closed forms (expression trees or
     closures over batches of points); periodic axes mark torus directions
-    used by the integral checks.  Finite values, SPD of g and symmetry of A
-    are spot-checked on a 5^n lattice at construction.
+    used by the integral checks.  The dimension n must lie in 1..MAX_DIMENSION.
+    Finite values, SPD of g and symmetry of A are spot-checked on a 5^n lattice
+    at construction.  lattice_blocks is the one walk over the chart's lattice.
     """
 
     # the member charts of a stack (stack_charts); a chart on its own has none
@@ -118,6 +119,7 @@ class ChartStructure:
         a_source=None,
         aux_fields: dict[str, AuxField] | None = None,
     ):
+        n = require_dimension(n)
         domain = np.asarray(domain, dtype=float)
         if domain.shape != (n, 2) or not (
             np.all(np.isfinite(domain)) and np.all(domain[:, 1] > domain[:, 0])
@@ -205,6 +207,15 @@ class ChartStructure:
         out._cache = {}
         return out
 
+    def lattice_counts(self, counts) -> list[int]:
+        """Lattice counts per axis from one int or one per axis, each at least 1."""
+        self.require_single("lattice")
+        counts = [counts] * self.n if isinstance(counts, int) else list(counts)
+        if len(counts) != self.n or min(counts) < 1:
+            raise ConstructionError(f"lattice counts must be one int or one per axis (n = "
+                                    f"{self.n}), each at least 1: {counts!r}")
+        return counts
+
     def lattice(self, counts, rows: slice = slice(None)) -> np.ndarray:
         """Grid points of the box, counts per axis (or one int), as an array [m, n] in C order;
         rows picks a slice of the m points, and only those are formed.
@@ -212,23 +223,40 @@ class ChartStructure:
         A periodic axis leaves out its far face, which is the near face again.  A stack of
         charts (stack_charts) has one box per member, so it has no lattice.
         """
-        self.require_single("lattice")
-        counts = [counts] * self.n if isinstance(counts, int) else list(counts)
-        if len(counts) != self.n or min(counts) < 1:
-            raise ConstructionError(f"lattice counts must be one int or one per axis (n = "
-                                    f"{self.n}), each at least 1: {counts!r}")
+        counts = self.lattice_counts(counts)
         axes = [np.linspace(lo, hi, m, endpoint=not periodic)
                 for (lo, hi), m, periodic in zip(self.domain, counts, self.periodic)]
         picked = range(math.prod(counts))[rows]
         index = np.unravel_index(np.arange(picked.start, picked.stop, picked.step), counts)
         return np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
 
+    def lattice_blocks(self, counts):
+        """The lattice of counts in order, as blocks of at most LATTICE_BLOCK rows of lattice.
+        Each block's loop body runs in an empty memo, so memory does not grow with the
+        lattice, and the chart's own memo is back after the walk, also when the body raises."""
+        counts = self.lattice_counts(counts)
+        held = self._cache
+        try:
+            for start in range(0, math.prod(counts), LATTICE_BLOCK):
+                self._cache = {}
+                yield self.lattice(counts, slice(start, start + LATTICE_BLOCK))
+        finally:
+            self._cache = held
+
     def _spot_check(self):
         """Validate the fields on the 5-point lattice of the box and at its midpoint (which
-        a periodic axis's lattice leaves out): shapes, finite values, a positive definite
-        metric, and a metric and a cubic form symmetric to within CUBIC_SYMMETRY_TOL relative."""
+        a periodic axis's lattice leaves out), by lattice_blocks with the midpoint in the last."""
+        left = 5 ** self.n
+        for points in self.lattice_blocks(5):
+            left -= len(points)
+            self._check_fields(np.vstack([points, self.domain.mean(axis=1)]) if not left
+                               else points)
+
+    def _check_fields(self, points):
+        """Raise ConstructionError at the first of points[m, n] with a wrong shape, a value that
+        is not finite, a metric that is not positive definite, or a metric or cubic form that
+        is not symmetric to within CUBIC_SYMMETRY_TOL relative."""
         n = self.n
-        points = np.vstack([self.lattice(5), self.domain.mean(axis=1)])
         # overflow and invalid values are what this check reports, as errors
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             g = np.asarray(self.g_field(points), dtype=float)
@@ -345,16 +373,6 @@ class ChartStructure:
         out = compute()
         entries.append((data, out))
         return out
-
-    @contextlib.contextmanager
-    def fresh_memo(self):
-        """Memoize into an empty memo inside the with block, and drop it after: the chart's
-        own memo is back in place, holding nothing the block computed."""
-        held, self._cache = self._cache, {}
-        try:
-            yield
-        finally:
-            self._cache = held
 
     def __repr__(self):
         return f"ChartStructure(n={self.n}, h={self.h}, periodic={self.periodic})"

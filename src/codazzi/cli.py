@@ -37,7 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--h", type=float, default=1e-3, help="finite-difference step")
     verify.add_argument("--tol-scale", type=float, default=1.0)
     verify.add_argument("--sweep-count", type=int, default=2000)
-    verify.add_argument("--lattice", type=int, default=32)
+    verify.add_argument("--lattice", type=int, default=32,
+                        help="lattice points per axis of the bundle integrals only")
     verify.add_argument("--fiber-nodes", type=int, default=12)
     verify.add_argument("--report", type=str, default=None, help="write the JSON report here")
     verify.add_argument("--emit-csv", action="store_true", help="write a CSV next to the report")

@@ -19,6 +19,8 @@ Five families, each deterministic in (family, n, seed, params):
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from .charts import ChartStructure, hessian_from_potential
 from .errors import ConstructionError
 from .structures_io import cubic_entries, cubic_from_entries, cubic_triples
-from .tensors import metric_factors, symmetrize
+from .tensors import metric_factors, require_dimension, symmetrize
 
 FAMILIES = (
     "G1-constant-A",
@@ -47,6 +49,28 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConstructionError(f"unknown generator family {self.family!r}; choose from {FAMILIES}")
+        require_dimension(self.n)
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConstructionError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.params, dict):
+            raise ConstructionError(f"params must be an object of family parameters, got "
+                                    f"{self.params!r}")
+
+    def number(self, name: str, default, kind=float):
+        """params[name] (default when absent) as kind: a finite float, or an int for a count.
+        A bool, a string, a non-finite number or a fractional count raises ConstructionError
+        naming the parameter."""
+        value = self.params.get(name, default)
+        if not isinstance(value, bool) and isinstance(
+                value, numbers.Integral if kind is int else numbers.Real):
+            try:
+                if math.isfinite(value):
+                    return kind(value)
+            except OverflowError:  # an integer beyond the float range
+                pass
+        what = "an integer" if kind is int else "a finite number"
+        raise ConstructionError(f"parameter {name!r} must be {what}, got {value!r}")
 
 
 def _fmt(v: float) -> str:
@@ -94,8 +118,7 @@ def g1_constant(spec: GeneratorSpec) -> ChartStructure:
         a = cubic_from_entries(n, spec.params["entries"])
     else:
         a = 0.5 * symmetrize(rng.uniform(-1.0, 1.0, (n, n, n)))
-    scale = float(spec.params.get("scale", 1.0))
-    a = scale * a
+    a = spec.number("scale", 1.0) * a
     domain = spec.params.get("domain", [[0.0, 2.0 * np.pi]] * n)
     periodic = spec.params.get("periodic", [True] * n)
     return ChartStructure.from_expressions(
@@ -103,7 +126,7 @@ def g1_constant(spec: GeneratorSpec) -> ChartStructure:
         domain,
         _identity_metric_sources(n),
         _constant_cubic_sources(a),
-        h=float(spec.params.get("h", 1e-3)),
+        h=spec.number("h", 1e-3),
         periodic=periodic,
     )
 
@@ -126,13 +149,12 @@ def g2_hessian(spec: GeneratorSpec) -> ChartStructure:
         potential = " + ".join(terms)
     domain = spec.params.get("domain", [[-0.7, 0.7]] * n)
     return hessian_from_potential(
-        potential, domain, h=float(spec.params.get("h", 1e-3)), n=n
+        potential, domain, h=spec.number("h", 1e-3), n=n
     )
 
 
 def g3_constant_curvature(spec: GeneratorSpec):
-    a = float(spec.params.get("a", 1.0))
-    b = float(spec.params.get("b", 0.0))
+    a, b = spec.number("a", 1.0), spec.number("b", 0.0)
     if spec.params.get("chart", False):
         domain = spec.params.get("domain", [[0.0, 2.0 * np.pi]] * 2)
         return ChartStructure.from_expressions(
@@ -140,7 +162,7 @@ def g3_constant_curvature(spec: GeneratorSpec):
             domain,
             _identity_metric_sources(2),
             _constant_cubic_sources(cubic_from_entries(2, hyperbolic_cubic_entries(a, b))),
-            h=float(spec.params.get("h", 1e-3)),
+            h=spec.number("h", 1e-3),
             periodic=spec.params.get("periodic", [True, True]),
         )
     return hyperbolic_point(a, b)
@@ -171,7 +193,7 @@ def g4_random_smooth(spec: GeneratorSpec) -> ChartStructure:
     a_entries = {f"{i + 1}{j + 1}{k + 1}": _trig_source(rng, n, 0.3)
                  for i, j, k in cubic_triples(n)}
     return ChartStructure.from_expressions(
-        n, domain, g_exprs, a_entries, h=float(spec.params.get("h", 1e-3)), periodic=periodic
+        n, domain, g_exprs, a_entries, h=spec.number("h", 1e-3), periodic=periodic
     )
 
 
@@ -180,24 +202,21 @@ def g5_periodic(spec: GeneratorSpec) -> ChartStructure:
         raise ConstructionError("the periodic trigonometric family is two-dimensional")
     rng = np.random.default_rng(spec.seed)
     variant = spec.params.get("variant", "conformal")
-    h = float(spec.params.get("h", 1e-3))
+    h = spec.number("h", 1e-3)
     domain = [[0.0, 2.0 * np.pi]] * 2
     if variant == "conformal":
-        a = float(spec.params.get("a", rng.uniform(0.5, 1.0)))
-        b = float(spec.params.get("b", rng.uniform(-0.8, 0.8)))
-        amp = float(spec.params.get("amp", 0.4))
-        fx = int(spec.params.get("fx", 1))
-        fy = int(spec.params.get("fy", 1))
+        a = spec.number("a", rng.uniform(0.5, 1.0))
+        b = spec.number("b", rng.uniform(-0.8, 0.8))
+        amp = spec.number("amp", 0.4)
+        fx, fy = spec.number("fx", 1, int), spec.number("fy", 1, int)
         conf = f"exp(2*({_fmt(amp)}*sin({fx}*x1)*cos({fy}*x2)))"
         g_exprs = [[conf, "0"], ["0", conf]]
         a_entries = _constant_cubic_sources(
             cubic_from_entries(2, hyperbolic_cubic_entries(a, b)))
         return ChartStructure.from_expressions(2, domain, g_exprs, a_entries, h=h, periodic=[True, True])
     if variant == "generic":
-        freq = int(spec.params.get("freq", 2))
-        gfreq = int(spec.params.get("gfreq", 1))
-        scale = float(spec.params.get("scale", 1.0))
-        amp = float(spec.params.get("amp", 0.5))
+        freq, gfreq = spec.number("freq", 2, int), spec.number("gfreq", 1, int)
+        scale, amp = spec.number("scale", 1.0), spec.number("amp", 0.5)
         conf = f"exp({_fmt(amp)}*sin({gfreq}*x1)*cos({gfreq}*x2))"
         g_exprs = [[conf, "0"], ["0", conf]]
         s1 = f"sin({freq}*x1)"
@@ -233,8 +252,7 @@ def _check_predicates(spec: GeneratorSpec, out) -> None:
     if spec.family == "G3-2d-constant-curvature" and not isinstance(out, ChartStructure):
         from .points import bracket_kk, constant_curvature_residual
 
-        a = float(spec.params.get("a", 1.0))
-        b = float(spec.params.get("b", 0.0))
+        a, b = spec.number("a", 1.0), spec.number("b", 0.0)
         h_curv = -2.0 * (a * a + b * b)
         g = out[0]
         residual = constant_curvature_residual(bracket_kk(*out), g, metric_factors(g)[0], h_curv)

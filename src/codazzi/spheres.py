@@ -13,10 +13,10 @@ at a time and dropped once read: no Monte Carlo node set is kept.  Integrals
 are not cached here; a caller that integrates the same function on every run
 (the integral suite's Monte Carlo cross-validation) keeps the result.
 
-The bundle integrals over periodic charts walk their lattice in blocks and
-evaluate each lattice point once: ros_refinement reads the Ros integral at a
-lattice off the values of one pass over the lattice twice as fine, and the
-fiber identity takes every slot's residual from one left side.
+The bundle integrals over periodic charts walk their lattice by the chart's
+lattice_blocks and evaluate each lattice point once: ros_refinement reads the
+Ros integral at a lattice off the values of one pass over the lattice twice as
+fine, and the fiber identity takes every slot's residual from one left side.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 
 from .charts import (
     CONJUGATE_SYMMETRY_THRESHOLD,
-    LATTICE_BLOCK,
     ChartStructure,
     codifferential_at,
     conjugate_symmetry_defect,
@@ -268,45 +267,32 @@ def sphere_codiff_residual(s, i0: int, quad: SphereQuadrature | None = None) -> 
 # unit sphere bundle integrals over periodic charts
 
 
-def _periodic_lattice(cs: ChartStructure, lattice) -> tuple[np.ndarray, float, float]:
+def _periodic_lattice(cs: ChartStructure, lattice) -> tuple[list[int], float, float]:
+    """(points per axis, cell volume, largest spacing) of a fully periodic chart's lattice."""
     cs.require_single("a bundle integral")
     if not all(cs.periodic):
         raise PreconditionError("bundle integrals need a fully periodic chart")
-    if isinstance(lattice, int):
-        lattice = [lattice] * cs.n
-    points = cs.lattice(lattice)
-    cell = float(np.prod([(cs.domain[a, 1] - cs.domain[a, 0]) / lattice[a] for a in range(cs.n)]))
-    spacing = max((cs.domain[a, 1] - cs.domain[a, 0]) / lattice[a] for a in range(cs.n))
-    return points, cell, spacing
+    counts = cs.lattice_counts(lattice)
+    cell = float(np.prod([(cs.domain[a, 1] - cs.domain[a, 0]) / counts[a] for a in range(cs.n)]))
+    spacing = max((cs.domain[a, 1] - cs.domain[a, 0]) / counts[a] for a in range(cs.n))
+    return counts, cell, spacing
 
 
-def _lattice_values(cs: ChartStructure, h: float, points: np.ndarray, per_point) -> list:
+def _lattice_values(cs: ChartStructure, h: float, counts, per_point) -> list:
     """The per-point values that per_point(chart, block) returns, each one array in lattice order.
 
-    The lattice goes through in blocks of at most LATTICE_BLOCK points, each on a
-    chart of its own (cs with step h and an empty memo) that is freed before the next
-    block starts, so memory does not grow with the lattice.
+    One copy of cs with step h walks the lattice of counts by its lattice_blocks, each
+    block in an empty memo, so memory does not grow with the lattice.
     """
-    values = None
-    for start in range(0, len(points), LATTICE_BLOCK):
-        block = points[start:start + LATTICE_BLOCK]
-        parts = per_point(cs.with_step(h), block)
-        if values is None:
-            values = [np.empty(len(points)) for _ in parts]
-        for out, part in zip(values, parts):
-            out[start:start + len(block)] = part
-    return values
-
-
-def _lattice_sums(cs: ChartStructure, h: float, points: np.ndarray, per_point) -> list[float]:
-    """The lattice sums of _lattice_values, each summed once, as for a single block."""
-    return [float(np.sum(out)) for out in _lattice_values(cs, h, points, per_point)]
+    work = cs.with_step(h)
+    blocks = [per_point(work, block) for block in work.lattice_blocks(counts)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 def _ros_values(cs: ChartStructure, s_field, k: int, quad: SphereQuadrature, lattice):
     """(values, h): the Ros integrand times the volume element at each lattice point, in
     lattice order, and the FD step they are taken with: cs.h capped at a quarter spacing."""
-    points, cell, spacing = _periodic_lattice(cs, lattice)
+    counts, cell, spacing = _periodic_lattice(cs, lattice)
     h = min(cs.h, spacing / 4.0)
 
     def per_point(work, block):
@@ -315,7 +301,7 @@ def _ros_values(cs: ChartStructure, s_field, k: int, quad: SphereQuadrature, lat
         fiber = _fiber_sum(poly_eval(frame_components(frame, traced), quad.nodes, k - 1), quad)
         return (fiber * vol * cell,)
 
-    (values,) = _lattice_values(cs, h, points, per_point)
+    (values,) = _lattice_values(cs, h, counts, per_point)
     return values, h
 
 
@@ -390,11 +376,11 @@ def unit_bundle_functional(
         quad = product_gauss(cs.n)
     # unlike the Ros integral the two terms here are large and cancel, so the
     # chart's own (small) step is the accuracy driver, not the lattice
-    points, cell, _ = _periodic_lattice(cs, lattice)
+    counts, cell, _ = _periodic_lattice(cs, lattice)
 
     # spot-check the hypotheses at a handful of lattice points, in lattice order; conjugate
     # symmetry uses CONJUGATE_SYMMETRY_THRESHOLD, the bar of every conjugate-symmetry test
-    probe = points[:: max(1, len(points) // 7)]
+    probe = cs.lattice(counts, slice(None, None, max(1, math.prod(counts) // 7)))
     defect = conjugate_symmetry_defect(cs, probe)
     nabla_tau = np.max(np.abs(nabla_at(cs, cs.tau_at, probe)), axis=(1, 2))
     failed = (defect >= CONJUGATE_SYMMETRY_THRESHOLD) | (nabla_tau >= 1e-4)
@@ -427,5 +413,6 @@ def unit_bundle_functional(
                  for i in range(cs.n) for l in range(cs.n))
         return _fiber_sum(f1, quad) * density, 3.0 * _fiber_sum(f2, quad) * density
 
-    term_grad, term_curv = _lattice_sums(cs, cs.h, points, per_point)
+    term_grad, term_curv = (float(np.sum(out))
+                            for out in _lattice_values(cs, cs.h, counts, per_point))
     return term_grad, term_curv, term_grad + term_curv

@@ -115,6 +115,10 @@ class SuiteConfig:
     h: float = 1e-3
     tol_scale: float = 1.0
     fiber_order: int = 12
+    # the bundle-integral lattice only: the points per axis of the integral suite's
+    # ros-integral, ros-total-derivative and ros-constant-field, and of its bundle-functional
+    # at max(lattice, 64); the Ros refinement pair, the other bundle functionals and the
+    # bounds suite's maximum probes read fixed lattices
     lattice: int = 32
     sweep_count: int = 2000
 
@@ -220,6 +224,9 @@ class FD(NamedTuple):
 
 # the rule of a check whose bar comes from the run's own data: its one call site passes it
 FROM_DATA = None
+
+# lattice points per axis of the bounds suite's maximum probes; --lattice does not move it
+MAX_PROBE_LATTICE = 32
 
 
 class CheckRow(NamedTuple):
@@ -334,7 +341,8 @@ CHECKS = {stem: CheckRow(anchor, rule) for anchor, rows in (
     ("\\inf \\hat u\\le \\frac{3}{2}H_2^2", {"cross-theorem-n2": 1e-12}),
     # the closed-form probe's bar grows with the square of the probe lattice's spacing
     ("\\Delta f(x)<\\varepsilon",
-     {"max-probe-closed-form": FROM_DATA, "max-probe-structure": 1e-2}),
+     {"max-probe-closed-form": 1e-2 + 200.0 * (2 * math.pi / MAX_PROBE_LATTICE) ** 2,
+      "max-probe-structure": 1e-2}),
     ("cn(n-1)+\\Vert E\\Vert^2-\\Vert A\\Vert ^2", {"dualflat-split-scalar": 1e-12}),
     # sphere quadrature and bundle integrals
     ("S^{n-1}=\\{V\\in \\R^n;\\Vert V\\Vert=1\\}", {"quadrature-area": 1e-10}),
@@ -906,12 +914,11 @@ def bounds_suite(cfg: SuiteConfig) -> tuple[list[Check], dict]:
         charts_mod.constant_field(np.zeros((2, 2, 2))), h=h, periodic=[True, True],
     )
     argmax, lap = bounds_mod.discrete_max_probe(
-        flat, lambda y: np.sin(y[..., 0]) + np.sin(y[..., 1]),
-        lattice_points=max(cfg.lattice, 32))
+        flat, lambda y: np.sin(y[..., 0]) + np.sin(y[..., 1]), lattice_points=MAX_PROBE_LATTICE)
     col.add("max-probe-closed-form", float(np.max(np.abs(argmax - np.pi / 2))) + abs(lap + 2.0),
-            "flat-torus/sin+sin", bar=1e-2 + 200.0 * (2 * np.pi / max(cfg.lattice, 32)) ** 2)
+            "flat-torus/sin+sin")
     u_field = charts_mod.squared_norm_field(conf, conf.a_field)
-    _, lap_u = bounds_mod.discrete_max_probe(conf, u_field, lattice_points=max(cfg.lattice, 32))
+    _, lap_u = bounds_mod.discrete_max_probe(conf, u_field, lattice_points=MAX_PROBE_LATTICE)
     col.add("max-probe-structure", max(lap_u, 0.0), "G5-conformal/u-field")
     return col.checks, bounds_payload
 

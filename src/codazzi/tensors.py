@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -24,6 +25,16 @@ from .errors import (ConstructionError, DimensionMismatchError, NotPositiveDefin
                      PreconditionError)
 
 MAX_DIMENSION = 8
+
+
+def require_dimension(n) -> int:
+    """n as an int; ConstructionError unless it is an integer (not a bool) in 1..MAX_DIMENSION."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ConstructionError(f"dimension must be an integer, got {n!r}")
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ConstructionError(f"dimension {n} must lie in 1..{MAX_DIMENSION}")
+    return int(n)
+
 
 # matrices factored per pass of the elementwise loop: its temporaries stay in cache
 FACTOR_BLOCK = 2048
@@ -126,8 +137,7 @@ def metric_factors(g, points=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = g.shape[-1] if g.ndim >= 2 else 0
     if g.ndim < 2 or g.shape[-2] != n:
         raise ConstructionError(f"metric components must be square, got shape {g.shape}")
-    if not 1 <= n <= MAX_DIMENSION:
-        raise ConstructionError(f"dimension {n} must lie in 1..{MAX_DIMENSION}")
+    require_dimension(n)
     batch = g.shape[:-2]
     _factorized["batches"] += 1
     _factorized["matrices"] += math.prod(batch)

@@ -259,28 +259,41 @@ def _conformal_probe(lattice_points):
 
 
 class TestMaxProbeBlocks:
-    """The probe walks its lattice in blocks: the same argmax, and memory that stays flat."""
-
-    @pytest.mark.parametrize("lattice_points", [16, 48, 64])
-    def test_block_size_changes_no_bit(self, monkeypatch, lattice_points):
-        # 7 leaves a ragged last block; 10**6 puts the lattice in one block
-        values = {}
-        for block in (7, 1024, 10**6):
-            monkeypatch.setattr(bounds, "LATTICE_BLOCK", block)
-            best, lap = _conformal_probe(lattice_points)[1]()
-            values[block] = (best.tobytes(), np.float64(lap).tobytes())
-        assert values[7] == values[1024] == values[10**6]
+    """The probe walks its lattice in blocks (test_spheres.py::TestLatticeBlocks holds its
+    block-size test): the first argmax, and memory that stays flat."""
 
     def test_first_maximum_in_lattice_order(self, monkeypatch):
         flat = ChartStructure(2, [[0, 2 * np.pi]] * 2, constant_field(np.eye(2)),
                               constant_field(np.zeros((2, 2, 2))), periodic=[True, True])
-        monkeypatch.setattr(bounds, "LATTICE_BLOCK", 5)
+        monkeypatch.setattr(charts, "LATTICE_BLOCK", 5)
         # the maximum 1 is held by the lattice points of rows 7 and 12 (blocks 1 and 2)
         lattice = flat.lattice(4)
         ties = {lattice[7].tobytes(), lattice[12].tobytes()}
         best, _ = discrete_max_probe(
             flat, lambda y: np.array([float(p.tobytes() in ties) for p in y]), lattice_points=4)
         assert best.tobytes() == lattice[7].tobytes()
+
+    def test_a_raise_in_a_block_restores_the_callers_memo(self, monkeypatch):
+        monkeypatch.setattr(charts, "LATTICE_BLOCK", 100)
+        conf, _ = _conformal_probe(32)
+        u_field = squared_norm_field(conf, conf.a_field)
+        x = np.array([[1.0, 2.0]])
+        ginv = conf.metric_inverse_at(x)
+        held, keys = conf._cache, set(conf._cache)
+        starts = []
+
+        def f(block):
+            # each block's body starts from an empty memo
+            starts.append(len(conf._cache))
+            if len(starts) == 3:
+                raise RuntimeError("planted")
+            return u_field(block)
+
+        with pytest.raises(RuntimeError, match="planted"):
+            discrete_max_probe(conf, f, lattice_points=32)
+        assert starts == [0, 0, 0]
+        assert conf._cache is held and set(conf._cache) == keys
+        assert conf.metric_inverse_at(x) is ginv
 
     def test_peak_does_not_grow_with_the_lattice(self):
         _conformal_probe(8)[1]()  # compiles the fields

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -191,6 +194,29 @@ class TestChartStructure:
         with pytest.raises(ConstructionError, match="finite and positive"):
             flat_chart().with_step(h)
 
+    @pytest.mark.parametrize("n", [0, 9, -1, 2.0, True])
+    def test_dimension_is_checked_before_the_spot_check(self, monkeypatch, n):
+        # the 5^9 spot check alone would take 10.6 GiB at once; no field is read
+        fail = lambda x: pytest.fail("a field was read")
+        monkeypatch.setattr(ChartStructure, "_spot_check", lambda cs: pytest.fail("checked"))
+        with pytest.raises(ConstructionError, match="dimension"):
+            ChartStructure(n, [[0.0, 1.0]] * 3, fail, fail)
+
+    def test_spot_check_memory_stays_flat(self):
+        # the spot check reads the 5^6 lattice in blocks: 114 MB traced at once, 8 MB in blocks
+        spec = GeneratorSpec("G1-constant-A", n=6)
+        generate(spec)  # parses and compiles the fields
+        start = time.perf_counter()
+        generate(spec)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6 and elapsed < 1.0, (peak, elapsed)
+
 
 class TestMemo:
     """A memo key holds a bounded part of a batch's bytes; a hit needs all of them equal."""
@@ -244,15 +270,41 @@ class TestMemo:
         assert self._lookup(cs, x, computed) == 0
         assert self._lookup(cs, x[None], computed) == 1
 
-    def test_fresh_memo_keeps_nothing_in_the_chart(self):
-        cs = flat_chart()
+    def test_lattice_blocks_keep_nothing_in_the_chart(self, monkeypatch):
+        monkeypatch.setattr(charts, "LATTICE_BLOCK", 7)
+        cs = flat_chart(periodic=True)
         x = np.array([[0.25, 0.5]])
         held = cs.metric_inverse_at(x)
-        with cs.fresh_memo():
+        memo = cs._cache
+        inside = []
+        for block in cs.lattice_blocks(5):
+            # each block starts from an empty memo
+            assert cs._cache == {} and cs._cache is not memo
             assert cs.metric_inverse_at(x) is not held
-            inside = cs.metric_inverse_at(x[::-1] + 0.125)
+            inside.append(cs.metric_inverse_at(block))
+        assert len(inside) == 4 and cs._cache is memo
         assert cs.metric_inverse_at(x) is held
-        assert cs.metric_inverse_at(x[::-1] + 0.125) is not inside
+        assert cs.metric_inverse_at(block) is not inside[-1]
+        # a raise or a break in a block's body also puts the chart's memo back
+        with pytest.raises(RuntimeError):
+            for block in cs.lattice_blocks(5):
+                cs.metric_inverse_at(block)
+                raise RuntimeError
+        assert cs._cache is memo
+        for block in cs.lattice_blocks(5):
+            break
+        assert cs._cache is memo
+
+    def test_lattice_blocks_are_the_lattice_in_order(self, monkeypatch):
+        cs = sphere_chart(n=3)
+        whole = cs.lattice([3, 4, 5])
+        for size in (7, 60, 1024):
+            monkeypatch.setattr(charts, "LATTICE_BLOCK", size)
+            blocks = list(cs.lattice_blocks([3, 4, 5]))
+            assert all(len(b) == size for b in blocks[:-1]) and 0 < len(blocks[-1]) <= size
+            assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        with pytest.raises(ConstructionError, match="lattice counts"):
+            next(cs.lattice_blocks([3, 0, 5]))
 
 
 class TestChristoffel:

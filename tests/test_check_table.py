@@ -72,4 +72,4 @@ def test_rules_name_known_families_and_the_data_set_bars():
     families = {row.rule.family for row in CHECKS.values() if isinstance(row.rule, FD)}
     assert families == set(FD_TOL_CONSTANTS)
     assert {stem for stem, row in CHECKS.items() if row.rule is FROM_DATA} == {
-        "quadrature-cross-validation", "ros-refinement-shrink", "max-probe-closed-form"}
+        "quadrature-cross-validation", "ros-refinement-shrink"}

@@ -314,6 +314,27 @@ def run_cli(*args):
     )
 
 
+_VERIFY = ["verify", "--suite", "algebraic", "--seeds", "1", "--sweep-count", "100"]
+_GEN = ["gen", "--out", "{tmp}/g.json", "--family"]
+# each bad value with the argument list around it and the name its message gives
+BAD_CONFIGS = {
+    **{f"{flag}-{value}": (_VERIFY + [flag, value], name) for flag, value, name in [
+        ("--h", "-1", "h"), ("--h", "0", "h"), ("--h", "nan", "h"),
+        ("--sweep-count", "0", "sweep_count"), ("--seeds", "0", "seeds"),
+        ("--lattice", "0", "lattice"), ("--fiber-nodes", "-2", "fiber_order"),
+        ("--fiber-nodes", "3", "fiber_order"), ("--tol-scale", "0", "tol_scale"),
+        ("--tol-scale", "inf", "tol_scale")]},
+    "gen-n-above-the-largest-dimension": (_GEN + ["G1-constant-A", "--n", "9"], "dimension 9"),
+    "gen-n-0": (_GEN + ["G1-constant-A", "--n", "0"], "dimension 0"),
+    "gen-seed-negative": (_GEN + ["G1-constant-A", "--seed", "-1"], "seed"),
+    "gen-params-not-an-object": (_GEN + ["G1-constant-A", "--params", "[1,2]"], "params"),
+    "gen-params-h-not-a-number": (_GEN + ["G1-constant-A", "--params", '{"h": "x"}'], "'h'"),
+    "gen-params-fractional-count": (
+        _GEN + ["G5-periodic-trig", "--params", '{"variant": "generic", "freq": 1.5}'],
+        "'freq'"),
+}
+
+
 class TestCLI:
     def test_verify_exit_zero_and_report(self, tmp_path):
         report = tmp_path / "report.json"
@@ -442,16 +463,23 @@ class TestCLI:
     def test_check_has_no_suite_option(self):
         assert run_cli("check", "--suite", "integral", "--file", EQUALITY_FILE).returncode == 2
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--h", "-1"), ("--h", "0"), ("--h", "nan"),
-        ("--sweep-count", "0"), ("--seeds", "0"), ("--lattice", "0"), ("--fiber-nodes", "-2"),
-        ("--fiber-nodes", "3"), ("--tol-scale", "0"), ("--tol-scale", "inf"),
-    ])
-    def test_invalid_config_is_usage_error(self, flag, value):
-        out = run_cli("verify", "--suite", "algebraic", "--seeds", "1", "--sweep-count", "100",
-                      flag, value)
+    @pytest.mark.parametrize("case", list(BAD_CONFIGS))
+    def test_invalid_config_is_usage_error(self, tmp_path, case):
+        args, name = BAD_CONFIGS[case]
+        out = run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in args))
         assert out.returncode == 2, out.stdout + out.stderr
         assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("error: ") and name in out.stderr, out.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_check_of_a_file_above_the_largest_dimension_is_usage_error(self, tmp_path, capsys):
+        n = 9
+        path = tmp_path / "nine.json"
+        path.write_text(json.dumps({
+            "n": n, "domain": [[0.0, 1.0]] * n, "A": {"111": "0.5"},
+            "g": [["1" if i == j else "0" for j in range(n)] for i in range(n)]}))
+        assert main(["check", "--file", str(path)]) == 2
+        assert capsys.readouterr().err == "error: dimension 9 must lie in 1..8\n"
 
 
 class TestNonFiniteInput:

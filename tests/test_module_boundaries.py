@@ -1024,3 +1024,53 @@ def test_single_point_branch_checker_flags_each_test():
     )
     assert single_point_branches(source) == [
         "line 4: ndim", "line 6: ndim", "line 8: count", "line 8: count", "line 8: count"]
+
+
+def lattice_block_sites(sources: dict[str, str]) -> list[str]:
+    """Uses of the name ``LATTICE_BLOCK`` outside ``charts.py``, as ``file:line``.
+
+    ``ChartStructure.lattice_blocks`` is the one walk over a chart's lattice: the spot check,
+    the bundle integrals and the maximum probe read their lattices through it, so no other
+    module cuts a lattice into blocks.
+    """
+    found = []
+    for name, source in sorted(sources.items()):
+        if name == "charts.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Name) and node.id == "LATTICE_BLOCK"
+                    or isinstance(node, ast.Attribute) and node.attr == "LATTICE_BLOCK"
+                    or isinstance(node, ast.alias) and node.name == "LATTICE_BLOCK"):
+                found.append((name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_only_charts_walks_a_lattice():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert lattice_block_sites(sources) == []
+
+
+def test_lattice_walk_checker_flags_each_copy():
+    sources = {
+        "charts.py": (
+            "LATTICE_BLOCK = 1024\n"
+            "def lattice_blocks(cs, counts):\n"
+            "    for start in range(0, 99, LATTICE_BLOCK):\n"
+            "        yield start\n"
+        ),
+        "spheres.py": (
+            "from .charts import LATTICE_BLOCK, ChartStructure\n"
+            "def walk(points):\n"
+            "    for start in range(0, len(points), LATTICE_BLOCK):\n"
+            "        yield points[start:start + LATTICE_BLOCK]\n"
+        ),
+        "bounds.py": (
+            "from . import charts as charts_mod\n"
+            "STEP = 8\n"
+            "def probe(cs, m):\n"
+            "    return range(0, m, charts_mod.LATTICE_BLOCK)\n"
+            "LATTICE_BLOCK = 64\n"
+        ),
+    }
+    assert lattice_block_sites(sources) == [
+        "bounds.py:4", "bounds.py:5", "spheres.py:1", "spheres.py:3", "spheres.py:4"]

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from pathlib import Path
@@ -5,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codazzi import ConstructionError, PreconditionError, spheres, suites
-from codazzi.charts import ChartStructure, codifferential_at, constant_field
+from codazzi import ConstructionError, PreconditionError, charts, spheres, suites
+from codazzi.bounds import discrete_max_probe
+from codazzi.charts import ChartStructure, codifferential_at, constant_field, squared_norm_field
 from codazzi.generators import GeneratorSpec, generate
 from codazzi.spheres import (
     NODE_POWER_CACHE_SIZE,
@@ -580,43 +582,144 @@ def test_integral_suite_evaluates_each_fiber_identity_once(monkeypatch):
     assert sum(slots) == 72
 
 
+def _probe(lattice_points):
+    """The maximum probe of u = ||A||^2 on a conformal torus: the argmax and the Laplacian."""
+    conf = generate(GeneratorSpec("G5-periodic-trig", seed=2,
+                                  params={"variant": "conformal", "amp": 0.35}))
+    return discrete_max_probe(conf, squared_norm_field(conf, conf.a_field),
+                              lattice_points=lattice_points)
+
+
+def _spot_check(n):
+    """The spot check of a generated chart of dimension n, which accepts it."""
+    generate(GeneratorSpec("G1-constant-A", n=n))
+    return "accepted"
+
+
+# a field planted bad at one point: its metric and cubic values there
+_PLANTED = {
+    "non-finite": lambda n: (np.full((n, n), np.nan), np.zeros((n,) * 3)),
+    "indefinite": lambda n: (np.diag([1.0] * (n - 1) + [-1.0]), np.zeros((n,) * 3)),
+    # e1 (x) e1 (x) e2: not symmetric
+    "asymmetric": lambda n: (np.eye(n), np.multiply.outer(np.outer(*np.eye(n)[[0, 0]]),
+                                                          np.eye(n)[1])),
+}
+
+
+def _planted_spot_check(n, kind, row):
+    """The spot check's message for fields that are bad only at row row of the 5^n lattice of
+    the periodic box [0, 1)^n, or at its midpoint (row None), which that lattice leaves out."""
+    domain, periodic = [[0.0, 1.0]] * n, [True] * n
+    g_good, a_good = np.eye(n), np.zeros((n,) * 3)
+    point = (np.full(n, 0.5) if row is None else
+             ChartStructure(n, domain, constant_field(g_good), constant_field(a_good),
+                            periodic=periodic).lattice(5)[row])
+    g_bad, a_bad = _PLANTED[kind](n)
+
+    def planted(good, bad):
+        def field(x):
+            hit = np.all(x == point, axis=-1).reshape(x.shape[:-1] + (1,) * good.ndim)
+            return np.where(hit, bad, good)
+
+        return field
+
+    with pytest.raises(ConstructionError) as raised:
+        ChartStructure(n, domain, planted(g_good, g_bad), planted(a_good, a_bad),
+                       periodic=periodic)
+    message = str(raised.value)
+    assert f"x={point.tolist()}" in message, message
+    return message
+
+
 class TestLatticeBlocks:
-    """The bundle integrals walk their lattice in blocks; the block size changes no bit."""
+    """Every reader of a chart's lattice walks it by ChartStructure.lattice_blocks: the Ros
+    integral and its refinement pair, the bundle functional, the maximum probe and the spot
+    check.  The block size changes no bit, and no point a spot check rejects."""
 
     CASES = {
         "ros-generic": lambda: ros_residual(*_generic_case(), k=3, lattice=32),
         "ros-three-torus": lambda: ros_residual(*_three_torus_case(), k=2, lattice=12),
         "ros-refinement-generic": lambda: ros_refinement(*_generic_case(), k=3, lattice=32),
         "bundle-conformal": lambda: unit_bundle_functional(_conformal_chart(), lattice=64),
+        **{f"probe-{m}": functools.partial(_probe, m) for m in (16, 48, 64)},
+        **{f"spot-check-n{n}": functools.partial(_spot_check, n) for n in (3, 5)},
+        # rows 100 of 125 and 2000 of 3125 lie in a middle block at size 7, and at n = 5 in
+        # the second block at 1024; the midpoint joins the last block
+        **{f"spot-check-n{n}-{kind}-{where}": functools.partial(_planted_spot_check, n, kind, row)
+           for n, rows in ((3, (100, None)), (5, (2000, None))) for row in rows
+           for where in ["midpoint" if row is None else f"row{row}"] for kind in _PLANTED},
     }
+
+    @staticmethod
+    def _bits(value):
+        """A message as itself; a number, an array or a tuple of them by its bytes."""
+        if isinstance(value, str):
+            return value
+        if isinstance(value, tuple):
+            return tuple(np.asarray(part, dtype=float).tobytes() for part in value)
+        return np.float64(value).tobytes()
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_block_size_changes_no_bit(self, monkeypatch, case):
         # 7 leaves a ragged last block; 10**6 puts each lattice in one block
         values = {}
         for block in (7, 1024, 10**6):
-            monkeypatch.setattr(spheres, "LATTICE_BLOCK", block)
-            values[block] = np.float64(self.CASES[case]()).tobytes()
+            monkeypatch.setattr(charts, "LATTICE_BLOCK", block)
+            values[block] = self._bits(self.CASES[case]())
         assert values[7] == values[1024] == values[10**6]
 
-    def test_each_block_gets_a_fresh_chart(self, monkeypatch):
-        monkeypatch.setattr(spheres, "LATTICE_BLOCK", 100)
-        steps = []
-        original = ChartStructure.with_step
+    @staticmethod
+    def _spy_walks(monkeypatch):
+        """Each lattice walk as (chart, its memo before the walk, the size of its memo as each
+        block's body starts)."""
+        walks = []
+        original = ChartStructure.lattice_blocks
 
-        def spy(cs, h):
-            steps.append(h)
-            return original(cs, h)
+        def spy(cs, counts):
+            sizes = []
+            walks.append((cs, cs._cache, sizes))
+            for block in original(cs, counts):
+                sizes.append(len(cs._cache))
+                yield block
 
-        monkeypatch.setattr(ChartStructure, "with_step", spy)
-        gen = _generic_chart()
+        monkeypatch.setattr(ChartStructure, "lattice_blocks", spy)
+        return walks
+
+    def test_each_block_starts_an_empty_memo(self, monkeypatch):
+        monkeypatch.setattr(charts, "LATTICE_BLOCK", 100)
+        gen, conf = _generic_chart(), _conformal_chart()
+        held = gen._cache
+        walks = self._spy_walks(monkeypatch)
         ros_residual(gen, gen.a_field, k=3, lattice=32)
-        spacing = 2 * np.pi / 32
-        assert steps == [min(gen.h, spacing / 4.0)] * 11
-        steps.clear()
-        conf = _conformal_chart()
+        # one walk, on one copy of the chart at the capped step, in 11 blocks
+        ((work, before, sizes),) = walks
+        assert work is not gen and work.h == min(gen.h, 2 * np.pi / 32 / 4.0)
+        assert sizes == [0] * 11
+        assert work._cache is before and gen._cache is held
+        walks.clear()
         unit_bundle_functional(conf, lattice=16)
-        assert steps == [conf.h] * 3
+        ((work, before, sizes),) = walks
+        assert work is not conf and work.h == conf.h
+        assert sizes == [0] * 3
+        assert work._cache is before
+
+    def test_a_raise_in_a_block_restores_the_walked_memo(self, monkeypatch):
+        monkeypatch.setattr(charts, "LATTICE_BLOCK", 100)
+        gen = _generic_chart()
+        held = gen._cache
+        walks = self._spy_walks(monkeypatch)
+
+        def fails(work, field, block):
+            if len(walks[0][2]) == 3:
+                raise RuntimeError("planted")
+            return codifferential_at(work, field, block)
+
+        monkeypatch.setattr(spheres, "codifferential_at", fails)
+        with pytest.raises(RuntimeError, match="planted"):
+            ros_residual(gen, gen.a_field, k=3, lattice=32)
+        ((work, before, sizes),) = walks
+        assert sizes == [0] * 3
+        assert work._cache is before and gen._cache is held
 
     def test_spheres_builds_charts_only_through_with_step(self):
         source = Path(spheres.__file__).read_text(encoding="utf-8")
